@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-artifacts bench-gate bench-compare serve-smoke fleet-smoke chaos-smoke lint fmt
+.PHONY: build test race bench bench-smoke benchmark-check bench-artifacts bench-gate bench-compare serve-smoke fleet-smoke chaos-smoke lint fmt
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,14 @@ bench:
 bench-smoke:
 	$(GO) test -bench='Scan|Serve' -benchtime=1x -run '^$$' .
 	$(GO) test -bench='Conv' -benchtime=1x -run '^$$' ./internal/qinfer/
+
+# benchmark/ is its own Go module, so `go build ./...` and `go test ./...`
+# at the root never compile it: vet it and run its tests (the -scale 0.03
+# smoke of every workload among them) here, so a change that breaks the
+# API it compiles against shows before the acceptance driver runs it.
+benchmark-check:
+	$(GO) vet -C benchmark .
+	$(GO) test -C benchmark .
 
 # Machine-readable perf artifacts: the scan worker sweep (with the
 # old-vs-new checksum kernel record), the serving-under-attack sweep and

@@ -169,8 +169,8 @@ func main() {
 	fmt.Printf("side model served %d requests, untouched by the attack\n", sideServed)
 	fmt.Printf("scrubber: %d cycles, flagged %d, zeroed %d weights; rekeys %d\n",
 		snap.ScrubCycles, snap.ScrubFlagged, snap.ScrubZeroed, snap.Rekeys)
-	fmt.Printf("verified fetch: %d cache hits, %d rescans, flagged %d\n",
-		snap.VerifyHits, snap.VerifyScans, snap.VerifyFlagged)
+	fmt.Printf("verified fetch: %d layer checks, flagged %d\n",
+		snap.VerifyScans, snap.VerifyFlagged)
 	fmt.Printf("protector totals: %d scans, %d groups flagged, %d recovered, %d weights zeroed\n",
 		snap.ProtectorScans, snap.GroupsFlagged, snap.GroupsRecovered, snap.WeightsZeroed)
 

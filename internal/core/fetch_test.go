@@ -1,0 +1,174 @@
+package core
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"radar/internal/model"
+	"radar/internal/quant"
+)
+
+// checkVerifyAgainstRef holds the inline verify to the scalar reference on
+// one (scheme, layer): a fresh layer verifies, and after each of a few
+// random bit flips verify says "clean" exactly when SignaturesRangeRef
+// still reproduces the golden signatures.
+func checkVerifyAgainstRef(t *testing.T, rng *rand.Rand, s Scheme, q []int8, what string) {
+	t.Helper()
+	n := s.NumGroups(len(q))
+	golden := s.SignaturesRangeRef(q, 0, n)
+	pl := s.compile(len(q))
+	if !pl.verify(q, golden) {
+		t.Fatalf("%s: clean layer failed verify", what)
+	}
+	for trial := 0; trial < 6; trial++ {
+		i, bit := rng.Intn(len(q)), rng.Intn(8)
+		if trial == 0 {
+			bit = quant.MSB // always changes S_B: at least one sure mismatch
+		}
+		q[i] = quant.FlipBit(q[i], bit)
+		want := slices.Equal(s.SignaturesRangeRef(q, 0, n), golden)
+		if got := pl.verify(q, golden); got != want {
+			t.Fatalf("%s: flip q[%d].b%d: verify=%v, reference says clean=%v", what, i, bit, got, want)
+		}
+		q[i] = quant.FlipBit(q[i], bit)
+	}
+	// A corrupted golden signature (the sigstore attack) must fail too.
+	j := rng.Intn(n)
+	golden[j] ^= 1
+	if pl.verify(q, golden) {
+		t.Fatalf("%s: flipped golden signature %d passed verify", what, j)
+	}
+}
+
+// TestVerifyMatchesReference is the differential pin of the fetch-path
+// verify against SignaturesRangeRef: every layer shape of the served zoo
+// models and of full-size ResNet-18, then randomized geometries.
+func TestVerifyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	scheme := func(g int, interleave bool) Scheme {
+		return Scheme{
+			G:          g,
+			Interleave: interleave,
+			Offset:     DefaultOffset + rng.Intn(8),
+			Key:        uint16(rng.Intn(1 << KeyBits)),
+			SigBits:    2 + rng.Intn(2),
+		}
+	}
+	models := map[string]*quant.Model{
+		"tiny":      model.Load(model.TinySpec()).QModel,
+		"resnet20s": model.Load(model.ResNet20sSpec()).QModel,
+		"resnet18":  model.SyntheticQuant(model.ResNet18ImageNetShapes()),
+	}
+	for name, m := range models {
+		for _, g := range []int{8, 512} {
+			for _, interleave := range []bool{false, true} {
+				for _, l := range m.Layers {
+					checkVerifyAgainstRef(t, rng, scheme(g, interleave), l.Q, name+"/"+l.Name)
+				}
+			}
+		}
+	}
+	for trial := 0; trial < 400; trial++ {
+		l := 1 + rng.Intn(6000)
+		if trial%8 == 0 {
+			l = 1 + rng.Intn(70000) // several verify chunks, lane flushes
+		}
+		s := scheme(1+rng.Intn(600), trial%2 == 0)
+		checkVerifyAgainstRef(t, rng, s, randWeights(rng, l), "random")
+	}
+}
+
+// TestFetchLayerAfterRekey: Rekey rebuilds the per-layer plans with the
+// schemes, so the fetch path neither trusts stale masks (a clean model
+// must verify under the new keys) nor misses a flip afterwards.
+func TestFetchLayerAfterRekey(t *testing.T) {
+	m := model.Load(model.TinySpec()).QModel
+	p := Protect(m, DefaultConfig(8))
+	defer p.Detach()
+	g := NewLayerGuard(len(m.Layers))
+	p.Coordinate(g)
+	cfg := DefaultConfig(16)
+	cfg.Seed = 99
+	cfg.SigBits = 3
+	p.Rekey(cfg)
+	for li := range m.Layers {
+		if p.plans[li].s != p.Schemes[li] {
+			t.Fatalf("layer %d: plan compiled for %+v, scheme is %+v", li, p.plans[li].s, p.Schemes[li])
+		}
+		flagged, _, exclusive := p.FetchLayer(li)
+		if flagged != 0 || exclusive {
+			t.Fatalf("layer %d: clean model flagged %d groups after rekey", li, flagged)
+		}
+		g.RUnlockLayer(li)
+	}
+	l := m.Layers[1]
+	l.Q[5] = quant.FlipBit(l.Q[5], quant.MSB) // physical flip: no observer fires
+	flagged, zeroed, exclusive := p.FetchLayer(1)
+	if flagged != 1 || zeroed == 0 || !exclusive {
+		t.Fatalf("flip after rekey: flagged=%d zeroed=%d exclusive=%v, want one group repaired under the write lock", flagged, zeroed, exclusive)
+	}
+	g.UnlockLayer(1)
+	if st := p.Stats(); st.GroupsRecovered != 1 {
+		t.Fatalf("GroupsRecovered = %d, want 1", st.GroupsRecovered)
+	}
+	if flagged, _, _ := p.FetchLayer(1); flagged != 0 {
+		t.Fatal("repaired layer flagged again")
+	}
+	g.RUnlockLayer(1)
+	// Every fetch counts as one scan of its layer, the repaired one too.
+	wantScans, wantBytes := int64(len(m.Layers)+2), int64(2*len(l.Q))
+	for _, ml := range m.Layers {
+		wantBytes += int64(len(ml.Q))
+	}
+	if st := p.Stats(); st.Scans != wantScans || st.BytesScanned != wantBytes {
+		t.Fatalf("Scans=%d BytesScanned=%d after %d fetches, want %d and %d", st.Scans, st.BytesScanned, wantScans, wantScans, wantBytes)
+	}
+}
+
+// TestFetchLayerZeroAlloc: a clean verified fetch allocates nothing, on
+// either grouping, whatever the layer size.
+func TestFetchLayerZeroAlloc(t *testing.T) {
+	m := model.Load(model.ResNet20sSpec()).QModel
+	for _, interleave := range []bool{false, true} {
+		cfg := DefaultConfig(8)
+		cfg.Interleave = interleave
+		p := Protect(m, cfg)
+		g := NewLayerGuard(len(m.Layers))
+		p.Coordinate(g)
+		allocs := testing.AllocsPerRun(20, func() {
+			for li := range m.Layers {
+				if _, _, exclusive := p.FetchLayer(li); exclusive {
+					t.Fatal("clean layer escalated")
+				}
+				g.RUnlockLayer(li)
+			}
+		})
+		p.Detach()
+		if allocs != 0 {
+			t.Fatalf("interleave=%v: clean FetchLayer pass allocated %.0f times, want 0", interleave, allocs)
+		}
+	}
+}
+
+// BenchmarkFetchLayer prices one clean verified-fetch pass over every
+// layer of the served models — the per-forward cost the fused fetch adds.
+func BenchmarkFetchLayer(b *testing.B) {
+	for _, spec := range []model.Spec{model.TinySpec(), model.ResNet20sSpec()} {
+		m := model.Load(spec).QModel
+		p := Protect(m, DefaultConfig(8))
+		g := NewLayerGuard(len(m.Layers))
+		p.Coordinate(g)
+		b.Run(spec.Name, func(b *testing.B) {
+			b.SetBytes(int64(m.TotalWeights()))
+			b.ReportAllocs()
+			for b.Loop() {
+				for li := range m.Layers {
+					p.FetchLayer(li)
+					g.RUnlockLayer(li)
+				}
+			}
+		})
+		p.Detach()
+	}
+}

@@ -84,18 +84,48 @@ func (p *Protector) Coordinate(g *LayerGuard) { p.guard = g }
 // uncoordinated).
 func (p *Protector) Guard() *LayerGuard { return p.guard }
 
-// VerifyAndRecoverLayer is the embedded-detection primitive of the
-// verified weight-fetch path (the run of RADAR inside the inference
-// weight fetch, Tables IV/V): under the layer's exclusive lock it rescans
-// layer li and immediately zeroes any flagged groups, so a caller that
-// fetches the layer's weights right afterwards consumes verified data.
-// It returns the flagged groups and the number of weights zeroed.
-// Holding the write lock for the scan (rather than the read lock) lets
-// detection and recovery happen atomically with respect to concurrent
-// writers — no flip can land between the scan and the zeroing.
+// FetchLayer is the verified weight fetch — the run of RADAR inside the
+// inference weight read (Tables IV/V). It takes layer li's read lock and
+// recomputes the layer's signatures inline on the caller's goroutine from
+// the precompiled plan: no worker fan-out, no scratch pool, no allocation,
+// and the weights it pulls through the cache are the ones the caller's
+// convolution reads next. A clean layer returns (0, 0, false) with the
+// read lock still held. On a mismatch it trades the read lock for the
+// write lock, repairs the layer (VerifyAndRecoverLayer's body) and returns
+// the flagged-group and zeroed-weight counts with exclusive set and the
+// write lock still held. Either way the caller consumes the weights under
+// the hold — nothing can land between the check and the use — and then
+// releases it through Guard(): RUnlockLayer, or UnlockLayer when exclusive.
+func (p *Protector) FetchLayer(li int) (flagged, zeroed int, exclusive bool) {
+	p.guard.RLockLayer(li)
+	if p.plans[li].verify(p.Model.Layers[li].Q, p.Golden[li]) {
+		p.stats.scans.Add(1)
+		p.addBytesScanned(li)
+		return 0, 0, false
+	}
+	// The repair rescans the layer under the write lock and accounts for
+	// the fetch there, once.
+	p.guard.RUnlockLayer(li)
+	p.guard.LockLayer(li)
+	groups, zeroed := p.verifyAndRecoverLocked(li)
+	return len(groups), zeroed, true
+}
+
+// VerifyAndRecoverLayer rescans layer li under its exclusive lock and
+// immediately repairs any flagged groups, returning the flagged groups and
+// the number of weights zeroed. Holding the write lock for the scan
+// (rather than the read lock) makes detection and recovery atomic with
+// respect to concurrent writers — no flip can land between the scan and
+// the repair. It is the escalation path of FetchLayer.
 func (p *Protector) VerifyAndRecoverLayer(li int) (flagged []GroupID, zeroed int) {
 	p.guard.LockLayer(li)
 	defer p.guard.UnlockLayer(li)
+	return p.verifyAndRecoverLocked(li)
+}
+
+// verifyAndRecoverLocked is VerifyAndRecoverLayer for a caller that holds
+// layer li's write lock.
+func (p *Protector) verifyAndRecoverLocked(li int) (flagged []GroupID, zeroed int) {
 	p.clearDirty(li)
 	p.stats.scans.Add(1)
 	p.addBytesScanned(li)
@@ -162,9 +192,9 @@ func (p *Protector) DetectAndRecoverExclusive() (flagged []GroupID, zeroed int) 
 // scrubber-facing accounting a serving layer exports as metrics.
 type Stats struct {
 	// Scans counts scan operations (Scan, ScanLayer, ScanDirty,
-	// DetectAndRecover, VerifyAndRecoverLayer). A ScanDirty that found no
-	// dirty layers still counts: the protector did decide all layers were
-	// clean.
+	// DetectAndRecover, VerifyAndRecoverLayer, FetchLayer). A ScanDirty
+	// that found no dirty layers still counts: the protector did decide
+	// all layers were clean.
 	Scans int64
 	// BytesScanned counts weight bytes covered by scans (one byte per int8
 	// weight) — divided by uptime it is the scan-bytes/s figure the serving

@@ -72,6 +72,11 @@ type Protector struct {
 	// Config.Correct is set (nil otherwise); see correct.go.
 	Check [][]uint32
 
+	// plans holds each layer's scheme compiled against its length (same
+	// order as Schemes, rebuilt whenever Schemes is): what FetchLayer's
+	// inline verify runs from.
+	plans []kernelPlan
+
 	// workers is the configured pool size (0 = GOMAXPROCS, resolved at
 	// scan time so a zero-valued Protector still works).
 	workers int
@@ -144,8 +149,17 @@ func newProtector(m *quant.Model, cfg Config) *Protector {
 			SigBits:    cfg.SigBits,
 		})
 	}
+	p.compilePlans()
 	p.RefreshAll()
 	return p
+}
+
+// compilePlans (re)builds the per-layer kernel plans from Schemes.
+func (p *Protector) compilePlans() {
+	p.plans = make([]kernelPlan, len(p.Schemes))
+	for li, s := range p.Schemes {
+		p.plans[li] = s.compile(len(p.Model.Layers[li].Q))
+	}
 }
 
 // poolSize resolves the configured worker count at call time (under mu:

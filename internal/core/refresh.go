@@ -57,6 +57,7 @@ func (p *Protector) Rekey(cfg Config) {
 	p.mu.Unlock()
 	fresh := newProtector(p.Model, cfg)
 	p.Schemes = fresh.Schemes
+	p.plans = fresh.plans
 	p.Golden = fresh.Golden
 	p.Check = fresh.Check
 	p.correct = fresh.correct

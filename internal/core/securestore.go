@@ -69,6 +69,7 @@ func UnsealProtector(m *quant.Model, store SecureStore) (*Protector, error) {
 	}
 	p := &Protector{Model: m, Schemes: schemes, Golden: golden,
 		dirty: make([]bool, len(m.Layers))}
+	p.compilePlans()
 	p.unobserve = m.Observe(p.markDirty)
 	return p, nil
 }

@@ -143,6 +143,55 @@ func hsum16x4(x uint64) int32 {
 	return int32((s & 0xFFFFFFFF) + (s >> 32))
 }
 
+// kernelPlan is a scheme compiled against one layer length: everything the
+// SWAR kernels derive from (Scheme, len(q)) before touching a weight — the
+// group geometry and the ±1 keystream as lane masks (contiguous) or row
+// tables (interleaved). Scans compile one per shard call on the stack; the
+// protector keeps one per layer (Protector.plans) so the fetch-path verify
+// starts straight at the weights.
+type kernelPlan struct {
+	s Scheme
+	l int // layer length the plan was compiled for
+	n int // NumGroups(l)
+
+	// Contiguous grouping: the two word-phase lane masks.
+	lm laneMasks
+
+	// Interleaved grouping: row geometry and the per-row (keystream
+	// position r mod KeyBits) XOR mask, bias constant and scalar sign.
+	rows, rowsFull, off int
+	maskTab             [KeyBits]uint64
+	biasTab, signTab    [KeyBits]int32
+}
+
+// compile builds the kernel plan of s for a layer of l weights.
+func (s Scheme) compile(l int) kernelPlan {
+	pl := kernelPlan{s: s, l: l, n: s.NumGroups(l)}
+	if !s.Interleave {
+		pl.lm = compileLaneMasks(s.Key)
+		return pl
+	}
+	n := pl.n
+	pl.rows = (l + n - 1) / n
+	pl.rowsFull = l / n // rows r < rowsFull have all n members in range
+	pl.off = s.Offset % n
+	if pl.off < 0 {
+		pl.off += n
+	}
+	for t := 0; t < KeyBits; t++ {
+		if (s.Key>>uint(t))&1 == 1 {
+			pl.maskTab[t] = swarBias
+			pl.biasTab[t] = 128
+			pl.signTab[t] = 1
+		} else {
+			pl.maskTab[t] = swarBias ^ ^uint64(0)
+			pl.biasTab[t] = 127
+			pl.signTab[t] = -1
+		}
+	}
+	return pl
+}
+
 // checksumRange computes the masked checksum of every group in [lo, hi)
 // and hands each (group index, checksum) to emit in ascending group order.
 // It is the shared word-parallel kernel under SignaturesRange, the golden
@@ -150,21 +199,67 @@ func hsum16x4(x uint64) int32 {
 // stack, so a non-escaping closure keeps the whole scan allocation-free.
 // Callers guarantee 0 ≤ lo < hi ≤ NumGroups(len(q)).
 func (s Scheme) checksumRange(q []int8, lo, hi int, emit func(j int, m int32)) {
-	if s.Interleave {
-		s.checksumInterleaved(q, lo, hi, emit)
-	} else {
-		s.checksumContiguous(q, lo, hi, emit)
+	pl := s.compile(len(q))
+	if !s.Interleave {
+		pl.contiguous(q, lo, hi, emit)
+		return
 	}
+	ks := getKernelScratch()
+	sums := ks.sumsBuf(hi - lo)
+	accE, accO := ks.accBufs((hi - lo) >> 3)
+	bias := pl.interleaved(q, lo, hi, sums, accE, accO)
+	for k, m := range sums {
+		emit(lo+k, m-bias)
+	}
+	putKernelScratch(ks)
 }
 
-// checksumContiguous is the word-parallel kernel for contiguous grouping:
-// group j owns q[jG:(j+1)G], whose keystream starts at phase 0, so words
+// verifyChunk is how many groups the fetch-path verify checks per kernel
+// call: small enough that the kernel's working memory (3 KB) lives on the
+// caller's stack — no pool, no allocation — and that a corrupted layer is
+// rejected after one chunk, large enough that a chunk's row segments are
+// still whole cache lines.
+const verifyChunk = 512
+
+// verify reports whether every group of q still binarizes to its golden
+// signature. It is the scan compare path reduced to a yes/no for one
+// layer, run inline from a precompiled plan: same kernels, same
+// arithmetic, no scratch pool, no flagged list.
+func (pl *kernelPlan) verify(q []int8, golden []uint8) bool {
+	if len(q) != pl.l || len(golden) != pl.n {
+		return false // not the layer this plan was compiled for
+	}
+	var (
+		sums       [verifyChunk]int32
+		accE, accO [verifyChunk >> 3]uint64
+	)
+	s := pl.s
+	var diff uint8 // OR of signature XOR golden over the chunk: branch-free compare
+	for lo := 0; lo < pl.n && diff == 0; lo += verifyChunk {
+		hi := min(lo+verifyChunk, pl.n)
+		if !s.Interleave {
+			pl.contiguous(q, lo, hi, func(j int, m int32) { diff |= s.Binarize(m) ^ golden[j] })
+			continue
+		}
+		S := hi - lo
+		clear(sums[:S])
+		clear(accE[:S>>3])
+		clear(accO[:S>>3])
+		bias := pl.interleaved(q, lo, hi, sums[:S], accE[:S>>3], accO[:S>>3])
+		for k, g := range golden[lo:hi] {
+			diff |= s.Binarize(sums[k]-bias) ^ g
+		}
+	}
+	return diff == 0
+}
+
+// contiguous is the word-parallel kernel for contiguous grouping: group j
+// owns q[jG:(j+1)G], whose keystream starts at phase 0, so words
 // alternate between the two mask phrases. Each word adds at most 510 per
 // 16-bit lane, so the accumulator is flushed every 128 words, before a
 // lane can saturate.
-func (s Scheme) checksumContiguous(q []int8, lo, hi int, emit func(j int, m int32)) {
-	l := len(q)
-	lm := compileLaneMasks(s.Key)
+func (pl *kernelPlan) contiguous(q []int8, lo, hi int, emit func(j int, m int32)) {
+	s, l, lm := pl.s, pl.l, &pl.lm
 	qb := asBytes(q)
 	for j := lo; j < hi; j++ {
 		base := j * s.G
@@ -198,22 +293,27 @@ func (s Scheme) checksumContiguous(q []int8, lo, hi int, emit func(j int, m int3
 	}
 }
 
-// checksumInterleaved is the word-parallel kernel for interleaved
-// grouping. Within one row every weight carries the same sign (the
-// keystream position is the row index) and consecutive weights belong to
+// interleaved is the word-parallel kernel for interleaved grouping. The
+// caller supplies the working memory, zeroed: sums (one int32 per group of
+// [lo, hi)) and the accE/accO lane accumulators (one word each per 8
+// groups) — pooled for scans, on the stack for verify — and gets back
+// sums[k] = checksum of group lo+k plus the returned bias.
+//
+// Within one row every weight carries the same sign (the keystream
+// position is the row index) and consecutive weights belong to
 // consecutive groups, so the kernel sweeps each row's group segment — a
 // contiguous ~shard-sized run of memory, which the hardware prefetcher
 // streams — XORs each word with the row's uniform bias+sign mask (0x80
 // per byte for +1 rows, 0x7F for −1 rows: excess-128 bias, composed with
 // the byte-wise NOT that negates a weight in that domain), splits it into
 // even and odd byte lanes and adds it to per-group 16-bit lane
-// accumulators (two uint64 words per 8 groups, L1-resident in the pooled
-// scratch). The lane grid realigns with the segment each row (the
-// interleave offset rotates the segment under the groups), so up to 7
-// head/tail lanes per run are handled scalar, adding sign·q plus the
-// row's bias constant directly so that *every* lane accrues exactly one
-// biasRow per row; a single closed-form subtraction at emit time then
-// settles the bias for word and scalar contributions alike:
+// accumulators (two uint64 words per 8 groups, L1-resident). The lane
+// grid realigns with the segment each row (the interleave offset rotates
+// the segment under the groups), so up to 7 head/tail lanes per run are
+// handled scalar, adding sign·q plus the row's bias constant directly so
+// that *every* lane accrues exactly one biasRow per row; a single
+// closed-form subtraction of the returned bias then settles it for word
+// and scalar contributions alike:
 //
 //	checksum = Σ lanes − Σ_rows biasRow,  biasRow = 128 (+1) or 127 (−1)
 //
@@ -221,42 +321,16 @@ func (s Scheme) checksumContiguous(q []int8, lo, hi int, emit func(j int, m int3
 // a 16-bit lane (≤ 255 per row) can saturate. The checksum is an exact
 // int32 sum, so none of this reordering changes the result — it is
 // bit-identical to the per-group reference.
-func (s Scheme) checksumInterleaved(q []int8, lo, hi int, emit func(j int, m int32)) {
-	l := len(q)
-	n := s.NumGroups(l)
-	rows := (l + n - 1) / n
-	rowsFull := l / n // rows r < rowsFull have all n members in range
-	off := s.Offset % n
-	if off < 0 {
-		off += n
-	}
+func (pl *kernelPlan) interleaved(q []int8, lo, hi int, sums []int32, accE, accO []uint64) (bias int32) {
+	l, n, rows, rowsFull, off := pl.l, pl.n, pl.rows, pl.rowsFull, pl.off
 	qb := asBytes(q)
 	S := hi - lo
-	ks := getKernelScratch()
-	sums := ks.sumsBuf(S)
-	accE, accO := ks.accBufs(S >> 3)
-	// The keystream repeats every KeyBits rows: precompile the row masks,
-	// bias constants and scalar signs once per call.
-	var maskTab [KeyBits]uint64
-	var biasTab [KeyBits]int32
-	var signTab [KeyBits]int32
-	for t := 0; t < KeyBits; t++ {
-		if (s.Key>>uint(t))&1 == 1 {
-			maskTab[t] = swarBias
-			biasTab[t] = 128
-			signTab[t] = 1
-		} else {
-			maskTab[t] = swarBias ^ ^uint64(0)
-			biasTab[t] = 127
-			signTab[t] = -1
-		}
-	}
-	var biasAcc int32 // Σ biasRow over all rows, subtracted once at emit
+	var biasAcc int32 // Σ biasRow over all rows, for the caller to subtract
 	rowsInAcc := 0
 	c := lo % n // column of group lo, maintained per row
 	for r := 0; r < rows; r++ {
 		t := r & (KeyBits - 1)
-		mask, biasRow, sign := maskTab[t], biasTab[t], signTab[t]
+		mask, biasRow, sign := pl.maskTab[t], pl.biasTab[t], pl.signTab[t]
 		base := r * n
 		if r >= rowsFull {
 			// Ragged last row: scalar with presence checks. Absent lanes
@@ -280,14 +354,7 @@ func (s Scheme) checksumInterleaved(q []int8, lo, hi int, emit func(j int, m int
 				S1 = S
 			}
 			w1 := S1 >> 3
-			aE, aO := accE[:w1], accO[:w1]
-			idx := base + c
-			for w := 0; w < w1; w++ {
-				ux := binary.LittleEndian.Uint64(qb[idx:]) ^ mask
-				aE[w] += ux & swarLowBytes
-				aO[w] += (ux >> 8) & swarLowBytes
-				idx += 8
-			}
+			addWords(accE[:w1], accO[:w1], qb[base+c:], mask)
 			for k := w1 << 3; k < S1; k++ { // run-1 tail lanes
 				sums[k] += sign*int32(q[base+c+k]) + biasRow
 			}
@@ -301,17 +368,8 @@ func (s Scheme) checksumInterleaved(q []int8, lo, hi int, emit func(j int, m int
 				for k := S1; k < a2; k++ {
 					sums[k] += sign*int32(q[base+k-S1]) + biasRow
 				}
-				b2 := S &^ 7
-				idx = base + a2 - S1
-				for w := a2 >> 3; w < b2>>3; w++ {
-					ux := binary.LittleEndian.Uint64(qb[idx:]) ^ mask
-					accE[w] += ux & swarLowBytes
-					accO[w] += (ux >> 8) & swarLowBytes
-					idx += 8
-				}
-				if b2 < a2 {
-					b2 = a2
-				}
+				b2 := max(S&^7, a2)
+				addWords(accE[a2>>3:b2>>3], accO[a2>>3:b2>>3], qb[base+a2-S1:], mask)
 				for k := b2; k < S; k++ {
 					sums[k] += sign*int32(q[base+k-S1]) + biasRow
 				}
@@ -327,10 +385,20 @@ func (s Scheme) checksumInterleaved(q []int8, lo, hi int, emit func(j int, m int
 		}
 	}
 	drainAcc(sums, accE, accO)
-	for k := 0; k < S; k++ {
-		emit(lo+k, sums[k]-biasAcc)
+	return biasAcc
+}
+
+// addWords is the inner loop of the interleaved kernel: it masks
+// len(accE) consecutive words of one row segment and adds their even and
+// odd byte lanes into the matching accumulator words.
+func addWords(accE, accO []uint64, seg []byte, mask uint64) {
+	accO = accO[:len(accE)]
+	seg = seg[:len(accE)<<3]
+	for w := range accE {
+		ux := binary.LittleEndian.Uint64(seg[w<<3:]) ^ mask
+		accE[w] += ux & swarLowBytes
+		accO[w] += (ux >> 8) & swarLowBytes
 	}
-	putKernelScratch(ks)
 }
 
 // drainAcc flushes the 16-bit lane accumulators into the per-group int32

@@ -16,19 +16,55 @@
 // checkpoint models plus randomized shapes.
 package qinfer
 
-// engineScratch is the reusable conv working memory: the im2col patch
-// matrix and the GEMM accumulator plane. One instance serves one Forward
-// pass; instances cycle through the engine's pool so concurrent inference
-// workers (internal/serve runs several over one Engine) never share or
-// reallocate buffers in steady state.
+import "time"
+
+// engineScratch is the working state of one Forward pass: the im2col patch
+// matrix, the GEMM accumulator plane and the classifier's dequantized
+// row, plus the pass's fetch seam and clocks. Instances cycle through the
+// engine's pool so concurrent inference workers (internal/serve runs
+// several over one Engine) never share or reallocate buffers in steady
+// state.
 type engineScratch struct {
 	cols []int8
 	acc  []int32
-	// hook, when set, overrides the engine-wide fetch hook for the one
-	// Forward pass this scratch is checked out for (see ForwardWithHook).
-	// Cleared on check-in so a pooled instance never leaks its caller's
-	// hook into an unrelated pass.
-	hook FetchHook
+	row  []float32
+
+	// hook and fetcher are this pass's observer and weight-fetch seam (see
+	// ForwardWithHook, ForwardFetch); both nil for a plain Forward.
+	hook    func(layer int)
+	fetcher WeightFetcher
+	// fetchTime, stageTime and stages are the pass's clocks: time inside
+	// fetch steps, time inside stage compute, stages run.
+	fetchTime, stageTime time.Duration
+	stages               int64
+}
+
+// fetchLayer opens a stage: the pass's hook fires, the fetcher (if any)
+// verifies and locks the layer, and the stage's compute clock starts —
+// three clock reads per stage split it into fetch and compute time. Its
+// results are release's arguments.
+func (sc *engineScratch) fetchLayer(layer int) (_ int, start time.Time) {
+	if sc.hook != nil {
+		sc.hook(layer)
+	}
+	start = time.Now()
+	if sc.fetcher != nil {
+		sc.fetcher.FetchLayer(layer)
+		fetched := time.Now()
+		sc.fetchTime += fetched.Sub(start)
+		start = fetched
+	}
+	return layer, start
+}
+
+// release closes a stage opened by fetchLayer. Stages defer it, so a
+// panicking compute still lets go of the layer.
+func (sc *engineScratch) release(layer int, start time.Time) {
+	sc.stageTime += time.Since(start)
+	sc.stages++
+	if sc.fetcher != nil {
+		sc.fetcher.ReleaseLayer(layer)
+	}
 }
 
 // colsBuf returns an n-element patch buffer, growing only on high-water
@@ -49,6 +85,14 @@ func (sc *engineScratch) accBuf(n int) []int32 {
 	return sc.acc[:n]
 }
 
+// rowBuf returns an n-element float row; the classifier overwrites it.
+func (sc *engineScratch) rowBuf(n int) []float32 {
+	if cap(sc.row) < n {
+		sc.row = make([]float32, n)
+	}
+	return sc.row[:n]
+}
+
 // getScratch checks a scratch instance out of the engine pool.
 func (e *Engine) getScratch() *engineScratch {
 	if sc, ok := e.scratch.Get().(*engineScratch); ok {
@@ -57,8 +101,15 @@ func (e *Engine) getScratch() *engineScratch {
 	return new(engineScratch)
 }
 
+// putScratch ends a pass: its stage totals go to the engine's counters
+// (one atomic add each per pass, not per stage) and the pass state is
+// cleared, so a pooled instance never leaks its caller's hook or fetcher
+// into an unrelated pass.
 func (e *Engine) putScratch(sc *engineScratch) {
-	sc.hook = nil
+	e.stageCount.Add(sc.stages)
+	e.stageNs.Add(int64(sc.stageTime))
+	sc.hook, sc.fetcher = nil, nil
+	sc.fetchTime, sc.stageTime, sc.stages = 0, 0, 0
 	e.scratch.Put(sc)
 }
 

@@ -7,11 +7,13 @@
 // RADAR's checksum rides in the gem5 experiments (Tables IV/V); it also
 // demonstrates that the defense needs no floating-point weight copy:
 // detection and recovery act directly on the int8 image this engine
-// consumes. The embedded-detection point is exposed in software as a
-// per-layer FetchHook (invoked immediately before a conv stage reads its
-// weights) plus a WeightGuard (a per-layer read lock held across the
-// stage), which is how internal/serve keeps verification, recovery and
-// concurrent inference race-free on one shared weight image.
+// consumes — the classifier included, which dequantizes its int8 rows as
+// it reads them. The embedded-detection point is exposed in software as
+// one fetch step per stage, the WeightFetcher: it returns once the layer's
+// weights are verified and locked, the stage computes on them, and the
+// hold is released — so the checksum pass and the convolution walk the
+// same bytes back to back, and nothing can be written between the check
+// and the use. internal/serve implements it over core.Protector.FetchLayer.
 package qinfer
 
 import (
@@ -103,27 +105,11 @@ type qconv struct {
 	outScale       float32
 }
 
-// forward computes the stage on an int8 input of shape (N, inC, H, W).
-// The engine's fetch hook (if any) runs first — before the stage touches
-// a single weight — and the stage then holds the layer's read lock (if a
-// weight guard is attached) for the duration of the convolution.
-func (c *qconv) forward(x *QTensor, e *Engine, sc *engineScratch) *QTensor {
-	hook := e.hook
-	if sc.hook != nil {
-		hook = sc.hook
-	}
-	if hook != nil {
-		hook(c.qLayer)
-	}
-	if e.guard != nil {
-		e.guard.RLockLayer(c.qLayer)
-		defer e.guard.RUnlockLayer(c.qLayer)
-	}
-	start := time.Now()
-	out := c.compute(x, sc)
-	e.stageNs.Add(time.Since(start).Nanoseconds())
-	e.stageCount.Add(1)
-	return out
+// forward computes the stage on an int8 input of shape (N, inC, H, W)
+// inside the pass's fetch bracket (see engineScratch.fetchLayer).
+func (c *qconv) forward(x *QTensor, sc *engineScratch) *QTensor {
+	defer sc.release(sc.fetchLayer(c.qLayer))
+	return c.compute(x, sc)
 }
 
 // compute is the raw int8 convolution, free of any serving coordination:
@@ -230,12 +216,12 @@ type qblock struct {
 	outScale     float32
 }
 
-func (b *qblock) forward(x *QTensor, e *Engine, sc *engineScratch) *QTensor {
-	main := b.conv1.forward(x, e, sc)
-	main = b.conv2.forward(main, e, sc)
+func (b *qblock) forward(x *QTensor, sc *engineScratch) *QTensor {
+	main := b.conv1.forward(x, sc)
+	main = b.conv2.forward(main, sc)
 	side := x
 	if b.down != nil {
-		side = b.down.forward(x, e, sc)
+		side = b.down.forward(x, sc)
 	}
 	// Residual add in the real domain, then ReLU and requantize.
 	out := NewQTensor(b.outScale, main.Shape...)
@@ -250,6 +236,42 @@ func (b *qblock) forward(x *QTensor, e *Engine, sc *engineScratch) *QTensor {
 	return out
 }
 
+// qlinear is the final classifier. Its weights stay in the protected int8
+// image (aliasing quant.Layer.Q, like a conv stage's) and are dequantized
+// row by row as they are read, so a flip there is seen by inference and by
+// the verified fetch alike; float32(q)·scale is exactly the value the
+// quantizer synchronized into the float network, so the logits equal the
+// float classifier's bit for bit.
+type qlinear struct {
+	w       []int8 // (out, in) row-major, aliasing quant.Layer.Q
+	qLayer  int
+	wScale  float32
+	in, out int
+	bias    []float32
+}
+
+// forward computes logits = x·Wᵀ + b for pooled features x of shape
+// (N, in), inside the pass's fetch bracket.
+func (l *qlinear) forward(x *tensor.Tensor, sc *engineScratch) *tensor.Tensor {
+	defer sc.release(sc.fetchLayer(l.qLayer))
+	n := x.Shape[0]
+	out := tensor.New(n, l.out)
+	row := sc.rowBuf(l.in)
+	for j := 0; j < l.out; j++ {
+		for p, q := range l.w[j*l.in:][:l.in] {
+			row[p] = float32(q) * l.wScale
+		}
+		for i := 0; i < n; i++ {
+			var s float32
+			for p, v := range x.Data[i*l.in:][:l.in] {
+				s += v * row[p]
+			}
+			out.Data[i*l.out+j] = s + l.bias[j]
+		}
+	}
+	return out
+}
+
 // Engine is a compiled int8 inference network mirroring a ResNet built by
 // nn.BuildResNet.
 type Engine struct {
@@ -257,67 +279,44 @@ type Engine struct {
 	stem    *qconv
 	pool    bool
 	blocks  []*qblock
-	// fc runs in float (a single tiny matmul, standard in int8 deployments).
-	fcW *tensor.Tensor
-	fcB *tensor.Tensor
+	fc      *qlinear
 
-	// hook, when set, observes every quantized layer immediately before its
-	// weights are consumed — the embedded-detection point of the verified
-	// weight-fetch path. See SetFetchHook.
-	hook FetchHook
-	// guard, when set, read-locks each layer for the duration of its conv
-	// stage so recovery writes never race inference reads. See
-	// SetWeightGuard.
-	guard WeightGuard
-
-	// scratch pools the per-forward im2col/GEMM working buffers; see
-	// engineScratch. Safe for concurrent Forward calls — each checks out
-	// its own instance.
+	// scratch pools the per-forward working buffers; see engineScratch.
+	// Safe for concurrent Forward calls — each checks out its own
+	// instance.
 	scratch sync.Pool
 
-	// stageCount/stageNs accumulate executed conv-stage count and wall time
-	// spent inside the int8 GEMM compute (hook and lock wait excluded), the
-	// per-stage telemetry behind radar_gemm_stage_seconds_total.
+	// stageCount/stageNs accumulate executed stage count and wall time
+	// spent inside stage compute (fetch steps excluded), the per-stage
+	// telemetry behind radar_gemm_stage_seconds_total. Each pass adds its
+	// totals once, when it ends.
 	stageCount atomic.Int64
 	stageNs    atomic.Int64
 }
 
-// StageStats returns the cumulative number of executed conv stages and the
-// total nanoseconds spent in their int8 compute. Safe to call concurrently
-// with Forward; a metrics scrape reads it through counter funcs.
+// StageStats returns the cumulative number of executed stages (conv stages
+// plus the classifier) and the total nanoseconds spent in their compute.
+// Safe to call concurrently with Forward; a metrics scrape reads it
+// through counter funcs.
 func (e *Engine) StageStats() (stages, ns int64) {
 	return e.stageCount.Load(), e.stageNs.Load()
 }
 
-// FetchHook is called with the quantized-layer index (position in the
-// quant.Model the engine was compiled from) immediately before that
-// layer's conv stage reads its weights. A serving layer uses it to verify
-// the layer's signatures right at the fetch — the paper's embedded
-// detection (Tables IV/V) — and to recover before the corrupt weights are
-// ever multiplied. The hook runs on the inference goroutine and must not
-// hold the layer's read lock when it returns (the engine acquires it next).
-type FetchHook func(layer int)
-
-// WeightGuard read-locks a quantized layer around its conv stage.
-// *core.LayerGuard satisfies it; the indirection keeps qinfer free of a
-// dependency on the protection scheme.
-type WeightGuard interface {
-	RLockLayer(layer int)
-	RUnlockLayer(layer int)
+// WeightFetcher is the engine's weight-fetch seam: the one step between a
+// stage and the quantized layer it reads. FetchLayer returns once the
+// layer's weights are safe to read and stay so until the matching
+// ReleaseLayer; a pass holds one layer at a time. The interface keeps
+// qinfer free of a dependency on the protection scheme; internal/serve
+// implements it with core.Protector.FetchLayer, which verifies the layer's
+// signatures inside this step — the paper's embedded detection (Tables
+// IV/V).
+type WeightFetcher interface {
+	FetchLayer(layer int)
+	ReleaseLayer(layer int)
 }
 
-// SetFetchHook installs (or clears, with nil) the per-layer fetch hook.
-// Not safe to call concurrently with Forward — install before serving.
-func (e *Engine) SetFetchHook(h FetchHook) { e.hook = h }
-
-// SetWeightGuard installs (or clears, with nil) the weight read-lock
-// guard. Not safe to call concurrently with Forward — install before
-// serving. The final float classifier holds no quantized weights and is
-// not guarded; it is immutable after Compile (cloned, not aliased).
-func (e *Engine) SetWeightGuard(g WeightGuard) { e.guard = g }
-
 // QuantLayers returns the quantized-layer indices the engine consumes, in
-// execution order (a layer appears once per conv stage that reads it).
+// execution order (a layer appears once per stage that reads it).
 func (e *Engine) QuantLayers() []int {
 	var out []int
 	out = append(out, e.stem.qLayer)
@@ -327,7 +326,7 @@ func (e *Engine) QuantLayers() []int {
 			out = append(out, b.down.qLayer)
 		}
 	}
-	return out
+	return append(out, e.fc.qLayer)
 }
 
 // Compile converts a trained float ResNet plus its quantized weight image
@@ -395,14 +394,21 @@ func Compile(net *nn.Sequential, qm *quant.Model, calib *tensor.Tensor) (*Engine
 		case *nn.GlobalAvgPool:
 			// done with conv stages
 		case *nn.Linear:
-			e.fcW = l.Weight.Value.Clone()
-			e.fcB = l.Bias.Value.Clone()
+			ql, qi := nextQ(l.Weight.Name)
+			e.fc = &qlinear{
+				w:      ql.Q,
+				qLayer: qi,
+				wScale: ql.Scale,
+				in:     l.Weight.Value.Shape[1],
+				out:    l.Weight.Value.Shape[0],
+				bias:   append([]float32(nil), l.Bias.Value.Data...),
+			}
 		default:
 			return nil, fmt.Errorf("qinfer: unsupported layer %T", l)
 		}
 	}
 	e.blocks = blocks
-	if e.fcW == nil {
+	if e.fc == nil {
 		return nil, fmt.Errorf("qinfer: model has no final Linear layer")
 	}
 	e.calibrate(net, calib)
@@ -459,41 +465,45 @@ func (e *Engine) calibrate(net *nn.Sequential, calib *tensor.Tensor) {
 }
 
 // Forward runs int8 inference on a float input batch (N, C, H, W) and
-// returns float logits (N, classes).
+// returns float logits (N, classes). The weights are read as they are,
+// unguarded — for engines no other goroutine writes to.
 func (e *Engine) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return e.ForwardWithHook(x, nil)
+	out, _ := e.run(x, nil, nil)
+	return out
 }
 
-// ForwardWithHook runs Forward with a per-call fetch hook that overrides
-// the engine-wide SetFetchHook hook for this one pass (nil keeps the
-// engine-wide hook). Serving workers use it to attribute verified-fetch
-// time to the request being traced without installing per-request state on
-// the shared engine.
-func (e *Engine) ForwardWithHook(x *tensor.Tensor, hook FetchHook) *tensor.Tensor {
+// ForwardWithHook is Forward calling hook with the quantized-layer index
+// immediately before each stage reads that layer's weights.
+func (e *Engine) ForwardWithHook(x *tensor.Tensor, hook func(layer int)) *tensor.Tensor {
+	out, _ := e.run(x, hook, nil)
+	return out
+}
+
+// ForwardFetch is Forward with every stage's weight use bracketed by f:
+// FetchLayer, the stage's compute, ReleaseLayer. It also returns the time
+// the pass spent inside its fetch steps (lock waits and verification) —
+// kept on the pass, not on the engine, so concurrent workers sharing one
+// engine each get their own figure.
+func (e *Engine) ForwardFetch(x *tensor.Tensor, f WeightFetcher) (*tensor.Tensor, time.Duration) {
+	return e.run(x, nil, f)
+}
+
+func (e *Engine) run(x *tensor.Tensor, hook func(layer int), f WeightFetcher) (*tensor.Tensor, time.Duration) {
 	sc := e.getScratch()
 	defer e.putScratch(sc)
-	sc.hook = hook
+	sc.hook, sc.fetcher = hook, f
 	q := QuantizeActivations(x, e.inScale)
-	q = e.stem.forward(q, e, sc)
+	q = e.stem.forward(q, sc)
 	if e.pool {
-		f := q.Dequantize()
-		pooled, _ := tensor.MaxPool2(f)
+		pooled, _ := tensor.MaxPool2(q.Dequantize())
 		q = QuantizeActivations(pooled, q.Scale)
 	}
 	for _, b := range e.blocks {
-		q = b.forward(q, e, sc)
+		q = b.forward(q, sc)
 	}
-	// Global average pool in the real domain, then the float classifier.
-	f := q.Dequantize()
-	gap := tensor.GlobalAvgPool(f)
-	out := tensor.MatMulTransB(gap, e.fcW)
-	n, k := out.Shape[0], out.Shape[1]
-	for i := 0; i < n; i++ {
-		for j := 0; j < k; j++ {
-			out.Data[i*k+j] += e.fcB.Data[j]
-		}
-	}
-	return out
+	// Global average pool in the real domain, then the classifier.
+	out := e.fc.forward(tensor.GlobalAvgPool(q.Dequantize()), sc)
+	return out, sc.fetchTime
 }
 
 // Accuracy evaluates top-1 accuracy of the int8 engine.

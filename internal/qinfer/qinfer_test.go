@@ -1,6 +1,7 @@
 package qinfer
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -159,15 +160,15 @@ func TestEngineDeterministic(t *testing.T) {
 	}
 }
 
-// TestFetchHookCoversEveryLayer: the fetch hook must fire once per conv
-// stage, before that stage's weights are consumed, in execution order.
+// TestFetchHookCoversEveryLayer: the per-pass hook must fire once per
+// stage, before that stage's weights are consumed, in execution order —
+// and the stages between them read every quantized layer of the model,
+// the classifier included.
 func TestFetchHookCoversEveryLayer(t *testing.T) {
 	b, e := compileTiny(t)
 	var seen []int
-	e.SetFetchHook(func(li int) { seen = append(seen, li) })
-	defer e.SetFetchHook(nil)
 	x, _ := b.Test.Batch(0, 2)
-	e.Forward(x)
+	e.ForwardWithHook(x, func(li int) { seen = append(seen, li) })
 	want := e.QuantLayers()
 	if len(seen) != len(want) {
 		t.Fatalf("hook fired %d times, want %d", len(seen), len(want))
@@ -177,55 +178,132 @@ func TestFetchHookCoversEveryLayer(t *testing.T) {
 			t.Fatalf("hook order %v, want %v", seen, want)
 		}
 	}
-	// Every quantized layer except the float classifier is consumed by
-	// some conv stage, so the hook must have covered all of them.
 	covered := map[int]bool{}
 	for _, li := range seen {
 		covered[li] = true
 	}
-	for li := range b.QModel.Layers {
-		if b.QModel.Layers[li].Name == "fc.weight" {
-			continue // final Linear runs in float, never fetched as int8
-		}
+	for li, l := range b.QModel.Layers {
 		if !covered[li] {
-			t.Fatalf("layer %d (%s) never verified", li, b.QModel.Layers[li].Name)
+			t.Fatalf("layer %d (%s) never fetched", li, l.Name)
 		}
 	}
 }
 
-// TestWeightGuardLocksFetchedLayer: with a guard installed, inference must
-// hold the layer read lock while the conv runs — verified by a guard that
-// records lock/unlock pairing.
-func TestWeightGuardLocksFetchedLayer(t *testing.T) {
+// recordingFetcher checks the fetch bracket's pairing: one layer held at a
+// time and every hold released.
+type recordingFetcher struct {
+	t       *testing.T
+	held    map[int]bool
+	fetched []int
+}
+
+func (f *recordingFetcher) FetchLayer(li int) {
+	if len(f.held) != 0 {
+		f.t.Fatalf("layer %d fetched while %v still held", li, f.held)
+	}
+	f.fetched = append(f.fetched, li)
+	f.held[li] = true
+}
+
+func (f *recordingFetcher) ReleaseLayer(li int) {
+	if !f.held[li] {
+		f.t.Fatalf("release of layer %d, which is not held", li)
+	}
+	delete(f.held, li)
+}
+
+// TestForwardFetchBracketsEveryStage: with a fetcher, every stage runs
+// between its layer's FetchLayer and ReleaseLayer, the answer is the plain
+// Forward's, and nothing stays held — also when a stage panics.
+func TestForwardFetchBracketsEveryStage(t *testing.T) {
 	b, e := compileTiny(t)
-	g := &recordingGuard{held: map[int]int{}}
-	e.SetWeightGuard(g)
-	defer e.SetWeightGuard(nil)
-	e.SetFetchHook(func(li int) {
-		if g.held[li] != 0 {
-			t.Fatalf("hook for layer %d ran under its own read lock", li)
-		}
-	})
-	defer e.SetFetchHook(nil)
 	x, _ := b.Test.Batch(0, 2)
-	e.Forward(x)
-	for li, n := range g.held {
-		if n != 0 {
-			t.Fatalf("layer %d lock count %d after Forward", li, n)
+	want := e.Forward(x)
+	f := &recordingFetcher{t: t, held: map[int]bool{}}
+	got, spent := e.ForwardFetch(x, f)
+	if spent < 0 {
+		t.Fatalf("negative fetch time %v", spent)
+	}
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("logit %d: %v with a fetcher, %v without", i, got.Data[i], want.Data[i])
 		}
 	}
-	if g.locks == 0 {
-		t.Fatal("guard never engaged")
+	if fmt.Sprint(f.fetched) != fmt.Sprint(e.QuantLayers()) {
+		t.Fatalf("fetched %v, want %v", f.fetched, e.QuantLayers())
+	}
+	if len(f.held) != 0 {
+		t.Fatalf("layers %v still held after the pass", f.held)
+	}
+	func() {
+		defer func() { recover() }()
+		e.ForwardFetch(tensor.New(1, 1, 8, 8), f) // wrong channel count: the stem panics
+		t.Fatal("channel mismatch did not panic")
+	}()
+	if len(f.held) != 0 {
+		t.Fatalf("layers %v still held after a panicking stage", f.held)
 	}
 }
 
-type recordingGuard struct {
-	held  map[int]int
-	locks int
+// TestClassifierReadsProtectedImage: the classifier's logits equal the
+// float network's Linear on the same pooled features bit for bit (it
+// dequantizes the int8 rows to exactly the synchronized float weights),
+// and — unlike a cloned float copy — a flip in the quantized fc layer
+// reaches the very next answer.
+func TestClassifierReadsProtectedImage(t *testing.T) {
+	b, e := compileTiny(t)
+	var lin *nn.Linear
+	for _, l := range b.Net.Layers {
+		if v, ok := l.(*nn.Linear); ok {
+			lin = v
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	feat := tensor.New(5, e.fc.in)
+	feat.RandNormal(rng, 1)
+	want := tensor.MatMulTransB(feat, lin.Weight.Value)
+	got := e.fc.forward(feat, new(engineScratch))
+	for i := range want.Data {
+		if w := want.Data[i] + lin.Bias.Value.Data[i%e.fc.out]; got.Data[i] != w {
+			t.Fatalf("logit %d: int8-image classifier %v, float classifier %v", i, got.Data[i], w)
+		}
+	}
+
+	x, _ := b.Test.Batch(0, 4)
+	clean := e.Forward(x)
+	fc := b.QModel.Layers[e.fc.qLayer]
+	fc.Q[0] = quant.FlipBit(fc.Q[0], quant.MSB)
+	defer func() { fc.Q[0] = quant.FlipBit(fc.Q[0], quant.MSB) }()
+	hit := e.Forward(x)
+	same := true
+	for i := range clean.Data {
+		same = same && clean.Data[i] == hit.Data[i]
+	}
+	if same {
+		t.Fatal("an MSB flip in the quantized fc layer did not change the logits")
+	}
 }
 
-func (g *recordingGuard) RLockLayer(li int)   { g.held[li]++; g.locks++ }
-func (g *recordingGuard) RUnlockLayer(li int) { g.held[li]-- }
+// TestForwardFetchAddsNoAllocs: the fetch bracket itself — interface
+// calls, the deferred release, the pass clocks — allocates nothing on top
+// of a plain Forward.
+func TestForwardFetchAddsNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	b, e := compileTiny(t)
+	x, _ := b.Test.Batch(0, 1)
+	plain := testing.AllocsPerRun(20, func() { e.Forward(x) })
+	fetched := testing.AllocsPerRun(20, func() { e.ForwardFetch(x, nopFetcher{}) })
+	if fetched != plain {
+		t.Fatalf("ForwardFetch allocates %.0f times per pass, Forward %.0f", fetched, plain)
+	}
+}
+
+type nopFetcher struct{}
+
+func (nopFetcher) FetchLayer(int)   {}
+func (nopFetcher) ReleaseLayer(int) {}
 
 func TestEngineWithImageNetStem(t *testing.T) {
 	// A small ImageNet-style stem (7×7 stride-2 conv + maxpool) must

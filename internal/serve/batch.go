@@ -99,29 +99,26 @@ func stopTimer(t *time.Timer) {
 // worker runs batches to completion until the batch channel closes.
 func (s *Server) worker() {
 	defer s.workWG.Done()
+	v := &verifier{s: s}
 	for batch := range s.batches {
-		s.runBatch(batch)
+		s.runBatch(batch, v)
 	}
 }
 
 // runBatch assembles one (N, C, H, W) tensor from the batched requests,
-// runs a single engine forward (verified fetch and weight locking happen
-// inside, per layer) and fans the logit rows back out. Requests whose
-// context was cancelled while they waited in the queue are dropped here —
-// their submitters have already returned, so computing them would be
-// wasted work (a whole batch of cancellations skips the forward pass
-// entirely).
-func (s *Server) runBatch(batch []*request) {
+// runs a single engine forward through the worker's verifier (weight
+// locking and verified fetch happen inside, per stage) and fans the logit
+// rows back out. Requests whose context was cancelled while they waited in
+// the queue are dropped here — their submitters have already returned, so
+// computing them would be wasted work (a whole batch of cancellations
+// skips the forward pass entirely).
+func (s *Server) runBatch(batch []*request, v *verifier) {
 	start := time.Now() // batch dequeued: queue wait ends here
 	live := batch[:0]
-	traced := false
 	for _, r := range batch {
 		if r.ctx != nil && r.ctx.Err() != nil {
 			s.met.cancelled.Inc()
 			continue
-		}
-		if r.id != "" {
-			traced = true
 		}
 		live = append(live, r)
 	}
@@ -139,20 +136,11 @@ func (s *Server) runBatch(batch []*request) {
 		copy(x.Data[i*vol:(i+1)*vol], r.x.Data)
 	}
 	assembled := time.Now()
-	// When any request in the batch is traced and verified fetch is on,
-	// run the forward with a per-call hook that attributes fetch-path scan
-	// time to this batch — verifyNs is local to this worker, so no
-	// cross-batch accounting races.
-	var out *tensor.Tensor
-	var verifyNs int64
-	if traced && s.cfg.VerifiedFetch {
-		out = s.eng.ForwardWithHook(x, func(li int) { verifyNs += s.ver.checkTimed(li) })
-	} else {
-		out = s.eng.Forward(x)
-	}
+	v.at = assembled.UnixNano()
+	out, fetched := s.eng.ForwardFetch(x, v)
+	verify := v.flush(fetched)
 	k := out.Shape[1]
 	now := time.Now()
-	verify := time.Duration(verifyNs)
 	forward := now.Sub(assembled) - verify
 	for i, r := range batch {
 		logits := append([]float32(nil), out.Data[i*k:(i+1)*k]...)

@@ -32,7 +32,6 @@ type metrics struct {
 	scrubFlagged *obs.Counter
 	scrubZeroed  *obs.Counter
 
-	verifyHits    *obs.Counter
 	verifyScans   *obs.Counter
 	verifyFlagged *obs.Counter
 	verifyZeroed  *obs.Counter
@@ -57,8 +56,7 @@ func newMetrics(reg *obs.Registry, model string) *metrics {
 		scrubCycles:   reg.Counter("radar_scrub_cycles_total", "Background scrub cycles completed.", "model").With(model),
 		scrubFlagged:  reg.Counter("radar_scrub_flagged_total", "Groups flagged by scrub cycles.", "model").With(model),
 		scrubZeroed:   reg.Counter("radar_scrub_zeroed_total", "Weights zeroed by scrub recovery.", "model").With(model),
-		verifyHits:    reg.Counter("radar_verify_hits_total", "Verified fetches answered by the epoch cache.", "model").With(model),
-		verifyScans:   reg.Counter("radar_verify_scans_total", "Verified fetches that rescanned the layer.", "model").With(model),
+		verifyScans:   reg.Counter("radar_verify_scans_total", "Layers verified inside an inference weight fetch.", "model").With(model),
 		verifyFlagged: reg.Counter("radar_verify_flagged_total", "Groups flagged by fetch-path verification.", "model").With(model),
 		verifyZeroed:  reg.Counter("radar_verify_zeroed_total", "Weights zeroed by fetch-path recovery.", "model").With(model),
 		injections:    reg.Counter("radar_injections_total", "Attack injection rounds mounted on the live model.", "model").With(model),
@@ -75,9 +73,9 @@ func (m *metrics) observeLatency(d time.Duration) {
 }
 
 // registerFuncs binds the scrape-time function children for this server:
-// the queue-depth gauge, the protector's core counters, the engine's GEMM
-// stage clock, and the verifier's fetch-scan clock. Called once from
-// newServerIn after the runtime's channels exist.
+// the queue-depth and exposure-window gauges, the protector's core
+// counters, the engine's stage clock, and the fetch-step clock. Called
+// once from newServerIn after the runtime's channels exist.
 func (s *Server) registerFuncs(reg *obs.Registry, model string) {
 	reg.Gauge("radar_queue_depth", "Requests waiting in the model's bounded batch queue.", "model").
 		Func(func() float64 { return float64(len(s.reqs)) }, model)
@@ -95,12 +93,14 @@ func (s *Server) registerFuncs(reg *obs.Registry, model string) {
 		Func(func() float64 { return float64(s.prot.Stats().GroupsZeroed) }, model)
 	reg.Counter("radar_weights_zeroed_total", "Individual weights zeroed during recovery.", "model").
 		Func(func() float64 { return float64(s.prot.Stats().WeightsZeroed) }, model)
-	reg.Counter("radar_gemm_stages_total", "Quantized conv stages executed.", "model").
+	reg.Gauge("radar_exposure_window_seconds", "Time since the least recently verified layer was last checked by a verified fetch or a full sweep.", "model").
+		Func(func() float64 { return s.exposureWindow().Seconds() }, model)
+	reg.Counter("radar_gemm_stages_total", "Quantized stages executed (conv stages and the classifier).", "model").
 		Func(func() float64 { st, _ := s.eng.StageStats(); return float64(st) }, model)
-	reg.Counter("radar_gemm_stage_seconds_total", "Wall time inside int8 GEMM stage compute.", "model").
+	reg.Counter("radar_gemm_stage_seconds_total", "Wall time inside quantized stage compute.", "model").
 		Func(func() float64 { _, ns := s.eng.StageStats(); return float64(ns) / 1e9 }, model)
-	reg.Counter("radar_verify_seconds_total", "Wall time spent in fetch-path verification scans.", "model").
-		Func(func() float64 { return float64(s.ver.scanNs.Load()) / 1e9 }, model)
+	reg.Counter("radar_verify_seconds_total", "Wall time inference passes spent in weight-fetch steps (lock waits and verification).", "model").
+		Func(func() float64 { return float64(s.verifyNs.Load()) / 1e9 }, model)
 }
 
 // quantiles returns nearest-rank quantiles (q in [0,1]) over samples,
@@ -153,10 +153,8 @@ type Snapshot struct {
 	ScrubCycles  int64 `json:"scrub_cycles"`
 	ScrubFlagged int64 `json:"scrub_flagged"`
 	ScrubZeroed  int64 `json:"scrub_zeroed"`
-	// VerifyHits counts fetches answered by the epoch cache; VerifyScans
-	// fetches that rescanned the layer; VerifyFlagged / VerifyZeroed what
-	// the fetch-path scans caught.
-	VerifyHits    int64 `json:"verify_hits"`
+	// VerifyScans counts layers verified inside an inference weight fetch;
+	// VerifyFlagged / VerifyZeroed what those checks caught and repaired.
 	VerifyScans   int64 `json:"verify_scans"`
 	VerifyFlagged int64 `json:"verify_flagged"`
 	VerifyZeroed  int64 `json:"verify_zeroed"`
@@ -195,7 +193,6 @@ func (s *Server) Snapshot() Snapshot {
 		ScrubCycles:     s.met.scrubCycles.Value(),
 		ScrubFlagged:    s.met.scrubFlagged.Value(),
 		ScrubZeroed:     s.met.scrubZeroed.Value(),
-		VerifyHits:      s.met.verifyHits.Value(),
 		VerifyScans:     s.met.verifyScans.Value(),
 		VerifyFlagged:   s.met.verifyFlagged.Value(),
 		VerifyZeroed:    s.met.verifyZeroed.Value(),

@@ -66,10 +66,16 @@ func TestMetricNamingLint(t *testing.T) {
 		"radar_groups_corrected_total",
 		"radar_groups_zeroed_total",
 		"radar_adversary_flips_total",
+		"radar_verify_scans_total",
+		"radar_verify_seconds_total",
+		"radar_exposure_window_seconds",
 	} {
 		if !have[want] {
 			t.Errorf("metric family %q is not registered", want)
 		}
+	}
+	if have["radar_verify_hits_total"] {
+		t.Error("radar_verify_hits_total is still registered; nothing is cached, so nothing can hit")
 	}
 }
 
@@ -117,6 +123,7 @@ func TestHTTPMetricsAndTraces(t *testing.T) {
 		`# TYPE radar_request_latency_seconds histogram`,
 		`radar_request_latency_seconds_bucket{model="m0",le="+Inf"} 1`,
 		`radar_queue_depth{model="m0"}`,
+		`radar_exposure_window_seconds{model="m0"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
@@ -148,6 +155,9 @@ func TestHTTPMetricsAndTraces(t *testing.T) {
 	stages := make(map[string]bool, len(tr.Stages))
 	for _, st := range tr.Stages {
 		stages[st.Name] = true
+		if st.Name == "verify" && st.Ms <= 0 {
+			t.Errorf("verify stage took %v ms: the pass's fetch steps were not timed", st.Ms)
+		}
 	}
 	for _, want := range []string{"queue", "batch", "verify", "forward"} {
 		if !stages[want] {

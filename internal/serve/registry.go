@@ -225,8 +225,8 @@ func (hm *hostedModel) scrub(full bool) AdminReport {
 // is acquired, a final DetectAndRecoverExclusive runs inside the
 // exclusive section to repair anything that landed in between; only then
 // are the new goldens derived. Inference stalls only for the exclusive
-// section; the verified-fetch epoch cache stays valid because the
-// (recovered) weights are what the new golden values are computed from.
+// section; the next verified fetch runs from the kernel plans Rekey rebuilt
+// alongside the schemes.
 func (hm *hostedModel) rekey() AdminReport {
 	hm.rekeyMu.Lock()
 	defer hm.rekeyMu.Unlock()

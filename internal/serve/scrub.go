@@ -35,7 +35,9 @@ func (s *Server) scrubLoop() {
 // endpoint) can force a cycle without waiting for the ticker.
 func (s *Server) Scrub(full bool) (flagged []core.GroupID, zeroed int) {
 	if full {
+		begun := time.Now()
 		flagged, zeroed = s.prot.DetectAndRecover()
+		s.markVerified(begun)
 	} else {
 		flagged = s.prot.ScanDirty()
 		if len(flagged) > 0 {

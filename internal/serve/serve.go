@@ -25,10 +25,12 @@
 //   - A background scrubber goroutine that periodically runs the
 //     incremental ScanDirty (falling back to a pipelined full
 //     DetectAndRecover every few cycles) and zeroes whatever it flags.
-//   - A verified weight-fetch path: when enabled, every quantized layer is
-//     re-verified immediately before its conv stage executes, with a
-//     per-layer epoch cache so a layer that has not been written since its
-//     last verification costs two atomic loads instead of a scan.
+//   - A verified weight-fetch path: when enabled, every quantized layer's
+//     checksum is recomputed inside the fetch step of every stage of every
+//     batch — under the read lock the stage then computes under, on the
+//     bytes its convolution reads next — and a mismatch is repaired before
+//     the stage runs. Nothing is cached: a flip that no write observer saw
+//     lives until the next batch, not until the next full sweep.
 //   - An attack-injection hook that runs an adversary (e.g. a rowhammer
 //     simulator mounting a PBFA profile) against the live model under
 //     whole-model write exclusion, so integration tests and benchmarks can
@@ -72,8 +74,9 @@ type Config struct {
 	// it is full (default 256).
 	QueueDepth int
 	// VerifiedFetch enables per-layer signature verification in the
-	// weight-fetch path of every conv stage (the embedded detection of
-	// Tables IV/V). Clean layers are skipped via the epoch cache.
+	// weight-fetch step of every stage of every batch (the embedded
+	// detection of Tables IV/V): one inline checksum pass per layer per
+	// forward, uncached.
 	VerifiedFetch bool
 	// ScrubInterval is the background scrubber period; zero disables the
 	// scrubber entirely.
@@ -162,7 +165,6 @@ type Server struct {
 	prot   *core.Protector
 	model  *quant.Model
 	guard  *core.LayerGuard
-	ver    *verifier
 	met    *metrics
 	traces *obs.TraceRing // shared service-wide ring; never nil
 
@@ -178,8 +180,16 @@ type Server struct {
 	scrubStop chan struct{}
 	scrubWG   sync.WaitGroup
 	workWG    sync.WaitGroup
-	unobserve func()
 	start     time.Time
+
+	// verifyNs is the cumulative wall time inference passes spent in their
+	// fetch steps (radar_verify_seconds_total).
+	verifyNs atomic.Int64
+	// verified[li] is when layer li was last checked against its golden
+	// signatures by something that sees a physical flip — a verified fetch
+	// or a full sweep — as the Unix-nanosecond start of that pass. The
+	// oldest entry is the model's exposure window.
+	verified []atomic.Int64
 }
 
 // newServer wires a standalone server around an engine and protector with
@@ -197,9 +207,10 @@ const defaultTraceRingSize = 256
 // newServerIn wires a server around an engine and the protector guarding
 // the engine's weight image, binding its metrics to reg under the `model`
 // label name and its request traces to traces. The engine becomes owned by
-// the server: the fetch hook and weight guard are installed here, so it
-// must not be used for unrelated inference afterwards. The protector must
-// protect the same quant.Model the engine was compiled from.
+// the server: its workers run every pass through the layer guard (and, with
+// verified fetch on, the protector), so it must not be used for unrelated
+// inference afterwards. The protector must protect the same quant.Model
+// the engine was compiled from.
 func newServerIn(eng *qinfer.Engine, prot *core.Protector, cfg Config, reg *obs.Registry, name string, traces *obs.TraceRing) *Server {
 	cfg.fillDefaults()
 	m := prot.Model
@@ -215,18 +226,42 @@ func newServerIn(eng *qinfer.Engine, prot *core.Protector, cfg Config, reg *obs.
 		reqs:      make(chan *request, cfg.QueueDepth),
 		batches:   make(chan []*request, cfg.Workers),
 		scrubStop: make(chan struct{}),
+		verified:  make([]atomic.Int64, len(m.Layers)),
 	}
 	prot.Coordinate(s.guard)
-	eng.SetWeightGuard(s.guard)
-	s.ver = newVerifier(prot, s.met, len(m.Layers))
-	if cfg.VerifiedFetch {
-		eng.SetFetchHook(s.ver.check)
-	}
+	s.markVerified(time.Now()) // Protect just derived the goldens from these bytes
 	s.registerFuncs(reg, name)
-	// Every write through the model API bumps the written layer's epoch so
-	// the verified-fetch cache knows to re-verify it.
-	s.unobserve = m.Observe(s.ver.bump)
 	return s
+}
+
+// markVerified stamps every layer as verified by a pass that began at t.
+func (s *Server) markVerified(t time.Time) {
+	for li := range s.verified {
+		s.stampVerified(li, t.UnixNano())
+	}
+}
+
+// stampVerified advances layer li's last-verified stamp to at. Stamps only
+// move forward: a full sweep finishing, or a slower worker's pass, never
+// overwrites the stamp of a check that began later.
+func (s *Server) stampVerified(li int, at int64) {
+	for {
+		cur := s.verified[li].Load()
+		if at <= cur || s.verified[li].CompareAndSwap(cur, at) {
+			return
+		}
+	}
+}
+
+// exposureWindow is how long the least recently verified layer has gone
+// since a check that could have seen a physical flip.
+func (s *Server) exposureWindow() time.Duration {
+	now := time.Now()
+	oldest := now.UnixNano()
+	for li := range s.verified {
+		oldest = min(oldest, s.verified[li].Load())
+	}
+	return now.Sub(time.Unix(0, oldest))
 }
 
 // Start launches the batcher, the inference workers and (when configured)
@@ -264,10 +299,6 @@ func (s *Server) Stop() {
 	s.workWG.Wait()
 	close(s.scrubStop)
 	s.scrubWG.Wait()
-	if s.unobserve != nil {
-		s.unobserve()
-		s.unobserve = nil
-	}
 }
 
 // InferContext submits one input of shape (C, H, W) — or (1, C, H, W) —

@@ -3,10 +3,13 @@ package serve
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"radar/internal/adversary"
 	"radar/internal/core"
 	"radar/internal/model"
 	"radar/internal/qinfer"
@@ -23,13 +26,19 @@ func infer(srv *Server, x *tensor.Tensor) (Result, error) {
 // independent bundle, so tests may corrupt weights freely.
 func newTinyServer(t testing.TB, cfg Config) (*model.Bundle, *Server) {
 	t.Helper()
+	return newTinyServerWith(t, cfg, core.DefaultConfig(4))
+}
+
+// newTinyServerWith is newTinyServer under a chosen protection config.
+func newTinyServerWith(t testing.TB, cfg Config, pcfg core.Config) (*model.Bundle, *Server) {
+	t.Helper()
 	b := model.Load(model.TinySpec())
 	calib, _ := b.Attack.Batch(0, 64)
 	eng, err := qinfer.Compile(b.Net, b.QModel, calib)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	prot := core.Protect(b.QModel, core.DefaultConfig(4))
+	prot := core.Protect(b.QModel, pcfg)
 	cfg.InputShape = []int{b.Spec.Data.Channels, b.Spec.Data.Size, b.Spec.Data.Size}
 	srv := newServer(eng, prot, cfg)
 	srv.Start()
@@ -132,62 +141,274 @@ func TestGracefulShutdown(t *testing.T) {
 	srv.Stop() // idempotent
 }
 
-// TestVerifiedFetchEpochCache: repeated inference on a clean model must be
-// served from the epoch cache; a write invalidates exactly the written
-// layer and the fetch path catches and repairs the corruption.
-func TestVerifiedFetchEpochCache(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ScrubInterval = 0 // isolate the fetch path
-	b, srv := newTinyServer(t, cfg)
-	x, _ := b.Test.Batch(0, 4)
+// cleanReference compiles an engine over its own copy of the tiny model —
+// weights no adversary in the test ever touches — to answer what a clean
+// server must answer.
+func cleanReference(t testing.TB) *qinfer.Engine {
+	t.Helper()
+	b := model.Load(model.TinySpec())
+	calib, _ := b.Attack.Batch(0, 64)
+	eng, err := qinfer.Compile(b.Net, b.QModel, calib)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	return eng
+}
 
+// mustAnswerLike fails unless res carries exactly the reference engine's
+// logits for input x.
+func mustAnswerLike(t testing.TB, ref *qinfer.Engine, x *tensor.Tensor, res Result) {
+	t.Helper()
+	in := tensor.New(append([]int{1}, x.Shape...)...)
+	copy(in.Data, x.Data)
+	want := ref.Forward(in)
+	for j, v := range res.Logits {
+		if v != want.Data[j] {
+			t.Errorf("logit %d: served %v, clean reference %v", j, v, want.Data[j])
+			return
+		}
+	}
+}
+
+// msbVolley plans MSB flips at the given weights of one layer.
+func msbVolley(layer int, weights ...int) []quant.BitAddress {
+	var out []quant.BitAddress
+	for _, w := range weights {
+		out = append(out, quant.BitAddress{LayerIndex: layer, WeightIndex: w, Bit: quant.MSB})
+	}
+	return out
+}
+
+// TestVerifiedFetchCatchesPhysicalFlips is the fetch path held to its
+// threat model: with the scrubber off, an adversary mounts MSB flips as
+// direct weight writes — no observer fires, as for a real rowhammer flip
+// — on a conv layer and on the classifier, between two requests. The very
+// next batch must flag and repair all of them before computing on them,
+// so every answer equals the clean reference engine's.
+func TestVerifiedFetchCatchesPhysicalFlips(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ScrubInterval = 0 // nothing but the fetch path can catch a flip
+	pcfg := core.DefaultConfig(4)
+	pcfg.Correct = true // ECC repair: the image comes back bit-identical
+	b, srv := newTinyServerWith(t, cfg, pcfg)
+	ref := cleanReference(t)
+	x, _ := b.Test.Batch(0, 4)
+	prot := srv.Protector()
+
+	res, err := infer(srv, sample(x, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAnswerLike(t, ref, sample(x, 0), res)
+	if snap := srv.Snapshot(); snap.VerifyScans != int64(len(b.QModel.Layers)) || snap.VerifyFlagged != 0 {
+		t.Fatalf("clean pass: %d layer checks (model has %d layers), %d flagged", snap.VerifyScans, len(b.QModel.Layers), snap.VerifyFlagged)
+	}
+
+	fc := len(b.QModel.Layers) - 1
+	volley := append(msbVolley(1, 0, 1, 2, 3), msbVolley(fc, 0, 1)...) // interleaved: adjacent weights, distinct groups
+	groups := map[core.GroupID]bool{}
+	for _, a := range volley {
+		groups[prot.GroupOf(a)] = true
+	}
+	if len(groups) != len(volley) {
+		t.Fatalf("volley lands in %d groups, want %d (one flip per group keeps ECC repair exact)", len(groups), len(volley))
+	}
+	snapshot := b.QModel.Snapshot()
+	srv.Inject(func(m *quant.Model) {
+		adversary.Mount(adversary.Target{Model: m, Prot: prot}, adversary.Volley{Weights: volley})
+	})
+	if prot.DirtyCount() != 0 {
+		t.Fatal("the mounted volley announced itself to the write observers")
+	}
+
+	res, err = infer(srv, sample(x, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAnswerLike(t, ref, sample(x, 1), res)
+	if st := prot.Stats(); st.GroupsRecovered != int64(len(volley)) || st.GroupsCorrected != int64(len(volley)) {
+		t.Fatalf("next batch repaired %d groups (%d by ECC), volley had %d", st.GroupsRecovered, st.GroupsCorrected, len(volley))
+	}
+	snap := srv.Snapshot()
+	if snap.VerifyFlagged != int64(len(volley)) || snap.ScrubCycles != 0 {
+		t.Fatalf("fetch path flagged %d groups over %d scrub cycles, want %d over 0", snap.VerifyFlagged, snap.ScrubCycles, len(volley))
+	}
+	for li, l := range b.QModel.Layers {
+		if !slices.Equal(l.Q, snapshot[li]) {
+			t.Fatalf("layer %d differs from its pre-attack image after repair", li)
+		}
+	}
+
+	// The repair is not re-flagged, and the next answer is clean too.
+	res, err = infer(srv, sample(x, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAnswerLike(t, ref, sample(x, 2), res)
+	if end := srv.Snapshot(); end.VerifyFlagged != snap.VerifyFlagged {
+		t.Fatal("repaired groups were flagged again on the next request")
+	}
+}
+
+// TestVerifiedFetchUnderInjection is the -race contract of the fused
+// fetch: an injector mounts physical flips back to back while two workers
+// serve, with the scrubber off. Every fetch that meets a flip trades its
+// read lock for the write lock, repairs by ECC and computes under that
+// hold, so no answer may ever differ from the clean reference.
+func TestVerifiedFetchUnderInjection(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ScrubInterval = 0
+	cfg.Workers = 2
+	cfg.MaxBatch = 2
+	cfg.MaxLatency = 200 * time.Microsecond
+	pcfg := core.DefaultConfig(4)
+	pcfg.Correct = true
+	b, srv := newTinyServerWith(t, cfg, pcfg)
+	ref := cleanReference(t)
+	x, _ := b.Test.Batch(0, 8)
+	prot := srv.Protector()
+
+	const clients, perClient = 4, 30
+	stop := make(chan struct{})
+	var injected sync.WaitGroup
+	injected.Add(1)
+	go func() {
+		defer injected.Done()
+		rng := rand.New(rand.NewSource(9))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			li := rng.Intn(len(b.QModel.Layers))
+			w := rng.Intn(len(b.QModel.Layers[li].Q))
+			srv.Inject(func(m *quant.Model) {
+				// One flip per injection into a group that is clean right
+				// now (the lock is ours), so ECC repair stays exact.
+				a := quant.BitAddress{LayerIndex: li, WeightIndex: w, Bit: quant.MSB}
+				g := prot.GroupOf(a)
+				if prot.Schemes[li].Signature(m.Layers[li].Q, g.Group) == prot.Golden[li][g.Group] {
+					adversary.Mount(adversary.Target{Model: m, Prot: prot}, adversary.Volley{Weights: []quant.BitAddress{a}})
+				}
+			})
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				in := sample(x, (c+i)%8)
+				res, err := infer(srv, in)
+				if err != nil {
+					t.Errorf("client %d: %v", c, err)
+					return
+				}
+				mustAnswerLike(t, ref, in, res)
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(stop)
+	injected.Wait()
+	snap := srv.Snapshot()
+	if snap.VerifyFlagged == 0 {
+		t.Fatalf("no fetch ever met a flip over %d injections: the escalation path did not run", snap.Injections)
+	}
+	if st := prot.Stats(); st.GroupsZeroed != 0 {
+		t.Fatalf("%d groups fell back to zeroing; single flips must be corrected in place", st.GroupsZeroed)
+	}
+}
+
+// TestVerifiedForwardAddsNoAllocs: a forward pass through a worker's
+// verifier — locks, inline checksums, stamps, counters — allocates exactly
+// what the bare engine pass allocates.
+func TestVerifiedForwardAddsNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	b, srv := newTinyServer(t, DefaultConfig())
+	srv.Stop() // the engine is ours now: no worker, no scrubber
+	x, _ := b.Test.Batch(0, 1)
+	v := &verifier{s: srv}
+	bare := testing.AllocsPerRun(20, func() { srv.eng.Forward(x) })
+	verified := testing.AllocsPerRun(20, func() {
+		_, spent := srv.eng.ForwardFetch(x, v)
+		v.flush(spent)
+	})
+	if verified != bare {
+		t.Fatalf("verified pass allocates %.0f times, bare pass %.0f", verified, bare)
+	}
+	if srv.Snapshot().VerifyScans == 0 {
+		t.Fatal("the verified passes verified nothing")
+	}
+}
+
+// TestExposureWindow: the gauge is the age of the least recently verified
+// layer, and both things that can see a physical flip reset it — a
+// verified-fetch pass (which reads every layer) and a full sweep — while
+// an incremental scrub, which cannot, does not.
+func TestExposureWindow(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ScrubInterval = 0
+	b, srv := newTinyServer(t, cfg)
+	x, _ := b.Test.Batch(0, 1)
+
+	time.Sleep(5 * time.Millisecond)
+	before := srv.exposureWindow()
+	if before < 5*time.Millisecond {
+		t.Fatalf("idle window %v, want at least the 5ms since start", before)
+	}
+	srv.Scrub(false)
+	if w := srv.exposureWindow(); w < before {
+		t.Fatalf("an incremental scrub shrank the window: %v -> %v", before, w)
+	}
+	t0 := time.Now()
 	if _, err := infer(srv, sample(x, 0)); err != nil {
 		t.Fatal(err)
 	}
-	warm := srv.Snapshot()
-	if warm.VerifyScans == 0 {
-		t.Fatal("first inference did not verify any layer")
+	if w, since := srv.exposureWindow(), time.Since(t0); w > since {
+		t.Fatalf("window %v after a verified pass that began %v ago", w, since)
 	}
-	if _, err := infer(srv, sample(x, 1)); err != nil {
-		t.Fatal(err)
+	time.Sleep(5 * time.Millisecond)
+	t1 := time.Now()
+	srv.Scrub(true)
+	if w, since := srv.exposureWindow(), time.Since(t1); w > since {
+		t.Fatalf("window %v after a full sweep that began %v ago", w, since)
 	}
-	after := srv.Snapshot()
-	if after.VerifyScans != warm.VerifyScans {
-		t.Fatalf("clean re-inference rescanned layers: %d -> %d scans",
-			warm.VerifyScans, after.VerifyScans)
+	// Stamps only move forward: a sweep (or a slower worker's pass) that
+	// began before a layer's latest check does not age the layer again.
+	newest := srv.verified[0].Load()
+	srv.markVerified(t0)
+	if got := srv.verified[0].Load(); got != newest {
+		t.Fatalf("an older pass moved layer 0's stamp back by %v", time.Duration(newest-got))
 	}
-	if after.VerifyHits <= warm.VerifyHits {
-		t.Fatal("clean re-inference did not hit the epoch cache")
-	}
+}
 
-	// Flip an MSB in layer 0 through the injection hook: the next fetch of
-	// layer 0 must rescan, flag and zero it before the conv runs.
-	srv.Inject(func(m *quant.Model) {
-		m.FlipBit(quant.BitAddress{LayerIndex: 0, WeightIndex: 3, Bit: quant.MSB})
-	})
-	if _, err := infer(srv, sample(x, 2)); err != nil {
-		t.Fatal(err)
+// TestVerifyTimeOffWhenVerificationOff: with verified fetch off the fetch
+// step is only the read lock, and none of it is reported as verification.
+func TestVerifyTimeOffWhenVerificationOff(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.VerifiedFetch = false
+	cfg.ScrubInterval = 0
+	b, srv := newTinyServer(t, cfg)
+	x, _ := b.Test.Batch(0, 4)
+	for i := 0; i < 4; i++ {
+		if _, err := infer(srv, sample(x, i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	hit := srv.Snapshot()
-	if hit.VerifyScans != after.VerifyScans+1 {
-		t.Fatalf("flip invalidated %d layers, want exactly 1", hit.VerifyScans-after.VerifyScans)
-	}
-	if hit.VerifyFlagged == 0 || hit.VerifyZeroed == 0 {
-		t.Fatalf("fetch path missed the flip: %+v", hit)
-	}
-	// Verified state is cached again.
-	if _, err := infer(srv, sample(x, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if end := srv.Snapshot(); end.VerifyScans != hit.VerifyScans {
-		t.Fatal("repaired layer was rescanned on the next request")
+	if ns, scans := srv.verifyNs.Load(), srv.Snapshot().VerifyScans; ns != 0 || scans != 0 {
+		t.Fatalf("verification off, yet %v of verify time and %d verify scans reported", time.Duration(ns), scans)
 	}
 }
 
 // TestScrubberRepairsBypassingWrites: corruption written directly to
 // Layer.Q (bypassing the model API, like a true hardware flip) is invisible
-// to dirty tracking and the epoch cache, but the periodic full scrub cycle
-// catches it.
+// to dirty tracking, but the periodic full scrub cycle catches it — what an
+// idle model, which fetches nothing, still depends on.
 func TestScrubberRepairsBypassingWrites(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ScrubInterval = 0 // drive cycles by hand for determinism

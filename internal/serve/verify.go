@@ -1,85 +1,72 @@
 package serve
 
-import (
-	"sync/atomic"
-	"time"
+import "time"
 
-	"radar/internal/core"
-)
-
-// verifier implements the verified weight-fetch path with per-layer epoch
-// caching. Every write to a layer (observed through the quant.Model API or
-// injected via Server.Inject, which goes through FlipBit/Restore too)
-// bumps that layer's epoch. A fetch first compares the layer's epoch
-// against the epoch at which it was last verified clean: equal means no
-// write has landed since, and the fetch proceeds for the cost of two
-// atomic loads. On a miss the layer is rescanned and recovered atomically
-// under its write lock (core.Protector.VerifyAndRecoverLayer) and the
-// clean mark advances.
+// verifier is one inference worker's weight-fetch step — the engine's
+// qinfer.WeightFetcher. With verified fetch on, every stage of every batch
+// goes through core.Protector.FetchLayer: the layer's checksum is
+// recomputed under its read lock immediately before the stage's
+// convolution reads the same bytes, and a mismatch is repaired under the
+// write lock, which the stage then computes under. Nothing is cached and
+// nothing depends on a write having announced itself, so a physical flip
+// lives until the next batch, not until the next full sweep. With verified
+// fetch off the step only takes the read lock.
 //
-// The clean mark stores verifiedEpoch+1 so the zero value means "never
-// verified". The epoch is sampled before the locked scan; a write that
-// lands between the sample and the lock bumps the live epoch past the
-// sample, so the stale clean mark simply forces one extra scan on the next
-// fetch — the cache errs only toward re-scanning, never toward trusting a
-// written layer.
+// Each worker owns one verifier and a pass holds one layer at a time, so
+// the hold's mode and the pass's counts are plain fields; flush publishes
+// the counts once the pass is over.
 type verifier struct {
-	prot   *core.Protector
-	met    *metrics
-	scanNs atomic.Int64    // cumulative wall time inside fetch-path scans
-	cur    []atomic.Uint64 // write epoch per layer
-	clean  []atomic.Uint64 // 1 + epoch last verified clean; 0 = never
+	s *Server
+	// at is the running pass's start, the last-verified stamp of every
+	// layer it fetches (see Server.verified).
+	at int64
+	// exclusive is set while the held layer is write-locked (it was just
+	// repaired) rather than read-locked.
+	exclusive bool
+	// scans, flagged and zeroed are the running pass's counts.
+	scans, flagged, zeroed int64
 }
 
-func newVerifier(prot *core.Protector, met *metrics, layers int) *verifier {
-	return &verifier{
-		prot:  prot,
-		met:   met,
-		cur:   make([]atomic.Uint64, layers),
-		clean: make([]atomic.Uint64, layers),
+// FetchLayer implements qinfer.WeightFetcher.
+func (v *verifier) FetchLayer(li int) {
+	if !v.s.cfg.VerifiedFetch {
+		v.s.guard.RLockLayer(li)
+		return
+	}
+	flagged, zeroed, exclusive := v.s.prot.FetchLayer(li)
+	v.exclusive = exclusive
+	v.scans++
+	v.flagged += int64(flagged)
+	v.zeroed += int64(zeroed)
+	v.s.stampVerified(li, v.at)
+}
+
+// ReleaseLayer implements qinfer.WeightFetcher.
+func (v *verifier) ReleaseLayer(li int) {
+	if v.exclusive {
+		v.exclusive = false
+		v.s.guard.UnlockLayer(li)
+	} else {
+		v.s.guard.RUnlockLayer(li)
 	}
 }
 
-// bump records a write to layer li (model observer callback).
-func (v *verifier) bump(li int) {
-	if li >= 0 && li < len(v.cur) {
-		v.cur[li].Add(1)
-	}
-}
-
-// check is the engine's FetchHook: it runs immediately before layer li's
-// conv stage reads its weights.
-func (v *verifier) check(li int) { v.checkTimed(li) }
-
-// checkTimed is check returning the nanoseconds the fetch spent scanning
-// (zero on an epoch-cache hit). Workers use it to attribute verify time to
-// the request trace without cross-request bookkeeping — the returned span
-// belongs entirely to the calling forward pass.
-func (v *verifier) checkTimed(li int) int64 {
-	e := v.cur[li].Load()
-	if v.clean[li].Load() == e+1 {
-		v.met.verifyHits.Inc()
+// flush publishes a finished pass to the model's metrics and returns the
+// part of fetched — the time the engine reports the pass spent in fetch
+// steps — that was verification: all of it with verified fetch on, none
+// with it off, where a fetch step is a read-lock acquisition and belongs
+// to the forward.
+func (v *verifier) flush(fetched time.Duration) (verify time.Duration) {
+	if !v.s.cfg.VerifiedFetch {
 		return 0
 	}
-	v.met.verifyScans.Inc()
-	start := time.Now()
-	flagged, zeroed := v.prot.VerifyAndRecoverLayer(li)
-	ns := time.Since(start).Nanoseconds()
-	v.scanNs.Add(ns)
-	if len(flagged) > 0 {
-		v.met.verifyFlagged.Add(int64(len(flagged)))
-		v.met.verifyZeroed.Add(int64(zeroed))
+	met := v.s.met
+	met.verifyScans.Add(v.scans)
+	if v.flagged > 0 {
+		met.verifyFlagged.Add(v.flagged)
+		met.verifyZeroed.Add(v.zeroed)
 	}
-	mark := e + 1
-	if zeroed > 0 {
-		// The repair's own zeroing is observed as a write — it must be, so
-		// mapped storage can flush it — bumping the epoch by exactly one
-		// before VerifyAndRecoverLayer returns (still under the layer
-		// lock). Fold that bump into the clean mark so a just-repaired
-		// layer is cache-clean on the next fetch; any concurrent write
-		// still leaves the mark behind the live epoch and forces a rescan.
-		mark++
-	}
-	v.clean[li].Store(mark)
-	return ns
+	v.s.verifyNs.Add(int64(fetched))
+	v.scans, v.flagged, v.zeroed = 0, 0, 0
+	return fetched
 }
