@@ -17,9 +17,11 @@ test:
 # the mmap store (dirty-tracking observers fire from scan workers), and
 # the adversary campaign engine (volleys mount under the layer guard
 # while scrubs run), plus the ECC corrector and timing-substrate
-# property/fuzz seeds.
+# property/fuzz seeds. The batching-policy tests build exact backlogs
+# behind blocked workers, so they run ten times over.
 race:
 	$(GO) test -race -timeout 20m ./internal/core/... ./internal/serve/... ./internal/qinfer/... ./internal/obs/... ./internal/fleet/... ./internal/chaos/... ./internal/store/... ./internal/adversary/... ./internal/ecc/... ./internal/memsim/...
+	$(GO) test -race -count=10 -run 'TestBacklogBecomesBatches|TestShapeChangeCarriesOver|TestStopAnswersBacklog' ./internal/serve/
 
 # Full benchmark sweep (slow; trains zoo models on first run).
 bench:

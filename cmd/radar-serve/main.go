@@ -8,8 +8,8 @@
 //
 //	radar-serve -model tiny                               # single model
 //	radar-serve -model a=tiny -model b=resnet20s          # multi-model
-//	            [-addr :8080] [-g 8] [-batch 8] [-batch-latency 2ms]
-//	            [-workers N] [-queue 256] [-verify] [-scrub 100ms]
+//	            [-addr :8080] [-g 8] [-batch 8] [-workers N]
+//	            [-queue 256] [-verify] [-scrub 100ms]
 //	            [-scrub-full-every 8] [-scan-workers N] [-jobs 1024]
 //	            [-store-dir DIR] [-store-sync 1s] [-correct NAME]
 //	            [-debug-addr :6060] [-log-requests]
@@ -91,8 +91,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
 		g         = flag.Int("g", 8, "RADAR group size (paper: 8 for ResNet-20, 512 for ResNet-18)")
-		batch     = flag.Int("batch", 8, "max requests per inference batch")
-		batchLat  = flag.Duration("batch-latency", 2*time.Millisecond, "max time a request waits for its batch to fill")
+		batch     = flag.Int("batch", 8, "max queued requests one forward pass takes (a batch is whatever queued while the workers were busy)")
 		workers   = flag.Int("workers", 0, "inference workers per model (0 = one per CPU)")
 		queue     = flag.Int("queue", 256, "pending-request queue depth per model")
 		verify    = flag.Bool("verify", true, "verify each layer's signatures at weight-fetch time (embedded detection)")
@@ -185,7 +184,6 @@ func main() {
 		prot := core.Protect(bundle.QModel, pcfg)
 		return eng, prot, serve.Config{
 			MaxBatch:       *batch,
-			MaxLatency:     *batchLat,
 			Workers:        *workers,
 			QueueDepth:     *queue,
 			VerifiedFetch:  *verify,

@@ -7,64 +7,6 @@ import (
 	"radar/internal/tensor"
 )
 
-// dispatch is the batching queue: it pulls requests off the intake channel
-// and groups them into batches of at most MaxBatch, flushing early when the
-// oldest queued request has waited MaxLatency. One dispatcher feeds all
-// inference workers; it exits (closing the batch channel) when the intake
-// channel is closed by Stop, after flushing whatever was still queued.
-func (s *Server) dispatch() {
-	defer s.workWG.Done()
-	defer close(s.batches)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	var batch []*request
-	flush := func() {
-		if len(batch) > 0 {
-			s.met.batches.Inc()
-			s.met.batched.Add(int64(len(batch)))
-			s.met.occupancy.Observe(float64(len(batch)))
-			s.batches <- batch
-			batch = nil
-		}
-	}
-	for {
-		if len(batch) == 0 {
-			// Idle: block for the first request of the next batch.
-			r, ok := <-s.reqs
-			if !ok {
-				return
-			}
-			batch = append(batch, r)
-			timer.Reset(s.cfg.MaxLatency)
-		}
-		if len(batch) >= s.cfg.MaxBatch {
-			stopTimer(timer)
-			flush()
-			continue
-		}
-		select {
-		case r, ok := <-s.reqs:
-			if !ok {
-				stopTimer(timer)
-				flush()
-				return
-			}
-			if !sameShape(r.x, batch[0].x) {
-				// A shape change (possible only when Config.InputShape is
-				// unset) ends the batch: one forward pass has one geometry.
-				flush()
-				stopTimer(timer)
-				timer.Reset(s.cfg.MaxLatency)
-			}
-			batch = append(batch, r)
-		case <-timer.C:
-			flush()
-		}
-	}
-}
-
 // sameShape reports whether two inputs can share a forward pass (their
 // (C,H,W) geometry matches; a leading batch dim of 1 is ignored).
 func sameShape(a, b *tensor.Tensor) bool {
@@ -86,21 +28,46 @@ func sameShape(a, b *tensor.Tensor) bool {
 	return true
 }
 
-// stopTimer stops t and drains a pending fire so the next Reset is clean.
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-}
-
-// worker runs batches to completion until the batch channel closes.
+// worker is the batcher and the executor in one: it blocks for the first
+// request of a batch, takes whatever is already queued behind it without
+// waiting — up to MaxBatch, same geometry — and runs the batch. An idle
+// worker therefore answers a lone request at once, and batches form exactly
+// when requests arrive faster than the workers retire them: the backlog in
+// reqs is the batch. A request of another shape (possible only when
+// Config.InputShape is unset) ends the batch — one forward pass has one
+// geometry — and is held as the first of this worker's next one. The worker
+// exits once Stop has closed reqs and the queue is drained.
 func (s *Server) worker() {
 	defer s.workWG.Done()
 	v := &verifier{s: s}
-	for batch := range s.batches {
+	batch := make([]*request, 0, s.cfg.MaxBatch)
+	var held *request
+	for {
+		first := held
+		held = nil
+		if first == nil {
+			var ok bool
+			if first, ok = <-s.reqs; !ok {
+				return
+			}
+		}
+		batch = append(batch[:0], first)
+	fill:
+		for len(batch) < s.cfg.MaxBatch {
+			select {
+			case r, ok := <-s.reqs:
+				if !ok {
+					break fill // closed and drained: the next receive exits
+				}
+				if !sameShape(r.x, first.x) {
+					held = r
+					break fill
+				}
+				batch = append(batch, r)
+			default:
+				break fill
+			}
+		}
 		s.runBatch(batch, v)
 	}
 }
@@ -126,6 +93,9 @@ func (s *Server) runBatch(batch []*request, v *verifier) {
 	if len(batch) == 0 {
 		return
 	}
+	s.met.batches.Inc()
+	s.met.batched.Add(int64(len(batch)))
+	s.met.occupancy.Observe(float64(len(batch)))
 	shape := batch[0].x.Shape
 	if len(shape) == 4 {
 		shape = shape[1:]
@@ -142,7 +112,9 @@ func (s *Server) runBatch(batch []*request, v *verifier) {
 	k := out.Shape[1]
 	now := time.Now()
 	forward := now.Sub(assembled) - verify
+	var queued time.Duration
 	for i, r := range batch {
+		queued += start.Sub(r.enq)
 		logits := append([]float32(nil), out.Data[i*k:(i+1)*k]...)
 		s.met.requests.Inc()
 		s.met.observeLatency(now.Sub(r.enq))
@@ -162,4 +134,5 @@ func (s *Server) runBatch(batch []*request, v *verifier) {
 		}
 		r.out <- Result{Class: out.Argmax(i*k, k), Logits: logits}
 	}
+	s.queueNs.Add(int64(queued))
 }

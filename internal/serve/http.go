@@ -117,17 +117,23 @@ func (s *Server) serveInfer(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, resp)
+	writeCompactJSON(w, resp)
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// writeCompactJSON answers the data plane (sync results, job results):
+// bodies machines decode, on the path whose bytes every request pays for.
+func writeCompactJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
-// writeJSONStatus is writeJSON with a non-200 status: the Content-Type
+// writeJSON answers the listing and admin routes indented: operators read
+// them and the smoke scripts grep them.
+func writeJSON(w http.ResponseWriter, v any) {
+	writeJSONStatus(w, http.StatusOK, v)
+}
+
+// writeJSONStatus is writeJSON with a chosen status: the Content-Type
 // header must land before WriteHeader freezes the header set.
 func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -153,7 +153,7 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	writeJSON(w, st)
+	writeCompactJSON(w, st)
 }
 
 func (s *Service) handleCancelJob(w http.ResponseWriter, r *http.Request) {

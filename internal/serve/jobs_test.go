@@ -151,7 +151,7 @@ func TestSubmitQueueFullTyped(t *testing.T) {
 	svc, b, _ := openTiny(t, 1, []ModelOption{
 		WithScrub(0, 0),
 		WithWorkers(1),
-		WithBatch(1, time.Millisecond),
+		WithBatch(1),
 		WithQueueDepth(1),
 	})
 	x, _ := b[0].Test.Batch(0, 1)

@@ -8,12 +8,12 @@ import (
 	"radar/internal/obs"
 )
 
-// Histogram bucket layouts. Latency buckets run 0.5ms–2.5s (the tiny
-// models answer in single-digit ms; a fleet failover retry can stack a few
-// hundred); occupancy buckets cover the power-of-two batch sizes up to the
-// default MaxBatch and beyond.
+// Histogram bucket layouts. Latency buckets run 0.1ms–2.5s (an idle tiny
+// model answers in a few hundred µs; a fleet failover retry can stack a
+// few hundred ms); occupancy buckets cover the power-of-two batch sizes
+// up to the default MaxBatch and beyond.
 var (
-	latencyBuckets   = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}
+	latencyBuckets   = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}
 	occupancyBuckets = []float64{1, 2, 4, 8, 16, 32}
 )
 
@@ -74,8 +74,8 @@ func (m *metrics) observeLatency(d time.Duration) {
 
 // registerFuncs binds the scrape-time function children for this server:
 // the queue-depth and exposure-window gauges, the protector's core
-// counters, the engine's stage clock, and the fetch-step clock. Called
-// once from newServerIn after the runtime's channels exist.
+// counters, the engine's stage clock, and the fetch-step and queue-wait
+// clocks. Called once from newServerIn after the runtime's channels exist.
 func (s *Server) registerFuncs(reg *obs.Registry, model string) {
 	reg.Gauge("radar_queue_depth", "Requests waiting in the model's bounded batch queue.", "model").
 		Func(func() float64 { return float64(len(s.reqs)) }, model)
@@ -101,6 +101,8 @@ func (s *Server) registerFuncs(reg *obs.Registry, model string) {
 		Func(func() float64 { _, ns := s.eng.StageStats(); return float64(ns) / 1e9 }, model)
 	reg.Counter("radar_verify_seconds_total", "Wall time inference passes spent in weight-fetch steps (lock waits and verification).", "model").
 		Func(func() float64 { return float64(s.verifyNs.Load()) / 1e9 }, model)
+	reg.Counter("radar_queue_seconds_total", "Time answered requests spent in the batch queue, enqueue to dequeue.", "model").
+		Func(func() float64 { return float64(s.queueNs.Load()) / 1e9 }, model)
 }
 
 // quantiles returns nearest-rank quantiles (q in [0,1]) over samples,
@@ -144,7 +146,7 @@ type Snapshot struct {
 	// the submitter's context was cancelled while they waited in the queue.
 	Cancelled int64 `json:"cancelled"`
 	// P50Ms / P99Ms are end-to-end request latency quantiles (enqueue to
-	// answer, including batching wait), estimated from the latency
+	// answer, including queue wait), estimated from the latency
 	// histogram by interpolating inside the bucket holding the rank.
 	P50Ms float64 `json:"p50_ms"`
 	P99Ms float64 `json:"p99_ms"`

@@ -68,6 +68,7 @@ func TestMetricNamingLint(t *testing.T) {
 		"radar_adversary_flips_total",
 		"radar_verify_scans_total",
 		"radar_verify_seconds_total",
+		"radar_queue_seconds_total",
 		"radar_exposure_window_seconds",
 	} {
 		if !have[want] {

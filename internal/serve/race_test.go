@@ -22,7 +22,6 @@ func TestServeRaceUnderLiveFlips(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ScrubInterval = time.Millisecond
 	cfg.ScrubFullEvery = 2
-	cfg.MaxLatency = 500 * time.Microsecond
 	b, srv := newTinyServer(t, cfg)
 
 	// A precomputed MSB profile to mount repeatedly through the simulated

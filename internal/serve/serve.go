@@ -19,9 +19,11 @@
 //
 // Per hosted model, four cooperating pieces share one int8 weight image:
 //
-//   - A batching queue (bounded, with a max-batch-size and max-latency
-//     flush policy) that coalesces single-input requests into batched
-//     forward passes on a pool of inference workers.
+//   - A bounded request queue drained by a pool of inference workers. A
+//     worker blocks for one request, takes whatever else is already queued
+//     (up to the max batch size) and runs them as one forward pass: an idle
+//     model answers a lone request at once, and a batch is whatever queued
+//     while the workers were busy. Nothing waits on a timer.
 //   - A background scrubber goroutine that periodically runs the
 //     incremental ScanDirty (falling back to a pipelined full
 //     DetectAndRecover every few cycles) and zeroes whatever it flags.
@@ -61,12 +63,10 @@ import (
 
 // Config tunes the serving subsystem.
 type Config struct {
-	// MaxBatch is the largest number of requests coalesced into one
-	// forward pass (default 8).
+	// MaxBatch is the largest number of queued requests a worker takes
+	// into one forward pass (default 8). Workers never wait for a batch to
+	// fill: a pass carries what had queued when the worker came free.
 	MaxBatch int
-	// MaxLatency is how long the batcher waits for a batch to fill before
-	// flushing a partial one (default 2ms).
-	MaxLatency time.Duration
 	// Workers is the number of inference worker goroutines (default
 	// GOMAXPROCS).
 	Workers int
@@ -91,12 +91,11 @@ type Config struct {
 	InputShape []int
 }
 
-// DefaultConfig returns serving defaults: batches of up to 8 with a 2ms
-// window, one worker per CPU, verified fetch on, and a 100ms scrubber.
+// DefaultConfig returns serving defaults: batches of up to 8, one worker
+// per CPU, verified fetch on, and a 100ms scrubber.
 func DefaultConfig() Config {
 	return Config{
 		MaxBatch:       8,
-		MaxLatency:     2 * time.Millisecond,
 		Workers:        runtime.GOMAXPROCS(0),
 		QueueDepth:     256,
 		VerifiedFetch:  true,
@@ -108,9 +107,6 @@ func DefaultConfig() Config {
 func (c *Config) fillDefaults() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
-	}
-	if c.MaxLatency <= 0 {
-		c.MaxLatency = 2 * time.Millisecond
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -168,8 +164,7 @@ type Server struct {
 	met    *metrics
 	traces *obs.TraceRing // shared service-wide ring; never nil
 
-	reqs    chan *request
-	batches chan []*request
+	reqs chan *request
 
 	// submitMu lets Stop wait out in-flight Infer sends before closing
 	// reqs; stopping flips first so new submitters bail out.
@@ -185,6 +180,9 @@ type Server struct {
 	// verifyNs is the cumulative wall time inference passes spent in their
 	// fetch steps (radar_verify_seconds_total).
 	verifyNs atomic.Int64
+	// queueNs is the cumulative time answered requests waited in reqs,
+	// enqueue to dequeue (radar_queue_seconds_total).
+	queueNs atomic.Int64
 	// verified[li] is when layer li was last checked against its golden
 	// signatures by something that sees a physical flip — a verified fetch
 	// or a full sweep — as the Unix-nanosecond start of that pass. The
@@ -224,7 +222,6 @@ func newServerIn(eng *qinfer.Engine, prot *core.Protector, cfg Config, reg *obs.
 		met:       newMetrics(reg, name),
 		traces:    traces,
 		reqs:      make(chan *request, cfg.QueueDepth),
-		batches:   make(chan []*request, cfg.Workers),
 		scrubStop: make(chan struct{}),
 		verified:  make([]atomic.Int64, len(m.Layers)),
 	}
@@ -264,15 +261,13 @@ func (s *Server) exposureWindow() time.Duration {
 	return now.Sub(time.Unix(0, oldest))
 }
 
-// Start launches the batcher, the inference workers and (when configured)
-// the background scrubber.
+// Start launches the inference workers and (when configured) the
+// background scrubber.
 func (s *Server) Start() {
 	if !s.started.CompareAndSwap(false, true) {
 		return
 	}
 	s.start = time.Now()
-	s.workWG.Add(1)
-	go s.dispatch()
 	for w := 0; w < s.cfg.Workers; w++ {
 		s.workWG.Add(1)
 		go s.worker()
@@ -292,7 +287,7 @@ func (s *Server) Stop() {
 		return
 	}
 	// Wait for in-flight submitters (they hold submitMu.RLock while
-	// sending), then close the intake so the dispatcher drains and exits.
+	// sending), then close the intake so the workers drain it and exit.
 	s.submitMu.Lock()
 	close(s.reqs)
 	s.submitMu.Unlock()
@@ -307,7 +302,7 @@ func (s *Server) Stop() {
 // queue, and while waiting for the batched forward pass (a request whose
 // context is cancelled before its batch runs is dropped by the workers
 // without being computed). Safe for any number of concurrent callers;
-// concurrent submissions are what the batcher coalesces.
+// submissions that queue while the workers are busy share a forward pass.
 func (s *Server) InferContext(ctx context.Context, x *tensor.Tensor) (Result, error) {
 	return s.inferContext(ctx, x, "")
 }

@@ -101,9 +101,6 @@ func TestServeMatchesDirectEngine(t *testing.T) {
 	if snap.Requests != 16 {
 		t.Fatalf("snapshot counted %d requests, want 16", snap.Requests)
 	}
-	if snap.Batches >= 16 {
-		t.Fatalf("no batching happened: %d batches for 16 concurrent requests", snap.Batches)
-	}
 }
 
 func TestServeRejectsBadShape(t *testing.T) {
@@ -260,7 +257,6 @@ func TestVerifiedFetchUnderInjection(t *testing.T) {
 	cfg.ScrubInterval = 0
 	cfg.Workers = 2
 	cfg.MaxBatch = 2
-	cfg.MaxLatency = 200 * time.Microsecond
 	pcfg := core.DefaultConfig(4)
 	pcfg.Correct = true
 	b, srv := newTinyServerWith(t, cfg, pcfg)
@@ -431,27 +427,5 @@ func TestScrubberRepairsBypassingWrites(t *testing.T) {
 	snap := srv.Snapshot()
 	if snap.ScrubCycles != 2 || snap.ScrubFlagged == 0 || snap.ScrubZeroed == 0 {
 		t.Fatalf("scrub metrics wrong: %+v", snap)
-	}
-}
-
-// TestBatchWindowFlush: a single request must not wait forever for a full
-// batch — the MaxLatency timer flushes it.
-func TestBatchWindowFlush(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxBatch = 64
-	cfg.MaxLatency = 5 * time.Millisecond
-	b, srv := newTinyServer(t, cfg)
-	x, _ := b.Test.Batch(0, 1)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := infer(srv, sample(x, 0)); err != nil {
-			t.Errorf("Infer: %v", err)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("lone request never flushed")
 	}
 }

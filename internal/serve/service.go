@@ -87,9 +87,9 @@ func WithConfig(cfg Config) ModelOption {
 	return func(c *Config) { *c = cfg }
 }
 
-// WithBatch sets the model's max batch size and batching latency window.
-func WithBatch(maxBatch int, maxLatency time.Duration) ModelOption {
-	return func(c *Config) { c.MaxBatch = maxBatch; c.MaxLatency = maxLatency }
+// WithBatch sets the model's max batch size.
+func WithBatch(maxBatch int) ModelOption {
+	return func(c *Config) { c.MaxBatch = maxBatch }
 }
 
 // WithWorkers sets the model's inference worker count.

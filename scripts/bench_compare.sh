@@ -46,6 +46,7 @@ if [ "${1:-}" = "--gate" ]; then
 	i=1
 	while [ "$i" -le "$RUNS" ]; do
 		echo "== regenerating BENCH artifacts into $fresh/run$i ($i/$RUNS) =="
+		mkdir -p "$fresh/run$i"
 		make bench-artifacts BENCH_OUT="$fresh/run$i"
 		freshflags="$freshflags -fresh $fresh/run$i"
 		i=$((i + 1))

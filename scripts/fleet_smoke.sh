@@ -75,7 +75,7 @@ jid=$(echo "$job" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p')
 done=""
 for _ in $(seq 1 50); do
     st=$(curl -fs "http://$FLEET_ADDR/v1/jobs/$jid")
-    if echo "$st" | grep -q '"state": "done"'; then done=1; break; fi
+    if echo "$st" | grep -q '"state": *"done"'; then done=1; break; fi
     sleep 0.1
 done
 [ -n "$done" ] || { echo "routed job $jid never completed"; exit 1; }

@@ -52,7 +52,7 @@ jid=$(echo "$job" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p')
 done=""
 for _ in $(seq 1 50); do
     st=$(curl -fs "http://$ADDR/v1/jobs/$jid")
-    if echo "$st" | grep -q '"state": "done"'; then
+    if echo "$st" | grep -q '"state": *"done"'; then
         echo "$st" | grep -q '"class"' || { echo "done job has no result: $st"; exit 1; }
         done=1
         break

@@ -127,10 +127,8 @@ func WithJobTTL(d time.Duration) ServiceOption { return serve.WithJobTTL(d) }
 // ServeWithConfig replaces a model's whole serving Config.
 func ServeWithConfig(cfg ServeConfig) ModelServeOption { return serve.WithConfig(cfg) }
 
-// ServeBatch sets a model's max batch size and batching latency window.
-func ServeBatch(maxBatch int, maxLatency time.Duration) ModelServeOption {
-	return serve.WithBatch(maxBatch, maxLatency)
-}
+// ServeBatch sets a model's max batch size.
+func ServeBatch(maxBatch int) ModelServeOption { return serve.WithBatch(maxBatch) }
 
 // ServeWorkers sets a model's inference worker count.
 func ServeWorkers(n int) ModelServeOption { return serve.WithWorkers(n) }
