@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke benchmark-check bench-artifacts bench-gate bench-compare serve-smoke fleet-smoke chaos-smoke lint fmt
+.PHONY: build test race bench bench-smoke benchmark-check bench-artifacts bench-gate bench-compare serve-smoke fleet-smoke chaos-smoke lint fmt loc
 
 build:
 	$(GO) build ./...
@@ -101,3 +101,12 @@ lint:
 
 fmt:
 	gofmt -w .
+
+# Non-test Go lines per internal package, for cmd/, examples/ and the root
+# package, and in total: the count "net non-test lines go down" is judged
+# by. benchmark/ is its own module and is not counted.
+LOC = xargs cat | wc -l | xargs printf '%-20s %6d\n'
+loc:
+	@for d in internal/* cmd examples; do find $$d -name '*.go' ! -name '*_test.go' | $(LOC) $$d; done
+	@find . -maxdepth 1 -name '*.go' ! -name '*_test.go' | $(LOC) root
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | $(LOC) total

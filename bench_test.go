@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper (DESIGN.md
 // §3 maps experiment ids to modules). The statistical experiments run at
 // the Quick scale here so `go test -bench=.` finishes in minutes; the
-// EXPERIMENTS.md numbers come from `radar-bench -scale full`, which runs
+// paper-sized numbers come from `radar-bench -scale full`, which runs
 // the identical code at the paper's round counts. Each benchmark logs the
 // rendered artifact so the rows/series are visible in the bench output.
 package radar_test

@@ -1,7 +1,7 @@
 // Command radar-bench regenerates the paper's tables and figures (see
 // DESIGN.md §3 for the experiment index) and prints them in the layout the
 // paper uses. The -scale flag selects quick (test-sized) or full
-// (EXPERIMENTS.md-sized) statistics.
+// (paper-sized) statistics.
 //
 // Usage:
 //

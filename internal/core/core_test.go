@@ -468,22 +468,3 @@ func TestSignaturesMatchPerGroupComputation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestScanLayerMatchesScan(t *testing.T) {
-	b := loadTiny(t)
-	p := Protect(b.QModel, DefaultConfig(8))
-	b.QModel.FlipBit(quant.BitAddress{LayerIndex: 3, WeightIndex: 10, Bit: 7})
-	full := p.Scan()
-	var perLayer []GroupID
-	for li := range b.QModel.Layers {
-		perLayer = append(perLayer, p.ScanLayer(li)...)
-	}
-	if len(full) != len(perLayer) {
-		t.Fatalf("Scan %v vs per-layer %v", full, perLayer)
-	}
-	for i := range full {
-		if full[i] != perLayer[i] {
-			t.Fatalf("Scan %v vs per-layer %v", full, perLayer)
-		}
-	}
-}

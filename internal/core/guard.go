@@ -11,9 +11,8 @@ import "sync"
 // concurrently with DetectAndRecover race-free by construction.
 //
 // Locks are per layer, so recovering layer i never stalls inference that
-// is fetching layer j — the pipelined DetectAndRecover keeps its overlap.
-// All methods are safe on a nil *LayerGuard (they no-op), so single-
-// threaded callers pay nothing.
+// is fetching layer j. All methods are safe on a nil *LayerGuard (they
+// no-op), so single-threaded callers pay nothing.
 type LayerGuard struct {
 	mus []sync.RWMutex
 }
@@ -91,24 +90,23 @@ func (p *Protector) Guard() *LayerGuard { return p.guard }
 // and the weights it pulls through the cache are the ones the caller's
 // convolution reads next. A clean layer returns (0, 0, false) with the
 // read lock still held. On a mismatch it trades the read lock for the
-// write lock, repairs the layer (VerifyAndRecoverLayer's body) and returns
-// the flagged-group and zeroed-weight counts with exclusive set and the
-// write lock still held. Either way the caller consumes the weights under
+// write lock, rescans and repairs the layer (as VerifyAndRecoverLayer) and
+// returns the flagged-group and zeroed-weight counts with exclusive set and
+// the write lock still held. Either way the caller consumes the weights under
 // the hold — nothing can land between the check and the use — and then
 // releases it through Guard(): RUnlockLayer, or UnlockLayer when exclusive.
 func (p *Protector) FetchLayer(li int) (flagged, zeroed int, exclusive bool) {
 	p.guard.RLockLayer(li)
-	if p.plans[li].verify(p.Model.Layers[li].Q, p.Golden[li]) {
+	if q := p.Model.Layers[li].Q; p.plans[li].verify(q, p.Golden[li]) {
 		p.stats.scans.Add(1)
-		p.addBytesScanned(li)
+		p.stats.bytesScanned.Add(int64(len(q)))
 		return 0, 0, false
 	}
-	// The repair rescans the layer under the write lock and accounts for
-	// the fetch there, once.
+	// The rescan under the write lock accounts for the fetch, once.
 	p.guard.RUnlockLayer(li)
 	p.guard.LockLayer(li)
-	groups, zeroed := p.verifyAndRecoverLocked(li)
-	return len(groups), zeroed, true
+	groups := p.scan(li, true)
+	return len(groups), p.repair(groups, true), true
 }
 
 // VerifyAndRecoverLayer rescans layer li under its exclusive lock and
@@ -120,33 +118,8 @@ func (p *Protector) FetchLayer(li int) (flagged, zeroed int, exclusive bool) {
 func (p *Protector) VerifyAndRecoverLayer(li int) (flagged []GroupID, zeroed int) {
 	p.guard.LockLayer(li)
 	defer p.guard.UnlockLayer(li)
-	return p.verifyAndRecoverLocked(li)
-}
-
-// verifyAndRecoverLocked is VerifyAndRecoverLayer for a caller that holds
-// layer li's write lock.
-func (p *Protector) verifyAndRecoverLocked(li int) (flagged []GroupID, zeroed int) {
-	p.clearDirty(li)
-	p.stats.scans.Add(1)
-	p.addBytesScanned(li)
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.shards = p.appendLayerShards(sc.shards, li)
-	flagged = p.scanShardsLocked(sc.shards, sc)
-	corrected, wrote := 0, false
-	for _, g := range flagged {
-		z, w, c := p.repairGroupLocked(g)
-		zeroed += z
-		wrote = wrote || w
-		if c {
-			corrected++
-		}
-	}
-	if wrote {
-		p.Model.MarkWritten(li) // repair bypassed the model write path
-	}
-	p.addRecoveryStats(len(flagged), corrected, zeroed)
-	return flagged, zeroed
+	flagged = p.scan(li, true)
+	return flagged, p.repair(flagged, true)
 }
 
 // DetectAndRecoverExclusive is DetectAndRecover for a caller that already
@@ -158,43 +131,17 @@ func (p *Protector) verifyAndRecoverLocked(li int) (flagged []GroupID, zeroed in
 // repaired here, under the same exclusion the recompute runs in, instead
 // of being laundered into the fresh goldens.
 func (p *Protector) DetectAndRecoverExclusive() (flagged []GroupID, zeroed int) {
-	p.clearDirty(-1)
-	p.stats.scans.Add(1)
-	p.addBytesScanned(-1)
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.shards = p.appendShards(sc.shards)
-	flagged = p.scanShardsLocked(sc.shards, sc)
-	corrected := 0
-	for lo := 0; lo < len(flagged); {
-		hi := lo
-		layerZeroed, layerWrote := 0, false
-		for hi < len(flagged) && flagged[hi].Layer == flagged[lo].Layer {
-			z, w, c := p.repairGroupLocked(flagged[hi])
-			layerZeroed += z
-			layerWrote = layerWrote || w
-			if c {
-				corrected++
-			}
-			hi++
-		}
-		if layerWrote {
-			p.Model.MarkWritten(flagged[lo].Layer) // repair bypassed the model write path
-		}
-		zeroed += layerZeroed
-		lo = hi
-	}
-	p.addRecoveryStats(len(flagged), corrected, zeroed)
-	return flagged, zeroed
+	flagged = p.scan(allLayers, true)
+	return flagged, p.repair(flagged, true)
 }
 
 // Stats is a snapshot of the protector's activity counters, the
 // scrubber-facing accounting a serving layer exports as metrics.
 type Stats struct {
-	// Scans counts scan operations (Scan, ScanLayer, ScanDirty,
-	// DetectAndRecover, VerifyAndRecoverLayer, FetchLayer). A ScanDirty
-	// that found no dirty layers still counts: the protector did decide
-	// all layers were clean.
+	// Scans counts scan passes, one per call of Scan, ScanLayer, ScanDirty,
+	// DetectAndRecover, DetectAndRecoverExclusive, VerifyAndRecoverLayer or
+	// FetchLayer. A ScanDirty that found no dirty layers still counts: the
+	// protector did decide all layers were clean.
 	Scans int64
 	// BytesScanned counts weight bytes covered by scans (one byte per int8
 	// weight) — divided by uptime it is the scan-bytes/s figure the serving
@@ -203,7 +150,7 @@ type Stats struct {
 	// GroupsFlagged counts signature mismatches reported across all scans.
 	GroupsFlagged int64
 	// GroupsRecovered counts groups repaired (corrected or zeroed) by
-	// Recover / VerifyAndRecoverLayer.
+	// Recover or by any of the entry points above that repair.
 	GroupsRecovered int64
 	// GroupsCorrected counts flagged groups repaired in place by the ECC
 	// path (always 0 without Config.Correct); see correct.go.
@@ -230,20 +177,4 @@ func (p *Protector) Stats() Stats {
 		WeightsZeroed:   p.stats.weightsZeroed.Load(),
 		Rekeys:          p.stats.rekeys.Load(),
 	}
-}
-
-// DirtyCount reports how many layers are currently marked dirty — the
-// scrubber uses it to choose between an incremental ScanDirty and letting
-// the cycle budget go to a periodic full Scan.
-func (p *Protector) DirtyCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.ensureDirtyLocked()
-	n := 0
-	for _, d := range p.dirty {
-		if d {
-			n++
-		}
-	}
-	return n
 }

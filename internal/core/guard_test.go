@@ -68,24 +68,6 @@ func TestProtectorStats(t *testing.T) {
 	}
 }
 
-func TestDirtyCount(t *testing.T) {
-	m := guardTestModel()
-	p := Protect(m, Config{G: 16, SigBits: 2, Seed: 5})
-	if n := p.DirtyCount(); n != 0 {
-		t.Fatalf("fresh DirtyCount = %d", n)
-	}
-	p.MarkLayerDirty(0)
-	p.MarkLayerDirty(2)
-	p.MarkLayerDirty(2)
-	if n := p.DirtyCount(); n != 2 {
-		t.Fatalf("DirtyCount = %d, want 2", n)
-	}
-	p.ScanDirty()
-	if n := p.DirtyCount(); n != 0 {
-		t.Fatalf("DirtyCount after ScanDirty = %d", n)
-	}
-}
-
 // TestGuardedRecoverConcurrentWithScans: with a guard attached, Recover
 // may run while other goroutines scan — the coordination that makes the
 // serving subsystem race-free. (Run under -race via `make race`.)

@@ -125,38 +125,6 @@ func TestProtectParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestDetectAndRecoverPipelinedMatchesScan: the overlapped scan/recover
-// pipeline flags exactly what a plain Scan reports, recovery leaves the
-// model clean, and the result is stable across worker counts.
-func TestDetectAndRecoverPipelinedMatchesScan(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		rng := rand.New(rand.NewSource(42))
-		m := syntheticModel(rng, []int{900, 1300, 700, 2100})
-		cfg := DefaultConfig(16)
-		cfg.Workers = workers
-		cfg.ShardGroups = 9
-		p := Protect(m, cfg)
-		flipRandomBits(rng, m, 25)
-		// Recover would sync nil Params on these synthetic layers; stub the
-		// float side in so the full pipeline runs.
-		attachParams(m)
-		want := p.Scan()
-		if len(want) == 0 {
-			t.Fatal("corruption not visible to Scan")
-		}
-		flagged, zeroed := p.DetectAndRecover()
-		if !reflect.DeepEqual(flagged, want) {
-			t.Fatalf("workers=%d: pipeline flagged %v, Scan flagged %v", workers, flagged, want)
-		}
-		if zeroed == 0 {
-			t.Fatalf("workers=%d: nothing zeroed", workers)
-		}
-		if again := p.Scan(); len(again) != 0 {
-			t.Fatalf("workers=%d: post-recovery scan flagged %v", workers, again)
-		}
-	}
-}
-
 // TestScanDirtyCleanAndAfterAttack: ScanDirty flags nothing on a clean
 // model, flags everything a full Scan flags after an attack mounted
 // through the Model API, and skips layers that were not rewritten.

@@ -222,31 +222,28 @@ func (p *Protector) ensureDirtyLocked() {
 	}
 }
 
-// clearDirty resets the dirty flag of the given layer (negative: all
-// layers). Flags are cleared before the scan reads the weights, so a write
-// landing mid-scan re-marks its layer and is caught by the next ScanDirty.
-func (p *Protector) clearDirty(li int) {
-	p.mu.Lock()
-	p.ensureDirtyLocked()
-	if li < 0 {
-		for i := range p.dirty {
-			p.dirty[i] = false
-		}
-	} else if li < len(p.dirty) {
-		p.dirty[li] = false
-	}
-	p.mu.Unlock()
-}
+// allLayers and dirtyLayers select, in place of a layer index, what a pass
+// covers: every layer, or the layers written since they were last scanned.
+const (
+	allLayers   = -1
+	dirtyLayers = -2
+)
 
-// takeDirty snapshots and clears the dirty layer set, appending the layer
-// indices in ascending order onto dst (a pooled buffer, so the steady-state
-// incremental scan allocates nothing).
-func (p *Protector) takeDirty(dst []int) []int {
+// takeLayers appends the layers a pass over which (a layer index,
+// allLayers or dirtyLayers) covers onto dst in ascending order and clears
+// their dirty flags. A pass takes its layers before it reads any weight,
+// so a write landing mid-pass re-marks its layer and is caught by the next
+// ScanDirty. dst is a pooled buffer wherever the pass must not allocate.
+func (p *Protector) takeLayers(dst []int, which int) []int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.ensureDirtyLocked()
+	if which >= 0 {
+		p.dirty[which] = false
+		return append(dst, which)
+	}
 	for li, d := range p.dirty {
-		if d {
+		if d || which == allLayers {
 			dst = append(dst, li)
 			p.dirty[li] = false
 		}
@@ -254,48 +251,40 @@ func (p *Protector) takeDirty(dst []int) []int {
 	return dst
 }
 
+// scan is the one scan pass behind every entry point: it takes the layers
+// which selects (see takeLayers), accounts the pass in Stats, shards those
+// layers onto the worker pool and returns the groups whose recomputed
+// signature differs from the golden one, sorted by layer then group —
+// byte-identical for every worker count. Each shard reads its layer under
+// the layer's read lock, so scans may overlap inference fetches but never a
+// repair; held says the caller already holds the write lock of every
+// scanned layer, where taking the read lock again would self-deadlock. The
+// working memory is pooled: a clean pass at Workers=1 allocates nothing.
+func (p *Protector) scan(which int, held bool) []GroupID {
+	p.stats.scans.Add(1)
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.layers = p.takeLayers(sc.layers, which)
+	bytes := 0
+	for _, li := range sc.layers {
+		bytes += len(p.Model.Layers[li].Q) // one byte per int8 weight
+		sc.shards = p.appendLayerShards(sc.shards, li)
+	}
+	p.stats.bytesScanned.Add(int64(bytes))
+	return p.runShards(sc.shards, sc, !held)
+}
+
 // Scan recomputes every layer's signatures over the current (possibly
 // corrupted) quantized weights and returns the mismatching groups, sorted
 // by layer then group. The work is sharded across the worker pool; the
 // flagged list is byte-identical to a sequential scan for every worker
 // count. This is the operation embedded in the inference weight-fetch path.
-func (p *Protector) Scan() []GroupID {
-	p.clearDirty(-1)
-	p.stats.scans.Add(1)
-	p.addBytesScanned(-1)
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.shards = p.appendShards(sc.shards)
-	return p.scanShards(sc.shards, sc)
-}
-
-// addBytesScanned accounts one scan pass over layer li (negative: all
-// layers) in the BytesScanned counter — one byte per int8 weight, the
-// scan-throughput figure the serving metrics export.
-func (p *Protector) addBytesScanned(li int) {
-	if li >= 0 {
-		p.stats.bytesScanned.Add(int64(len(p.Model.Layers[li].Q)))
-		return
-	}
-	total := 0
-	for _, l := range p.Model.Layers {
-		total += len(l.Q)
-	}
-	p.stats.bytesScanned.Add(int64(total))
-}
+func (p *Protector) Scan() []GroupID { return p.scan(allLayers, false) }
 
 // ScanLayer scans a single layer (used by the run-time embedded detection,
 // which checks each layer as its weights are fetched). Shards of the layer
 // fan out over the worker pool.
-func (p *Protector) ScanLayer(li int) []GroupID {
-	p.clearDirty(li)
-	p.stats.scans.Add(1)
-	p.addBytesScanned(li)
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.shards = p.appendLayerShards(sc.shards, li)
-	return p.scanShards(sc.shards, sc)
-}
+func (p *Protector) ScanLayer(li int) []GroupID { return p.scan(li, false) }
 
 // ScanDirty is the incremental scan: it checks only layers written through
 // the quant.Model API since they were last scanned (by Scan, ScanLayer, or
@@ -304,19 +293,50 @@ func (p *Protector) ScanLayer(li int) []GroupID {
 // model API (direct writes to Layer.Q) is invisible to dirty tracking and
 // needs a full Scan. Flagged groups are sorted by layer then group, and
 // for the dirty layers the result equals what Scan would report.
-func (p *Protector) ScanDirty() []GroupID {
-	p.stats.scans.Add(1)
-	sc := getScratch()
-	defer putScratch(sc)
-	sc.dirty = p.takeDirty(sc.dirty)
-	if len(sc.dirty) == 0 {
-		return nil
+func (p *Protector) ScanDirty() []GroupID { return p.scan(dirtyLayers, false) }
+
+// repair is the one repair pass behind every entry point: it repairs the
+// flagged groups (sorted by layer, as scans report them) one layer at a
+// time and returns the number of weights zeroed. Repair writes Layer.Q
+// directly, bypassing the quant.Model write path, so every layer that had
+// bytes written is reported through MarkWritten once its lock is released
+// — what keeps external storage (an mmap-backed checkpoint scheduling the
+// layer for msync) and incremental scanners sound.
+func (p *Protector) repair(flagged []GroupID, held bool) (zeroed int) {
+	corrected := 0
+	for lo, hi := 0, 0; lo < len(flagged); lo = hi {
+		for hi < len(flagged) && flagged[hi].Layer == flagged[lo].Layer {
+			hi++
+		}
+		z, c, wrote := p.repairLayer(flagged[lo:hi], held)
+		if wrote {
+			p.Model.MarkWritten(flagged[lo].Layer)
+		}
+		zeroed += z
+		corrected += c
 	}
-	for _, li := range sc.dirty {
-		p.addBytesScanned(li)
-		sc.shards = p.appendLayerShards(sc.shards, li)
+	p.addRecoveryStats(len(flagged), corrected, zeroed)
+	return zeroed
+}
+
+// repairLayer repairs the flagged groups of one layer under that layer's
+// write lock — taken here, and released on a panic too, unless held says
+// the caller has it. It returns the weights zeroed, the groups the ECC
+// path corrected, and whether any weight byte was written.
+func (p *Protector) repairLayer(groups []GroupID, held bool) (zeroed, corrected int, wrote bool) {
+	if !held {
+		p.guard.LockLayer(groups[0].Layer)
+		defer p.guard.UnlockLayer(groups[0].Layer)
 	}
-	return p.scanShards(sc.shards, sc)
+	for _, g := range groups {
+		z, w, c := p.repairGroupLocked(g)
+		zeroed += z
+		wrote = wrote || w
+		if c {
+			corrected++
+		}
+	}
+	return zeroed, corrected, wrote
 }
 
 // Recover repairs every flagged group and returns the number of weights
@@ -333,39 +353,7 @@ func (p *Protector) ScanDirty() []GroupID {
 // other goroutines read the same model for inference. Consecutive flagged
 // groups of the same layer share one lock acquisition — the flagged lists
 // produced by scans are sorted by layer, so each layer is locked once.
-func (p *Protector) Recover(flagged []GroupID) int {
-	zeroed := 0
-	corrected := 0
-	for lo := 0; lo < len(flagged); {
-		hi := lo
-		for hi < len(flagged) && flagged[hi].Layer == flagged[lo].Layer {
-			hi++
-		}
-		li := flagged[lo].Layer
-		layerZeroed, layerWrote := 0, false
-		p.guard.LockLayer(li)
-		for _, g := range flagged[lo:hi] {
-			z, w, c := p.repairGroupLocked(g)
-			layerZeroed += z
-			layerWrote = layerWrote || w
-			if c {
-				corrected++
-			}
-		}
-		p.guard.UnlockLayer(li)
-		if layerWrote {
-			// Recovery writes Layer.Q directly, bypassing the quant.Model
-			// write path; notify the observers so external storage (an
-			// mmap-backed checkpoint scheduling the layer for msync) and
-			// incremental scanners stay sound.
-			p.Model.MarkWritten(li)
-		}
-		zeroed += layerZeroed
-		lo = hi
-	}
-	p.addRecoveryStats(len(flagged), corrected, zeroed)
-	return zeroed
-}
+func (p *Protector) Recover(flagged []GroupID) int { return p.repair(flagged, false) }
 
 // addRecoveryStats accounts one recovery batch: n flagged groups of which
 // corrected were ECC-repaired and the rest zeroed, clearing zeroedWeights
@@ -399,39 +387,12 @@ func (p *Protector) recoverGroupLocked(g GroupID) int {
 	return zeroed
 }
 
-// DetectAndRecover is the full run-time reaction: scan, zero out flagged
-// groups, and report what happened. Scanning and recovery are pipelined —
-// while layer i's flagged groups are being zeroed, the worker pool is
-// already scanning layer i+1 (recovery only touches already-scanned
-// layers, so the stages never share data). The flagged list and zeroed
-// count are identical to a sequential scan-then-recover.
+// DetectAndRecover is the full run-time reaction: scan every layer, repair
+// the flagged groups, and report what happened — exactly
+// Recover(Scan()). On a clean model it is a Scan.
 func (p *Protector) DetectAndRecover() (flagged []GroupID, zeroed int) {
-	p.clearDirty(-1)
-	p.stats.scans.Add(1)
-	p.addBytesScanned(-1)
-	ch := make(chan []GroupID, 1)
-	go func() {
-		sc := getScratch()
-		defer putScratch(sc)
-		for li := range p.Model.Layers {
-			sc.shards = p.appendLayerShards(sc.shards[:0], li)
-			ch <- p.scanShards(sc.shards, sc)
-		}
-		close(ch)
-	}()
-	done := false
-	defer func() {
-		if !done { // unblock the scanner if Recover panicked mid-pipeline
-			for range ch {
-			}
-		}
-	}()
-	for f := range ch {
-		flagged = append(flagged, f...)
-		zeroed += p.Recover(f)
-	}
-	done = true
-	return flagged, zeroed
+	flagged = p.scan(allLayers, false)
+	return flagged, p.repair(flagged, false)
 }
 
 // GroupOf maps a bit address to its checksum group under this protector.

@@ -7,9 +7,9 @@ package core
 // the corruption, so the caller must hold the same trust as the original
 // Protect invocation.
 func (p *Protector) RefreshLayer(li int) {
-	// Clear before reading the weights: a write landing mid-refresh
-	// re-marks the layer and the next ScanDirty re-checks it.
-	p.clearDirty(li)
+	// Take the layer before reading the weights: a write landing
+	// mid-refresh re-marks it and the next ScanDirty re-checks it.
+	p.takeLayers(nil, li)
 	p.Golden[li] = p.Schemes[li].Signatures(p.Model.Layers[li].Q)
 	p.refreshChecksLayer(li)
 }
@@ -17,12 +17,12 @@ func (p *Protector) RefreshLayer(li int) {
 // RefreshAll recomputes every layer's golden signatures (a full re-protect
 // without re-drawing the secrets), sharded across the worker pool.
 func (p *Protector) RefreshAll() {
-	p.clearDirty(-1)
+	var sh []shard
 	p.Golden = make([][]uint8, len(p.Model.Layers))
-	for li, l := range p.Model.Layers {
-		p.Golden[li] = make([]uint8, p.Schemes[li].NumGroups(len(l.Q)))
+	for _, li := range p.takeLayers(nil, allLayers) {
+		p.Golden[li] = make([]uint8, p.Schemes[li].NumGroups(len(p.Model.Layers[li].Q)))
+		sh = p.appendLayerShards(sh, li)
 	}
-	sh := p.appendShards(nil)
 	cd := p.shardCountdown(sh)
 	runTasks(p.poolSize(), len(sh), func(k int) {
 		s := sh[k]

@@ -3,7 +3,7 @@ package core
 import "sync"
 
 // scanScratch is the reusable working memory of one scan operation: the
-// shard list, the per-shard result table and the dirty-layer snapshot.
+// layers it covers, their shard list and the per-shard result table.
 // Instances cycle through a sync.Pool so steady-state ScanDirty and full
 // scans allocate nothing (verified by testing.AllocsPerRun in
 // swar_test.go); the checksum kernels themselves hold their accumulators
@@ -11,9 +11,9 @@ import "sync"
 // one exception — they are freshly allocated because they escape to the
 // caller, and a clean scan never creates any.
 type scanScratch struct {
+	layers  []int
 	shards  []shard
 	results [][]GroupID
-	dirty   []int
 }
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
@@ -29,7 +29,7 @@ func putScratch(sc *scanScratch) {
 		sc.results[i] = nil
 	}
 	sc.shards = sc.shards[:0]
-	sc.dirty = sc.dirty[:0]
+	sc.layers = sc.layers[:0]
 	scanScratchPool.Put(sc)
 }
 

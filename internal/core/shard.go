@@ -36,15 +36,6 @@ func (p *Protector) appendLayerShards(dst []shard, li int) []shard {
 	return dst
 }
 
-// appendShards appends every layer's shards onto dst, ordered by
-// (layer, lo).
-func (p *Protector) appendShards(dst []shard) []shard {
-	for li := range p.Model.Layers {
-		dst = p.appendLayerShards(dst, li)
-	}
-	return dst
-}
-
 // SignaturesRange computes the signatures of groups [lo, hi) of a layer —
 // the per-shard unit of the parallel engine. It returns exactly
 // Signatures(q)[lo:hi]: the checksum of each group accumulates the same
@@ -147,8 +138,13 @@ func (s Scheme) clampRange(q []int8, lo, hi int) (int, int, bool) {
 // scanShard recomputes one shard's signatures and compares them against
 // the golden slice as they are produced — no signature buffer is
 // materialized, so a clean shard allocates nothing. Flagged groups are
-// returned in ascending group order.
-func (p *Protector) scanShard(sh shard) []GroupID {
+// returned in ascending group order. With lock set the layer is read under
+// its read lock (released on a panic too).
+func (p *Protector) scanShard(sh shard, lock bool) []GroupID {
+	if lock {
+		p.guard.RLockLayer(sh.layer)
+		defer p.guard.RUnlockLayer(sh.layer)
+	}
 	l := p.Model.Layers[sh.layer]
 	s := p.Schemes[sh.layer]
 	golden := p.Golden[sh.layer]
@@ -161,53 +157,27 @@ func (p *Protector) scanShard(sh shard) []GroupID {
 	return out
 }
 
-// scanShardGuarded scans one shard, under the layer's read lock when lock
-// is set (released on panic too, matching the fan-out path's defer).
-func (p *Protector) scanShardGuarded(sh shard, lock bool) []GroupID {
-	if lock {
-		p.guard.RLockLayer(sh.layer)
-		defer p.guard.RUnlockLayer(sh.layer)
-	}
-	return p.scanShard(sh)
-}
-
-// scanShards runs the shard list on the worker pool and merges the
+// runShards runs the shard list on the worker pool and merges the
 // per-shard results in shard order. Because shards arrive sorted by
 // (layer, lo) and each shard reports ascending groups, the merged list is
 // deterministically sorted by layer then group — identical to a
-// single-goroutine scan regardless of worker count or scheduling. On a
-// coordinated protector each shard reads its layer under the layer's read
-// lock, so scans may overlap inference fetches but never a recovery write.
-func (p *Protector) scanShards(sh []shard, sc *scanScratch) []GroupID {
-	return p.runShards(sh, sc, true)
-}
-
-// scanShardsLocked is the variant for callers that already hold the write
-// lock of every scanned layer (VerifyAndRecoverLayer): taking the read
-// lock again would self-deadlock, and exclusion is already guaranteed.
-func (p *Protector) scanShardsLocked(sh []shard, sc *scanScratch) []GroupID {
-	return p.runShards(sh, sc, false)
-}
-
+// single-goroutine scan regardless of worker count or scheduling.
 func (p *Protector) runShards(sh []shard, sc *scanScratch, lock bool) []GroupID {
 	results := sc.resultsBuf(len(sh))
 	cd := p.shardCountdown(sh)
-	if workers := p.poolSize(); workers <= 1 {
+	if workers := p.poolSize(); workers <= 1 || len(sh) <= 1 {
 		// Run the loop inline rather than through runTasks: its fan-out
 		// path captures the task closure in goroutines, so a closure
 		// shared with it would be heap-allocated even when only the
 		// sequential path runs, breaking the zero-alloc steady state.
+		// A list of at most one shard has nothing to fan out either.
 		for k := range sh {
-			results[k] = p.scanShardGuarded(sh[k], lock)
+			results[k] = p.scanShard(sh[k], lock)
 			cd.shardDone(k)
 		}
 	} else {
 		runTasks(workers, len(sh), func(k int) {
-			if lock {
-				p.guard.RLockLayer(sh[k].layer)
-				defer p.guard.RUnlockLayer(sh[k].layer)
-			}
-			results[k] = p.scanShard(sh[k])
+			results[k] = p.scanShard(sh[k], lock)
 			cd.shardDone(k)
 		})
 	}

@@ -181,8 +181,8 @@ func TestChecksumAllocationFree(t *testing.T) {
 }
 
 // TestScanZeroAlloc verifies the arena satellite: with a single worker
-// (no goroutine fan-out) a steady-state full Scan and an incremental
-// ScanDirty of a clean model allocate nothing — the scratch pool and the
+// (no goroutine fan-out) a steady-state full Scan, an incremental
+// ScanDirty and a DetectAndRecover of a clean model allocate nothing — the scratch pool and the
 // register-resident kernels absorb all working memory.
 func TestScanZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -215,6 +215,13 @@ func TestScanZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("clean ScanDirty allocates %.1f objects per run, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if flagged, _ := p.DetectAndRecover(); len(flagged) != 0 {
+			t.Fatal("clean model flagged")
+		}
+	}); allocs != 0 {
+		t.Errorf("clean DetectAndRecover allocates %.1f objects per run, want 0", allocs)
 	}
 }
 

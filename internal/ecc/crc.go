@@ -1,6 +1,6 @@
 // Package ecc implements the error-detection baselines the paper compares
-// RADAR against (§VII.B, Table V): cyclic redundancy checks, Hamming
-// SEC-DED codes, and simple parity. These are generic data-integrity codes;
+// RADAR against (§VII.B, Table V): cyclic redundancy checks and Hamming
+// SEC-DED codes. These are generic data-integrity codes;
 // the comparison point is their much larger storage and time overhead for
 // the same group sizes.
 package ecc

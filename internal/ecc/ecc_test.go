@@ -202,27 +202,70 @@ func TestHammingPanicsOnWrongLength(t *testing.T) {
 	NewHamming(8).Syndrome(make([]uint8, 9))
 }
 
-func TestParityDetectsOddMSBFlips(t *testing.T) {
-	p := Parity{}
-	orig := []int8{1, -2, 3, -4}
-	c1 := append([]int8(nil), orig...)
-	c1[0] = int8(uint8(c1[0]) ^ 0x80)
-	if !p.Detects(orig, c1) {
-		t.Fatal("parity missed single MSB flip")
+func TestHammingCorrectSingleLocatesBit(t *testing.T) {
+	h := NewHamming(64)
+	rng := rand.New(rand.NewSource(2))
+	data := make([]uint8, 64)
+	for i := range data {
+		data[i] = uint8(rng.Intn(2))
 	}
-	// Two MSB flips cancel — the weakness that motivates RADAR's S_A.
-	c2 := append([]int8(nil), c1...)
-	c2[1] = int8(uint8(c2[1]) ^ 0x80)
-	if p.Detects(orig, c2) {
-		t.Fatal("parity should be blind to double MSB flips")
+	stored := h.Encode(data)
+	for i := 0; i < 64; i++ {
+		c := append([]uint8(nil), data...)
+		c[i] ^= 1
+		pos := h.CorrectSingle(stored, h.Encode(c))
+		if pos == 0 {
+			t.Fatalf("single error at data bit %d not correctable", i)
+		}
+		if got := h.DataIndexOf(pos); got != i {
+			t.Fatalf("correction points at data bit %d, want %d", got, i)
+		}
 	}
 }
 
-func TestParityIgnoresNonMSBBits(t *testing.T) {
-	p := Parity{}
-	orig := []int8{0, 0, 0}
-	c := []int8{63, 12, 7} // MSBs all still 0
-	if p.Detects(orig, c) {
-		t.Fatal("parity must only cover MSBs")
+func TestHammingCorrectSingleRefusesDouble(t *testing.T) {
+	h := NewHamming(64)
+	rng := rand.New(rand.NewSource(3))
+	data := make([]uint8, 64)
+	stored := h.Encode(data)
+	for trial := 0; trial < 200; trial++ {
+		i, j := rng.Intn(64), rng.Intn(64)
+		if i == j {
+			continue
+		}
+		c := append([]uint8(nil), data...)
+		c[i] ^= 1
+		c[j] ^= 1
+		if pos := h.CorrectSingle(stored, h.Encode(c)); pos != 0 {
+			t.Fatalf("double error at %d,%d mis-corrected to position %d", i, j, pos)
+		}
+	}
+}
+
+func TestDataIndexOfParityPositions(t *testing.T) {
+	h := NewHamming(64)
+	for _, p := range []int{1, 2, 4, 8, 16, 32, 64} {
+		if h.DataIndexOf(p) != -1 {
+			t.Fatalf("position %d is a parity bit, not data", p)
+		}
+	}
+	// Position 3 is the first data bit, position 5 the second, 6 the third.
+	if h.DataIndexOf(3) != 0 || h.DataIndexOf(5) != 1 || h.DataIndexOf(6) != 2 {
+		t.Fatal("data index mapping wrong")
+	}
+	if h.DataIndexOf(0) != -1 || h.DataIndexOf(-4) != -1 {
+		t.Fatal("non-positive positions must map to -1")
+	}
+}
+
+func BenchmarkBitSerialCRC13(b *testing.B) {
+	q := make([]int8, 4096)
+	for i := range q {
+		q[i] = int8(i)
+	}
+	b.SetBytes(int64(len(q)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		CRC13.ComputeInt8(q)
 	}
 }

@@ -96,19 +96,35 @@ func (h Hamming) DetectsInt8MSBs(original, corrupted []int8) bool {
 	return h.Classify(h.Encode(toBits(original)), h.Encode(toBits(corrupted))) > 0
 }
 
-// Parity is the 1-bit even-parity baseline over a bit block.
-type Parity struct{}
-
-// Compute returns the even parity of the MSBs of a weight group.
-func (Parity) Compute(q []int8) uint8 {
-	var p uint8
-	for _, v := range q {
-		p ^= uint8(v) >> 7
+// CorrectSingle attempts single-bit error correction with a SEC-DED
+// Hamming code: given the stored and freshly computed check words, it
+// returns the codeword position (1-based, parity positions included) of
+// the flipped bit, or 0 when the difference is not a correctable single
+// error. Callers translate the position back to a data-bit index with
+// DataIndexOf.
+func (h Hamming) CorrectSingle(stored, fresh uint32) int {
+	if h.Classify(stored, fresh) != 1 {
+		return 0
 	}
-	return p & 1
+	synDiff := int((stored >> 1) ^ (fresh >> 1))
+	return synDiff // syndrome difference IS the codeword position
 }
 
-// Detects reports whether MSB parity differs between the two blocks.
-func (p Parity) Detects(original, corrupted []int8) bool {
-	return p.Compute(original) != p.Compute(corrupted)
+// DataIndexOf converts a codeword position to a data-bit index, or -1 for
+// parity positions.
+func (h Hamming) DataIndexOf(codewordPos int) int {
+	if codewordPos <= 0 {
+		return -1
+	}
+	if codewordPos&(codewordPos-1) == 0 {
+		return -1 // power of two → parity bit
+	}
+	// Count non-power-of-two positions below codewordPos.
+	idx := 0
+	for p := 1; p < codewordPos; p++ {
+		if p&(p-1) != 0 {
+			idx++
+		}
+	}
+	return idx
 }

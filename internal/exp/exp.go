@@ -40,7 +40,7 @@ func Quick() Options {
 	}
 }
 
-// Full returns the scale used to regenerate EXPERIMENTS.md.
+// Full returns the paper's round counts (`radar-bench -scale full`).
 func Full() Options {
 	return Options{
 		Rounds20: 25, Rounds18: 8, NumFlips: 10,

@@ -7,7 +7,8 @@ import (
 // CostModel prices inference and detection in cycles on the simulated
 // system. Constants are calibrated once against the paper's gem5 baselines
 // (ResNet-20: 66.3 ms; ResNet-18: 3.268 s at 1 GHz, batch 1) and then used
-// unchanged for every overhead experiment; see EXPERIMENTS.md.
+// unchanged for every overhead experiment (`radar-bench -scale full`
+// regenerates them).
 type CostModel struct {
 	// ClockHz is the core clock (paper: 1 GHz).
 	ClockHz float64

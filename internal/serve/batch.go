@@ -112,9 +112,10 @@ func (s *Server) runBatch(batch []*request, v *verifier) {
 	k := out.Shape[1]
 	now := time.Now()
 	forward := now.Sub(assembled) - verify
-	var queued time.Duration
 	for i, r := range batch {
-		queued += start.Sub(r.enq)
+		// Before the answer goes out: whoever reads the clock after its
+		// reply finds its own wait already counted.
+		s.queueNs.Add(int64(start.Sub(r.enq)))
 		logits := append([]float32(nil), out.Data[i*k:(i+1)*k]...)
 		s.met.requests.Inc()
 		s.met.observeLatency(now.Sub(r.enq))
@@ -134,5 +135,4 @@ func (s *Server) runBatch(batch []*request, v *verifier) {
 		}
 		r.out <- Result{Class: out.Argmax(i*k, k), Logits: logits}
 	}
-	s.queueNs.Add(int64(queued))
 }

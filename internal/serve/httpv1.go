@@ -39,7 +39,7 @@ type JobTableStats struct {
 // An empty Model targets every hosted model.
 type adminRequest struct {
 	Model string `json:"model,omitempty"`
-	// Full selects the pipelined whole-model sweep (scrub only).
+	// Full selects the whole-model sweep (scrub only).
 	Full bool `json:"full,omitempty"`
 }
 

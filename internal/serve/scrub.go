@@ -26,13 +26,13 @@ func (s *Server) scrubLoop() {
 }
 
 // Scrub runs one scrub cycle and reports what it found. A full cycle runs
-// the pipelined DetectAndRecover (scan of layer i+1 overlaps recovery of
-// layer i), catching even corruption that bypassed the model API; an
-// incremental cycle scans only layers written since their last scan and
-// recovers whatever they flag. Both paths go through the layer guard, so
-// scrubbing never stalls traffic for longer than one layer's recovery.
-// Exported so tests, benchmarks and operators (via a future admin
-// endpoint) can force a cycle without waiting for the ticker.
+// DetectAndRecover over every layer, catching even corruption that
+// bypassed the model API; an incremental cycle scans only layers written
+// since their last scan and recovers whatever they flag. Both paths go
+// through the layer guard, so scrubbing never stalls traffic for longer
+// than one layer's recovery. Exported so tests, benchmarks and operators
+// (via POST /v1/admin/scrub) can force a cycle without waiting for the
+// ticker.
 func (s *Server) Scrub(full bool) (flagged []core.GroupID, zeroed int) {
 	if full {
 		begun := time.Now()

@@ -25,8 +25,8 @@
 //     model answers a lone request at once, and a batch is whatever queued
 //     while the workers were busy. Nothing waits on a timer.
 //   - A background scrubber goroutine that periodically runs the
-//     incremental ScanDirty (falling back to a pipelined full
-//     DetectAndRecover every few cycles) and zeroes whatever it flags.
+//     incremental ScanDirty (falling back to a full DetectAndRecover
+//     every few cycles) and zeroes whatever it flags.
 //   - A verified weight-fetch path: when enabled, every quantized layer's
 //     checksum is recomputed inside the fetch step of every stage of every
 //     batch — under the read lock the stage then computes under, on the
@@ -81,10 +81,9 @@ type Config struct {
 	// ScrubInterval is the background scrubber period; zero disables the
 	// scrubber entirely.
 	ScrubInterval time.Duration
-	// ScrubFullEvery makes every Nth scrub cycle a full pipelined
-	// DetectAndRecover instead of an incremental ScanDirty, catching
-	// corruption that bypassed the model API (default 8; 1 means every
-	// cycle is full).
+	// ScrubFullEvery makes every Nth scrub cycle a full DetectAndRecover
+	// instead of an incremental ScanDirty, catching corruption that
+	// bypassed the model API (default 8; 1 means every cycle is full).
 	ScrubFullEvery int
 	// InputShape, when set, is the expected per-request input shape
 	// (C, H, W); Infer and the HTTP front-end validate against it.

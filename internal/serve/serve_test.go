@@ -214,7 +214,7 @@ func TestVerifiedFetchCatchesPhysicalFlips(t *testing.T) {
 	srv.Inject(func(m *quant.Model) {
 		adversary.Mount(adversary.Target{Model: m, Prot: prot}, adversary.Volley{Weights: volley})
 	})
-	if prot.DirtyCount() != 0 {
+	if prot.ScanDirty() != nil { // no layer dirty: nothing scanned, nothing flagged
 		t.Fatal("the mounted volley announced itself to the write observers")
 	}
 

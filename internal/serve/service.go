@@ -109,8 +109,7 @@ func WithVerifiedFetch(on bool) ModelOption {
 }
 
 // WithScrub sets the background scrub interval (0 disables) and how often
-// a cycle is a full pipelined DetectAndRecover instead of an incremental
-// ScanDirty.
+// a cycle is a full DetectAndRecover instead of an incremental ScanDirty.
 func WithScrub(interval time.Duration, fullEvery int) ModelOption {
 	return func(c *Config) { c.ScrubInterval = interval; c.ScrubFullEvery = fullEvery }
 }
@@ -398,7 +397,7 @@ func (s *Service) Snapshot(model string) (Snapshot, error) {
 
 // Scrub forces one scrub cycle on the named model, or on every model when
 // name is empty, and reports what each cycle found. full selects the
-// pipelined whole-model DetectAndRecover over the incremental ScanDirty.
+// whole-model DetectAndRecover over the incremental ScanDirty.
 func (s *Service) Scrub(model string, full bool) ([]AdminReport, error) {
 	var out []AdminReport
 	err := s.reg.each(model, func(hm *hostedModel) error {

@@ -11,8 +11,8 @@
 //
 // Scanning is parallel: Protect, Scan, ScanLayer, and RefreshAll shard each
 // layer's group range across a bounded worker pool sized by Config.Workers
-// (default: one worker per CPU), and DetectAndRecover overlaps scanning the
-// next layer with recovering the previous one. Flagged groups come back
+// (default: one worker per CPU), and DetectAndRecover is one such scan
+// followed by the repair of what it flagged. Flagged groups come back
 // sorted by layer then group and are byte-identical for every worker count.
 // Protector.ScanDirty is the incremental variant: the protector observes
 // writes made through the QuantModel API and re-scans only the layers
