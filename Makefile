@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke benchmark-check bench-artifacts bench-gate bench-compare serve-smoke fleet-smoke chaos-smoke lint fmt loc
+.PHONY: build test race bench bench-smoke benchmark-check bench-compare serve-smoke fleet-smoke chaos-smoke lint fmt loc
 
 build:
 	$(GO) build ./...
@@ -18,10 +18,11 @@ test:
 # the adversary campaign engine (volleys mount under the layer guard
 # while scrubs run), plus the ECC corrector and timing-substrate
 # property/fuzz seeds. The batching-policy tests build exact backlogs
-# behind blocked workers, so they run ten times over.
+# behind blocked workers, and the rekey test rotates secrets under live
+# traffic, so they run ten times over.
 race:
 	$(GO) test -race -timeout 20m ./internal/core/... ./internal/serve/... ./internal/qinfer/... ./internal/obs/... ./internal/fleet/... ./internal/chaos/... ./internal/store/... ./internal/adversary/... ./internal/ecc/... ./internal/memsim/...
-	$(GO) test -race -count=10 -run 'TestBacklogBecomesBatches|TestShapeChangeCarriesOver|TestStopAnswersBacklog' ./internal/serve/
+	$(GO) test -race -count=10 -run 'TestBacklogBecomesBatches|TestShapeChangeCarriesOver|TestStopAnswersBacklog|TestRekeyLive' ./internal/serve/
 
 # Full benchmark sweep (slow; trains zoo models on first run).
 bench:
@@ -42,31 +43,10 @@ benchmark-check:
 	$(GO) vet -C benchmark .
 	$(GO) test -C benchmark .
 
-# Machine-readable perf artifacts: the scan worker sweep (with the
-# old-vs-new checksum kernel record), the serving-under-attack sweep and
-# the fleet routing/availability sweep. BENCH_OUT redirects the output
-# directory (default: repo root, i.e. the committed baselines). bigscale
-# and recoveryscale are deliberately absent: CI's size-capped quick runs
-# are not comparable to the committed full-scale baselines, so both are
-# smoke-run and uploaded by CI (with their invariants — the RSS ratio,
-# the ECC bit-identical restore — enforced inside the experiment) but
-# never gated.
-BENCH_OUT ?= .
-bench-artifacts:
-	$(GO) run ./cmd/radar-bench -exp scanscale -json $(BENCH_OUT)/BENCH_scanscale.json
-	$(GO) run ./cmd/radar-bench -exp servescale -json $(BENCH_OUT)/BENCH_servescale.json
-	$(GO) run ./cmd/radar-bench -exp fleetscale -json $(BENCH_OUT)/BENCH_fleetscale.json
-
-# CI perf-regression gate: regenerate fresh artifacts and compare them
-# against the committed BENCH_*.json baselines; fails on a >MAX_DROP%
-# drop in any tracked metric. `[bench-skip]` in the last commit message
-# skips the gate. Usage: make bench-gate [MAX_DROP=10].
-bench-gate:
-	./scripts/bench_compare.sh --gate $(MAX_DROP)
-
-# Benchstat-style diff of benchmarks between HEAD and a base ref
-# (default: previous commit). Usage: make bench-compare [REF=<git-ref>]
-# [BENCH='<pattern>'] [COUNT=<n>].
+# The perf-regression gate, locally and in CI: three full runs of the
+# benchmark on REF (default HEAD~1) and on the working tree, alternating,
+# then `-compare` under BENCHMARK.json's bounds; exit 1 on a regression.
+# Usage: make bench-compare [REF=<git-ref>].
 bench-compare:
 	./scripts/bench_compare.sh $(REF)
 

@@ -1,14 +1,17 @@
-// Benchmarks regenerating every table and figure of the paper (DESIGN.md
-// §3 maps experiment ids to modules). The statistical experiments run at
-// the Quick scale here so `go test -bench=.` finishes in minutes; the
-// paper-sized numbers come from `radar-bench -scale full`, which runs
-// the identical code at the paper's round counts. Each benchmark logs the
-// rendered artifact so the rows/series are visible in the bench output.
+// Benchmarks regenerating every table and figure of the paper (README.md
+// §Experiments maps experiment ids to modules). The statistical
+// experiments run at the Quick scale here so `go test -bench=.` finishes
+// in minutes; the paper-sized numbers come from `radar-bench -scale
+// full`, which runs the identical code at the paper's round counts. Each
+// benchmark logs the rendered artifact so the rows/series are visible in
+// the bench output.
 package radar_test
 
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -194,9 +197,19 @@ func BenchmarkScan(b *testing.B) {
 	cfg := radar.DefaultConfig(512)
 	cfg.Workers = 1
 	prot := radar.Protect(qm, cfg)
-	model.ScatterMSBFlips(qm, 64) // real mismatches for the scan to report
+	// Real mismatches for the scan to report: 64 MSBs at fixed, scattered
+	// positions, written to Layer.Q directly (no float side to sync).
+	for f := 0; f < 64; f++ {
+		l := qm.Layers[(f*7)%len(qm.Layers)]
+		i := (f * 1_000_003) % len(l.Q)
+		l.Q[i] = quant.FlipBit(l.Q[i], quant.MSB)
+	}
 	var baseline []radar.GroupID
-	for _, w := range exp.ScanWorkerSweep() {
+	sweep := []int{1, 2, 4}
+	if n := runtime.GOMAXPROCS(0); !slices.Contains(sweep, n) {
+		sweep = append(sweep, n)
+	}
+	for _, w := range sweep {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			prot.SetWorkers(w)
 			b.SetBytes(int64(qm.TotalWeights()))
@@ -271,7 +284,7 @@ func BenchmarkSignatureScanPlain(b *testing.B) {
 
 // BenchmarkSignatureScanRef runs the retained scalar row-walk kernel over
 // the same image — the in-tree "old kernel" baseline the SWAR speedup is
-// measured against (see also BENCH_scanscale.json's kernels record).
+// measured against.
 func BenchmarkSignatureScanRef(b *testing.B) {
 	q := make([]int8, 1<<22)
 	for i := range q {
@@ -319,8 +332,7 @@ func BenchmarkCRC13Scan(b *testing.B) {
 // the tiny zoo model with the background scrubber and the verified
 // weight-fetch path toggled — the software cost of continuous protection
 // on a live server (requests arrive from GOMAXPROCS parallel clients and
-// are coalesced by the batcher). radar-bench -exp servescale runs the same
-// sweep under an active adversary and emits machine-readable JSON.
+// are coalesced by the batcher).
 func BenchmarkServe(b *testing.B) {
 	configs := []struct {
 		name          string

@@ -71,7 +71,7 @@ func (s Scheme) signaturesInto(dst []uint8, q []int8, lo, hi int) {
 // SignaturesRangeRef is the scalar reference kernel: the PR 1 row-segment
 // walk, one multiply-add per weight. It is retained as the differential
 // baseline the SWAR kernel is property-tested against and as the
-// "old kernel" side of the scanscale before/after measurement; results are
+// "old kernel" side of before/after measurements; results are
 // bit-identical to SignaturesRange.
 func (s Scheme) SignaturesRangeRef(q []int8, lo, hi int) []uint8 {
 	lo, hi, ok := s.clampRange(q, lo, hi)

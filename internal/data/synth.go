@@ -1,10 +1,10 @@
 // Package data generates the deterministic synthetic image-classification
 // datasets that stand in for CIFAR-10 and ImageNet in this offline
-// reproduction (see DESIGN.md §1). Each class is defined by a random but
-// fixed combination of oriented sinusoid textures; samples add per-image
-// phase jitter, amplitude variation and Gaussian noise, so the task is
-// learnable but not trivial and gradients through a trained model are
-// informative — which is all PBFA and RADAR require of the data.
+// reproduction (see README.md §Experiments). Each class is defined by a
+// random but fixed combination of oriented sinusoid textures; samples add
+// per-image phase jitter, amplitude variation and Gaussian noise, so the
+// task is learnable but not trivial and gradients through a trained model
+// are informative — which is all PBFA and RADAR require of the data.
 package data
 
 import (

@@ -12,7 +12,7 @@ import (
 )
 
 // MaskingAblationResult isolates the contribution of the secret-key
-// masking (DESIGN.md design choice): detection probability of an
+// masking (README.md §Experiments): detection probability of an
 // opposite-direction MSB flip pair inside one group, with and without
 // masking. Without masking the pair cancels deterministically; with a
 // random 16-bit key the pair survives only when the two positions share a

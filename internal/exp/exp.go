@@ -1,8 +1,8 @@
 // Package exp contains one runner per table and figure of the paper's
-// evaluation (see DESIGN.md §3 for the index). Each runner returns a
-// structured result with a Render method that prints the same rows/series
-// the paper reports. Runners take an Options scale so tests can run small
-// while the benchmark harness regenerates the full artifacts.
+// evaluation (see README.md §Experiments for the index). Each runner
+// returns a structured result with a Render method that prints the same
+// rows/series the paper reports. Runners take an Options scale so tests
+// can run small while the benchmark harness regenerates the full artifacts.
 package exp
 
 import (

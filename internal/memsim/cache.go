@@ -1,7 +1,7 @@
 // Package memsim is the system-level timing substrate standing in for the
 // paper's gem5 simulation (8× Arm Cortex-M4F @ 1 GHz, 32 KB L1 + 64 KB L2;
-// see DESIGN.md §1). It provides a trace-driven set-associative cache
-// hierarchy, a bank/row-buffer DRAM device, and a calibrated cost model
+// see README.md §Experiments). It provides a trace-driven set-associative
+// cache hierarchy, a bank/row-buffer DRAM device, and a calibrated cost model
 // that prices inference, RADAR detection and CRC detection over the
 // *full-size* ResNet-20/ResNet-18 layer shape tables — reproducing
 // Table IV and Table V. The same substrate prices the attacker:

@@ -24,15 +24,3 @@ func SyntheticQuant(tab *ShapeTable) *quant.Model {
 	}
 	return m
 }
-
-// ScatterMSBFlips corrupts k MSBs at fixed, well-scattered positions
-// across the model's layers by writing Layer.Q directly (SyntheticQuant
-// images have no float side to sync). BenchmarkScan and the scanscale
-// experiment share this pattern so they measure the same corruption.
-func ScatterMSBFlips(m *quant.Model, k int) {
-	for f := 0; f < k; f++ {
-		l := m.Layers[(f*7)%len(m.Layers)]
-		i := (f * 1_000_003) % len(l.Q)
-		l.Q[i] = quant.FlipBit(l.Q[i], quant.MSB)
-	}
-}

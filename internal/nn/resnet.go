@@ -8,7 +8,7 @@ import (
 // ResNetConfig describes a ResNet topology in the v1 CIFAR/ImageNet basic-
 // block family. Width scaling (for tractable pure-Go training) keeps the
 // exact depth and wiring of the paper's models while shrinking channel
-// counts; see DESIGN.md §1.
+// counts; see README.md §Experiments.
 type ResNetConfig struct {
 	// Name labels the model, e.g. "resnet20s".
 	Name string

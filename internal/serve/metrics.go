@@ -132,7 +132,7 @@ func quantiles(samples []time.Duration, qs ...float64) []time.Duration {
 }
 
 // Snapshot is a point-in-time export of the server's metrics, shaped for
-// JSON (GET /v1/models and the servescale benchmark artifact). The same
+// JSON (GET /v1/models). The same
 // figures are exposed in Prometheus form at GET /v1/metrics.
 type Snapshot struct {
 	// UptimeSeconds is the time since Start.

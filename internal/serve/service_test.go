@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -298,44 +301,99 @@ func TestStoppingTyped(t *testing.T) {
 	svc.Close() // idempotent
 }
 
-// TestRekeyLive rotates a serving model's secrets mid-traffic: the
-// schemes must actually change, answers must be unaffected, and a flip
-// mounted after the rekey must still be detected and recovered by the
+// TestRekeyLive rotates every hosted model's secrets twice mid-traffic:
+// four clients keep two models busy across both rekeys and no request may
+// fail or change its answer, the schemes must actually change, a
+// half-rotated golden must never raise a false positive, and a flip
+// mounted after the rekeys must still be detected and recovered by the
 // new golden signatures.
 func TestRekeyLive(t *testing.T) {
-	svc, b, prots := openTiny(t, 1, []ModelOption{WithScrub(0, 0)})
-	prot := prots[0]
+	svc, b, prots := openTiny(t, 2, []ModelOption{WithScrub(0, 0)})
+	names := []string{"m0", "m1"}
 	x, _ := b[0].Test.Batch(0, 4)
 	ctx := context.Background()
 
-	base, err := svc.Infer(ctx, Request{Input: sample(x, 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := append([]core.Scheme(nil), prot.Schemes...)
-
-	reports, err := svc.Rekey("m0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 1 || !reports[0].Rekeyed {
-		t.Fatalf("rekey reports: %+v", reports)
-	}
-	if reflect.DeepEqual(before, prot.Schemes) {
-		t.Fatal("rekey did not rotate the per-layer secrets")
+	var base [2][4]int // pre-rekey answer per (model, input)
+	for m, name := range names {
+		for i := range base[m] {
+			res, err := svc.Infer(ctx, Request{Model: name, Input: sample(x, i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			base[m][i] = res.Class
+		}
 	}
 
-	// Clean weights + fresh golden: same answer, no false flags.
-	res, err := svc.Infer(ctx, Request{Input: sample(x, 0)})
-	if err != nil {
-		t.Fatal(err)
+	var (
+		wg     sync.WaitGroup
+		served atomic.Int64
+		stop   = make(chan struct{})
+	)
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(m int) {
+			defer wg.Done()
+			for i := 0; ; i = (i + 1) % 4 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := svc.Infer(ctx, Request{Model: names[m], Input: sample(x, i)})
+				if err != nil {
+					t.Errorf("%s: infer during rekey: %v", names[m], err)
+					return
+				}
+				if res.Class != base[m][i] {
+					t.Errorf("%s input %d: rekey changed a clean answer: %d -> %d", names[m], i, base[m][i], res.Class)
+					return
+				}
+				served.Add(1)
+			}
+		}(c % 2)
 	}
-	if res.Class != base.Class {
-		t.Fatalf("rekey changed a clean answer: %d -> %d", base.Class, res.Class)
+	// Deferred so a t.Fatal below cannot leave clients logging into a
+	// finished test.
+	stopClients := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopClients()
+	// traffic blocks until the clients have answered 16 more requests, so
+	// every rekey has live requests on both sides of it.
+	traffic := func() {
+		for mark := served.Load(); served.Load() < mark+16 && !t.Failed(); {
+			runtime.Gosched()
+		}
 	}
-	snap, _ := svc.Snapshot("m0")
-	if snap.VerifyFlagged != 0 {
-		t.Fatalf("rekey produced false positives: %+v", snap)
+	for round := 0; round < 2; round++ {
+		before := [][]core.Scheme{
+			append([]core.Scheme(nil), prots[0].Schemes...),
+			append([]core.Scheme(nil), prots[1].Schemes...),
+		}
+		traffic()
+		reports, err := svc.Rekey("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reports) != 2 || !reports[0].Rekeyed || !reports[1].Rekeyed {
+			t.Fatalf("rekey reports: %+v", reports)
+		}
+		for m, p := range prots {
+			if reflect.DeepEqual(before[m], p.Schemes) {
+				t.Fatalf("%s: rekey did not rotate the per-layer secrets", names[m])
+			}
+		}
+	}
+	traffic()
+	stopClients()
+
+	// Clean weights + fresh golden: no false flags, both rekeys counted.
+	for _, name := range names {
+		snap, _ := svc.Snapshot(name)
+		if snap.VerifyFlagged != 0 {
+			t.Fatalf("%s: rekey produced false positives: %+v", name, snap)
+		}
+		if snap.Rekeys != 2 {
+			t.Fatalf("%s: rekey metric %d, want 2", name, snap.Rekeys)
+		}
 	}
 
 	// The new signatures must still defend the image.
@@ -344,20 +402,15 @@ func TestRekeyLive(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Infer(ctx, Request{Input: sample(x, 1)}); err != nil {
+	if _, err := svc.Infer(ctx, Request{Model: "m0", Input: sample(x, 1)}); err != nil {
 		t.Fatal(err)
 	}
-	snap, _ = svc.Snapshot("m0")
+	snap, _ := svc.Snapshot("m0")
 	if snap.VerifyFlagged == 0 || snap.VerifyZeroed == 0 {
 		t.Fatalf("post-rekey flip was not detected: %+v", snap)
 	}
-	if flagged, _ := prot.DetectAndRecover(); len(flagged) != 0 {
+	if flagged, _ := prots[0].DetectAndRecover(); len(flagged) != 0 {
 		t.Fatalf("post-rekey corruption survived: %v", flagged)
-	}
-
-	snap, _ = svc.Snapshot("m0")
-	if snap.Rekeys != 1 {
-		t.Fatalf("rekey metric %d, want 1", snap.Rekeys)
 	}
 }
 

@@ -4,7 +4,7 @@
 # control plane end to end: the merged /v1/models listing, routed sync
 # inference, a sticky async job round trip with cancellation, a broadcast
 # hot add/remove, killing one replica mid-run (traffic must keep
-# flowing), and a zero-downtime rolling rekey.
+# flowing), and a zero-downtime rolling rekey under live traffic.
 # Used by `make fleet-smoke` and the CI fleet-integration job.
 set -euo pipefail
 
@@ -115,13 +115,31 @@ sleep 0.5
 curl -fs "http://$FLEET_ADDR/v1/fleet" | grep -q '"in_ring": 2' \
     || { echo "fleet did not eject the killed replica"; curl -fs "http://$FLEET_ADDR/v1/fleet"; exit 1; }
 
-# Zero-downtime rolling rekey across the survivors, then traffic still flows.
-rekey=$(curl -fs -X POST -d '{}' "http://$FLEET_ADDR/v1/admin/rekey")
+# Zero-downtime rolling rekey across the survivors: a background client
+# keeps inferring on both models across the whole call and logs every
+# HTTP status; anything but 200 fails the smoke.
+(
+    n=0
+    while [ ! -e "$LOGDIR/rekey.done" ]; do
+        m=$([ $((n % 2)) = 0 ] && echo a || echo b)
+        curl -s -o /dev/null -w '%{http_code}\n' -X POST -d "$payload" \
+            "http://$FLEET_ADDR/v1/models/$m/infer" || true
+        n=$((n + 1))
+    done
+) >"$LOGDIR/rekey.codes" &
+loader=$!
+PIDS+=("$loader")
+rekey=$(curl -fs -X POST -d '{}' "http://$FLEET_ADDR/v1/admin/rekey") || true
+touch "$LOGDIR/rekey.done"
+wait "$loader"
 echo "$rekey" | grep -q '"op": "rolling-rekey"' || { echo "rolling rekey failed: $rekey"; exit 1; }
 live=$(echo "$rekey" | grep -c '"status": 200') || true
 [ "$live" = "2" ] || { echo "rolling rekey reached $live replicas, want 2"; exit 1; }
-curl -fs -X POST -d "$payload" "http://$FLEET_ADDR/v1/models/a/infer" | grep -q '"class"' \
-    || { echo "post-rekey routed infer failed"; exit 1; }
+sent=$(wc -l <"$LOGDIR/rekey.codes")
+bad=$(grep -vc '^200$' "$LOGDIR/rekey.codes") || true
+[ "$sent" -gt 0 ] && [ "$bad" = "0" ] \
+    || { echo "$bad of $sent requests failed during the rolling rekey"; sort "$LOGDIR/rekey.codes" | uniq -c; exit 1; }
+echo "rolling rekey under load: $sent/$sent requests answered 200"
 
 # One scrape sees the whole fleet: the router's own series plus every
 # surviving replica's exposition re-emitted under a replica="host" label.
