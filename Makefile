@@ -18,11 +18,12 @@ test:
 # the adversary campaign engine (volleys mount under the layer guard
 # while scrubs run), plus the ECC corrector and timing-substrate
 # property/fuzz seeds. The batching-policy tests build exact backlogs
-# behind blocked workers, and the rekey test rotates secrets under live
-# traffic, so they run ten times over.
+# behind blocked workers, the rekey test rotates secrets under live
+# traffic, and the rolling-scrub test times a live ticker, so they run ten
+# times over.
 race:
 	$(GO) test -race -timeout 20m ./internal/core/... ./internal/serve/... ./internal/qinfer/... ./internal/obs/... ./internal/fleet/... ./internal/chaos/... ./internal/store/... ./internal/adversary/... ./internal/ecc/... ./internal/memsim/...
-	$(GO) test -race -count=10 -run 'TestBacklogBecomesBatches|TestShapeChangeCarriesOver|TestStopAnswersBacklog|TestRekeyLive' ./internal/serve/
+	$(GO) test -race -count=10 -run 'TestBacklogBecomesBatches|TestShapeChangeCarriesOver|TestStopAnswersBacklog|TestRekeyLive|TestRollingScrub' ./internal/serve/
 
 # Full benchmark sweep (slow; trains zoo models on first run).
 bench:

@@ -10,13 +10,14 @@
 //	radar-serve -model a=tiny -model b=resnet20s          # multi-model
 //	            [-addr :8080] [-g 8] [-batch 8] [-workers N]
 //	            [-queue 256] [-verify] [-scrub 100ms]
-//	            [-scrub-full-every 8] [-scan-workers N] [-jobs 1024]
+//	            [-scan-workers N] [-jobs 1024]
 //	            [-store-dir DIR] [-store-sync 1s] [-correct NAME]
 //	            [-debug-addr :6060] [-log-requests]
 //
 // -model is repeatable; "name=zoo" serves zoo model zoo under name, and a
 // bare "zoo" uses the zoo name itself. The tuning flags apply to every
-// model (each still gets its own independent queue, workers and scrubber).
+// model (each still gets its own independent queue, workers and scrubber);
+// -scrub is the flip-exposure target of a model that gets no traffic.
 //
 // -correct NAME (repeatable; "all" covers every model) opts the named
 // served model into ECC-corrected recovery: scrub-flagged groups consult
@@ -95,8 +96,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "inference workers per model (0 = one per CPU)")
 		queue     = flag.Int("queue", 256, "pending-request queue depth per model")
 		verify    = flag.Bool("verify", true, "verify each layer's signatures at weight-fetch time (embedded detection)")
-		scrub     = flag.Duration("scrub", 100*time.Millisecond, "background scrub interval per model (0 disables)")
-		scrubFull = flag.Int("scrub-full-every", 8, "every Nth scrub cycle is a full scan")
+		scrub     = flag.Duration("scrub", 100*time.Millisecond, "background scrub interval per model, the flip-exposure target of an idle model (0 disables)")
 		scanWk    = flag.Int("scan-workers", 0, "scan engine worker pool per model (0 = one per CPU)")
 		jobs      = flag.Int("jobs", serve.DefaultJobCapacity, "async job table capacity")
 		storeDir  = flag.String("store-dir", "", "directory of mmap-backed store checkpoints, one <name>.radar per served model (empty = in-RAM weights)")
@@ -183,13 +183,12 @@ func main() {
 		}
 		prot := core.Protect(bundle.QModel, pcfg)
 		return eng, prot, serve.Config{
-			MaxBatch:       *batch,
-			Workers:        *workers,
-			QueueDepth:     *queue,
-			VerifiedFetch:  *verify,
-			ScrubInterval:  *scrub,
-			ScrubFullEvery: *scrubFull,
-			InputShape:     []int{spec.Data.Channels, spec.Data.Size, spec.Data.Size},
+			MaxBatch:      *batch,
+			Workers:       *workers,
+			QueueDepth:    *queue,
+			VerifiedFetch: *verify,
+			ScrubInterval: *scrub,
+			InputShape:    []int{spec.Data.Channels, spec.Data.Size, spec.Data.Size},
 		}, nil
 	}
 

@@ -50,7 +50,7 @@ func main() {
 			eng, prot, sh := tinyModel()
 			shape = sh
 			opts = append(opts, serve.WithModel(name, eng, prot,
-				serve.WithScrub(5*time.Millisecond, 8)))
+				serve.WithScrub(5*time.Millisecond)))
 		}
 		svc, err := serve.Open(opts...)
 		if err != nil {

@@ -42,9 +42,9 @@ func main() {
 
 	svc, err := serve.Open(
 		serve.WithModel("resnet20", vicEng, vicProt,
-			serve.WithScrub(5*time.Millisecond, 8)),
+			serve.WithScrub(5*time.Millisecond)),
 		serve.WithModel("tiny", sideEng, sideProt,
-			serve.WithScrub(5*time.Millisecond, 8)),
+			serve.WithScrub(5*time.Millisecond)),
 	)
 	if err != nil {
 		panic(err)

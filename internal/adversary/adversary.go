@@ -31,9 +31,12 @@
 //     the signature instead.
 //
 // All direct weight writes deliberately bypass the quant.Model write
-// observers (a physical attack does not announce itself), so incremental
-// ScanDirty passes cannot see them — only full scans can, which is the
-// scrub-timer attacker's entire premise.
+// observers (a physical attack does not announce itself), so the campaign
+// defender's incremental ScanDirty passes cannot see them — only its full
+// scans can, which is the scrub-timer attacker's entire premise. That
+// premise holds for this package's periodic defender (Options.FullEvery),
+// not for internal/serve, whose scrubber checks layers by age, not by
+// observer, on every tick.
 package adversary
 
 import (

@@ -39,7 +39,7 @@ type JobTableStats struct {
 // An empty Model targets every hosted model.
 type adminRequest struct {
 	Model string `json:"model,omitempty"`
-	// Full selects the whole-model sweep (scrub only).
+	// Full checks every layer now, not just those a tick finds stale (scrub only).
 	Full bool `json:"full,omitempty"`
 }
 
@@ -75,8 +75,8 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
 	mux.HandleFunc("GET /v1/models", s.handleModels)
 	mux.HandleFunc("GET /v1/models/{model}", s.handleModel)
-	mux.HandleFunc("POST /v1/admin/scrub", s.handleScrub)
-	mux.HandleFunc("POST /v1/admin/rekey", s.handleRekey)
+	mux.HandleFunc("POST /v1/admin/scrub", handleAdmin(func(q adminRequest) ([]AdminReport, error) { return s.Scrub(q.Model, q.Full) }))
+	mux.HandleFunc("POST /v1/admin/rekey", handleAdmin(func(q adminRequest) ([]AdminReport, error) { return s.Rekey(q.Model) }))
 	mux.HandleFunc("POST /v1/admin/inject", s.handleInject)
 	mux.HandleFunc("POST /v1/admin/models/{name}", s.handleAddModel)
 	mux.HandleFunc("DELETE /v1/admin/models/{name}", s.handleRemoveModel)
@@ -182,32 +182,21 @@ func (s *Service) handleModel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, hm.info())
 }
 
-func (s *Service) handleScrub(w http.ResponseWriter, r *http.Request) {
-	var req adminRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, fmt.Errorf("bad JSON: %w", err))
-		return
+// handleAdmin serves an admin route: an adminRequest in, op's reports out.
+func handleAdmin(op func(adminRequest) ([]AdminReport, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req adminRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			httpError(w, fmt.Errorf("bad JSON: %w", err))
+			return
+		}
+		reports, err := op(req)
+		if err != nil {
+			httpError(w, err)
+			return
+		}
+		writeJSON(w, adminResponse{Results: reports})
 	}
-	reports, err := s.Scrub(req.Model, req.Full)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	writeJSON(w, adminResponse{Results: reports})
-}
-
-func (s *Service) handleRekey(w http.ResponseWriter, r *http.Request) {
-	var req adminRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, fmt.Errorf("bad JSON: %w", err))
-		return
-	}
-	reports, err := s.Rekey(req.Model)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	writeJSON(w, adminResponse{Results: reports})
 }
 
 // injectRequest is the body of POST /v1/admin/inject: which adversary to

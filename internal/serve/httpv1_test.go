@@ -30,7 +30,7 @@ func tinyBody(t testing.TB, x *tensor.Tensor) string {
 // TestHTTPV1Routes is the table-driven status contract of the v1 surface:
 // unknown model → 404, malformed tensor/body → 400, wrong method → 405.
 func TestHTTPV1Routes(t *testing.T) {
-	svc, b, _ := openTiny(t, 2, []ModelOption{WithScrub(0, 0)})
+	svc, b, _ := openTiny(t, 2, []ModelOption{WithScrub(0)})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	x, _ := b[0].Test.Batch(0, 1)
@@ -84,7 +84,7 @@ func TestHTTPV1Routes(t *testing.T) {
 // TestHTTPJobRoundTrip drives the async wire protocol: 202 + job ref on
 // submit, pollable status, and the result embedded once state is "done".
 func TestHTTPJobRoundTrip(t *testing.T) {
-	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0, 0)})
+	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0)})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	x, _ := b[0].Test.Batch(0, 1)
@@ -138,7 +138,7 @@ func TestHTTPJobRoundTrip(t *testing.T) {
 // Retry-After — the connection is never parked.
 func TestHTTPQueueAndTableSaturation(t *testing.T) {
 	svc, b, _ := openTiny(t, 1,
-		[]ModelOption{WithScrub(0, 0)},
+		[]ModelOption{WithScrub(0)},
 		WithJobCapacity(1))
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -171,7 +171,7 @@ func TestHTTPQueueAndTableSaturation(t *testing.T) {
 
 // TestHTTPStopping: after Close, submissions answer 503 with Retry-After.
 func TestHTTPStopping(t *testing.T) {
-	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0, 0)})
+	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0)})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	x, _ := b[0].Test.Batch(0, 1)
@@ -198,7 +198,7 @@ func TestHTTPStopping(t *testing.T) {
 // scrub reports per-model findings, and admin rekey answers with
 // rekeyed=true while the model keeps serving.
 func TestHTTPModelsAndAdmin(t *testing.T) {
-	svc, b, _ := openTiny(t, 2, []ModelOption{WithScrub(0, 0), WithVerifiedFetch(false)})
+	svc, b, _ := openTiny(t, 2, []ModelOption{WithScrub(0), WithVerifiedFetch(false)})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	x, _ := b[0].Test.Batch(0, 1)
@@ -273,7 +273,7 @@ func TestHTTPModelsAndAdmin(t *testing.T) {
 // TestHTTPLegacyShimsGone: the pre-v1 routes were removed after their
 // deprecation window — they must 404, not silently route anywhere.
 func TestHTTPLegacyShimsGone(t *testing.T) {
-	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0, 0)})
+	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0)})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	x, _ := b[0].Test.Batch(0, 1)
@@ -303,7 +303,7 @@ func TestHTTPLegacyShimsGone(t *testing.T) {
 // job answers with state "cancelled", its table slot is freed, and the ID
 // is unknown afterwards.
 func TestHTTPJobCancel(t *testing.T) {
-	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0, 0)})
+	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0)})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	x, _ := b[0].Test.Batch(0, 1)
@@ -370,7 +370,7 @@ func tinyProvider(name, source string) (*qinfer.Engine, *core.Protector, []Model
 	prot := core.Protect(b.QModel, core.DefaultConfig(4))
 	return eng, prot, []ModelOption{
 		WithInputShape(b.Spec.Data.Channels, b.Spec.Data.Size, b.Spec.Data.Size),
-		WithScrub(0, 0),
+		WithScrub(0),
 	}, nil
 }
 
@@ -385,7 +385,7 @@ func TestHTTPAddModelDuplicateSkipsProvider(t *testing.T) {
 		calls.Add(1)
 		return tinyProvider(name, source)
 	}
-	svc, _, _ := openTiny(t, 1, []ModelOption{WithScrub(0, 0)}, WithModelProvider(counting))
+	svc, _, _ := openTiny(t, 1, []ModelOption{WithScrub(0)}, WithModelProvider(counting))
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
@@ -433,7 +433,7 @@ func TestHTTPAddModelDuplicateSkipsProvider(t *testing.T) {
 // a provider, 201 + served traffic after an add, 409 on duplicate names
 // and on removing the last model, 204 + 404 after a remove.
 func TestHTTPAdminModels(t *testing.T) {
-	bare, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0, 0)})
+	bare, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0)})
 	bareTS := httptest.NewServer(bare.Handler())
 	defer bareTS.Close()
 	x, _ := b[0].Test.Batch(0, 1)
@@ -449,7 +449,7 @@ func TestHTTPAdminModels(t *testing.T) {
 		t.Fatalf("add without provider → %d, want 501", resp.StatusCode)
 	}
 
-	svc, _, _ := openTiny(t, 1, []ModelOption{WithScrub(0, 0)},
+	svc, _, _ := openTiny(t, 1, []ModelOption{WithScrub(0)},
 		WithModelProvider(tinyProvider))
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()

@@ -28,7 +28,7 @@ func postJSON(t *testing.T, url, body string) (*http.Response, string) {
 // signatures restored — with the adversary and correction counters
 // visible in /v1/metrics.
 func TestInjectAdversaryHTTP(t *testing.T) {
-	svc, _, prots := openTiny(t, 1, []ModelOption{WithScrub(0, 0)})
+	svc, _, prots := openTiny(t, 1, []ModelOption{WithScrub(0)})
 	cfg := core.DefaultConfig(4)
 	cfg.Correct = true
 	cfg.Seed = 2
@@ -83,7 +83,7 @@ func TestInjectAdversaryHTTP(t *testing.T) {
 // TestInjectAdversaryValidation: unknown adversaries, absent models and
 // non-positive budgets are rejected before anything is mounted.
 func TestInjectAdversaryValidation(t *testing.T) {
-	svc, _, prots := openTiny(t, 1, []ModelOption{WithScrub(0, 0)})
+	svc, _, prots := openTiny(t, 1, []ModelOption{WithScrub(0)})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
@@ -109,7 +109,7 @@ func TestInjectAdversaryValidation(t *testing.T) {
 // injected corruption lands on the zeroing path and the split counters
 // say so.
 func TestInjectAdversaryZeroingFallback(t *testing.T) {
-	svc, _, prots := openTiny(t, 1, []ModelOption{WithScrub(0, 0)})
+	svc, _, prots := openTiny(t, 1, []ModelOption{WithScrub(0)})
 	if _, err := svc.InjectAdversary("m0", "oblivious", 4, 5); err != nil {
 		t.Fatal(err)
 	}

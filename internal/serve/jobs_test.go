@@ -11,7 +11,7 @@ import (
 // trip, with the workers wedged long enough to observe the pending state
 // deterministically.
 func TestJobLifecycle(t *testing.T) {
-	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0, 0)})
+	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0)})
 	x, _ := b[0].Test.Batch(0, 4)
 
 	// Reference answer through the sync path first.
@@ -64,7 +64,7 @@ func TestJobLifecycle(t *testing.T) {
 // TestJobCancelledReaped: cancelling a job's submission context before it
 // runs drops its queued work and removes it from the table.
 func TestJobCancelledReaped(t *testing.T) {
-	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0, 0)})
+	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0)})
 	x, _ := b[0].Test.Batch(0, 1)
 	release := wedge(t, svc, "m0")
 	defer release()
@@ -113,7 +113,7 @@ func TestJobCancelledReaped(t *testing.T) {
 // with a typed ErrJobsFull, and frees the slot again once jobs expire.
 func TestJobTableBounded(t *testing.T) {
 	svc, b, _ := openTiny(t, 1,
-		[]ModelOption{WithScrub(0, 0)},
+		[]ModelOption{WithScrub(0)},
 		WithJobCapacity(1), WithJobTTL(10*time.Millisecond))
 	x, _ := b[0].Test.Batch(0, 2)
 	release := wedge(t, svc, "m0")
@@ -149,7 +149,7 @@ func TestJobTableBounded(t *testing.T) {
 // ErrQueueFull instead of blocking the caller.
 func TestSubmitQueueFullTyped(t *testing.T) {
 	svc, b, _ := openTiny(t, 1, []ModelOption{
-		WithScrub(0, 0),
+		WithScrub(0),
 		WithWorkers(1),
 		WithBatch(1),
 		WithQueueDepth(1),
@@ -183,7 +183,7 @@ func TestSubmitQueueFullTyped(t *testing.T) {
 // ever runs), a finished job is removed but reports its terminal state,
 // and unknown IDs stay typed.
 func TestJobCancelAPI(t *testing.T) {
-	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0, 0)})
+	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0)})
 	x, _ := b[0].Test.Batch(0, 2)
 	release := wedge(t, svc, "m0")
 	defer release()
@@ -236,7 +236,7 @@ func TestJobCancelAPI(t *testing.T) {
 // two replicas of one deployment never mint colliding IDs — the property
 // a fleet router's sticky job map depends on.
 func TestJobIDsCarryInstanceTag(t *testing.T) {
-	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0, 0)})
+	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0)})
 	x, _ := b[0].Test.Batch(0, 1)
 	id, err := svc.Submit(context.Background(), Request{Input: sample(x, 0)})
 	if err != nil {

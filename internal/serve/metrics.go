@@ -28,9 +28,12 @@ type metrics struct {
 	batches   *obs.Counter
 	batched   *obs.Counter
 
-	scrubCycles  *obs.Counter
-	scrubFlagged *obs.Counter
-	scrubZeroed  *obs.Counter
+	scrubCycles   *obs.Counter
+	scrubFlagged  *obs.Counter
+	scrubZeroed   *obs.Counter
+	scrubScanned  *obs.Counter // radar_scrub_layers_total by outcome
+	scrubFresh    *obs.Counter
+	scrubDeferred *obs.Counter
 
 	verifyScans   *obs.Counter
 	verifyFlagged *obs.Counter
@@ -48,6 +51,7 @@ type metrics struct {
 // idempotent at the family level, so every hosted model binds children of
 // the same families.
 func newMetrics(reg *obs.Registry, model string) *metrics {
+	layers := reg.Counter("radar_scrub_layers_total", "Layers seen by scrub cycles: scanned, skipped as verified within half an interval (fresh), or left to a later tick by the byte budget (deferred).", "model", "outcome")
 	return &metrics{
 		requests:      reg.Counter("radar_requests_total", "Inference requests answered.", "model").With(model),
 		cancelled:     reg.Counter("radar_requests_cancelled_total", "Requests dropped before their forward pass because the submitter's context was cancelled.", "model").With(model),
@@ -56,6 +60,9 @@ func newMetrics(reg *obs.Registry, model string) *metrics {
 		scrubCycles:   reg.Counter("radar_scrub_cycles_total", "Background scrub cycles completed.", "model").With(model),
 		scrubFlagged:  reg.Counter("radar_scrub_flagged_total", "Groups flagged by scrub cycles.", "model").With(model),
 		scrubZeroed:   reg.Counter("radar_scrub_zeroed_total", "Weights zeroed by scrub recovery.", "model").With(model),
+		scrubScanned:  layers.With(model, "scanned"),
+		scrubFresh:    layers.With(model, "fresh"),
+		scrubDeferred: layers.With(model, "deferred"),
 		verifyScans:   reg.Counter("radar_verify_scans_total", "Layers verified inside an inference weight fetch.", "model").With(model),
 		verifyFlagged: reg.Counter("radar_verify_flagged_total", "Groups flagged by fetch-path verification.", "model").With(model),
 		verifyZeroed:  reg.Counter("radar_verify_zeroed_total", "Weights zeroed by fetch-path recovery.", "model").With(model),
@@ -93,7 +100,7 @@ func (s *Server) registerFuncs(reg *obs.Registry, model string) {
 		Func(func() float64 { return float64(s.prot.Stats().GroupsZeroed) }, model)
 	reg.Counter("radar_weights_zeroed_total", "Individual weights zeroed during recovery.", "model").
 		Func(func() float64 { return float64(s.prot.Stats().WeightsZeroed) }, model)
-	reg.Gauge("radar_exposure_window_seconds", "Time since the least recently verified layer was last checked by a verified fetch or a full sweep.", "model").
+	reg.Gauge("radar_exposure_window_seconds", "Time since the least recently verified layer was last checked by a verified fetch or the scrubber.", "model").
 		Func(func() float64 { return s.exposureWindow().Seconds() }, model)
 	reg.Counter("radar_gemm_stages_total", "Quantized stages executed (conv stages and the classifier).", "model").
 		Func(func() float64 { st, _ := s.eng.StageStats(); return float64(st) }, model)
@@ -101,6 +108,8 @@ func (s *Server) registerFuncs(reg *obs.Registry, model string) {
 		Func(func() float64 { _, ns := s.eng.StageStats(); return float64(ns) / 1e9 }, model)
 	reg.Counter("radar_verify_seconds_total", "Wall time inference passes spent in weight-fetch steps (lock waits and verification).", "model").
 		Func(func() float64 { return float64(s.verifyNs.Load()) / 1e9 }, model)
+	reg.Counter("radar_scrub_seconds_total", "Wall time spent inside scrub cycles; its rate against 1 is the scrubber's duty cycle.", "model").
+		Func(func() float64 { return float64(s.scrubNs.Load()) / 1e9 }, model)
 	reg.Counter("radar_queue_seconds_total", "Time answered requests spent in the batch queue, enqueue to dequeue.", "model").
 		Func(func() float64 { return float64(s.queueNs.Load()) / 1e9 }, model)
 }

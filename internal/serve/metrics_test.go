@@ -45,7 +45,7 @@ var metricNameRE = regexp.MustCompile(`^radar_[a-z0-9]+(_[a-z0-9]+)*(_total|_sec
 // TestMetricNamingLint walks every family the service registers and
 // rejects names outside the convention before they ship to a scraper.
 func TestMetricNamingLint(t *testing.T) {
-	svc, _, _ := openTiny(t, 1, []ModelOption{WithScrub(0, 0)})
+	svc, _, _ := openTiny(t, 1, []ModelOption{WithScrub(0)})
 	defer svc.Close()
 	names := svc.MetricNames()
 	if len(names) == 0 {
@@ -85,7 +85,7 @@ func TestMetricNamingLint(t *testing.T) {
 // and /v1/debug/traces returns JSON stage timings for requests that
 // carried an X-Request-Id through the batch pipeline.
 func TestHTTPMetricsAndTraces(t *testing.T) {
-	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0, 0)})
+	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0)})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	x, _ := b[0].Test.Batch(0, 1)

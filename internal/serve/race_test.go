@@ -21,7 +21,6 @@ import (
 func TestServeRaceUnderLiveFlips(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ScrubInterval = time.Millisecond
-	cfg.ScrubFullEvery = 2
 	b, srv := newTinyServer(t, cfg)
 
 	// A precomputed MSB profile to mount repeatedly through the simulated

@@ -209,12 +209,6 @@ func (hm *hostedModel) info() ModelInfo {
 	}
 }
 
-// scrub runs one scrub cycle on this model (see Server.Scrub).
-func (hm *hostedModel) scrub(full bool) AdminReport {
-	flagged, zeroed := hm.srv.Scrub(full)
-	return AdminReport{Model: hm.name, Flagged: len(flagged), Zeroed: zeroed}
-}
-
 // rekey rotates this model's protection secrets live: a full
 // detect-and-recover sweep first (so live corruption is repaired, not
 // laundered into the new golden signatures), then — under the layer

@@ -32,7 +32,6 @@ func TestEndToEndResilience(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.ScrubInterval = 2 * time.Millisecond
-	cfg.ScrubFullEvery = 4
 	cfg.InputShape = []int{b.Spec.Data.Channels, b.Spec.Data.Size, b.Spec.Data.Size}
 	srv := newServer(eng, prot, cfg)
 	srv.Start()

@@ -1,0 +1,150 @@
+package serve
+
+import (
+	"slices"
+	"testing"
+	"time"
+
+	"radar/internal/core"
+	"radar/internal/model"
+	"radar/internal/quant"
+)
+
+// TestRollingScrub holds the scrubber's tick to its contract: it repairs
+// what nothing announced, skips what a fetch just verified, carries what
+// its byte budget could not cover to the next tick by age, and so keeps an
+// idle model's exposure window near one interval. Each case gets an
+// unstarted server (no ticker, no workers) and drives ticks by hand unless
+// it starts the server itself.
+func TestRollingScrub(t *testing.T) {
+	stamps := func(srv *Server) []int64 {
+		out := make([]int64, len(srv.verified))
+		for li := range out {
+			out[li] = srv.verified[li].Load()
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name     string
+		interval time.Duration
+		run      func(t *testing.T, b *model.Bundle, srv *Server)
+	}{
+		{
+			name:     "idle model: one tick repairs a flip in every layer",
+			interval: 4 * time.Millisecond,
+			run: func(t *testing.T, b *model.Bundle, srv *Server) {
+				time.Sleep(3 * time.Millisecond) // past the half-interval horizon
+				snapshot := b.QModel.Snapshot()
+				srv.Inject(func(m *quant.Model) {
+					for _, l := range m.Layers {
+						l.Q[0] = quant.FlipBit(l.Q[0], quant.MSB) // direct write, no notify
+					}
+				})
+				flagged, zeroed := srv.Scrub(false)
+				if n := len(b.QModel.Layers); len(flagged) != n || zeroed != 0 {
+					t.Fatalf("tick flagged %d groups and zeroed %d weights, want %d corrected in place", len(flagged), zeroed, n)
+				}
+				for li, l := range b.QModel.Layers {
+					if !slices.Equal(l.Q, snapshot[li]) {
+						t.Fatalf("layer %d differs from its pre-attack image after the tick", li)
+					}
+				}
+				if s, f, d := srv.met.scrubScanned.Value(), srv.met.scrubFresh.Value(), srv.met.scrubDeferred.Value(); s != int64(len(flagged)) || f != 0 || d != 0 {
+					t.Fatalf("layers scanned/fresh/deferred = %d/%d/%d, want %d/0/0", s, f, d, len(flagged))
+				}
+			},
+		},
+		{
+			name:     "hot model: a tick after a verified pass scans nothing",
+			interval: time.Minute,
+			run: func(t *testing.T, b *model.Bundle, srv *Server) {
+				x, _ := b.Test.Batch(0, 1)
+				v := &verifier{s: srv, at: time.Now().UnixNano()}
+				_, spent := srv.eng.ForwardFetch(x, v)
+				v.flush(spent)
+				before := srv.Protector().Stats().BytesScanned
+				srv.Scrub(false)
+				if after := srv.Protector().Stats().BytesScanned; after != before {
+					t.Fatalf("tick scanned %d bytes of a model verified just now", after-before)
+				}
+				if snap := srv.Snapshot(); snap.ScrubCycles != 1 || srv.met.scrubFresh.Value() != int64(len(srv.verified)) {
+					t.Fatalf("%d cycles counted, %d layers fresh; want 1 and %d", snap.ScrubCycles, srv.met.scrubFresh.Value(), len(srv.verified))
+				}
+			},
+		},
+		{
+			name: "budget below the model: oldest first, nothing starves",
+			run: func(t *testing.T, b *model.Bundle, srv *Server) {
+				total, largest := 0, 0
+				for _, l := range b.QModel.Layers {
+					total += len(l.Q)
+					largest = max(largest, len(l.Q))
+				}
+				// An interval whose budget is a quarter of the model.
+				srv.cfg.ScrubInterval = time.Duration(float64(total) / 4 / scrubBytesPerSecond * float64(time.Second))
+				budget := int(srv.cfg.ScrubInterval.Seconds() * scrubBytesPerSecond)
+				if budget <= largest || budget*3 >= total {
+					t.Fatalf("budget %d does not split the model (%d bytes, largest layer %d) into several ticks", budget, total, largest)
+				}
+				first := stamps(srv)
+				ticks := (total+budget-1)/budget + 1
+				for tick := 0; tick < ticks; tick++ {
+					time.Sleep(srv.cfg.ScrubInterval) // the previous tick's layers go stale too, but stay youngest
+					before := stamps(srv)
+					srv.Scrub(false)
+					after := stamps(srv)
+					covered, newestVisited, oldestLeft := 0, int64(0), int64(1<<62)
+					for li := range after {
+						if after[li] != before[li] {
+							covered += len(b.QModel.Layers[li].Q)
+							newestVisited = max(newestVisited, before[li])
+						} else {
+							oldestLeft = min(oldestLeft, before[li])
+						}
+					}
+					if covered == 0 || covered >= budget+largest {
+						t.Fatalf("tick %d covered %d bytes, want (0, budget %d + one layer)", tick, covered, budget)
+					}
+					if newestVisited > oldestLeft {
+						t.Fatalf("tick %d visited a layer %v younger than one it left", tick, time.Duration(newestVisited-oldestLeft))
+					}
+				}
+				for li, at := range stamps(srv) {
+					if at == first[li] {
+						t.Fatalf("layer %d still unvisited after %d ticks", li, ticks)
+					}
+				}
+				if srv.met.scrubDeferred.Value() == 0 {
+					t.Fatal("the budget bound, yet no layer was counted deferred")
+				}
+			},
+		},
+		{
+			name:     "live ticker: an idle model's window stays near one interval",
+			interval: 2 * time.Millisecond,
+			run: func(t *testing.T, b *model.Bundle, srv *Server) {
+				srv.Start()
+				var windows []time.Duration
+				for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+					windows = append(windows, srv.exposureWindow())
+				}
+				// Two intervals is the closed form; the rest is scheduler
+				// slack. The alternating scrubber this replaced sat at up
+				// to eight.
+				slices.Sort(windows)
+				if worst, limit := windows[len(windows)-1], 6*srv.cfg.ScrubInterval; worst > limit {
+					t.Fatalf("exposure window reached %v over %d samples (median %v), want at most %v", worst, len(windows), windows[len(windows)/2], limit)
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pcfg := core.DefaultConfig(4)
+			pcfg.Correct = true // ECC repair: the image comes back bit-identical
+			cfg := DefaultConfig()
+			cfg.ScrubInterval = tc.interval
+			b, srv := buildTinyServer(t, cfg, pcfg)
+			tc.run(t, b, srv)
+		})
+	}
+}

@@ -24,15 +24,14 @@
 //     (up to the max batch size) and runs them as one forward pass: an idle
 //     model answers a lone request at once, and a batch is whatever queued
 //     while the workers were busy. Nothing waits on a timer.
-//   - A background scrubber goroutine that periodically runs the
-//     incremental ScanDirty (falling back to a full DetectAndRecover
-//     every few cycles) and zeroes whatever it flags.
+//   - A background scrubber goroutine that every ScrubInterval scans and
+//     repairs the layers nothing has verified lately, oldest first.
 //   - A verified weight-fetch path: when enabled, every quantized layer's
 //     checksum is recomputed inside the fetch step of every stage of every
 //     batch — under the read lock the stage then computes under, on the
 //     bytes its convolution reads next — and a mismatch is repaired before
 //     the stage runs. Nothing is cached: a flip that no write observer saw
-//     lives until the next batch, not until the next full sweep.
+//     lives until the next batch, not until the next scrub tick.
 //   - An attack-injection hook that runs an adversary (e.g. a rowhammer
 //     simulator mounting a PBFA profile) against the live model under
 //     whole-model write exclusion, so integration tests and benchmarks can
@@ -78,13 +77,9 @@ type Config struct {
 	// detection of Tables IV/V): one inline checksum pass per layer per
 	// forward, uncached.
 	VerifiedFetch bool
-	// ScrubInterval is the background scrubber period; zero disables the
-	// scrubber entirely.
+	// ScrubInterval is the background scrubber period — the exposure target
+	// of a model without traffic (see Server.Scrub); zero disables it.
 	ScrubInterval time.Duration
-	// ScrubFullEvery makes every Nth scrub cycle a full DetectAndRecover
-	// instead of an incremental ScanDirty, catching corruption that
-	// bypassed the model API (default 8; 1 means every cycle is full).
-	ScrubFullEvery int
 	// InputShape, when set, is the expected per-request input shape
 	// (C, H, W); Infer and the HTTP front-end validate against it.
 	InputShape []int
@@ -94,12 +89,11 @@ type Config struct {
 // per CPU, verified fetch on, and a 100ms scrubber.
 func DefaultConfig() Config {
 	return Config{
-		MaxBatch:       8,
-		Workers:        runtime.GOMAXPROCS(0),
-		QueueDepth:     256,
-		VerifiedFetch:  true,
-		ScrubInterval:  100 * time.Millisecond,
-		ScrubFullEvery: 8,
+		MaxBatch:      8,
+		Workers:       runtime.GOMAXPROCS(0),
+		QueueDepth:    256,
+		VerifiedFetch: true,
+		ScrubInterval: 100 * time.Millisecond,
 	}
 }
 
@@ -112,9 +106,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
-	}
-	if c.ScrubFullEvery <= 0 {
-		c.ScrubFullEvery = 8
 	}
 }
 
@@ -182,10 +173,11 @@ type Server struct {
 	// queueNs is the cumulative time answered requests waited in reqs,
 	// enqueue to dequeue (radar_queue_seconds_total).
 	queueNs atomic.Int64
+	// scrubNs is the cumulative wall time of scrub cycles (radar_scrub_seconds_total).
+	scrubNs atomic.Int64
 	// verified[li] is when layer li was last checked against its golden
-	// signatures by something that sees a physical flip — a verified fetch
-	// or a full sweep — as the Unix-nanosecond start of that pass. The
-	// oldest entry is the model's exposure window.
+	// signatures, by a verified fetch or the scrubber (Unix ns, start of that
+	// check): the oldest is the exposure window and the scrubber's next visit.
 	verified []atomic.Int64
 }
 
@@ -225,20 +217,15 @@ func newServerIn(eng *qinfer.Engine, prot *core.Protector, cfg Config, reg *obs.
 		verified:  make([]atomic.Int64, len(m.Layers)),
 	}
 	prot.Coordinate(s.guard)
-	s.markVerified(time.Now()) // Protect just derived the goldens from these bytes
+	for li, now := 0, time.Now().UnixNano(); li < len(s.verified); li++ {
+		s.verified[li].Store(now) // Protect just derived the goldens from these bytes
+	}
 	s.registerFuncs(reg, name)
 	return s
 }
 
-// markVerified stamps every layer as verified by a pass that began at t.
-func (s *Server) markVerified(t time.Time) {
-	for li := range s.verified {
-		s.stampVerified(li, t.UnixNano())
-	}
-}
-
 // stampVerified advances layer li's last-verified stamp to at. Stamps only
-// move forward: a full sweep finishing, or a slower worker's pass, never
+// move forward: a scrub tick finishing, or a slower worker's pass, never
 // overwrites the stamp of a check that began later.
 func (s *Server) stampVerified(li int, at int64) {
 	for {

@@ -32,6 +32,15 @@ func newTinyServer(t testing.TB, cfg Config) (*model.Bundle, *Server) {
 // newTinyServerWith is newTinyServer under a chosen protection config.
 func newTinyServerWith(t testing.TB, cfg Config, pcfg core.Config) (*model.Bundle, *Server) {
 	t.Helper()
+	b, srv := buildTinyServer(t, cfg, pcfg)
+	srv.Start()
+	return b, srv
+}
+
+// buildTinyServer wires a server on the tiny test model without starting it:
+// no workers, no scrub ticker, cycles driven by hand.
+func buildTinyServer(t testing.TB, cfg Config, pcfg core.Config) (*model.Bundle, *Server) {
+	t.Helper()
 	b := model.Load(model.TinySpec())
 	calib, _ := b.Attack.Batch(0, 64)
 	eng, err := qinfer.Compile(b.Net, b.QModel, calib)
@@ -41,7 +50,6 @@ func newTinyServerWith(t testing.TB, cfg Config, pcfg core.Config) (*model.Bundl
 	prot := core.Protect(b.QModel, pcfg)
 	cfg.InputShape = []int{b.Spec.Data.Channels, b.Spec.Data.Size, b.Spec.Data.Size}
 	srv := newServer(eng, prot, cfg)
-	srv.Start()
 	t.Cleanup(srv.Stop)
 	return b, srv
 }
@@ -343,9 +351,9 @@ func TestVerifiedForwardAddsNoAllocs(t *testing.T) {
 }
 
 // TestExposureWindow: the gauge is the age of the least recently verified
-// layer, and both things that can see a physical flip reset it — a
-// verified-fetch pass (which reads every layer) and a full sweep — while
-// an incremental scrub, which cannot, does not.
+// layer, and everything that can see a physical flip resets it — a
+// verified-fetch pass (which reads every layer), a scrub tick and a forced
+// full sweep.
 func TestExposureWindow(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ScrubInterval = 0
@@ -353,14 +361,15 @@ func TestExposureWindow(t *testing.T) {
 	x, _ := b.Test.Batch(0, 1)
 
 	time.Sleep(5 * time.Millisecond)
-	before := srv.exposureWindow()
-	if before < 5*time.Millisecond {
+	if before := srv.exposureWindow(); before < 5*time.Millisecond {
 		t.Fatalf("idle window %v, want at least the 5ms since start", before)
 	}
+	tick := time.Now()
 	srv.Scrub(false)
-	if w := srv.exposureWindow(); w < before {
-		t.Fatalf("an incremental scrub shrank the window: %v -> %v", before, w)
+	if w, since := srv.exposureWindow(), time.Since(tick); w > since {
+		t.Fatalf("window %v after a scrub tick that began %v ago", w, since)
 	}
+	time.Sleep(5 * time.Millisecond)
 	t0 := time.Now()
 	if _, err := infer(srv, sample(x, 0)); err != nil {
 		t.Fatal(err)
@@ -377,7 +386,7 @@ func TestExposureWindow(t *testing.T) {
 	// Stamps only move forward: a sweep (or a slower worker's pass) that
 	// began before a layer's latest check does not age the layer again.
 	newest := srv.verified[0].Load()
-	srv.markVerified(t0)
+	srv.stampVerified(0, t0.UnixNano())
 	if got := srv.verified[0].Load(); got != newest {
 		t.Fatalf("an older pass moved layer 0's stamp back by %v", time.Duration(newest-got))
 	}
@@ -402,27 +411,27 @@ func TestVerifyTimeOffWhenVerificationOff(t *testing.T) {
 }
 
 // TestScrubberRepairsBypassingWrites: corruption written directly to
-// Layer.Q (bypassing the model API, like a true hardware flip) is invisible
-// to dirty tracking, but the periodic full scrub cycle catches it — what an
-// idle model, which fetches nothing, still depends on.
+// Layer.Q (bypassing the model API, like a true hardware flip) announces
+// itself to nothing, and every scrub cycle — a tick as much as a forced
+// full sweep — catches it all the same: what an idle model, which fetches
+// nothing, depends on.
 func TestScrubberRepairsBypassingWrites(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ScrubInterval = 0 // drive cycles by hand for determinism
 	b, srv := newTinyServer(t, cfg)
 
 	l := b.QModel.Layers[1]
-	srv.Inject(func(m *quant.Model) {
-		l.Q[7] = quant.FlipBit(l.Q[7], quant.MSB) // direct write, no notify
-	})
-	if flagged, _ := srv.Scrub(false); len(flagged) != 0 {
-		t.Fatalf("incremental scrub saw a bypassing write: %v", flagged)
-	}
-	flagged, zeroed := srv.Scrub(true)
-	if len(flagged) == 0 || zeroed == 0 {
-		t.Fatal("full scrub missed direct corruption")
-	}
-	if flagged[0].Layer != 1 {
-		t.Fatalf("flagged layer %d, want 1", flagged[0].Layer)
+	for _, full := range []bool{false, true} {
+		srv.Inject(func(m *quant.Model) {
+			l.Q[7] = quant.FlipBit(l.Q[7], quant.MSB) // direct write, no notify
+		})
+		flagged, zeroed := srv.Scrub(full)
+		if len(flagged) == 0 || zeroed == 0 {
+			t.Fatalf("scrub (full=%v) missed direct corruption", full)
+		}
+		if flagged[0].Layer != 1 {
+			t.Fatalf("flagged layer %d, want 1", flagged[0].Layer)
+		}
 	}
 	snap := srv.Snapshot()
 	if snap.ScrubCycles != 2 || snap.ScrubFlagged == 0 || snap.ScrubZeroed == 0 {

@@ -108,10 +108,10 @@ func WithVerifiedFetch(on bool) ModelOption {
 	return func(c *Config) { c.VerifiedFetch = on }
 }
 
-// WithScrub sets the background scrub interval (0 disables) and how often
-// a cycle is a full DetectAndRecover instead of an incremental ScanDirty.
-func WithScrub(interval time.Duration, fullEvery int) ModelOption {
-	return func(c *Config) { c.ScrubInterval = interval; c.ScrubFullEvery = fullEvery }
+// WithScrub sets the background scrub interval, the exposure target of a
+// model without traffic (0 disables the scrubber).
+func WithScrub(interval time.Duration) ModelOption {
+	return func(c *Config) { c.ScrubInterval = interval }
 }
 
 // WithInputShape pins the model's expected per-request input shape.
@@ -396,12 +396,13 @@ func (s *Service) Snapshot(model string) (Snapshot, error) {
 }
 
 // Scrub forces one scrub cycle on the named model, or on every model when
-// name is empty, and reports what each cycle found. full selects the
-// whole-model DetectAndRecover over the incremental ScanDirty.
+// name is empty, and reports what each cycle found. full checks every
+// layer now; otherwise the cycle is one scrubber tick (see Server.Scrub).
 func (s *Service) Scrub(model string, full bool) ([]AdminReport, error) {
 	var out []AdminReport
 	err := s.reg.each(model, func(hm *hostedModel) error {
-		out = append(out, hm.scrub(full))
+		flagged, zeroed := hm.srv.Scrub(full)
+		out = append(out, AdminReport{Model: hm.name, Flagged: len(flagged), Zeroed: zeroed})
 		return nil
 	})
 	return out, err

@@ -182,7 +182,7 @@ func TestTwoModelsConcurrent(t *testing.T) {
 // flagging anything.
 func TestIndependentScrubLoops(t *testing.T) {
 	svc, _, _ := openTiny(t, 2, []ModelOption{
-		WithScrub(2*time.Millisecond, 4),
+		WithScrub(2 * time.Millisecond),
 		WithVerifiedFetch(false), // isolate the scrubbers
 	})
 
@@ -232,7 +232,7 @@ func TestIndependentScrubLoops(t *testing.T) {
 // must make Infer return promptly instead of parking the caller.
 func TestInferContextCancellation(t *testing.T) {
 	svc, b, _ := openTiny(t, 1, []ModelOption{
-		WithScrub(0, 0),
+		WithScrub(0),
 		WithWorkers(1),
 		WithBatch(1),
 		WithQueueDepth(1),
@@ -289,7 +289,7 @@ func TestInferContextCancellation(t *testing.T) {
 // TestStoppingTyped: submissions racing Close fail with ErrStopping
 // (errors.Is-able), on both the sync and async paths.
 func TestStoppingTyped(t *testing.T) {
-	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0, 0)})
+	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0)})
 	x, _ := b[0].Test.Batch(0, 1)
 	svc.Close()
 	if _, err := svc.Infer(context.Background(), Request{Input: sample(x, 0)}); !errors.Is(err, ErrStopping) {
@@ -308,7 +308,7 @@ func TestStoppingTyped(t *testing.T) {
 // mounted after the rekeys must still be detected and recovered by the
 // new golden signatures.
 func TestRekeyLive(t *testing.T) {
-	svc, b, prots := openTiny(t, 2, []ModelOption{WithScrub(0, 0)})
+	svc, b, prots := openTiny(t, 2, []ModelOption{WithScrub(0)})
 	names := []string{"m0", "m1"}
 	x, _ := b[0].Test.Batch(0, 4)
 	ctx := context.Background()
@@ -418,7 +418,7 @@ func TestRekeyLive(t *testing.T) {
 // to every hosted model, and only the corrupted one reports findings —
 // including corruption written past the model API (a true hardware flip).
 func TestAdminScrubAllModels(t *testing.T) {
-	svc, b, _ := openTiny(t, 2, []ModelOption{WithScrub(0, 0), WithVerifiedFetch(false)})
+	svc, b, _ := openTiny(t, 2, []ModelOption{WithScrub(0), WithVerifiedFetch(false)})
 	l := b[0].QModel.Layers[1]
 	if err := svc.Inject("m0", func(m *quant.Model) {
 		l.Q[7] = quant.FlipBit(l.Q[7], quant.MSB) // direct write, no notify
@@ -448,7 +448,7 @@ func TestAdminScrubAllModels(t *testing.T) {
 // the survivors keep answering, and the structural guards (duplicate
 // name, last model) fail typed.
 func TestHotAddRemoveModel(t *testing.T) {
-	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0, 0)})
+	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0)})
 	ctx := context.Background()
 	x, _ := b[0].Test.Batch(0, 2)
 
@@ -493,7 +493,7 @@ func TestHotAddRemoveModel(t *testing.T) {
 // promotes the next-oldest registration, so the empty-name route always
 // resolves.
 func TestRemoveDefaultPromotes(t *testing.T) {
-	svc, b, _ := openTiny(t, 2, []ModelOption{WithScrub(0, 0)})
+	svc, b, _ := openTiny(t, 2, []ModelOption{WithScrub(0)})
 	ctx := context.Background()
 	x, _ := b[0].Test.Batch(0, 1)
 

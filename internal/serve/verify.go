@@ -9,7 +9,7 @@ import "time"
 // convolution reads the same bytes, and a mismatch is repaired under the
 // write lock, which the stage then computes under. Nothing is cached and
 // nothing depends on a write having announced itself, so a physical flip
-// lives until the next batch, not until the next full sweep. With verified
+// lives until the next batch, not until the next scrub tick. With verified
 // fetch off the step only takes the read lock.
 //
 // Each worker owns one verifier and a pass holds one layer at a time, so

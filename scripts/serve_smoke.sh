@@ -7,7 +7,8 @@
 # injected adversary campaign must land on the right recovery path (model
 # a boots with -correct: ECC repairs, zero weights zeroed; model b is
 # zeroing-only: groups destroyed), and the removed pre-v1 shims must
-# answer 404.
+# answer 404; and model b, left without traffic, must stay scrubbed
+# (scanned layers advancing, exposure window under 0.2 s at -scrub 50ms).
 # Used by `make serve-smoke` and the CI serve-integration job.
 set -euo pipefail
 
@@ -98,6 +99,20 @@ for route in /infer /healthz /metrics; do
     code=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR$route")
     [ "$code" = "404" ] || { echo "legacy $route answered $code, want 404"; exit 1; }
 done
+
+# An idle model is the scrubber's alone: after 0.6 s without traffic to b,
+# its ticks (-scrub 50ms) must still be scanning b's layers and keeping its
+# exposure window near one interval, not near a multi-tick cycle.
+scanned_b() { sed -n 's/^radar_scrub_layers_total{model="b",outcome="scanned"} //p'; }
+scanned0=$(curl -fs "http://$ADDR/v1/metrics" | scanned_b)
+sleep 0.6
+idle=$(curl -fs "http://$ADDR/v1/metrics")
+scanned1=$(echo "$idle" | scanned_b)
+[ -n "$scanned0" ] && [ "$scanned1" -gt "$scanned0" ] \
+    || { echo "scrubber not scanning idle model b: $scanned0 -> $scanned1"; exit 1; }
+window=$(echo "$idle" | sed -n 's/^radar_exposure_window_seconds{model="b"} //p')
+awk -v w="$window" 'BEGIN{exit !(w != "" && w < 0.2)}' \
+    || { echo "idle model b exposure window ${window}s, want < 0.2s"; exit 1; }
 
 # Per-model accounting: model a served 2 sync requests (before and after
 # the rekey), model b served the async job (the cancelled job never ran or

@@ -139,10 +139,8 @@ func ServeQueueDepth(n int) ModelServeOption { return serve.WithQueueDepth(n) }
 // ServeVerifiedFetch toggles per-layer verification at weight-fetch time.
 func ServeVerifiedFetch(on bool) ModelServeOption { return serve.WithVerifiedFetch(on) }
 
-// ServeScrub sets a model's background scrub interval and full-sweep cadence.
-func ServeScrub(interval time.Duration, fullEvery int) ModelServeOption {
-	return serve.WithScrub(interval, fullEvery)
-}
+// ServeScrub sets a model's background scrub interval (0 disables).
+func ServeScrub(interval time.Duration) ModelServeOption { return serve.WithScrub(interval) }
 
 // ServeInputShape pins a model's expected (C, H, W) input shape.
 func ServeInputShape(c, h, w int) ModelServeOption { return serve.WithInputShape(c, h, w) }
