@@ -1,33 +1,40 @@
-// im2col + register-blocked GEMM convolution kernel.
+// im2col + pair-packed int8 GEMM convolution kernel.
 //
 // The historical conv loop (retained as computeRef) carried the padding
 // branches and five levels of index arithmetic into the innermost
-// multiply; this kernel hoists all of that out of the hot path. Each
-// conv stage first packs the receptive field of every output pixel into a
-// pixel-major patch matrix (im2col — padding becomes zero bytes written
-// once during packing, and a patch row's kx run is a single copy), then a
-// 4×4 register-blocked int8×int8→int32 GEMM multiplies the weight matrix
-// (outC × K) against the patch matrix (P × K). The blocking keeps 16
-// int32 accumulators live across the shared K loop, so every loaded
-// weight and patch value is used four times instead of once. Accumulation
-// order over K is identical to the reference loop's (ic, ky, kx) order,
-// and int32 addition is exact, so the outputs are bit-identical —
-// property-tested in gemm_test.go over every layer shape of the
-// checkpoint models plus randomized shapes.
+// multiply; this kernel hoists all of that out of the hot path. Each conv
+// stage packs its live weight rows two to a 64-bit word (packPairs, once
+// per stage call inside the fetch bracket — never kept across passes, so
+// inference keeps reading the protected image, flips included), packs the
+// receptive field of every output pixel into a pixel-major patch matrix
+// (im2col, over a zero-bordered copy of the image so no tap needs a bounds
+// branch), and multiplies the two (gemmPacked): the K loop does
+// acc += (w[m][k] + w[m+1][k]·2³²) · b[p][k], one 64-bit multiply for two
+// MACs, on a 2-pair × 4-pixel tile of 8 accumulators.
+//
+// Exactness: acc = S_m + S_m+1·2³² mod 2⁶⁴ with S the two dot products, so
+// lo = int32(acc) is S_m and (acc − lo) >> 32 is S_m+1 whenever both fit an
+// int32 — |S| ≤ K·2¹⁴ < 2³¹, which Compile enforces as K ≤ maxLaneK. Int
+// addition is exact in any order, so the outputs are bit-identical to the
+// reference loop's — property-tested in gemm_test.go over every layer
+// shape of the checkpoint models plus randomized shapes.
 package qinfer
 
 import "time"
 
-// engineScratch is the working state of one Forward pass: the im2col patch
-// matrix, the GEMM accumulator plane and the classifier's dequantized
-// row, plus the pass's fetch seam and clocks. Instances cycle through the
-// engine's pool so concurrent inference workers (internal/serve runs
-// several over one Engine) never share or reallocate buffers in steady
-// state.
+// engineScratch is the working state of one Forward pass: the packed
+// weight rows of the stage in flight, the zero-bordered input plane, the
+// im2col patch matrix, the GEMM accumulator plane and the classifier's
+// dequantized row, plus the pass's fetch seam and clocks. Instances cycle
+// through the engine's pool so concurrent inference workers
+// (internal/serve runs several over one Engine) never share or reallocate
+// buffers in steady state.
 type engineScratch struct {
-	cols []int8
-	acc  []int32
-	row  []float32
+	packed [][2]int64
+	padded []int8
+	cols   []int8
+	acc    []int32
+	row    []float32
 
 	// hook and fetcher are this pass's observer and weight-fetch seam (see
 	// ForwardWithHook, ForwardFetch); both nil for a plain Forward.
@@ -67,30 +74,13 @@ func (sc *engineScratch) release(layer int, start time.Time) {
 	}
 }
 
-// colsBuf returns an n-element patch buffer, growing only on high-water
-// marks. Contents are fully overwritten by im2col, so no zeroing needed.
-func (sc *engineScratch) colsBuf(n int) []int8 {
-	if cap(sc.cols) < n {
-		sc.cols = make([]int8, n)
+// grow returns *buf resized to n elements, reallocating only on high-water
+// marks. Contents are unspecified: every user overwrites what it reads.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
 	}
-	return sc.cols[:n]
-}
-
-// accBuf returns an n-element accumulator buffer; gemmInt8 overwrites
-// every entry, so no zeroing needed.
-func (sc *engineScratch) accBuf(n int) []int32 {
-	if cap(sc.acc) < n {
-		sc.acc = make([]int32, n)
-	}
-	return sc.acc[:n]
-}
-
-// rowBuf returns an n-element float row; the classifier overwrites it.
-func (sc *engineScratch) rowBuf(n int) []float32 {
-	if cap(sc.row) < n {
-		sc.row = make([]float32, n)
-	}
-	return sc.row[:n]
+	return (*buf)[:n]
 }
 
 // getScratch checks a scratch instance out of the engine pool.
@@ -115,128 +105,124 @@ func (e *Engine) putScratch(sc *engineScratch) {
 
 // im2col packs one image's receptive fields into the pixel-major patch
 // matrix: row p = (oy·outW+ox) holds the K = inC·k·k patch of output
-// pixel (oy, ox) in the same (ic, ky, kx) order as a weight row, with
-// out-of-bounds taps written as zero. Zero taps contribute nothing to an
-// integer dot product, exactly like the reference loop's skipped
-// iterations.
-func (c *qconv) im2col(src []int8, h, w, outH, outW int, cols []int8) {
+// pixel (oy, ox) in the same (ic, ky, kx) order as a weight row. The image
+// is first copied into a zero-bordered plane per channel, wide enough that
+// every tap of every pixel is an in-bounds read, so the pack loop has no
+// padding branches; zero taps contribute nothing to an integer dot product,
+// exactly like the reference loop's skipped iterations.
+func (c *qconv) im2col(src []int8, h, w, outH, outW int, cols []int8, sc *engineScratch) {
 	k, stride, pad := c.k, c.stride, c.pad
+	// ConvOutSize rounds toward zero, so on inputs smaller than the kernel
+	// the last tap can lie past h+2·pad.
+	ph, pw := max(h+2*pad, (outH-1)*stride+k), max(w+2*pad, (outW-1)*stride+k)
+	if ph != h || pw != w {
+		padded := grow(&sc.padded, c.inC*ph*pw)
+		clear(padded)
+		for r := 0; r < c.inC*h; r++ { // row r%h of channel r/h
+			copy(padded[(r/h*ph+r%h+pad)*pw+pad:], src[r*w:][:w])
+		}
+		src = padded
+	}
 	kk := k * k
 	kCols := c.inC * kk
-	plane := h * w
+	plane := ph * pw
 	for oy := 0; oy < outH; oy++ {
-		iy0 := oy*stride - pad
 		for ox := 0; ox < outW; ox++ {
 			dst := cols[(oy*outW+ox)*kCols:][:kCols]
-			ix0 := ox*stride - pad
-			// kx taps with ix0+kx inside [0, w): a single contiguous copy.
-			kxLo, kxHi := -ix0, w-ix0
-			if kxLo < 0 {
-				kxLo = 0
-			}
-			if kxHi > k {
-				kxHi = k
-			}
+			base := oy*stride*pw + ox*stride
 			for ic := 0; ic < c.inC; ic++ {
-				icBase := ic * plane
+				s, d := src[ic*plane+base:], dst[ic*kk:][:kk]
+				if k == 3 { // the deployed kernel size: no copy call per 3-byte run
+					r0, r1, r2 := s[:3], s[pw:][:3], s[2*pw:][:3]
+					d = d[:9]
+					d[0], d[1], d[2] = r0[0], r0[1], r0[2]
+					d[3], d[4], d[5] = r1[0], r1[1], r1[2]
+					d[6], d[7], d[8] = r2[0], r2[1], r2[2]
+					continue
+				}
 				for ky := 0; ky < k; ky++ {
-					d := dst[ic*kk+ky*k:][:k]
-					iy := iy0 + ky
-					if iy < 0 || iy >= h || kxLo >= kxHi {
-						for i := range d {
-							d[i] = 0
-						}
-						continue
-					}
-					for i := 0; i < kxLo; i++ {
-						d[i] = 0
-					}
-					copy(d[kxLo:kxHi], src[icBase+iy*w+ix0+kxLo:])
-					for i := kxHi; i < k; i++ {
-						d[i] = 0
-					}
+					copy(d[ky*k:][:k], s[ky*pw:])
 				}
 			}
 		}
 	}
 }
 
-// gemmInt8 computes out[m·P+p] = Σ_k a[m·K+k]·b[p·K+k] for the row-major
-// int8 matrices a (M×K, weight rows) and b (P×K, patch rows), overwriting
-// out. The 4×4 micro-kernel walks K with 16 int32 accumulators in
-// registers; edge blocks fall to narrower kernels. K iterates ascending
-// everywhere, keeping the accumulation order of the reference conv.
-func gemmInt8(a, b []int8, out []int32, M, K, P int) {
-	m0 := 0
-	for ; m0+4 <= M; m0 += 4 {
-		a0 := a[m0*K:][:K]
-		a1 := a[(m0+1)*K:][:K]
-		a2 := a[(m0+2)*K:][:K]
-		a3 := a[(m0+3)*K:][:K]
-		p0 := 0
-		for ; p0+4 <= P; p0 += 4 {
-			b0 := b[p0*K:][:K]
-			b1 := b[(p0+1)*K:][:K]
-			b2 := b[(p0+2)*K:][:K]
-			b3 := b[(p0+3)*K:][:K]
-			var c00, c01, c02, c03 int32
-			var c10, c11, c12, c13 int32
-			var c20, c21, c22, c23 int32
-			var c30, c31, c32, c33 int32
-			for k := 0; k < K; k++ {
-				av0, av1, av2, av3 := int32(a0[k]), int32(a1[k]), int32(a2[k]), int32(a3[k])
-				bv0, bv1, bv2, bv3 := int32(b0[k]), int32(b1[k]), int32(b2[k]), int32(b3[k])
-				c00 += av0 * bv0
-				c01 += av0 * bv1
-				c02 += av0 * bv2
-				c03 += av0 * bv3
-				c10 += av1 * bv0
-				c11 += av1 * bv1
-				c12 += av1 * bv2
-				c13 += av1 * bv3
-				c20 += av2 * bv0
-				c21 += av2 * bv1
-				c22 += av2 * bv2
-				c23 += av2 * bv3
-				c30 += av3 * bv0
-				c31 += av3 * bv1
-				c32 += av3 * bv2
-				c33 += av3 * bv3
+// maxLaneK is the largest K whose dot products fit an int32 lane whatever
+// the operands: K·128·128 ≤ 2³¹−1.
+const maxLaneK = (1<<31 - 1) / (128 * 128)
+
+// packPairs packs the M weight rows of a (M×K, row-major) two to a word for
+// gemmPacked: dst[(m/4)·K+k] holds column k of rows m..m+3 as the words
+// {row m + row m+1·2³², row m+2 + row m+3·2³²}, rows past M as zeros.
+func packPairs(a []int8, dst [][2]int64, M, K int) {
+	for m := 0; m < (M+3)&^3; m += 2 {
+		d, lane := dst[m/4*K:][:K], m/2&1
+		switch {
+		case m+1 < M:
+			lo, hi := a[m*K:][:K], a[(m+1)*K:][:K]
+			for k := range d {
+				d[k][lane] = int64(lo[k]) + int64(hi[k])<<32
 			}
-			o := out[m0*P+p0:]
-			o[0], o[1], o[2], o[3] = c00, c01, c02, c03
-			o = out[(m0+1)*P+p0:]
-			o[0], o[1], o[2], o[3] = c10, c11, c12, c13
-			o = out[(m0+2)*P+p0:]
-			o[0], o[1], o[2], o[3] = c20, c21, c22, c23
-			o = out[(m0+3)*P+p0:]
-			o[0], o[1], o[2], o[3] = c30, c31, c32, c33
-		}
-		for ; p0 < P; p0++ { // 4×1 edge
-			bp := b[p0*K:][:K]
-			var s0, s1, s2, s3 int32
-			for k := 0; k < K; k++ {
-				bv := int32(bp[k])
-				s0 += int32(a0[k]) * bv
-				s1 += int32(a1[k]) * bv
-				s2 += int32(a2[k]) * bv
-				s3 += int32(a3[k]) * bv
+		case m < M:
+			for k, v := range a[m*K:][:K] {
+				d[k][lane] = int64(v)
 			}
-			out[m0*P+p0] = s0
-			out[(m0+1)*P+p0] = s1
-			out[(m0+2)*P+p0] = s2
-			out[(m0+3)*P+p0] = s3
+		default:
+			for k := range d {
+				d[k][lane] = 0
+			}
 		}
 	}
-	for ; m0 < M; m0++ { // 1×1 edge rows
-		am := a[m0*K:][:K]
-		for p0 := 0; p0 < P; p0++ {
-			bp := b[p0*K:][:K]
-			var s int32
-			for k := 0; k < K; k++ {
-				s += int32(am[k]) * int32(bp[k])
+}
+
+// gemmPacked computes out[m·P4+p] = Σ_k a[m·K+k]·b[p·K+k] for the weight
+// rows packed into a2 by packPairs and the row-major int8 patch matrix b
+// (P4×K), overwriting out (M4×P4). M4 and P4 are M and P rounded up to the
+// 4×4 tile; the rows past M are zeros, the patch rows past P whatever the
+// buffer held, and nobody reads their outputs. K iterates ascending, as in
+// the reference conv.
+func gemmPacked(a2 [][2]int64, b []int8, out []int32, M4, K, P4 int) {
+	for m0 := 0; m0 < M4; m0 += 4 {
+		aq := a2[m0/4*K:][:K]
+		for p0 := 0; p0 < P4; p0 += 4 {
+			b0 := b[p0*K:][:len(aq)]
+			b1 := b[(p0+1)*K:][:len(aq)]
+			b2 := b[(p0+2)*K:][:len(aq)]
+			b3 := b[(p0+3)*K:][:len(aq)]
+			var c00, c01, c02, c03 int64 // rows m0 (low lane) and m0+1
+			var c10, c11, c12, c13 int64 // rows m0+2 and m0+3
+			for k := range aq {
+				w0, w1 := aq[k][0], aq[k][1]
+				v0, v1, v2, v3 := int64(b0[k]), int64(b1[k]), int64(b2[k]), int64(b3[k])
+				c00 += w0 * v0
+				c01 += w0 * v1
+				c02 += w0 * v2
+				c03 += w0 * v3
+				c10 += w1 * v0
+				c11 += w1 * v1
+				c12 += w1 * v2
+				c13 += w1 * v3
 			}
-			out[m0*P+p0] = s
+			o0 := out[m0*P4+p0:][:4]
+			o1 := out[(m0+1)*P4+p0:][:4]
+			o2 := out[(m0+2)*P4+p0:][:4]
+			o3 := out[(m0+3)*P4+p0:][:4]
+			o0[0], o1[0] = unpack(c00)
+			o0[1], o1[1] = unpack(c01)
+			o0[2], o1[2] = unpack(c02)
+			o0[3], o1[3] = unpack(c03)
+			o2[0], o3[0] = unpack(c10)
+			o2[1], o3[1] = unpack(c11)
+			o2[2], o3[2] = unpack(c12)
+			o2[3], o3[3] = unpack(c13)
 		}
 	}
+}
+
+// unpack splits a packed accumulator into its two int32 lanes: the high
+// lane is read after taking the low one back out, borrow included.
+func unpack(acc int64) (lo, hi int32) {
+	lo = int32(acc)
+	return lo, int32((acc - int64(lo)) >> 32)
 }

@@ -1,12 +1,14 @@
 package qinfer
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"radar/internal/model"
+	"radar/internal/tensor"
 )
 
 // randConv builds a qconv with randomized weights and folded-BN
@@ -95,15 +97,7 @@ func TestConvGEMMMatchesReferenceCheckpoints(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Compile: %v", spec.Name, err)
 		}
-		var convs []*qconv
-		convs = append(convs, eng.stem)
-		for _, blk := range eng.blocks {
-			convs = append(convs, blk.conv1, blk.conv2)
-			if blk.down != nil {
-				convs = append(convs, blk.down)
-			}
-		}
-		for ci, c := range convs {
+		for ci, c := range eng.convs() {
 			for _, hw := range []int{c.k, 8, 11} {
 				x := randInput(rng, 2, c.inC, hw, hw)
 				got := c.compute(x, sc)
@@ -114,8 +108,27 @@ func TestConvGEMMMatchesReferenceCheckpoints(t *testing.T) {
 	}
 }
 
-// TestGEMMKernelEdges drives gemmInt8 directly across the 4×4 blocking
-// edges (M, P ≡ 0..3 mod 4, K including 0 and 1).
+// gemmInt8 runs the packed kernel on plain row-major operands: a (M×K)
+// packed, b (P×K) and out (M×P) padded to the kernel's multiples of 4.
+func gemmInt8(a, b []int8, out []int32, M, K, P int) {
+	m4, p4 := (M+3)&^3, (P+3)&^3
+	packed := make([][2]int64, m4/4*K)
+	packPairs(a, packed, M, K)
+	bp := make([]int8, p4*K)
+	copy(bp, b)
+	acc := make([]int32, m4*p4)
+	gemmPacked(packed, bp, acc, m4, K, p4)
+	for m := 0; m < M; m++ {
+		copy(out[m*P:][:P], acc[m*p4:])
+	}
+}
+
+// TestGEMMKernelEdges drives the packed kernel directly across the 4×4
+// tile edges (M, P ≡ 0..3 mod 4, K from 1), then saturates both lanes of a
+// packed pair in all four sign combinations: constant rows of −128 or 127
+// against constant patch rows of −128 or 127, so every product is ±128·128
+// or ±128·127 and a lane at its positive extreme sits beside one its
+// neighbour borrows from, with K up to maxLaneK, the bound Compile enforces.
 func TestGEMMKernelEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, m := range []int{1, 2, 3, 4, 5, 7, 8, 9} {
@@ -129,21 +142,62 @@ func TestGEMMKernelEdges(t *testing.T) {
 				for i := range b {
 					b[i] = int8(rng.Intn(256) - 128)
 				}
-				got := make([]int32, m*p)
-				gemmInt8(a, b, got, m, k, p)
-				for mi := 0; mi < m; mi++ {
-					for pi := 0; pi < p; pi++ {
-						var want int32
-						for ki := 0; ki < k; ki++ {
-							want += int32(a[mi*k+ki]) * int32(b[pi*k+ki])
-						}
-						if got[mi*p+pi] != want {
-							t.Fatalf("M=%d K=%d P=%d: out[%d,%d] = %d, want %d", m, k, p, mi, pi, got[mi*p+pi], want)
-						}
-					}
-				}
+				mustGEMM(t, a, b, m, k, p)
 			}
 		}
+	}
+	fill := func(dst []int8, v int8) {
+		for i := range dst {
+			dst[i] = v
+		}
+	}
+	for _, k := range []int{1, 27, 288, 4608, maxLaneK} {
+		a := make([]int8, 8*k) // pairs (−,−), (−,+), (+,−), (+,+)
+		for row, v := range []int8{-128, -128, -128, 127, 127, -128, 127, 127} {
+			fill(a[row*k:][:k], v)
+		}
+		b := make([]int8, 2*k)
+		fill(b[:k], -128)
+		fill(b[k:], 127)
+		mustGEMM(t, a, b, 8, k, 2)
+	}
+}
+
+// mustGEMM fails unless gemmInt8 agrees with int64 reference sums, which
+// must themselves fit the int32 lanes.
+func mustGEMM(t *testing.T, a, b []int8, m, k, p int) {
+	t.Helper()
+	got := make([]int32, m*p)
+	gemmInt8(a, b, got, m, k, p)
+	for mi := 0; mi < m; mi++ {
+		for pi := 0; pi < p; pi++ {
+			var want int64
+			for ki := 0; ki < k; ki++ {
+				want += int64(a[mi*k+ki]) * int64(b[pi*k+ki])
+			}
+			if want != int64(int32(want)) {
+				t.Fatalf("M=%d K=%d P=%d: reference sum %d overflows int32", m, k, p, want)
+			}
+			if int64(got[mi*p+pi]) != want {
+				t.Fatalf("M=%d K=%d P=%d: out[%d,%d] = %d, want %d", m, k, p, mi, pi, got[mi*p+pi], want)
+			}
+		}
+	}
+}
+
+// TestConvGEMMSmallInputs: on inputs smaller than the kernel's reach
+// ConvOutSize rounds toward zero and still yields an output pixel whose
+// last taps lie past the padded image; they must read as zeros, as the
+// reference loop skips them — a serving request may carry any (H, W).
+func TestConvGEMMSmallInputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	sc := new(engineScratch)
+	for _, g := range []struct{ k, stride, pad, h, w int }{
+		{3, 2, 0, 2, 2}, {3, 2, 1, 0, 0}, {1, 2, 0, 0, 3}, {7, 2, 3, 0, 1}, {5, 2, 1, 2, 6},
+	} {
+		c := randConv(rng, 3, 5, g.k, g.stride, g.pad, false)
+		x := randInput(rng, 2, 3, g.h, g.w)
+		mustMatch(t, fmt.Sprintf("%s/h%dw%d", c.name, g.h, g.w), c.compute(x, sc), c.computeRef(x))
 	}
 }
 
@@ -186,6 +240,7 @@ func TestConcurrentForwardIdentical(t *testing.T) {
 func FuzzConvGEMM(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 250, 130}, uint8(3), uint8(2), uint8(1), uint8(1), uint8(5))
 	f.Add([]byte{255, 0, 128, 64}, uint8(1), uint8(1), uint8(2), uint8(0), uint8(4))
+	f.Add(bytes.Repeat([]byte{0x80}, 64), uint8(2), uint8(0), uint8(1), uint8(1), uint8(3)) // the −128 extreme
 	f.Fuzz(func(t *testing.T, raw []byte, k8, stride8, pad8, relu8, hw8 uint8) {
 		k := 1 + int(k8)%7
 		stride := 1 + int(stride8)%2
@@ -214,24 +269,72 @@ func FuzzConvGEMM(f *testing.F) {
 // conv stage (64→64 3×3 on a 16×16 plane) through the GEMM path and the
 // reference loop — the per-stage speedup behind the serving gains.
 func BenchmarkConvGEMM(b *testing.B) {
-	rng := rand.New(rand.NewSource(31))
-	c := randConv(rng, 64, 64, 3, 1, 1, true)
-	x := randInput(rng, 1, 64, 16, 16)
 	sc := new(engineScratch)
-	b.SetBytes(int64(len(c.w)) * 16 * 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.compute(x, sc)
-	}
+	benchConv(b, func(c *qconv, x *QTensor) { c.compute(x, sc) })
 }
 
 func BenchmarkConvRef(b *testing.B) {
+	benchConv(b, func(c *qconv, x *QTensor) { c.computeRef(x) })
+}
+
+func benchConv(b *testing.B, run func(c *qconv, x *QTensor)) {
 	rng := rand.New(rand.NewSource(31))
 	c := randConv(rng, 64, 64, 3, 1, 1, true)
 	x := randInput(rng, 1, 64, 16, 16)
-	b.SetBytes(int64(len(c.w)) * 16 * 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.computeRef(x)
+		run(c, x)
 	}
+	reportMACs(b, len(c.w)*16*16)
+}
+
+// reportMACs reports the benchmark's rate in millions of multiply-
+// accumulates per second, given the MACs of one iteration.
+func reportMACs(b *testing.B, perOp int) {
+	b.ReportMetric(float64(perOp)*float64(b.N)/b.Elapsed().Seconds()/1e6, "MMAC/s")
+}
+
+// BenchmarkEngineForward measures the whole int8 engine — every conv stage,
+// requantization, residual adds, the classifier — on the two served
+// checkpoints at the batch sizes the serving path runs.
+func BenchmarkEngineForward(b *testing.B) {
+	for _, spec := range []model.Spec{model.ResNet20sSpec(), model.TinySpec()} {
+		bundle := model.Load(spec)
+		calib, _ := bundle.Attack.Batch(0, 32)
+		eng, err := Compile(bundle.Net, bundle.QModel, calib)
+		if err != nil {
+			b.Fatalf("%s: Compile: %v", spec.Name, err)
+		}
+		for _, n := range []int{1, 8} {
+			x, _ := bundle.Test.Batch(0, n)
+			b.Run(fmt.Sprintf("%s/batch%d", spec.Name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					eng.Forward(x)
+				}
+				reportMACs(b, n*eng.macs(x.Shape[2], x.Shape[3]))
+			})
+		}
+	}
+}
+
+// macs counts the multiply-accumulates of one h×w input's pass.
+func (e *Engine) macs(h, w int) int {
+	total := e.fc.in * e.fc.out
+	stage := func(c *qconv, h, w int) (outH, outW int) {
+		outH, outW = tensor.ConvOutSize(h, c.k, c.stride, c.pad), tensor.ConvOutSize(w, c.k, c.stride, c.pad)
+		total += len(c.w) * outH * outW
+		return outH, outW
+	}
+	h, w = stage(e.stem, h, w)
+	if e.pool {
+		h, w = h/2, w/2
+	}
+	for _, blk := range e.blocks {
+		if blk.down != nil {
+			stage(blk.down, h, w)
+		}
+		h, w = stage(blk.conv1, h, w)
+		h, w = stage(blk.conv2, h, w)
+	}
+	return total
 }

@@ -113,8 +113,9 @@ func (c *qconv) forward(x *QTensor, sc *engineScratch) *QTensor {
 }
 
 // compute is the raw int8 convolution, free of any serving coordination:
-// an im2col pack into the scratch patch matrix followed by the blocked
-// int8 GEMM (see gemm.go), then the per-channel BN/ReLU requantization.
+// the weight rows packed in pairs, then per image an im2col pack into the
+// scratch patch matrix, the pair-packed int8 GEMM (see gemm.go) and the
+// per-channel BN/ReLU requantization.
 // Output is bit-identical to computeRef, the retained reference loop.
 func (c *qconv) compute(x *QTensor, sc *engineScratch) *QTensor {
 	n, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
@@ -126,19 +127,24 @@ func (c *qconv) compute(x *QTensor, sc *engineScratch) *QTensor {
 	out := NewQTensor(c.outScale, n, c.outC, outH, outW)
 	kCols := c.inC * c.k * c.k
 	plane := outH * outW
-	cols := sc.colsBuf(plane * kCols)
-	acc := sc.accBuf(c.outC * plane)
+	m4, p4 := (c.outC+3)&^3, (plane+3)&^3
+	cols := grow(&sc.cols, p4*kCols)
+	acc := grow(&sc.acc, m4*p4)
+	// Packed from the live image on every stage call, inside the fetch
+	// bracket: a flip between two passes reaches the second one.
+	packed := grow(&sc.packed, m4/4*kCols)
+	packPairs(c.w, packed, c.outC, kCols)
 	// Effective multiplier from int32 accumulator to real value.
 	accScale := float64(c.wScale) * float64(x.Scale)
 	outScale := float64(c.outScale)
 	for img := 0; img < n; img++ {
-		c.im2col(x.Q[img*ch*h*w:][:ch*h*w], h, w, outH, outW, cols)
-		gemmInt8(c.w, cols, acc, c.outC, kCols, plane)
+		c.im2col(x.Q[img*ch*h*w:][:ch*h*w], h, w, outH, outW, cols, sc)
+		gemmPacked(packed, cols, acc, m4, kCols, p4)
 		outBase := img * c.outC * plane
 		for oc := 0; oc < c.outC; oc++ {
 			a := float64(c.bn.a[oc])
 			bb := float64(c.bn.b[oc])
-			accRow := acc[oc*plane:][:plane]
+			accRow := acc[oc*p4:][:plane]
 			outRow := out.Q[outBase+oc*plane:][:plane]
 			for p := 0; p < plane; p++ {
 				v := a*(accScale*float64(accRow[p])) + bb
@@ -256,7 +262,7 @@ func (l *qlinear) forward(x *tensor.Tensor, sc *engineScratch) *tensor.Tensor {
 	defer sc.release(sc.fetchLayer(l.qLayer))
 	n := x.Shape[0]
 	out := tensor.New(n, l.out)
-	row := sc.rowBuf(l.in)
+	row := grow(&sc.row, l.in)
 	for j := 0; j < l.out; j++ {
 		for p, q := range l.w[j*l.in:][:l.in] {
 			row[p] = float32(q) * l.wScale
@@ -315,19 +321,31 @@ type WeightFetcher interface {
 	ReleaseLayer(layer int)
 }
 
+// convs lists the conv stages in execution order.
+func (e *Engine) convs() []*qconv {
+	out := []*qconv{e.stem}
+	for _, b := range e.blocks {
+		out = append(out, b.conv1, b.conv2)
+		if b.down != nil {
+			out = append(out, b.down)
+		}
+	}
+	return out
+}
+
 // QuantLayers returns the quantized-layer indices the engine consumes, in
 // execution order (a layer appears once per stage that reads it).
 func (e *Engine) QuantLayers() []int {
 	var out []int
-	out = append(out, e.stem.qLayer)
-	for _, b := range e.blocks {
-		out = append(out, b.conv1.qLayer, b.conv2.qLayer)
-		if b.down != nil {
-			out = append(out, b.down.qLayer)
-		}
+	for _, c := range e.convs() {
+		out = append(out, c.qLayer)
 	}
 	return append(out, e.fc.qLayer)
 }
+
+// InputChannels is the channel count of the inputs the engine accepts; a
+// pass over any other panics in the stem.
+func (e *Engine) InputChannels() int { return e.stem.inC }
 
 // Compile converts a trained float ResNet plus its quantized weight image
 // into an int8 engine. calib is a representative input batch used to fix
@@ -410,6 +428,11 @@ func Compile(net *nn.Sequential, qm *quant.Model, calib *tensor.Tensor) (*Engine
 	e.blocks = blocks
 	if e.fc == nil {
 		return nil, fmt.Errorf("qinfer: model has no final Linear layer")
+	}
+	for _, c := range e.convs() {
+		if k := c.inC * c.k * c.k; k > maxLaneK {
+			return nil, fmt.Errorf("qinfer: %s has inC·k·k = %d > %d, so an int32 accumulator lane could wrap", c.name, k, maxLaneK)
+		}
 	}
 	e.calibrate(net, calib)
 	return e, nil

@@ -284,6 +284,74 @@ func TestClassifierReadsProtectedImage(t *testing.T) {
 	}
 }
 
+// TestForwardReadsLiveWeights: the packed weight rows are rebuilt from the
+// protected image on every stage call, never cached — an MSB written
+// straight into a conv layer's Q between two passes on one engine reaches
+// the second pass, whose logits are a freshly compiled engine's over the
+// flipped image.
+func TestForwardReadsLiveWeights(t *testing.T) {
+	b, e := compileTiny(t)
+	x, _ := b.Test.Batch(0, 4)
+	first := e.Forward(x)
+	conv := b.QModel.Layers[e.blocks[0].conv1.qLayer]
+	conv.Q[3] = quant.FlipBit(conv.Q[3], quant.MSB)
+	second := e.Forward(x)
+	calib, _ := b.Attack.Batch(0, 64)
+	fresh, err := Compile(b.Net, b.QModel, calib)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	want := fresh.Forward(x)
+	differs := false
+	for i := range want.Data {
+		if second.Data[i] != want.Data[i] {
+			t.Fatalf("logit %d after the flip: %v, a fresh engine over the flipped image %v", i, second.Data[i], want.Data[i])
+		}
+		differs = differs || second.Data[i] != first.Data[i]
+	}
+	if !differs {
+		t.Fatal("an MSB flip in a conv layer did not change the next pass's logits")
+	}
+}
+
+// TestForwardAllocBudget: a tiny batch-1 pass allocates its activation
+// tensors, 104 allocations in all, and nothing else per stage — so the pack
+// buffer and the padded plane can only live in engineScratch.
+func TestForwardAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	b, e := compileTiny(t)
+	x, _ := b.Test.Batch(0, 1)
+	if got := testing.AllocsPerRun(20, func() { e.Forward(x) }); got > 104 {
+		t.Fatalf("Forward allocates %.0f times per pass, budget 104", got)
+	}
+}
+
+// TestCompileRejectsLaneOverflow: a conv stage whose K = inC·k·k could
+// wrap an int32 accumulator lane is refused at compile time.
+func TestCompileRejectsLaneOverflow(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	build := func(inC int) (*nn.Sequential, *quant.Model) {
+		net := nn.NewSequential("wide",
+			nn.NewConv2D("stem.conv", inC, 1, 3, 1, 1, rng),
+			nn.NewBatchNorm2D("stem.bn", 1),
+			nn.NewReLU("stem.relu"),
+			nn.NewGlobalAvgPool("gap"),
+			nn.NewLinear("fc", 1, 2, rng),
+		)
+		return net, quant.Quantize(net)
+	}
+	net, qm := build(maxLaneK/9 + 1)
+	if _, err := Compile(net, qm, tensor.New(1, maxLaneK/9+1, 3, 3)); err == nil {
+		t.Fatalf("Compile accepted a stage with K = %d > %d", (maxLaneK/9+1)*9, maxLaneK)
+	}
+	net, qm = build(4)
+	if _, err := Compile(net, qm, tensor.New(1, 4, 3, 3)); err != nil {
+		t.Fatalf("Compile refused a stage with K = 36: %v", err)
+	}
+}
+
 // TestForwardFetchAddsNoAllocs: the fetch bracket itself — interface
 // calls, the deferred release, the pass clocks — allocates nothing on top
 // of a plain Forward.

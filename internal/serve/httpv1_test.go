@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -76,6 +77,41 @@ func TestHTTPV1Routes(t *testing.T) {
 			resp.Body.Close()
 			if resp.StatusCode != tc.want {
 				t.Fatalf("%s %s → %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
+			}
+		})
+	}
+}
+
+// TestWrongChannelCountRejected: an input whose channel count is not the
+// model's is an error at submission — 400 over HTTP — whether or not the
+// model pins its input shape. Unpinned, it used to reach the stem's channel
+// panic on a worker goroutine and take the process down.
+func TestWrongChannelCountRejected(t *testing.T) {
+	unpin := func(c *Config) { c.InputShape = nil }
+	for name, opts := range map[string][]ModelOption{"pinned": {WithScrub(0)}, "unpinned": {WithScrub(0), unpin}} {
+		t.Run(name, func(t *testing.T) {
+			svc, b, _ := openTiny(t, 1, opts)
+			ts := httptest.NewServer(svc.Handler())
+			defer ts.Close()
+			post := func(body string) int {
+				resp, err := http.Post(ts.URL+"/v1/models/m0/infer", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				return resp.StatusCode
+			}
+			if _, err := svc.Infer(context.Background(), Request{Model: "m0", Input: tensor.New(5, 8, 8)}); err == nil {
+				t.Fatal("Infer accepted a 5-channel input for a 3-channel model")
+			}
+			five, _ := json.Marshal(InferRequest{Input: make([]float32, 5*8*8), Shape: []int{5, 8, 8}})
+			if got := post(string(five)); got != http.StatusBadRequest {
+				t.Fatalf("5-channel body → %d, want 400", got)
+			}
+			x, _ := b[0].Test.Batch(0, 1)
+			three, _ := json.Marshal(InferRequest{Input: x.Data, Shape: x.Shape[1:]})
+			if got := post(string(three)); got != http.StatusOK {
+				t.Fatalf("a good request after the rejected ones → %d, want 200", got)
 			}
 		})
 	}

@@ -317,6 +317,9 @@ func (s *Server) newRequest(ctx context.Context, x *tensor.Tensor, id string) (*
 	if len(shape) != 3 {
 		return nil, fmt.Errorf("serve: input shape %v, want (C,H,W)", x.Shape)
 	}
+	if c := s.eng.InputChannels(); shape[0] != c {
+		return nil, fmt.Errorf("serve: input shape %v has %d channels, the model takes %d", shape, shape[0], c)
+	}
 	if want := s.cfg.InputShape; len(want) == 3 {
 		if shape[0] != want[0] || shape[1] != want[1] || shape[2] != want[2] {
 			return nil, fmt.Errorf("serve: input shape %v, want %v", shape, want)
