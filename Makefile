@@ -29,12 +29,13 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 
-# Fast guard that the scan + serve + conv-kernel + int8-engine benchmarks
-# still compile and run (1 iteration; checkpoints come from
-# testdata/models, so no training happens).
+# Fast guard that the scan + serve + conv-kernel + int8-engine + verified-
+# fetch benchmarks still compile and run (1 iteration; checkpoints come
+# from testdata/models, so no training happens).
 bench-smoke:
 	$(GO) test -bench='Scan|Serve' -benchtime=1x -run '^$$' .
 	$(GO) test -bench='Conv|EngineForward' -benchtime=1x -run '^$$' ./internal/qinfer/
+	$(GO) test -bench FetchLayer -benchtime 1x -run '^$$' ./internal/core/
 
 # benchmark/ is its own Go module, so `go build ./...` and `go test ./...`
 # at the root never compile it: vet it and run its tests (the -scale 0.03

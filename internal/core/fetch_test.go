@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -9,43 +10,65 @@ import (
 	"radar/internal/quant"
 )
 
-// checkVerifyAgainstRef holds the inline verify to the scalar reference on
-// one (scheme, layer): a fresh layer verifies, and after each of a few
-// random bit flips verify says "clean" exactly when SignaturesRangeRef
-// still reproduces the golden signatures.
-func checkVerifyAgainstRef(t *testing.T, rng *rand.Rand, s Scheme, q []int8, what string) {
+// checkVerifyAgainstRef holds the inline verify to a reference on one
+// (scheme, layer): a fresh layer verifies, and after each of a few random
+// bit flips verify says "clean" exactly when ref still reproduces the
+// golden signatures.
+func checkVerifyAgainstRef(t *testing.T, rng *rand.Rand, s Scheme, q []int8, ref func(Scheme, []int8) []uint8, what string) {
 	t.Helper()
-	n := s.NumGroups(len(q))
-	golden := s.SignaturesRangeRef(q, 0, n)
+	golden := ref(s, q)
 	pl := s.compile(len(q))
 	if !pl.verify(q, golden) {
 		t.Fatalf("%s: clean layer failed verify", what)
 	}
-	for trial := 0; trial < 6; trial++ {
+	for trial := 0; trial < 8; trial++ {
 		i, bit := rng.Intn(len(q)), rng.Intn(8)
 		if trial == 0 {
 			bit = quant.MSB // always changes S_B: at least one sure mismatch
 		}
 		q[i] = quant.FlipBit(q[i], bit)
-		want := slices.Equal(s.SignaturesRangeRef(q, 0, n), golden)
+		want := slices.Equal(ref(s, q), golden)
 		if got := pl.verify(q, golden); got != want {
 			t.Fatalf("%s: flip q[%d].b%d: verify=%v, reference says clean=%v", what, i, bit, got, want)
 		}
 		q[i] = quant.FlipBit(q[i], bit)
 	}
 	// A corrupted golden signature (the sigstore attack) must fail too.
-	j := rng.Intn(n)
+	j := rng.Intn(len(golden))
 	golden[j] ^= 1
 	if pl.verify(q, golden) {
 		t.Fatalf("%s: flipped golden signature %d passed verify", what, j)
 	}
 }
 
+// rangeRef is SignaturesRangeRef over the whole layer, as a reference for
+// checkVerifyAgainstRef where the per-group refSignatures would be too slow.
+func rangeRef(s Scheme, q []int8) []uint8 {
+	return s.SignaturesRangeRef(q, 0, s.NumGroups(len(q)))
+}
+
 // TestVerifyMatchesReference is the differential pin of the fetch-path
-// verify against SignaturesRangeRef: every layer shape of the served zoo
-// models and of full-size ResNet-18, then randomized geometries.
+// verify: the SWAR geometries plus the served layer shapes at G = 8 and a
+// multi-chunk G = 512 layer against the per-group Checksum reference, both
+// signature widths, interleave offsets 0–11 (0 and multiples of 8 put
+// every row's wrap in one word); then every layer shape of the served zoo
+// models and of full-size ResNet-18 and randomized geometries against
+// SignaturesRangeRef.
 func TestVerifyMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	geos := append(swarGeometries(), []struct{ g, l int }{{8, 9216}, {8, 36864}, {512, 294912}, {3, 5000}, {130, 70000}}...)
+	for _, geo := range geos {
+		q := randWeights(rng, geo.l)
+		for _, sigBits := range []int{2, 3} {
+			for off := -1; off < 12; off++ { // −1: contiguous, where the offset is unused
+				if geo.l > 100000 && off > 0 && off%4 != 0 {
+					continue // the reference costs 0.1 s per scheme here under -race
+				}
+				s := Scheme{G: geo.g, Interleave: off >= 0, Offset: off, Key: uint16(rng.Intn(1 << KeyBits)), SigBits: sigBits}
+				checkVerifyAgainstRef(t, rng, s, q, refSignatures, fmt.Sprintf("G=%d l=%d sigBits=%d offset=%d", geo.g, geo.l, sigBits, off))
+			}
+		}
+	}
 	scheme := func(g int, interleave bool) Scheme {
 		return Scheme{
 			G:          g,
@@ -64,7 +87,7 @@ func TestVerifyMatchesReference(t *testing.T) {
 		for _, g := range []int{8, 512} {
 			for _, interleave := range []bool{false, true} {
 				for _, l := range m.Layers {
-					checkVerifyAgainstRef(t, rng, scheme(g, interleave), l.Q, name+"/"+l.Name)
+					checkVerifyAgainstRef(t, rng, scheme(g, interleave), l.Q, rangeRef, name+"/"+l.Name)
 				}
 			}
 		}
@@ -72,10 +95,10 @@ func TestVerifyMatchesReference(t *testing.T) {
 	for trial := 0; trial < 400; trial++ {
 		l := 1 + rng.Intn(6000)
 		if trial%8 == 0 {
-			l = 1 + rng.Intn(70000) // several verify chunks, lane flushes
+			l = 1 + rng.Intn(70000) // several kernel chunks, bit-15 clears
 		}
 		s := scheme(1+rng.Intn(600), trial%2 == 0)
-		checkVerifyAgainstRef(t, rng, s, randWeights(rng, l), "random")
+		checkVerifyAgainstRef(t, rng, s, randWeights(rng, l), rangeRef, "random")
 	}
 }
 
@@ -152,14 +175,17 @@ func TestFetchLayerZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkFetchLayer prices one clean verified-fetch pass over every
-// layer of the served models — the per-forward cost the fused fetch adds.
+// layer of a served model — the per-forward cost the fused fetch adds, in
+// MB/s of weights: tiny at the serving default (G = 8, interleaved), then
+// resnet20s across group size and grouping, the measured shape of the
+// paper's Table IV.
 func BenchmarkFetchLayer(b *testing.B) {
-	for _, spec := range []model.Spec{model.TinySpec(), model.ResNet20sSpec()} {
-		m := model.Load(spec).QModel
-		p := Protect(m, DefaultConfig(8))
+	run := func(name string, m *quant.Model, cfg Config) {
+		p := Protect(m, cfg)
+		defer p.Detach()
 		g := NewLayerGuard(len(m.Layers))
 		p.Coordinate(g)
-		b.Run(spec.Name, func(b *testing.B) {
+		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(m.TotalWeights()))
 			b.ReportAllocs()
 			for b.Loop() {
@@ -169,6 +195,14 @@ func BenchmarkFetchLayer(b *testing.B) {
 				}
 			}
 		})
-		p.Detach()
+	}
+	run("tiny", model.Load(model.TinySpec()).QModel, DefaultConfig(8))
+	m := model.Load(model.ResNet20sSpec()).QModel
+	for _, interleave := range []bool{true, false} {
+		for _, g := range []int{8, 32, 128, 512} {
+			cfg := DefaultConfig(g)
+			cfg.Interleave = interleave
+			run(fmt.Sprintf("resnet20s/interleave=%v/G=%d", interleave, g), m, cfg)
+		}
 	}
 }

@@ -26,8 +26,7 @@ func (p *Protector) RefreshAll() {
 	cd := p.shardCountdown(sh)
 	runTasks(p.poolSize(), len(sh), func(k int) {
 		s := sh[k]
-		p.Schemes[s.layer].signaturesInto(p.Golden[s.layer][s.lo:s.hi],
-			p.Model.Layers[s.layer].Q, s.lo, s.hi)
+		p.plans[s.layer].signaturesInto(p.Golden[s.layer][s.lo:s.hi], p.Model.Layers[s.layer].Q, s.lo)
 		cd.shardDone(k)
 	})
 	p.refreshChecksAll()

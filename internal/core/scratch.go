@@ -6,10 +6,11 @@ import "sync"
 // layers it covers, their shard list and the per-shard result table.
 // Instances cycle through a sync.Pool so steady-state ScanDirty and full
 // scans allocate nothing (verified by testing.AllocsPerRun in
-// swar_test.go); the checksum kernels themselves hold their accumulators
-// in registers and need no scratch at all. Flagged GroupID slices are the
-// one exception — they are freshly allocated because they escape to the
-// caller, and a clean scan never creates any.
+// swar_test.go); the checksum kernels work in a few KB of their callers'
+// stack — lane accumulators and one chunk of signature bytes — and need
+// no pooled scratch. Flagged GroupID slices are the one exception — they
+// are freshly allocated because they escape to the caller, and a clean
+// scan never creates any.
 type scanScratch struct {
 	layers  []int
 	shards  []shard

@@ -1,6 +1,9 @@
 package core
 
-import "sync/atomic"
+import (
+	"bytes"
+	"sync/atomic"
+)
 
 // DefaultShardGroups is the default number of checksum groups per parallel
 // scan shard. At the paper's ResNet-18 deployment point (G=512) one shard
@@ -49,23 +52,9 @@ func (s Scheme) SignaturesRange(q []int8, lo, hi int) []uint8 {
 		return nil
 	}
 	out := make([]uint8, hi-lo)
-	s.checksumRange(q, lo, hi, func(j int, m int32) {
-		out[j-lo] = s.Binarize(m)
-	})
+	pl := s.compile(len(q))
+	pl.signaturesInto(out, q, lo)
 	return out
-}
-
-// signaturesInto computes the signatures of groups [lo, hi) directly into
-// dst (len hi−lo), allocating nothing — the form RefreshAll uses to write
-// golden signatures in place.
-func (s Scheme) signaturesInto(dst []uint8, q []int8, lo, hi int) {
-	lo, hi, ok := s.clampRange(q, lo, hi)
-	if !ok {
-		return
-	}
-	s.checksumRange(q, lo, hi, func(j int, m int32) {
-		dst[j-lo] = s.Binarize(m)
-	})
 }
 
 // SignaturesRangeRef is the scalar reference kernel: the PR 1 row-segment
@@ -146,14 +135,22 @@ func (p *Protector) scanShard(sh shard, lock bool) []GroupID {
 		defer p.guard.RUnlockLayer(sh.layer)
 	}
 	l := p.Model.Layers[sh.layer]
-	s := p.Schemes[sh.layer]
+	pl := &p.plans[sh.layer]
 	golden := p.Golden[sh.layer]
 	var out []GroupID
-	s.checksumRange(l.Q, sh.lo, sh.hi, func(j int, m int32) {
-		if s.Binarize(m) != golden[j] {
-			out = append(out, GroupID{Layer: sh.layer, Group: j})
+	var sig sigChunk
+	for lo := sh.lo; lo < sh.hi; lo += kernelChunk {
+		g := golden[lo:min(lo+kernelChunk, sh.hi)]
+		pl.signatures(l.Q, lo, lo+len(g), &sig)
+		if bytes.Equal(sig[:len(g)], g) {
+			continue // one memory compare per clean chunk
 		}
-	})
+		for k := range g {
+			if sig[k] != g[k] {
+				out = append(out, GroupID{Layer: sh.layer, Group: lo + k})
+			}
+		}
+	}
 	return out
 }
 

@@ -1,42 +1,59 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
-	"sync"
 	"unsafe"
 )
 
 // SWAR (SIMD-within-a-register) checksum kernels.
 //
 // The masked addition checksum of a group is Σ ±q[i], the sign drawn from
-// the 16-bit key at keystream position t mod 16. The scalar kernels pay a
-// multiply and an add per weight; the kernels in this file instead load 8
-// int8 weights per uint64 and process them word-parallel:
+// the 16-bit key at keystream position t mod 16. The kernels load 8 int8
+// weights per uint64 and work on them word-parallel:
 //
-//   - Each byte is re-biased to excess-128 (b ^ 0x80), making every lane a
-//     non-negative u = q+128 that sums without sign handling.
-//   - A negated weight is folded into the same domain with a byte-wise NOT:
-//     u ^ 0xFF = 255−u = 127−q, so XORing a minus lane with 0xFF *adds the
-//     negated weight* up to a constant that is settled at flush time. Bias
-//     and sign therefore collapse into one XOR mask per word: 0x80 in +1
-//     lanes, 0x7F in −1 lanes.
-//   - The ±1 keystream is precompiled per scheme into these sign-partitioned
-//     8-byte lane masks (compileLaneMasks). The key is 16 bits and a word
-//     covers 8 positions, so the keystream seen by consecutive words is
-//     periodic with period 2 — each G-sized group needs at most the 2
-//     precompiled mask phrases, whatever G is.
-//   - Masked words are widened pairwise (byte lanes → 16-bit lanes) so
-//     repeated adds cannot carry into a neighbour, and accumulated; 16-bit
-//     lanes are flushed into an int32 before they can saturate. The flush
-//     subtracts the accumulated constant in closed form:
-//     Σ ±q = Σ lanes − (128·#plus + 127·#minus).
+//   - XORing a byte with 0x80 re-biases it to excess-128 (u = q+128 ≥ 0);
+//     XORing with 0x7F also negates it (255−u = 127−q). Bias and sign are
+//     therefore one XOR mask per word, and every masked byte adds ±q plus a
+//     known constant (128 or 127) to its group's sum.
+//   - Masked words are split into even and odd byte lanes, widened to
+//     16 bits, so lane sums can grow without carrying into a neighbour.
 //
-// The contiguous path consumes each group's weights whole-word-at-a-time;
-// the interleaved path consumes whole row segments word-at-a-time (8
-// consecutive weights of a row belong to 8 consecutive groups and share
-// one sign, so a loaded word lands in per-group 16-bit lanes held in two
-// registers per 8-group chunk). Both feed the existing Binarize and are
-// property-tested bit-identical to the per-group Checksum reference.
+// Contiguous grouping (group j owns q[jG:(j+1)G]) sums each group's words
+// into one accumulator, reduces it horizontally and binarizes the int32.
+//
+// Interleaved grouping deals the layer row-wise over the n groups: row r is
+// q[rn:(r+1)n], carries one sign (keystream position r) and holds one weight
+// of every group, consecutive groups at consecutive columns, the whole row
+// rotated by Offset·r. The kernel therefore keeps one 16-bit lane per group
+// (accE/accO: even and odd groups of each 8-group word, 2 KB per
+// kernelChunk, on the kernel's own stack) and sweeps the rows over them:
+//
+//   - Four rows per pass. A row's word costs a load, an XOR and three split
+//     ops; adding it to the accumulators costs two load-add-store pairs. Four
+//     rows summed in registers (≤ 4·255 per lane) share one such update.
+//   - The ring wrap. Within [lo, hi) a row is two plain runs of memory — up
+//     to its wrap and after it — and consecutive rows wrap within Offset
+//     lanes of each other. So a block's words split three ways: before the
+//     first wrap and after the last all four rows are plain word runs; the
+//     few words between go a row at a time, a wrap word put together from
+//     the row's last and first bytes with two shifts, as is the word past
+//     the last whole one. Bytes are gathered one at a time only where such
+//     a load would leave the layer, and on the ragged last row.
+//   - M mod 512 is enough. Binarize reads bits 6–8 of the checksum only, so
+//     lanes are never drained to int32: a lane may wrap as long as it does
+//     not carry into its neighbour. Clearing bit 15 of every lane (−32768 ≡
+//     0 mod 512) at least once per laneRows = 128 rows keeps every lane
+//     below 32768 + 128·255 < 65536.
+//   - Every lane takes exactly one bias constant per row (an absent weight
+//     of the ragged row adds the bare constant), so one broadcast add of
+//     (−Σ bias) mod 512 settles all groups at once; (lane>>7)&3 is then the
+//     signature of four groups per op, and sigE | sigO<<8 is the eight
+//     signature bytes of eight consecutive groups in golden's byte order:
+//     one store, and one bytes.Equal per chunk for the callers' compare.
+//
+// Both kernels hand back signature bytes (sigChunk) and are property-tested
+// bit-identical to the per-group Checksum reference.
 
 const (
 	// swarBias re-biases each int8 byte lane to excess-128.
@@ -46,7 +63,24 @@ const (
 	swarLowBytes = 0x00FF00FF00FF00FF
 	// swarLow16 selects the even 16-bit lanes (16-bit → 32-bit widening).
 	swarLow16 = 0x0000FFFF0000FFFF
+	// swarLane15 clears bit 15 of every 16-bit lane.
+	swarLane15 = 0x7FFF7FFF7FFF7FFF
+	// swarLaneOnes has a 1 in every 16-bit lane.
+	swarLaneOnes = 0x0001000100010001
+
+	// laneRows is how many rows a lane cleared of bit 15 can take before it
+	// could carry out, blockRows how many share one accumulator update.
+	laneRows, blockRows = 128, 4
+	// kernelChunk is how many groups one kernel call covers: few enough that
+	// its lane accumulators stay in L1 and on the stack and a corrupted
+	// layer is rejected early, enough that row segments are cache lines.
+	kernelChunk = 1024
 )
+
+// sigChunk receives one kernel call's signatures, one byte per group in
+// golden's layout; the interleaved kernel stores whole 8-group words, so
+// bytes up to the next multiple of 8 past the last group are scratch.
+type sigChunk [kernelChunk]uint8
 
 // laneMasks is the compiled form of a scheme's ±1 masking keystream: for
 // each of the two word phases (key bits 0–7, key bits 8–15), the combined
@@ -90,52 +124,6 @@ func asBytes(q []int8) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&q[0])), len(q))
 }
 
-// kernelScratch is the per-call working memory of the interleaved kernel:
-// the per-group int32 sums and the 16-bit lane accumulator words, a few KB
-// that stay L1-resident across the row sweep. Pooled so steady-state scans
-// allocate nothing; each concurrent shard scan checks out its own
-// instance.
-type kernelScratch struct {
-	sums       []int32
-	accE, accO []uint64
-}
-
-var kernelScratchPool = sync.Pool{New: func() any { return new(kernelScratch) }}
-
-func getKernelScratch() *kernelScratch {
-	return kernelScratchPool.Get().(*kernelScratch)
-}
-
-func putKernelScratch(ks *kernelScratch) { kernelScratchPool.Put(ks) }
-
-// sumsBuf returns a zeroed length-n sum buffer backed by the scratch,
-// growing the backing array only on high-water marks.
-func (ks *kernelScratch) sumsBuf(n int) []int32 {
-	if cap(ks.sums) < n {
-		ks.sums = make([]int32, n)
-	}
-	ks.sums = ks.sums[:n]
-	for i := range ks.sums {
-		ks.sums[i] = 0
-	}
-	return ks.sums
-}
-
-// accBufs returns zeroed length-n even/odd lane accumulator buffers backed
-// by the scratch.
-func (ks *kernelScratch) accBufs(n int) ([]uint64, []uint64) {
-	if cap(ks.accE) < n {
-		ks.accE = make([]uint64, n)
-		ks.accO = make([]uint64, n)
-	}
-	ks.accE, ks.accO = ks.accE[:n], ks.accO[:n]
-	for i := range ks.accE {
-		ks.accE[i] = 0
-		ks.accO[i] = 0
-	}
-	return ks.accE, ks.accO
-}
-
 // hsum16x4 sums the four 16-bit lanes of an accumulator word into a scalar
 // by widening twice (16→32→64 bits).
 func hsum16x4(x uint64) int32 {
@@ -146,9 +134,8 @@ func hsum16x4(x uint64) int32 {
 // kernelPlan is a scheme compiled against one layer length: everything the
 // SWAR kernels derive from (Scheme, len(q)) before touching a weight — the
 // group geometry and the ±1 keystream as lane masks (contiguous) or row
-// tables (interleaved). Scans compile one per shard call on the stack; the
-// protector keeps one per layer (Protector.plans) so the fetch-path verify
-// starts straight at the weights.
+// masks (interleaved). The protector keeps one per layer (Protector.plans),
+// so scans and the fetch-path verify start straight at the weights.
 type kernelPlan struct {
 	s Scheme
 	l int // layer length the plan was compiled for
@@ -157,17 +144,19 @@ type kernelPlan struct {
 	// Contiguous grouping: the two word-phase lane masks.
 	lm laneMasks
 
-	// Interleaved grouping: row geometry and the per-row (keystream
-	// position r mod KeyBits) XOR mask, bias constant and scalar sign.
+	// Interleaved grouping (rows > 0): row geometry, the XOR mask of a row at keystream
+	// position r mod KeyBits (its low byte is the constant the row adds to
+	// every lane), (−Σ of those constants over all rows) mod 512 in every
+	// 16-bit lane, and the S_C bit selector (zero when SigBits == 2).
 	rows, rowsFull, off int
-	maskTab             [KeyBits]uint64
-	biasTab, signTab    [KeyBits]int32
+	rowMask             [KeyBits]uint64
+	settle, sigC        uint64
 }
 
 // compile builds the kernel plan of s for a layer of l weights.
 func (s Scheme) compile(l int) kernelPlan {
 	pl := kernelPlan{s: s, l: l, n: s.NumGroups(l)}
-	if !s.Interleave {
+	if !s.Interleave || pl.n == 1 { // a single group has nothing to interleave
 		pl.lm = compileLaneMasks(s.Key)
 		return pl
 	}
@@ -179,78 +168,60 @@ func (s Scheme) compile(l int) kernelPlan {
 		pl.off += n
 	}
 	for t := 0; t < KeyBits; t++ {
-		if (s.Key>>uint(t))&1 == 1 {
-			pl.maskTab[t] = swarBias
-			pl.biasTab[t] = 128
-			pl.signTab[t] = 1
-		} else {
-			pl.maskTab[t] = swarBias ^ ^uint64(0)
-			pl.biasTab[t] = 127
-			pl.signTab[t] = -1
+		pl.rowMask[t] = swarBias
+		if (s.Key>>uint(t))&1 == 0 {
+			pl.rowMask[t] = ^uint64(swarBias)
 		}
+	}
+	var bias uint64
+	for r := 0; r < pl.rows; r++ {
+		bias += pl.rowMask[r&(KeyBits-1)] & 0xFF
+	}
+	pl.settle = (-bias & 511) * swarLaneOnes
+	if s.SigBits == 3 {
+		pl.sigC = 4 * swarLaneOnes
 	}
 	return pl
 }
 
-// checksumRange computes the masked checksum of every group in [lo, hi)
-// and hands each (group index, checksum) to emit in ascending group order.
-// It is the shared word-parallel kernel under SignaturesRange, the golden
-// refresh and the scan compare path; emit runs inline on the caller's
-// stack, so a non-escaping closure keeps the whole scan allocation-free.
-// Callers guarantee 0 ≤ lo < hi ≤ NumGroups(len(q)).
-func (s Scheme) checksumRange(q []int8, lo, hi int, emit func(j int, m int32)) {
-	pl := s.compile(len(q))
-	if !s.Interleave {
-		pl.contiguous(q, lo, hi, emit)
-		return
+// signatures writes the signatures of groups [lo, hi) to sig[:hi−lo].
+// Callers guarantee 0 ≤ lo < hi ≤ n, hi−lo ≤ kernelChunk, len(q) == pl.l.
+func (pl *kernelPlan) signatures(q []int8, lo, hi int, sig *sigChunk) {
+	if pl.rows > 0 {
+		pl.interleaved(asBytes(q), lo, hi, sig)
+	} else {
+		pl.contiguous(q, lo, hi, sig)
 	}
-	ks := getKernelScratch()
-	sums := ks.sumsBuf(hi - lo)
-	accE, accO := ks.accBufs((hi - lo) >> 3)
-	bias := pl.interleaved(q, lo, hi, sums, accE, accO)
-	for k, m := range sums {
-		emit(lo+k, m-bias)
-	}
-	putKernelScratch(ks)
 }
 
-// verifyChunk is how many groups the fetch-path verify checks per kernel
-// call: small enough that the kernel's working memory (3 KB) lives on the
-// caller's stack — no pool, no allocation — and that a corrupted layer is
-// rejected after one chunk, large enough that a chunk's row segments are
-// still whole cache lines.
-const verifyChunk = 512
+// signaturesInto writes the signatures of groups [lo, lo+len(dst)) to dst,
+// chunk by chunk, allocating nothing.
+func (pl *kernelPlan) signaturesInto(dst []uint8, q []int8, lo int) {
+	var sig sigChunk
+	for len(dst) > 0 {
+		n := min(kernelChunk, len(dst))
+		pl.signatures(q, lo, lo+n, &sig)
+		copy(dst, sig[:n])
+		lo, dst = lo+n, dst[n:]
+	}
+}
 
 // verify reports whether every group of q still binarizes to its golden
 // signature. It is the scan compare path reduced to a yes/no for one
-// layer, run inline from a precompiled plan: same kernels, same
-// arithmetic, no scratch pool, no flagged list.
+// layer: same kernels, one memory compare per chunk, no flagged list.
 func (pl *kernelPlan) verify(q []int8, golden []uint8) bool {
 	if len(q) != pl.l || len(golden) != pl.n {
 		return false // not the layer this plan was compiled for
 	}
-	var (
-		sums       [verifyChunk]int32
-		accE, accO [verifyChunk >> 3]uint64
-	)
-	s := pl.s
-	var diff uint8 // OR of signature XOR golden over the chunk: branch-free compare
-	for lo := 0; lo < pl.n && diff == 0; lo += verifyChunk {
-		hi := min(lo+verifyChunk, pl.n)
-		if !s.Interleave {
-			pl.contiguous(q, lo, hi, func(j int, m int32) { diff |= s.Binarize(m) ^ golden[j] })
-			continue
-		}
-		S := hi - lo
-		clear(sums[:S])
-		clear(accE[:S>>3])
-		clear(accO[:S>>3])
-		bias := pl.interleaved(q, lo, hi, sums[:S], accE[:S>>3], accO[:S>>3])
-		for k, g := range golden[lo:hi] {
-			diff |= s.Binarize(sums[k]-bias) ^ g
+	var sig sigChunk
+	for lo := 0; lo < pl.n; lo += kernelChunk {
+		g := golden[lo:min(lo+kernelChunk, pl.n)]
+		pl.signatures(q, lo, lo+len(g), &sig)
+		if !bytes.Equal(sig[:len(g)], g) {
+			return false
 		}
 	}
-	return diff == 0
+	return true
 }
 
 // contiguous is the word-parallel kernel for contiguous grouping: group j
@@ -258,7 +229,7 @@ func (pl *kernelPlan) verify(q []int8, golden []uint8) bool {
 // alternate between the two mask phrases. Each word adds at most 510 per
 // 16-bit lane, so the accumulator is flushed every 128 words, before a
 // lane can saturate.
-func (pl *kernelPlan) contiguous(q []int8, lo, hi int, emit func(j int, m int32)) {
+func (pl *kernelPlan) contiguous(q []int8, lo, hi int, sig *sigChunk) {
 	s, l, lm := pl.s, pl.l, &pl.lm
 	qb := asBytes(q)
 	for j := lo; j < hi; j++ {
@@ -289,131 +260,160 @@ func (pl *kernelPlan) contiguous(q []int8, lo, hi int, emit func(j int, m int32)
 		for t := words << 3; t < gl; t++ { // ragged tail, scalar
 			m += s.maskSign(t) * int32(q[base+t])
 		}
-		emit(j, m)
+		sig[j-lo] = s.Binarize(m)
 	}
 }
 
-// interleaved is the word-parallel kernel for interleaved grouping. The
-// caller supplies the working memory, zeroed: sums (one int32 per group of
-// [lo, hi)) and the accE/accO lane accumulators (one word each per 8
-// groups) — pooled for scans, on the stack for verify — and gets back
-// sums[k] = checksum of group lo+k plus the returned bias.
-//
-// Within one row every weight carries the same sign (the keystream
-// position is the row index) and consecutive weights belong to
-// consecutive groups, so the kernel sweeps each row's group segment — a
-// contiguous ~shard-sized run of memory, which the hardware prefetcher
-// streams — XORs each word with the row's uniform bias+sign mask (0x80
-// per byte for +1 rows, 0x7F for −1 rows: excess-128 bias, composed with
-// the byte-wise NOT that negates a weight in that domain), splits it into
-// even and odd byte lanes and adds it to per-group 16-bit lane
-// accumulators (two uint64 words per 8 groups, L1-resident). The lane
-// grid realigns with the segment each row (the interleave offset rotates
-// the segment under the groups), so up to 7 head/tail lanes per run are
-// handled scalar, adding sign·q plus the row's bias constant directly so
-// that *every* lane accrues exactly one biasRow per row; a single
-// closed-form subtraction of the returned bias then settles it for word
-// and scalar contributions alike:
-//
-//	checksum = Σ lanes − Σ_rows biasRow,  biasRow = 128 (+1) or 127 (−1)
-//
-// Lane accumulators are flushed into the int32 sums every 255 rows, before
-// a 16-bit lane (≤ 255 per row) can saturate. The checksum is an exact
-// int32 sum, so none of this reordering changes the result — it is
-// bit-identical to the per-group reference.
-func (pl *kernelPlan) interleaved(q []int8, lo, hi int, sums []int32, accE, accO []uint64) (bias int32) {
-	l, n, rows, rowsFull, off := pl.l, pl.n, pl.rows, pl.rowsFull, pl.off
-	qb := asBytes(q)
-	S := hi - lo
-	var biasAcc int32 // Σ biasRow over all rows, for the caller to subtract
-	rowsInAcc := 0
-	c := lo % n // column of group lo, maintained per row
-	for r := 0; r < rows; r++ {
-		t := r & (KeyBits - 1)
-		mask, biasRow, sign := pl.maskTab[t], pl.biasTab[t], pl.signTab[t]
-		base := r * n
-		if r >= rowsFull {
-			// Ragged last row: scalar with presence checks. Absent lanes
-			// still accrue biasRow so the uniform settlement stays exact.
-			for k := 0; k < S; k++ {
-				cc := c + k
-				if cc >= n {
-					cc -= n
-				}
-				if i := base + cc; i < l {
-					sums[k] += sign*int32(q[i]) + biasRow
-				} else {
-					sums[k] += biasRow
-				}
-			}
-		} else {
-			// Run 1: lanes [0, S1) at memory base+c+lane — lane 0 is
-			// word-aligned with the accumulator grid by construction.
-			S1 := n - c
-			if S1 > S {
-				S1 = S
-			}
-			w1 := S1 >> 3
-			addWords(accE[:w1], accO[:w1], qb[base+c:], mask)
-			for k := w1 << 3; k < S1; k++ { // run-1 tail lanes
-				sums[k] += sign*int32(q[base+c+k]) + biasRow
-			}
-			if S1 < S {
-				// Run 2 (ring wrap): lanes [S1, S) at memory base+lane−S1.
-				// Scalar until the lane grid realigns, then words again.
-				a2 := (S1 + 7) &^ 7
-				if a2 > S {
-					a2 = S
-				}
-				for k := S1; k < a2; k++ {
-					sums[k] += sign*int32(q[base+k-S1]) + biasRow
-				}
-				b2 := max(S&^7, a2)
-				addWords(accE[a2>>3:b2>>3], accO[a2>>3:b2>>3], qb[base+a2-S1:], mask)
-				for k := b2; k < S; k++ {
-					sums[k] += sign*int32(q[base+k-S1]) + biasRow
-				}
-			}
-		}
-		biasAcc += biasRow
-		if rowsInAcc++; rowsInAcc == 255 {
-			drainAcc(sums, accE, accO)
-			rowsInAcc = 0
-		}
-		if c -= off; c < 0 {
-			c += n
-		}
-	}
-	drainAcc(sums, accE, accO)
-	return biasAcc
+// rowRun is one row's view of the lanes of [lo, hi): lane k (group lo+k)
+// sits at qb[p1+k] up to the ring wrap at lane s1 and at qb[p2+k] after it.
+type rowRun struct {
+	mask       uint64
+	s1, p1, p2 int
 }
 
-// addWords is the inner loop of the interleaved kernel: it masks
-// len(accE) consecutive words of one row segment and adds their even and
-// odd byte lanes into the matching accumulator words.
-func addWords(accE, accO []uint64, seg []byte, mask uint64) {
+// at returns the byte index of lane k.
+func (rw *rowRun) at(k int) int {
+	if k < rw.s1 {
+		return rw.p1 + k
+	}
+	return rw.p2 + k
+}
+
+// gather returns lanes k … k+7 of the row byte by byte, for the edges of
+// the layer where a word load would leave it; a byte past the end (ragged
+// last row) reads as a zero weight, which adds the row's bare constant.
+func (rw *rowRun) gather(qb []byte, k int) uint64 {
+	var x uint64
+	for b := 0; b < 8; b++ {
+		if i := rw.at(k + b); i < len(qb) {
+			x |= uint64(qb[i]) << (8 * uint(b))
+		}
+	}
+	return x
+}
+
+// interleaved is the word-parallel kernel for interleaved grouping (see the
+// file header): it sweeps the rows over the lane accumulators, four at a
+// time, then settles the lanes into signature bytes, eight per store.
+func (pl *kernelPlan) interleaved(qb []byte, lo, hi int, sig *sigChunk) {
+	n, S := pl.n, hi-lo
+	var accEBuf, accOBuf [kernelChunk / 8]uint64
+	accE, accO := accEBuf[:(S+7)>>3], accOBuf[:(S+7)>>3]
+	var blk [blockRows]rowRun
+	c := lo // column of group lo in row r: (lo − off·r) mod n
+	sinceClear := 0
+	for r := 0; r < pl.rows; {
+		nr, words := min(blockRows, pl.rowsFull-r), S>>3
+		if nr <= 0 {
+			nr, words = 1, 0 // ragged last row: every lane presence-checked
+		}
+		for i := range blk[:nr] {
+			s1 := min(n-c, S)
+			blk[i] = rowRun{mask: pl.rowMask[(r+i)&(KeyBits-1)], s1: s1, p1: (r+i)*n + c, p2: (r+i)*n - s1}
+			if c -= pl.off; c < 0 {
+				c += n
+			}
+		}
+		if sinceClear += nr; sinceClear > laneRows {
+			for w := range accE {
+				accE[w] &= swarLane15
+				accO[w] &= swarLane15
+			}
+			sinceClear = nr
+		}
+		addBlock(accE, accO, qb, blk[:nr], words)
+		addGathered(accE, accO, qb, blk[:nr], words, len(accE))
+		r += nr
+	}
+	for w := range accE {
+		e := accE[w]&swarLane15 + pl.settle
+		o := accO[w]&swarLane15 + pl.settle
+		e = (e>>7)&(3*swarLaneOnes) | (e>>4)&pl.sigC
+		o = (o>>7)&(3*swarLaneOnes) | (o>>4)&pl.sigC
+		binary.LittleEndian.PutUint64(sig[8*w:], e|o<<8)
+	}
+}
+
+// addBlock adds accumulator words [0, words) of a block of full rows.
+// Consecutive rows wrap within a few lanes of each other, so the words
+// [u, v) that hold some row's wrap are few; before them every row of a full
+// block is a plain word run (up to its wrap), after them another (past it),
+// and addWords4 takes both.
+func addBlock(accE, accO []uint64, qb []byte, blk []rowRun, words int) {
+	u, v := 0, words // a short block goes word by word throughout
+	if len(blk) == blockRows {
+		u, v = words, 0
+		for i := range blk {
+			if s1 := blk[i].s1; s1>>3 < words {
+				u, v = min(u, s1>>3), max(v, (s1+7)>>3)
+			}
+		}
+		v = min(max(u, v), words)
+		for _, run := range [2][2]int{{0, u}, {v, words}} {
+			if k := run[0] << 3; run[0] < run[1] {
+				addWords4(accE[run[0]:run[1]], accO[run[0]:run[1]], qb[blk[0].at(k):], qb[blk[1].at(k):], qb[blk[2].at(k):], qb[blk[3].at(k):],
+					&[blockRows]uint64{blk[0].mask, blk[1].mask, blk[2].mask, blk[3].mask})
+			}
+		}
+	}
+	addGathered(accE, accO, qb, blk, u, v)
+}
+
+// addGathered adds accumulator words [u, v) of the rows a word and a row at
+// a time: wrap words, the word past the last whole one (whose load may run
+// into scratch lanes past hi−lo), short blocks and the ragged last row. A
+// word with the wrap h lanes in, 0 < h < 8, is the row's last bytes shifted
+// down to the low lanes and its first bytes shifted up behind them.
+func addGathered(accE, accO []uint64, qb []byte, blk []rowRun, u, v int) {
+	for w := u; w < v; w++ {
+		var e, o uint64
+		for r := range blk {
+			rw, k := &blk[r], w<<3
+			h, a := rw.s1-k, rw.at(k)
+			i, j := rw.p1+rw.s1-8, rw.p2+rw.s1 // the row's last eight bytes, and its first
+			var x uint64
+			switch {
+			case (h <= 0 || h >= 8) && a+8 <= len(qb):
+				x = binary.LittleEndian.Uint64(qb[a:])
+			case 0 < h && h < 8 && i >= 0 && max(i, j)+8 <= len(qb):
+				x = binary.LittleEndian.Uint64(qb[i:])>>(8*uint(8-h)) | binary.LittleEndian.Uint64(qb[j:])<<(8*uint(h))
+			default:
+				x = rw.gather(qb, k)
+			}
+			x ^= rw.mask
+			e += x & swarLowBytes
+			o += (x >> 8) & swarLowBytes
+		}
+		accE[w] += e
+		accO[w] += o
+	}
+}
+
+// addWords4 is the inner loop of the interleaved kernel: it masks
+// len(accE) consecutive words of four rows, sums their even and odd byte
+// lanes in registers (≤ 1020 per lane) and reads and writes the
+// accumulators once. The four segments are length-checked once, up front,
+// and then read through word8.
+func addWords4(accE, accO []uint64, s0, s1, s2, s3 []byte, m *[blockRows]uint64) {
 	accO = accO[:len(accE)]
-	seg = seg[:len(accE)<<3]
+	nb := len(accE) << 3
+	p0, p1 := unsafe.Pointer(unsafe.SliceData(s0[:nb])), unsafe.Pointer(unsafe.SliceData(s1[:nb]))
+	p2, p3 := unsafe.Pointer(unsafe.SliceData(s2[:nb])), unsafe.Pointer(unsafe.SliceData(s3[:nb]))
 	for w := range accE {
-		ux := binary.LittleEndian.Uint64(seg[w<<3:]) ^ mask
-		accE[w] += ux & swarLowBytes
-		accO[w] += (ux >> 8) & swarLowBytes
+		x := word8(p0, w) ^ m[0]
+		e, o := x&swarLowBytes, (x>>8)&swarLowBytes
+		x = word8(p1, w) ^ m[1]
+		e, o = e+x&swarLowBytes, o+(x>>8)&swarLowBytes
+		x = word8(p2, w) ^ m[2]
+		e, o = e+x&swarLowBytes, o+(x>>8)&swarLowBytes
+		x = word8(p3, w) ^ m[3]
+		accE[w] += e + x&swarLowBytes
+		accO[w] += o + (x>>8)&swarLowBytes
 	}
 }
 
-// drainAcc flushes the 16-bit lane accumulators into the per-group int32
-// sums and zeroes them. 16-bit lane t of accE[w] / accO[w] belongs to
-// sums[8w+2t] / sums[8w+2t+1].
-func drainAcc(sums []int32, accE, accO []uint64) {
-	for w := range accE {
-		e, o := accE[w], accO[w]
-		accE[w], accO[w] = 0, 0
-		k0 := 8 * w
-		lane := sums[k0 : k0+8 : k0+8]
-		for t := 0; t < 4; t++ {
-			sh := uint(16 * t)
-			lane[2*t] += int32((e >> sh) & 0xFFFF)
-			lane[2*t+1] += int32((o >> sh) & 0xFFFF)
-		}
-	}
+// word8 loads the w-th little-endian word after p with no bounds check;
+// the caller has checked that 8(w+1) bytes are there.
+func word8(p unsafe.Pointer, w int) uint64 {
+	return binary.LittleEndian.Uint64((*[8]byte)(unsafe.Add(p, w<<3))[:])
 }

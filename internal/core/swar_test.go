@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -73,7 +74,7 @@ func TestSWARMatchesScalarRangeKernel(t *testing.T) {
 				Interleave: interleave,
 				Offset:     DefaultOffset + rng.Intn(8),
 				Key:        uint16(rng.Intn(1 << KeyBits)),
-				SigBits:    2,
+				SigBits:    2 + rng.Intn(2),
 			}
 			q := randWeights(rng, geo.l)
 			n := s.NumGroups(geo.l)
@@ -90,6 +91,35 @@ func TestSWARMatchesScalarRangeKernel(t *testing.T) {
 					if got[k] != want[k] {
 						t.Fatalf("G=%d l=%d interleave=%v key=%#x [%d,%d): group %d differs",
 							geo.g, geo.l, interleave, s.Key, lo, hi, lo+k)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSWARLaneSaturation drives every 16-bit lane of the interleaved
+// kernel through 2¹⁶ many times over — constant extreme weights under
+// all-plus, all-minus and mixed keys add 255 (or 0) per row for up to 4096
+// rows, where random weights at G ≤ 513 barely reach the wrap — so the
+// bit-15 clearing and the mod-512 settlement are what is under test.
+func TestSWARLaneSaturation(t *testing.T) {
+	for _, g := range []int{512, 1000, 4096} {
+		for _, w := range []int8{127, -128} {
+			for _, key := range []uint16{0x0000, 0xFFFF, 0xA5C3} {
+				for _, sigBits := range []int{2, 3} {
+					q := make([]int8, g*19+5) // 20 groups, ragged last row
+					for i := range q {
+						q[i] = w
+					}
+					s := Scheme{G: g, Interleave: true, Offset: DefaultOffset, Key: key, SigBits: sigBits}
+					want := refSignatures(s, q)
+					if got := s.Signatures(q); !slices.Equal(got, want) {
+						t.Fatalf("G=%d w=%d key=%#x sigBits=%d: SWAR %v, reference %v", g, w, key, sigBits, got, want)
+					}
+					pl := s.compile(len(q))
+					if !pl.verify(q, want) {
+						t.Fatalf("G=%d w=%d key=%#x sigBits=%d: verify rejects the reference signatures", g, w, key, sigBits)
 					}
 				}
 			}
@@ -230,24 +260,38 @@ func TestScanZeroAlloc(t *testing.T) {
 // Checksum reference. CI runs the seed corpus under -race on every push;
 // `go test -fuzz=FuzzSignatures ./internal/core` explores further.
 func FuzzSignatures(f *testing.F) {
-	f.Add([]byte{1, 255, 3, 128, 5, 6, 7, 8, 9}, uint16(0xBEEF), 8, 3, true)
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, uint16(0), 1, 0, false)
-	f.Add([]byte{127, 128, 64, 32}, uint16(0xFFFF), 512, 6, true)
-	f.Fuzz(func(t *testing.T, raw []byte, key uint16, g, offset int, interleave bool) {
-		if len(raw) == 0 || g <= 0 || g > 4096 || offset < 0 || offset > 64 {
+	f.Add([]byte{1, 255, 3, 128, 5, 6, 7, 8, 9}, uint16(0xBEEF), 8, 3, true, 2, 0, 1<<30)
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, uint16(0), 1, 0, false, 2, 0, 1<<30)
+	f.Add([]byte{127, 128, 64, 32}, uint16(0xFFFF), 512, 6, true, 2, 0, 1<<30)
+	ramp := make([]byte, 200)
+	for i := range ramp {
+		ramp[i] = byte(i * 37)
+	}
+	f.Add(ramp, uint16(0x1234), 4, 0, true, 3, 3, 16)  // offset 0: every row wraps in the same word
+	f.Add(ramp, uint16(0x8001), 7, 5, true, 3, 11, 24) // ragged last row, 13 groups
+	f.Add(ramp, uint16(0x00FF), 9, 1, false, 3, 2, 7)
+	f.Fuzz(func(t *testing.T, raw []byte, key uint16, g, offset int, interleave bool, sigBits, lo, hi int) {
+		if len(raw) == 0 || g <= 0 || g > 4096 || offset < 0 || offset > 64 || (sigBits != 2 && sigBits != 3) {
 			t.Skip()
 		}
 		q := make([]int8, len(raw))
 		for i, b := range raw {
 			q[i] = int8(b)
 		}
-		s := Scheme{G: g, Interleave: interleave, Offset: offset, Key: key, SigBits: 2}
-		want := refSignatures(s, q)
-		got := s.Signatures(q)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("G=%d offset=%d key=%#x interleave=%v l=%d group %d: SWAR %03b, reference %03b",
-					g, offset, key, interleave, len(q), j, got[j], want[j])
+		s := Scheme{G: g, Interleave: interleave, Offset: offset, Key: key, SigBits: sigBits}
+		hi = min(hi, s.NumGroups(len(q)))
+		if lo < 0 || lo >= hi {
+			t.Skip()
+		}
+		want := refSignatures(s, q)[lo:hi]
+		got := s.SignaturesRange(q, lo, hi)
+		if len(got) != len(want) {
+			t.Fatalf("[%d,%d): %d signatures, want %d", lo, hi, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("G=%d offset=%d key=%#x interleave=%v sigBits=%d l=%d [%d,%d) group %d: SWAR %03b, reference %03b",
+					g, offset, key, interleave, sigBits, len(q), lo, hi, lo+k, got[k], want[k])
 			}
 		}
 	})

@@ -29,8 +29,9 @@ type Layer struct {
 	Q []int8
 	// Scale is the per-layer dequantization step: w = scale * q.
 	Scale float32
-	// Scales, when non-empty, holds per-output-channel scales (the
-	// QuantizePerChannel ablation); Scale then mirrors Scales[0].
+	// Scales, when non-empty, holds one scale per output channel (equal
+	// runs of Q; the store format carries them); Scale then mirrors
+	// Scales[0].
 	Scales []float32
 	// Param points at the float tensor used for inference.
 	Param *nn.Param
@@ -182,6 +183,16 @@ func (l *Layer) Sync() {
 	for i, q := range l.Q {
 		l.Param.Value.Data[i] = float32(q) * l.scaleAt(i)
 	}
+}
+
+// scaleAt returns the dequantization scale of weight index i, honoring
+// per-channel scales when present.
+func (l *Layer) scaleAt(i int) float32 {
+	if len(l.Scales) == 0 {
+		return l.Scale
+	}
+	cols := len(l.Q) / len(l.Scales)
+	return l.Scales[i/cols]
 }
 
 // SyncIndex dequantizes a single weight (cheap update after one bit flip).

@@ -191,3 +191,41 @@ func TestQuantizePreservesInference(t *testing.T) {
 		}
 	}
 }
+
+// perChannel gives every layer of m one scale per output channel (row r at
+// (r+1)× the layer scale) and re-syncs the float side.
+func perChannel(m *Model) {
+	for _, l := range m.Layers {
+		l.Scales = make([]float32, l.Param.Value.Shape[0])
+		for r := range l.Scales {
+			l.Scales[r] = l.Scale * float32(r+1)
+		}
+	}
+	m.SyncAll()
+}
+
+func TestPerChannelSyncUsesRowScale(t *testing.T) {
+	m := Quantize(tinyNet(22))
+	perChannel(m)
+	l := m.Layers[0]
+	cols := len(l.Q) / len(l.Scales)
+	for i, q := range l.Q {
+		want := float32(q) * l.Scales[i/cols]
+		if l.Param.Value.Data[i] != want {
+			t.Fatalf("weight %d synced with wrong scale", i)
+		}
+	}
+}
+
+func TestPerChannelFlipBitSyncs(t *testing.T) {
+	m := Quantize(tinyNet(23))
+	perChannel(m)
+	a := BitAddress{LayerIndex: 1, WeightIndex: 12, Bit: MSB} // second row: not Scale
+	m.FlipBit(a)
+	l := m.Layers[1]
+	cols := len(l.Q) / len(l.Scales)
+	want := float32(l.Q[12]) * l.Scales[12/cols]
+	if l.Param.Value.Data[12] != want {
+		t.Fatal("FlipBit did not sync with per-channel scale")
+	}
+}

@@ -128,12 +128,23 @@ func TestRollingScrub(t *testing.T) {
 				for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
 					windows = append(windows, srv.exposureWindow())
 				}
-				// Two intervals is the closed form; the rest is scheduler
-				// slack. The alternating scrubber this replaced sat at up
-				// to eight.
+				// Two intervals is the closed form: hold the median to it
+				// with one interval to spare. The rest is scheduler slack
+				// (the alternating scrubber this replaced sat at up to
+				// eight intervals), held on the upper quartile; the worst
+				// of ~40 samples is one late wake-up of a 2 ms ticker on a
+				// shared host, so it is logged, not asserted. A scrubber
+				// that stops ticking fails both: the window then grows to
+				// the length of the loop.
 				slices.Sort(windows)
-				if worst, limit := windows[len(windows)-1], 6*srv.cfg.ScrubInterval; worst > limit {
-					t.Fatalf("exposure window reached %v over %d samples (median %v), want at most %v", worst, len(windows), windows[len(windows)/2], limit)
+				iv := srv.cfg.ScrubInterval
+				median, q3, worst := windows[len(windows)/2], windows[len(windows)*3/4], windows[len(windows)-1]
+				t.Logf("exposure window over %d samples: median %v, upper quartile %v, worst %v", len(windows), median, q3, worst)
+				if median > 3*iv {
+					t.Fatalf("median exposure window %v, want at most %v", median, 3*iv)
+				}
+				if q3 > 6*iv {
+					t.Fatalf("upper-quartile exposure window %v, want at most %v", q3, 6*iv)
 				}
 			},
 		},
