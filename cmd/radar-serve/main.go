@@ -294,8 +294,8 @@ func main() {
 		for i, h := range hostedModels {
 			names[i] = h.name
 		}
-		log.Printf("serving %d model(s) [%s] on %s — verify=%v scrub=%v jobs=%d",
-			len(hostedModels), strings.Join(names, ", "), *addr, *verify, *scrub, *jobs)
+		log.Printf("serving %d model(s) [%s] on %s — verify=%v scrub=%v jobs=%d gemm=%s",
+			len(hostedModels), strings.Join(names, ", "), *addr, *verify, *scrub, *jobs, qinfer.GEMMKernel())
 		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			log.Fatalf("http: %v", err)
 		}

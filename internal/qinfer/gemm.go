@@ -1,34 +1,53 @@
-// im2col + pair-packed int8 GEMM convolution kernel.
+// im2col + int8 GEMM convolution, with two GEMM kernels.
 //
 // The historical conv loop (retained as computeRef) carried the padding
 // branches and five levels of index arithmetic into the innermost
-// multiply; this kernel hoists all of that out of the hot path. Each conv
-// stage packs its live weight rows two to a 64-bit word (packPairs, once
-// per stage call inside the fetch bracket — never kept across passes, so
-// inference keeps reading the protected image, flips included), packs the
+// multiply; this path hoists all of that out. Each conv stage packs the
 // receptive field of every output pixel into a pixel-major patch matrix
 // (im2col, over a zero-bordered copy of the image so no tap needs a bounds
-// branch), and multiplies the two (gemmPacked): the K loop does
-// acc += (w[m][k] + w[m+1][k]·2³²) · b[p][k], one 64-bit multiply for two
-// MACs, on a 2-pair × 4-pixel tile of 8 accumulators.
+// branch) and multiplies the weight rows with it. Either kernel reads the
+// weights from the protected image on every stage call, inside the fetch
+// bracket, and keeps nothing across passes — inference sees the image as it
+// is, flips included.
 //
-// Exactness: acc = S_m + S_m+1·2³² mod 2⁶⁴ with S the two dot products, so
-// lo = int32(acc) is S_m and (acc − lo) >> 32 is S_m+1 whenever both fit an
-// int32 — |S| ≤ K·2¹⁴ < 2³¹, which Compile enforces as K ≤ maxLaneK. Int
-// addition is exact in any order, so the outputs are bit-identical to the
-// reference loop's — property-tested in gemm_test.go over every layer
-// shape of the checkpoint models plus randomized shapes.
+//   - avx2 (gemm_amd64.s, behind gemmAVX2): reads the weight rows where
+//     they lie. Sixteen int8 of a weight row and of a patch row are
+//     sign-extended to int16, VPMADDWD multiplies them and adds adjacent
+//     pairs into eight int32 lanes, a 2-row × 4-pixel tile keeps eight
+//     such accumulators, and the lanes are summed at the end of K. The
+//     tile loops are inside the assembly: one call per image per stage.
+//   - generic (packPairs + gemmPacked, pure Go): packs the weight rows two
+//     to a 64-bit word, once per stage call, and the K loop does
+//     acc += (w[m][k] + w[m+1][k]·2³²) · b[p][k], one 64-bit multiply for
+//     two MACs, on a 2-pair × 4-pixel tile of 8 accumulators.
+//
+// Dispatch is by what the process can observe and nothing else: on amd64 an
+// init-time CPUID/XGETBV probe installs the avx2 kernel in gemmLive when
+// the CPU has AVX2 and the OS saves YMM state; every other GOARCH, and an
+// amd64 host without it, runs the generic kernel. GEMMKernel names the
+// choice; no option, flag or environment variable changes it.
+//
+// Exactness: a dot product S has |S| ≤ K·2¹⁴ < 2³¹, which Compile enforces
+// as K ≤ maxLaneK, and integer addition is exact in any order. Generic:
+// acc = S_m + S_m+1·2³² mod 2⁶⁴, so lo = int32(acc) is S_m and
+// (acc − lo) >> 32 is S_m+1 whenever both fit an int32. avx2: a product of
+// two int8 is at most 2¹⁴, so a VPMADDWD pair sum (≤ 2¹⁵) is nowhere near
+// the instruction's one overflow case, and every lane holds a sub-sum of
+// products whose absolute values total less than 2³¹. So both kernels'
+// outputs are bit-identical to the reference loop's — property-tested in
+// gemm_test.go, once per kernel, over every layer shape of the checkpoint
+// models plus randomized shapes.
 package qinfer
 
 import "time"
 
 // engineScratch is the working state of one Forward pass: the packed
-// weight rows of the stage in flight, the zero-bordered input plane, the
-// im2col patch matrix, the GEMM accumulator plane and the classifier's
-// dequantized row, plus the pass's fetch seam and clocks. Instances cycle
-// through the engine's pool so concurrent inference workers
-// (internal/serve runs several over one Engine) never share or reallocate
-// buffers in steady state.
+// weight rows of the stage in flight (generic kernel only), the
+// zero-bordered input plane, the im2col patch matrix, the GEMM accumulator
+// plane and the classifier's dequantized row, plus the pass's fetch seam
+// and clocks. Instances cycle through the engine's pool so concurrent
+// inference workers (internal/serve runs several over one Engine) never
+// share or reallocate buffers in steady state.
 type engineScratch struct {
 	packed [][2]int64
 	padded []int8
@@ -146,6 +165,21 @@ func (c *qconv) im2col(src []int8, h, w, outH, outW int, cols []int8, sc *engine
 			}
 		}
 	}
+}
+
+// gemmLive is the kernel that multiplies straight from the live weight
+// rows, installed at init where the host supports one (gemm_amd64.go); nil
+// selects packPairs + gemmPacked. Only init and the tests write it.
+var gemmLive func(a, b []int8, out []int32, M, K, P4 int)
+
+// GEMMKernel names the GEMM kernel the conv stages of this process run,
+// "avx2" or "generic", so a latency figure can be tied to the path that
+// produced it.
+func GEMMKernel() string {
+	if gemmLive != nil {
+		return "avx2"
+	}
+	return "generic"
 }
 
 // maxLaneK is the largest K whose dot products fit an int32 lane whatever

@@ -1,0 +1,49 @@
+package qinfer
+
+// The kernels of gemm_amd64.s.
+
+//go:noescape
+func gemmAVX2Kernel(a, b *int8, out *int32, M, K, P4 int)
+
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+func xcr0() uint32
+
+func init() {
+	if hasAVX2() {
+		gemmLive = gemmAVX2
+	}
+}
+
+// hasAVX2 reports whether the CPU executes AVX2 and the OS saves the YMM
+// registers across context switches; the first without the second faults.
+func hasAVX2() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, c, _ := cpuid(1, 0); c&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	if xcr0()&6 != 6 { // XMM and YMM state
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&(1<<5) != 0
+}
+
+// gemmAVX2 computes out[m·P4+p] = Σ_k a[m·K+k]·b[p·K+k] for the M weight
+// rows of a — the protected image itself, unpacked — and the P4 rows of the
+// patch matrix b, P4 a multiple of 4 as for gemmPacked. The operands are
+// checked against their shape here, once, because the assembly is handed
+// bare pointers and a weight row can end on the last mapped byte of a
+// checkpoint: it loads nothing outside a[:M·K] and b[:P4·K].
+func gemmAVX2(a, b []int8, out []int32, M, K, P4 int) {
+	if M <= 0 || K <= 0 || P4 <= 0 {
+		return
+	}
+	if P4&3 != 0 || len(a) < M*K || len(b) < P4*K || len(out) < M*P4 {
+		panic("qinfer: gemmAVX2 operand shorter than its shape")
+	}
+	gemmAVX2Kernel(&a[0], &b[0], &out[0], M, K, P4)
+}

@@ -55,12 +55,60 @@ func mustMatch(t *testing.T, label string, got, want *QTensor) {
 	}
 }
 
+// kernelLeg is one setting of the dispatch variable compute reads.
+type kernelLeg struct {
+	name string
+	live func(a, b []int8, out []int32, M, K, P4 int)
+}
+
+// kernelLegs lists the GEMM kernels this host can run — the pure-Go packed
+// kernel everywhere, the live-row kernel where CPUID offers one (see
+// gemm.go) — for tests and benchmarks that switch gemmLive to cover both
+// from one binary; the host's own choice is restored when tb ends.
+func kernelLegs(tb testing.TB) []kernelLeg {
+	live := gemmLive
+	tb.Cleanup(func() { gemmLive = live })
+	legs := []kernelLeg{{"generic", nil}}
+	if live != nil {
+		legs = append(legs, kernelLeg{"avx2", live})
+	}
+	return legs
+}
+
+// eachKernel runs f as one subtest per kernel.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	for _, leg := range kernelLegs(t) {
+		t.Run("kernel="+leg.name, func(t *testing.T) {
+			gemmLive = leg.live
+			f(t)
+		})
+	}
+}
+
+// TestEngineContractsOnGenericKernel re-runs, unmodified, the engine-level
+// tests whose subject is how the weights are read — live on every pass,
+// within the allocation budget — on the kernel that is not this host's
+// default, so both paths hold them.
+func TestEngineContractsOnGenericKernel(t *testing.T) {
+	if len(kernelLegs(t)) == 1 {
+		t.Skip("the generic kernel is this host's default: those tests already ran on it")
+	}
+	gemmLive = nil
+	t.Run("ForwardReadsLiveWeights", TestForwardReadsLiveWeights)
+	t.Run("ForwardAllocBudget", TestForwardAllocBudget)
+	t.Run("ForwardFetchAddsNoAllocs", TestForwardFetchAddsNoAllocs)
+}
+
 // TestConvGEMMMatchesReferenceRandom pins the im2col+GEMM conv against
 // the 7-loop reference on randomized geometries: 1×1 through 7×7 kernels,
 // strides, pads (including pad ≥ kernel reach), odd spatial sizes that
 // make stride-2 outputs ragged, and batches that exercise scratch reuse
 // across images.
 func TestConvGEMMMatchesReferenceRandom(t *testing.T) {
+	eachKernel(t, testConvGEMMRandom)
+}
+
+func testConvGEMMRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	sc := new(engineScratch)
 	for trial := 0; trial < 60; trial++ {
@@ -88,6 +136,10 @@ func TestConvGEMMMatchesReferenceRandom(t *testing.T) {
 // resolutions, so every deployed (inC, outC, k, stride, pad) combination
 // is covered bit-for-bit.
 func TestConvGEMMMatchesReferenceCheckpoints(t *testing.T) {
+	eachKernel(t, testConvGEMMCheckpoints)
+}
+
+func testConvGEMMCheckpoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	sc := new(engineScratch)
 	for _, spec := range []model.Spec{model.TinySpec(), model.ResNet20sSpec()} {
@@ -108,42 +160,63 @@ func TestConvGEMMMatchesReferenceCheckpoints(t *testing.T) {
 	}
 }
 
-// gemmInt8 runs the packed kernel on plain row-major operands: a (M×K)
-// packed, b (P×K) and out (M×P) padded to the kernel's multiples of 4.
+// gemmInt8 runs the selected kernel on plain row-major operands: a (M×K,
+// packed first for the generic kernel), b (P×K) and out (M×P) padded to
+// the kernels' multiples of 4.
 func gemmInt8(a, b []int8, out []int32, M, K, P int) {
 	m4, p4 := (M+3)&^3, (P+3)&^3
-	packed := make([][2]int64, m4/4*K)
-	packPairs(a, packed, M, K)
 	bp := make([]int8, p4*K)
 	copy(bp, b)
 	acc := make([]int32, m4*p4)
-	gemmPacked(packed, bp, acc, m4, K, p4)
+	if gemmLive != nil {
+		gemmLive(a, bp, acc, M, K, p4)
+	} else {
+		packed := make([][2]int64, m4/4*K)
+		packPairs(a, packed, M, K)
+		gemmPacked(packed, bp, acc, m4, K, p4)
+	}
 	for m := 0; m < M; m++ {
 		copy(out[m*P:][:P], acc[m*p4:])
 	}
 }
 
-// TestGEMMKernelEdges drives the packed kernel directly across the 4×4
-// tile edges (M, P ≡ 0..3 mod 4, K from 1), then saturates both lanes of a
-// packed pair in all four sign combinations: constant rows of −128 or 127
+// TestGEMMKernelEdges drives each kernel directly across its tile edges
+// (M, P ≡ 0..3 mod 4, K from 1), then every K from 1 to 48 — below one
+// 16-byte step, on its multiples and every tail between — against odd and
+// even M and P off the 4-pixel tile, then saturates both lanes of a packed
+// pair in all four sign combinations: constant rows of −128 or 127
 // against constant patch rows of −128 or 127, so every product is ±128·128
 // or ±128·127 and a lane at its positive extreme sits beside one its
-// neighbour borrows from, with K up to maxLaneK, the bound Compile enforces.
+// neighbour borrows from, with K up to maxLaneK, the bound Compile enforces
+// — where the all-(−128) dot product, 131071·2¹⁴, is the largest sum an
+// int32 lane of either kernel is ever asked to hold.
 func TestGEMMKernelEdges(t *testing.T) {
+	eachKernel(t, testGEMMKernelEdges)
+}
+
+func testGEMMKernelEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	random := func(m, k, p int) {
+		a := make([]int8, m*k)
+		b := make([]int8, p*k)
+		for i := range a {
+			a[i] = int8(rng.Intn(256) - 128)
+		}
+		for i := range b {
+			b[i] = int8(rng.Intn(256) - 128)
+		}
+		mustGEMM(t, a, b, m, k, p)
+	}
 	for _, m := range []int{1, 2, 3, 4, 5, 7, 8, 9} {
 		for _, p := range []int{1, 2, 3, 4, 6, 8, 13} {
 			for _, k := range []int{1, 2, 9, 27} {
-				a := make([]int8, m*k)
-				b := make([]int8, p*k)
-				for i := range a {
-					a[i] = int8(rng.Intn(256) - 128)
-				}
-				for i := range b {
-					b[i] = int8(rng.Intn(256) - 128)
-				}
-				mustGEMM(t, a, b, m, k, p)
+				random(m, k, p)
 			}
+		}
+	}
+	for k := 1; k <= 48; k++ {
+		for _, m := range []int{1, 2, 3, 5} {
+			random(m, k, 1+(k+m)%7)
 		}
 	}
 	fill := func(dst []int8, v int8) {
@@ -190,6 +263,10 @@ func mustGEMM(t *testing.T, a, b []int8, m, k, p int) {
 // last taps lie past the padded image; they must read as zeros, as the
 // reference loop skips them — a serving request may carry any (H, W).
 func TestConvGEMMSmallInputs(t *testing.T) {
+	eachKernel(t, testConvGEMMSmallInputs)
+}
+
+func testConvGEMMSmallInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	sc := new(engineScratch)
 	for _, g := range []struct{ k, stride, pad, h, w int }{
@@ -206,6 +283,10 @@ func TestConvGEMMSmallInputs(t *testing.T) {
 // the sequential one, which exercises the scratch pool for aliasing bugs
 // (and races, under -race in CI).
 func TestConcurrentForwardIdentical(t *testing.T) {
+	eachKernel(t, testConcurrentForwardIdentical)
+}
+
+func testConcurrentForwardIdentical(t *testing.T) {
 	b, eng := compileTiny(t)
 	x, _ := b.Test.Batch(0, 4)
 	want := eng.Forward(x)
@@ -235,9 +316,13 @@ func TestConcurrentForwardIdentical(t *testing.T) {
 
 // FuzzConvGEMM is the differential fuzz target for the conv kernel:
 // arbitrary bytes become weights and activations over a small randomized
-// geometry, GEMM vs the reference loop. CI runs the seed corpus under
-// -race; `go test -fuzz=FuzzConvGEMM ./internal/qinfer` explores further.
+// geometry, each GEMM kernel vs the reference loop. K = 2·k² here, so k = 3,
+// 5, 6, 7 leave a K mod 16 tail and k ≤ 2 stays under one 16-byte step;
+// testdata/fuzz/FuzzConvGEMM holds seeds for each. CI runs the seed corpus
+// under -race; `go test -fuzz=FuzzConvGEMM ./internal/qinfer` explores
+// further.
 func FuzzConvGEMM(f *testing.F) {
+	legs := kernelLegs(f)
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 250, 130}, uint8(3), uint8(2), uint8(1), uint8(1), uint8(5))
 	f.Add([]byte{255, 0, 128, 64}, uint8(1), uint8(1), uint8(2), uint8(0), uint8(4))
 	f.Add(bytes.Repeat([]byte{0x80}, 64), uint8(2), uint8(0), uint8(1), uint8(1), uint8(3)) // the −128 extreme
@@ -259,18 +344,34 @@ func FuzzConvGEMM(f *testing.F) {
 		for i := range x.Q {
 			x.Q[i] = int8(raw[(i*7)%len(raw)] ^ byte(i))
 		}
-		got := c.compute(x, new(engineScratch))
 		want := c.computeRef(x)
-		mustMatch(t, c.name, got, want)
+		for _, leg := range legs {
+			gemmLive = leg.live
+			mustMatch(t, c.name+" "+leg.name, c.compute(x, new(engineScratch)), want)
+		}
 	})
 }
 
+// benchKernels runs f as one sub-benchmark per kernel, so old and new are
+// measured from one binary.
+func benchKernels(b *testing.B, f func(b *testing.B)) {
+	for _, leg := range kernelLegs(b) {
+		b.Run("kernel="+leg.name, func(b *testing.B) {
+			gemmLive = leg.live
+			f(b)
+		})
+	}
+}
+
 // BenchmarkConvGEMM / BenchmarkConvRef measure one mid-network ResNet
-// conv stage (64→64 3×3 on a 16×16 plane) through the GEMM path and the
-// reference loop — the per-stage speedup behind the serving gains.
+// conv stage (64→64 3×3 on a 16×16 plane) through the GEMM path, per
+// kernel, and the reference loop — the per-stage speedup behind the
+// serving gains.
 func BenchmarkConvGEMM(b *testing.B) {
 	sc := new(engineScratch)
-	benchConv(b, func(c *qconv, x *QTensor) { c.compute(x, sc) })
+	benchKernels(b, func(b *testing.B) {
+		benchConv(b, func(c *qconv, x *QTensor) { c.compute(x, sc) })
+	})
 }
 
 func BenchmarkConvRef(b *testing.B) {
@@ -296,7 +397,7 @@ func reportMACs(b *testing.B, perOp int) {
 
 // BenchmarkEngineForward measures the whole int8 engine — every conv stage,
 // requantization, residual adds, the classifier — on the two served
-// checkpoints at the batch sizes the serving path runs.
+// checkpoints at the batch sizes the serving path runs, per kernel.
 func BenchmarkEngineForward(b *testing.B) {
 	for _, spec := range []model.Spec{model.ResNet20sSpec(), model.TinySpec()} {
 		bundle := model.Load(spec)
@@ -308,10 +409,12 @@ func BenchmarkEngineForward(b *testing.B) {
 		for _, n := range []int{1, 8} {
 			x, _ := bundle.Test.Batch(0, n)
 			b.Run(fmt.Sprintf("%s/batch%d", spec.Name, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					eng.Forward(x)
-				}
-				reportMACs(b, n*eng.macs(x.Shape[2], x.Shape[3]))
+				benchKernels(b, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						eng.Forward(x)
+					}
+					reportMACs(b, n*eng.macs(x.Shape[2], x.Shape[3]))
+				})
 			})
 		}
 	}

@@ -113,9 +113,10 @@ func (c *qconv) forward(x *QTensor, sc *engineScratch) *QTensor {
 }
 
 // compute is the raw int8 convolution, free of any serving coordination:
-// the weight rows packed in pairs, then per image an im2col pack into the
-// scratch patch matrix, the pair-packed int8 GEMM (see gemm.go) and the
-// per-channel BN/ReLU requantization.
+// per image an im2col pack into the scratch patch matrix, the int8 GEMM
+// (see gemm.go: straight from the live weight rows where the host has the
+// kernel for it, else from rows packed in pairs first) and the per-channel
+// BN/ReLU requantization.
 // Output is bit-identical to computeRef, the retained reference loop.
 func (c *qconv) compute(x *QTensor, sc *engineScratch) *QTensor {
 	n, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
@@ -130,16 +131,24 @@ func (c *qconv) compute(x *QTensor, sc *engineScratch) *QTensor {
 	m4, p4 := (c.outC+3)&^3, (plane+3)&^3
 	cols := grow(&sc.cols, p4*kCols)
 	acc := grow(&sc.acc, m4*p4)
-	// Packed from the live image on every stage call, inside the fetch
-	// bracket: a flip between two passes reaches the second one.
-	packed := grow(&sc.packed, m4/4*kCols)
-	packPairs(c.w, packed, c.outC, kCols)
+	live := gemmLive
+	var packed [][2]int64
+	if live == nil {
+		// Packed from the live image on every stage call, inside the fetch
+		// bracket: a flip between two passes reaches the second one.
+		packed = grow(&sc.packed, m4/4*kCols)
+		packPairs(c.w, packed, c.outC, kCols)
+	}
 	// Effective multiplier from int32 accumulator to real value.
 	accScale := float64(c.wScale) * float64(x.Scale)
 	outScale := float64(c.outScale)
 	for img := 0; img < n; img++ {
 		c.im2col(x.Q[img*ch*h*w:][:ch*h*w], h, w, outH, outW, cols, sc)
-		gemmPacked(packed, cols, acc, m4, kCols, p4)
+		if live != nil {
+			live(c.w, cols, acc, c.outC, kCols, p4)
+		} else {
+			gemmPacked(packed, cols, acc, m4, kCols, p4)
+		}
 		outBase := img * c.outC * plane
 		for oc := 0; oc < c.outC; oc++ {
 			a := float64(c.bn.a[oc])

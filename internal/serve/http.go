@@ -35,11 +35,18 @@ type InferResponse struct {
 	Results []InferResult `json:"results"`
 }
 
-// decodeInferRequest parses an InferRequest body into per-input tensors
-// against the server's configured shape (or the request's override).
-func (s *Server) decodeInferRequest(r *http.Request) ([]*tensor.Tensor, error) {
+// maxInferBodyBytes caps an inference or job-submit body, the fleet
+// router's default MaxBodyBytes: a replica is also reached directly, and an
+// uncapped decode lets one client stream an endless array into the heap.
+const maxInferBodyBytes = 8 << 20
+
+// decodeInferRequest parses an InferRequest body of at most
+// maxInferBodyBytes (beyond it: *http.MaxBytesError, a 413) into per-input
+// tensors against the server's configured shape (or the request's
+// override).
+func (s *Server) decodeInferRequest(w http.ResponseWriter, r *http.Request) ([]*tensor.Tensor, error) {
 	var req InferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInferBodyBytes)).Decode(&req); err != nil {
 		return nil, fmt.Errorf("bad JSON: %w", err)
 	}
 	inputs := req.Inputs
@@ -62,9 +69,7 @@ func (s *Server) decodeInferRequest(r *http.Request) ([]*tensor.Tensor, error) {
 		if len(in) != vol {
 			return nil, fmt.Errorf("input %d has %d values, shape %v needs %d", i, len(in), shape, vol)
 		}
-		x := tensor.New(shape...)
-		copy(x.Data, in)
-		out[i] = x
+		out[i] = tensor.FromSlice(in, shape...) // the decoded slice is this request's own
 	}
 	return out, nil
 }
@@ -89,9 +94,9 @@ func requestID(w http.ResponseWriter, r *http.Request) string {
 // POST /v1/models/{model}/infer: submit everything first (so a
 // multi-input request fills batches), then collect in order, all under
 // the client's request context. Errors map through httpError
-// (400/429/503+Retry-After).
+// (400/413/429/503+Retry-After).
 func (s *Server) serveInfer(w http.ResponseWriter, r *http.Request) {
-	inputs, err := s.decodeInferRequest(r)
+	inputs, err := s.decodeInferRequest(w, r)
 	if err != nil {
 		httpError(w, err)
 		return

@@ -87,10 +87,13 @@ func (s *Service) Handler() http.Handler {
 
 // httpError maps the service's typed errors onto wire status codes:
 // unknown model/job → 404, duplicate/last model → 409, stopping → 503 +
-// Retry-After, saturated queue or job table → 429 + Retry-After, anything
-// else (malformed tensors, bad shapes) → 400.
+// Retry-After, saturated queue or job table → 429 + Retry-After, a body over
+// its cap → 413, anything else (malformed tensors, bad shapes) → 400.
 func httpError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
 	case errors.Is(err, ErrUnknownModel), errors.Is(err, ErrUnknownJob):
 		http.Error(w, err.Error(), http.StatusNotFound)
 	case errors.Is(err, ErrModelExists), errors.Is(err, ErrLastModel):
@@ -125,7 +128,7 @@ func (s *Service) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	inputs, err := hm.srv.decodeInferRequest(r)
+	inputs, err := hm.srv.decodeInferRequest(w, r)
 	if err != nil {
 		httpError(w, err)
 		return

@@ -29,13 +29,17 @@ func tinyBody(t testing.TB, x *tensor.Tensor) string {
 }
 
 // TestHTTPV1Routes is the table-driven status contract of the v1 surface:
-// unknown model → 404, malformed tensor/body → 400, wrong method → 405.
+// unknown model → 404, malformed tensor/body → 400, a body over the cap →
+// 413 on both routes that decode one, wrong method → 405.
 func TestHTTPV1Routes(t *testing.T) {
 	svc, b, _ := openTiny(t, 2, []ModelOption{WithScrub(0)})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	x, _ := b[0].Test.Batch(0, 1)
 	good := tinyBody(t, sample(x, 0))
+	// Ten bytes over the cap: the decoder must be cut off, not left to
+	// buffer an array of any length.
+	huge := `{"input":[` + strings.Repeat("0,", maxInferBodyBytes/2)
 
 	cases := []struct {
 		name   string
@@ -53,6 +57,8 @@ func TestHTTPV1Routes(t *testing.T) {
 		{"no inputs", "POST", "/v1/models/m0/infer", `{}`, 400},
 		{"bad shape", "POST", "/v1/models/m0/infer", `{"input":[1,2],"shape":[2]}`, 400},
 		{"multi-input job", "POST", "/v1/models/m0/jobs", fmt.Sprintf(`{"inputs":[%s,%s]}`, "[0.1]", "[0.2]"), 400},
+		{"oversized infer body", "POST", "/v1/models/m0/infer", huge, 413},
+		{"oversized job body", "POST", "/v1/models/m0/jobs", huge, 413},
 		{"unknown job", "GET", "/v1/jobs/job-ffffffff", "", 404},
 		{"models list", "GET", "/v1/models", "", 200},
 		{"model info", "GET", "/v1/models/m1", "", 200},

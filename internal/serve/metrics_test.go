@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"radar/internal/obs"
+	"radar/internal/qinfer"
 )
 
 // TestQuantilesNearestRank pins the nearest-rank definition: the rank is
@@ -125,10 +126,15 @@ func TestHTTPMetricsAndTraces(t *testing.T) {
 		`radar_request_latency_seconds_bucket{model="m0",le="+Inf"} 1`,
 		`radar_queue_depth{model="m0"}`,
 		`radar_exposure_window_seconds{model="m0"}`,
+		`radar_gemm_kernel_info{kernel="` + qinfer.GEMMKernel() + `"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	// One process runs one kernel: exactly one series, whatever it hosts.
+	if n := strings.Count(text, "radar_gemm_kernel_info{"); n != 1 {
+		t.Errorf("exposition has %d radar_gemm_kernel_info series, want 1", n)
 	}
 
 	resp, err = http.Get(ts.URL + "/v1/debug/traces?n=8")

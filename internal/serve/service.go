@@ -219,6 +219,8 @@ func Open(opts ...ServiceOption) (*Service, error) {
 		hm.srv.Start()
 	}
 	jobs := newJobTable(sc.jobCap, sc.jobTTL)
+	mreg.Gauge("radar_gemm_kernel_info", "The int8 GEMM kernel CPUID selected at start-up (always 1).", "kernel").
+		With(qinfer.GEMMKernel()).Set(1)
 	mreg.Gauge("radar_jobs_active", "Async jobs currently held by the bounded job table.").
 		Func(func() float64 { active, _ := jobs.stats(); return float64(active) })
 	mreg.Counter("radar_jobs_submitted_total", "Async jobs accepted over the service lifetime.").
