@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	radar-attack [-model resnet20s|resnet18s] [-flips 10] [-seed 1] [-bit6] [-radar 0] [-workers 0]
+//	radar-attack [-model tiny|resnet20s|resnet18s] [-flips 10] [-seed 1] [-bit6] [-radar 0] [-workers 0]
 //	radar-attack -adversary oblivious|scrub-timer|below-threshold|sigstore [-store ckpt.radar] [-flips 240] [-windows 12] [-full-every 4] [-scrub-ms 100] [-radar 32] [-correct] [-no-defense]
 //
 // With -radar G > 0 the model is RADAR-protected (group size G) before the
@@ -37,7 +37,7 @@ import (
 )
 
 func main() {
-	which := flag.String("model", "resnet20s", "target model: resnet20s or resnet18s")
+	which := flag.String("model", "resnet20s", "target model: tiny, resnet20s or resnet18s")
 	flips := flag.Int("flips", 10, "number of bit flips (N_BF; campaign budget with -adversary)")
 	seed := flag.Int64("seed", 1, "attack seed (selects the attack batch / campaign plan)")
 	bit6 := flag.Bool("bit6", false, "restrict the attacker to MSB-1 (§VIII)")
@@ -52,13 +52,8 @@ func main() {
 	noDefense := flag.Bool("no-defense", false, "campaign: disable the defender (undefended baseline)")
 	flag.Parse()
 
-	var spec model.Spec
-	switch *which {
-	case "resnet20s":
-		spec = model.ResNet20sSpec()
-	case "resnet18s":
-		spec = model.ResNet18sSpec()
-	default:
+	spec, ok := model.SpecByName(*which)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown model %q\n", *which)
 		os.Exit(2)
 	}

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	radar-bench [-exp all|table1|table2|table3|table4|table5|fig2|fig4|fig5|fig6|fig7|missrate|msb1|rowhammer|ablation-masking|ablation-sigbits|ablation-batch|runtime|engine|software|recoveryscale|bigscale] [-scale quick|full] [-json path]
+//	radar-bench [-exp all|table1|table2|table3|table4|table5|fig2|fig4|fig5|fig6|fig7|missrate|msb1|rowhammer|ablation-masking|ablation-sigbits|ablation-batch|runtime|recoveryscale|bigscale] [-scale quick|full] [-json path]
 //
 // Two experiments go beyond the paper. The bigscale experiment streams the
 // full protect→scan→inject→recover pipeline over a synthetic mmap-backed
@@ -90,8 +90,6 @@ func main() {
 		{"ablation-sigbits", func() string { return exp.SigBitsAblation(opt).Render() }},
 		{"ablation-batch", func() string { return exp.BatchAmortization().Render() }},
 		{"runtime", func() string { return exp.RuntimeDetection(ctx).Render() }},
-		{"engine", func() string { return exp.EngineParity(ctx).Render() }},
-		{"software", func() string { return exp.SoftwareOverhead().Render() }},
 		{"recoveryscale", func() string {
 			r := exp.RecoveryScale(ctx)
 			writeJSON(r.WriteJSON)

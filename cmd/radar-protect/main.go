@@ -31,7 +31,7 @@ import (
 )
 
 func main() {
-	which := flag.String("model", "resnet20s", "target model: resnet20s or resnet18s")
+	which := flag.String("model", "resnet20s", "target model: tiny, resnet20s or resnet18s")
 	g := flag.Int("g", 8, "group size")
 	flips := flag.Int("flips", 10, "number of PBFA bit flips")
 	noInter := flag.Bool("no-interleave", false, "disable interleaving")
@@ -41,13 +41,8 @@ func main() {
 	storePath := flag.String("store", "", "mmap-backed store checkpoint path (converted from the gob checkpoint on first use; empty = in-RAM weights)")
 	flag.Parse()
 
-	var spec model.Spec
-	switch *which {
-	case "resnet20s":
-		spec = model.ResNet20sSpec()
-	case "resnet18s":
-		spec = model.ResNet18sSpec()
-	default:
+	spec, ok := model.SpecByName(*which)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown model %q\n", *which)
 		os.Exit(2)
 	}

@@ -109,18 +109,6 @@ func main() {
 		models = modelFlag{"resnet20s"}
 	}
 
-	specOf := func(zoo string) (model.Spec, bool) {
-		switch zoo {
-		case "tiny":
-			return model.TinySpec(), true
-		case "resnet20s":
-			return model.ResNet20sSpec(), true
-		case "resnet18s":
-			return model.ResNet18sSpec(), true
-		}
-		return model.Spec{}, false
-	}
-
 	// checkpoints tracks every store checkpoint opened for a served model,
 	// keyed by serve name; the background flusher and the shutdown path
 	// iterate it. Guarded by ckptMu (hot-add runs on request goroutines).
@@ -135,7 +123,7 @@ func main() {
 	// are first rebound to the mapped checkpoint DIR/<name>.radar, so the
 	// engine and protector are wired to the file-backed image.
 	buildModel := func(name, zoo string) (*qinfer.Engine, *core.Protector, serve.Config, error) {
-		spec, ok := specOf(zoo)
+		spec, ok := model.SpecByName(zoo)
 		if !ok {
 			return nil, nil, serve.Config{}, fmt.Errorf("unknown zoo model %q", zoo)
 		}
@@ -218,7 +206,7 @@ func main() {
 		if eq := strings.IndexByte(mv, '='); eq >= 0 {
 			name, zoo = mv[:eq], mv[eq+1:]
 		}
-		spec, ok := specOf(zoo)
+		spec, ok := model.SpecByName(zoo)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown zoo model %q in -model %q\n", zoo, mv)
 			os.Exit(2)

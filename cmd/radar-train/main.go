@@ -21,23 +21,17 @@ func main() {
 	verbose := flag.Bool("v", false, "log per-epoch training progress")
 	flag.Parse()
 
-	specs := map[string]model.Spec{
-		"tiny":      model.TinySpec(),
-		"resnet20s": model.ResNet20sSpec(),
-		"resnet18s": model.ResNet18sSpec(),
-	}
-	var order []string
+	order := []string{*which}
 	if *which == "all" {
 		order = []string{"tiny", "resnet20s", "resnet18s"}
-	} else if _, ok := specs[*which]; ok {
-		order = []string{*which}
-	} else {
-		fmt.Fprintf(os.Stderr, "unknown model %q\n", *which)
-		os.Exit(2)
 	}
 
 	for _, name := range order {
-		spec := specs[name]
+		spec, ok := model.SpecByName(name)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown model %q\n", name)
+			os.Exit(2)
+		}
 		if *verbose {
 			spec.Train.Log = os.Stdout
 		}

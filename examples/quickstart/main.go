@@ -7,8 +7,9 @@ import (
 	"fmt"
 	"math/rand"
 
-	"radar"
+	"radar/internal/core"
 	"radar/internal/nn"
+	"radar/internal/quant"
 )
 
 func main() {
@@ -16,19 +17,19 @@ func main() {
 	// quantizer snaps conv/linear weights onto an int8 grid).
 	rng := rand.New(rand.NewSource(1))
 	net := nn.BuildResNet(nn.ResNet20Config(4, 10), rng)
-	qm := radar.Quantize(net)
+	qm := quant.Quantize(net)
 	fmt.Printf("quantized %d weights across %d layers\n", qm.TotalWeights(), len(qm.Layers))
 
 	// Protect: compute 2-bit golden signatures over interleaved, masked
 	// groups of 16 weights. The signatures, keys and offsets are the only
 	// state that must live in secure on-chip memory.
-	prot := radar.Protect(qm, radar.DefaultConfig(16))
+	prot := core.Protect(qm, core.DefaultConfig(16))
 	st := prot.Storage()
 	fmt.Printf("secure storage: %.2f KB of signatures (+%d key bits)\n", st.SignatureKB(), st.KeyBits)
 
 	// Adversary: flip the MSB of a weight in DRAM (the PBFA pattern —
 	// a small weight becomes a huge one).
-	target := radar.BitAddress{LayerIndex: 3, WeightIndex: 42, Bit: 7}
+	target := quant.BitAddress{LayerIndex: 3, WeightIndex: 42, Bit: 7}
 	before, after := qm.FlipBit(target)
 	fmt.Printf("attacker flipped %v: %d → %d\n", target, before, after)
 

@@ -254,3 +254,15 @@ func TestAttackKeepsWeightsOnGrid(t *testing.T) {
 }
 
 var _ = nn.CrossEntropyLoss // keep import when test list shrinks
+
+// BenchmarkPBFAFlip measures the cost of one progressive bit-search step
+// on the ResNet-20 substitute (gradient pass + candidate ranking + trials).
+func BenchmarkPBFAFlip(b *testing.B) {
+	bundle := model.Load(model.ResNet20sSpec())
+	cfg := DefaultConfig(1)
+	cfg.NumFlips = 1
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PBFA(bundle.QModel, bundle.Attack, cfg)
+	}
+}

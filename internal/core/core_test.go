@@ -305,6 +305,9 @@ func TestProtectScanCleanModel(t *testing.T) {
 	for _, g := range []int{4, 16, 64} {
 		for _, inter := range []bool{false, true} {
 			cfg := DefaultConfig(g)
+			if cfg.G != g || !cfg.Interleave || cfg.SigBits != 2 {
+				t.Fatalf("DefaultConfig(%d) = %+v, want the paper's interleaved 2-bit scheme", g, cfg)
+			}
 			cfg.Interleave = inter
 			p := Protect(b.QModel, cfg)
 			if flagged := p.Scan(); len(flagged) != 0 {

@@ -23,23 +23,12 @@ import (
 //     against the golden signature: fall back to zeroing, never miscorrect
 //     silently.
 //
-// Check words are not sealed by Seal/Unseal (they are derived data and a
-// sealed protector simply runs without correction), and like the golden
-// signatures they are trusted storage in the threat model — except that
-// the sigstore adversary deliberately violates that assumption for
-// signatures, which is exactly the case class 0 repairs.
+// Like the golden signatures, the check words are trusted storage in the
+// threat model — except that the sigstore adversary deliberately violates
+// that assumption for signatures, which is exactly the case class 0 repairs.
 
 // Correcting reports whether ECC-corrected recovery is enabled.
 func (p *Protector) Correcting() bool { return p.correct }
-
-// groupCode sizes the SEC-DED code for group g's member count (tail groups
-// and interleaved groups may hold fewer than G weights).
-func (p *Protector) groupCode(g GroupID) ecc.Hamming {
-	l := p.Model.Layers[g.Layer]
-	count := 0
-	p.Schemes[g.Layer].VisitMembers(g.Group, len(l.Q), func(_, _ int) { count++ })
-	return ecc.NewHamming(count * 8)
-}
 
 // appendGroupBits appends group g's bit image (members in position order,
 // each weight LSB first) and member indices onto the given buffers.

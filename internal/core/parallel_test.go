@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"radar/internal/model"
 	"radar/internal/nn"
 	"radar/internal/quant"
 	"radar/internal/tensor"
@@ -221,6 +225,86 @@ func attachParams(m *quant.Model) {
 	for _, l := range m.Layers {
 		if l.Param == nil {
 			l.Param = nn.NewParam("test", tensor.New(len(l.Q)), true)
+		}
+	}
+}
+
+// BenchmarkScan sweeps the parallel scan engine's worker pool (1/2/4/N)
+// over a synthetic full-scale ResNet-18 ImageNet weight image (11.7M
+// weights, the paper's G=512 deployment point). Each sub-benchmark
+// verifies the flagged-group output is identical to the workers=1 sweep,
+// so any scheduling nondeterminism fails the benchmark rather than
+// skewing it.
+func BenchmarkScan(b *testing.B) {
+	qm := model.SyntheticQuant(model.ResNet18ImageNetShapes())
+	cfg := DefaultConfig(512)
+	cfg.Workers = 1
+	prot := Protect(qm, cfg)
+	// Real mismatches for the scan to report: 64 MSBs at fixed, scattered
+	// positions, written to Layer.Q directly (no float side to sync).
+	for f := 0; f < 64; f++ {
+		l := qm.Layers[(f*7)%len(qm.Layers)]
+		i := (f * 1_000_003) % len(l.Q)
+		l.Q[i] = quant.FlipBit(l.Q[i], quant.MSB)
+	}
+	var baseline []GroupID
+	sweep := []int{1, 2, 4}
+	if n := runtime.GOMAXPROCS(0); !slices.Contains(sweep, n) {
+		sweep = append(sweep, n)
+	}
+	for _, w := range sweep {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			prot.SetWorkers(w)
+			b.SetBytes(int64(qm.TotalWeights()))
+			b.ResetTimer()
+			var flagged []GroupID
+			for i := 0; i < b.N; i++ {
+				flagged = prot.Scan()
+			}
+			b.StopTimer()
+			if baseline == nil {
+				baseline = flagged
+			}
+			if len(flagged) != len(baseline) {
+				b.Fatalf("workers=%d flagged %d groups, workers=1 flagged %d",
+					w, len(flagged), len(baseline))
+			}
+			for i := range flagged {
+				if flagged[i] != baseline[i] {
+					b.Fatalf("workers=%d diverges from workers=1 at %d: %v vs %v",
+						w, i, flagged[i], baseline[i])
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkScanDirty measures the incremental scan: one layer dirtied per
+// iteration, the rest skipped — the steady-state cost of guarding a model
+// that receives sparse writes.
+func BenchmarkScanDirty(b *testing.B) {
+	qm := model.SyntheticQuant(model.ResNet18ImageNetShapes())
+	prot := Protect(qm, DefaultConfig(512))
+	b.SetBytes(int64(len(qm.Layers[0].Q)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		qm.Layers[0].Q[i%len(qm.Layers[0].Q)] ^= 0 // keep weights clean…
+		prot.MarkLayerDirty(0)                     // …but force a layer-0 rescan
+		if flagged := prot.ScanDirty(); len(flagged) != 0 {
+			b.Fatal("clean model flagged")
+		}
+	}
+}
+
+// BenchmarkProtectorScan measures a full-model run-time scan on the
+// trained ResNet-18 substitute.
+func BenchmarkProtectorScan(b *testing.B) {
+	bundle := model.Load(model.ResNet18sSpec())
+	prot := Protect(bundle.QModel, DefaultConfig(17))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if flagged := prot.Scan(); len(flagged) != 0 {
+			b.Fatal("clean model flagged")
 		}
 	}
 }

@@ -174,9 +174,3 @@ func Generate(cfg SynthConfig, n int, streamSeed int64) *Dataset {
 	}
 	return &Dataset{X: x, Labels: labels, Classes: cfg.Classes}
 }
-
-// TrainTest generates a deterministic train/test split with nTrain and
-// nTest samples drawn from independent streams of cfg.
-func TrainTest(cfg SynthConfig, nTrain, nTest int) (train, test *Dataset) {
-	return Generate(cfg, nTrain, 101), Generate(cfg, nTest, 202)
-}

@@ -22,9 +22,6 @@ func NewHamming(dataBits int) Hamming {
 	return Hamming{DataBits: dataBits, ParityBits: r}
 }
 
-// CheckBits returns the total stored check bits (r + overall parity).
-func (h Hamming) CheckBits() int { return h.ParityBits + 1 }
-
 // Syndrome computes the Hamming syndrome and overall parity of a bit
 // block laid out in the standard scheme (data bits occupy non-power-of-two
 // codeword positions).

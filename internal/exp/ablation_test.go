@@ -85,37 +85,3 @@ func TestRuntimeDetectionBeatsPeriodic(t *testing.T) {
 		t.Fatal("render malformed")
 	}
 }
-
-func TestEngineParity(t *testing.T) {
-	r := EngineParity(sharedCtx)
-	if r.Agreement < 0.85 {
-		t.Fatalf("int8/float agreement %.3f too low", r.Agreement)
-	}
-	if diff := r.FloatAcc - r.Int8Acc; diff > 0.08 || diff < -0.08 {
-		t.Fatalf("int8 accuracy %.3f far from float %.3f", r.Int8Acc, r.FloatAcc)
-	}
-	if r.Int8Attacked >= r.Int8Acc-0.1 {
-		t.Fatalf("attack barely moved the int8 engine: %.3f vs %.3f", r.Int8Attacked, r.Int8Acc)
-	}
-	if r.Int8Recovered < r.Int8Attacked {
-		t.Fatalf("recovery hurt the int8 engine: %.3f < %.3f", r.Int8Recovered, r.Int8Attacked)
-	}
-	if !strings.Contains(r.Render(), "int8 engine") {
-		t.Fatal("render malformed")
-	}
-}
-
-func TestSoftwareOverheadSmall(t *testing.T) {
-	r := SoftwareOverhead()
-	if r.InferenceSec <= 0 || r.ScanSec <= 0 {
-		t.Fatal("non-positive timings")
-	}
-	// A 394k-weight scan must be far cheaper than a conv inference; the
-	// paper's claim is <2% on gem5, software slack allows <25% here.
-	if r.OverheadPct > 25 {
-		t.Fatalf("software scan overhead %.1f%% implausibly high", r.OverheadPct)
-	}
-	if !strings.Contains(r.Render(), "Software scan overhead") {
-		t.Fatal("render malformed")
-	}
-}

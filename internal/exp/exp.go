@@ -56,14 +56,11 @@ const (
 
 // specFor maps a model name to its zoo spec.
 func specFor(name string) model.Spec {
-	switch name {
-	case ModelRN20:
-		return model.ResNet20sSpec()
-	case ModelRN18:
-		return model.ResNet18sSpec()
-	default:
+	spec, ok := model.SpecByName(name)
+	if !ok {
 		panic("exp: unknown model " + name)
 	}
+	return spec
 }
 
 // attackConfig returns the per-model PBFA configuration. The ResNet-18s

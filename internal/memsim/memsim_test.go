@@ -186,3 +186,13 @@ func TestOverheadPercentZeroBaseline(t *testing.T) {
 		t.Fatal("zero baseline must yield 0 overhead")
 	}
 }
+
+// BenchmarkMemsimRADAR measures the cost-model evaluation itself (cheap;
+// exists so the Table IV pipeline has a perf guard).
+func BenchmarkMemsimRADAR(b *testing.B) {
+	tab := model.ResNet18ImageNetShapes()
+	cm := DefaultCostModel()
+	for i := 0; i < b.N; i++ {
+		cm.SimulateRADAR(tab, RADARConfig{G: 512, Interleave: true, SigBits: 2})
+	}
+}

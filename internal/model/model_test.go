@@ -8,6 +8,7 @@ import (
 
 	"radar/internal/data"
 	"radar/internal/nn"
+	"radar/internal/quant"
 )
 
 func TestResNet20CIFARShapeTable(t *testing.T) {
@@ -161,5 +162,25 @@ func TestVisitFindsAllBNLayers(t *testing.T) {
 	// stem + 9 blocks × 2 + 2 downsample BNs = 21.
 	if bns != 21 {
 		t.Fatalf("found %d BN layers, want 21", bns)
+	}
+}
+
+// BenchmarkInferenceRN20 measures eval-mode inference throughput of the
+// scaled ResNet-20 (batch 100).
+func BenchmarkInferenceRN20(b *testing.B) {
+	bundle := Load(ResNet20sSpec())
+	x, _ := bundle.Test.Batch(0, 100)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bundle.Net.Forward(x, false)
+	}
+}
+
+// BenchmarkQuantizeRN20 measures model quantization.
+func BenchmarkQuantizeRN20(b *testing.B) {
+	bundle := Load(ResNet20sSpec())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		quant.Quantize(bundle.Net)
 	}
 }

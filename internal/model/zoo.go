@@ -82,6 +82,19 @@ func TinySpec() Spec {
 	}
 }
 
+// SpecByName returns the zoo entry called tiny, resnet20s or resnet18s.
+func SpecByName(name string) (Spec, bool) {
+	switch name {
+	case "tiny":
+		return TinySpec(), true
+	case "resnet20s":
+		return ResNet20sSpec(), true
+	case "resnet18s":
+		return ResNet18sSpec(), true
+	}
+	return Spec{}, false
+}
+
 // Bundle is a ready-to-attack model instance: a freshly built network with
 // trained weights, its quantized DRAM image, and the datasets used to
 // attack and evaluate it. Every call to Load returns an independent Bundle,

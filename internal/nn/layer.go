@@ -5,11 +5,7 @@
 // pure Go on top of internal/tensor.
 package nn
 
-import (
-	"fmt"
-
-	"radar/internal/tensor"
-)
+import "radar/internal/tensor"
 
 // Param is a trainable parameter: a value tensor plus its gradient
 // accumulator. Optimizers may attach per-parameter state keyed by the
@@ -103,23 +99,4 @@ func (s *Sequential) ZeroGrad() {
 	for _, p := range s.Params() {
 		p.ZeroGrad()
 	}
-}
-
-// ParamCount returns the total number of scalar parameters.
-func (s *Sequential) ParamCount() int {
-	n := 0
-	for _, p := range s.Params() {
-		n += p.Value.Len()
-	}
-	return n
-}
-
-// Summary returns a one-line-per-parameter description of the model.
-func (s *Sequential) Summary() string {
-	out := ""
-	for _, p := range s.Params() {
-		out += fmt.Sprintf("%-40s %v (%d)\n", p.Name, p.Value.Shape, p.Value.Len())
-	}
-	out += fmt.Sprintf("total parameters: %d\n", s.ParamCount())
-	return out
 }

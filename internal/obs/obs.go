@@ -148,23 +148,6 @@ func (f *family) get(values []string, mk func() child) child {
 	return c
 }
 
-// delete removes the child for values (a no-op when absent).
-func (f *family) delete(values []string) {
-	k := labelKey(values)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, ok := f.children[k]; !ok {
-		return
-	}
-	delete(f.children, k)
-	for i, o := range f.order {
-		if o == k {
-			f.order = append(f.order[:i], f.order[i+1:]...)
-			break
-		}
-	}
-}
-
 // Registry is an ordered set of metric families. The zero value is not
 // usable; build with NewRegistry.
 type Registry struct {
@@ -416,9 +399,6 @@ func (v *CounterVec) Func(f func() float64, labelValues ...string) {
 	v.fam.get(labelValues, func() child { return &counterFunc{f: f} })
 }
 
-// Delete drops the child for the given label values.
-func (v *CounterVec) Delete(labelValues ...string) { v.fam.delete(labelValues) }
-
 // --- gauges ---------------------------------------------------------------
 
 // Gauge is a float64 that can go up and down, updated with atomics.
@@ -464,9 +444,6 @@ func (v *GaugeVec) With(labelValues ...string) *Gauge {
 func (v *GaugeVec) Func(f func() float64, labelValues ...string) {
 	v.fam.get(labelValues, func() child { return &gaugeFunc{f: f} })
 }
-
-// Delete drops the child for the given label values.
-func (v *GaugeVec) Delete(labelValues ...string) { v.fam.delete(labelValues) }
 
 // --- histograms -----------------------------------------------------------
 
@@ -586,6 +563,3 @@ func (v *HistogramVec) With(labelValues ...string) *Histogram {
 	}
 	return hh
 }
-
-// Delete drops the child for the given label values.
-func (v *HistogramVec) Delete(labelValues ...string) { v.fam.delete(labelValues) }

@@ -79,16 +79,6 @@ func (r *TraceRing) Last(n int) []Trace {
 	return out
 }
 
-// Len returns the number of traces currently held.
-func (r *TraceRing) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
-}
-
 // NewRequestID mints a 16-hex-char request id for requests that arrive
 // without an X-Request-Id header.
 func NewRequestID() string {

@@ -15,13 +15,29 @@ import (
 
 func compileTiny(t testing.TB) (*model.Bundle, *Engine) {
 	t.Helper()
-	b := model.Load(model.TinySpec())
+	return compileSpec(t, model.TinySpec())
+}
+
+func compileSpec(t testing.TB, spec model.Spec) (*model.Bundle, *Engine) {
+	t.Helper()
+	b := model.Load(spec)
 	calib, _ := b.Attack.Batch(0, 64)
 	e, err := Compile(b.Net, b.QModel, calib)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
 	return b, e
+}
+
+// forEachServedSpec runs f on tiny and on resnet20s, the ResNet-20
+// substitute the paper's tables are reproduced on.
+func forEachServedSpec(t *testing.T, f func(t *testing.T, b *model.Bundle, e *Engine)) {
+	for _, spec := range []model.Spec{model.TinySpec(), model.ResNet20sSpec()} {
+		t.Run(spec.Name, func(t *testing.T) {
+			b, e := compileSpec(t, spec)
+			f(t, b, e)
+		})
+	}
 }
 
 func TestQuantizeDequantizeRoundTrip(t *testing.T) {
@@ -52,38 +68,40 @@ func TestClampQSaturates(t *testing.T) {
 }
 
 func TestEngineMatchesFloatAccuracy(t *testing.T) {
-	b, e := compileTiny(t)
-	x, labels := b.Test.Batch(0, 200)
-	floatOut := b.Net.Forward(x, false)
-	k := floatOut.Shape[1]
-	floatAcc := 0
-	for i := range labels {
-		if floatOut.Argmax(i*k, k) == labels[i] {
-			floatAcc++
+	forEachServedSpec(t, func(t *testing.T, b *model.Bundle, e *Engine) {
+		x, labels := b.Test.Batch(0, 200)
+		floatOut := b.Net.Forward(x, false)
+		k := floatOut.Shape[1]
+		floatAcc := 0
+		for i := range labels {
+			if floatOut.Argmax(i*k, k) == labels[i] {
+				floatAcc++
+			}
 		}
-	}
-	intAcc := e.Accuracy(x, labels)
-	if diff := float64(floatAcc)/float64(len(labels)) - intAcc; diff > 0.08 || diff < -0.08 {
-		t.Fatalf("int8 engine accuracy %.3f differs from float %.3f by more than 8 points",
-			intAcc, float64(floatAcc)/float64(len(labels)))
-	}
+		intAcc := e.Accuracy(x, labels)
+		if diff := float64(floatAcc)/float64(len(labels)) - intAcc; diff > 0.08 || diff < -0.08 {
+			t.Fatalf("int8 engine accuracy %.3f differs from float %.3f by more than 8 points",
+				intAcc, float64(floatAcc)/float64(len(labels)))
+		}
+	})
 }
 
 func TestEnginePredictionAgreement(t *testing.T) {
-	b, e := compileTiny(t)
-	x, _ := b.Test.Batch(0, 200)
-	floatOut := b.Net.Forward(x, false)
-	intOut := e.Forward(x)
-	k := floatOut.Shape[1]
-	agree := 0
-	for i := 0; i < 200; i++ {
-		if floatOut.Argmax(i*k, k) == intOut.Argmax(i*k, k) {
-			agree++
+	forEachServedSpec(t, func(t *testing.T, b *model.Bundle, e *Engine) {
+		x, _ := b.Test.Batch(0, 200)
+		floatOut := b.Net.Forward(x, false)
+		intOut := e.Forward(x)
+		k := floatOut.Shape[1]
+		agree := 0
+		for i := 0; i < 200; i++ {
+			if floatOut.Argmax(i*k, k) == intOut.Argmax(i*k, k) {
+				agree++
+			}
 		}
-	}
-	if agree < 170 {
-		t.Fatalf("int8/float top-1 agreement %d/200 too low", agree)
-	}
+		if agree < 170 {
+			t.Fatalf("int8/float top-1 agreement %d/200 too low", agree)
+		}
+	})
 }
 
 // TestEngineConsumesDRAMImage: the engine aliases the quantized storage, so
@@ -114,26 +132,27 @@ func TestEngineConsumesDRAMImage(t *testing.T) {
 // TestRADARRecoveryRestoresEngine: protect → attack → recover acts on the
 // same int8 image the engine reads, so recovery restores engine behaviour.
 func TestRADARRecoveryRestoresEngine(t *testing.T) {
-	b, e := compileTiny(t)
-	x, labels := b.Test.Batch(0, 200)
-	clean := e.Accuracy(x, labels)
+	forEachServedSpec(t, func(t *testing.T, b *model.Bundle, e *Engine) {
+		x, labels := b.Test.Batch(0, 200)
+		clean := e.Accuracy(x, labels)
 
-	prot := core.Protect(b.QModel, core.DefaultConfig(4))
-	cfg := attack.DefaultConfig(5)
-	cfg.NumFlips = 6
-	attack.PBFA(b.QModel, b.Attack, cfg)
-	attacked := e.Accuracy(x, labels)
+		prot := core.Protect(b.QModel, core.DefaultConfig(4))
+		cfg := attack.DefaultConfig(5)
+		cfg.NumFlips = 6
+		attack.PBFA(b.QModel, b.Attack, cfg)
+		attacked := e.Accuracy(x, labels)
 
-	prot.DetectAndRecover()
-	recovered := e.Accuracy(x, labels)
+		prot.DetectAndRecover()
+		recovered := e.Accuracy(x, labels)
 
-	if attacked >= clean {
-		t.Skipf("attack did not reduce int8 accuracy (%.2f vs %.2f)", attacked, clean)
-	}
-	if recovered < attacked-0.02 {
-		t.Fatalf("recovery hurt engine accuracy: clean %.2f attacked %.2f recovered %.2f",
-			clean, attacked, recovered)
-	}
+		if attacked >= clean-0.1 {
+			t.Fatalf("attack barely moved the int8 engine: %.2f vs %.2f", attacked, clean)
+		}
+		if recovered < attacked {
+			t.Fatalf("recovery hurt engine accuracy: clean %.2f attacked %.2f recovered %.2f",
+				clean, attacked, recovered)
+		}
+	})
 }
 
 func TestCompileRejectsNonResNet(t *testing.T) {

@@ -35,19 +35,27 @@ type InferResponse struct {
 	Results []InferResult `json:"results"`
 }
 
-// maxInferBodyBytes caps an inference or job-submit body, the fleet
-// router's default MaxBodyBytes: a replica is also reached directly, and an
-// uncapped decode lets one client stream an endless array into the heap.
+// maxInferBodyBytes caps every JSON request body (inference, job submit,
+// admin), the fleet router's default MaxBodyBytes: a replica is also
+// reached directly, and an uncapped decode lets one client stream an
+// endless array or string into the heap.
 const maxInferBodyBytes = 8 << 20
 
-// decodeInferRequest parses an InferRequest body of at most
-// maxInferBodyBytes (beyond it: *http.MaxBytesError, a 413) into per-input
-// tensors against the server's configured shape (or the request's
-// override).
+// decodeBody parses r's JSON body into v, reading at most
+// maxInferBodyBytes of it (beyond that: *http.MaxBytesError, a 413).
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInferBodyBytes)).Decode(v); err != nil {
+		return fmt.Errorf("bad JSON: %w", err)
+	}
+	return nil
+}
+
+// decodeInferRequest parses an InferRequest body into per-input tensors
+// against the server's configured shape (or the request's override).
 func (s *Server) decodeInferRequest(w http.ResponseWriter, r *http.Request) ([]*tensor.Tensor, error) {
 	var req InferRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInferBodyBytes)).Decode(&req); err != nil {
-		return nil, fmt.Errorf("bad JSON: %w", err)
+	if err := decodeBody(w, r, &req); err != nil {
+		return nil, err
 	}
 	inputs := req.Inputs
 	if len(req.Input) > 0 {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -189,8 +188,8 @@ func (s *Service) handleModel(w http.ResponseWriter, r *http.Request) {
 func handleAdmin(op func(adminRequest) ([]AdminReport, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req adminRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, fmt.Errorf("bad JSON: %w", err))
+		if err := decodeBody(w, r, &req); err != nil {
+			httpError(w, err)
 			return
 		}
 		reports, err := op(req)
@@ -214,8 +213,8 @@ type injectRequest struct {
 
 func (s *Service) handleInject(w http.ResponseWriter, r *http.Request) {
 	var req injectRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, fmt.Errorf("bad JSON: %w", err))
+	if err := decodeBody(w, r, &req); err != nil {
+		httpError(w, err)
 		return
 	}
 	if req.Flips <= 0 {
@@ -244,8 +243,8 @@ func (s *Service) handleAddModel(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("name")
 	var req addModelRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, fmt.Errorf("bad JSON: %w", err))
+	if err := decodeBody(w, r, &req); err != nil {
+		httpError(w, err)
 		return
 	}
 	if err := validModelName(name); err != nil {

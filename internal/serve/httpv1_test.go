@@ -30,9 +30,14 @@ func tinyBody(t testing.TB, x *tensor.Tensor) string {
 
 // TestHTTPV1Routes is the table-driven status contract of the v1 surface:
 // unknown model → 404, malformed tensor/body → 400, a body over the cap →
-// 413 on both routes that decode one, wrong method → 405.
+// 413 on every route that decodes one, wrong method → 405.
 func TestHTTPV1Routes(t *testing.T) {
-	svc, b, _ := openTiny(t, 2, []ModelOption{WithScrub(0)})
+	// The add route answers 501 before it reads a body unless a provider
+	// is installed; an oversized body must never reach it.
+	provider := func(name, source string) (*qinfer.Engine, *core.Protector, []ModelOption, error) {
+		return nil, nil, nil, fmt.Errorf("provider reached with a %d-byte source", len(source))
+	}
+	svc, b, _ := openTiny(t, 2, []ModelOption{WithScrub(0)}, WithModelProvider(provider))
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	x, _ := b[0].Test.Batch(0, 1)
@@ -40,6 +45,7 @@ func TestHTTPV1Routes(t *testing.T) {
 	// Ten bytes over the cap: the decoder must be cut off, not left to
 	// buffer an array of any length.
 	huge := `{"input":[` + strings.Repeat("0,", maxInferBodyBytes/2)
+	hugeString := `{"source":"` + strings.Repeat("a", maxInferBodyBytes)
 
 	cases := []struct {
 		name   string
@@ -59,6 +65,10 @@ func TestHTTPV1Routes(t *testing.T) {
 		{"multi-input job", "POST", "/v1/models/m0/jobs", fmt.Sprintf(`{"inputs":[%s,%s]}`, "[0.1]", "[0.2]"), 400},
 		{"oversized infer body", "POST", "/v1/models/m0/infer", huge, 413},
 		{"oversized job body", "POST", "/v1/models/m0/jobs", huge, 413},
+		{"oversized scrub body", "POST", "/v1/admin/scrub", hugeString, 413},
+		{"oversized rekey body", "POST", "/v1/admin/rekey", hugeString, 413},
+		{"oversized inject body", "POST", "/v1/admin/inject", hugeString, 413},
+		{"oversized add-model body", "POST", "/v1/admin/models/m9", hugeString, 413},
 		{"unknown job", "GET", "/v1/jobs/job-ffffffff", "", 404},
 		{"models list", "GET", "/v1/models", "", 200},
 		{"model info", "GET", "/v1/models/m1", "", 200},
@@ -240,7 +250,7 @@ func TestHTTPStopping(t *testing.T) {
 // scrub reports per-model findings, and admin rekey answers with
 // rekeyed=true while the model keeps serving.
 func TestHTTPModelsAndAdmin(t *testing.T) {
-	svc, b, _ := openTiny(t, 2, []ModelOption{WithScrub(0), WithVerifiedFetch(false)})
+	svc, b, _ := openTiny(t, 2, []ModelOption{WithConfig(Config{InputShape: []int{3, 8, 8}})})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	x, _ := b[0].Test.Batch(0, 1)

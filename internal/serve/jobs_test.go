@@ -149,10 +149,7 @@ func TestJobTableBounded(t *testing.T) {
 // ErrQueueFull instead of blocking the caller.
 func TestSubmitQueueFullTyped(t *testing.T) {
 	svc, b, _ := openTiny(t, 1, []ModelOption{
-		WithScrub(0),
-		WithWorkers(1),
-		WithBatch(1),
-		WithQueueDepth(1),
+		WithConfig(Config{Workers: 1, MaxBatch: 1, QueueDepth: 1, VerifiedFetch: true}),
 	})
 	x, _ := b[0].Test.Batch(0, 1)
 	release := wedge(t, svc, "m0")

@@ -139,13 +139,6 @@ func (r *Registry) remove(name string) (*hostedModel, error) {
 	return hm, nil
 }
 
-// Names returns the hosted model names in registration order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]string(nil), r.order...)
-}
-
 // snapshot returns the hosted models in registration order. Long-running
 // per-model work (scrubs, rekeys) iterates the snapshot without holding
 // the registry lock, so hot add/remove is never blocked behind it; a

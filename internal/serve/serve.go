@@ -282,19 +282,15 @@ func (s *Server) Stop() {
 	s.scrubWG.Wait()
 }
 
-// InferContext submits one input of shape (C, H, W) — or (1, C, H, W) —
+// inferContext submits one input of shape (C, H, W) — or (1, C, H, W) —
 // and blocks until its result is ready or ctx is done. Cancellation is
 // honored at every stage: while waiting for space in the bounded request
 // queue, and while waiting for the batched forward pass (a request whose
 // context is cancelled before its batch runs is dropped by the workers
 // without being computed). Safe for any number of concurrent callers;
 // submissions that queue while the workers are busy share a forward pass.
-func (s *Server) InferContext(ctx context.Context, x *tensor.Tensor) (Result, error) {
-	return s.inferContext(ctx, x, "")
-}
-
-// inferContext is InferContext carrying a request id for tracing; the
-// empty id skips trace recording (the Go-API hot path).
+// id is the request id its trace is recorded under; the empty id skips
+// trace recording (the Go-API hot path).
 func (s *Server) inferContext(ctx context.Context, x *tensor.Tensor, id string) (Result, error) {
 	ch, err := s.submit(ctx, x, id)
 	if err != nil {
@@ -330,7 +326,7 @@ func (s *Server) newRequest(ctx context.Context, x *tensor.Tensor, id string) (*
 
 // submit validates and enqueues one input, returning the channel its
 // result will arrive on. It blocks while the queue is full, bailing out
-// when ctx is done. Used by InferContext and by the HTTP front-ends
+// when ctx is done. Used by inferContext and by the HTTP front-ends
 // (which submit a whole JSON body before collecting, so multi-input
 // requests batch naturally).
 func (s *Server) submit(ctx context.Context, x *tensor.Tensor, id string) (<-chan Result, error) {

@@ -17,9 +17,9 @@ import (
 	"radar/internal/tensor"
 )
 
-// infer is the test shorthand for a background-context InferContext.
+// infer is the test shorthand for an untraced background-context inferContext.
 func infer(srv *Server, x *tensor.Tensor) (Result, error) {
-	return srv.InferContext(context.Background(), x)
+	return srv.inferContext(context.Background(), x, "")
 }
 
 // newTinyServer boots a server on the tiny test model. Each call builds an

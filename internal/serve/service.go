@@ -87,27 +87,6 @@ func WithConfig(cfg Config) ModelOption {
 	return func(c *Config) { *c = cfg }
 }
 
-// WithBatch sets the model's max batch size.
-func WithBatch(maxBatch int) ModelOption {
-	return func(c *Config) { c.MaxBatch = maxBatch }
-}
-
-// WithWorkers sets the model's inference worker count.
-func WithWorkers(n int) ModelOption {
-	return func(c *Config) { c.Workers = n }
-}
-
-// WithQueueDepth bounds the model's pending-request queue.
-func WithQueueDepth(n int) ModelOption {
-	return func(c *Config) { c.QueueDepth = n }
-}
-
-// WithVerifiedFetch toggles per-layer signature verification in the
-// weight-fetch path.
-func WithVerifiedFetch(on bool) ModelOption {
-	return func(c *Config) { c.VerifiedFetch = on }
-}
-
 // WithScrub sets the background scrub interval, the exposure target of a
 // model without traffic (0 disables the scrubber).
 func WithScrub(interval time.Duration) ModelOption {

@@ -182,8 +182,7 @@ func TestTwoModelsConcurrent(t *testing.T) {
 // flagging anything.
 func TestIndependentScrubLoops(t *testing.T) {
 	svc, _, _ := openTiny(t, 2, []ModelOption{
-		WithScrub(2 * time.Millisecond),
-		WithVerifiedFetch(false), // isolate the scrubbers
+		WithConfig(Config{ScrubInterval: 2 * time.Millisecond}), // verified fetch off: isolate the scrubbers
 	})
 
 	if err := svc.Inject("m0", func(m *quant.Model) {
@@ -232,10 +231,7 @@ func TestIndependentScrubLoops(t *testing.T) {
 // must make Infer return promptly instead of parking the caller.
 func TestInferContextCancellation(t *testing.T) {
 	svc, b, _ := openTiny(t, 1, []ModelOption{
-		WithScrub(0),
-		WithWorkers(1),
-		WithBatch(1),
-		WithQueueDepth(1),
+		WithConfig(Config{Workers: 1, MaxBatch: 1, QueueDepth: 1, VerifiedFetch: true}),
 	})
 	x, _ := b[0].Test.Batch(0, 4)
 	release := wedge(t, svc, "m0")
@@ -418,7 +414,7 @@ func TestRekeyLive(t *testing.T) {
 // to every hosted model, and only the corrupted one reports findings —
 // including corruption written past the model API (a true hardware flip).
 func TestAdminScrubAllModels(t *testing.T) {
-	svc, b, _ := openTiny(t, 2, []ModelOption{WithScrub(0), WithVerifiedFetch(false)})
+	svc, b, _ := openTiny(t, 2, []ModelOption{WithConfig(Config{})})
 	l := b[0].QModel.Layers[1]
 	if err := svc.Inject("m0", func(m *quant.Model) {
 		l.Q[7] = quant.FlipBit(l.Q[7], quant.MSB) // direct write, no notify
@@ -462,8 +458,8 @@ func TestHotAddRemoveModel(t *testing.T) {
 	if _, err := svc.Infer(ctx, Request{Model: "m9", Input: sample(x, 0)}); err != nil {
 		t.Fatalf("infer on hot-added model: %v", err)
 	}
-	if names := svc.reg.Names(); len(names) != 2 || names[1] != "m9" {
-		t.Fatalf("registry after add: %v", names)
+	if ms := svc.Models(); len(ms) != 2 || ms[1].Name != "m9" {
+		t.Fatalf("registry after add: %v", ms)
 	}
 
 	// Duplicate name is refused and must not wedge the fresh runtime.

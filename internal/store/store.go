@@ -171,9 +171,6 @@ func (c *Checkpoint) WeightBytes() int64 {
 // NumLayers returns the number of layer sections.
 func (c *Checkpoint) NumLayers() int { return len(c.layers) }
 
-// LayerName returns the name of layer li.
-func (c *Checkpoint) LayerName(li int) string { return c.layers[li].name }
-
 // MarkLayerDirty records that layer li's weights changed, scheduling its
 // section for the next SyncDirty. Writes made through the quant.Model API
 // are tracked automatically via the model observer; callers that mutate

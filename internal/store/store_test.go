@@ -85,9 +85,6 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 				if g.Param != nil {
 					t.Fatalf("layer %d has a float param before Attach", i)
 				}
-				if c.LayerName(i) != l.Name {
-					t.Fatalf("LayerName(%d) = %q", i, c.LayerName(i))
-				}
 				wantBytes += int64(len(l.Q))
 			}
 			if c.NumLayers() != len(m.Layers) || c.WeightBytes() != wantBytes {

@@ -55,40 +55,12 @@ func AddInPlace(a, b *Tensor) *Tensor {
 	return a
 }
 
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	mustSameShape(a, b, "Sub")
-	out := New(a.Shape...)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return out
-}
-
-// Mul returns the elementwise (Hadamard) product a * b.
-func Mul(a, b *Tensor) *Tensor {
-	mustSameShape(a, b, "Mul")
-	out := New(a.Shape...)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return out
-}
-
 // Scale multiplies every element of t by s in place and returns t.
 func (t *Tensor) Scale(s float32) *Tensor {
 	for i := range t.Data {
 		t.Data[i] *= s
 	}
 	return t
-}
-
-// AXPY performs a += alpha*b in place.
-func AXPY(alpha float32, b, a *Tensor) {
-	mustSameShape(a, b, "AXPY")
-	for i := range a.Data {
-		a.Data[i] += alpha * b.Data[i]
-	}
 }
 
 func mustSameShape(a, b *Tensor, op string) {

@@ -12,7 +12,7 @@ import (
 )
 
 // Tensor is a dense, row-major float32 array with an explicit shape.
-// The zero value is not useful; construct tensors with New, Zeros, or
+// The zero value is not useful; construct tensors with New or
 // FromSlice.
 type Tensor struct {
 	// Shape holds the extent of each dimension, outermost first.
@@ -34,9 +34,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float32, n)}
 }
 
-// Zeros is an alias of New, provided for readability at call sites.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // FromSlice wraps data in a tensor of the given shape. The slice is used
 // directly (not copied); its length must match the shape volume.
 func FromSlice(data []float32, shape ...int) *Tensor {
@@ -52,9 +49,6 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
-
-// Dim returns the extent of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
 
 // NDim returns the number of dimensions.
 func (t *Tensor) NDim() int { return len(t.Shape) }
@@ -138,13 +132,6 @@ func (t *Tensor) RandNormal(rng *rand.Rand, std float64) {
 	}
 }
 
-// RandUniform fills t with draws from U(lo, hi) using rng.
-func (t *Tensor) RandUniform(rng *rand.Rand, lo, hi float64) {
-	for i := range t.Data {
-		t.Data[i] = float32(lo + rng.Float64()*(hi-lo))
-	}
-}
-
 // KaimingInit fills t with He-normal initialization for a layer with the
 // given fan-in, the standard initialization for ReLU networks.
 func (t *Tensor) KaimingInit(rng *rand.Rand, fanIn int) {
@@ -173,14 +160,6 @@ func (t *Tensor) Sum() float64 {
 		s += float64(v)
 	}
 	return s
-}
-
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float64 {
-	if len(t.Data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.Data))
 }
 
 // String implements fmt.Stringer with a compact shape+preview rendering.

@@ -14,7 +14,7 @@ func TestNewShapeAndLen(t *testing.T) {
 	if x.Len() != 24 {
 		t.Fatalf("Len = %d, want 24", x.Len())
 	}
-	if x.NDim() != 3 || x.Dim(1) != 3 {
+	if x.NDim() != 3 || x.Shape[1] != 3 {
 		t.Fatalf("bad shape bookkeeping: %v", x.Shape)
 	}
 }
@@ -80,16 +80,6 @@ func TestElementwiseOps(t *testing.T) {
 	b := FromSlice([]float32{4, 5, 6}, 3)
 	if got := Add(a, b).Data; got[0] != 5 || got[2] != 9 {
 		t.Fatalf("Add = %v", got)
-	}
-	if got := Sub(b, a).Data; got[0] != 3 || got[2] != 3 {
-		t.Fatalf("Sub = %v", got)
-	}
-	if got := Mul(a, b).Data; got[1] != 10 {
-		t.Fatalf("Mul = %v", got)
-	}
-	AXPY(2, a, b)
-	if b.Data[2] != 12 {
-		t.Fatalf("AXPY result = %v", b.Data)
 	}
 }
 
@@ -169,9 +159,9 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 		a := New(4, 3)
 		b := New(3, 2)
 		v := New(2, 1)
-		a.RandUniform(rng, -2, 2)
-		b.RandUniform(rng, -2, 2)
-		v.RandUniform(rng, -2, 2)
+		a.RandNormal(rng, 1)
+		b.RandNormal(rng, 1)
+		v.RandNormal(rng, 1)
 		left := MatMul(MatMul(a, b), v)
 		right := MatMul(a, MatMul(b, v))
 		for i := range left.Data {
@@ -317,9 +307,6 @@ func TestSumMeanMaxAbs(t *testing.T) {
 	x := FromSlice([]float32{-3, 1, 2}, 3)
 	if x.Sum() != 0 {
 		t.Fatalf("Sum = %v", x.Sum())
-	}
-	if x.Mean() != 0 {
-		t.Fatalf("Mean = %v", x.Mean())
 	}
 	if x.MaxAbs() != 3 {
 		t.Fatalf("MaxAbs = %v", x.MaxAbs())
