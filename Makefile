@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke examples-smoke benchmark-check bench-compare serve-smoke fleet-smoke chaos-smoke lint fmt loc
+.PHONY: build test race bench bench-smoke fuzz-smoke examples-smoke benchmark-check bench-compare serve-smoke fleet-smoke chaos-smoke lint fmt loc
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,17 @@ bench-smoke:
 	$(GO) test -bench='Scan|Serve' -benchtime=1x -run '^$$' ./internal/core/ ./internal/serve/
 	$(GO) test -bench='Conv|EngineForward' -benchtime=1x -run '^$$' ./internal/qinfer/
 	$(GO) test -bench FetchLayer -benchtime 1x -run '^$$' ./internal/core/
+
+# Each native fuzz target explores for 10 s past its committed seeds
+# (which `make test` already runs): the checksum kernel, the ECC
+# corrector, the conv GEMM kernels and requantization against the
+# reference loop, and the infer-body parser against encoding/json. A
+# failing input lands in the package's testdata/fuzz, ready to commit.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzSignatures$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzCorrectorAtMostTwoFlips$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzConvGEMM$$' -fuzztime 10s ./internal/qinfer/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInferRequest$$' -fuzztime 10s ./internal/serve/
 
 # The three examples run to completion (in-process, loopback only; ≈ 10 s
 # together, PBFA profile generation in examples/serving dominates).

@@ -1,14 +1,14 @@
 // im2col + int8 GEMM convolution, with two GEMM kernels.
 //
 // The historical conv loop (retained as computeRef) carried the padding
-// branches and five levels of index arithmetic into the innermost
-// multiply; this path hoists all of that out. Each conv stage packs the
-// receptive field of every output pixel into a pixel-major patch matrix
-// (im2col, over a zero-bordered copy of the image so no tap needs a bounds
-// branch) and multiplies the weight rows with it. Either kernel reads the
-// weights from the protected image on every stage call, inside the fetch
-// bracket, and keeps nothing across passes — inference sees the image as it
-// is, flips included.
+// branches, index arithmetic and a divide and math.Round per output; this
+// path hoists all of that out. Each conv stage packs the receptive field of
+// every output pixel into a pixel-major patch matrix (im2col, over a
+// zero-bordered copy of the image so no tap needs a bounds branch),
+// multiplies the weight rows with it, and maps each sum to int8 through its
+// levels table. Either kernel reads the weights from the protected image on
+// every stage call, inside the fetch bracket, and keeps nothing across
+// passes — inference sees the image as it is, flips included.
 //
 //   - avx2 (gemm_amd64.s, behind gemmAVX2): reads the weight rows where
 //     they lie. Sixteen int8 of a weight row and of a patch row are

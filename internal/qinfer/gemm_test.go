@@ -3,6 +3,7 @@ package qinfer
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -12,7 +13,8 @@ import (
 )
 
 // randConv builds a qconv with randomized weights and folded-BN
-// parameters for the given geometry.
+// parameters (scales of both signs, so ReLU clips whole channels too) for
+// the given geometry, and its requantization table.
 func randConv(rng *rand.Rand, inC, outC, k, stride, pad int, relu bool) *qconv {
 	c := &qconv{
 		name:   fmt.Sprintf("rand%dx%dk%ds%dp%d", inC, outC, k, stride, pad),
@@ -20,15 +22,15 @@ func randConv(rng *rand.Rand, inC, outC, k, stride, pad int, relu bool) *qconv {
 		wScale: 0.01 + rng.Float32()*0.1,
 		inC:    inC, outC: outC,
 		k: k, stride: stride, pad: pad,
-		bn:       foldedBN{a: make([]float32, outC), b: make([]float32, outC)},
-		relu:     relu,
-		outScale: 0.05 + rng.Float32()*0.2,
+		bn:   foldedBN{a: make([]float32, outC), b: make([]float32, outC)},
+		relu: relu,
+		lv:   newLevels(0.05+rng.Float32()*0.2, relu),
 	}
 	for i := range c.w {
 		c.w[i] = int8(rng.Intn(256) - 128)
 	}
 	for i := 0; i < outC; i++ {
-		c.bn.a[i] = 0.5 + rng.Float32()
+		c.bn.a[i] = (0.5 + rng.Float32()) * float32(1-2*rng.Intn(2))
 		c.bn.b[i] = rng.Float32() - 0.5
 	}
 	return c
@@ -318,9 +320,11 @@ func testConcurrentForwardIdentical(t *testing.T) {
 // arbitrary bytes become weights and activations over a small randomized
 // geometry, each GEMM kernel vs the reference loop. K = 2·k² here, so k = 3,
 // 5, 6, 7 leave a K mod 16 tail and k ≤ 2 stays under one 16-byte step;
-// testdata/fuzz/FuzzConvGEMM holds seeds for each. CI runs the seed corpus
-// under -race; `go test -fuzz=FuzzConvGEMM ./internal/qinfer` explores
-// further.
+// testdata/fuzz/FuzzConvGEMM holds seeds for each. relu8's low bit picks
+// ReLU and its other seven, read as a signed shift, scale the output step
+// by 2⁻⁶⁴..2⁶³, so the requantization table is fuzzed across scales too.
+// CI runs the seed corpus under -race; `go test -fuzz=FuzzConvGEMM
+// ./internal/qinfer` (or `make fuzz-smoke`) explores further.
 func FuzzConvGEMM(f *testing.F) {
 	legs := kernelLegs(f)
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 250, 130}, uint8(3), uint8(2), uint8(1), uint8(1), uint8(5))
@@ -336,6 +340,7 @@ func FuzzConvGEMM(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(int64(len(raw))))
 		c := randConv(rng, 2, 3, k, stride, pad, relu8%2 == 0)
+		c.lv = newLevels(float32(math.Ldexp(float64(c.lv.scale), int(int8(relu8))>>1)), c.relu)
 		// Overlay fuzz bytes onto the deterministic weights and input.
 		for i := range c.w {
 			c.w[i] = int8(raw[i%len(raw)] + byte(i))

@@ -1,19 +1,21 @@
-// Package qinfer is an 8-bit integer inference engine — the deployment
-// form of the models the paper protects. Convolutions run on int8 weights
-// and int8 activations with int32 accumulators; batch-norm layers are
-// folded into per-channel affine rescaling applied at requantization; and
+// Package qinfer is an 8-bit integer inference engine — the deployment form
+// of the models the paper protects. Convolutions run on int8 weights and
+// int8 activations with int32 accumulators; batch-norm layers are folded
+// into per-channel affine rescaling applied at requantization; and
 // activations are quantized symmetrically with per-stage scales fixed by a
-// one-shot calibration pass. This is the engine whose weight-fetch path
-// RADAR's checksum rides in the gem5 experiments (Tables IV/V); it also
-// demonstrates that the defense needs no floating-point weight copy:
-// detection and recovery act directly on the int8 image this engine
-// consumes — the classifier included, which dequantizes its int8 rows as
-// it reads them. The embedded-detection point is exposed in software as
-// one fetch step per stage, the WeightFetcher: it returns once the layer's
-// weights are verified and locked, the stage computes on them, and the
-// hold is released — so the checksum pass and the convolution walk the
-// same bytes back to back, and nothing can be written between the check
-// and the use. internal/serve implements it over core.Protector.FetchLayer.
+// one-shot calibration pass and requantized through per-stage tables of
+// exact level boundaries, not a divide and a rounding call. This is the
+// engine whose weight-fetch path RADAR's checksum rides in the gem5
+// experiments (Tables IV/V); it also demonstrates that the defense needs no
+// floating-point weight copy: detection and recovery act directly on the
+// int8 image this engine consumes — the classifier included, which
+// dequantizes its int8 rows as it reads them. The embedded-detection point
+// is exposed in software as one fetch step per stage, the WeightFetcher: it
+// returns once the layer's weights are verified and locked, the stage
+// computes on them, and the hold is released — so the checksum pass and the
+// convolution walk the same bytes back to back, and nothing can be written
+// between the check and the use. internal/serve implements it over
+// core.Protector.FetchLayer.
 package qinfer
 
 import (
@@ -73,6 +75,61 @@ func clampQ(v float64) int8 {
 	return int8(r)
 }
 
+// levels is a stage's output step and requantization table: quantize(v)
+// is clampQ(relu(v)/scale) with no divide and no rounding call. bound[i] is
+// the least v whose level is at least i−128 (−Inf where ReLU lifts every v
+// to it); the NaNs at the ends are walls no v passes. A level estimated
+// from v·inv is never off by more than one, so one compare each way fixes it.
+type levels struct {
+	bound      [257]float64
+	scale      float32
+	inv, floor float64 // 1/scale; the lowest index, 128 under ReLU
+}
+
+func newLevels(scale float32, relu bool) *levels {
+	s, lowest := float64(scale), math.Inf(-1)
+	l := &levels{scale: scale, inv: 1 / s, bound: [257]float64{math.NaN(), 256: math.NaN()}}
+	if relu {
+		l.floor, lowest = 128, 0
+	}
+	for i := 1; i < 256; i++ {
+		l.bound[i] = firstAtLeast(func(v float64) bool { return int(clampQ(max(v, lowest)/s)) >= i-128 }, (float64(i)-128.5)*s)
+	}
+	return l
+}
+
+func (l *levels) quantize(v float64) int8 {
+	i := uint8(int(max(l.floor, min(v*l.inv+128.5, 255))))
+	if v < l.bound[i] {
+		i--
+	} else if v >= l.bound[int(i)+1] {
+		i++
+	}
+	return int8(i - 128)
+}
+
+// firstAtLeast bisects for the least float64 at which ok (monotone, true at
+// +Inf) holds, keyed ±bits(|v|), in ±64 keys of guess when they bracket it.
+func firstAtLeast(ok func(float64) bool, guess float64) float64 {
+	val := func(k int64) float64 { return math.Copysign(math.Float64frombits(uint64(max(k, -k))), float64(k)) }
+	hi := int64(math.Float64bits(math.Inf(1)))
+	lo, g := -hi, int64(math.Copysign(1, guess))*int64(math.Float64bits(math.Abs(guess)))
+	switch {
+	case ok(val(lo)):
+		return val(lo)
+	case !ok(val(g-64)) && ok(val(g+64)):
+		lo, hi = g-64, g+64
+	}
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; ok(val(mid)) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return val(hi)
+}
+
 // foldedBN is a batch-norm layer collapsed to y = A·x + B per channel
 // (inference-mode statistics baked in).
 type foldedBN struct {
@@ -102,7 +159,7 @@ type qconv struct {
 	k, stride, pad int
 	bn             foldedBN
 	relu           bool
-	outScale       float32
+	lv             *levels // output step, with ReLU, set by calibrate
 }
 
 // forward computes the stage on an int8 input of shape (N, inC, H, W)
@@ -116,8 +173,8 @@ func (c *qconv) forward(x *QTensor, sc *engineScratch) *QTensor {
 // per image an im2col pack into the scratch patch matrix, the int8 GEMM
 // (see gemm.go: straight from the live weight rows where the host has the
 // kernel for it, else from rows packed in pairs first) and the per-channel
-// BN/ReLU requantization.
-// Output is bit-identical to computeRef, the retained reference loop.
+// BN rescale, ReLU and requantization through the stage's levels table (no
+// divide, no math.Round). Bit-identical to computeRef, the reference loop.
 func (c *qconv) compute(x *QTensor, sc *engineScratch) *QTensor {
 	n, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	if ch != c.inC {
@@ -125,7 +182,7 @@ func (c *qconv) compute(x *QTensor, sc *engineScratch) *QTensor {
 	}
 	outH := tensor.ConvOutSize(h, c.k, c.stride, c.pad)
 	outW := tensor.ConvOutSize(w, c.k, c.stride, c.pad)
-	out := NewQTensor(c.outScale, n, c.outC, outH, outW)
+	out := NewQTensor(c.lv.scale, n, c.outC, outH, outW)
 	kCols := c.inC * c.k * c.k
 	plane := outH * outW
 	m4, p4 := (c.outC+3)&^3, (plane+3)&^3
@@ -141,7 +198,6 @@ func (c *qconv) compute(x *QTensor, sc *engineScratch) *QTensor {
 	}
 	// Effective multiplier from int32 accumulator to real value.
 	accScale := float64(c.wScale) * float64(x.Scale)
-	outScale := float64(c.outScale)
 	for img := 0; img < n; img++ {
 		c.im2col(x.Q[img*ch*h*w:][:ch*h*w], h, w, outH, outW, cols, sc)
 		if live != nil {
@@ -156,11 +212,7 @@ func (c *qconv) compute(x *QTensor, sc *engineScratch) *QTensor {
 			accRow := acc[oc*p4:][:plane]
 			outRow := out.Q[outBase+oc*plane:][:plane]
 			for p := 0; p < plane; p++ {
-				v := a*(accScale*float64(accRow[p])) + bb
-				if c.relu && v < 0 {
-					v = 0
-				}
-				outRow[p] = clampQ(v / outScale)
+				outRow[p] = c.lv.quantize(a*(accScale*float64(accRow[p])) + bb)
 			}
 		}
 	}
@@ -178,7 +230,7 @@ func (c *qconv) computeRef(x *QTensor) *QTensor {
 	}
 	outH := tensor.ConvOutSize(h, c.k, c.stride, c.pad)
 	outW := tensor.ConvOutSize(w, c.k, c.stride, c.pad)
-	out := NewQTensor(c.outScale, n, c.outC, outH, outW)
+	out := NewQTensor(c.lv.scale, n, c.outC, outH, outW)
 	kk := c.k * c.k
 	cols := c.inC * kk
 	// Effective multiplier from int32 accumulator to real value.
@@ -216,7 +268,7 @@ func (c *qconv) computeRef(x *QTensor) *QTensor {
 					if c.relu && v < 0 {
 						v = 0
 					}
-					out.Q[outBase+oc*outH*outW+oy*outW+ox] = clampQ(v / float64(c.outScale))
+					out.Q[outBase+oc*outH*outW+oy*outW+ox] = clampQ(v / float64(c.lv.scale))
 				}
 			}
 		}
@@ -227,8 +279,8 @@ func (c *qconv) computeRef(x *QTensor) *QTensor {
 // qblock is a quantized residual basic block.
 type qblock struct {
 	conv1, conv2 *qconv
-	down         *qconv // nil for identity shortcuts
-	outScale     float32
+	down         *qconv  // nil for identity shortcuts
+	lv           *levels // output step of the sum, with ReLU
 }
 
 func (b *qblock) forward(x *QTensor, sc *engineScratch) *QTensor {
@@ -239,14 +291,11 @@ func (b *qblock) forward(x *QTensor, sc *engineScratch) *QTensor {
 		side = b.down.forward(x, sc)
 	}
 	// Residual add in the real domain, then ReLU and requantize.
-	out := NewQTensor(b.outScale, main.Shape...)
+	out := NewQTensor(b.lv.scale, main.Shape...)
 	ms, ss := float64(main.Scale), float64(side.Scale)
-	for i := range out.Q {
-		v := ms*float64(main.Q[i]) + ss*float64(side.Q[i])
-		if v < 0 {
-			v = 0
-		}
-		out.Q[i] = clampQ(v / float64(b.outScale))
+	q, mq, sq := out.Q, main.Q[:len(out.Q)], side.Q[:len(out.Q)]
+	for i := range q {
+		q[i] = b.lv.quantize(ms*float64(mq[i]) + ss*float64(sq[i]))
 	}
 	return out
 }
@@ -462,32 +511,33 @@ func (e *Engine) calibrate(net *nn.Sequential, calib *tensor.Tensor) {
 		}
 		return s
 	}
+	setStage := func(c *qconv, t *tensor.Tensor) { c.lv = newLevels(scaleOf(t), c.relu) }
 	bi := 0
 	for _, l := range net.Layers {
 		switch v := l.(type) {
 		case *nn.Conv2D, *nn.BatchNorm2D, *nn.ReLU, *nn.MaxPool2:
 			x = l.Forward(x, false)
-			if _, isRelu := v.(*nn.ReLU); isRelu && e.stem.outScale == 0 {
-				e.stem.outScale = scaleOf(x)
+			if _, isRelu := v.(*nn.ReLU); isRelu && e.stem.lv == nil {
+				setStage(e.stem, x)
 			}
 		case *nn.BasicBlock:
 			// Observe the block's internal stages in float.
 			mid := v.Conv1.Forward(x, false)
 			mid = v.BN1.Forward(mid, false)
 			mid = v.Relu1.Forward(mid, false)
-			e.blocks[bi].conv1.outScale = scaleOf(mid)
+			setStage(e.blocks[bi].conv1, mid)
 			main := v.Conv2.Forward(mid, false)
 			main = v.BN2.Forward(main, false)
-			e.blocks[bi].conv2.outScale = scaleOf(main)
+			setStage(e.blocks[bi].conv2, main)
 			side := x
 			if v.DownConv != nil {
 				side = v.DownConv.Forward(x, false)
 				side = v.DownBN.Forward(side, false)
-				e.blocks[bi].down.outScale = scaleOf(side)
+				setStage(e.blocks[bi].down, side)
 			}
 			sum := tensor.Add(main, side)
 			out := v.Relu2.Forward(sum, false)
-			e.blocks[bi].outScale = scaleOf(out)
+			e.blocks[bi].lv = newLevels(scaleOf(out), true)
 			x = out
 			bi++
 		case *nn.GlobalAvgPool, *nn.Linear:

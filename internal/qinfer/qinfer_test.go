@@ -2,6 +2,7 @@ package qinfer
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -64,6 +65,54 @@ func TestClampQSaturates(t *testing.T) {
 	}
 	if clampQ(0.4) != 0 || clampQ(0.6) != 1 || clampQ(-0.6) != -1 {
 		t.Fatal("clamp rounding wrong")
+	}
+}
+
+// TestLevelsMatchClampQ pins the requantization table to its definition,
+// clampQ(relu(v)/scale), with ReLU on and off: at every finite level
+// boundary ±64 ulps and at 10⁵ random v, for every scale calibration gave
+// tiny and for 1, 10⁻³⁰, 10³⁰, the smallest normal and a denormal float32.
+func TestLevelsMatchClampQ(t *testing.T) {
+	_, e := compileTiny(t)
+	scales := []float32{1, 1e-30, 1e30, 0x1p-126, math.SmallestNonzeroFloat32 * 3}
+	for _, c := range e.convs() {
+		scales = append(scales, c.lv.scale)
+	}
+	for _, b := range e.blocks {
+		scales = append(scales, b.lv.scale)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, scale := range scales {
+		for _, relu := range []bool{false, true} {
+			lv, s := newLevels(scale, relu), float64(scale)
+			check := func(v float64) {
+				r := v
+				if relu && r < 0 {
+					r = 0
+				}
+				if got, want := lv.quantize(v), clampQ(r/s); got != want {
+					t.Fatalf("scale %g relu %v: v = %g (%#x) → %d, clampQ gives %d", scale, relu, v, math.Float64bits(v), got, want)
+				}
+			}
+			for _, b := range lv.bound[1:256] {
+				if math.IsInf(b, 0) {
+					continue
+				}
+				v := b
+				for range 64 {
+					v = math.Nextafter(v, math.Inf(-1))
+				}
+				for range 129 {
+					check(v)
+					v = math.Nextafter(v, math.Inf(1))
+				}
+			}
+			for range 100000 {
+				check(s * (rng.Float64()*300 - 150) * math.Pow(2, float64(rng.Intn(9)-4)))
+			}
+			check(math.Inf(1))
+			check(math.Inf(-1))
+		}
 	}
 }
 

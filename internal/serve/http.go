@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -53,9 +54,14 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 // decodeInferRequest parses an InferRequest body into per-input tensors
 // against the server's configured shape (or the request's override).
 func (s *Server) decodeInferRequest(w http.ResponseWriter, r *http.Request) ([]*tensor.Tensor, error) {
-	var req InferRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		return nil, err
+	var body bytes.Buffer
+	body.Grow(int(min(max(r.ContentLength, 0), maxInferBodyBytes)) + bytes.MinRead)
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxInferBodyBytes)); err != nil {
+		return nil, fmt.Errorf("bad JSON: %w", err)
+	}
+	req, err := parseInferRequest(body.Bytes())
+	if err != nil {
+		return nil, fmt.Errorf("bad JSON: %w", err)
 	}
 	inputs := req.Inputs
 	if len(req.Input) > 0 {
@@ -71,11 +77,10 @@ func (s *Server) decodeInferRequest(w http.ResponseWriter, r *http.Request) ([]*
 	if len(shape) != 3 {
 		return nil, errors.New("shape must be (C,H,W)")
 	}
-	vol := tensor.Volume(shape)
 	out := make([]*tensor.Tensor, len(inputs))
 	for i, in := range inputs {
-		if len(in) != vol {
-			return nil, fmt.Errorf("input %d has %d values, shape %v needs %d", i, len(in), shape, vol)
+		if err := checkShape(shape, len(in)); err != nil {
+			return nil, fmt.Errorf("input %d: %w", i, err)
 		}
 		out[i] = tensor.FromSlice(in, shape...) // the decoded slice is this request's own
 	}

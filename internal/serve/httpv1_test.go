@@ -101,7 +101,9 @@ func TestHTTPV1Routes(t *testing.T) {
 // TestWrongChannelCountRejected: an input whose channel count is not the
 // model's is an error at submission — 400 over HTTP — whether or not the
 // model pins its input shape. Unpinned, it used to reach the stem's channel
-// panic on a worker goroutine and take the process down.
+// panic on a worker goroutine and take the process down; so did a shape
+// with a dimension below 1 whose volume still matched the values sent
+// (3·(−8)·(−8) = 192, or 0 for no values), and one whose volume wraps to 0.
 func TestWrongChannelCountRejected(t *testing.T) {
 	unpin := func(c *Config) { c.InputShape = nil }
 	for name, opts := range map[string][]ModelOption{"pinned": {WithScrub(0)}, "unpinned": {WithScrub(0), unpin}} {
@@ -120,9 +122,22 @@ func TestWrongChannelCountRejected(t *testing.T) {
 			if _, err := svc.Infer(context.Background(), Request{Model: "m0", Input: tensor.New(5, 8, 8)}); err == nil {
 				t.Fatal("Infer accepted a 5-channel input for a 3-channel model")
 			}
+			if _, err := svc.Infer(context.Background(), Request{Model: "m0", Input: &tensor.Tensor{Shape: []int{3, -8, -8}, Data: make([]float32, 192)}}); err == nil {
+				t.Fatal("Infer accepted a (3,-8,-8) input")
+			}
 			five, _ := json.Marshal(InferRequest{Input: make([]float32, 5*8*8), Shape: []int{5, 8, 8}})
 			if got := post(string(five)); got != http.StatusBadRequest {
 				t.Fatalf("5-channel body → %d, want 400", got)
+			}
+			negative, _ := json.Marshal(InferRequest{Input: make([]float32, 192), Shape: []int{3, -8, -8}})
+			for _, body := range []string{
+				string(negative),
+				`{"inputs":[[]],"shape":[3,0,64]}`,
+				`{"inputs":[[]],"shape":[3,4294967296,4294967296]}`,
+			} {
+				if got := post(body); got != http.StatusBadRequest {
+					t.Fatalf("%.60s → %d, want 400", body, got)
+				}
 			}
 			x, _ := b[0].Test.Batch(0, 1)
 			three, _ := json.Marshal(InferRequest{Input: x.Data, Shape: x.Shape[1:]})

@@ -49,6 +49,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -313,6 +314,9 @@ func (s *Server) newRequest(ctx context.Context, x *tensor.Tensor, id string) (*
 	if len(shape) != 3 {
 		return nil, fmt.Errorf("serve: input shape %v, want (C,H,W)", x.Shape)
 	}
+	if err := checkShape(shape, len(x.Data)); err != nil {
+		return nil, err
+	}
 	if c := s.eng.InputChannels(); shape[0] != c {
 		return nil, fmt.Errorf("serve: input shape %v has %d channels, the model takes %d", shape, shape[0], c)
 	}
@@ -322,6 +326,15 @@ func (s *Server) newRequest(ctx context.Context, x *tensor.Tensor, id string) (*
 		}
 	}
 	return &request{ctx: ctx, x: x, id: id, enq: time.Now(), out: make(chan Result, 1)}, nil
+}
+
+// checkShape rejects a (C,H,W) shape with a dimension below 1 (tensor.New
+// panics on it in the worker) or not of n values, by a float64 volume: no wrap.
+func checkShape(shape []int, n int) error {
+	if slices.Min(shape) < 1 || float64(shape[0])*float64(shape[1])*float64(shape[2]) != float64(n) {
+		return fmt.Errorf("serve: input shape %v does not hold %d values", shape, n)
+	}
+	return nil
 }
 
 // submit validates and enqueues one input, returning the channel its
