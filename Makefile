@@ -42,13 +42,15 @@ bench-smoke:
 # Each native fuzz target explores for 10 s past its committed seeds
 # (which `make test` already runs): the checksum kernel, the ECC
 # corrector, the conv GEMM kernels and requantization against the
-# reference loop, and the infer-body parser against encoding/json. A
-# failing input lands in the package's testdata/fuzz, ready to commit.
+# reference loop, the infer-body parser against encoding/json, and the
+# checkpoint loader (store.Open) on mutated files. A failing input lands
+# in the package's testdata/fuzz, ready to commit.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSignatures$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrectorAtMostTwoFlips$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzConvGEMM$$' -fuzztime 10s ./internal/qinfer/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInferRequest$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreOpen$$' -fuzztime 10s ./internal/store/
 
 # The three examples run to completion (in-process, loopback only; ≈ 10 s
 # together, PBFA profile generation in examples/serving dominates).

@@ -1,14 +1,16 @@
 // Command radar-protect demonstrates the full RADAR round trip on a zoo
-// model: protect → attack (PBFA mounted through the rowhammer simulator) →
-// run-time scan → zero-out recovery, reporting accuracy at every stage and
-// the secure-storage cost.
+// model: protect → attack (a PBFA profile mounted as rowhammer flips:
+// direct weight writes that no write observer sees) → run-time scan →
+// zero-out recovery, reporting accuracy at every stage and the
+// secure-storage cost.
 //
 // Usage:
 //
 //	radar-protect [-model resnet20s] [-g 8] [-flips 10] [-no-interleave] [-sig 2] [-workers 0] [-store PATH]
 //
 // -workers sizes the parallel scan engine's pool (0 = one per CPU); the
-// flagged output is identical for every setting.
+// flagged output is identical for every setting. A -g below 1 or a -sig
+// other than 2 or 3 exits 2 before anything runs.
 //
 // -store PATH rebinds the victim's quantized weights to an mmap-backed
 // store checkpoint at PATH before protecting: on first use the gob-trained
@@ -24,10 +26,10 @@ import (
 	"fmt"
 	"os"
 
+	"radar/internal/adversary"
 	"radar/internal/attack"
 	"radar/internal/core"
 	"radar/internal/model"
-	"radar/internal/rowhammer"
 )
 
 func main() {
@@ -44,6 +46,10 @@ func main() {
 	spec, ok := model.SpecByName(*which)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown model %q\n", *which)
+		os.Exit(2)
+	}
+	if *g < 1 || (*sig != 2 && *sig != 3) {
+		fmt.Fprintf(os.Stderr, "-g must be at least 1 and -sig 2 or 3 (got -g %d -sig %d)\n", *g, *sig)
 		os.Exit(2)
 	}
 
@@ -86,15 +92,15 @@ func main() {
 	fmt.Printf("secure storage: %.2f KB signatures + %d key bits + %d offset bits (%.2f KB total)\n",
 		st.SignatureKB(), st.KeyBits, st.OffsetBits, st.TotalBytes()/1024)
 
-	dram := rowhammer.New(victim.QModel, rowhammer.DefaultGeometry(), *seed)
-	mounted := dram.MountProfile(profile.Addresses())
+	addrs := profile.Addresses()
+	adversary.Mount(adversary.Target{Model: victim.QModel}, adversary.Volley{Weights: addrs})
 	attacked := model.Evaluate(victim.Net, victim.Test, 100)
 
 	flagged, zeroed := prot.DetectAndRecover()
-	detected := prot.CountDetected(profile.Addresses(), flagged)
+	detected := prot.CountDetected(addrs, flagged)
 	recovered := model.Evaluate(victim.Net, victim.Test, 100)
 
-	fmt.Printf("\nrowhammer mounted %d/%d profile bits\n", mounted, len(profile))
+	fmt.Printf("\nrowhammer flipped %d profile bits (no write observer saw them)\n", len(addrs))
 	fmt.Printf("scan flagged %d groups; %d/%d flips detected; %d weights zeroed\n",
 		len(flagged), detected, len(profile), zeroed)
 	fmt.Printf("\naccuracy: clean %.2f%% → attacked %.2f%% → recovered %.2f%%\n",

@@ -18,6 +18,7 @@
 // bare "zoo" uses the zoo name itself. The tuning flags apply to every
 // model (each still gets its own independent queue, workers and scrubber);
 // -scrub is the flip-exposure target of a model that gets no traffic.
+// A -g below 1 exits 2 before any model loads.
 //
 // -correct NAME (repeatable; "all" covers every model) opts the named
 // served model into ECC-corrected recovery: scrub-flagged groups consult
@@ -105,6 +106,10 @@ func main() {
 		logReqs   = flag.Bool("log-requests", false, "log every HTTP request (id, method, path, status, duration) via slog")
 	)
 	flag.Parse()
+	if *g < 1 {
+		fmt.Fprintf(os.Stderr, "-g must be at least 1, got %d\n", *g)
+		os.Exit(2)
+	}
 	if len(models) == 0 {
 		models = modelFlag{"resnet20s"}
 	}

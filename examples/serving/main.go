@@ -15,12 +15,12 @@ import (
 	"sync"
 	"time"
 
+	"radar/internal/adversary"
 	"radar/internal/attack"
 	"radar/internal/core"
 	"radar/internal/model"
 	"radar/internal/qinfer"
 	"radar/internal/quant"
-	"radar/internal/rowhammer"
 	"radar/internal/serve"
 	"radar/internal/tensor"
 )
@@ -52,12 +52,13 @@ func main() {
 	defer svc.Close()
 
 	// The adversary prepared a profile offline on its own copy of the
-	// model (white-box assumption) and mounts it through simulated DRAM.
+	// model (white-box assumption) and mounts it as rowhammer flips: direct
+	// writes to the live weight image that no write observer sees.
 	attacker := model.Load(model.ResNet20sSpec())
 	acfg := attack.DefaultConfig(3)
 	acfg.NumFlips = 9
 	profile := attack.PBFA(attacker.QModel, attacker.Attack, acfg)
-	dram := rowhammer.New(victim.QModel, rowhammer.DefaultGeometry(), 1)
+	volley := adversary.Volley{Weights: profile.Addresses()}
 
 	// Traffic: four clients streaming single-image requests against the
 	// victim model, each with a 2s deadline; every eighth request rides
@@ -145,11 +146,10 @@ func main() {
 	for round := 1; round <= 3; round++ {
 		time.Sleep(30 * time.Millisecond)
 		svc.Inject("resnet20", func(m *quant.Model) {
-			dram.MountProfile(profile.Addresses())
-			dram.Refresh()
+			adversary.Mount(adversary.Target{Model: m}, volley)
 		})
 		fmt.Printf("round %d: mounted %d flips against the live server\n",
-			round, len(profile.Addresses()))
+			round, len(volley.Weights))
 		if round == 2 {
 			reports, _ := svc.Rekey("resnet20")
 			fmt.Printf("admin rekey: model %s re-keyed live (pre-rekey sweep flagged %d, zeroed %d)\n",

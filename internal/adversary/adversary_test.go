@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"radar/internal/attack"
 	"radar/internal/core"
 	"radar/internal/model"
 	"radar/internal/quant"
@@ -204,5 +205,90 @@ func TestPlanVolleyOneShot(t *testing.T) {
 	}
 	if _, err := PlanVolley(tgt, "bogus", 1, 1); err == nil {
 		t.Fatal("unknown adversary must error")
+	}
+}
+
+// TestMountIsAPhysicalFlip: Mount lands every weight flip in storage the
+// way rowhammer does — no write observer fires, so incremental ScanDirty
+// sees nothing — and a full Scan flags every mounted group.
+func TestMountIsAPhysicalFlip(t *testing.T) {
+	tgt, snap := tinyTarget(t, false)
+	observed := 0
+	defer tgt.Model.Observe(func(int) { observed++ })()
+	v := Volley{Weights: []quant.BitAddress{
+		{LayerIndex: 0, WeightIndex: 1, Bit: quant.MSB},
+		{LayerIndex: 2, WeightIndex: 10, Bit: quant.MSB},
+		{LayerIndex: 3, WeightIndex: 5, Bit: quant.MSB},
+	}}
+	Mount(tgt, v)
+	want := map[core.GroupID]bool{}
+	for _, a := range v.Weights {
+		if got := tgt.Model.Layers[a.LayerIndex].Q[a.WeightIndex]; got != quant.FlipBit(snap[a.LayerIndex][a.WeightIndex], a.Bit) {
+			t.Fatalf("bit %v not flipped in storage", a)
+		}
+		want[tgt.Prot.GroupOf(a)] = true
+	}
+	if observed != 0 {
+		t.Fatalf("Mount notified write observers %d times; a physical flip announces nothing", observed)
+	}
+	if dirty := tgt.Prot.ScanDirty(); len(dirty) != 0 {
+		t.Fatalf("ScanDirty saw observer-bypassing flips: %v", dirty)
+	}
+	flagged := tgt.Prot.Scan()
+	if len(flagged) != len(want) {
+		t.Fatalf("Scan flagged %v, want the %d mounted groups", flagged, len(want))
+	}
+	for _, g := range flagged {
+		if !want[g] {
+			t.Fatalf("Scan flagged unmounted group %v", g)
+		}
+	}
+}
+
+// TestEndToEndRowhammerPBFARADAR is the §III integration test: PBFA derives
+// a profile offline; Mount lands it as rowhammer flips on the victim at
+// "run time"; RADAR's scan detects the corrupted groups and recovery
+// restores accuracy.
+func TestEndToEndRowhammerPBFARADAR(t *testing.T) {
+	// Offline phase: attacker computes the vulnerable-bit profile on its
+	// own copy of the model.
+	atkCopy := model.Load(model.TinySpec())
+	cfg := attack.DefaultConfig(99)
+	cfg.NumFlips = 8
+	profile := attack.PBFA(atkCopy.QModel, atkCopy.Attack, cfg)
+
+	// Victim system: protected model in DRAM.
+	victim := model.Load(model.TinySpec())
+	clean := model.Evaluate(victim.Net, victim.Test, 100)
+	prot := core.Protect(victim.QModel, core.DefaultConfig(16))
+
+	// Run-time phase: mount the profile as rowhammer flips.
+	Mount(Target{Model: victim.QModel}, Volley{Weights: profile.Addresses()})
+	attacked := model.Evaluate(victim.Net, victim.Test, 100)
+
+	// Detection + recovery.
+	// The tiny model's PBFA profile mixes in bit-6 flips and repeated flips
+	// of one weight, which a 2-bit signature legitimately misses part of
+	// the time; the paper-level detection statistics (≈9.5/10) are
+	// verified by the Figure 4 experiment on the scaled models. Here we
+	// require that the scan catches a solid share and never false-alarms.
+	flagged, _ := prot.DetectAndRecover()
+	detected := prot.CountDetected(profile.Addresses(), flagged)
+	if detected*2 < len(profile) {
+		t.Fatalf("detected only %d of %d rowhammer flips", detected, len(profile))
+	}
+	if len(flagged) == 0 {
+		t.Fatal("no groups flagged")
+	}
+	// On the tiny 4-class model a zeroed group is a large fraction of the
+	// classifier, so zero-out recovery trades corruption for erasure and
+	// the net accuracy gain can be ~0; the paper-scale recovery gains are
+	// demonstrated on the scaled ResNets by the Table III experiment
+	// (internal/exp). Here we assert recovery never makes things worse and
+	// that the model still functions.
+	recovered := model.Evaluate(victim.Net, victim.Test, 100)
+	if recovered < attacked-0.05 {
+		t.Fatalf("recovery hurt accuracy: clean %.3f attacked %.3f recovered %.3f",
+			clean, attacked, recovered)
 	}
 }

@@ -4,23 +4,24 @@ import (
 	"time"
 
 	"radar/internal/memsim"
-	"radar/internal/rowhammer"
 )
 
+// hammerThreshold is the aggressor activation count at which a victim bit
+// flips (real DDR3/DDR4 parts: tens to hundreds of thousands).
+const hammerThreshold = 50_000
+
 // RateModel prices attack flips through rowhammer physics: one induced
-// flip costs HammerThreshold activations of each of the two aggressor
+// flip costs hammerThreshold activations of each of the two aggressor
 // rows (double-sided rowhammer), every access a DRAM row conflict paying
 // the full precharge+activate+CAS path — alternating two rows of one bank
 // is precisely what defeats the open-row buffer, which is both why
 // rowhammer works and why it is slow. The memsim.DRAMTiming device
-// supplies the conflict latency and memsim.CostModel the clock, making
-// this the first non-test consumer of the timing substrate.
+// supplies the conflict latency and memsim.CostModel the clock. The model
+// only prices a flip; Mount lands it, as a direct write that no write
+// observer sees.
 type RateModel struct {
 	// Cost supplies the core clock for cycle→seconds conversion.
 	Cost memsim.CostModel
-	// Geo supplies the hammer threshold (activations per aggressor before
-	// the victim flips).
-	Geo rowhammer.Geometry
 
 	spf float64 // memoized seconds per flip
 }
@@ -29,7 +30,7 @@ type RateModel struct {
 // DDR3-1600-like timing at a 1 GHz clock, 50k-activation threshold
 // (≈ 4.2 ms per flip, ≈ 23 flips inside a 100 ms scrub window).
 func DefaultRateModel() *RateModel {
-	return &RateModel{Cost: memsim.DefaultCostModel(), Geo: rowhammer.DefaultGeometry()}
+	return &RateModel{Cost: memsim.DefaultCostModel()}
 }
 
 // SecondsPerFlip returns the wall-clock cost of inducing one bit flip.
@@ -42,7 +43,7 @@ func (r *RateModel) SecondsPerFlip() float64 {
 		above := uint64(0)
 		below := uint64(2 * d.Banks * d.RowBytes)
 		var cycles uint64
-		for i := 0; i < r.Geo.HammerThreshold; i++ {
+		for i := 0; i < hammerThreshold; i++ {
 			cycles += uint64(d.Access(above))
 			cycles += uint64(d.Access(below))
 		}

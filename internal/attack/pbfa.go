@@ -27,8 +27,8 @@ type Flip struct {
 }
 
 // Profile is the ordered list of flips from one attack round — the paper's
-// "vulnerable bit profile" that the hardware attacker then mounts through
-// rowhammer.
+// "vulnerable bit profile" that the hardware attacker then mounts as
+// rowhammer flips (adversary.Mount).
 type Profile []Flip
 
 // Addresses returns just the bit addresses of the profile.

@@ -282,6 +282,18 @@ func TestValidatePanics(t *testing.T) {
 			s.Validate(10)
 		}()
 	}
+	// Protect validates every layer's scheme up front: a Config its schemes
+	// reject never yields a protector.
+	for _, cfg := range []Config{{G: 0, SigBits: 2}, {G: 8, SigBits: 4}, {G: -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Protect(%+v) did not panic", cfg)
+				}
+			}()
+			Protect(syntheticModel(rand.New(rand.NewSource(1)), []int{64, 100}), cfg)
+		}()
+	}
 }
 
 func TestComparePanicsOnLengthMismatch(t *testing.T) {

@@ -116,7 +116,8 @@ type Protector struct {
 // Signature generation fans out over cfg.Workers; the golden values are
 // identical for every worker count. The protector registers itself as a
 // write observer of m, so mutations made through the quant.Model API
-// (FlipBit, Restore) mark the touched layers dirty for ScanDirty.
+// (FlipBit, Restore) mark the touched layers dirty for ScanDirty. A Config
+// that fails Scheme.Validate on any layer panics before any signing.
 func Protect(m *quant.Model, cfg Config) *Protector {
 	p := newProtector(m, cfg)
 	p.unobserve = m.Observe(p.markDirty)
@@ -140,14 +141,16 @@ func newProtector(m *quant.Model, cfg Config) *Protector {
 	}
 	// Secrets are drawn sequentially so the scheme stream depends only on
 	// cfg.Seed, never on worker scheduling.
-	for range m.Layers {
-		p.Schemes = append(p.Schemes, Scheme{
+	for _, l := range m.Layers {
+		s := Scheme{
 			G:          cfg.G,
 			Interleave: cfg.Interleave,
 			Offset:     DefaultOffset + rng.Intn(4), // per-layer secret offset
 			Key:        uint16(rng.Intn(1 << KeyBits)),
 			SigBits:    cfg.SigBits,
-		})
+		}
+		s.Validate(len(l.Q))
+		p.Schemes = append(p.Schemes, s)
 	}
 	p.compilePlans()
 	p.RefreshAll()

@@ -180,11 +180,12 @@ func ApplyProfile(b *model.Bundle, p attack.Profile) {
 	}
 }
 
-// row formats a fixed-width table row.
+// row formats a table row: each cell padded to 14 columns and followed by
+// at least one space, so a longer cell never fuses with the next.
 func row(cells ...string) string {
 	var sb strings.Builder
 	for _, c := range cells {
-		fmt.Fprintf(&sb, "%-14s", c)
+		fmt.Fprintf(&sb, "%-13s ", c)
 	}
 	return strings.TrimRight(sb.String(), " ")
 }

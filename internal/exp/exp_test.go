@@ -242,6 +242,23 @@ func TestRowhammerIntegration(t *testing.T) {
 	}
 }
 
+// TestRowSeparatesCells: a cell as wide as its 14-column slot, or wider
+// (Tables IV/V print "resnet18-imagenet"), is still followed by a space.
+func TestRowSeparatesCells(t *testing.T) {
+	for _, tc := range []struct {
+		cells []string
+		want  string
+	}{
+		{[]string{"G=8", "x"}, "G=8" + strings.Repeat(" ", 11) + "x"},
+		{[]string{"fourteen-chars", "x"}, "fourteen-chars x"},
+		{[]string{"resnet18-imagenet", "3.0839s", ""}, "resnet18-imagenet 3.0839s"},
+	} {
+		if got := row(tc.cells...); got != tc.want {
+			t.Errorf("row(%q) = %q, want %q", tc.cells, got, tc.want)
+		}
+	}
+}
+
 func TestRendersNonEmpty(t *testing.T) {
 	ctx := sharedCtx
 	outs := []string{

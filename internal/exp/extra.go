@@ -5,11 +5,11 @@ import (
 	"math/rand"
 	"strings"
 
+	"radar/internal/adversary"
 	"radar/internal/attack"
 	"radar/internal/core"
 	"radar/internal/model"
 	"radar/internal/quant"
-	"radar/internal/rowhammer"
 )
 
 // MissRateResult reproduces the §VI.B micro-experiment: a 512-weight layer
@@ -139,9 +139,10 @@ func (r MSB1Result) Render() string {
 }
 
 // RowhammerResult is the §III end-to-end threat-model integration: PBFA
-// profile → DRAM rowhammer mounting → run-time scan → recovery.
+// profile → rowhammer flips (adversary.Mount: direct writes no write
+// observer sees) → run-time scan → recovery.
 type RowhammerResult struct {
-	// Mounted is how many profile bits the hammering flipped.
+	// Mounted is how many profile bits were flipped.
 	Mounted int
 	// Detected is how many flips landed in flagged groups.
 	Detected int
@@ -157,13 +158,13 @@ func Rowhammer(c *Context) RowhammerResult {
 	victim := model.Load(specFor(ModelRN20))
 	res := RowhammerResult{Clean: model.Evaluate(victim.Net, eval, 100)}
 	prot := core.Protect(victim.QModel, core.DefaultConfig(ScaledG(ModelRN20, 8)))
-	dram := rowhammer.New(victim.QModel, rowhammer.DefaultGeometry(), c.Opt.Seed)
-
-	res.Mounted = dram.MountProfile(profile.Addresses())
+	addrs := profile.Addresses()
+	adversary.Mount(adversary.Target{Model: victim.QModel}, adversary.Volley{Weights: addrs})
+	res.Mounted = len(addrs)
 	res.Attacked = model.Evaluate(victim.Net, eval, 100)
 
 	flagged, _ := prot.DetectAndRecover()
-	res.Detected = prot.CountDetected(profile.Addresses(), flagged)
+	res.Detected = prot.CountDetected(addrs, flagged)
 	res.Recovered = model.Evaluate(victim.Net, eval, 100)
 	return res
 }

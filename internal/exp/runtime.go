@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"radar/internal/adversary"
 	"radar/internal/core"
 	"radar/internal/model"
-	"radar/internal/rowhammer"
 )
 
 // RuntimeDetectionResult reproduces the paper's motivating comparison with
@@ -30,7 +30,7 @@ type RuntimeDetectionResult struct {
 	Flips int
 }
 
-// RuntimeDetection mounts a PBFA profile through rowhammer *after* a full
+// RuntimeDetection mounts a PBFA profile as rowhammer flips *after* a full
 // periodic scan has passed, then compares the two deployment styles.
 func RuntimeDetection(c *Context) RuntimeDetectionResult {
 	profile := c.Profiles(ModelRN20)[0]
@@ -45,16 +45,15 @@ func RuntimeDetection(c *Context) RuntimeDetectionResult {
 	if flagged := prot.Scan(); len(flagged) != 0 { // the periodic check passes…
 		panic("exp: clean model flagged")
 	}
-	dram := rowhammer.New(periodic.QModel, rowhammer.DefaultGeometry(), c.Opt.Seed)
-	dram.MountProfile(profile.Addresses()) // …and the attacker strikes after it
+	// …and the attacker strikes after it.
+	adversary.Mount(adversary.Target{Model: periodic.QModel}, adversary.Volley{Weights: profile.Addresses()})
 	res.PeriodicAccuracy = model.Evaluate(periodic.Net, eval, 100)
 
 	// --- Embedded deployment: same timeline, but each layer is scanned and
 	// repaired at fetch time, before its weights are consumed.
 	embedded := model.Load(specFor(ModelRN20))
 	prot2 := core.Protect(embedded.QModel, core.DefaultConfig(ScaledG(ModelRN20, 8)))
-	dram2 := rowhammer.New(embedded.QModel, rowhammer.DefaultGeometry(), c.Opt.Seed)
-	dram2.MountProfile(profile.Addresses())
+	adversary.Mount(adversary.Target{Model: embedded.QModel}, adversary.Volley{Weights: profile.Addresses()})
 	detected := 0
 	for li := range embedded.QModel.Layers {
 		flagged := prot2.ScanLayer(li)

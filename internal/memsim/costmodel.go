@@ -1,8 +1,52 @@
+// Package memsim is the system-level timing substrate standing in for the
+// paper's gem5 simulation (8× Arm Cortex-M4F @ 1 GHz, 32 KB L1 + 64 KB L2;
+// see README.md §Experiments). It provides a calibrated cost model that
+// prices inference, RADAR detection and CRC detection over the *full-size*
+// ResNet-20/ResNet-18 layer shape tables — reproducing Table IV and
+// Table V — and a bank/row-buffer DRAM device. The same substrate prices
+// the attacker: internal/adversary's RateModel derives rowhammer flip
+// throughput from DRAMTiming's row-conflict latency and CostModel's clock.
 package memsim
 
 import (
 	"radar/internal/model"
 )
+
+// The paper's memory system as SimulateInference's weight stream sees it:
+// 64-byte lines, and a cold line misses L1 and L2 and pays
+// L1 + L2 + DRAM = 1 + 10 + 30 cycles. Each layer is read once, in
+// address order, from a cold hierarchy, so no line is touched twice except
+// a layer's first line when the previous layer's last read already
+// brought it into L1.
+const (
+	lineBytes      = 64
+	coldLineCycles = 41
+	l1HitCycles    = 1
+)
+
+// weightStream prices that stream in closed form. One access is charged
+// per line (hardware streams within a line).
+type weightStream struct {
+	addr uint64 // first byte of the next read
+	end  uint64 // one past the last line read so far (0: nothing read)
+}
+
+// read charges a sequential read of n bytes at the stream's address and
+// advances past them.
+func (s *weightStream) read(n int) uint64 {
+	lines := (uint64(n) + lineBytes - 1) / lineBytes
+	if lines == 0 {
+		return 0
+	}
+	first := s.addr / lineBytes
+	cyc := lines * coldLineCycles
+	if first < s.end { // the previous read's last line, still in L1
+		cyc -= coldLineCycles - l1HitCycles
+	}
+	s.addr += uint64(n)
+	s.end = first + lines
+	return cyc
+}
 
 // CostModel prices inference and detection in cycles on the simulated
 // system. Constants are calibrated once against the paper's gem5 baselines
@@ -47,14 +91,6 @@ func DefaultCostModel() CostModel {
 // Seconds converts cycles to seconds at the model clock.
 func (c CostModel) Seconds(cycles float64) float64 { return cycles / c.ClockHz }
 
-// detectionCores returns the core count detection uses for a layer.
-func (c CostModel) detectionCores(weights int) int {
-	if weights >= c.ParallelThreshold {
-		return c.Cores
-	}
-	return 1
-}
-
 // InferenceResult reports the simulated times of one configuration.
 type InferenceResult struct {
 	// BaselineSec is the unprotected inference time.
@@ -69,23 +105,24 @@ type InferenceResult struct {
 // described by tab: compute cycles from the MAC counts plus the DRAM
 // streaming of all weights through the hierarchy.
 func (c CostModel) SimulateInference(tab *model.ShapeTable) InferenceResult {
-	h := NewHierarchy()
+	var ws weightStream
 	var cycles float64
-	var addr uint64
 	for _, l := range tab.Layers {
 		compute := float64(l.MACs) * c.CyclesPerMAC
-		mem := float64(h.StreamBytes(addr, l.Weights))
-		addr += uint64(l.Weights)
+		mem := float64(ws.read(l.Weights))
 		// Weight streaming overlaps compute (double buffering); the layer
 		// is bound by the slower of the two.
-		if compute > mem {
-			cycles += compute
-		} else {
-			cycles += mem
-		}
+		cycles += max(compute, mem)
 	}
 	sec := c.Seconds(cycles)
 	return InferenceResult{BaselineSec: sec, TotalSec: sec}
+}
+
+// withDetection prices the inference over tab with detCycles of detection
+// added to it.
+func (c CostModel) withDetection(tab *model.ShapeTable, detCycles float64) InferenceResult {
+	base, det := c.SimulateInference(tab).BaselineSec, c.Seconds(detCycles)
+	return InferenceResult{BaselineSec: base, DetectionSec: det, TotalSec: base + det}
 }
 
 // RADARConfig selects the detection variant being priced.
@@ -115,10 +152,12 @@ const (
 // checksum accumulation rides the weight fetch; interleaving adds index
 // math plus a gather priced by where the layer lives in the hierarchy.
 func (c CostModel) SimulateRADAR(tab *model.ShapeTable, cfg RADARConfig) InferenceResult {
-	base := c.SimulateInference(tab)
 	var detCycles float64
 	for _, l := range tab.Layers {
-		cores := float64(c.detectionCores(l.Weights))
+		cores := 1.0
+		if l.Weights >= c.ParallelThreshold {
+			cores = float64(c.Cores)
+		}
 		groups := (l.Weights + cfg.G - 1) / cfg.G
 		perWeight := c.ChecksumCyclesPerWeight
 		if cfg.Interleave {
@@ -132,12 +171,7 @@ func (c CostModel) SimulateRADAR(tab *model.ShapeTable, cfg RADARConfig) Inferen
 		cyc := float64(l.Weights)*perWeight + float64(groups)*c.GroupCycles
 		detCycles += cyc / cores
 	}
-	det := c.Seconds(detCycles)
-	return InferenceResult{
-		BaselineSec:  base.BaselineSec,
-		DetectionSec: det,
-		TotalSec:     base.BaselineSec + det,
-	}
+	return c.withDetection(tab, detCycles)
 }
 
 // SimulateCRC prices inference with a bit-serial CRC check over every
@@ -146,18 +180,12 @@ func (c CostModel) SimulateRADAR(tab *model.ShapeTable, cfg RADARConfig) Inferen
 // one core — the architectural disadvantage versus RADAR's trivially
 // parallel additive checksum.
 func (c CostModel) SimulateCRC(tab *model.ShapeTable, g int) InferenceResult {
-	base := c.SimulateInference(tab)
 	var detCycles float64
 	for _, l := range tab.Layers {
 		groups := (l.Weights + g - 1) / g
 		detCycles += float64(l.Weights)*c.CRCCyclesPerWeight + float64(groups)*c.GroupCycles
 	}
-	det := c.Seconds(detCycles)
-	return InferenceResult{
-		BaselineSec:  base.BaselineSec,
-		DetectionSec: det,
-		TotalSec:     base.BaselineSec + det,
-	}
+	return c.withDetection(tab, detCycles)
 }
 
 // OverheadPercent returns the detection overhead relative to baseline.

@@ -3,8 +3,9 @@ package memsim
 // DRAMTiming models a DDR-style device at the granularity Table IV/V
 // need: banks with open-row buffers, where an access to the open row costs
 // a CAS latency only, and a row conflict pays precharge + activate + CAS.
-// It refines the flat DRAMLat of Hierarchy for traffic-pattern studies
-// (sequential streams hit the row buffer almost always; interleaved
+// It refines the weight stream's flat 30-cycle DRAM latency for
+// traffic-pattern studies (sequential streams hit the row buffer almost
+// always; interleaved
 // gathers with large strides conflict constantly — the microarchitectural
 // root of the paper's asymmetric interleave cost). It also prices the
 // attacker: alternating activations of two rows in one bank are all row
@@ -31,9 +32,7 @@ func NewDRAMTiming() *DRAMTiming {
 		CASLat: 14, RPLat: 14, RCDLat: 14,
 	}
 	d.openRow = make([]int64, d.Banks)
-	for i := range d.openRow {
-		d.openRow[i] = -1
-	}
+	d.Reset()
 	return d
 }
 
@@ -69,11 +68,7 @@ func (d *DRAMTiming) Reset() {
 // StreamCost returns the total cycles to read n sequential bytes at line
 // granularity (64 B per access, the cache-line fill unit).
 func (d *DRAMTiming) StreamCost(addr uint64, n int) uint64 {
-	var total uint64
-	for off := 0; off < n; off += 64 {
-		total += uint64(d.Access(addr + uint64(off)))
-	}
-	return total
+	return d.GatherCost(addr, (n+63)/64, 64)
 }
 
 // GatherCost returns the total cycles for n accesses with the given byte

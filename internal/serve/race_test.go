@@ -5,10 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"radar/internal/adversary"
 	"radar/internal/attack"
 	"radar/internal/model"
 	"radar/internal/quant"
-	"radar/internal/rowhammer"
 )
 
 // TestServeRaceUnderLiveFlips is the -race contract of the subsystem: it
@@ -23,12 +23,11 @@ func TestServeRaceUnderLiveFlips(t *testing.T) {
 	cfg.ScrubInterval = time.Millisecond
 	b, srv := newTinyServer(t, cfg)
 
-	// A precomputed MSB profile to mount repeatedly through the simulated
-	// DRAM; computed on a separate attacker copy so profiling itself does
+	// A precomputed MSB profile to mount repeatedly as observer-bypassing
+	// flips; computed on a separate attacker copy so profiling itself does
 	// not touch the victim.
 	atk := model.Load(model.TinySpec())
-	addrs := attack.RandomMSB(atk.QModel, 8, 11).Addresses()
-	dram := rowhammer.New(b.QModel, rowhammer.DefaultGeometry(), 1)
+	volley := adversary.Volley{Weights: attack.RandomMSB(atk.QModel, 8, 11).Addresses()}
 
 	x, _ := b.Test.Batch(0, 8)
 	const (
@@ -57,8 +56,7 @@ func TestServeRaceUnderLiveFlips(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < atkRounds; i++ {
 			srv.Inject(func(m *quant.Model) {
-				dram.MountProfile(addrs)
-				dram.Refresh()
+				adversary.Mount(adversary.Target{Model: m}, volley)
 			})
 			time.Sleep(100 * time.Microsecond)
 		}

@@ -5,19 +5,19 @@ import (
 	"testing"
 	"time"
 
+	"radar/internal/adversary"
 	"radar/internal/attack"
 	"radar/internal/core"
 	"radar/internal/model"
 	"radar/internal/qinfer"
 	"radar/internal/quant"
-	"radar/internal/rowhammer"
 )
 
 // TestEndToEndResilience boots the server on the ResNet-20 substitute
 // (testdata/models/resnet20s.gob), takes a clean-baseline answer set,
-// mounts PBFA-style MSB flips through the rowhammer simulator mid-traffic,
-// and asserts that (a) the flipped groups were flagged and recovered
-// without stopping traffic, and (b) post-attack answers match the
+// mounts PBFA-style MSB flips mid-traffic as rowhammer does (direct writes,
+// no write observer), and asserts that (a) the flipped groups were flagged
+// and recovered without stopping traffic, and (b) post-attack answers match the
 // clean-model baseline (recovery zeroes only the few corrupted groups, so
 // predictions must agree on nearly every probe).
 func TestEndToEndResilience(t *testing.T) {
@@ -48,11 +48,10 @@ func TestEndToEndResilience(t *testing.T) {
 		baseline[i] = res.Class
 	}
 
-	// Mid-traffic attack: PBFA-style MSB flips mounted through the DRAM
-	// simulator while client goroutines keep the server busy.
+	// Mid-traffic attack: PBFA-style MSB flips mounted while client
+	// goroutines keep the server busy.
 	atk := model.Load(model.ResNet20sSpec())
 	addrs := attack.RandomMSB(atk.QModel, 12, 99).Addresses()
-	dram := rowhammer.New(b.QModel, rowhammer.DefaultGeometry(), 7)
 
 	stop := make(chan struct{})
 	var traffic sync.WaitGroup
@@ -75,9 +74,7 @@ func TestEndToEndResilience(t *testing.T) {
 	}
 
 	srv.Inject(func(m *quant.Model) {
-		if mounted := dram.MountProfile(addrs); mounted != len(addrs) {
-			t.Errorf("mounted %d/%d flips", mounted, len(addrs))
-		}
+		adversary.Mount(adversary.Target{Model: m}, adversary.Volley{Weights: addrs})
 	})
 
 	// Let traffic + scrubber + verified fetch chew on the corruption.

@@ -32,10 +32,11 @@
 //     bytes its convolution reads next — and a mismatch is repaired before
 //     the stage runs. Nothing is cached: a flip that no write observer saw
 //     lives until the next batch, not until the next scrub tick.
-//   - An attack-injection hook that runs an adversary (e.g. a rowhammer
-//     simulator mounting a PBFA profile) against the live model under
-//     whole-model write exclusion, so integration tests and benchmarks can
-//     flip bits mid-traffic without tripping the race detector.
+//   - An attack-injection hook that runs an adversary (e.g. adversary.Mount
+//     landing a PBFA profile as rowhammer flips: direct writes no write
+//     observer sees) against the live model under whole-model write
+//     exclusion, so integration tests and benchmarks can flip bits
+//     mid-traffic without tripping the race detector.
 //
 // All cross-goroutine access to a weight image is coordinated through one
 // core.LayerGuard per model: inference and scans take per-layer read
@@ -382,9 +383,9 @@ func (s *Server) trySubmit(ctx context.Context, x *tensor.Tensor, id string) (<-
 
 // Inject runs an adversary against the live model under whole-model write
 // exclusion: no inference fetch, scan or recovery overlaps f. This is the
-// attack-injection hook — hand it a closure that mounts a rowhammer
-// profile or flips chosen bits, and the serving stack will detect and
-// recover on the following fetches and scrub cycles.
+// attack-injection hook — hand it a closure that mounts a volley through
+// adversary.Mount or flips chosen bits, and the serving stack will detect
+// and recover on the following fetches and scrub cycles.
 func (s *Server) Inject(f func(m *quant.Model)) {
 	s.guard.LockAll()
 	f(s.model)

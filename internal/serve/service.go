@@ -405,8 +405,7 @@ func (s *Service) Rekey(model string) ([]AdminReport, error) {
 
 // Inject runs an adversary against the named model's live weight image
 // under whole-model write exclusion (empty name: default model) — the
-// attack-injection hook tests and benchmarks mount rowhammer profiles
-// through.
+// attack-injection hook tests and benchmarks mount flips through.
 func (s *Service) Inject(model string, f func(*quant.Model)) error {
 	hm, err := s.reg.lookup(model)
 	if err != nil {

@@ -148,6 +148,12 @@ func encodeTable(layers []layerMeta) []byte {
 // decodeTable parses n section-table entries and validates their geometry
 // against the file size.
 func decodeTable(buf []byte, n int, fileSize int64) ([]layerMeta, error) {
+	// The header's layer count is outside the table CRC: bound it by the
+	// smallest entry (name length, a 1-byte name, scale, scale count,
+	// offset, weights) before it sizes an allocation.
+	if n > len(buf)/(2+1+4+4+8+8) {
+		return nil, fmt.Errorf("%w: %d layers cannot fit a %d-byte section table", ErrFormat, n, len(buf))
+	}
 	le := binary.LittleEndian
 	layers := make([]layerMeta, 0, n)
 	seen := make(map[string]bool, n)

@@ -434,6 +434,12 @@ func TestOpenRejectsCorruption(t *testing.T) {
 		{"table CRC mismatch", func(b []byte) []byte { b[h.tableOff] ^= 0xFF; return b }},
 		{"truncated file", func(b []byte) []byte { return b[:len(b)-1] }},
 		{"short header", func(b []byte) []byte { return b[:headerSize-1] }},
+		// The layer count is outside the table CRC; 2³²−1 of them once sized
+		// a ~300 GB allocation before the table was read.
+		{"layer count exceeds table", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[16:], 1<<32-1)
+			return b
+		}},
 		// A crafted first entry whose off is page-aligned and huge enough
 		// that off+weights wraps int64 negative, with the table CRC fixed up
 		// so only the geometry check can reject it.
@@ -487,4 +493,43 @@ func TestCloseInvalidatesAndIdempotent(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
+}
+
+// FuzzStoreOpen feeds Open mutated checkpoint files: whatever the bytes,
+// Open never panics, and a file it accepts builds a model whose weight
+// payload fits inside the file.
+func FuzzStoreOpen(f *testing.F) {
+	m := &quant.Model{Layers: []*quant.Layer{
+		{Name: "conv.weight", Q: []int8{1, -2, 3, -128, 127}, Scale: 0.5, Scales: []float32{0.25, 0.5}},
+		{Name: "fc.weight", Q: []int8{7, 0, -7}, Scale: 0.125},
+	}}
+	path := filepath.Join(f.TempDir(), "seed.radar")
+	if err := Save(path, m); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for _, n := range []int{len(valid) - 1, len(valid) / 2, PageSize, headerSize, headerSize - 1, 0} {
+		f.Add(valid[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := filepath.Join(t.TempDir(), "fuzz.radar")
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := Open(p, InRAM())
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		if got := len(c.Model().Layers); got != c.NumLayers() {
+			t.Fatalf("model has %d layers, checkpoint %d", got, c.NumLayers())
+		}
+		if c.WeightBytes() > c.Size() {
+			t.Fatalf("%d weight bytes in a %d-byte file", c.WeightBytes(), c.Size())
+		}
+	})
 }
