@@ -315,9 +315,4 @@ func main() {
 		c.Close()
 	}
 	ckptMu.Unlock()
-	for _, info := range svc.Models() {
-		m := info.Metrics
-		log.Printf("model %q: served %d requests in %d batches; scrub cycles %d; rekeys %d; groups flagged %d, recovered %d",
-			info.Name, m.Requests, m.Batches, m.ScrubCycles, m.Rekeys, m.GroupsFlagged, m.GroupsRecovered)
-	}
 }

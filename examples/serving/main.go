@@ -12,6 +12,8 @@ package main
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -160,19 +162,34 @@ func main() {
 	close(stop)
 	wg.Wait()
 
-	snap, _ := svc.Snapshot("resnet20")
+	// Every live figure is a series on the service's one metrics surface
+	// (GET /v1/metrics); read resnet20's from that exposition.
+	var expo strings.Builder
+	svc.WriteMetrics(&expo)
+	series := func(name string) float64 {
+		for _, line := range strings.Split(expo.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+`{model="resnet20"} `); ok {
+				f, _ := strconv.ParseFloat(v, 64)
+				return f
+			}
+		}
+		return 0
+	}
+	reqs, batches := series("radar_requests_total"), series("radar_batches_total")
 	mu.Lock()
 	acc := float64(correct) / float64(total)
 	mu.Unlock()
-	fmt.Printf("\nserved %d resnet20 requests (%d async jobs) in %d batches (avg batch %.1f) — accuracy under attack %.1f%% (clean %s)\n",
-		snap.Requests, asyncJobs, snap.Batches, snap.AvgBatch, 100*acc, victim.MustClean())
+	fmt.Printf("\nserved %.0f resnet20 requests (%d async jobs) in %.0f batches (avg batch %.1f) — accuracy under attack %.1f%% (clean %s)\n",
+		reqs, asyncJobs, batches, series("radar_batched_requests_total")/max(batches, 1), 100*acc, victim.MustClean())
 	fmt.Printf("side model served %d requests, untouched by the attack\n", sideServed)
-	fmt.Printf("scrubber: %d cycles, flagged %d, zeroed %d weights; rekeys %d\n",
-		snap.ScrubCycles, snap.ScrubFlagged, snap.ScrubZeroed, snap.Rekeys)
-	fmt.Printf("verified fetch: %d layer checks, flagged %d\n",
-		snap.VerifyScans, snap.VerifyFlagged)
+	fmt.Printf("scrubber: %.0f cycles, flagged %.0f, zeroed %.0f weights; rekeys %.0f\n",
+		series("radar_scrub_cycles_total"), series("radar_scrub_flagged_total"),
+		series("radar_scrub_zeroed_total"), series("radar_rekeys_total"))
+	fmt.Printf("verified fetch: %.0f layer checks, flagged %.0f\n",
+		series("radar_verify_scans_total"), series("radar_verify_flagged_total"))
+	st := vicProt.Stats()
 	fmt.Printf("protector totals: %d scans, %d groups flagged, %d recovered, %d weights zeroed\n",
-		snap.ProtectorScans, snap.GroupsFlagged, snap.GroupsRecovered, snap.WeightsZeroed)
+		st.Scans, st.GroupsFlagged, st.GroupsRecovered, st.WeightsZeroed)
 
 	if flagged, _ := vicProt.DetectAndRecover(); len(flagged) == 0 {
 		fmt.Println("final sweep: model clean — every attack round was recovered without stopping traffic")

@@ -34,24 +34,28 @@ type AdminResponse struct {
 func (f *Fleet) broadcast(r *http.Request, path string, body []byte) []ReplicaReport {
 	out := make([]ReplicaReport, 0, len(f.order))
 	for _, base := range f.order {
-		rep := ReplicaReport{Replica: base}
-		resp, err := f.sendSlow(r, base, path, body)
-		if err != nil {
-			rep.Err = err.Error()
-			out = append(out, rep)
-			continue
-		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		rep.Status = resp.StatusCode
-		if err != nil {
-			rep.Err = err.Error()
-		} else if json.Valid(raw) {
-			rep.Body = json.RawMessage(raw)
-		}
-		out = append(out, rep)
+		out = append(out, f.adminCall(r, base, path, body))
 	}
 	return out
+}
+
+// adminCall sends one admin request to one replica, without the attempt
+// deadline, and reports its answer: the status and JSON body, or the error.
+func (f *Fleet) adminCall(r *http.Request, base, path string, body []byte) ReplicaReport {
+	rep := ReplicaReport{Replica: base}
+	resp, err := f.sendSlow(r, base, path, body)
+	if err != nil {
+		rep.Err = err.Error()
+		return rep
+	}
+	defer resp.Body.Close()
+	rep.Status = resp.StatusCode
+	if raw, err := io.ReadAll(resp.Body); err != nil {
+		rep.Err = err.Error()
+	} else if json.Valid(raw) {
+		rep.Body = raw
+	}
+	return rep
 }
 
 // handleBroadcastAdmin fans POST /v1/admin/scrub out to every replica —
@@ -106,7 +110,6 @@ func (f *Fleet) handleRollingRekey(w http.ResponseWriter, r *http.Request) {
 	defer func() { f.met.rekeySeconds.Observe(time.Since(rekeyStart).Seconds()) }()
 	out := make([]ReplicaReport, 0, len(f.order))
 	for _, base := range f.order {
-		rep := ReplicaReport{Replica: base}
 		f.drain(base)
 		// Let requests already routed at the replica finish before its
 		// rekey takes the write-exclusive window.
@@ -117,19 +120,7 @@ func (f *Fleet) handleRollingRekey(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, r.Context().Err().Error(), http.StatusServiceUnavailable)
 			return
 		}
-		resp, err := f.sendSlow(r, base, "/v1/admin/rekey", body)
-		if err != nil {
-			rep.Err = err.Error()
-		} else {
-			raw, rerr := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			rep.Status = resp.StatusCode
-			if rerr != nil {
-				rep.Err = rerr.Error()
-			} else if json.Valid(raw) {
-				rep.Body = json.RawMessage(raw)
-			}
-		}
+		rep := f.adminCall(r, base, "/v1/admin/rekey", body)
 		f.undrain(base)
 		out = append(out, rep)
 	}

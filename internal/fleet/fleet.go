@@ -78,7 +78,8 @@ type Config struct {
 	MaxBodyBytes int64
 	// ShedWindow is the span of the per-replica sliding window that
 	// tracks shed/error outcomes (429s, attempt timeouts, 5xx) against
-	// total attempts (default 10s).
+	// total attempts (default 10s). New rejects a window under 8ns: the
+	// window is eight buckets of at least a nanosecond each.
 	ShedWindow time.Duration
 	// ShedRate is the bad-outcome fraction over ShedWindow beyond which a
 	// replica is soft-drained — weighted out of new sync traffic while
@@ -215,6 +216,9 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, errors.New("fleet: at least one replica base URL is required")
 	}
 	cfg.fillDefaults()
+	if cfg.ShedWindow < shedBuckets {
+		return nil, fmt.Errorf("fleet: shed window %v, want at least %v (%d buckets of 1ns)", cfg.ShedWindow, time.Duration(shedBuckets), shedBuckets)
+	}
 	f := &Fleet{
 		cfg:      cfg,
 		ring:     NewRing(cfg.VNodes),

@@ -69,6 +69,21 @@ func newStubReplica(name string, models ...string) *stubReplica {
 		}
 		json.NewEncoder(w).Encode(resp)
 	})
+	mux.HandleFunc("GET /v1/models/{model}", func(w http.ResponseWriter, r *http.Request) {
+		if s.broken.Load() {
+			http.Error(w, "broken", http.StatusInternalServerError)
+			return
+		}
+		m := r.PathValue("model")
+		s.mu.Lock()
+		ok := s.hosted[m]
+		s.mu.Unlock()
+		if !ok {
+			http.Error(w, "unknown model", http.StatusNotFound)
+			return
+		}
+		json.NewEncoder(w).Encode(serve.ModelInfo{Name: m, Healthy: true})
+	})
 	mux.HandleFunc("POST /v1/models/{model}/infer", func(w http.ResponseWriter, r *http.Request) {
 		if s.hang.Load() {
 			// Gray failure: the request is accepted and read, the answer
@@ -562,6 +577,11 @@ func TestFleetConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Replicas: []string{"http://a:1", "http://a:1"}}); err == nil {
 		t.Fatal("duplicate replicas accepted")
+	}
+	// Under one nanosecond per bucket the window's bucket width is zero,
+	// and every routed request would divide by it.
+	if _, err := New(Config{Replicas: []string{"http://a:1"}, ShedWindow: shedBuckets - 1}); err == nil {
+		t.Fatal("shed window shorter than its buckets accepted")
 	}
 }
 

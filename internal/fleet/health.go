@@ -2,11 +2,14 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"sync"
 	"time"
+
+	"radar/internal/serve"
 )
 
 // probeLoop drives the health view: each interval, every replica is
@@ -50,8 +53,9 @@ func (f *Fleet) probeLoop() {
 
 // probe runs one health check and applies its verdict. A success that
 // would readmit an ejected replica first runs the model-set
-// reconciliation: a replica that missed broadcast membership changes
-// while unreachable must not rejoin the ring with a stale hosted set.
+// reconciliation against the listing the probe just read: a replica that
+// missed broadcast membership changes while unreachable must not rejoin
+// the ring with a stale hosted set.
 func (f *Fleet) probe(r *replica) {
 	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.HealthTimeout)
 	defer cancel()
@@ -65,6 +69,8 @@ func (f *Fleet) probe(r *replica) {
 		f.noteProbe(r, err)
 		return
 	}
+	var listing serve.ModelsResponse
+	err = json.NewDecoder(resp.Body).Decode(&listing)
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -74,8 +80,8 @@ func (f *Fleet) probe(r *replica) {
 	r.mu.Lock()
 	wasDown := !r.healthy
 	r.mu.Unlock()
-	if wasDown {
-		f.reconcileModels(r)
+	if wasDown && err == nil {
+		f.reconcileModels(r, listing.Models)
 	}
 	f.noteProbe(r, nil)
 }

@@ -43,9 +43,9 @@ type fleetMetrics struct {
 func (f *Fleet) initMetrics(reg *obs.Registry) {
 	f.met = &fleetMetrics{
 		requests:          reg.Counter("radar_fleet_requests_total", "Requests handled by the fleet router.", "route"),
-		failovers:         reg.Counter("radar_fleet_failovers_total", "Sync requests replayed on another owner after a transport failure.").With(),
-		shedFailovers:     reg.Counter("radar_fleet_shed_failover_total", "Sync requests replayed on another owner after a 429 queue-full shed.").With(),
-		errFailovers:      reg.Counter("radar_fleet_err_failovers_total", "Sync requests replayed on another owner after a 5xx verdict.").With(),
+		failovers:         reg.Counter("radar_fleet_failovers_total", "Routed requests replayed on another owner after a transport failure.").With(),
+		shedFailovers:     reg.Counter("radar_fleet_shed_failover_total", "Routed requests replayed on another owner after a 429 queue-full shed.").With(),
+		errFailovers:      reg.Counter("radar_fleet_err_failovers_total", "Routed requests replayed on another owner after a 5xx verdict.").With(),
 		retries:           reg.Counter("radar_fleet_retries_total", "All failover replays (transport, shed, 5xx).").With(),
 		panicRoutes:       reg.Counter("radar_fleet_panic_routes_total", "Requests routed to all configured replicas because ejections emptied the ring.").With(),
 		attemptTimeouts:   reg.Counter("radar_fleet_attempt_timeouts_total", "Proxied attempts that exceeded AttemptTimeout while the client was still live — slow-replica verdicts.", "replica"),

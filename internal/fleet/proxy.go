@@ -24,7 +24,7 @@ import (
 //	GET    /v1/jobs/{id}             — sticky: answered by the minting replica
 //	DELETE /v1/jobs/{id}             — sticky cancel
 //	GET    /v1/models                — merged listing with per-model owners
-//	GET    /v1/models/{model}        — routed by owner
+//	GET    /v1/models/{model}        — routed by owner, retried on failover
 //	POST   /v1/admin/scrub           — broadcast to every in-ring replica
 //	POST   /v1/admin/rekey           — zero-downtime rolling rekey
 //	POST   /v1/admin/models/{name}   — broadcast hot-add
@@ -34,12 +34,12 @@ import (
 //	GET    /v1/debug/traces          — merged per-stage traces, fleet-wide
 func (f *Fleet) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/models/{model}/infer", f.handleInfer)
+	mux.HandleFunc("POST /v1/models/{model}/infer", f.handleRead)
 	mux.HandleFunc("POST /v1/models/{model}/jobs", f.handleSubmitJob)
 	mux.HandleFunc("GET /v1/jobs/{id}", f.handleJob)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", f.handleJob)
 	mux.HandleFunc("GET /v1/models", f.handleModels)
-	mux.HandleFunc("GET /v1/models/{model}", f.handleModel)
+	mux.HandleFunc("GET /v1/models/{model}", f.handleRead)
 	mux.HandleFunc("POST /v1/admin/scrub", f.handleBroadcastAdmin)
 	mux.HandleFunc("POST /v1/admin/rekey", f.handleRollingRekey)
 	mux.HandleFunc("POST /v1/admin/models/{name}", f.handleBroadcastModel)
@@ -211,43 +211,18 @@ func (f *Fleet) backoff(r *http.Request, n int) bool {
 	}
 }
 
-// heldResponse is a backend verdict drained into memory so the failover
-// loop can keep trying other owners and still relay the original verdict
-// if every candidate fails the same way. Draining matters: a live
-// response body dies with its attempt context, which may expire while
-// later attempts run.
-type heldResponse struct {
-	status     int
-	contentTyp string
-	retryAfter string
-	body       []byte
-}
-
-// holdResponse drains up to 64 KiB of a response into a heldResponse and
-// closes it.
-func holdResponse(resp *http.Response) *heldResponse {
+// hold drains up to 64 KiB of a backend verdict into memory and closes
+// the live body, which dies with its attempt context: the verdict can then
+// be relayed after later failover attempts have run, or after the caller
+// has read it.
+func hold(resp *http.Response) ([]byte, error) {
 	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-	return &heldResponse{
-		status:     resp.StatusCode,
-		contentTyp: resp.Header.Get("Content-Type"),
-		retryAfter: resp.Header.Get("Retry-After"),
-		body:       body,
-	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	return body, err
 }
 
-func (h *heldResponse) relay(w http.ResponseWriter) {
-	if h.contentTyp != "" {
-		w.Header().Set("Content-Type", h.contentTyp)
-	}
-	if h.retryAfter != "" {
-		w.Header().Set("Retry-After", h.retryAfter)
-	}
-	w.WriteHeader(h.status)
-	w.Write(h.body)
-}
-
-// relay copies a backend response to the client verbatim.
+// relay copies a backend verdict to the client verbatim.
 func relay(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
 	for _, h := range []string{"Content-Type", "Retry-After"} {
@@ -305,156 +280,112 @@ func (f *Fleet) failoverOwners(key string) []string {
 	return owners
 }
 
-// handleInfer routes a sync inference by its model's ring owner. Sync
-// inference is idempotent (pure read of the weight image), so failover is
-// always safe, and three verdicts move the request to the next distinct
-// owner within the retry budget, with full-jitter backoff between
-// attempts:
+// forward sends a buffered request to its key's ring owners in failover
+// order, with full-jitter backoff between attempts, and returns the
+// verdict to relay together with the replica that gave it. Every attempt
+// feeds that replica's shed window. Three verdicts move the request to
+// the next distinct owner within the retry budget:
 //
-//   - a transport failure or attempt timeout — the replica is ejected
-//     (the timeout as a "slow" verdict) and the request replays;
-//   - a 429 queue-full shed — the replica keeps its ring slot but the
-//     request spreads to the next owner;
-//   - a 5xx — a gray verdict (chaos faults, mid-crash errors); the
-//     request replays and the outcome feeds the soft-drain window.
+//   - a 429 queue-full shed, on every route — the replica answered
+//     without doing the work, so the request spreads to the next owner
+//     while the replica keeps its ring slot;
+//   - a transport failure or attempt timeout, when replay is set — the
+//     replica is ejected (the timeout as a "slow" verdict);
+//   - a 5xx, when replay is set — a gray verdict (chaos faults,
+//     mid-crash errors).
 //
-// The first held verdict is relayed only when every candidate failed;
-// only when every candidate is down at the transport level does the
-// client see 502.
-func (f *Fleet) handleInfer(w http.ResponseWriter, r *http.Request) {
-	model := r.PathValue("model")
+// replay is the route's idempotency. A pure read (sync inference, model
+// info) replays; a job submit does not, because an accepted job holds a
+// table slot: its transport failure answers 502 — the job may or may not
+// have been accepted, and only the client can decide to resubmit — and
+// its 5xx is relayed. A verdict that moved the request on is held, and the
+// latest one held is returned only when every later candidate failed at
+// the transport level; only when every candidate is down at that level
+// does the client see 502. A nil response means the client was already
+// answered, or has gone.
+func (f *Fleet) forward(w http.ResponseWriter, r *http.Request, key string, replay bool) (*http.Response, string) {
 	body, ok := f.readBody(w, r)
 	if !ok {
-		return
+		return nil, ""
 	}
-	owners := f.failoverOwners(model)
+	owners := f.failoverOwners(key)
 	if len(owners) == 0 {
 		http.Error(w, "fleet: no healthy replicas", http.StatusServiceUnavailable)
-		return
+		return nil, ""
 	}
 	var lastErr error
-	var held *heldResponse
+	var held *http.Response
+	var heldBase string
 	for i, base := range owners {
 		if i > 0 && !f.backoff(r, i-1) {
-			return
+			return nil, ""
 		}
+		last := i == len(owners)-1
 		resp, err := f.send(r, base, r.URL.Path, body)
 		if err != nil {
 			if clientGone(r, err) {
-				return
+				return nil, ""
+			}
+			if !replay {
+				http.Error(w, fmt.Sprintf("fleet: replica %s: %v", base, err), http.StatusBadGateway)
+				return nil, ""
 			}
 			lastErr = err
-			if i < len(owners)-1 {
+			if !last {
 				f.met.failovers.Inc()
 				f.met.retries.Inc()
 			}
 			continue
 		}
-		switch {
-		case resp.StatusCode == http.StatusTooManyRequests && i < len(owners)-1:
-			// Queue-full shed: hold the verdict in case everyone sheds,
-			// then spread to the next owner.
-			held = holdResponse(resp)
-			f.recordOutcome(base, true)
-			f.met.shedFailovers.Inc()
-			f.met.retries.Inc()
-			continue
-		case resp.StatusCode >= http.StatusInternalServerError && i < len(owners)-1:
-			// 5xx: a gray backend verdict — retry elsewhere, remember it.
-			held = holdResponse(resp)
-			f.recordOutcome(base, true)
-			f.met.errFailovers.Inc()
-			f.met.retries.Inc()
-			continue
+		shed := resp.StatusCode == http.StatusTooManyRequests
+		gray := resp.StatusCode >= http.StatusInternalServerError
+		f.recordOutcome(base, shed || gray)
+		if last || !(shed || (gray && replay)) {
+			return resp, base
 		}
-		f.recordOutcome(base, resp.StatusCode == http.StatusTooManyRequests ||
-			resp.StatusCode >= http.StatusInternalServerError)
-		relay(w, resp)
-		return
+		hold(resp) // a failed drain leaves a short body; the status is the verdict
+		held, heldBase = resp, base
+		if shed {
+			f.met.shedFailovers.Inc()
+		} else {
+			f.met.errFailovers.Inc()
+		}
+		f.met.retries.Inc()
 	}
 	if held != nil {
-		held.relay(w)
-		return
+		return held, heldBase
 	}
 	http.Error(w, fmt.Sprintf("fleet: all candidate replicas failed: %v", lastErr),
 		http.StatusBadGateway)
+	return nil, ""
 }
 
-// handleSubmitJob routes an async submit by ring owner and pins the
-// accepted job to the replica that minted its ID. Submission is not
-// idempotent in general — an accepted job holds a table slot — so a
-// transport error or attempt timeout answers 502 and the client
-// resubmits (the job may or may not have been accepted; only the client
-// can decide to retry). A 429 queue-full shed is the one provably-safe
-// failover: the replica answered without taking a slot, so the submit
-// moves to the next ring owner like a shed sync infer.
+// handleRead routes sync inference and model info by the model's ring
+// owner. Both are pure reads of the weight image, so failover replays
+// them.
+func (f *Fleet) handleRead(w http.ResponseWriter, r *http.Request) {
+	if resp, _ := f.forward(w, r, r.PathValue("model"), true); resp != nil {
+		relay(w, resp)
+	}
+}
+
+// handleSubmitJob routes an async submit by ring owner, without replay,
+// and pins an accepted job to the replica that minted its ID.
 func (f *Fleet) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	model := r.PathValue("model")
-	body, ok := f.readBody(w, r)
-	if !ok {
+	resp, base := f.forward(w, r, r.PathValue("model"), false)
+	if resp == nil {
 		return
 	}
-	owners := f.failoverOwners(model)
-	if len(owners) == 0 {
-		http.Error(w, "fleet: no healthy replicas", http.StatusServiceUnavailable)
-		return
-	}
-	var held *heldResponse
-	for i, base := range owners {
-		if i > 0 && !f.backoff(r, i-1) {
-			return
-		}
-		resp, err := f.send(r, base, r.URL.Path, body)
-		if err != nil {
-			if clientGone(r, err) {
-				return
-			}
-			// Ambiguous: the job may hold a slot on the replica. No replay.
-			http.Error(w, fmt.Sprintf("fleet: replica %s: %v", base, err), http.StatusBadGateway)
-			return
-		}
-		if resp.StatusCode == http.StatusTooManyRequests && i < len(owners)-1 {
-			held = holdResponse(resp)
-			f.recordOutcome(base, true)
-			f.met.shedFailovers.Inc()
-			f.met.retries.Inc()
-			continue
-		}
-		f.recordOutcome(base, resp.StatusCode == http.StatusTooManyRequests)
-		f.relaySubmit(w, resp, base)
-		return
-	}
-	// Unreachable unless the loop was exhausted by sheds (the last owner
-	// never continues), but keep the verdict path total.
-	if held != nil {
-		held.relay(w)
-		return
-	}
-	http.Error(w, "fleet: no candidate accepted the submit", http.StatusServiceUnavailable)
-}
-
-// relaySubmit relays a submit verdict, pinning an accepted job to the
-// replica that minted it.
-func (f *Fleet) relaySubmit(w http.ResponseWriter, resp *http.Response, base string) {
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
+	body, err := hold(resp)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	if resp.StatusCode == http.StatusAccepted {
-		var ref serve.JobRef
-		if err := json.Unmarshal(respBody, &ref); err == nil && ref.ID != "" {
-			f.jobs.Store(string(ref.ID), base)
-		}
+	var ref serve.JobRef
+	if resp.StatusCode == http.StatusAccepted && json.Unmarshal(body, &ref) == nil && ref.ID != "" {
+		f.jobs.Store(string(ref.ID), base)
 	}
-	for _, h := range []string{"Content-Type", "Retry-After"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	w.Write(respBody)
+	relay(w, resp)
 }
 
 // handleJob answers polls and cancels through the sticky job map: only
@@ -559,45 +490,6 @@ func (f *Fleet) handleModels(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, merged)
-}
-
-// handleModel routes one model's info request by ring owner, with the
-// same idempotent failover as sync inference (transport errors, attempt
-// timeouts and 5xx all move to the next owner).
-func (f *Fleet) handleModel(w http.ResponseWriter, r *http.Request) {
-	model := r.PathValue("model")
-	owners := f.failoverOwners(model)
-	if len(owners) == 0 {
-		http.Error(w, "fleet: no healthy replicas", http.StatusServiceUnavailable)
-		return
-	}
-	var lastErr error
-	var held *heldResponse
-	for i, base := range owners {
-		if i > 0 && !f.backoff(r, i-1) {
-			return
-		}
-		resp, err := f.send(r, base, r.URL.Path, nil)
-		if err != nil {
-			if clientGone(r, err) {
-				return
-			}
-			lastErr = err
-			continue
-		}
-		if resp.StatusCode >= http.StatusInternalServerError && i < len(owners)-1 {
-			held = holdResponse(resp)
-			continue
-		}
-		relay(w, resp)
-		return
-	}
-	if held != nil {
-		held.relay(w)
-		return
-	}
-	http.Error(w, fmt.Sprintf("fleet: all candidate replicas failed: %v", lastErr),
-		http.StatusBadGateway)
 }
 
 // FleetStatus is the GET /v1/fleet body.

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"sync"
@@ -84,61 +83,32 @@ func (f *Fleet) recordModelIntent(method, name string, body []byte, reports []Re
 }
 
 // reconcileModels runs just before an ejected replica is readmitted: it
-// diffs the replica's live GET /v1/models listing against the fleet's
-// hosted-set intent and repairs drift — models the fleet added while the
-// replica was unreachable are added, models the fleet removed are
-// removed — via that replica's own admin surface. Best-effort: a repair
-// that fails is counted and retried at the next readmission; the
-// readmission itself proceeds either way, because a stale-but-serving
-// replica beats an ejected one.
-func (f *Fleet) reconcileModels(r *replica) {
+// diffs the replica's live GET /v1/models listing, read by the probe that
+// found it healthy again, against the fleet's hosted-set intent and
+// repairs drift — models the fleet added while the replica was
+// unreachable are added, models the fleet removed are removed — via that
+// replica's own admin surface. Best-effort: a repair that fails is counted
+// and retried at the next readmission; the readmission itself proceeds
+// either way, because a stale-but-serving replica beats an ejected one.
+func (f *Fleet) reconcileModels(r *replica, listing []serve.ModelInfo) {
 	added, removed := f.intent.snapshot()
 	if len(added) == 0 && len(removed) == 0 {
 		return
 	}
-	hosted, err := f.fetchHostedSet(r)
-	if err != nil {
-		return
+	hosted := make(map[string]bool, len(listing))
+	for _, m := range listing {
+		hosted[m.Name] = true
 	}
 	for name, body := range added {
-		if _, ok := hosted[name]; ok {
-			continue
+		if !hosted[name] {
+			f.repair(r, http.MethodPost, name, body)
 		}
-		f.repair(r, http.MethodPost, name, body)
 	}
 	for _, name := range removed {
-		if _, ok := hosted[name]; !ok {
-			continue
+		if hosted[name] {
+			f.repair(r, http.MethodDelete, name, nil)
 		}
-		f.repair(r, http.MethodDelete, name, nil)
 	}
-}
-
-// fetchHostedSet reads one replica's current hosted model names.
-func (f *Fleet) fetchHostedSet(r *replica) (map[string]struct{}, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.HealthTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.url+"/v1/models", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errStatus(resp.StatusCode)
-	}
-	var listing serve.ModelsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&listing); err != nil {
-		return nil, err
-	}
-	hosted := make(map[string]struct{}, len(listing.Models))
-	for _, m := range listing.Models {
-		hosted[m.Name] = struct{}{}
-	}
-	return hosted, nil
 }
 
 // repair replays one membership change against one replica's admin

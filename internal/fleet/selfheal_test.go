@@ -182,7 +182,8 @@ func TestFleetReconcileOnReadmission(t *testing.T) {
 
 // TestFleet5xxFailover: a 5xx from the ring owner is a gray verdict —
 // the request replays on the next owner instead of relaying the error,
-// and only when every candidate answers 5xx does the client see one.
+// and only when every candidate answers 5xx does the client see one. Sync
+// inference and model info, both pure reads, fail over alike.
 func TestFleet5xxFailover(t *testing.T) {
 	stubs := make([]*stubReplica, 2)
 	urls := make([]string, 2)
@@ -215,6 +216,13 @@ func TestFleet5xxFailover(t *testing.T) {
 	if v := f.met.errFailovers.Value(); v != 1 {
 		t.Fatalf("radar_fleet_err_failovers_total = %d, want 1", v)
 	}
+	status, body := doRead(t, "GET", ts.URL+"/v1/models/m0", "")
+	if status != http.StatusOK || !strings.Contains(string(body), `"name":"m0"`) {
+		t.Fatalf("model info with 5xx owner → %d %s, want 200 via failover", status, body)
+	}
+	if v := f.met.errFailovers.Value(); v != 2 {
+		t.Fatalf("radar_fleet_err_failovers_total = %d after model info, want 2", v)
+	}
 
 	// Every candidate 5xxs: the backend verdict is relayed, not replaced
 	// by a synthetic 502.
@@ -223,6 +231,9 @@ func TestFleet5xxFailover(t *testing.T) {
 	}
 	if status, _ := doRead(t, "POST", ts.URL+"/v1/models/m0/infer", `{"input":[1]}`); status != http.StatusInternalServerError {
 		t.Fatalf("all-5xx infer → %d, want the relayed 500", status)
+	}
+	if status, _ := doRead(t, "GET", ts.URL+"/v1/models/m0", ""); status != http.StatusInternalServerError {
+		t.Fatalf("all-5xx model info → %d, want the relayed 500", status)
 	}
 }
 

@@ -481,54 +481,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile estimates the q-quantile (q in [0,1]) by linear interpolation
-// inside the bucket holding the target rank — the replacement for the
-// retired latency-reservoir sort. Values beyond the last finite bucket
-// clamp to that bound; an empty histogram reports 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum := int64(0)
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			cum += c
-			continue
-		}
-		if float64(cum+c) >= rank {
-			if i >= len(h.buckets) {
-				// +Inf bucket: the best point estimate is the last finite
-				// bound (or the mean when there are no finite buckets).
-				if len(h.buckets) == 0 {
-					return h.Sum() / float64(total)
-				}
-				return h.buckets[len(h.buckets)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.buckets[i-1]
-			}
-			hi := h.buckets[i]
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum += c
-	}
-	return h.buckets[len(h.buckets)-1]
-}
-
 func (h *Histogram) writeSamples(w *bufio.Writer, name, labels string) {
 	cum := int64(0)
 	for i, ub := range h.buckets {

@@ -99,24 +99,6 @@ func TestPrune(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	h := newHistogram([]float64{0.1, 0.2, 0.4, 0.8})
-	for i := 0; i < 100; i++ {
-		h.Observe(0.15) // all in the (0.1, 0.2] bucket
-	}
-	if q := h.Quantile(0.5); q < 0.1 || q > 0.2 {
-		t.Errorf("p50 = %v, want within (0.1, 0.2]", q)
-	}
-	h.Observe(100) // lands in +Inf: quantile clamps to last finite bound
-	if q := h.Quantile(1); q != 0.8 {
-		t.Errorf("p100 with +Inf tail = %v, want clamp to 0.8", q)
-	}
-	var empty Histogram
-	if q := (&empty).Quantile(0.99); q != 0 {
-		t.Errorf("empty histogram quantile = %v, want 0", q)
-	}
-}
-
 // TestConcurrentScrape hammers counters, gauges, and histograms from many
 // goroutines while other goroutines scrape — run under -race this proves
 // the hot path and exposition are data-race free.

@@ -84,8 +84,8 @@ func TestBacklogBecomesBatches(t *testing.T) {
 	if n, sum := srv.met.occupancy.Count(), srv.met.occupancy.Sum(); n != 3 || sum != 17 {
 		t.Fatalf("%d passes carrying %v requests, want 3 carrying 17", n, sum)
 	}
-	if snap := srv.Snapshot(); snap.Batches != 3 || snap.Requests != 17 {
-		t.Fatalf("snapshot: %d batches, %d requests, want 3 and 17", snap.Batches, snap.Requests)
+	if batches, reqs := srv.met.batches.Value(), srv.met.requests.Value(); batches != 3 || reqs != 17 {
+		t.Fatalf("counters: %d batches, %d requests, want 3 and 17", batches, reqs)
 	}
 }
 
@@ -207,7 +207,7 @@ func TestStopAnswersBacklog(t *testing.T) {
 			t.Fatalf("request %d of the backlog was never answered", i)
 		}
 	}
-	if snap := srv.Snapshot(); snap.Requests != n {
-		t.Fatalf("%d requests answered, want %d", snap.Requests, n)
+	if reqs := srv.met.requests.Value(); reqs != n {
+		t.Fatalf("%d requests answered, want %d", reqs, n)
 	}
 }

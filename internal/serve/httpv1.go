@@ -53,8 +53,8 @@ type adminResponse struct {
 //	POST   /v1/models/{model}/jobs   — submit an async job, 202 + job ID
 //	GET    /v1/jobs/{id}             — poll a job; result once state is "done"
 //	DELETE /v1/jobs/{id}             — cancel a job, dropping queued work
-//	GET    /v1/models                — hosted models, health, live metrics
-//	GET    /v1/models/{model}        — one model's info/metrics
+//	GET    /v1/models                — hosted models, configuration, health
+//	GET    /v1/models/{model}        — one model's info
 //	POST   /v1/admin/scrub           — force a scrub cycle ({"model","full"})
 //	POST   /v1/admin/rekey           — rotate protection secrets live ({"model"})
 //	POST   /v1/admin/models/{name}   — hot-add a model ({"source"}; needs a provider)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -289,8 +290,16 @@ func TestHTTPModelsAndAdmin(t *testing.T) {
 	if len(models.Models) != 2 || models.Models[0].Name != "m0" || models.Models[1].Name != "m1" {
 		t.Fatalf("models listing: %+v", models)
 	}
-	if models.Models[0].Metrics.Requests != 1 || models.Models[1].Metrics.Requests != 0 {
-		t.Fatalf("per-model request accounting leaked: %+v", models)
+	resp, err = http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{`radar_requests_total{model="m0"} 1` + "\n", `radar_requests_total{model="m1"} 0` + "\n"} {
+		if !strings.Contains(string(text), want) {
+			t.Fatalf("per-model request accounting leaked: /v1/metrics lacks %q", want)
+		}
 	}
 	if models.Jobs.Capacity != DefaultJobCapacity {
 		t.Fatalf("job stats: %+v", models.Jobs)

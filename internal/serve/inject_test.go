@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -120,11 +121,13 @@ func TestInjectAdversaryZeroingFallback(t *testing.T) {
 	if st.GroupsZeroed == 0 || st.GroupsCorrected != 0 {
 		t.Fatalf("zeroing-only model: want zeroed>0 corrected=0, got %+v", st)
 	}
-	snap, err := svc.Snapshot("m0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.GroupsZeroed != st.GroupsZeroed || snap.GroupsCorrected != 0 {
-		t.Fatalf("snapshot split mismatch: %+v vs %+v", snap, st)
+	text := exposition(svc)
+	for _, want := range []string{
+		fmt.Sprintf(`radar_groups_zeroed_total{model="m0"} %d`+"\n", st.GroupsZeroed),
+		`radar_groups_corrected_total{model="m0"} 0` + "\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("/v1/metrics split mismatch: want %q for %+v", want, st)
+		}
 	}
 }

@@ -139,92 +139,3 @@ func quantiles(samples []time.Duration, qs ...float64) []time.Duration {
 	}
 	return out
 }
-
-// Snapshot is a point-in-time export of the server's metrics, shaped for
-// JSON (GET /v1/models). The same
-// figures are exposed in Prometheus form at GET /v1/metrics.
-type Snapshot struct {
-	// UptimeSeconds is the time since Start.
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	// Requests counts answered requests; Batches the forward passes that
-	// carried them; AvgBatch their ratio.
-	Requests int64   `json:"requests"`
-	Batches  int64   `json:"batches"`
-	AvgBatch float64 `json:"avg_batch"`
-	// Cancelled counts requests dropped before their forward pass because
-	// the submitter's context was cancelled while they waited in the queue.
-	Cancelled int64 `json:"cancelled"`
-	// P50Ms / P99Ms are end-to-end request latency quantiles (enqueue to
-	// answer, including queue wait), estimated from the latency
-	// histogram by interpolating inside the bucket holding the rank.
-	P50Ms float64 `json:"p50_ms"`
-	P99Ms float64 `json:"p99_ms"`
-	// ScrubCycles counts scrubber cycles; ScrubFlagged / ScrubZeroed what
-	// they found and repaired.
-	ScrubCycles  int64 `json:"scrub_cycles"`
-	ScrubFlagged int64 `json:"scrub_flagged"`
-	ScrubZeroed  int64 `json:"scrub_zeroed"`
-	// VerifyScans counts layers verified inside an inference weight fetch;
-	// VerifyFlagged / VerifyZeroed what those checks caught and repaired.
-	VerifyScans   int64 `json:"verify_scans"`
-	VerifyFlagged int64 `json:"verify_flagged"`
-	VerifyZeroed  int64 `json:"verify_zeroed"`
-	// Injections counts Inject calls (live attack rounds).
-	Injections int64 `json:"injections"`
-	// Rekeys counts live admin re-keyings of this model's secrets.
-	Rekeys int64 `json:"rekeys"`
-	// ProtectorScans etc. mirror core.Protector.Stats for the whole
-	// protector (scrubber + verified fetch combined).
-	ProtectorScans  int64 `json:"protector_scans"`
-	GroupsFlagged   int64 `json:"groups_flagged"`
-	GroupsRecovered int64 `json:"groups_recovered"`
-	// GroupsCorrected / GroupsZeroed split recoveries between the ECC
-	// in-place repair path and the zeroing fallback (corrected is always 0
-	// for models hosted without correction).
-	GroupsCorrected int64 `json:"groups_corrected"`
-	GroupsZeroed    int64 `json:"groups_zeroed"`
-	WeightsZeroed   int64 `json:"weights_zeroed"`
-	// ScanBytes counts weight bytes covered by all protection scans;
-	// ScanBytesPerSec divides it by uptime — the sustained scan throughput
-	// the SWAR kernel delivers on this server.
-	ScanBytes       int64   `json:"scan_bytes"`
-	ScanBytesPerSec float64 `json:"scan_bytes_per_sec"`
-}
-
-// Snapshot exports the current metrics. Safe to call at any time,
-// including while traffic and scrubbing are live.
-func (s *Server) Snapshot() Snapshot {
-	st := s.prot.Stats()
-	snap := Snapshot{
-		Requests:        s.met.requests.Value(),
-		Batches:         s.met.batches.Value(),
-		Cancelled:       s.met.cancelled.Value(),
-		P50Ms:           s.met.latency.Quantile(0.50) * 1e3,
-		P99Ms:           s.met.latency.Quantile(0.99) * 1e3,
-		ScrubCycles:     s.met.scrubCycles.Value(),
-		ScrubFlagged:    s.met.scrubFlagged.Value(),
-		ScrubZeroed:     s.met.scrubZeroed.Value(),
-		VerifyScans:     s.met.verifyScans.Value(),
-		VerifyFlagged:   s.met.verifyFlagged.Value(),
-		VerifyZeroed:    s.met.verifyZeroed.Value(),
-		Injections:      s.met.injections.Value(),
-		Rekeys:          s.met.rekeys.Value(),
-		ProtectorScans:  st.Scans,
-		GroupsFlagged:   st.GroupsFlagged,
-		GroupsRecovered: st.GroupsRecovered,
-		GroupsCorrected: st.GroupsCorrected,
-		GroupsZeroed:    st.GroupsZeroed,
-		WeightsZeroed:   st.WeightsZeroed,
-		ScanBytes:       st.BytesScanned,
-	}
-	if !s.start.IsZero() {
-		snap.UptimeSeconds = time.Since(s.start).Seconds()
-		if snap.UptimeSeconds > 0 {
-			snap.ScanBytesPerSec = float64(snap.ScanBytes) / snap.UptimeSeconds
-		}
-	}
-	if snap.Batches > 0 {
-		snap.AvgBatch = float64(s.met.batched.Value()) / float64(snap.Batches)
-	}
-	return snap
-}

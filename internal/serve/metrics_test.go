@@ -38,6 +38,13 @@ func TestQuantilesNearestRank(t *testing.T) {
 	}
 }
 
+// exposition returns the service's GET /v1/metrics body.
+func exposition(svc *Service) string {
+	var sb strings.Builder
+	svc.WriteMetrics(&sb)
+	return sb.String()
+}
+
 // metricNameRE is the repo's naming convention: radar_ prefix, lowercase
 // snake case, with the unit suffix (_total, _seconds, _bytes) optional —
 // gauges and histogram families carry none.

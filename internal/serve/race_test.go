@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -16,12 +17,12 @@ import (
 // flips bits in the live weight image, (b) the background scrubber scans
 // and recovers, (c) a foreground goroutine hammers DetectAndRecover — the
 // exact read/write collision that was latent before recovery was routed
-// through the layer guard — and (d) metrics are polled. Run under
+// through the layer guard — and (d) the /v1/metrics registry is scraped.
+// Run under
 // `go test -race ./internal/serve/`; any unguarded access fails the build.
 func TestServeRaceUnderLiveFlips(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ScrubInterval = time.Millisecond
-	b, srv := newTinyServer(t, cfg)
+	svc, bundles, _ := openTiny(t, 1, []ModelOption{WithScrub(time.Millisecond)})
+	b, srv := bundles[0], modelSrv(t, svc, "m0")
 
 	// A precomputed MSB profile to mount repeatedly as observer-bypassing
 	// flips; computed on a separate attacker copy so profiling itself does
@@ -72,21 +73,20 @@ func TestServeRaceUnderLiveFlips(t *testing.T) {
 	}()
 
 	wg.Add(1)
-	go func() { // metrics poller
+	go func() { // /v1/metrics scraper
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			srv.Snapshot()
+			svc.WriteMetrics(io.Discard)
 			time.Sleep(50 * time.Microsecond)
 		}
 	}()
 
 	wg.Wait()
-	snap := srv.Snapshot()
-	if snap.Requests != clients*perClient {
-		t.Fatalf("served %d requests, want %d", snap.Requests, clients*perClient)
+	if n := srv.met.requests.Value(); n != clients*perClient {
+		t.Fatalf("served %d requests, want %d", n, clients*perClient)
 	}
-	if snap.Injections != atkRounds {
-		t.Fatalf("recorded %d injections, want %d", snap.Injections, atkRounds)
+	if n := srv.met.injections.Value(); n != atkRounds {
+		t.Fatalf("recorded %d injections, want %d", n, atkRounds)
 	}
 	srv.Stop()
 	// After traffic stops, one final full sweep must leave the model clean.

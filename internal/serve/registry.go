@@ -171,8 +171,9 @@ func (r *Registry) each(name string, f func(*hostedModel) error) error {
 	return nil
 }
 
-// ModelInfo is one model's identity, configuration and live metrics — an
-// entry of GET /v1/models and of Service.Models.
+// ModelInfo is one model's identity, configuration and health — an entry
+// of GET /v1/models and of Service.Models. Its live figures are series on
+// GET /v1/metrics under the model's `model` label.
 type ModelInfo struct {
 	Name          string `json:"name"`
 	Layers        int    `json:"layers"`
@@ -181,10 +182,9 @@ type ModelInfo struct {
 	VerifiedFetch bool   `json:"verified_fetch"`
 	// Correcting reports whether this model's recovery consults per-group
 	// ECC check words before falling back to zeroing.
-	Correcting bool     `json:"correcting"`
-	ScrubMs    int64    `json:"scrub_interval_ms"`
-	Healthy    bool     `json:"healthy"`
-	Metrics    Snapshot `json:"metrics"`
+	Correcting bool  `json:"correcting"`
+	ScrubMs    int64 `json:"scrub_interval_ms"`
+	Healthy    bool  `json:"healthy"`
 }
 
 // info snapshots one hosted model.
@@ -198,7 +198,6 @@ func (hm *hostedModel) info() ModelInfo {
 		Correcting:    hm.prot.Correcting(),
 		ScrubMs:       hm.srv.cfg.ScrubInterval.Milliseconds(),
 		Healthy:       hm.srv.Healthy(),
-		Metrics:       hm.srv.Snapshot(),
 	}
 }
 

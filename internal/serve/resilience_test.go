@@ -111,10 +111,10 @@ func TestEndToEndResilience(t *testing.T) {
 	if agree < probes*9/10 {
 		t.Fatalf("post-recovery answers agree on %d/%d probes", agree, probes)
 	}
-	snap := srv.Snapshot()
-	if snap.ScrubCycles == 0 {
+	cycles := srv.met.scrubCycles.Value()
+	if cycles == 0 {
 		t.Fatal("scrubber never ran")
 	}
-	t.Logf("resilience: %d/%d probes agree post-attack; stats %+v; snapshot %+v",
-		agree, probes, st, snap)
+	t.Logf("resilience: %d/%d probes agree post-attack; stats %+v; %d scrub cycles",
+		agree, probes, st, cycles)
 }

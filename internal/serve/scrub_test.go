@@ -67,8 +67,8 @@ func TestRollingScrub(t *testing.T) {
 				if after := srv.Protector().Stats().BytesScanned; after != before {
 					t.Fatalf("tick scanned %d bytes of a model verified just now", after-before)
 				}
-				if snap := srv.Snapshot(); snap.ScrubCycles != 1 || srv.met.scrubFresh.Value() != int64(len(srv.verified)) {
-					t.Fatalf("%d cycles counted, %d layers fresh; want 1 and %d", snap.ScrubCycles, srv.met.scrubFresh.Value(), len(srv.verified))
+				if cycles := srv.met.scrubCycles.Value(); cycles != 1 || srv.met.scrubFresh.Value() != int64(len(srv.verified)) {
+					t.Fatalf("%d cycles counted, %d layers fresh; want 1 and %d", cycles, srv.met.scrubFresh.Value(), len(srv.verified))
 				}
 			},
 		},

@@ -14,8 +14,11 @@
 // tears a pending job down. Handler exposes the versioned HTTP control
 // plane (/v1/models/{name}/infer, /v1/models/{name}/jobs, /v1/jobs/{id},
 // /v1/models, /v1/admin/scrub, /v1/admin/rekey,
-// /v1/admin/models/{name}). The model set is mutable at run time via
-// AddModel/RemoveModel — the hook a fleet router's control plane drives.
+// /v1/admin/models/{name}). Every live figure — request counts, batch
+// occupancy, latency, scrub and verify findings, recovery splits — is a
+// series on GET /v1/metrics (Service.WriteMetrics), the one metrics
+// surface. The model set is mutable at run time via AddModel/RemoveModel —
+// the hook a fleet router's control plane drives.
 //
 // Per hosted model, four cooperating pieces share one int8 weight image:
 //
@@ -167,7 +170,6 @@ type Server struct {
 	scrubStop chan struct{}
 	scrubWG   sync.WaitGroup
 	workWG    sync.WaitGroup
-	start     time.Time
 
 	// verifyNs is the cumulative wall time inference passes spent in their
 	// fetch steps (radar_verify_seconds_total).
@@ -255,7 +257,6 @@ func (s *Server) Start() {
 	if !s.started.CompareAndSwap(false, true) {
 		return
 	}
-	s.start = time.Now()
 	for w := 0; w < s.cfg.Workers; w++ {
 		s.workWG.Add(1)
 		go s.worker()

@@ -105,9 +105,8 @@ func TestServeMatchesDirectEngine(t *testing.T) {
 			}
 		}
 	}
-	snap := srv.Snapshot()
-	if snap.Requests != 16 {
-		t.Fatalf("snapshot counted %d requests, want 16", snap.Requests)
+	if n := srv.met.requests.Value(); n != 16 {
+		t.Fatalf("counted %d requests, want 16", n)
 	}
 }
 
@@ -205,8 +204,8 @@ func TestVerifiedFetchCatchesPhysicalFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustAnswerLike(t, ref, sample(x, 0), res)
-	if snap := srv.Snapshot(); snap.VerifyScans != int64(len(b.QModel.Layers)) || snap.VerifyFlagged != 0 {
-		t.Fatalf("clean pass: %d layer checks (model has %d layers), %d flagged", snap.VerifyScans, len(b.QModel.Layers), snap.VerifyFlagged)
+	if scans, flagged := srv.met.verifyScans.Value(), srv.met.verifyFlagged.Value(); scans != int64(len(b.QModel.Layers)) || flagged != 0 {
+		t.Fatalf("clean pass: %d layer checks (model has %d layers), %d flagged", scans, len(b.QModel.Layers), flagged)
 	}
 
 	fc := len(b.QModel.Layers) - 1
@@ -234,9 +233,9 @@ func TestVerifiedFetchCatchesPhysicalFlips(t *testing.T) {
 	if st := prot.Stats(); st.GroupsRecovered != int64(len(volley)) || st.GroupsCorrected != int64(len(volley)) {
 		t.Fatalf("next batch repaired %d groups (%d by ECC), volley had %d", st.GroupsRecovered, st.GroupsCorrected, len(volley))
 	}
-	snap := srv.Snapshot()
-	if snap.VerifyFlagged != int64(len(volley)) || snap.ScrubCycles != 0 {
-		t.Fatalf("fetch path flagged %d groups over %d scrub cycles, want %d over 0", snap.VerifyFlagged, snap.ScrubCycles, len(volley))
+	flagged, cycles := srv.met.verifyFlagged.Value(), srv.met.scrubCycles.Value()
+	if flagged != int64(len(volley)) || cycles != 0 {
+		t.Fatalf("fetch path flagged %d groups over %d scrub cycles, want %d over 0", flagged, cycles, len(volley))
 	}
 	for li, l := range b.QModel.Layers {
 		if !slices.Equal(l.Q, snapshot[li]) {
@@ -250,7 +249,7 @@ func TestVerifiedFetchCatchesPhysicalFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustAnswerLike(t, ref, sample(x, 2), res)
-	if end := srv.Snapshot(); end.VerifyFlagged != snap.VerifyFlagged {
+	if srv.met.verifyFlagged.Value() != flagged {
 		t.Fatal("repaired groups were flagged again on the next request")
 	}
 }
@@ -317,9 +316,8 @@ func TestVerifiedFetchUnderInjection(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	injected.Wait()
-	snap := srv.Snapshot()
-	if snap.VerifyFlagged == 0 {
-		t.Fatalf("no fetch ever met a flip over %d injections: the escalation path did not run", snap.Injections)
+	if srv.met.verifyFlagged.Value() == 0 {
+		t.Fatalf("no fetch ever met a flip over %d injections: the escalation path did not run", srv.met.injections.Value())
 	}
 	if st := prot.Stats(); st.GroupsZeroed != 0 {
 		t.Fatalf("%d groups fell back to zeroing; single flips must be corrected in place", st.GroupsZeroed)
@@ -345,7 +343,7 @@ func TestVerifiedForwardAddsNoAllocs(t *testing.T) {
 	if verified != bare {
 		t.Fatalf("verified pass allocates %.0f times, bare pass %.0f", verified, bare)
 	}
-	if srv.Snapshot().VerifyScans == 0 {
+	if srv.met.verifyScans.Value() == 0 {
 		t.Fatal("the verified passes verified nothing")
 	}
 }
@@ -405,7 +403,7 @@ func TestVerifyTimeOffWhenVerificationOff(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ns, scans := srv.verifyNs.Load(), srv.Snapshot().VerifyScans; ns != 0 || scans != 0 {
+	if ns, scans := srv.verifyNs.Load(), srv.met.verifyScans.Value(); ns != 0 || scans != 0 {
 		t.Fatalf("verification off, yet %v of verify time and %d verify scans reported", time.Duration(ns), scans)
 	}
 }
@@ -433,8 +431,7 @@ func TestScrubberRepairsBypassingWrites(t *testing.T) {
 			t.Fatalf("flagged layer %d, want 1", flagged[0].Layer)
 		}
 	}
-	snap := srv.Snapshot()
-	if snap.ScrubCycles != 2 || snap.ScrubFlagged == 0 || snap.ScrubZeroed == 0 {
-		t.Fatalf("scrub metrics wrong: %+v", snap)
+	if cycles, flagged, zeroed := srv.met.scrubCycles.Value(), srv.met.scrubFlagged.Value(), srv.met.scrubZeroed.Value(); cycles != 2 || flagged == 0 || zeroed == 0 {
+		t.Fatalf("scrub metrics wrong: %d cycles, %d flagged, %d zeroed", cycles, flagged, zeroed)
 	}
 }

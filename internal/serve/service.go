@@ -356,8 +356,8 @@ func (s *Service) Wait(ctx context.Context, id JobID) (Result, error) {
 	return *st.Result, nil
 }
 
-// Models snapshots every hosted model's identity, configuration and live
-// metrics, in registration order.
+// Models snapshots every hosted model's identity, configuration and
+// health, in registration order.
 func (s *Service) Models() []ModelInfo {
 	hms := s.reg.snapshot()
 	out := make([]ModelInfo, 0, len(hms))
@@ -365,15 +365,6 @@ func (s *Service) Models() []ModelInfo {
 		out = append(out, hm.info())
 	}
 	return out
-}
-
-// Snapshot returns one model's live metrics (empty name: default model).
-func (s *Service) Snapshot(model string) (Snapshot, error) {
-	hm, err := s.reg.lookup(model)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	return hm.srv.Snapshot(), nil
 }
 
 // Scrub forces one scrub cycle on the named model, or on every model when

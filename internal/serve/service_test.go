@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -54,6 +55,17 @@ func openTiny(t testing.TB, n int, extra []ModelOption, svcOpts ...ServiceOption
 	}
 	t.Cleanup(svc.Close)
 	return svc, bundles, prots
+}
+
+// modelSrv returns the named model's runtime (empty name: the default
+// model); its met holds the counters behind the model's /v1/metrics series.
+func modelSrv(t testing.TB, svc *Service, name string) *Server {
+	t.Helper()
+	hm, err := svc.reg.lookup(name)
+	if err != nil {
+		t.Fatalf("lookup %q: %v", name, err)
+	}
+	return hm.srv
 }
 
 // wedge write-locks every layer of the named model so its inference
@@ -161,10 +173,10 @@ func TestTwoModelsConcurrent(t *testing.T) {
 	if len(infos) != 2 || infos[0].Name != "m0" || infos[1].Name != "m1" {
 		t.Fatalf("Models(): %+v", infos)
 	}
+	text := exposition(svc)
 	for _, info := range infos {
-		if info.Metrics.Requests != 8 {
-			t.Fatalf("model %s counted %d requests, want 8 (metrics must be per-model)",
-				info.Name, info.Metrics.Requests)
+		if want := `radar_requests_total{model="` + info.Name + `"} 8` + "\n"; !strings.Contains(text, want) {
+			t.Fatalf("model %s: /v1/metrics lacks %q (metrics must be per-model)", info.Name, want)
 		}
 	}
 
@@ -181,7 +193,7 @@ func TestTwoModelsConcurrent(t *testing.T) {
 // on m0 is caught by m0's loop while m1's loop keeps cycling without ever
 // flagging anything.
 func TestIndependentScrubLoops(t *testing.T) {
-	svc, _, _ := openTiny(t, 2, []ModelOption{
+	svc, _, prots := openTiny(t, 2, []ModelOption{
 		WithConfig(Config{ScrubInterval: 2 * time.Millisecond}), // verified fetch off: isolate the scrubbers
 	})
 
@@ -191,38 +203,23 @@ func TestIndependentScrubLoops(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	m0, m1 := modelSrv(t, svc, "m0").met, modelSrv(t, svc, "m1").met
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		snap, err := svc.Snapshot("m0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snap.ScrubFlagged > 0 {
-			break
-		}
+	for m0.scrubFlagged.Value() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("m0's scrubber never caught the flip: %+v", snap)
+			t.Fatalf("m0's scrubber never caught the flip over %d cycles", m0.scrubCycles.Value())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	// m1's loop must cycle on its own schedule — and stay clean.
-	var s1 Snapshot
-	for {
-		var err error
-		s1, err = svc.Snapshot("m1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s1.ScrubCycles > 0 {
-			break
-		}
+	for m1.scrubCycles.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("m1's scrubber never ran — loops are not independent")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if s1.ScrubFlagged != 0 || s1.GroupsFlagged != 0 {
-		t.Fatalf("attack on m0 leaked into m1's accounting: %+v", s1)
+	if flagged, groups := m1.scrubFlagged.Value(), prots[1].Stats().GroupsFlagged; flagged != 0 || groups != 0 {
+		t.Fatalf("attack on m0 leaked into m1's accounting: scrub flagged %d, protector flagged %d", flagged, groups)
 	}
 }
 
@@ -276,10 +273,8 @@ func TestInferContextCancellation(t *testing.T) {
 	}
 
 	release()
-	// Drain so Close (t.Cleanup) does not inherit a wedged queue; the
-	// cancelled requests are dropped by the workers without computation.
-	snap, _ := svc.Snapshot("m0")
-	_ = snap
+	// Close (t.Cleanup) drains the queue; the cancelled requests are
+	// dropped by the workers without computation.
 }
 
 // TestStoppingTyped: submissions racing Close fail with ErrStopping
@@ -383,12 +378,12 @@ func TestRekeyLive(t *testing.T) {
 
 	// Clean weights + fresh golden: no false flags, both rekeys counted.
 	for _, name := range names {
-		snap, _ := svc.Snapshot(name)
-		if snap.VerifyFlagged != 0 {
-			t.Fatalf("%s: rekey produced false positives: %+v", name, snap)
+		met := modelSrv(t, svc, name).met
+		if n := met.verifyFlagged.Value(); n != 0 {
+			t.Fatalf("%s: rekey produced %d false positives", name, n)
 		}
-		if snap.Rekeys != 2 {
-			t.Fatalf("%s: rekey metric %d, want 2", name, snap.Rekeys)
+		if n := met.rekeys.Value(); n != 2 {
+			t.Fatalf("%s: rekey metric %d, want 2", name, n)
 		}
 	}
 
@@ -401,9 +396,8 @@ func TestRekeyLive(t *testing.T) {
 	if _, err := svc.Infer(ctx, Request{Model: "m0", Input: sample(x, 1)}); err != nil {
 		t.Fatal(err)
 	}
-	snap, _ := svc.Snapshot("m0")
-	if snap.VerifyFlagged == 0 || snap.VerifyZeroed == 0 {
-		t.Fatalf("post-rekey flip was not detected: %+v", snap)
+	if met := modelSrv(t, svc, "m0").met; met.verifyFlagged.Value() == 0 || met.verifyZeroed.Value() == 0 {
+		t.Fatalf("post-rekey flip was not detected: %d flagged, %d zeroed", met.verifyFlagged.Value(), met.verifyZeroed.Value())
 	}
 	if flagged, _ := prots[0].DetectAndRecover(); len(flagged) != 0 {
 		t.Fatalf("post-rekey corruption survived: %v", flagged)

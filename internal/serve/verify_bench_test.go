@@ -99,9 +99,8 @@ func BenchmarkServe(b *testing.B) {
 				}
 			})
 			b.StopTimer()
-			snap, _ := svc.Snapshot("")
-			if snap.AvgBatch > 0 {
-				b.ReportMetric(snap.AvgBatch, "reqs/batch")
+			if met := modelSrv(b, svc, "").met; met.batches.Value() > 0 {
+				b.ReportMetric(float64(met.batched.Value())/float64(met.batches.Value()), "reqs/batch")
 			}
 		})
 	}

@@ -57,6 +57,7 @@ models=$(curl -fs "http://$FLEET_ADDR/v1/models")
 echo "$models" | grep -q '"name": "a"' || { echo "merged listing missing model a"; exit 1; }
 echo "$models" | grep -q '"name": "b"' || { echo "merged listing missing model b"; exit 1; }
 echo "$models" | grep -q '"owner"' || { echo "merged listing lacks owners"; exit 1; }
+curl -fs "http://$FLEET_ADDR/v1/models/a" | grep -q '"name": "a"' || { echo "routed model info for a failed"; exit 1; }
 
 # One 3x8x8 input (the tiny spec's shape), all values 0.1.
 payload=$(awk 'BEGIN{printf "{\"input\":["; for(i=0;i<192;i++){printf "%s0.1",(i?",":"")}; printf "]}"}')

@@ -114,18 +114,14 @@ window=$(echo "$idle" | sed -n 's/^radar_exposure_window_seconds{model="b"} //p'
 awk -v w="$window" 'BEGIN{exit !(w != "" && w < 0.2)}' \
     || { echo "idle model b exposure window ${window}s, want < 0.2s"; exit 1; }
 
-# Per-model accounting: model a served 2 sync requests (before and after
-# the rekey), model b served the async job (the cancelled job never ran or
-# was already counted as done; either way requests ≥ 1 and sync count is
-# exact for a).
-curl -fs "http://$ADDR/v1/models/a" | grep -q '"requests": 2' \
-    || { echo "model a request count off"; curl -fs "http://$ADDR/v1/models/a"; exit 1; }
-curl -fs "http://$ADDR/v1/models/b" | grep -q '"requests": ' \
-    || { echo "model b metrics missing"; curl -fs "http://$ADDR/v1/models/b"; exit 1; }
+# One model's info route answers for it.
+curl -fs "http://$ADDR/v1/models/b" | grep -q '"name": "b"' \
+    || { echo "model b info missing"; curl -fs "http://$ADDR/v1/models/b"; exit 1; }
 
-# Prometheus exposition: the request counter matches the per-model
-# accounting, the scrubber has cycled (50ms interval), and the latency
-# histogram carries every answered request.
+# Prometheus exposition, the one metrics surface: model a served exactly
+# 2 sync requests (before and after the rekey), the scrubber has cycled
+# (50ms interval), and the latency histogram carries every answered
+# request.
 ct=$(curl -fs -o /dev/null -w '%{content_type}' "http://$ADDR/v1/metrics")
 echo "$ct" | grep -q 'text/plain' || { echo "/v1/metrics content type: $ct"; exit 1; }
 metrics=$(curl -fs "http://$ADDR/v1/metrics")
