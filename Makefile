@@ -53,11 +53,15 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreOpen$$' -fuzztime 10s ./internal/store/
 
 # The three examples run to completion (in-process, loopback only; ≈ 10 s
-# together, PBFA profile generation in examples/serving dominates).
+# together, PBFA profile generation in examples/serving dominates), then
+# radar-attack on the tiny model: the PBFA → rowhammer → scan → recover
+# round trip and one defense-aware campaign (≈ 2 s together).
 examples-smoke:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/serving
 	$(GO) run ./examples/fleet
+	$(GO) run ./cmd/radar-attack -model tiny -flips 3 -radar 8
+	$(GO) run ./cmd/radar-attack -model tiny -adversary scrub-timer -flips 8 -windows 2
 
 # benchmark/ is its own Go module, so `go build ./...` and `go test ./...`
 # at the root never compile it: vet it and run its tests (the -scale 0.03

@@ -1,16 +1,22 @@
 // Command radar-attack runs the Progressive Bit-Flip Attack against a zoo
 // model and prints the resulting vulnerable-bit profile with the paper's
-// Table I/II characterization.
+// Table I/II characterization; with -radar it then plays the full RADAR
+// round trip on a separate victim.
 //
 // Usage:
 //
-//	radar-attack [-model tiny|resnet20s|resnet18s] [-flips 10] [-seed 1] [-bit6] [-radar 0] [-workers 0]
+//	radar-attack [-model tiny|resnet20s|resnet18s] [-flips 10] [-seed 1] [-bit6] [-radar 0] [-sig 2] [-no-interleave] [-workers 0] [-store ckpt.radar]
 //	radar-attack -adversary oblivious|scrub-timer|below-threshold|sigstore [-store ckpt.radar] [-flips 240] [-windows 12] [-full-every 4] [-scrub-ms 100] [-radar 32] [-correct] [-no-defense]
 //
-// With -radar G > 0 the model is RADAR-protected (group size G) before the
-// attack, and afterwards the parallel incremental scan (ScanDirty, pool
-// sized by -workers, 0 = one per CPU) reports how many of the attack's
-// flips the defense would catch.
+// PBFA always runs offline on the attacker's own copy of the model. With
+// -radar G > 0 a separate victim copy is protected (group size G, -sig
+// signature bits, interleaved unless -no-interleave, secrets from -seed,
+// scan pool sized by -workers, 0 = one per CPU), the profile is mounted on
+// it as rowhammer flips (direct weight writes that no write observer
+// sees), and a full scan flags and zeroes the hit groups; accuracy is
+// reported clean → attacked → recovered, with the secure-storage cost.
+// A -radar below 0, a -sig other than 2 or 3, or a -store with neither
+// -radar nor -adversary exits 2 before anything runs.
 //
 // With -adversary the command runs a defense-aware internal/adversary
 // campaign instead of PBFA: the model is protected (-radar G, -correct
@@ -18,10 +24,13 @@
 // -flips bit flips over -windows scrub windows (full scan every
 // -full-every-th window, rowhammer-priced at -scrub-ms per window; 0 =
 // unpriced), and top-1 accuracy is reported clean, at the campaign horizon
-// and after the defender settles. With -store the bundle's weights are
-// mapped onto that checkpoint file (created from the trained zoo state
-// when absent) and every repair is msync'd back to it — a campaign against
-// a live weight file, not a RAM copy.
+// and after the defender settles.
+//
+// -store PATH maps the victim's weights (the campaign's model, or the
+// round trip's victim) onto that store checkpoint file, created from the
+// trained zoo state when absent. The attack flips bits in the mapped
+// file's page cache and every repair is msync'd back before exit, so a
+// rerun against the same -store starts from the recovered image.
 package main
 
 import (
@@ -39,12 +48,14 @@ import (
 func main() {
 	which := flag.String("model", "resnet20s", "target model: tiny, resnet20s or resnet18s")
 	flips := flag.Int("flips", 10, "number of bit flips (N_BF; campaign budget with -adversary)")
-	seed := flag.Int64("seed", 1, "attack seed (selects the attack batch / campaign plan)")
+	seed := flag.Int64("seed", 1, "attack seed (selects the attack batch / campaign plan) and the round trip's secrets")
 	bit6 := flag.Bool("bit6", false, "restrict the attacker to MSB-1 (§VIII)")
-	radarG := flag.Int("radar", 0, "RADAR group size for post-attack detection preview (0 = off; campaign default 32)")
+	radarG := flag.Int("radar", 0, "RADAR group size: protect a victim, mount the profile on it, scan and recover (0 = profile only; campaign default 32)")
+	sig := flag.Int("sig", 2, "round trip: signature bits (2 or 3)")
+	noInter := flag.Bool("no-interleave", false, "round trip: disable interleaving")
 	workers := flag.Int("workers", 0, "scan worker pool size (0 = one per CPU)")
 	adv := flag.String("adversary", "", "run a defense-aware campaign: oblivious, scrub-timer, below-threshold or sigstore")
-	storePath := flag.String("store", "", "campaign: mmap the weights onto this store checkpoint and msync repairs back")
+	storePath := flag.String("store", "", "mmap the victim's weights onto this store checkpoint and msync repairs back")
 	windows := flag.Int("windows", 12, "campaign: scrub windows the budget is spread over")
 	fullEvery := flag.Int("full-every", 4, "campaign: every n-th window's scrub is a full scan (others incremental)")
 	scrubMs := flag.Int("scrub-ms", 100, "campaign: window length for rowhammer flip pricing (0 = unpriced)")
@@ -57,10 +68,18 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown model %q\n", *which)
 		os.Exit(2)
 	}
+	if *radarG < 0 || (*sig != 2 && *sig != 3) {
+		fmt.Fprintf(os.Stderr, "-radar must be at least 0 and -sig 2 or 3 (got -radar %d -sig %d)\n", *radarG, *sig)
+		os.Exit(2)
+	}
+	if *storePath != "" && *radarG == 0 && *adv == "" {
+		fmt.Fprintln(os.Stderr, "-store maps the victim's weights: it needs -radar G or -adversary")
+		os.Exit(2)
+	}
 
 	if *adv != "" {
 		g := *radarG
-		if g <= 0 {
+		if g == 0 {
 			g = 32
 		}
 		opt := adversary.Options{
@@ -76,6 +95,7 @@ func main() {
 		return
 	}
 
+	// The attacker derives the profile offline on its own model copy.
 	b := model.Load(spec)
 	clean := model.Evaluate(b.Net, b.Test, 100)
 
@@ -86,13 +106,6 @@ func main() {
 	}
 	if *bit6 {
 		cfg.AllowedBits = []int{6}
-	}
-
-	var prot *core.Protector
-	if *radarG > 0 {
-		pcfg := core.DefaultConfig(*radarG)
-		pcfg.Workers = *workers
-		prot = core.Protect(b.QModel, pcfg)
 	}
 
 	t0 := time.Now()
@@ -113,16 +126,65 @@ func main() {
 	fmt.Printf("weight ranges: (-128,-32]=%d (-32,0]=%d (0,32)=%d [32,127)=%d\n",
 		r.NegLarge, r.NegSmall, r.PosSmall, r.PosLarge)
 
-	if prot != nil {
-		// The PBFA trial loop dirtied the layers it touched; the
-		// incremental scan re-checks only those.
-		t1 := time.Now()
-		flagged := prot.ScanDirty()
-		detected := prot.CountDetected(profile.Addresses(), flagged)
-		fmt.Printf("\nRADAR preview (G=%d, %d workers): incremental scan flagged %d groups in %v; %d/%d flips detected\n",
-			*radarG, prot.Workers(), len(flagged), time.Since(t1).Round(time.Microsecond),
-			detected, len(profile))
+	if *radarG == 0 {
+		return
 	}
+	fmt.Println()
+	pcfg := core.Config{G: *radarG, Interleave: !*noInter, SigBits: *sig, Seed: *seed, Workers: *workers}
+	victim, prot, vclean, done := protectVictim(spec, *storePath, pcfg)
+	defer done()
+	st := prot.Storage()
+	fmt.Printf("protected %s: G=%d interleave=%v sig=%d-bit scan workers=%d\n",
+		spec.Name, *radarG, !*noInter, *sig, prot.Workers())
+	fmt.Printf("secure storage: %.2f KB signatures + %d key bits + %d offset bits (%.2f KB total)\n",
+		st.SignatureKB(), st.KeyBits, st.OffsetBits, st.TotalBytes()/1024)
+
+	addrs := profile.Addresses()
+	adversary.Mount(adversary.Target{Model: victim.QModel}, adversary.Volley{Weights: addrs})
+	vattacked := model.Evaluate(victim.Net, victim.Test, 100)
+	flagged, zeroed := prot.DetectAndRecover()
+	detected := prot.CountDetected(addrs, flagged)
+	recovered := model.Evaluate(victim.Net, victim.Test, 100)
+
+	fmt.Printf("\nrowhammer flipped %d profile bits (no write observer saw them)\n", len(addrs))
+	fmt.Printf("scan flagged %d groups; %d/%d flips detected; %d weights zeroed\n",
+		len(flagged), detected, len(profile), zeroed)
+	fmt.Printf("\naccuracy: clean %.2f%% → attacked %.2f%% → recovered %.2f%%\n",
+		100*vclean, 100*vattacked, 100*recovered)
+}
+
+// protectVictim loads a fresh copy of spec, maps its weights onto the
+// store checkpoint at storePath when one is given, measures its clean
+// accuracy and protects it with cfg. done msyncs every repair back to the
+// checkpoint and closes it; it does nothing without a store.
+func protectVictim(spec model.Spec, storePath string, cfg core.Config) (b *model.Bundle, p *core.Protector, clean float64, done func()) {
+	b = model.Load(spec)
+	done = func() {}
+	if storePath != "" {
+		ck, err := model.MapCheckpoint(b, storePath)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "map %s: %v\n", storePath, err)
+			os.Exit(1)
+		}
+		mode := "mmap"
+		if !ck.Mapped() {
+			mode = "in-RAM fallback"
+		}
+		fmt.Printf("store %s: %d layers, %d weight bytes (%s)\n",
+			storePath, ck.NumLayers(), ck.WeightBytes(), mode)
+		done = func() {
+			// Recovery's repairs marked their layers dirty through the
+			// model observer; make them durable before exit.
+			fmt.Printf("msync'ing repaired sections back to %s\n", storePath)
+			if err := ck.SyncDirty(); err != nil {
+				fmt.Fprintf(os.Stderr, "sync %s: %v\n", storePath, err)
+				os.Exit(1)
+			}
+			ck.Close()
+		}
+	}
+	clean = model.Evaluate(b.Net, b.Test, 100)
+	return b, core.Protect(b.QModel, cfg), clean, done
 }
 
 // runCampaign executes one defense-aware adversary campaign end to end and
@@ -134,33 +196,11 @@ func runCampaign(spec model.Spec, name, storePath string, g, workers int, correc
 		os.Exit(2)
 	}
 
-	b := model.Load(spec)
-	if storePath != "" {
-		ck, err := model.MapCheckpoint(b, storePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "map %s: %v\n", storePath, err)
-			os.Exit(1)
-		}
-		defer func() {
-			if err := ck.SyncDirty(); err != nil {
-				fmt.Fprintf(os.Stderr, "sync %s: %v\n", storePath, err)
-				os.Exit(1)
-			}
-			ck.Close()
-		}()
-		mode := "mmap"
-		if !ck.Mapped() {
-			mode = "in-RAM fallback"
-		}
-		fmt.Printf("store %s: %d layers, %d weight bytes (%s)\n",
-			storePath, ck.NumLayers(), ck.WeightBytes(), mode)
-	}
-	clean := model.Evaluate(b.Net, b.Test, 100)
-
 	cfg := core.DefaultConfig(g)
 	cfg.Workers = workers
 	cfg.Correct = correct
-	p := core.Protect(b.QModel, cfg)
+	b, p, clean, done := protectVictim(spec, storePath, cfg)
+	defer done()
 
 	recovery := "zeroing"
 	if correct {
@@ -193,7 +233,4 @@ func runCampaign(spec model.Spec, name, storePath string, g, workers int, correc
 	}
 	fmt.Printf("top-1 accuracy: clean %.2f%% → horizon %.2f%% → settled %.2f%% (wall %v)\n",
 		100*clean, 100*live, 100*settled, time.Since(t0).Round(time.Millisecond))
-	if storePath != "" {
-		fmt.Printf("msync'ing repaired sections back to %s\n", storePath)
-	}
 }

@@ -212,17 +212,6 @@ func TestClassifyRangesBuckets(t *testing.T) {
 	}
 }
 
-func TestTopIndicesByAbs(t *testing.T) {
-	v := []float32{0.1, -5, 3, -0.2, 4}
-	idx := topIndicesByAbs(v, 3)
-	want := map[int]bool{1: true, 4: true, 2: true}
-	for _, i := range idx {
-		if !want[i] {
-			t.Fatalf("unexpected index %d in top-3: %v", i, idx)
-		}
-	}
-}
-
 func TestProfileAddresses(t *testing.T) {
 	p := Profile{{Addr: quant.BitAddress{LayerIndex: 1, WeightIndex: 2, Bit: 3}}, {Addr: quant.BitAddress{LayerIndex: 4, WeightIndex: 5, Bit: 6}}}
 	a := p.Addresses()

@@ -176,30 +176,6 @@ func layerCandidates(li int, l *quant.Layer, grad []float32, topK int, allowed [
 	return best
 }
 
-// topIndicesByAbs returns the indices of the k largest |v| entries.
-func topIndicesByAbs(v []float32, k int) []int {
-	if k > len(v) {
-		k = len(v)
-	}
-	idx := make([]int, len(v))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Partial selection: full sort is fine at these sizes but avoid it for
-	// very large layers with a simple selection of the top k.
-	sort.Slice(idx, func(a, b int) bool {
-		va, vb := v[idx[a]], v[idx[b]]
-		if va < 0 {
-			va = -va
-		}
-		if vb < 0 {
-			vb = -vb
-		}
-		return va > vb
-	})
-	return idx[:k]
-}
-
 // computeGrads runs one forward/backward pass on the attack batch and
 // returns a copy of ∂L/∂w for each quantized layer. Batch-norm layers are
 // switched to frozen running statistics for the pass, so the gradients are

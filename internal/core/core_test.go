@@ -55,8 +55,10 @@ func TestGroupingIsPartition(t *testing.T) {
 	}
 }
 
-// TestGroupSizeBounds: no group exceeds G members; interleaved groups have
-// exactly one member per row.
+// TestGroupSizeBounds: no group exceeds G members, and Members lists them
+// in position order — member t sits at keystream position t (contiguous:
+// i mod G; interleaved: row i/N, one member per row), the order the
+// masking keystream and the ECC bit image rely on.
 func TestGroupSizeBounds(t *testing.T) {
 	f := func(seed int64, interleave bool) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -65,8 +67,14 @@ func TestGroupSizeBounds(t *testing.T) {
 		s := scheme(g, interleave, 1)
 		n := s.NumGroups(l)
 		for j := 0; j < n; j++ {
-			if len(s.Members(j, l)) > g {
+			m := s.Members(j, l)
+			if len(m) > g {
 				return false
+			}
+			for pos, i := range m {
+				if (!interleave && i%g != pos) || (interleave && i/n != pos) {
+					return false
+				}
 			}
 		}
 		return true
@@ -88,21 +96,6 @@ func TestInterleaveScatters(t *testing.T) {
 			gap := m[k] - m[k-1]
 			if gap < n-s.Offset {
 				t.Fatalf("group %d members %d,%d only %d apart (N=%d)", j, m[k-1], m[k], gap, n)
-			}
-		}
-	}
-}
-
-func TestPositionOfMatchesMembersOrder(t *testing.T) {
-	for _, interleave := range []bool{false, true} {
-		s := scheme(8, interleave, 0xACE1)
-		l := 100
-		n := s.NumGroups(l)
-		for j := 0; j < n; j++ {
-			for t2, i := range s.Members(j, l) {
-				if got := s.PositionOf(i, l); got != t2 {
-					t.Fatalf("interleave=%v: PositionOf(%d)=%d, want %d", interleave, i, got, t2)
-				}
 			}
 		}
 	}

@@ -1,19 +1,5 @@
 package core
 
-// RefreshLayer recomputes the golden signatures of one layer from its
-// current weights. Deployments call this after a *legitimate* weight
-// update (fine-tuning, OTA model patch) so the new values are what the
-// run-time scan defends; calling it with corrupted weights would launder
-// the corruption, so the caller must hold the same trust as the original
-// Protect invocation.
-func (p *Protector) RefreshLayer(li int) {
-	// Take the layer before reading the weights: a write landing
-	// mid-refresh re-marks it and the next ScanDirty re-checks it.
-	p.takeLayers(nil, li)
-	p.Golden[li] = p.Schemes[li].Signatures(p.Model.Layers[li].Q)
-	p.refreshChecksLayer(li)
-}
-
 // RefreshAll recomputes every layer's golden signatures (a full re-protect
 // without re-drawing the secrets), sharded across the worker pool.
 func (p *Protector) RefreshAll() {

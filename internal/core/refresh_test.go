@@ -6,29 +6,6 @@ import (
 	"radar/internal/quant"
 )
 
-func TestRefreshLayerAcceptsLegitimateUpdate(t *testing.T) {
-	b := loadTiny(t)
-	p := Protect(b.QModel, DefaultConfig(16))
-	// A legitimate update: rewrite a whole layer (e.g. fine-tuned weights).
-	l := b.QModel.Layers[2]
-	for i := range l.Q {
-		l.Q[i] = int8((i*13)%250 - 125)
-	}
-	l.Sync()
-	if len(p.ScanLayer(2)) == 0 {
-		t.Fatal("update should initially mismatch the golden signatures")
-	}
-	p.RefreshLayer(2)
-	if flagged := p.Scan(); len(flagged) != 0 {
-		t.Fatalf("scan after refresh flagged %v", flagged)
-	}
-	// Detection still works after refresh.
-	b.QModel.FlipBit(quant.BitAddress{LayerIndex: 2, WeightIndex: 1, Bit: quant.MSB})
-	if len(p.ScanLayer(2)) != 1 {
-		t.Fatal("refreshed layer no longer detects flips")
-	}
-}
-
 func TestRekeyChangesSecretsKeepsDetection(t *testing.T) {
 	b := loadTiny(t)
 	cfg := DefaultConfig(16)

@@ -80,15 +80,6 @@ func (s Scheme) GroupOf(i, l int) int {
 	return (c + s.Offset*r) % n
 }
 
-// PositionOf returns the weight's position t within its group (0 ≤ t < G),
-// which indexes the masking keystream.
-func (s Scheme) PositionOf(i, l int) int {
-	if !s.Interleave {
-		return i % s.G
-	}
-	return i / s.NumGroups(l)
-}
-
 // Members returns the weight indices of group j in ascending position
 // order. Virtual padding positions (when G·N > L) are simply absent.
 func (s Scheme) Members(j, l int) []int {

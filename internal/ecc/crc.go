@@ -81,22 +81,6 @@ func (c CRC) ComputeInt8(q []int8) uint32 {
 	return c.Compute(buf)
 }
 
-// ComputeMSBs computes the CRC over only the MSB of each weight — the
-// reduced-coverage variant the paper prices as CRC-10.
-func (c CRC) ComputeMSBs(q []int8) uint32 {
-	bits := make([]uint8, len(q))
-	for i, v := range q {
-		bits[i] = uint8(v) >> 7
-	}
-	return c.ComputeBits(bits)
-}
-
-// Detects reports whether the CRC of corrupted differs from that of
-// original — i.e. whether the code detects the corruption.
-func (c CRC) Detects(original, corrupted []int8) bool {
-	return c.ComputeInt8(original) != c.ComputeInt8(corrupted)
-}
-
 // Period returns the multiplicative order of x modulo the generator — the
 // maximum total block length (data+CRC) with guaranteed 2-bit error
 // detection. For a primitive polynomial this is 2^Width − 1.

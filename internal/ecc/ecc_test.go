@@ -108,32 +108,6 @@ func TestCRCWidthMask(t *testing.T) {
 	}
 }
 
-func TestCRCComputeMSBs(t *testing.T) {
-	// Only MSB changes must affect the MSB-stream CRC.
-	q := make([]int8, 512)
-	base := CRC10.ComputeMSBs(q)
-	q[100] = 63 // MSB still 0
-	if CRC10.ComputeMSBs(q) != base {
-		t.Fatal("non-MSB change altered MSB-stream CRC")
-	}
-	q[100] = -1 // MSB 1
-	if CRC10.ComputeMSBs(q) == base {
-		t.Fatal("MSB change not reflected in MSB-stream CRC")
-	}
-}
-
-func TestCRCDetectsHelper(t *testing.T) {
-	orig := []int8{5, -3, 100, 0, 1, 2, 3, 4}
-	corr := append([]int8(nil), orig...)
-	corr[2] = int8(uint8(corr[2]) ^ 0x80)
-	if !CRC7.Detects(orig, corr) {
-		t.Fatal("Detects returned false for real corruption")
-	}
-	if CRC7.Detects(orig, orig) {
-		t.Fatal("Detects returned true for identical data")
-	}
-}
-
 func TestHammingSizing(t *testing.T) {
 	// Paper §VII.B: 64 bits need 7 (+1 SEC-DED) check bits; 4096 need 13 (+1).
 	if h := NewHamming(64); h.ParityBits != 7 {
@@ -177,19 +151,6 @@ func TestHammingClassifySingleVsDouble(t *testing.T) {
 	// No error → class 0.
 	if h.Classify(stored, h.Encode(data)) != 0 {
 		t.Fatal("clean data classified as error")
-	}
-}
-
-func TestHammingDetectsInt8MSBs(t *testing.T) {
-	h := NewHamming(16)
-	orig := make([]int8, 16)
-	corr := append([]int8(nil), orig...)
-	corr[3] = int8(uint8(corr[3]) ^ 0x80)
-	if !h.DetectsInt8MSBs(orig, corr) {
-		t.Fatal("MSB flip not detected")
-	}
-	if h.DetectsInt8MSBs(orig, orig) {
-		t.Fatal("false positive")
 	}
 }
 

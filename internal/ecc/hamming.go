@@ -80,19 +80,6 @@ func (h Hamming) Classify(stored, fresh uint32) int {
 	return 1 // parity-bit-only change
 }
 
-// DetectsInt8MSBs applies the code to the MSB stream of a weight group and
-// reports whether corruption is detected (class > 0).
-func (h Hamming) DetectsInt8MSBs(original, corrupted []int8) bool {
-	toBits := func(q []int8) []uint8 {
-		b := make([]uint8, len(q))
-		for i, v := range q {
-			b[i] = uint8(v) >> 7
-		}
-		return b
-	}
-	return h.Classify(h.Encode(toBits(original)), h.Encode(toBits(corrupted))) > 0
-}
-
 // CorrectSingle attempts single-bit error correction with a SEC-DED
 // Hamming code: given the stored and freshly computed check words, it
 // returns the codeword position (1-based, parity positions included) of

@@ -171,15 +171,6 @@ func (c *Context) EvalSet(name string) *data.Dataset {
 	return d
 }
 
-// ApplyProfile re-applies a recorded flip sequence to a fresh bundle
-// (profiles transfer exactly because every Load returns the same trained
-// state).
-func ApplyProfile(b *model.Bundle, p attack.Profile) {
-	for _, f := range p {
-		b.QModel.FlipBit(f.Addr)
-	}
-}
-
 // row formats a table row: each cell padded to 14 columns and followed by
 // at least one space, so a longer cell never fuses with the next.
 func row(cells ...string) string {

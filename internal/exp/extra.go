@@ -91,7 +91,7 @@ func MSB1(c *Context) MSB1Result {
 
 	// Reference MSB attack at 10 flips (first profile of the shared pool).
 	b := model.Load(specFor(ModelRN20))
-	ApplyProfile(b, c.Profiles(ModelRN20)[0])
+	adversary.Mount(adversary.Target{Model: b.QModel}, adversary.Volley{Weights: c.Profiles(ModelRN20)[0].Addresses()})
 	res.AttackedMSB = model.Evaluate(b.Net, eval, 100)
 
 	// Restricted attack, measured at 10 and 30 flips.
@@ -103,7 +103,7 @@ func MSB1(c *Context) MSB1Result {
 	if len(p10) > 10 {
 		p10 = p10[:10]
 	}
-	ApplyProfile(b10, p10)
+	adversary.Mount(adversary.Target{Model: b10.QModel}, adversary.Volley{Weights: p10.Addresses()})
 	res.AttackedMSB1At10 = model.Evaluate(b10.Net, eval, 100)
 	res.AttackedMSB1At30 = model.Evaluate(b1.Net, eval, 100)
 
@@ -113,7 +113,7 @@ func MSB1(c *Context) MSB1Result {
 		cfg := core.DefaultConfig(ScaledG(ModelRN20, 16))
 		cfg.SigBits = sigBits
 		prot := core.Protect(bb.QModel, cfg)
-		ApplyProfile(bb, profile)
+		adversary.Mount(adversary.Target{Model: bb.QModel}, adversary.Volley{Weights: profile.Addresses()})
 		flagged := prot.Scan()
 		detected := float64(prot.CountDetected(profile.Addresses(), flagged))
 		if sigBits == 2 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"radar/internal/adversary"
 	"radar/internal/attack"
 	"radar/internal/core"
 	"radar/internal/model"
@@ -117,7 +118,7 @@ func Figure4(c *Context) Figure4Result {
 					cfg := core.DefaultConfig(ScaledG(name, g))
 					cfg.Interleave = inter
 					prot := core.Protect(b.QModel, cfg)
-					ApplyProfile(b, p)
+					adversary.Mount(adversary.Target{Model: b.QModel}, adversary.Volley{Weights: p.Addresses()})
 					flagged := prot.Scan()
 					sum += float64(prot.CountDetected(p.Addresses(), flagged))
 				}
@@ -218,7 +219,7 @@ func Figure6(c *Context) Figure6Result {
 				b := model.Load(specFor(name))
 				cfg := core.DefaultConfig(ScaledG(name, g))
 				prot := core.Protect(b.QModel, cfg)
-				ApplyProfile(b, p)
+				adversary.Mount(adversary.Target{Model: b.QModel}, adversary.Volley{Weights: p.Addresses()})
 				prot.DetectAndRecover()
 				accSum += model.Evaluate(b.Net, eval, 100)
 			}
@@ -282,7 +283,7 @@ func Figure7(c *Context) Figure7Result {
 				prot := core.Protect(b.QModel, cfg)
 				// Mount the base profile, then the paired evasion flips
 				// computed against the attacker's contiguous-G assumption.
-				ApplyProfile(b, p)
+				adversary.Mount(adversary.Target{Model: b.QModel}, adversary.Volley{Weights: p.Addresses()})
 				extra := attack.PairedEvasion(b.QModel, p, maxInt(gs, 2), c.Opt.Seed+int64(ri))
 				all := append(append(attack.Profile{}, p...), extra...)
 				flagged := prot.Scan()

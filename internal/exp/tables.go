@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"radar/internal/adversary"
 	"radar/internal/attack"
 	"radar/internal/core"
 	"radar/internal/ecc"
@@ -144,7 +145,7 @@ func TableIII(c *Context) TableIIIResult {
 				}
 				// Undefended accuracy.
 				b := model.Load(specFor(name))
-				ApplyProfile(b, p)
+				adversary.Mount(adversary.Target{Model: b.QModel}, adversary.Volley{Weights: p.Addresses()})
 				attackedSum += model.Evaluate(b.Net, eval, 100)
 				// Defended: per G and interleave mode.
 				for _, g := range gs {
@@ -153,7 +154,7 @@ func TableIII(c *Context) TableIIIResult {
 						cfg := core.DefaultConfig(ScaledG(name, g))
 						cfg.Interleave = inter
 						prot := core.Protect(bb.QModel, cfg)
-						ApplyProfile(bb, p)
+						adversary.Mount(adversary.Target{Model: bb.QModel}, adversary.Volley{Weights: p.Addresses()})
 						prot.DetectAndRecover()
 						acc := model.Evaluate(bb.Net, eval, 100)
 						if inter {

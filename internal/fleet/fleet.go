@@ -56,7 +56,9 @@ type Config struct {
 	// (default 500ms).
 	DrainWait time.Duration
 	// AttemptTimeout bounds one proxied data-plane attempt — headers and
-	// body — at min(client deadline, AttemptTimeout). An attempt that
+	// body — at min(client deadline, AttemptTimeout); the per-replica
+	// fan-outs of GET /v1/metrics and /v1/debug/traces are attempts too.
+	// An attempt that
 	// times out while the client's own context is still live is a replica
 	// verdict: the replica is ejected as slow and the request fails over,
 	// so a hung backend costs one bounded attempt instead of the whole

@@ -35,7 +35,7 @@ type stubReplica struct {
 	removes   []string
 	broken    atomic.Bool  // answer 500 on everything (incl. admin) while set
 	shed      atomic.Bool  // answer 429 on infer/submit while set (queue full)
-	hang      atomic.Bool  // hold infer without answering while set (gray failure)
+	hang      atomic.Bool  // hold infer and metrics without answering while set (gray failure)
 	probeSlow atomic.Int64 // ns of added latency on GET /v1/models
 }
 
@@ -198,6 +198,10 @@ func newStubReplica(name string, models ...string) *stubReplica {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
+		if s.hang.Load() {
+			<-r.Context().Done()
+			return
+		}
 		if s.broken.Load() {
 			http.Error(w, "broken", http.StatusInternalServerError)
 			return

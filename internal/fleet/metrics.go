@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"net/http"
 	"sort"
@@ -118,16 +117,14 @@ func injectReplicaLabel(line, host string) string {
 	return line[:i] + "{" + tag + "}" + line[i:]
 }
 
-// scrapeReplica pulls one replica's /v1/metrics and folds its families
-// into fams/order under the replica's host label. Sample lines attach to
-// the family named by the preceding # TYPE/# HELP comments, so histogram
-// _bucket/_sum/_count lines stay grouped with their family.
-func (f *Fleet) scrapeReplica(ctx context.Context, base, host string, fams map[string]*scrapedFamily, order *[]string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/metrics", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := f.client.Do(req)
+// scrapeReplica pulls one replica's /v1/metrics through send — so a
+// replica that never answers costs one AttemptTimeout, not the whole
+// scrape — and folds its families into fams/order under the replica's
+// host label. Sample lines attach to the family named by the preceding
+// # TYPE/# HELP comments, so histogram _bucket/_sum/_count lines stay
+// grouped with their family.
+func (f *Fleet) scrapeReplica(r *http.Request, base, host string, fams map[string]*scrapedFamily, order *[]string) error {
+	resp, err := f.send(r, base, "/v1/metrics", nil)
 	if err != nil {
 		return err
 	}
@@ -198,7 +195,7 @@ func (f *Fleet) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue
 		}
-		if err := f.scrapeReplica(r.Context(), base, rep.host, fams, &order); err != nil {
+		if err := f.scrapeReplica(r, base, rep.host, fams, &order); err != nil {
 			f.met.scrapeErrors.With(rep.host).Inc()
 		}
 	}

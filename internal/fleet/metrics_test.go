@@ -2,11 +2,13 @@ package fleet
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"radar/internal/serve"
 )
@@ -66,6 +68,51 @@ func TestFleetAggregatedMetrics(t *testing.T) {
 		if !strings.Contains(text, `radar_stub_uptime_seconds{replica="`+host+`"} 1`) {
 			t.Errorf("unlabelled replica sample not tagged for %s", host)
 		}
+	}
+}
+
+// TestFleetMetricsHungReplica: a replica that accepts the scrape and
+// never answers costs the router's GET /v1/metrics one AttemptTimeout, not
+// the whole scrape — the router's own series and the healthy replicas'
+// still arrive, and the stalled replica counts one scrape error.
+func TestFleetMetricsHungReplica(t *testing.T) {
+	const attempt = 200 * time.Millisecond
+	f, stubs := newTestFleetCfg(t, 3, Config{AttemptTimeout: attempt}, "m0")
+	ts := httptest.NewServer(f.Handler())
+	defer ts.Close()
+	victim := stubs[0]
+	victim.hang.Store(true)
+
+	client := &http.Client{Timeout: 5 * time.Second}
+	start := time.Now()
+	resp, err := client.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatalf("scrape with a hung replica: %v after %v", err, time.Since(start))
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("hung replica held the scrape %v, want about one AttemptTimeout (%v)", elapsed, attempt)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/metrics → %d", resp.StatusCode)
+	}
+	text := string(body)
+	if !strings.Contains(text, "# TYPE radar_fleet_replica_up gauge") {
+		t.Error("router's own series missing from the scrape")
+	}
+	for _, s := range stubs[1:] {
+		host := strings.TrimPrefix(s.ts.URL, "http://")
+		if !strings.Contains(text, `radar_stub_uptime_seconds{replica="`+host+`"} 1`) {
+			t.Errorf("healthy replica %s missing from the scrape", host)
+		}
+	}
+	host := strings.TrimPrefix(victim.ts.URL, "http://")
+	if v := f.met.scrapeErrors.With(host).Value(); v != 1 {
+		t.Fatalf("radar_fleet_scrape_errors_total{replica=%q} = %d, want 1", host, v)
 	}
 }
 

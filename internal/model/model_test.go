@@ -141,16 +141,6 @@ func TestEvaluateMatchesManualCount(t *testing.T) {
 	}
 }
 
-func TestEvaluateLossFinite(t *testing.T) {
-	spec := TinySpec()
-	net := spec.Arch(rand.New(rand.NewSource(3)))
-	test := data.Generate(spec.Data, 30, 5)
-	loss := EvaluateLoss(net, test, 16)
-	if loss <= 0 || loss > 100 {
-		t.Fatalf("loss out of range: %v", loss)
-	}
-}
-
 func TestVisitFindsAllBNLayers(t *testing.T) {
 	net := nn.BuildResNet(nn.ResNet20Config(4, 4), rand.New(rand.NewSource(1)))
 	bns := 0

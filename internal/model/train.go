@@ -92,26 +92,6 @@ func Evaluate(net *nn.Sequential, d *data.Dataset, batch int) float64 {
 	return float64(correct) / float64(d.Len())
 }
 
-// EvaluateLoss returns the eval-mode mean cross-entropy of net on d.
-func EvaluateLoss(net *nn.Sequential, d *data.Dataset, batch int) float64 {
-	if batch <= 0 {
-		batch = 64
-	}
-	var sum float64
-	n := 0
-	for lo := 0; lo < d.Len(); lo += batch {
-		hi := lo + batch
-		if hi > d.Len() {
-			hi = d.Len()
-		}
-		x, labels := d.Batch(lo, hi)
-		out := net.Forward(x, false)
-		sum += nn.CrossEntropyLoss(out, labels) * float64(hi-lo)
-		n += hi - lo
-	}
-	return sum / float64(n)
-}
-
 // Logits runs eval-mode inference on a single batch tensor.
 func Logits(net *nn.Sequential, x *tensor.Tensor) *tensor.Tensor {
 	return net.Forward(x, false)

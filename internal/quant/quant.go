@@ -213,16 +213,6 @@ func (m *Model) TotalWeights() int {
 	return n
 }
 
-// LayerByName returns the quantized layer with the given name, or nil.
-func (m *Model) LayerByName(name string) *Layer {
-	for _, l := range m.Layers {
-		if l.Name == name {
-			return l
-		}
-	}
-	return nil
-}
-
 // Snapshot copies the current int8 image of every layer; Restore puts it
 // back. Attacks use this to undo trial flips.
 func (m *Model) Snapshot() [][]int8 {

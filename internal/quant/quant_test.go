@@ -158,16 +158,6 @@ func TestTotalWeights(t *testing.T) {
 	}
 }
 
-func TestLayerByName(t *testing.T) {
-	m := Quantize(tinyNet(7))
-	if m.LayerByName("fc1.weight") == nil {
-		t.Fatal("fc1.weight not found")
-	}
-	if m.LayerByName("nope") != nil {
-		t.Fatal("unexpected layer found")
-	}
-}
-
 func TestBitAddressString(t *testing.T) {
 	s := BitAddress{2, 17, 7}.String()
 	if s != "L2[17].b7" {

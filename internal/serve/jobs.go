@@ -133,7 +133,6 @@ func (t *jobTable) create(model string, cancel context.CancelFunc) (*job, error)
 		state:   JobPending,
 	}
 	t.jobs[j.id] = j
-	t.submitted++
 	return j, nil
 }
 
@@ -147,15 +146,22 @@ func (t *jobTable) reapLocked(now time.Time) {
 }
 
 // abort drops a job whose submission failed after the slot was reserved
-// and undoes its accounting — a rejected submission (full queue, server
-// stopping) never counts as an accepted job.
+// (full queue, server stopping); accept never counted it.
 func (t *jobTable) abort(id JobID) {
 	t.mu.Lock()
-	if _, ok := t.jobs[id]; ok {
-		delete(t.jobs, id)
-		t.submitted--
-	}
+	delete(t.jobs, id)
 	t.mu.Unlock()
+}
+
+// accept counts a job whose input is enqueued as submitted, then watches
+// it on its own goroutine. Counting only here keeps
+// radar_jobs_submitted_total monotone: a rejected submission is never
+// counted, so nothing is ever un-counted.
+func (t *jobTable) accept(j *job, ctx context.Context, ch <-chan Result) {
+	t.mu.Lock()
+	t.submitted++
+	t.mu.Unlock()
+	go t.watch(j, ctx, ch)
 }
 
 // finish moves a pending job into a terminal state, closing done exactly
@@ -181,13 +187,14 @@ func (t *jobTable) finish(j *job, state JobState, res *Result) bool {
 	return true
 }
 
-// watch runs on its own goroutine per in-flight job: it completes the job
-// when the batch workers answer, or cancels and reaps it when the job
-// context is done first (submission context cancelled, or an explicit
-// Cancel tearing down the job's own context layer). Because results
-// arrive on a buffered channel, a late answer to a cancelled job is
-// simply dropped; finish resolves the race so done closes exactly once.
-// The job's cancel func is released on exit either way.
+// watch runs on its own goroutine per in-flight job (see accept): it
+// completes the job when the batch workers answer, or cancels and reaps
+// it when the job context is done first (submission context cancelled,
+// or an explicit Cancel tearing down the job's own context layer).
+// Because results arrive on a buffered channel, a late answer to a
+// cancelled job is simply dropped; finish resolves the race so done
+// closes exactly once. The job's cancel func is released on exit either
+// way.
 func (t *jobTable) watch(j *job, ctx context.Context, ch <-chan Result) {
 	defer j.cancel()
 	select {

@@ -229,6 +229,26 @@ func TestJobCancelAPI(t *testing.T) {
 	}
 }
 
+// TestJobsSubmittedNeverFalls: a submission rejected after its slot was
+// reserved (abort) must not lower radar_jobs_submitted_total — a scrape
+// between create and abort would read the fall as a counter reset.
+func TestJobsSubmittedNeverFalls(t *testing.T) {
+	jt := newJobTable(4, time.Minute)
+	j, err := jt.create("m0", func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, before := jt.stats()
+	jt.abort(j.id)
+	active, after := jt.stats()
+	if after < before {
+		t.Fatalf("submitted fell %d → %d across abort", before, after)
+	}
+	if active != 0 {
+		t.Fatalf("aborted job still holds a slot (%d active)", active)
+	}
+}
+
 // TestJobIDsCarryInstanceTag: IDs embed the table's random instance tag so
 // two replicas of one deployment never mint colliding IDs — the property
 // a fleet router's sticky job map depends on.

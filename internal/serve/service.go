@@ -309,7 +309,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (JobID, error) {
 		jcancel()
 		return "", err
 	}
-	go s.jobs.watch(j, jctx, ch)
+	s.jobs.accept(j, jctx, ch)
 	return j.id, nil
 }
 

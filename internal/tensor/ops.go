@@ -8,34 +8,6 @@ import (
 // maxWorkers bounds the goroutine fan-out used by parallel kernels.
 var maxWorkers = runtime.GOMAXPROCS(0)
 
-// parallelFor splits [0,n) into contiguous chunks and runs fn(lo,hi) on each
-// concurrently. Small ranges run inline to avoid goroutine overhead.
-func parallelFor(n int, fn func(lo, hi int)) {
-	const minChunk = 256
-	workers := maxWorkers
-	if workers > n/minChunk {
-		workers = n / minChunk
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // Add returns a + b elementwise. Shapes must match.
 func Add(a, b *Tensor) *Tensor {
 	mustSameShape(a, b, "Add")
@@ -161,8 +133,8 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 	return out
 }
 
-// parallelForRows distributes whole rows across workers; unlike parallelFor
-// it parallelizes even small row counts because each row can be heavy.
+// parallelForRows distributes whole rows across workers; it parallelizes
+// even small row counts because each row can be heavy.
 func parallelForRows(rows int, fn func(lo, hi int)) {
 	workers := maxWorkers
 	if workers > rows {

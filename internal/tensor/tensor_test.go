@@ -327,21 +327,6 @@ func TestKaimingInitStatistics(t *testing.T) {
 	}
 }
 
-func TestParallelForCoversRange(t *testing.T) {
-	n := 10_000
-	marks := make([]int32, n)
-	parallelFor(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			marks[i]++
-		}
-	})
-	for i, m := range marks {
-		if m != 1 {
-			t.Fatalf("index %d visited %d times", i, m)
-		}
-	}
-}
-
 func BenchmarkMatMul128(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	x := New(128, 128)
