@@ -19,9 +19,9 @@
 // Endpoints:
 //
 //	POST   /v1/models/{name}/infer  routed by ring owner, failover retry
-//	POST   /v1/models/{name}/jobs   routed by owner, job pinned to replica
-//	GET    /v1/jobs/{id}            sticky poll on the minting replica
-//	DELETE /v1/jobs/{id}            sticky cancel
+//	POST   /v1/models/{name}/jobs   routed by owner
+//	GET    /v1/jobs/{id}            poll, routed by the ID's replica tag
+//	DELETE /v1/jobs/{id}            cancel, routed by the ID's replica tag
 //	GET    /v1/models               merged listing with per-model owners
 //	GET    /v1/models/{name}        routed by owner
 //	POST   /v1/admin/scrub          broadcast scrub sweep

@@ -18,7 +18,7 @@
 // bare "zoo" uses the zoo name itself. The tuning flags apply to every
 // model (each still gets its own independent queue, workers and scrubber);
 // -scrub is the flip-exposure target of a model that gets no traffic.
-// A -g below 1 exits 2 before any model loads.
+// A -g or -jobs below 1 exits 2 before any model loads.
 //
 // -correct NAME (repeatable; "all" covers every model) opts the named
 // served model into ECC-corrected recovery: scrub-flagged groups consult
@@ -39,7 +39,7 @@
 //	POST   /v1/models/{name}/jobs   async job submit → 202 + job ID
 //	GET    /v1/jobs/{id}            poll a job
 //	DELETE /v1/jobs/{id}            cancel a job
-//	GET    /v1/models               hosted models, health, live metrics
+//	GET    /v1/models               hosted models, configuration, health
 //	GET    /v1/metrics              Prometheus text exposition
 //	GET    /v1/debug/traces         recent per-request stage timings
 //	POST   /v1/admin/scrub          force a scrub cycle now
@@ -90,14 +90,15 @@ func main() {
 	flag.Var(&models, "model", "zoo model to serve: tiny, resnet20s or resnet18s, optionally as name=zoo; repeatable (checkpoints load from testdata/models)")
 	var corrects modelFlag
 	flag.Var(&corrects, "correct", "served model name whose recovery is ECC-corrected instead of zeroing; repeatable, or \"all\"")
+	defaults := serve.DefaultConfig()
 	var (
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
 		g         = flag.Int("g", 8, "RADAR group size (paper: 8 for ResNet-20, 512 for ResNet-18)")
-		batch     = flag.Int("batch", 8, "max queued requests one forward pass takes (a batch is whatever queued while the workers were busy)")
+		batch     = flag.Int("batch", defaults.MaxBatch, "max queued requests one forward pass takes (a batch is whatever queued while the workers were busy)")
 		workers   = flag.Int("workers", 0, "inference workers per model (0 = one per CPU)")
-		queue     = flag.Int("queue", 256, "pending-request queue depth per model")
-		verify    = flag.Bool("verify", true, "verify each layer's signatures at weight-fetch time (embedded detection)")
-		scrub     = flag.Duration("scrub", 100*time.Millisecond, "background scrub interval per model, the flip-exposure target of an idle model (0 disables)")
+		queue     = flag.Int("queue", defaults.QueueDepth, "pending-request queue depth per model")
+		verify    = flag.Bool("verify", defaults.VerifiedFetch, "verify each layer's signatures at weight-fetch time (embedded detection)")
+		scrub     = flag.Duration("scrub", defaults.ScrubInterval, "background scrub interval per model, the flip-exposure target of an idle model (0 disables)")
 		scanWk    = flag.Int("scan-workers", 0, "scan engine worker pool per model (0 = one per CPU)")
 		jobs      = flag.Int("jobs", serve.DefaultJobCapacity, "async job table capacity")
 		storeDir  = flag.String("store-dir", "", "directory of mmap-backed store checkpoints, one <name>.radar per served model (empty = in-RAM weights)")
@@ -108,6 +109,10 @@ func main() {
 	flag.Parse()
 	if *g < 1 {
 		fmt.Fprintf(os.Stderr, "-g must be at least 1, got %d\n", *g)
+		os.Exit(2)
+	}
+	if *jobs < 1 {
+		fmt.Fprintf(os.Stderr, "-jobs must be at least 1, got %d\n", *jobs)
 		os.Exit(2)
 	}
 	if len(models) == 0 {
@@ -201,11 +206,7 @@ func main() {
 		serve.WithJobCapacity(*jobs),
 		serve.WithModelProvider(provider),
 	}
-	type hosted struct {
-		name string
-		spec model.Spec
-	}
-	var hostedModels []hosted
+	var names []string
 	for _, mv := range models {
 		name, zoo := mv, mv
 		if eq := strings.IndexByte(mv, '='); eq >= 0 {
@@ -229,7 +230,7 @@ func main() {
 			name, len(prot.Model.Layers), prot.NumGroups(), *g, recovery)
 
 		opts = append(opts, serve.WithModel(name, eng, prot, serve.WithConfig(cfg)))
-		hostedModels = append(hostedModels, hosted{name: name, spec: spec})
+		names = append(names, name)
 	}
 
 	svc, err := serve.Open(opts...)
@@ -283,12 +284,8 @@ func main() {
 
 	httpSrv := &http.Server{Addr: *addr, Handler: handler}
 	go func() {
-		names := make([]string, len(hostedModels))
-		for i, h := range hostedModels {
-			names[i] = h.name
-		}
 		log.Printf("serving %d model(s) [%s] on %s — verify=%v scrub=%v jobs=%d gemm=%s",
-			len(hostedModels), strings.Join(names, ", "), *addr, *verify, *scrub, *jobs, qinfer.GEMMKernel())
+			len(names), strings.Join(names, ", "), *addr, *verify, *scrub, *jobs, qinfer.GEMMKernel())
 		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			log.Fatalf("http: %v", err)
 		}

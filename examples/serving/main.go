@@ -98,7 +98,7 @@ func main() {
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 				req := serve.Request{Model: "resnet20", Input: input(i % 200)}
-				var res serve.Result
+				var res serve.InferResult
 				var err error
 				if i%8 == 7 {
 					var id serve.JobID

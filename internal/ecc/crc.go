@@ -39,22 +39,6 @@ func (c CRC) Name() string { return c.name }
 // mask returns the Width-bit register mask.
 func (c CRC) mask() uint32 { return (uint32(1) << uint(c.Width)) - 1 }
 
-// ComputeBits returns the CRC of a bit stream delivered MSB-first as a
-// slice of 0/1 values.
-func (c CRC) ComputeBits(bits []uint8) uint32 {
-	var reg uint32
-	topShift := uint(c.Width - 1)
-	m := c.mask()
-	for _, in := range bits {
-		fb := (reg>>topShift)&1 ^ uint32(in&1)
-		reg = (reg << 1) & m
-		if fb == 1 {
-			reg ^= c.Poly
-		}
-	}
-	return reg
-}
-
 // Compute returns the CRC of data bytes, MSB-first within each byte.
 func (c CRC) Compute(data []byte) uint32 {
 	var reg uint32

@@ -5,11 +5,12 @@
 // Topology: every replica hosts the same model set (radar-serve -model
 // flags or the fleet's broadcast hot-add), and the ring decides which
 // replica answers for which model. Sync inference and async job submits
-// route by model name; job polls and cancels route by the sticky
-// job→replica map recorded at submit time (job IDs carry a per-replica
-// instance tag, so they never collide). GET /v1/models merges the
-// listing across healthy replicas and annotates each model with its
-// current owner.
+// route by model name; job polls and cancels are routed by the ID's
+// replica tag: every job ID carries its minting replica's instance tag
+// (serve.JobID.Tag), and the router learns tag → replica from each
+// accepted submit, so it holds one entry per replica instance, not one
+// per job. GET /v1/models merges the listing across healthy replicas and
+// annotates each model with its current owner.
 //
 // Health: a background prober hits each replica's GET /v1/models on an
 // interval; FailThreshold consecutive failures eject the replica from
@@ -85,7 +86,7 @@ type Config struct {
 	ShedWindow time.Duration
 	// ShedRate is the bad-outcome fraction over ShedWindow beyond which a
 	// replica is soft-drained — weighted out of new sync traffic while
-	// sticky jobs stay reachable — once at least ShedMinSamples attempts
+	// its jobs stay reachable — once at least ShedMinSamples attempts
 	// are in the window (defaults 0.5 and 20). It is readmitted when the
 	// window clears. A soft drain never empties the ring.
 	ShedRate       float64
@@ -169,10 +170,9 @@ type ReplicaStatus struct {
 	Draining bool   `json:"draining,omitempty"`
 	// SoftDrained marks a replica weighted out of new sync traffic for a
 	// persistently high shed/error rate; it rejoins when its window clears.
-	SoftDrained bool    `json:"soft_drained,omitempty"`
-	ShedRate    float64 `json:"shed_rate,omitempty"`
-	InRing      bool    `json:"in_ring"`
-	LastErr     string  `json:"last_error,omitempty"`
+	SoftDrained bool   `json:"soft_drained,omitempty"`
+	InRing      bool   `json:"in_ring"`
+	LastErr     string `json:"last_error,omitempty"`
 }
 
 // Fleet routes /v1 traffic across radar-serve replicas. Build with New,
@@ -185,9 +185,10 @@ type Fleet struct {
 	replicas map[string]*replica // keyed by base URL
 	order    []string            // configured order, for stable reporting
 
-	// jobs is the sticky job→replica map: job IDs are minted by one
-	// backend and only it can answer for them.
-	jobs sync.Map // string(JobID) → base URL
+	// jobs routes polls and cancels: a job ID's replica tag
+	// (serve.JobID.Tag) → the base URL of the replica that minted it, the
+	// only one that can answer for the job. Learnt from accepted submits.
+	jobs sync.Map
 
 	// intent is the fleet-wide hosted-model intent accumulated from admin
 	// broadcasts; readmitted replicas are diffed against it and repaired
@@ -277,14 +278,12 @@ func (f *Fleet) statuses() []ReplicaStatus {
 	out := make([]ReplicaStatus, 0, len(f.order))
 	for _, base := range f.order {
 		r := f.replicas[base]
-		rate, _ := r.window.rate()
 		r.mu.Lock()
 		out = append(out, ReplicaStatus{
 			URL:         r.url,
 			Healthy:     r.healthy,
 			Draining:    r.draining,
 			SoftDrained: r.shedded,
-			ShedRate:    rate,
 			InRing:      f.ring.Has(r.url),
 			LastErr:     r.lastErr,
 		})

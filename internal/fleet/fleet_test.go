@@ -56,7 +56,7 @@ func newStubReplica(name string, models ...string) *stubReplica {
 			http.Error(w, "broken", http.StatusInternalServerError)
 			return
 		}
-		resp := serve.ModelsResponse{Jobs: serve.JobTableStats{Capacity: 100}}
+		var resp serve.ModelsResponse
 		s.mu.Lock()
 		hosted := make([]string, 0, len(s.hosted))
 		for m := range s.hosted {
@@ -381,6 +381,46 @@ func TestFleetJobStickiness(t *testing.T) {
 	}
 }
 
+// TestFleetJobRoutingBounded: polls route by the job ID's replica tag, so
+// finished jobs leave nothing behind in the router — 20 jobs submitted and
+// polled to done leave at most one routing entry per replica — and a
+// replica that becomes unreachable answers 502 without losing its entry.
+func TestFleetJobRoutingBounded(t *testing.T) {
+	f, stubs := newTestFleet(t, 3, "m0", "m1", "m2")
+	ts := httptest.NewServer(f.Handler())
+	defer ts.Close()
+
+	var last serve.JobRef
+	for i := 0; i < 20; i++ {
+		status, body := doRead(t, "POST", ts.URL+fmt.Sprintf("/v1/models/m%d/jobs", i%3), `{"input":[1]}`)
+		if status != http.StatusAccepted {
+			t.Fatalf("submit %d → %d", i, status)
+		}
+		if err := json.Unmarshal(body, &last); err != nil {
+			t.Fatal(err)
+		}
+		if status, body := doRead(t, "GET", ts.URL+last.Location, ""); status != http.StatusOK ||
+			!strings.Contains(string(body), `"done"`) {
+			t.Fatalf("poll %s → %d %s", last.ID, status, body)
+		}
+	}
+	entries := 0
+	f.jobs.Range(func(any, any) bool { entries++; return true })
+	if entries > len(stubs) {
+		t.Fatalf("router holds %d job-routing entries after 20 finished jobs, want ≤ %d", entries, len(stubs))
+	}
+
+	minter := stubFor(t, stubs, f.ring.Lookup(last.Model))
+	minter.ts.CloseClientConnections()
+	minter.ts.Close()
+	if status, _ := doRead(t, "GET", ts.URL+last.Location, ""); status != http.StatusBadGateway {
+		t.Fatalf("poll on an unreachable replica → %d, want 502", status)
+	}
+	if _, ok := f.jobs.Load(last.ID.Tag()); !ok {
+		t.Fatal("an unreachable replica's routing entry was dropped")
+	}
+}
+
 // TestFleetFailoverOnDeadReplica: killing a replica mid-fleet ejects it
 // on first contact and replays the idempotent request against the next
 // owner — the client sees 200, not 502.
@@ -448,7 +488,7 @@ func TestFleetHealthEjectReadmit(t *testing.T) {
 }
 
 // TestFleetMergedModels: the fleet listing names each model once with its
-// ring owner and sums the job tables.
+// ring owner.
 func TestFleetMergedModels(t *testing.T) {
 	f, _ := newTestFleet(t, 3, "m0", "m1")
 	ts := httptest.NewServer(f.Handler())
@@ -469,9 +509,6 @@ func TestFleetMergedModels(t *testing.T) {
 		if want := f.ring.Lookup(m.Name); m.Owner != want {
 			t.Fatalf("model %s annotated owner %s, ring says %s", m.Name, m.Owner, want)
 		}
-	}
-	if merged.Jobs.Capacity != 300 {
-		t.Fatalf("job capacities not summed: %+v", merged.Jobs)
 	}
 }
 

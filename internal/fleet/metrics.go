@@ -74,23 +74,6 @@ func (f *Fleet) initMetrics(reg *obs.Registry) {
 			return rate
 		}, r.host)
 	}
-	reg.Gauge("radar_fleet_sticky_jobs", "Async jobs currently pinned to their minting replica.").
-		Func(func() float64 {
-			n := 0
-			f.jobs.Range(func(any, any) bool { n++; return true })
-			return float64(n)
-		})
-}
-
-// MetricNames returns the router's registered metric family names — what
-// the naming-lint test checks.
-func (f *Fleet) MetricNames() []string { return f.obs.Names() }
-
-// WriteMetrics writes the router's own series in the Prometheus text
-// format (no replica scraping — that is handleMetrics' job).
-func (f *Fleet) WriteMetrics(w *bufio.Writer) error {
-	_, err := f.obs.WriteTo(w)
-	return err
 }
 
 // scrapedFamily is one metric family re-assembled from replica scrapes:

@@ -21,7 +21,7 @@ var metricNameRE = regexp.MustCompile(`^radar_[a-z0-9]+(_[a-z0-9]+)*(_total|_sec
 // convention before they ship to a scraper.
 func TestFleetMetricNamingLint(t *testing.T) {
 	f, _ := newTestFleet(t, 2, "m0")
-	names := f.MetricNames()
+	names := f.obs.Names()
 	if len(names) == 0 {
 		t.Fatal("router registered no metric families")
 	}

@@ -20,9 +20,9 @@ import (
 // fleet from one radar-serve — plus GET /v1/fleet for the router's view:
 //
 //	POST   /v1/models/{model}/infer  — routed by ring owner, retried on failover
-//	POST   /v1/models/{model}/jobs   — routed by owner; job pinned to it
-//	GET    /v1/jobs/{id}             — sticky: answered by the minting replica
-//	DELETE /v1/jobs/{id}             — sticky cancel
+//	POST   /v1/models/{model}/jobs   — routed by owner, not replayed
+//	GET    /v1/jobs/{id}             — routed by the ID's replica tag
+//	DELETE /v1/jobs/{id}             — routed by the ID's replica tag
 //	GET    /v1/models                — merged listing with per-model owners
 //	GET    /v1/models/{model}        — routed by owner, retried on failover
 //	POST   /v1/admin/scrub           — broadcast to every in-ring replica
@@ -370,7 +370,7 @@ func (f *Fleet) handleRead(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSubmitJob routes an async submit by ring owner, without replay,
-// and pins an accepted job to the replica that minted its ID.
+// and learns the accepted job ID's replica tag for handleJob.
 func (f *Fleet) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	resp, base := f.forward(w, r, r.PathValue("model"), false)
 	if resp == nil {
@@ -382,20 +382,22 @@ func (f *Fleet) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var ref serve.JobRef
-	if resp.StatusCode == http.StatusAccepted && json.Unmarshal(body, &ref) == nil && ref.ID != "" {
-		f.jobs.Store(string(ref.ID), base)
+	if resp.StatusCode == http.StatusAccepted && json.Unmarshal(body, &ref) == nil && ref.ID.Tag() != "" {
+		f.jobs.Store(ref.ID.Tag(), base)
 	}
 	relay(w, resp)
 }
 
-// handleJob answers polls and cancels through the sticky job map: only
-// the replica that minted an ID can answer for it. A terminal DELETE (or
-// a 404 from the backend — the job expired) drops the pin. Soft-drained
-// replicas stay reachable here — the pin routes by base URL, not by the
-// ring.
+// handleJob answers polls and cancels from the replica that minted the
+// job, found by the ID's replica tag: only it can answer for the job, and
+// its own 404 covers a job it cancelled, reaped or never had. A tag no
+// accepted submit carried is a fleet 404; an unreachable replica is a 502
+// that keeps the tag, so a later poll reaches the job if the replica
+// recovers. Soft-drained replicas stay reachable here — the tag routes by
+// base URL, not by the ring.
 func (f *Fleet) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	v, ok := f.jobs.Load(id)
+	v, ok := f.jobs.Load(serve.JobID(id).Tag())
 	if !ok {
 		http.Error(w, "fleet: unknown job "+id, http.StatusNotFound)
 		return
@@ -403,20 +405,9 @@ func (f *Fleet) handleJob(w http.ResponseWriter, r *http.Request) {
 	base := v.(string)
 	resp, err := f.send(r, base, r.URL.Path, nil)
 	if err != nil {
-		// Drop the pin only when the replica itself failed — it is gone
-		// and the job with it. A poll the client abandoned says nothing
-		// about the job; neither does an attempt timeout (the replica is
-		// slow, not gone, and the job may finish once it recovers) — in
-		// both cases the pin stays so the next poll can reach it.
-		if !clientGone(r, err) && !attemptTimedOut(r, err) {
-			f.jobs.Delete(id)
-		}
-		http.Error(w, fmt.Sprintf("fleet: replica %s lost with job %s: %v", base, id, err),
+		http.Error(w, fmt.Sprintf("fleet: replica %s unreachable for job %s: %v", base, id, err),
 			http.StatusBadGateway)
 		return
-	}
-	if r.Method == http.MethodDelete || resp.StatusCode == http.StatusNotFound {
-		f.jobs.Delete(id)
 	}
 	relay(w, resp)
 }
@@ -428,12 +419,10 @@ type ModelEntry struct {
 	Owner string `json:"owner"`
 }
 
-// ModelsResponse is the fleet's GET /v1/models body: one entry per model
-// (as served by its ring owner) and the job tables summed across
-// replicas.
+// ModelsResponse is the fleet's GET /v1/models body: one entry per model,
+// as served by its ring owner.
 type ModelsResponse struct {
-	Models []ModelEntry        `json:"models"`
-	Jobs   serve.JobTableStats `json:"jobs"`
+	Models []ModelEntry `json:"models"`
 }
 
 // handleModels merges the listing across in-ring replicas. Each model
@@ -468,9 +457,6 @@ func (f *Fleet) handleModels(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		answered++
-		merged.Jobs.Active += one.Jobs.Active
-		merged.Jobs.Submitted += one.Jobs.Submitted
-		merged.Jobs.Capacity += one.Jobs.Capacity
 		for _, mi := range one.Models {
 			owner := f.ring.Lookup(mi.Name)
 			entry := ModelEntry{ModelInfo: mi, Owner: owner}
@@ -497,14 +483,10 @@ type FleetStatus struct {
 	Replicas []ReplicaStatus `json:"replicas"`
 	// InRing is how many replicas currently take traffic.
 	InRing int `json:"in_ring"`
-	// TrackedJobs is the sticky job map's size.
-	TrackedJobs int `json:"tracked_jobs"`
 }
 
 func (f *Fleet) handleFleet(w http.ResponseWriter, r *http.Request) {
-	st := FleetStatus{Replicas: f.statuses(), InRing: len(f.ring.Members())}
-	f.jobs.Range(func(any, any) bool { st.TrackedJobs++; return true })
-	writeJSON(w, http.StatusOK, st)
+	writeJSON(w, http.StatusOK, FleetStatus{Replicas: f.statuses(), InRing: len(f.ring.Members())})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -86,7 +86,7 @@ func (f *Fleet) recordOutcome(base string, bad bool) {
 // maybeSoftDrain weighs a persistently overloaded replica out of new
 // sync traffic: once its window's bad fraction crosses Config.ShedRate
 // with enough samples, it leaves the ring (new routing skips it) while
-// staying healthy — sticky jobs still reach it by base URL, broadcasts
+// staying healthy — its jobs still reach it by replica tag, broadcasts
 // still include it, and the prober readmits it once the window clears.
 // The last ring member is never soft-drained: spreading overload needs
 // somewhere to spread to.

@@ -133,6 +133,6 @@ func (s *Server) runBatch(batch []*request, v *verifier) {
 				},
 			})
 		}
-		r.out <- Result{Class: out.Argmax(i*k, k), Logits: logits}
+		r.out <- InferResult{Class: out.Argmax(i*k, k), Logits: logits}
 	}
 }

@@ -39,9 +39,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // mustSubmit enqueues x and returns the channel its answer arrives on.
-func mustSubmit(t *testing.T, srv *Server, x *tensor.Tensor) <-chan Result {
+func mustSubmit(t *testing.T, srv *Server, x *tensor.Tensor) <-chan InferResult {
 	t.Helper()
-	ch, err := srv.submit(context.Background(), x, "")
+	ch, err := srv.submit(context.Background(), x, "", true)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -63,7 +63,7 @@ func TestBacklogBecomesBatches(t *testing.T) {
 	x, _ := b.Test.Batch(0, 17)
 
 	release := holdWeights(srv)
-	chans := []<-chan Result{mustSubmit(t, srv, sample(x, 0))}
+	chans := []<-chan InferResult{mustSubmit(t, srv, sample(x, 0))}
 	// The batch counter moves once the worker has stopped filling and is
 	// about to fetch weights — which the held guard refuses it.
 	waitFor(t, "the worker to take the lone request", func() bool { return srv.met.batches.Value() == 1 })
@@ -142,7 +142,7 @@ func TestShapeChangeCarriesOver(t *testing.T) {
 	cfg := DefaultConfig() // InputShape unset: any (C,H,W) is accepted
 	cfg.Workers = 1
 	cfg.ScrubInterval = 0
-	srv := newServer(eng, core.Protect(b.QModel, core.DefaultConfig(4)), cfg)
+	srv := newTestServer(eng, core.Protect(b.QModel, core.DefaultConfig(4)), cfg)
 	srv.Start()
 	defer srv.Stop()
 	ref := cleanReference(t)
@@ -161,7 +161,7 @@ func TestShapeChangeCarriesOver(t *testing.T) {
 	release := holdWeights(srv)
 	plug := mustSubmit(t, srv, sample(x, 0)) // occupies the worker while the backlog forms
 	waitFor(t, "the worker to take the plug", func() bool { return srv.met.batches.Value() == 1 })
-	var chans []<-chan Result
+	var chans []<-chan InferResult
 	for _, in := range inputs {
 		chans = append(chans, mustSubmit(t, srv, in))
 	}
@@ -190,7 +190,7 @@ func TestStopAnswersBacklog(t *testing.T) {
 
 	release := holdWeights(srv)
 	const n = 21
-	var chans []<-chan Result
+	var chans []<-chan InferResult
 	for i := 0; i < n; i++ {
 		chans = append(chans, mustSubmit(t, srv, sample(x, i%8)))
 	}

@@ -25,12 +25,6 @@ type InferRequest struct {
 	Shape []int `json:"shape,omitempty"`
 }
 
-// InferResult is one input's answer in the JSON response.
-type InferResult struct {
-	Class  int       `json:"class"`
-	Logits []float32 `json:"logits"`
-}
-
 // InferResponse is the JSON body answering the sync inference route.
 type InferResponse struct {
 	Results []InferResult `json:"results"`
@@ -116,9 +110,9 @@ func (s *Server) serveInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	id := requestID(w, r)
 	ctx := r.Context()
-	chans := make([]<-chan Result, len(inputs))
+	chans := make([]<-chan InferResult, len(inputs))
 	for i, x := range inputs {
-		ch, err := s.submit(ctx, x, id)
+		ch, err := s.submit(ctx, x, id, true)
 		if err != nil {
 			httpError(w, err)
 			return
@@ -128,8 +122,7 @@ func (s *Server) serveInfer(w http.ResponseWriter, r *http.Request) {
 	resp := InferResponse{Results: make([]InferResult, len(chans))}
 	for i, ch := range chans {
 		select {
-		case res := <-ch:
-			resp.Results[i] = InferResult{Class: res.Class, Logits: res.Logits}
+		case resp.Results[i] = <-ch:
 		case <-ctx.Done():
 			httpError(w, ctx.Err())
 			return

@@ -23,15 +23,6 @@ type JobRef struct {
 // ModelsResponse is the body of GET /v1/models.
 type ModelsResponse struct {
 	Models []ModelInfo `json:"models"`
-	// Jobs summarizes the service-wide async job table.
-	Jobs JobTableStats `json:"jobs"`
-}
-
-// JobTableStats is the job table's live occupancy.
-type JobTableStats struct {
-	Active    int   `json:"active"`
-	Submitted int64 `json:"submitted"`
-	Capacity  int   `json:"capacity"`
 }
 
 // adminRequest is the body of POST /v1/admin/scrub and /v1/admin/rekey.
@@ -113,21 +104,21 @@ func httpError(w http.ResponseWriter, err error) {
 }
 
 func (s *Service) handleInferV1(w http.ResponseWriter, r *http.Request) {
-	hm, err := s.reg.lookup(r.PathValue("model"))
+	srv, err := s.reg.lookup(r.PathValue("model"))
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	hm.srv.serveInfer(w, r)
+	srv.serveInfer(w, r)
 }
 
 func (s *Service) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	hm, err := s.reg.lookup(r.PathValue("model"))
+	srv, err := s.reg.lookup(r.PathValue("model"))
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	inputs, err := hm.srv.decodeInferRequest(w, r)
+	inputs, err := srv.decodeInferRequest(w, r)
 	if err != nil {
 		httpError(w, err)
 		return
@@ -140,13 +131,13 @@ func (s *Service) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	// context. Cancellation is explicit — DELETE /v1/jobs/{id} tears down
 	// the per-job context layer Submit installs on top of this one.
 	id, err := s.Submit(context.WithoutCancel(r.Context()),
-		Request{Model: hm.name, Input: inputs[0], RequestID: requestID(w, r)})
+		Request{Model: srv.name, Input: inputs[0], RequestID: requestID(w, r)})
 	if err != nil {
 		httpError(w, err)
 		return
 	}
 	writeJSONStatus(w, http.StatusAccepted,
-		JobRef{ID: id, Model: hm.name, Location: "/v1/jobs/" + string(id)})
+		JobRef{ID: id, Model: srv.name, Location: "/v1/jobs/" + string(id)})
 }
 
 func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -168,20 +159,16 @@ func (s *Service) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleModels(w http.ResponseWriter, r *http.Request) {
-	active, submitted := s.jobs.stats()
-	writeJSON(w, ModelsResponse{
-		Models: s.Models(),
-		Jobs:   JobTableStats{Active: active, Submitted: submitted, Capacity: s.jobs.cap},
-	})
+	writeJSON(w, ModelsResponse{Models: s.Models()})
 }
 
 func (s *Service) handleModel(w http.ResponseWriter, r *http.Request) {
-	hm, err := s.reg.lookup(r.PathValue("model"))
+	srv, err := s.reg.lookup(r.PathValue("model"))
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	writeJSON(w, hm.info())
+	writeJSON(w, srv.info())
 }
 
 // handleAdmin serves an admin route: an adminRequest in, op's reports out.
@@ -269,12 +256,12 @@ func (s *Service) handleAddModel(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	hm, err := s.reg.lookup(name)
+	srv, err := s.reg.lookup(name)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	writeJSONStatus(w, http.StatusCreated, hm.info())
+	writeJSONStatus(w, http.StatusCreated, srv.info())
 }
 
 func (s *Service) handleRemoveModel(w http.ResponseWriter, r *http.Request) {
@@ -326,5 +313,5 @@ func (s *Service) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	writeJSON(w, NewTracesResponse(s.Traces(n)))
+	writeJSON(w, NewTracesResponse(s.traces.Last(n)))
 }

@@ -282,13 +282,17 @@ func TestHTTPModelsAndAdmin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	listing, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
 	var models ModelsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&models); err != nil {
+	if err := json.Unmarshal(listing, &models); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
 	if len(models.Models) != 2 || models.Models[0].Name != "m0" || models.Models[1].Name != "m1" {
 		t.Fatalf("models listing: %+v", models)
+	}
+	if strings.Contains(string(listing), `"jobs"`) {
+		t.Fatalf("models listing copies the job-table figures of /v1/metrics: %s", listing)
 	}
 	resp, err = http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
@@ -296,13 +300,14 @@ func TestHTTPModelsAndAdmin(t *testing.T) {
 	}
 	text, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{`radar_requests_total{model="m0"} 1` + "\n", `radar_requests_total{model="m1"} 0` + "\n"} {
+	for _, want := range []string{
+		`radar_requests_total{model="m0"} 1` + "\n",
+		`radar_requests_total{model="m1"} 0` + "\n",
+		fmt.Sprintf("radar_jobs_capacity %d\n", DefaultJobCapacity),
+	} {
 		if !strings.Contains(string(text), want) {
-			t.Fatalf("per-model request accounting leaked: /v1/metrics lacks %q", want)
+			t.Fatalf("/v1/metrics lacks %q", want)
 		}
-	}
-	if models.Jobs.Capacity != DefaultJobCapacity {
-		t.Fatalf("job stats: %+v", models.Jobs)
 	}
 
 	// Corrupt m1 directly (bypassing the model API) and scrub everything.
@@ -416,7 +421,7 @@ func TestHTTPJobCancel(t *testing.T) {
 	if st.State != JobCancelled || st.ID != ref.ID {
 		t.Fatalf("cancel answered %+v", st)
 	}
-	if n := svc.jobs.active(); n != 0 {
+	if n, _, _ := svc.jobs.stats(); n != 0 {
 		t.Fatalf("cancelled job still holds a table slot (%d active)", n)
 	}
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"time"
 )
@@ -25,8 +26,21 @@ var ErrJobsFull = errors.New("serve: job table full")
 var ErrJobCancelled = errors.New("serve: job cancelled")
 
 // JobID identifies one async inference job for Poll/Wait and the
-// /v1/jobs/{id} route.
+// /v1/jobs/{id} route. It has the form job-<tag>-<seq>: tag names the job
+// table that minted it, one per service instance, and seq counts that
+// table's jobs.
 type JobID string
+
+// Tag returns the instance tag of the job table that minted id — what a
+// fleet router routes a poll or cancel by — or "" when id is not of the
+// form job-<tag>-<seq>.
+func (id JobID) Tag() string {
+	rest, ok := strings.CutPrefix(string(id), "job-")
+	if tag, seq, _ := strings.Cut(rest, "-"); ok && tag != "" && seq != "" {
+		return tag
+	}
+	return ""
+}
 
 // JobState is a job's lifecycle position.
 type JobState string
@@ -45,10 +59,10 @@ const (
 // JobStatus is a point-in-time view of one job (the Poll answer and the
 // GET /v1/jobs/{id} body). Result is set only in state "done".
 type JobStatus struct {
-	ID     JobID    `json:"id"`
-	Model  string   `json:"model"`
-	State  JobState `json:"state"`
-	Result *Result  `json:"result,omitempty"`
+	ID     JobID        `json:"id"`
+	Model  string       `json:"model"`
+	State  JobState     `json:"state"`
+	Result *InferResult `json:"result,omitempty"`
 	// AgeMs is milliseconds since submission.
 	AgeMs int64 `json:"age_ms"`
 }
@@ -65,7 +79,7 @@ type job struct {
 	cancel context.CancelFunc
 
 	state    JobState
-	res      Result
+	res      InferResult
 	finished time.Time
 }
 
@@ -87,16 +101,16 @@ type jobTable struct {
 	cancelled int64 // lifetime jobs cancelled before completion
 }
 
-func newJobTable(capacity int, ttl time.Duration) *jobTable {
+func newJobTable(capacity int) *jobTable {
 	// Job IDs carry a per-instance tag so IDs minted by different replicas
-	// of the same deployment never collide — a fleet router keys its
-	// sticky job→replica map on the raw ID. The tag is 64 crypto-random
+	// of the same deployment never collide — a fleet router routes polls
+	// and cancels by the tag (JobID.Tag). The tag is 64 crypto-random
 	// bits: seq counters all start at 1, so a tag collision between two
 	// replicas would make their IDs collide systematically, and the ID is
 	// opaque to clients so the extra width costs nothing.
 	return &jobTable{
 		cap:      capacity,
-		ttl:      ttl,
+		ttl:      DefaultJobTTL,
 		instance: newInstanceTag(),
 		jobs:     make(map[JobID]*job),
 	}
@@ -157,7 +171,7 @@ func (t *jobTable) abort(id JobID) {
 // it on its own goroutine. Counting only here keeps
 // radar_jobs_submitted_total monotone: a rejected submission is never
 // counted, so nothing is ever un-counted.
-func (t *jobTable) accept(j *job, ctx context.Context, ch <-chan Result) {
+func (t *jobTable) accept(j *job, ctx context.Context, ch <-chan InferResult) {
 	t.mu.Lock()
 	t.submitted++
 	t.mu.Unlock()
@@ -168,7 +182,7 @@ func (t *jobTable) accept(j *job, ctx context.Context, ch <-chan Result) {
 // once. It returns false when the job already finished — the loser of a
 // completion/cancellation race must not touch the entry again. Cancelled
 // jobs are reaped immediately; done jobs stay for the retention TTL.
-func (t *jobTable) finish(j *job, state JobState, res *Result) bool {
+func (t *jobTable) finish(j *job, state JobState, res *InferResult) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if j.state != JobPending {
@@ -195,7 +209,7 @@ func (t *jobTable) finish(j *job, state JobState, res *Result) bool {
 // cancelled job is simply dropped; finish resolves the race so done
 // closes exactly once. The job's cancel func is released on exit either
 // way.
-func (t *jobTable) watch(j *job, ctx context.Context, ch <-chan Result) {
+func (t *jobTable) watch(j *job, ctx context.Context, ch <-chan InferResult) {
 	defer j.cancel()
 	select {
 	case res := <-ch:
@@ -257,24 +271,10 @@ func (t *jobTable) status(j *job) JobStatus {
 	return st
 }
 
-// active reports how many jobs the table currently holds.
-func (t *jobTable) active() int {
+// stats returns the jobs held now, and the lifetime counts of jobs
+// accepted and of jobs cancelled before completion.
+func (t *jobTable) stats() (active int, submitted, cancelled int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.jobs)
-}
-
-// stats returns (active, lifetime-submitted).
-func (t *jobTable) stats() (int, int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.jobs), t.submitted
-}
-
-// cancelledCount returns the lifetime count of jobs cancelled before
-// completion (the radar_jobs_cancelled_total series).
-func (t *jobTable) cancelledCount() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.cancelled
+	return len(t.jobs), t.submitted, t.cancelled
 }

@@ -104,7 +104,7 @@ func TestJobCancelledReaped(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Wait never returned for the cancelled job")
 	}
-	if n := svc.jobs.active(); n != 0 {
+	if n, _, _ := svc.jobs.stats(); n != 0 {
 		t.Fatalf("job table still holds %d entries", n)
 	}
 }
@@ -114,7 +114,8 @@ func TestJobCancelledReaped(t *testing.T) {
 func TestJobTableBounded(t *testing.T) {
 	svc, b, _ := openTiny(t, 1,
 		[]ModelOption{WithScrub(0)},
-		WithJobCapacity(1), WithJobTTL(10*time.Millisecond))
+		WithJobCapacity(1))
+	svc.jobs.ttl = 10 * time.Millisecond
 	x, _ := b[0].Test.Batch(0, 2)
 	release := wedge(t, svc, "m0")
 	defer release()
@@ -196,7 +197,7 @@ func TestJobCancelAPI(t *testing.T) {
 	if st.State != JobCancelled || st.ID != id {
 		t.Fatalf("Cancel status: %+v", st)
 	}
-	if n := svc.jobs.active(); n != 0 {
+	if n, _, _ := svc.jobs.stats(); n != 0 {
 		t.Fatalf("cancelled job still holds a slot (%d active)", n)
 	}
 	if _, err := svc.Poll(id); !errors.Is(err, ErrUnknownJob) {
@@ -233,14 +234,14 @@ func TestJobCancelAPI(t *testing.T) {
 // reserved (abort) must not lower radar_jobs_submitted_total — a scrape
 // between create and abort would read the fall as a counter reset.
 func TestJobsSubmittedNeverFalls(t *testing.T) {
-	jt := newJobTable(4, time.Minute)
+	jt := newJobTable(4)
 	j, err := jt.create("m0", func() {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, before := jt.stats()
+	_, before, _ := jt.stats()
 	jt.abort(j.id)
-	active, after := jt.stats()
+	active, after, _ := jt.stats()
 	if after < before {
 		t.Fatalf("submitted fell %d → %d across abort", before, after)
 	}
@@ -251,7 +252,7 @@ func TestJobsSubmittedNeverFalls(t *testing.T) {
 
 // TestJobIDsCarryInstanceTag: IDs embed the table's random instance tag so
 // two replicas of one deployment never mint colliding IDs — the property
-// a fleet router's sticky job map depends on.
+// a fleet router's tag routing depends on — and JobID.Tag reads it back.
 func TestJobIDsCarryInstanceTag(t *testing.T) {
 	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0)})
 	x, _ := b[0].Test.Batch(0, 1)
@@ -266,5 +267,13 @@ func TestJobIDsCarryInstanceTag(t *testing.T) {
 	}
 	if len(id) != len("job-xxxxxxxxxxxxxxxx-00000000") || string(id[:len(want)]) != want {
 		t.Fatalf("job ID %q does not carry instance tag %q", id, svc.jobs.instance)
+	}
+	if tag := id.Tag(); tag != svc.jobs.instance {
+		t.Fatalf("JobID(%q).Tag() = %q, want %q", id, tag, svc.jobs.instance)
+	}
+	for _, bad := range []JobID{"", "job-", "job--1", "job-abc", "job-abc-", "task-abc-1"} {
+		if tag := bad.Tag(); tag != "" {
+			t.Errorf("JobID(%q).Tag() = %q, want \"\"", bad, tag)
+		}
 	}
 }

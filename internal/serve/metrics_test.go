@@ -55,7 +55,7 @@ var metricNameRE = regexp.MustCompile(`^radar_[a-z0-9]+(_[a-z0-9]+)*(_total|_sec
 func TestMetricNamingLint(t *testing.T) {
 	svc, _, _ := openTiny(t, 1, []ModelOption{WithScrub(0)})
 	defer svc.Close()
-	names := svc.MetricNames()
+	names := svc.obs.Names()
 	if len(names) == 0 {
 		t.Fatal("service registered no metric families")
 	}

@@ -67,7 +67,7 @@ func TestServeRaceUnderLiveFlips(t *testing.T) {
 	go func() { // foreground detect-and-recover alongside the scrubber
 		defer wg.Done()
 		for i := 0; i < drRounds; i++ {
-			srv.Protector().DetectAndRecover()
+			srv.prot.DetectAndRecover()
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()
@@ -90,10 +90,10 @@ func TestServeRaceUnderLiveFlips(t *testing.T) {
 	}
 	srv.Stop()
 	// After traffic stops, one final full sweep must leave the model clean.
-	if flagged, _ := srv.Protector().DetectAndRecover(); len(flagged) != 0 {
+	if flagged, _ := srv.prot.DetectAndRecover(); len(flagged) != 0 {
 		// The last injection may have landed after the last scrub; a second
 		// sweep on a quiesced model must be clean.
-		if flagged2, _ := srv.Protector().DetectAndRecover(); len(flagged2) != 0 {
+		if flagged2, _ := srv.prot.DetectAndRecover(); len(flagged2) != 0 {
 			t.Fatalf("model still corrupt after quiesced sweep: %v", flagged2)
 		}
 	}

@@ -9,7 +9,6 @@ import (
 
 	"radar/internal/adversary"
 	"radar/internal/core"
-	"radar/internal/qinfer"
 	"radar/internal/quant"
 )
 
@@ -27,29 +26,15 @@ var ErrModelExists = errors.New("serve: model already hosted")
 // The HTTP front-end maps it to 409.
 var ErrLastModel = errors.New("serve: cannot remove the last hosted model")
 
-// hostedModel is one registry entry: a name bound to an engine, the
-// protector guarding its weight image, and the per-model serving runtime
-// (batcher + scrubber + verifier + metrics).
-type hostedModel struct {
-	name string
-	eng  *qinfer.Engine
-	prot *core.Protector
-	srv  *Server
-
-	// rekeyMu serializes admin rekeys of this model: Rekey swaps the
-	// protector's schemes and golden signatures wholesale, so two
-	// concurrent rekeys must not interleave their scrub/swap phases.
-	rekeyMu sync.Mutex
-}
-
-// Registry hosts the service's models. The model set is mutable at run
-// time — AddModel/RemoveModel grow and shrink it under write exclusion
-// while lookups take the read side — which is what lets a fleet router
-// change a replica's hosted set without restarting the process. Per-model
-// mutable state lives behind each model's own runtime.
-type Registry struct {
+// registry hosts the service's models, one per-model runtime per name.
+// The model set is mutable at run time — AddModel/RemoveModel grow and
+// shrink it under write exclusion while lookups take the read side — which
+// is what lets a fleet router change a replica's hosted set without
+// restarting the process. Per-model mutable state lives behind each
+// model's own runtime.
+type registry struct {
 	mu     sync.RWMutex
-	byName map[string]*hostedModel
+	byName map[string]*Server
 	order  []string // registration order; order[0] is the default model
 	// reserved marks names with a hot-add in flight (reserve/release); the
 	// HTTP admin plane holds a reservation across its ModelProvider call.
@@ -59,28 +44,28 @@ type Registry struct {
 // lookup resolves a model name; the empty name selects the default model
 // (the first registered still hosted), the single-model deployment
 // shorthand.
-func (r *Registry) lookup(name string) (*hostedModel, error) {
+func (r *registry) lookup(name string) (*Server, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if name == "" {
 		return r.byName[r.order[0]], nil
 	}
-	hm, ok := r.byName[name]
+	s, ok := r.byName[name]
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrUnknownModel, name)
 	}
-	return hm, nil
+	return s, nil
 }
 
 // add registers a new hosted model; the name must be free.
-func (r *Registry) add(hm *hostedModel) error {
+func (r *registry) add(s *Server) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.byName[hm.name]; dup {
-		return fmt.Errorf("%w: %q", ErrModelExists, hm.name)
+	if _, dup := r.byName[s.name]; dup {
+		return fmt.Errorf("%w: %q", ErrModelExists, s.name)
 	}
-	r.byName[hm.name] = hm
-	r.order = append(r.order, hm.name)
+	r.byName[s.name] = s
+	r.order = append(r.order, s.name)
 	return nil
 }
 
@@ -90,7 +75,7 @@ func (r *Registry) add(hm *hostedModel) error {
 // provider with side effects — radar-serve rebinds the name's store
 // checkpoint, unmapping whatever was bound to it before — never runs for
 // a name that is currently serving, even under concurrent adds.
-func (r *Registry) reserve(name string) error {
+func (r *registry) reserve(name string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.byName[name]; dup {
@@ -109,7 +94,7 @@ func (r *Registry) reserve(name string) error {
 // release frees a reservation taken with reserve. Safe to call after the
 // add published the name: lookups go through byName, so the registration
 // itself keeps blocking duplicates once the reservation is gone.
-func (r *Registry) release(name string) {
+func (r *registry) release(name string) {
 	r.mu.Lock()
 	delete(r.reserved, name)
 	r.mu.Unlock()
@@ -119,10 +104,10 @@ func (r *Registry) release(name string) {
 // its runtime outside the registry lock. Removing the default model
 // promotes the next-oldest registration; removing the last model is
 // refused (the empty-name route must always resolve).
-func (r *Registry) remove(name string) (*hostedModel, error) {
+func (r *registry) remove(name string) (*Server, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	hm, ok := r.byName[name]
+	s, ok := r.byName[name]
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrUnknownModel, name)
 	}
@@ -136,17 +121,17 @@ func (r *Registry) remove(name string) (*hostedModel, error) {
 			break
 		}
 	}
-	return hm, nil
+	return s, nil
 }
 
 // snapshot returns the hosted models in registration order. Long-running
 // per-model work (scrubs, rekeys) iterates the snapshot without holding
 // the registry lock, so hot add/remove is never blocked behind it; a
 // model removed mid-iteration still finishes its cycle harmlessly.
-func (r *Registry) snapshot() []*hostedModel {
+func (r *registry) snapshot() []*Server {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]*hostedModel, 0, len(r.order))
+	out := make([]*Server, 0, len(r.order))
 	for _, n := range r.order {
 		out = append(out, r.byName[n])
 	}
@@ -155,18 +140,17 @@ func (r *Registry) snapshot() []*hostedModel {
 
 // each runs f over the hosted models in registration order, or over just
 // the named one; empty name means all (the admin endpoints' convention).
-func (r *Registry) each(name string, f func(*hostedModel) error) error {
+func (r *registry) each(name string, f func(*Server)) error {
 	if name != "" {
-		hm, err := r.lookup(name)
+		s, err := r.lookup(name)
 		if err != nil {
 			return err
 		}
-		return f(hm)
+		f(s)
+		return nil
 	}
-	for _, hm := range r.snapshot() {
-		if err := f(hm); err != nil {
-			return err
-		}
+	for _, s := range r.snapshot() {
+		f(s)
 	}
 	return nil
 }
@@ -187,17 +171,17 @@ type ModelInfo struct {
 	Healthy    bool  `json:"healthy"`
 }
 
-// info snapshots one hosted model.
-func (hm *hostedModel) info() ModelInfo {
+// info snapshots this model's identity, configuration and health.
+func (s *Server) info() ModelInfo {
 	return ModelInfo{
-		Name:          hm.name,
-		Layers:        len(hm.prot.Model.Layers),
-		Groups:        hm.prot.NumGroups(),
-		InputShape:    hm.srv.cfg.InputShape,
-		VerifiedFetch: hm.srv.cfg.VerifiedFetch,
-		Correcting:    hm.prot.Correcting(),
-		ScrubMs:       hm.srv.cfg.ScrubInterval.Milliseconds(),
-		Healthy:       hm.srv.Healthy(),
+		Name:          s.name,
+		Layers:        len(s.model.Layers),
+		Groups:        s.prot.NumGroups(),
+		InputShape:    s.cfg.InputShape,
+		VerifiedFetch: s.cfg.VerifiedFetch,
+		Correcting:    s.prot.Correcting(),
+		ScrubMs:       s.cfg.ScrubInterval.Milliseconds(),
+		Healthy:       s.Healthy(),
 	}
 }
 
@@ -213,24 +197,24 @@ func (hm *hostedModel) info() ModelInfo {
 // are the new goldens derived. Inference stalls only for the exclusive
 // section; the next verified fetch runs from the kernel plans Rekey rebuilt
 // alongside the schemes.
-func (hm *hostedModel) rekey() AdminReport {
-	hm.rekeyMu.Lock()
-	defer hm.rekeyMu.Unlock()
-	flagged, zeroed := hm.srv.Scrub(true)
-	sch := hm.prot.Schemes[0]
+func (s *Server) rekey() AdminReport {
+	s.rekeyMu.Lock()
+	defer s.rekeyMu.Unlock()
+	flagged, zeroed := s.Scrub(true)
+	sch := s.prot.Schemes[0]
 	cfg := core.Config{
 		G:          sch.G,
 		Interleave: sch.Interleave,
 		SigBits:    sch.SigBits,
 		Seed:       rekeySeed(),
 	}
-	hm.srv.guard.LockAll()
-	lateFlagged, lateZeroed := hm.prot.DetectAndRecoverExclusive()
-	hm.prot.Rekey(cfg)
-	hm.srv.guard.UnlockAll()
-	hm.srv.met.rekeys.Inc()
+	s.guard.LockAll()
+	lateFlagged, lateZeroed := s.prot.DetectAndRecoverExclusive()
+	s.prot.Rekey(cfg)
+	s.guard.UnlockAll()
+	s.met.rekeys.Inc()
 	return AdminReport{
-		Model:   hm.name,
+		Model:   s.name,
 		Flagged: len(flagged) + len(lateFlagged),
 		Zeroed:  zeroed + lateZeroed,
 		Rekeyed: true,
@@ -244,23 +228,20 @@ func rekeySeed() int64 {
 	return time.Now().UnixNano() ^ rand.Int63()
 }
 
-// inject runs an adversary against this model under write exclusion.
-func (hm *hostedModel) inject(f func(*quant.Model)) { hm.srv.Inject(f) }
-
 // injectAdversary plans one volley of the named adversary against this
 // model and mounts it under whole-model write exclusion — the live-attack
 // hook behind POST /v1/admin/inject. The volley is planned outside the
 // exclusive section (planning only reads geometry) and mounted inside it.
-func (hm *hostedModel) injectAdversary(name string, flips int, seed int64) (InjectReport, error) {
-	tgt := adversary.Target{Model: hm.prot.Model, Prot: hm.prot}
+func (s *Server) injectAdversary(name string, flips int, seed int64) (InjectReport, error) {
+	tgt := adversary.Target{Model: s.model, Prot: s.prot}
 	v, err := adversary.PlanVolley(tgt, name, flips, seed)
 	if err != nil {
 		return InjectReport{}, err
 	}
-	hm.srv.Inject(func(*quant.Model) { adversary.Mount(tgt, v) })
-	hm.srv.met.advFlips.Add(int64(v.Size()))
+	s.Inject(func(*quant.Model) { adversary.Mount(tgt, v) })
+	s.met.advFlips.Add(int64(v.Size()))
 	return InjectReport{
-		Model:       hm.name,
+		Model:       s.name,
 		Adversary:   name,
 		WeightFlips: len(v.Weights),
 		SigFlips:    len(v.Signatures),

@@ -33,7 +33,7 @@ func TestEndToEndResilience(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ScrubInterval = 2 * time.Millisecond
 	cfg.InputShape = []int{b.Spec.Data.Channels, b.Spec.Data.Size, b.Spec.Data.Size}
-	srv := newServer(eng, prot, cfg)
+	srv := newTestServer(eng, prot, cfg)
 	srv.Start()
 	defer srv.Stop()
 

@@ -62,9 +62,9 @@ func TestRollingScrub(t *testing.T) {
 				v := &verifier{s: srv, at: time.Now().UnixNano()}
 				_, spent := srv.eng.ForwardFetch(x, v)
 				v.flush(spent)
-				before := srv.Protector().Stats().BytesScanned
+				before := srv.prot.Stats().BytesScanned
 				srv.Scrub(false)
-				if after := srv.Protector().Stats().BytesScanned; after != before {
+				if after := srv.prot.Stats().BytesScanned; after != before {
 					t.Fatalf("tick scanned %d bytes of a model verified just now", after-before)
 				}
 				if cycles := srv.met.scrubCycles.Value(); cycles != 1 || srv.met.scrubFresh.Value() != int64(len(srv.verified)) {

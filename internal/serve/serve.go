@@ -4,9 +4,9 @@
 // actual server.
 //
 // The public surface is the Service, built with Open from functional
-// options: it hosts any number of independently configured models (each an
-// engine + protector + scrubber + verifier tuple, see WithModel) behind a
-// routing front-end keyed by model name. Sync inference is
+// options: it hosts any number of independently configured models, each one
+// Server runtime registered through AddModel (engine, protector, batcher,
+// scrubber, verifier), behind a front-end keyed by name. Sync inference is
 // Service.Infer(ctx, Request) — context deadlines and cancellation are
 // honored all the way into the batch queue — and the async job API
 // (Submit / Poll / Wait, backed by a bounded job table) answers traffic
@@ -15,10 +15,10 @@
 // plane (/v1/models/{name}/infer, /v1/models/{name}/jobs, /v1/jobs/{id},
 // /v1/models, /v1/admin/scrub, /v1/admin/rekey,
 // /v1/admin/models/{name}). Every live figure — request counts, batch
-// occupancy, latency, scrub and verify findings, recovery splits — is a
-// series on GET /v1/metrics (Service.WriteMetrics), the one metrics
-// surface. The model set is mutable at run time via AddModel/RemoveModel —
-// the hook a fleet router's control plane drives.
+// occupancy, latency, scrub and verify findings, recovery splits, job-table
+// occupancy — is a series on GET /v1/metrics (Service.WriteMetrics), the
+// one metrics surface. The model set is mutable at run time via
+// AddModel/RemoveModel — the hook a fleet router's control plane drives.
 //
 // Per hosted model, four cooperating pieces share one int8 weight image:
 //
@@ -91,15 +91,11 @@ type Config struct {
 }
 
 // DefaultConfig returns serving defaults: batches of up to 8, one worker
-// per CPU, verified fetch on, and a 100ms scrubber.
+// per CPU, a queue of 256, verified fetch on, and a 100ms scrubber.
 func DefaultConfig() Config {
-	return Config{
-		MaxBatch:      8,
-		Workers:       runtime.GOMAXPROCS(0),
-		QueueDepth:    256,
-		VerifiedFetch: true,
-		ScrubInterval: 100 * time.Millisecond,
-	}
+	c := Config{VerifiedFetch: true, ScrubInterval: 100 * time.Millisecond}
+	c.fillDefaults()
+	return c
 }
 
 func (c *Config) fillDefaults() {
@@ -114,9 +110,9 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Result is one request's answer. It serializes with lower-case keys —
-// the async job route embeds it verbatim in the JobStatus body.
-type Result struct {
+// InferResult is one input's answer: an element of the sync route's
+// InferResponse, and embedded verbatim in the async route's JobStatus.
+type InferResult struct {
 	// Class is the argmax of Logits.
 	Class int `json:"class"`
 	// Logits is the classifier output row for this input.
@@ -129,7 +125,7 @@ type request struct {
 	x   *tensor.Tensor  // (C, H, W)
 	id  string          // X-Request-Id when traced; "" skips trace recording
 	enq time.Time
-	out chan Result
+	out chan InferResult
 }
 
 // ErrStopping is returned by submissions that race a graceful shutdown:
@@ -143,12 +139,12 @@ var ErrStopping = errors.New("serve: server stopping")
 // maps it to 429.
 var ErrQueueFull = errors.New("serve: request queue full")
 
-// Server binds an int8 inference engine to a RADAR protector and serves
-// batched, continuously-verified inference. It is the per-model runtime a
-// Service hosts one of per registered model; the registry builds one with
-// newServer, Starts it, and Stops it (draining in-flight requests) on
-// removal or shutdown. Use Open/Service — Server has no public
-// constructor since the pre-v1 surface was retired.
+// Server is one hosted model's runtime: a name bound to an int8 inference
+// engine and the RADAR protector guarding its weight image, serving
+// batched, continuously-verified inference. A Service's registry maps each
+// model name to one; AddModel builds it with newServerIn and Starts it, and
+// RemoveModel and Close Stop it (draining in-flight requests). Server has
+// no public constructor: use Open and AddModel.
 type Server struct {
 	cfg    Config
 	name   string // hosted-model name, the `model` label on every series
@@ -158,6 +154,11 @@ type Server struct {
 	guard  *core.LayerGuard
 	met    *metrics
 	traces *obs.TraceRing // shared service-wide ring; never nil
+
+	// rekeyMu serializes admin rekeys of this model: a rekey swaps the
+	// protector's schemes and golden signatures wholesale, so two
+	// concurrent rekeys must not interleave their scrub/swap phases.
+	rekeyMu sync.Mutex
 
 	reqs chan *request
 
@@ -183,14 +184,6 @@ type Server struct {
 	// signatures, by a verified fetch or the scrubber (Unix ns, start of that
 	// check): the oldest is the exposure window and the scrubber's next visit.
 	verified []atomic.Int64
-}
-
-// newServer wires a standalone server around an engine and protector with
-// a private metrics registry and trace ring — the direct-construction path
-// package tests use. Service-hosted models go through newServerIn so every
-// model's series share the service registry.
-func newServer(eng *qinfer.Engine, prot *core.Protector, cfg Config) *Server {
-	return newServerIn(eng, prot, cfg, obs.NewRegistry(), "default", obs.NewTraceRing(defaultTraceRingSize))
 }
 
 // defaultTraceRingSize bounds the per-service trace ring: enough to hold a
@@ -294,16 +287,16 @@ func (s *Server) Stop() {
 // submissions that queue while the workers are busy share a forward pass.
 // id is the request id its trace is recorded under; the empty id skips
 // trace recording (the Go-API hot path).
-func (s *Server) inferContext(ctx context.Context, x *tensor.Tensor, id string) (Result, error) {
-	ch, err := s.submit(ctx, x, id)
+func (s *Server) inferContext(ctx context.Context, x *tensor.Tensor, id string) (InferResult, error) {
+	ch, err := s.submit(ctx, x, id, true)
 	if err != nil {
-		return Result{}, err
+		return InferResult{}, err
 	}
 	select {
 	case res := <-ch:
 		return res, nil
 	case <-ctx.Done():
-		return Result{}, ctx.Err()
+		return InferResult{}, ctx.Err()
 	}
 }
 
@@ -327,7 +320,7 @@ func (s *Server) newRequest(ctx context.Context, x *tensor.Tensor, id string) (*
 			return nil, fmt.Errorf("serve: input shape %v, want %v", shape, want)
 		}
 	}
-	return &request{ctx: ctx, x: x, id: id, enq: time.Now(), out: make(chan Result, 1)}, nil
+	return &request{ctx: ctx, x: x, id: id, enq: time.Now(), out: make(chan InferResult, 1)}, nil
 }
 
 // checkShape rejects a (C,H,W) shape with a dimension below 1 (tensor.New
@@ -340,31 +333,12 @@ func checkShape(shape []int, n int) error {
 }
 
 // submit validates and enqueues one input, returning the channel its
-// result will arrive on. It blocks while the queue is full, bailing out
-// when ctx is done. Used by inferContext and by the HTTP front-ends
-// (which submit a whole JSON body before collecting, so multi-input
-// requests batch naturally).
-func (s *Server) submit(ctx context.Context, x *tensor.Tensor, id string) (<-chan Result, error) {
-	r, err := s.newRequest(ctx, x, id)
-	if err != nil {
-		return nil, err
-	}
-	s.submitMu.RLock()
-	defer s.submitMu.RUnlock()
-	if s.stopping.Load() || !s.started.Load() {
-		return nil, ErrStopping
-	}
-	select {
-	case s.reqs <- r:
-		return r.out, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// trySubmit is the non-blocking submit the async job path uses: a full
-// queue returns ErrQueueFull immediately instead of parking the caller.
-func (s *Server) trySubmit(ctx context.Context, x *tensor.Tensor, id string) (<-chan Result, error) {
+// result will arrive on. With wait set it blocks while the queue is full,
+// bailing out when ctx is done — inferContext and the sync HTTP route, which
+// submits a whole body before collecting so multi-input requests batch
+// naturally. Without it (the async job path) a full queue fails at once
+// with ErrQueueFull instead of parking the caller.
+func (s *Server) submit(ctx context.Context, x *tensor.Tensor, id string, wait bool) (<-chan InferResult, error) {
 	r, err := s.newRequest(ctx, x, id)
 	if err != nil {
 		return nil, err
@@ -378,7 +352,15 @@ func (s *Server) trySubmit(ctx context.Context, x *tensor.Tensor, id string) (<-
 	case s.reqs <- r:
 		return r.out, nil
 	default:
-		return nil, ErrQueueFull
+		if !wait {
+			return nil, ErrQueueFull
+		}
+	}
+	select {
+	case s.reqs <- r:
+		return r.out, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
 }
 
@@ -393,9 +375,6 @@ func (s *Server) Inject(f func(m *quant.Model)) {
 	s.guard.UnlockAll()
 	s.met.injections.Inc()
 }
-
-// Protector exposes the protector (e.g. for stats).
-func (s *Server) Protector() *core.Protector { return s.prot }
 
 // Healthy reports whether the server is started and not stopping.
 func (s *Server) Healthy() bool { return s.started.Load() && !s.stopping.Load() }

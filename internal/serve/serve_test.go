@@ -12,14 +12,21 @@ import (
 	"radar/internal/adversary"
 	"radar/internal/core"
 	"radar/internal/model"
+	"radar/internal/obs"
 	"radar/internal/qinfer"
 	"radar/internal/quant"
 	"radar/internal/tensor"
 )
 
 // infer is the test shorthand for an untraced background-context inferContext.
-func infer(srv *Server, x *tensor.Tensor) (Result, error) {
+func infer(srv *Server, x *tensor.Tensor) (InferResult, error) {
 	return srv.inferContext(context.Background(), x, "")
+}
+
+// newTestServer wires a server outside any Service, on a private metrics
+// registry and trace ring.
+func newTestServer(eng *qinfer.Engine, prot *core.Protector, cfg Config) *Server {
+	return newServerIn(eng, prot, cfg, obs.NewRegistry(), "default", obs.NewTraceRing(defaultTraceRingSize))
 }
 
 // newTinyServer boots a server on the tiny test model. Each call builds an
@@ -49,7 +56,7 @@ func buildTinyServer(t testing.TB, cfg Config, pcfg core.Config) (*model.Bundle,
 	}
 	prot := core.Protect(b.QModel, pcfg)
 	cfg.InputShape = []int{b.Spec.Data.Channels, b.Spec.Data.Size, b.Spec.Data.Size}
-	srv := newServer(eng, prot, cfg)
+	srv := newTestServer(eng, prot, cfg)
 	t.Cleanup(srv.Stop)
 	return b, srv
 }
@@ -76,12 +83,12 @@ func TestServeMatchesDirectEngine(t *testing.T) {
 	k := ref.Shape[1]
 
 	prot := core.Protect(b.QModel, core.DefaultConfig(4))
-	srv := newServer(eng, prot, DefaultConfig())
+	srv := newTestServer(eng, prot, DefaultConfig())
 	srv.Start()
 	defer srv.Stop()
 
 	var wg sync.WaitGroup
-	results := make([]Result, 16)
+	results := make([]InferResult, 16)
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -161,7 +168,7 @@ func cleanReference(t testing.TB) *qinfer.Engine {
 
 // mustAnswerLike fails unless res carries exactly the reference engine's
 // logits for input x.
-func mustAnswerLike(t testing.TB, ref *qinfer.Engine, x *tensor.Tensor, res Result) {
+func mustAnswerLike(t testing.TB, ref *qinfer.Engine, x *tensor.Tensor, res InferResult) {
 	t.Helper()
 	in := tensor.New(append([]int{1}, x.Shape...)...)
 	copy(in.Data, x.Data)
@@ -197,7 +204,7 @@ func TestVerifiedFetchCatchesPhysicalFlips(t *testing.T) {
 	b, srv := newTinyServerWith(t, cfg, pcfg)
 	ref := cleanReference(t)
 	x, _ := b.Test.Batch(0, 4)
-	prot := srv.Protector()
+	prot := srv.prot
 
 	res, err := infer(srv, sample(x, 0))
 	if err != nil {
@@ -269,7 +276,7 @@ func TestVerifiedFetchUnderInjection(t *testing.T) {
 	b, srv := newTinyServerWith(t, cfg, pcfg)
 	ref := cleanReference(t)
 	x, _ := b.Test.Batch(0, 8)
-	prot := srv.Protector()
+	prot := srv.prot
 
 	const clients, perClient = 4, 30
 	stop := make(chan struct{})

@@ -34,17 +34,17 @@ type ServiceOption func(*serviceConfig) error
 // ModelOption tunes one registered model's serving Config; see WithModel.
 type ModelOption func(*Config)
 
+// modelSpec is one WithModel registration, applied by Open through AddModel.
 type modelSpec struct {
 	name string
 	eng  *qinfer.Engine
 	prot *core.Protector
-	cfg  Config
+	opts []ModelOption
 }
 
 type serviceConfig struct {
 	models   []modelSpec
 	jobCap   int
-	jobTTL   time.Duration
 	provider ModelProvider
 }
 
@@ -52,31 +52,18 @@ type serviceConfig struct {
 // not given.
 const DefaultJobCapacity = 1024
 
-// DefaultJobTTL is how long a completed job's result stays pollable when
-// WithJobTTL is not given.
+// DefaultJobTTL is how long a completed job's result stays pollable.
 const DefaultJobTTL = time.Minute
 
-// WithModel registers one model under name: an int8 engine plus the
-// protector guarding the engine's weight image (the protector must
-// protect the same quant.Model the engine was compiled from — same
-// contract as New). Each model gets its own independently configured
-// runtime — batching queue, inference workers, background scrubber and
-// verified-fetch verifier — tuned by the ModelOptions. Names must be
-// non-empty, unique, and URL-safe (letters, digits, '.', '_', '-'); the
-// first model registered is the service's default.
+// WithModel registers one model under name at Open, exactly as AddModel
+// would on the running service: an int8 engine plus the protector guarding
+// the engine's weight image, with its own independently configured runtime
+// — batching queue, inference workers, background scrubber and
+// verified-fetch verifier — tuned by the ModelOptions. The first model
+// registered is the service's default.
 func WithModel(name string, eng *qinfer.Engine, prot *core.Protector, opts ...ModelOption) ServiceOption {
 	return func(sc *serviceConfig) error {
-		if err := validModelName(name); err != nil {
-			return err
-		}
-		if eng == nil || prot == nil {
-			return fmt.Errorf("serve: model %q needs a non-nil engine and protector", name)
-		}
-		cfg := DefaultConfig()
-		for _, o := range opts {
-			o(&cfg)
-		}
-		sc.models = append(sc.models, modelSpec{name: name, eng: eng, prot: prot, cfg: cfg})
+		sc.models = append(sc.models, modelSpec{name: name, eng: eng, prot: prot, opts: opts})
 		return nil
 	}
 }
@@ -106,18 +93,6 @@ func WithJobCapacity(n int) ServiceOption {
 			return fmt.Errorf("serve: job capacity %d, want > 0", n)
 		}
 		sc.jobCap = n
-		return nil
-	}
-}
-
-// WithJobTTL sets how long completed jobs stay pollable before they are
-// reaped (default DefaultJobTTL).
-func WithJobTTL(d time.Duration) ServiceOption {
-	return func(sc *serviceConfig) error {
-		if d <= 0 {
-			return fmt.Errorf("serve: job TTL %v, want > 0", d)
-		}
-		sc.jobTTL = d
 		return nil
 	}
 }
@@ -158,7 +133,7 @@ func validModelName(name string) error {
 // control plane (Handler). Build with Open; Close shuts everything down
 // gracefully.
 type Service struct {
-	reg      *Registry
+	reg      *registry
 	jobs     *jobTable
 	provider ModelProvider
 	obs      *obs.Registry  // every hosted model's metric families
@@ -169,9 +144,11 @@ type Service struct {
 // Open builds and starts a Service from functional options. At least one
 // WithModel is required; every registered model's runtime (workers,
 // batcher, scrubber) is started before Open returns, so the service is
-// immediately ready to answer Infer/Submit and HTTP traffic.
+// immediately ready to answer Infer/Submit and HTTP traffic. A model that
+// fails to register (a bad or duplicate name, a nil engine) stops the ones
+// already started and fails Open with AddModel's error.
 func Open(opts ...ServiceOption) (*Service, error) {
-	sc := serviceConfig{jobCap: DefaultJobCapacity, jobTTL: DefaultJobTTL}
+	sc := serviceConfig{jobCap: DefaultJobCapacity}
 	for _, o := range opts {
 		if err := o(&sc); err != nil {
 			return nil, err
@@ -180,33 +157,30 @@ func Open(opts ...ServiceOption) (*Service, error) {
 	if len(sc.models) == 0 {
 		return nil, errors.New("serve: Open needs at least one WithModel")
 	}
-	mreg := obs.NewRegistry()
-	traces := obs.NewTraceRing(defaultTraceRingSize)
-	reg := &Registry{byName: make(map[string]*hostedModel, len(sc.models))}
-	for _, ms := range sc.models {
-		hm := &hostedModel{
-			name: ms.name,
-			eng:  ms.eng,
-			prot: ms.prot,
-			srv:  newServerIn(ms.eng, ms.prot, ms.cfg, mreg, ms.name, traces),
-		}
-		if err := reg.add(hm); err != nil {
+	s := &Service{
+		reg:      &registry{byName: make(map[string]*Server, len(sc.models))},
+		jobs:     newJobTable(sc.jobCap),
+		provider: sc.provider,
+		obs:      obs.NewRegistry(),
+		traces:   obs.NewTraceRing(defaultTraceRingSize),
+	}
+	for _, m := range sc.models {
+		if err := s.AddModel(m.name, m.eng, m.prot, m.opts...); err != nil {
+			s.Close()
 			return nil, err
 		}
 	}
-	for _, hm := range reg.snapshot() {
-		hm.srv.Start()
-	}
-	jobs := newJobTable(sc.jobCap, sc.jobTTL)
-	mreg.Gauge("radar_gemm_kernel_info", "The int8 GEMM kernel CPUID selected at start-up (always 1).", "kernel").
+	jobs := s.jobs
+	s.obs.Gauge("radar_gemm_kernel_info", "The int8 GEMM kernel CPUID selected at start-up (always 1).", "kernel").
 		With(qinfer.GEMMKernel()).Set(1)
-	mreg.Gauge("radar_jobs_active", "Async jobs currently held by the bounded job table.").
-		Func(func() float64 { active, _ := jobs.stats(); return float64(active) })
-	mreg.Counter("radar_jobs_submitted_total", "Async jobs accepted over the service lifetime.").
-		Func(func() float64 { _, submitted := jobs.stats(); return float64(submitted) })
-	mreg.Counter("radar_jobs_cancelled_total", "Async jobs cancelled before completion.").
-		Func(func() float64 { return float64(jobs.cancelledCount()) })
-	return &Service{reg: reg, jobs: jobs, provider: sc.provider, obs: mreg, traces: traces}, nil
+	s.obs.Gauge("radar_jobs_active", "Async jobs currently held by the bounded job table.").
+		Func(func() float64 { active, _, _ := jobs.stats(); return float64(active) })
+	s.obs.Gauge("radar_jobs_capacity", "Async jobs the bounded job table can hold.").With().Set(float64(jobs.cap))
+	s.obs.Counter("radar_jobs_submitted_total", "Async jobs accepted over the service lifetime.").
+		Func(func() float64 { _, submitted, _ := jobs.stats(); return float64(submitted) })
+	s.obs.Counter("radar_jobs_cancelled_total", "Async jobs cancelled before completion.").
+		Func(func() float64 { _, _, cancelled := jobs.stats(); return float64(cancelled) })
+	return s, nil
 }
 
 // Close gracefully stops every hosted model: new submissions fail with
@@ -216,17 +190,18 @@ func (s *Service) Close() {
 	if !s.closed.CompareAndSwap(false, true) {
 		return
 	}
-	for _, hm := range s.reg.snapshot() {
-		hm.srv.Stop()
+	for _, srv := range s.reg.snapshot() {
+		srv.Stop()
 	}
 }
 
-// AddModel hot-adds a model to a running service: the runtime (workers,
-// batcher, scrubber, verifier) is built and started exactly as in Open,
-// then the name is published to the registry, so the first request routed
-// to it already finds a live runtime. Same contract as WithModel: the
-// protector must protect the quant.Model the engine was compiled from,
-// and the engine becomes owned by the service.
+// AddModel hosts a model under name: its runtime (workers, batcher,
+// scrubber, verifier), configured by the ModelOptions over DefaultConfig,
+// is built and started, then the name is published to the registry, so the
+// first request routed to it already finds a live runtime. The protector
+// must protect the quant.Model the engine was compiled from, and the
+// engine becomes owned by the service. Names must be non-empty, unique,
+// and URL-safe (letters, digits, '.', '_', '-').
 func (s *Service) AddModel(name string, eng *qinfer.Engine, prot *core.Protector, opts ...ModelOption) error {
 	if s.closed.Load() {
 		return ErrStopping
@@ -241,10 +216,10 @@ func (s *Service) AddModel(name string, eng *qinfer.Engine, prot *core.Protector
 	for _, o := range opts {
 		o(&cfg)
 	}
-	hm := &hostedModel{name: name, eng: eng, prot: prot, srv: newServerIn(eng, prot, cfg, s.obs, name, s.traces)}
-	hm.srv.Start()
-	if err := s.reg.add(hm); err != nil {
-		hm.srv.Stop() // name collision: tear the fresh runtime back down
+	srv := newServerIn(eng, prot, cfg, s.obs, name, s.traces)
+	srv.Start()
+	if err := s.reg.add(srv); err != nil {
+		srv.Stop() // name collision: tear the fresh runtime back down
 		return err
 	}
 	return nil
@@ -259,11 +234,11 @@ func (s *Service) RemoveModel(name string) error {
 	if s.closed.Load() {
 		return ErrStopping
 	}
-	hm, err := s.reg.remove(name)
+	srv, err := s.reg.remove(name)
 	if err != nil {
 		return err
 	}
-	hm.srv.Stop()
+	srv.Stop()
 	// Drop the removed model's series so a scrape no longer reports it; a
 	// later AddModel under the same name re-binds fresh children.
 	s.obs.Prune("model", name)
@@ -273,12 +248,12 @@ func (s *Service) RemoveModel(name string) error {
 // Infer answers one request synchronously, honoring ctx deadlines and
 // cancellation while the input waits in the model's batch queue and while
 // the batched forward runs.
-func (s *Service) Infer(ctx context.Context, req Request) (Result, error) {
-	hm, err := s.reg.lookup(req.Model)
+func (s *Service) Infer(ctx context.Context, req Request) (InferResult, error) {
+	srv, err := s.reg.lookup(req.Model)
 	if err != nil {
-		return Result{}, err
+		return InferResult{}, err
 	}
-	return hm.srv.inferContext(ctx, req.Input, req.RequestID)
+	return srv.inferContext(ctx, req.Input, req.RequestID)
 }
 
 // Submit enqueues one request as an async job and returns immediately
@@ -290,7 +265,7 @@ func (s *Service) Infer(ctx context.Context, req Request) (Result, error) {
 // and reaps it from the table. Pass a background context for
 // fire-and-forget jobs.
 func (s *Service) Submit(ctx context.Context, req Request) (JobID, error) {
-	hm, err := s.reg.lookup(req.Model)
+	srv, err := s.reg.lookup(req.Model)
 	if err != nil {
 		return "", err
 	}
@@ -298,12 +273,12 @@ func (s *Service) Submit(ctx context.Context, req Request) (JobID, error) {
 	// context, so Cancel (and DELETE /v1/jobs/{id}) can kill it even when
 	// the submitter's context never fires.
 	jctx, jcancel := context.WithCancel(ctx)
-	j, err := s.jobs.create(hm.name, jcancel)
+	j, err := s.jobs.create(srv.name, jcancel)
 	if err != nil {
 		jcancel()
 		return "", err
 	}
-	ch, err := hm.srv.trySubmit(jctx, req.Input, req.RequestID)
+	ch, err := srv.submit(jctx, req.Input, req.RequestID, false)
 	if err != nil {
 		s.jobs.abort(j.id)
 		jcancel()
@@ -334,24 +309,24 @@ func (s *Service) Poll(id JobID) (JobStatus, error) {
 	return s.jobs.status(j), nil
 }
 
-// Wait blocks until the job completes (returning its Result), the job is
+// Wait blocks until the job completes (returning its InferResult), the job is
 // cancelled (ErrJobCancelled), or ctx is done. The job stays pollable
 // after Wait until its TTL expires. A Wait that begins after a cancelled
 // job was already reaped sees ErrUnknownJob instead, like any lookup of
 // a reaped ID.
-func (s *Service) Wait(ctx context.Context, id JobID) (Result, error) {
+func (s *Service) Wait(ctx context.Context, id JobID) (InferResult, error) {
 	j, err := s.jobs.get(id)
 	if err != nil {
-		return Result{}, err
+		return InferResult{}, err
 	}
 	select {
 	case <-j.done:
 	case <-ctx.Done():
-		return Result{}, ctx.Err()
+		return InferResult{}, ctx.Err()
 	}
 	st := s.jobs.status(j)
 	if st.State == JobCancelled || st.Result == nil {
-		return Result{}, ErrJobCancelled
+		return InferResult{}, ErrJobCancelled
 	}
 	return *st.Result, nil
 }
@@ -359,10 +334,10 @@ func (s *Service) Wait(ctx context.Context, id JobID) (Result, error) {
 // Models snapshots every hosted model's identity, configuration and
 // health, in registration order.
 func (s *Service) Models() []ModelInfo {
-	hms := s.reg.snapshot()
-	out := make([]ModelInfo, 0, len(hms))
-	for _, hm := range hms {
-		out = append(out, hm.info())
+	srvs := s.reg.snapshot()
+	out := make([]ModelInfo, 0, len(srvs))
+	for _, srv := range srvs {
+		out = append(out, srv.info())
 	}
 	return out
 }
@@ -372,10 +347,9 @@ func (s *Service) Models() []ModelInfo {
 // layer now; otherwise the cycle is one scrubber tick (see Server.Scrub).
 func (s *Service) Scrub(model string, full bool) ([]AdminReport, error) {
 	var out []AdminReport
-	err := s.reg.each(model, func(hm *hostedModel) error {
-		flagged, zeroed := hm.srv.Scrub(full)
-		out = append(out, AdminReport{Model: hm.name, Flagged: len(flagged), Zeroed: zeroed})
-		return nil
+	err := s.reg.each(model, func(srv *Server) {
+		flagged, zeroed := srv.Scrub(full)
+		out = append(out, AdminReport{Model: srv.name, Flagged: len(flagged), Zeroed: zeroed})
 	})
 	return out, err
 }
@@ -387,10 +361,7 @@ func (s *Service) Scrub(model string, full bool) ([]AdminReport, error) {
 // briefly stalls fetches.
 func (s *Service) Rekey(model string) ([]AdminReport, error) {
 	var out []AdminReport
-	err := s.reg.each(model, func(hm *hostedModel) error {
-		out = append(out, hm.rekey())
-		return nil
-	})
+	err := s.reg.each(model, func(srv *Server) { out = append(out, srv.rekey()) })
 	return out, err
 }
 
@@ -398,11 +369,11 @@ func (s *Service) Rekey(model string) ([]AdminReport, error) {
 // under whole-model write exclusion (empty name: default model) — the
 // attack-injection hook tests and benchmarks mount flips through.
 func (s *Service) Inject(model string, f func(*quant.Model)) error {
-	hm, err := s.reg.lookup(model)
+	srv, err := s.reg.lookup(model)
 	if err != nil {
 		return err
 	}
-	hm.inject(f)
+	srv.Inject(f)
 	return nil
 }
 
@@ -413,21 +384,11 @@ func (s *Service) Inject(model string, f func(*quant.Model)) error {
 // smoke and chaos tooling uses it to exercise the recovery paths end to
 // end through HTTP.
 func (s *Service) InjectAdversary(model, adversary string, flips int, seed int64) (InjectReport, error) {
-	hm, err := s.reg.lookup(model)
+	srv, err := s.reg.lookup(model)
 	if err != nil {
 		return InjectReport{}, err
 	}
-	return hm.injectAdversary(adversary, flips, seed)
-}
-
-// Protector exposes the named model's protector (empty name: default
-// model), e.g. for stats or a quiesced final sweep in tests.
-func (s *Service) Protector(model string) (*core.Protector, error) {
-	hm, err := s.reg.lookup(model)
-	if err != nil {
-		return nil, err
-	}
-	return hm.prot, nil
+	return srv.injectAdversary(adversary, flips, seed)
 }
 
 // WriteMetrics writes every hosted model's series (plus the service-wide
@@ -436,17 +397,4 @@ func (s *Service) Protector(model string) (*core.Protector, error) {
 // the exposition only read-locks family bookkeeping.
 func (s *Service) WriteMetrics(w io.Writer) (int64, error) {
 	return s.obs.WriteTo(w)
-}
-
-// MetricNames returns every registered metric family name, in
-// registration order — what the naming-lint test checks.
-func (s *Service) MetricNames() []string {
-	return s.obs.Names()
-}
-
-// Traces returns up to n completed request traces, newest first (n <= 0:
-// all retained). Only requests carrying a RequestID (every HTTP request;
-// Go-API calls that set Request.RequestID) are traced.
-func (s *Service) Traces(n int) []obs.Trace {
-	return s.traces.Last(n)
 }

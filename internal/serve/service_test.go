@@ -61,11 +61,11 @@ func openTiny(t testing.TB, n int, extra []ModelOption, svcOpts ...ServiceOption
 // model); its met holds the counters behind the model's /v1/metrics series.
 func modelSrv(t testing.TB, svc *Service, name string) *Server {
 	t.Helper()
-	hm, err := svc.reg.lookup(name)
+	srv, err := svc.reg.lookup(name)
 	if err != nil {
 		t.Fatalf("lookup %q: %v", name, err)
 	}
-	return hm.srv
+	return srv
 }
 
 // wedge write-locks every layer of the named model so its inference
@@ -73,16 +73,13 @@ func modelSrv(t testing.TB, svc *Service, name string) *Server {
 // deterministically. The returned func releases the wedge.
 func wedge(t testing.TB, svc *Service, name string) func() {
 	t.Helper()
-	hm, err := svc.reg.lookup(name)
-	if err != nil {
-		t.Fatalf("lookup %q: %v", name, err)
-	}
-	hm.srv.guard.LockAll()
+	srv := modelSrv(t, svc, name)
+	srv.guard.LockAll()
 	released := false
 	return func() {
 		if !released {
 			released = true
-			hm.srv.guard.UnlockAll()
+			srv.guard.UnlockAll()
 		}
 	}
 }
@@ -140,7 +137,7 @@ func TestTwoModelsConcurrent(t *testing.T) {
 	type answer struct {
 		model int
 		idx   int
-		res   Result
+		res   InferResult
 	}
 	results := make(chan answer, 16)
 	for i := 0; i < 8; i++ {

@@ -30,7 +30,7 @@ func BenchmarkVerifiedFetch(b *testing.B) {
 		for _, verify := range []bool{false, true} {
 			cfg := DefaultConfig()
 			cfg.VerifiedFetch = verify
-			srv := newServer(eng, prot, cfg)
+			srv := newTestServer(eng, prot, cfg)
 			v := &verifier{s: srv}
 			name := spec.Name + "/verify=off"
 			if verify {

@@ -2,7 +2,7 @@
 # Boots THREE radar-serve replicas (each hosting the same two tiny
 # models) behind one radar-fleet router and smoke-tests the routed
 # control plane end to end: the merged /v1/models listing, routed sync
-# inference, a sticky async job round trip with cancellation, a broadcast
+# inference, a tag-routed async job round trip with cancellation, a broadcast
 # hot add/remove, killing one replica mid-run (traffic must keep
 # flowing), and a zero-downtime rolling rekey under live traffic.
 # Used by `make fleet-smoke` and the CI fleet-integration job.
@@ -68,8 +68,10 @@ for m in a b; do
         || { echo "routed sync infer on $m failed"; exit 1; }
 done
 
-# Sticky async job round trip: submit through the fleet, poll through the
-# fleet (only the minting replica can answer), then cancel a second one.
+# Async job round trip: submit through the fleet, poll through the fleet
+# (routed by the ID's replica tag: only the minting replica can answer)
+# until done, poll the finished job twice more — the router forgets no tag
+# on a finished job — then cancel a second one.
 job=$(curl -fs -X POST -d "$payload" "http://$FLEET_ADDR/v1/models/a/jobs")
 jid=$(echo "$job" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p')
 [ -n "$jid" ] || { echo "routed job submit failed: $job"; exit 1; }
@@ -80,6 +82,10 @@ for _ in $(seq 1 50); do
     sleep 0.1
 done
 [ -n "$done" ] || { echo "routed job $jid never completed"; exit 1; }
+for _ in 1 2; do
+    code=$(curl -s -o /dev/null -w '%{http_code}' "http://$FLEET_ADDR/v1/jobs/$jid")
+    [ "$code" = "200" ] || { echo "finished job $jid re-polled $code, want 200"; exit 1; }
+done
 job2=$(curl -fs -X POST -d "$payload" "http://$FLEET_ADDR/v1/models/b/jobs")
 jid2=$(echo "$job2" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p')
 curl -fs -X DELETE "http://$FLEET_ADDR/v1/jobs/$jid2" | grep -q '"state"' \
@@ -168,4 +174,4 @@ echo "$traces" | grep -q '"replica": "' || { echo "merged traces lack replica ta
 for pid in "${PIDS[@]}"; do kill "$pid" 2>/dev/null || true; done
 trap - EXIT
 rm -rf "$LOGDIR"
-echo "fleet smoke OK (3 replicas: routing + sticky jobs + broadcast add/remove + replica kill + rolling rekey + aggregated metrics/traces)"
+echo "fleet smoke OK (3 replicas: routing + tag-routed jobs + broadcast add/remove + replica kill + rolling rekey + aggregated metrics/traces)"

@@ -33,6 +33,9 @@ models=$(curl -fs "http://$ADDR/v1/models")
 echo "$models" | grep -q '"name": "a"' || { echo "/v1/models missing model a"; exit 1; }
 echo "$models" | grep -q '"name": "b"' || { echo "/v1/models missing model b"; exit 1; }
 echo "$models" | grep -q '"healthy": true' || { echo "models not healthy"; exit 1; }
+# The listing carries identity, configuration and health, not figures: the
+# job table's live occupancy is /v1/metrics' alone.
+if echo "$models" | grep -q '"jobs"'; then echo "/v1/models copies the job-table figures"; exit 1; fi
 
 # One 3x8x8 input (the tiny spec's shape), all values 0.1.
 payload=$(awk 'BEGIN{printf "{\"input\":["; for(i=0;i<192;i++){printf "%s0.1",(i?",":"")}; printf "]}"}')
@@ -133,6 +136,8 @@ echo "$metrics" | grep -q '^radar_request_latency_seconds_bucket{model="a",le="+
     || { echo "latency histogram missing model a samples"; exit 1; }
 echo "$metrics" | grep -q '^radar_queue_depth{model="a"}' \
     || { echo "queue depth gauge missing"; exit 1; }
+echo "$metrics" | grep -q '^radar_jobs_capacity 1024$' \
+    || { echo "job capacity gauge off"; echo "$metrics" | grep radar_jobs; exit 1; }
 
 # Per-request stage traces: every HTTP infer left a trace with its queue /
 # batch / verify / forward split.
