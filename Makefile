@@ -102,13 +102,15 @@ chaos-smoke:
 	./scripts/chaos_smoke.sh ./radar-serve ./radar-fleet ./radar-chaos
 	rm -f radar-serve radar-fleet radar-chaos
 
-# vet covers gemm_amd64.s through its asmdecl check. The arm64 lines keep
-# the portable GEMM path compiling: on amd64 hosts with AVX2 nothing else
-# ever builds the package without the assembly (works offline, ≈ 20 s).
+# vet covers the assembly (gemm_amd64.s, swar_amd64.s, cpu_amd64.s)
+# through its asmdecl check. The arm64 lines keep the portable GEMM and
+# checksum paths and the probe's non-amd64 side compiling and vetted: on
+# amd64 hosts with AVX2 nothing else ever builds those packages without the
+# assembly (works offline, ≈ 20 s).
 lint:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/qinfer/
+	GOARCH=arm64 $(GO) vet ./internal/qinfer/ ./internal/core/ ./internal/cpu/
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 

@@ -284,7 +284,7 @@ func main() {
 
 	httpSrv := &http.Server{Addr: *addr, Handler: handler}
 	go func() {
-		log.Printf("serving %d model(s) [%s] on %s — verify=%v scrub=%v jobs=%d gemm=%s",
+		log.Printf("serving %d model(s) [%s] on %s — verify=%v scrub=%v jobs=%d kernel=%s (gemm+checksum)",
 			len(names), strings.Join(names, ", "), *addr, *verify, *scrub, *jobs, qinfer.GEMMKernel())
 		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			log.Fatalf("http: %v", err)

@@ -149,7 +149,8 @@ func referenceFlagged(p *Protector) (want []GroupID) {
 // byte-identical weights, goldens and check words, moves the Stats recovery
 // counters by the same amounts, reports MarkWritten once per layer it wrote
 // and never for one it did not, fires OnLayerScanned once per layer it
-// scanned, and leaves a model the next Scan finds clean.
+// scanned, and leaves a model the next Scan finds clean — on every checksum
+// leg, each route's last subtest level, all held to the first's result.
 func TestEntryPointsAgree(t *testing.T) {
 	sizes := []int{900, 1300, 700, 2100}
 	for _, correct := range []bool{false, true} {
@@ -160,67 +161,69 @@ func TestEntryPointsAgree(t *testing.T) {
 				for _, route := range entryRoutes {
 					name := fmt.Sprintf("correct=%v/guarded=%v/workers=%d/%s", correct, guarded, workers, route.name)
 					t.Run(name, func(t *testing.T) {
-						var scanned, written hookRecorder
-						m := syntheticModel(rand.New(rand.NewSource(42)), sizes)
-						cfg := DefaultConfig(16)
-						cfg.Workers = workers
-						cfg.ShardGroups = 9 // several shards per layer
-						cfg.Correct = correct
-						cfg.OnLayerScanned = scanned.hook
-						p := Protect(m, cfg)
-						if guarded {
-							p.Coordinate(NewLayerGuard(len(m.Layers)))
-						}
-						plantCorruption(t, p)
-						want := referenceFlagged(p)
-						before := m.Snapshot()
-						// Observe from here on: Protect's own pass and the
-						// planting are not part of the route.
-						scanned.take()
-						defer m.Observe(written.hook)()
+						eachKernel(t, func(t *testing.T) {
+							var scanned, written hookRecorder
+							m := syntheticModel(rand.New(rand.NewSource(42)), sizes)
+							cfg := DefaultConfig(16)
+							cfg.Workers = workers
+							cfg.ShardGroups = 9 // several shards per layer
+							cfg.Correct = correct
+							cfg.OnLayerScanned = scanned.hook
+							p := Protect(m, cfg)
+							if guarded {
+								p.Coordinate(NewLayerGuard(len(m.Layers)))
+							}
+							plantCorruption(t, p)
+							want := referenceFlagged(p)
+							before := m.Snapshot()
+							// Observe from here on: Protect's own pass and the
+							// planting are not part of the route.
+							scanned.take()
+							defer m.Observe(written.hook)()
 
-						zeroed := route.run(t, p, want)
+							zeroed := route.run(t, p, want)
 
-						st := p.Stats()
-						if st.GroupsFlagged != int64(len(want)) || st.GroupsRecovered != int64(len(want)) ||
-							st.GroupsCorrected+st.GroupsZeroed != st.GroupsRecovered || st.WeightsZeroed != int64(zeroed) {
-							t.Fatalf("stats %+v after flagging %d groups and zeroing %d weights", st, len(want), zeroed)
-						}
-						if correct != (st.GroupsCorrected > 0) || st.GroupsZeroed == 0 {
-							t.Fatalf("corruption did not exercise both repairs: %+v", st)
-						}
-						var wantWritten, wantScanned []int
-						for li, l := range m.Layers {
-							if !slices.Equal(l.Q, before[li]) {
-								wantWritten = append(wantWritten, li)
+							st := p.Stats()
+							if st.GroupsFlagged != int64(len(want)) || st.GroupsRecovered != int64(len(want)) ||
+								st.GroupsCorrected+st.GroupsZeroed != st.GroupsRecovered || st.WeightsZeroed != int64(zeroed) {
+								t.Fatalf("stats %+v after flagging %d groups and zeroing %d weights", st, len(want), zeroed)
 							}
-							if !route.fetch || slices.ContainsFunc(want, func(g GroupID) bool { return g.Layer == li }) {
-								wantScanned = append(wantScanned, li)
+							if correct != (st.GroupsCorrected > 0) || st.GroupsZeroed == 0 {
+								t.Fatalf("corruption did not exercise both repairs: %+v", st)
 							}
-						}
-						if got := written.take(); !reflect.DeepEqual(got, wantWritten) {
-							t.Fatalf("MarkWritten for layers %v, weights changed in %v", got, wantWritten)
-						}
-						if got := scanned.take(); !reflect.DeepEqual(got, wantScanned) {
-							t.Fatalf("OnLayerScanned for layers %v, want %v", got, wantScanned)
-						}
-						if first == nil {
-							first, firstStats = p, st
-						} else {
-							if !reflect.DeepEqual(m.Snapshot(), first.Model.Snapshot()) {
-								t.Fatalf("weights differ from those %s left", entryRoutes[0].name)
+							var wantWritten, wantScanned []int
+							for li, l := range m.Layers {
+								if !slices.Equal(l.Q, before[li]) {
+									wantWritten = append(wantWritten, li)
+								}
+								if !route.fetch || slices.ContainsFunc(want, func(g GroupID) bool { return g.Layer == li }) {
+									wantScanned = append(wantScanned, li)
+								}
 							}
-							if !reflect.DeepEqual(p.Golden, first.Golden) || !reflect.DeepEqual(p.Check, first.Check) {
-								t.Fatalf("goldens or check words differ from those %s left", entryRoutes[0].name)
+							if got := written.take(); !reflect.DeepEqual(got, wantWritten) {
+								t.Fatalf("MarkWritten for layers %v, weights changed in %v", got, wantWritten)
 							}
-							st.Scans, st.BytesScanned = firstStats.Scans, firstStats.BytesScanned // per-route by design
-							if st != firstStats {
-								t.Fatalf("stats %+v, %s left %+v", st, entryRoutes[0].name, firstStats)
+							if got := scanned.take(); !reflect.DeepEqual(got, wantScanned) {
+								t.Fatalf("OnLayerScanned for layers %v, want %v", got, wantScanned)
 							}
-						}
-						if again := p.Scan(); len(again) != 0 {
-							t.Fatalf("follow-up Scan flags %v", again)
-						}
+							if first == nil {
+								first, firstStats = p, st
+							} else {
+								if !reflect.DeepEqual(m.Snapshot(), first.Model.Snapshot()) {
+									t.Fatalf("weights differ from those %s left", entryRoutes[0].name)
+								}
+								if !reflect.DeepEqual(p.Golden, first.Golden) || !reflect.DeepEqual(p.Check, first.Check) {
+									t.Fatalf("goldens or check words differ from those %s left", entryRoutes[0].name)
+								}
+								st.Scans, st.BytesScanned = firstStats.Scans, firstStats.BytesScanned // per-route by design
+								if st != firstStats {
+									t.Fatalf("stats %+v, %s left %+v", st, entryRoutes[0].name, firstStats)
+								}
+							}
+							if again := p.Scan(); len(again) != 0 {
+								t.Fatalf("follow-up Scan flags %v", again)
+							}
+						})
 					})
 				}
 			}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"unsafe"
+
+	"radar/internal/cpu"
 )
 
 // SWAR (SIMD-within-a-register) checksum kernels.
@@ -51,6 +53,20 @@ import (
 //     signature of four groups per op, and sigE | sigO<<8 is the eight
 //     signature bytes of eight consecutive groups in golden's byte order:
 //     one store, and one bytes.Equal per chunk for the callers' compare.
+//
+// The AVX2 leg. On amd64 hosts where internal/cpu's probe finds AVX2 (the
+// probe that picks qinfer's GEMM kernel too), two loops of the interleaved
+// kernel run in swar_amd64.s: addWords4's plain-run loop takes 32 bytes of
+// each of the four rows per step — one VPXOR against the row's broadcast
+// mask, a VPAND/VPSRLW $8 even/odd split, VPADDW into accE and accO — and
+// the settle loop binarizes 16 lanes of each parity per op, storing 32
+// signature bytes. A lane never carries into its neighbour, so VPADDW is
+// bit-for-bit the uint64 add. Wrap words, the word past the last whole one,
+// the last words mod 4, short blocks and the ragged row stay in Go, and
+// the pure-Go loops are the path of every other host and the reference the
+// tests hold the AVX2 leg to (kernelLegs in swar_test.go). Selection is a
+// package-level bool read before a direct call; there is no flag, build
+// tag or Config field.
 //
 // Both kernels hand back signature bytes (sigChunk) and are property-tested
 // bit-identical to the per-group Checksum reference.
@@ -294,7 +310,8 @@ func (rw *rowRun) gather(qb []byte, k int) uint64 {
 
 // interleaved is the word-parallel kernel for interleaved grouping (see the
 // file header): it sweeps the rows over the lane accumulators, four at a
-// time, then settles the lanes into signature bytes, eight per store.
+// time, then settles the lanes into signature bytes, eight per store (32 on
+// the AVX2 leg).
 func (pl *kernelPlan) interleaved(qb []byte, lo, hi int, sig *sigChunk) {
 	n, S := pl.n, hi-lo
 	var accEBuf, accOBuf [kernelChunk / 8]uint64
@@ -325,7 +342,12 @@ func (pl *kernelPlan) interleaved(qb []byte, lo, hi int, sig *sigChunk) {
 		addGathered(accE, accO, qb, blk[:nr], words, len(accE))
 		r += nr
 	}
-	for w := range accE {
+	w := 0
+	if w4 := len(accE) &^ 3; swarAVX2 && w4 > 0 {
+		settleAVX2(&accE[0], &accO[0], &sig[0], w4, pl.settle, pl.sigC)
+		w = w4
+	}
+	for ; w < len(accE); w++ {
 		e := accE[w]&swarLane15 + pl.settle
 		o := accO[w]&swarLane15 + pl.settle
 		e = (e>>7)&(3*swarLaneOnes) | (e>>4)&pl.sigC
@@ -337,8 +359,9 @@ func (pl *kernelPlan) interleaved(qb []byte, lo, hi int, sig *sigChunk) {
 // addBlock adds accumulator words [0, words) of a block of full rows.
 // Consecutive rows wrap within a few lanes of each other, so the words
 // [u, v) that hold some row's wrap are few; before them every row of a full
-// block is a plain word run (up to its wrap), after them another (past it),
-// and addWords4 takes both.
+// block is a plain word run (up to its wrap, from the row's lane 0 at p1),
+// after them another (past it, or to the end for a row that does not wrap
+// within words), and addWords4 takes both.
 func addBlock(accE, accO []uint64, qb []byte, blk []rowRun, words int) {
 	u, v := 0, words // a short block goes word by word throughout
 	if len(blk) == blockRows {
@@ -349,11 +372,12 @@ func addBlock(accE, accO []uint64, qb []byte, blk []rowRun, words int) {
 			}
 		}
 		v = min(max(u, v), words)
-		for _, run := range [2][2]int{{0, u}, {v, words}} {
-			if k := run[0] << 3; run[0] < run[1] {
-				addWords4(accE[run[0]:run[1]], accO[run[0]:run[1]], qb[blk[0].at(k):], qb[blk[1].at(k):], qb[blk[2].at(k):], qb[blk[3].at(k):],
-					&[blockRows]uint64{blk[0].mask, blk[1].mask, blk[2].mask, blk[3].mask})
-			}
+		m := [blockRows]uint64{blk[0].mask, blk[1].mask, blk[2].mask, blk[3].mask}
+		if u > 0 {
+			addWords4(accE[:u], accO[:u], qb[blk[0].p1:], qb[blk[1].p1:], qb[blk[2].p1:], qb[blk[3].p1:], &m)
+		}
+		if k := v << 3; v < words {
+			addWords4(accE[v:words], accO[v:words], qb[blk[0].at(k):], qb[blk[1].at(k):], qb[blk[2].at(k):], qb[blk[3].at(k):], &m)
 		}
 	}
 	addGathered(accE, accO, qb, blk, u, v)
@@ -392,14 +416,20 @@ func addGathered(accE, accO []uint64, qb []byte, blk []rowRun, u, v int) {
 // addWords4 is the inner loop of the interleaved kernel: it masks
 // len(accE) consecutive words of four rows, sums their even and odd byte
 // lanes in registers (≤ 1020 per lane) and reads and writes the
-// accumulators once. The four segments are length-checked once, up front,
-// and then read through word8.
+// accumulators once. The four segments are length-checked once, up front;
+// the AVX2 leg then takes whole groups of four words and the Go loop, which
+// reads through word8, the rest.
 func addWords4(accE, accO []uint64, s0, s1, s2, s3 []byte, m *[blockRows]uint64) {
 	accO = accO[:len(accE)]
 	nb := len(accE) << 3
 	p0, p1 := unsafe.Pointer(unsafe.SliceData(s0[:nb])), unsafe.Pointer(unsafe.SliceData(s1[:nb]))
 	p2, p3 := unsafe.Pointer(unsafe.SliceData(s2[:nb])), unsafe.Pointer(unsafe.SliceData(s3[:nb]))
-	for w := range accE {
+	w := 0
+	if w4 := len(accE) &^ 3; swarAVX2 && w4 > 0 {
+		addWords4AVX2(&accE[0], &accO[0], p0, p1, p2, p3, m, w4)
+		w = w4
+	}
+	for ; w < len(accE); w++ {
 		x := word8(p0, w) ^ m[0]
 		e, o := x&swarLowBytes, (x>>8)&swarLowBytes
 		x = word8(p1, w) ^ m[1]
@@ -411,6 +441,12 @@ func addWords4(accE, accO []uint64, s0, s1, s2, s3 []byte, m *[blockRows]uint64)
 		accO[w] += o + (x>>8)&swarLowBytes
 	}
 }
+
+// swarAVX2 selects the AVX2 leg (swar_amd64.s), the choice of
+// internal/cpu's probe; only tests write it. A plain bool and a direct
+// call, not a func value: an indirect call would move the kernel's stack
+// accumulators and mask array to the heap.
+var swarAVX2 = cpu.AVX2
 
 // word8 loads the w-th little-endian word after p with no bounds check;
 // the caller has checked that 8(w+1) bytes are there.

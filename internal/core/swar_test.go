@@ -4,7 +4,51 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"radar/internal/cpu"
 )
+
+// kernelLeg is one setting of swarAVX2, the switch the interleaved kernel
+// reads.
+type kernelLeg struct {
+	name string
+	avx2 bool
+}
+
+// kernelLegs lists the checksum legs this host can run — the pure-Go loop
+// everywhere, the AVX2 one where internal/cpu's probe offers it — for tests
+// and benchmarks that switch swarAVX2 to cover both from one binary; the
+// host's own choice is restored when tb ends.
+func kernelLegs(tb testing.TB) []kernelLeg {
+	live := swarAVX2
+	tb.Cleanup(func() { swarAVX2 = live })
+	legs := []kernelLeg{{"generic", false}}
+	if cpu.AVX2 {
+		legs = append(legs, kernelLeg{"avx2", true})
+	}
+	return legs
+}
+
+// eachKernel runs f as one subtest per leg.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	for _, leg := range kernelLegs(t) {
+		t.Run("kernel="+leg.name, func(t *testing.T) {
+			swarAVX2 = leg.avx2
+			f(t)
+		})
+	}
+}
+
+// benchKernels runs f as one sub-benchmark per leg, so old and new are
+// measured from one binary.
+func benchKernels(b *testing.B, f func(b *testing.B)) {
+	for _, leg := range kernelLegs(b) {
+		b.Run("kernel="+leg.name, func(b *testing.B) {
+			swarAVX2 = leg.avx2
+			f(b)
+		})
+	}
+}
 
 // refSignatures is the slowest, most obviously correct implementation:
 // one per-group Checksum (itself a scalar VisitMembers walk) per group.
@@ -33,6 +77,10 @@ func swarGeometries() []struct{ g, l int } {
 // bit-identical to the per-group Checksum reference across group size,
 // interleaving, offset, key and ragged-tail lengths.
 func TestSWARMatchesChecksumReference(t *testing.T) {
+	eachKernel(t, testSWARMatchesChecksumReference)
+}
+
+func testSWARMatchesChecksumReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, geo := range swarGeometries() {
 		for _, interleave := range []bool{false, true} {
@@ -66,6 +114,10 @@ func TestSWARMatchesChecksumReference(t *testing.T) {
 // retained scalar row-walk SignaturesRangeRef on random subranges — the
 // exact per-shard unit the parallel engine runs.
 func TestSWARMatchesScalarRangeKernel(t *testing.T) {
+	eachKernel(t, testSWARMatchesScalarRangeKernel)
+}
+
+func testSWARMatchesScalarRangeKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, geo := range swarGeometries() {
 		for _, interleave := range []bool{false, true} {
@@ -104,6 +156,10 @@ func TestSWARMatchesScalarRangeKernel(t *testing.T) {
 // rows, where random weights at G ≤ 513 barely reach the wrap — so the
 // bit-15 clearing and the mod-512 settlement are what is under test.
 func TestSWARLaneSaturation(t *testing.T) {
+	eachKernel(t, testSWARLaneSaturation)
+}
+
+func testSWARLaneSaturation(t *testing.T) {
 	for _, g := range []int{512, 1000, 4096} {
 		for _, w := range []int8{127, -128} {
 			for _, key := range []uint16{0x0000, 0xFFFF, 0xA5C3} {
@@ -256,9 +312,10 @@ func TestScanZeroAlloc(t *testing.T) {
 }
 
 // FuzzSignatures is the differential fuzz target behind the property
-// tests: arbitrary weights and scheme parameters, SWAR vs the per-group
-// Checksum reference. CI runs the seed corpus under -race on every push;
-// `go test -fuzz=FuzzSignatures ./internal/core` explores further.
+// tests: arbitrary weights and scheme parameters, each SWAR leg vs the
+// per-group Checksum reference. CI runs the seed corpus under -race on
+// every push; `go test -fuzz=FuzzSignatures ./internal/core` explores
+// further.
 func FuzzSignatures(f *testing.F) {
 	f.Add([]byte{1, 255, 3, 128, 5, 6, 7, 8, 9}, uint16(0xBEEF), 8, 3, true, 2, 0, 1<<30)
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, uint16(0), 1, 0, false, 2, 0, 1<<30)
@@ -270,6 +327,7 @@ func FuzzSignatures(f *testing.F) {
 	f.Add(ramp, uint16(0x1234), 4, 0, true, 3, 3, 16)  // offset 0: every row wraps in the same word
 	f.Add(ramp, uint16(0x8001), 7, 5, true, 3, 11, 24) // ragged last row, 13 groups
 	f.Add(ramp, uint16(0x00FF), 9, 1, false, 3, 2, 7)
+	legs := kernelLegs(f)
 	f.Fuzz(func(t *testing.T, raw []byte, key uint16, g, offset int, interleave bool, sigBits, lo, hi int) {
 		if len(raw) == 0 || g <= 0 || g > 4096 || offset < 0 || offset > 64 || (sigBits != 2 && sigBits != 3) {
 			t.Skip()
@@ -284,46 +342,45 @@ func FuzzSignatures(f *testing.F) {
 			t.Skip()
 		}
 		want := refSignatures(s, q)[lo:hi]
-		got := s.SignaturesRange(q, lo, hi)
-		if len(got) != len(want) {
-			t.Fatalf("[%d,%d): %d signatures, want %d", lo, hi, len(got), len(want))
-		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("G=%d offset=%d key=%#x interleave=%v sigBits=%d l=%d [%d,%d) group %d: SWAR %03b, reference %03b",
-					g, offset, key, interleave, sigBits, len(q), lo, hi, lo+k, got[k], want[k])
+		for _, leg := range legs {
+			swarAVX2 = leg.avx2
+			got := s.SignaturesRange(q, lo, hi)
+			if len(got) != len(want) {
+				t.Fatalf("%s [%d,%d): %d signatures, want %d", leg.name, lo, hi, len(got), len(want))
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("%s G=%d offset=%d key=%#x interleave=%v sigBits=%d l=%d [%d,%d) group %d: SWAR %03b, reference %03b",
+						leg.name, g, offset, key, interleave, sigBits, len(q), lo, hi, lo+k, got[k], want[k])
+				}
 			}
 		}
 	})
 }
 
 // BenchmarkSignatureScan measures RADAR's software checksum throughput —
-// the SWAR kernel — over a 4 MiB weight image at G=512, interleaved.
+// the SWAR kernel, once per leg — over a 4 MiB weight image at G=512,
+// interleaved.
 func BenchmarkSignatureScan(b *testing.B) {
-	q := make([]int8, 1<<22) // 4 MiB layer
-	for i := range q {
-		q[i] = int8(i * 31)
-	}
-	s := Scheme{G: 512, Interleave: true, Offset: 3, Key: 0xBEEF, SigBits: 2}
-	b.SetBytes(int64(len(q)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Signatures(q)
-	}
+	benchSignatures(b, Scheme{G: 512, Interleave: true, Offset: 3, Key: 0xBEEF, SigBits: 2})
 }
 
 // BenchmarkSignatureScanPlain is the non-interleaved variant.
 func BenchmarkSignatureScanPlain(b *testing.B) {
-	q := make([]int8, 1<<22)
+	benchSignatures(b, Scheme{G: 512, Offset: 3, Key: 0xBEEF, SigBits: 2})
+}
+
+func benchSignatures(b *testing.B, s Scheme) {
+	q := make([]int8, 1<<22) // 4 MiB layer
 	for i := range q {
 		q[i] = int8(i * 31)
 	}
-	s := Scheme{G: 512, Offset: 3, Key: 0xBEEF, SigBits: 2}
-	b.SetBytes(int64(len(q)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Signatures(q)
-	}
+	benchKernels(b, func(b *testing.B) {
+		b.SetBytes(int64(len(q)))
+		for i := 0; i < b.N; i++ {
+			s.Signatures(q)
+		}
+	})
 }
 
 // BenchmarkSignatureScanRef runs the retained scalar row-walk kernel over

@@ -21,11 +21,12 @@
 //     acc += (w[m][k] + w[m+1][k]·2³²) · b[p][k], one 64-bit multiply for
 //     two MACs, on a 2-pair × 4-pixel tile of 8 accumulators.
 //
-// Dispatch is by what the process can observe and nothing else: on amd64 an
-// init-time CPUID/XGETBV probe installs the avx2 kernel in gemmLive when
-// the CPU has AVX2 and the OS saves YMM state; every other GOARCH, and an
-// amd64 host without it, runs the generic kernel. GEMMKernel names the
-// choice; no option, flag or environment variable changes it.
+// Dispatch is by what the process can observe and nothing else: on amd64
+// init installs the avx2 kernel in gemmLive when internal/cpu's CPUID/XGETBV
+// probe — the same one that selects core's checksum leg — finds AVX2 and
+// OS-saved YMM state; every other GOARCH, and an amd64 host without it,
+// runs the generic kernel. GEMMKernel names the choice; no option, flag or
+// environment variable changes it.
 //
 // Exactness: a dot product S has |S| ≤ K·2¹⁴ < 2³¹, which Compile enforces
 // as K ≤ maxLaneK, and integer addition is exact in any order. Generic:

@@ -1,35 +1,16 @@
 package qinfer
 
-// The kernels of gemm_amd64.s.
+import "radar/internal/cpu"
+
+// The kernel of gemm_amd64.s.
 
 //go:noescape
 func gemmAVX2Kernel(a, b *int8, out *int32, M, K, P4 int)
 
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-
-func xcr0() uint32
-
 func init() {
-	if hasAVX2() {
+	if cpu.AVX2 {
 		gemmLive = gemmAVX2
 	}
-}
-
-// hasAVX2 reports whether the CPU executes AVX2 and the OS saves the YMM
-// registers across context switches; the first without the second faults.
-func hasAVX2() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, c, _ := cpuid(1, 0); c&(osxsave|avx) != osxsave|avx {
-		return false
-	}
-	if xcr0()&6 != 6 { // XMM and YMM state
-		return false
-	}
-	_, b, _, _ := cpuid(7, 0)
-	return b&(1<<5) != 0
 }
 
 // gemmAVX2 computes out[m·P4+p] = Σ_k a[m·K+k]·b[p·K+k] for the M weight

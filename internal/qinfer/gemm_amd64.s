@@ -1,6 +1,6 @@
-// AVX2 int8 GEMM micro-kernel and the CPUID probes that select it; see
-// gemm.go for the two kernels and the dispatch rule, gemm_amd64.go for the
-// length-checked wrapper every call goes through.
+// AVX2 int8 GEMM micro-kernel; see gemm.go for the two kernels and the
+// dispatch rule, gemm_amd64.go for the length-checked wrapper every call
+// goes through, and internal/cpu for the probe that selects it.
 
 #include "textflag.h"
 
@@ -156,22 +156,4 @@ macS:
 	ADDQ BX, SI
 	DECQ DX
 	JNZ  rowS
-	RET
-
-// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xcr0() uint32
-TEXT ·xcr0(SB), NOSPLIT, $0-4
-	XORL CX, CX
-	XGETBV
-	MOVL AX, ret+0(FP)
 	RET

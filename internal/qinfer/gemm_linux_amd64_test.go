@@ -6,6 +6,8 @@ import (
 	"syscall"
 	"testing"
 	"unsafe"
+
+	"radar/internal/cpu"
 )
 
 // guarded returns n writable bytes that end on the last byte before an
@@ -32,7 +34,7 @@ func guarded(t *testing.T, n int) []int8 {
 // 16-byte step, odd and even M — and the products checked; a kernel that
 // over-reads takes a fault here, reported as a test failure.
 func TestGEMMAVX2ReadsInsideItsOperands(t *testing.T) {
-	if !hasAVX2() {
+	if !cpu.AVX2 {
 		t.Skip("CPUID reports no AVX2 kernel for this host")
 	}
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))

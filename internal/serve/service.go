@@ -171,7 +171,7 @@ func Open(opts ...ServiceOption) (*Service, error) {
 		}
 	}
 	jobs := s.jobs
-	s.obs.Gauge("radar_gemm_kernel_info", "The int8 GEMM kernel CPUID selected at start-up (always 1).", "kernel").
+	s.obs.Gauge("radar_gemm_kernel_info", "The SIMD kernel set the one CPUID probe selected at start-up, for the int8 GEMM and the checksum alike (always 1).", "kernel").
 		With(qinfer.GEMMKernel()).Set(1)
 	s.obs.Gauge("radar_jobs_active", "Async jobs currently held by the bounded job table.").
 		Func(func() float64 { active, _, _ := jobs.stats(); return float64(active) })
