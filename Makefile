@@ -55,13 +55,20 @@ fuzz-smoke:
 # The three examples run to completion (in-process, loopback only; ≈ 10 s
 # together, PBFA profile generation in examples/serving dominates), then
 # radar-attack on the tiny model: the PBFA → rowhammer → scan → recover
-# round trip and one defense-aware campaign (≈ 2 s together).
+# round trip and one defense-aware campaign (≈ 2 s together), and a
+# campaign of zero windows, which must exit 2 before it starts. The binary
+# is built once because `go run` reports every failing exit as 1.
 examples-smoke:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/serving
 	$(GO) run ./examples/fleet
-	$(GO) run ./cmd/radar-attack -model tiny -flips 3 -radar 8
-	$(GO) run ./cmd/radar-attack -model tiny -adversary scrub-timer -flips 8 -windows 2
+	$(GO) build -o radar-attack ./cmd/radar-attack
+	./radar-attack -model tiny -flips 3 -radar 8
+	./radar-attack -model tiny -adversary scrub-timer -flips 8 -windows 2
+	@code=0; out=$$(./radar-attack -model tiny -adversary oblivious -windows 0 2>&1) || code=$$?; \
+	if [ $$code -ne 2 ] || echo "$$out" | grep -q '^campaign'; then \
+		echo "radar-attack -windows 0 exited $$code, want 2 before any campaign:"; echo "$$out"; exit 1; fi
+	rm -f radar-attack
 
 # benchmark/ is its own Go module, so `go build ./...` and `go test ./...`
 # at the root never compile it: vet it and run its tests (the -scale 0.03

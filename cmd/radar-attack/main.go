@@ -6,7 +6,7 @@
 // Usage:
 //
 //	radar-attack [-model tiny|resnet20s|resnet18s] [-flips 10] [-seed 1] [-bit6] [-radar 0] [-sig 2] [-no-interleave] [-workers 0] [-store ckpt.radar]
-//	radar-attack -adversary oblivious|scrub-timer|below-threshold|sigstore [-store ckpt.radar] [-flips 240] [-windows 12] [-full-every 4] [-scrub-ms 100] [-radar 32] [-correct] [-no-defense]
+//	radar-attack -adversary oblivious|scrub-timer|below-threshold|sigstore [-store ckpt.radar] [-flips 240] [-windows 12] [-scrub-ms 100] [-radar 32] [-correct] [-no-defense]
 //
 // PBFA always runs offline on the attacker's own copy of the model. With
 // -radar G > 0 a separate victim copy is protected (group size G, -sig
@@ -21,10 +21,13 @@
 // With -adversary the command runs a defense-aware internal/adversary
 // campaign instead of PBFA: the model is protected (-radar G, -correct
 // selects ECC-corrected recovery over group zeroing), the campaign spends
-// -flips bit flips over -windows scrub windows (full scan every
-// -full-every-th window, rowhammer-priced at -scrub-ms per window; 0 =
-// unpriced), and top-1 accuracy is reported clean, at the campaign horizon
-// and after the defender settles.
+// -flips bit flips over -windows scrub windows, each opening with a tick
+// of radar-serve's rolling sweep at a -scrub-ms interval, which also
+// prices the flips through rowhammer physics (0 = a full sweep every
+// window, unpriced), and top-1 accuracy is reported clean, at the campaign
+// horizon and after the defender's final full sweep. With -adversary, a
+// -windows or -flips below 1 exits 2 before anything runs, and so does a
+// -scrub-ms below 0.
 //
 // -store PATH maps the victim's weights (the campaign's model, or the
 // round trip's victim) onto that store checkpoint file, created from the
@@ -47,7 +50,7 @@ import (
 
 func main() {
 	which := flag.String("model", "resnet20s", "target model: tiny, resnet20s or resnet18s")
-	flips := flag.Int("flips", 10, "number of bit flips (N_BF; campaign budget with -adversary)")
+	flips := flag.Int("flips", 10, "number of bit flips (N_BF; campaign budget with -adversary, at least 1)")
 	seed := flag.Int64("seed", 1, "attack seed (selects the attack batch / campaign plan) and the round trip's secrets")
 	bit6 := flag.Bool("bit6", false, "restrict the attacker to MSB-1 (§VIII)")
 	radarG := flag.Int("radar", 0, "RADAR group size: protect a victim, mount the profile on it, scan and recover (0 = profile only; campaign default 32)")
@@ -56,9 +59,8 @@ func main() {
 	workers := flag.Int("workers", 0, "scan worker pool size (0 = one per CPU)")
 	adv := flag.String("adversary", "", "run a defense-aware campaign: oblivious, scrub-timer, below-threshold or sigstore")
 	storePath := flag.String("store", "", "mmap the victim's weights onto this store checkpoint and msync repairs back")
-	windows := flag.Int("windows", 12, "campaign: scrub windows the budget is spread over")
-	fullEvery := flag.Int("full-every", 4, "campaign: every n-th window's scrub is a full scan (others incremental)")
-	scrubMs := flag.Int("scrub-ms", 100, "campaign: window length for rowhammer flip pricing (0 = unpriced)")
+	windows := flag.Int("windows", 12, "campaign: scrub windows the budget is spread over (at least 1)")
+	scrubMs := flag.Int("scrub-ms", 100, "campaign: window length, the defender's sweep interval and the rowhammer pricing window (0 = a full sweep every window, unpriced; not negative)")
 	correct := flag.Bool("correct", false, "campaign: ECC-corrected recovery instead of group zeroing")
 	noDefense := flag.Bool("no-defense", false, "campaign: disable the defender (undefended baseline)")
 	flag.Parse()
@@ -70,6 +72,10 @@ func main() {
 	}
 	if *radarG < 0 || (*sig != 2 && *sig != 3) {
 		fmt.Fprintf(os.Stderr, "-radar must be at least 0 and -sig 2 or 3 (got -radar %d -sig %d)\n", *radarG, *sig)
+		os.Exit(2)
+	}
+	if *adv != "" && (*windows < 1 || *flips < 1 || *scrubMs < 0) {
+		fmt.Fprintf(os.Stderr, "-adversary needs -windows and -flips of at least 1 and -scrub-ms of at least 0 (got -windows %d -flips %d -scrub-ms %d)\n", *windows, *flips, *scrubMs)
 		os.Exit(2)
 	}
 	if *storePath != "" && *radarG == 0 && *adv == "" {
@@ -85,7 +91,6 @@ func main() {
 		opt := adversary.Options{
 			Flips:      *flips,
 			Windows:    *windows,
-			FullEvery:  *fullEvery,
 			ScrubEvery: time.Duration(*scrubMs) * time.Millisecond,
 			Rate:       adversary.DefaultRateModel(),
 			NoDefense:  *noDefense,
@@ -206,7 +211,7 @@ func runCampaign(spec model.Spec, name, storePath string, g, workers int, correc
 	if correct {
 		recovery = "ECC-corrected"
 	}
-	defense := fmt.Sprintf("G=%d, %s recovery, full scan every %d of %d windows", g, recovery, opt.FullEvery, opt.Windows)
+	defense := fmt.Sprintf("G=%d, %s recovery, a sweep tick every %v (0s: a full sweep) opening each of %d windows", g, recovery, opt.ScrubEvery, opt.Windows)
 	if opt.NoDefense {
 		defense = "none (undefended baseline)"
 	}

@@ -18,7 +18,8 @@
 // bare "zoo" uses the zoo name itself. The tuning flags apply to every
 // model (each still gets its own independent queue, workers and scrubber);
 // -scrub is the flip-exposure target of a model that gets no traffic.
-// A -g or -jobs below 1 exits 2 before any model loads.
+// A -g or -jobs below 1, or a negative -scrub or -store-sync, exits 2
+// before any model loads.
 //
 // -correct NAME (repeatable; "all" covers every model) opts the named
 // served model into ECC-corrected recovery: scrub-flagged groups consult
@@ -98,11 +99,11 @@ func main() {
 		workers   = flag.Int("workers", 0, "inference workers per model (0 = one per CPU)")
 		queue     = flag.Int("queue", defaults.QueueDepth, "pending-request queue depth per model")
 		verify    = flag.Bool("verify", defaults.VerifiedFetch, "verify each layer's signatures at weight-fetch time (embedded detection)")
-		scrub     = flag.Duration("scrub", defaults.ScrubInterval, "background scrub interval per model, the flip-exposure target of an idle model (0 disables)")
+		scrub     = flag.Duration("scrub", defaults.ScrubInterval, "background scrub interval per model, the flip-exposure target of an idle model (0 disables; not negative)")
 		scanWk    = flag.Int("scan-workers", 0, "scan engine worker pool per model (0 = one per CPU)")
 		jobs      = flag.Int("jobs", serve.DefaultJobCapacity, "async job table capacity")
 		storeDir  = flag.String("store-dir", "", "directory of mmap-backed store checkpoints, one <name>.radar per served model (empty = in-RAM weights)")
-		storeSync = flag.Duration("store-sync", time.Second, "store checkpoint dirty-section flush interval (with -store-dir; 0 disables the background flusher)")
+		storeSync = flag.Duration("store-sync", time.Second, "store checkpoint dirty-section flush interval (with -store-dir; 0 disables the background flusher; not negative)")
 		debugAddr = flag.String("debug-addr", "", "optional separate listen address for net/http/pprof (empty disables)")
 		logReqs   = flag.Bool("log-requests", false, "log every HTTP request (id, method, path, status, duration) via slog")
 	)
@@ -113,6 +114,10 @@ func main() {
 	}
 	if *jobs < 1 {
 		fmt.Fprintf(os.Stderr, "-jobs must be at least 1, got %d\n", *jobs)
+		os.Exit(2)
+	}
+	if *scrub < 0 || *storeSync < 0 {
+		fmt.Fprintf(os.Stderr, "-scrub and -store-sync must not be negative, got %v and %v\n", *scrub, *storeSync)
 		os.Exit(2)
 	}
 	if len(models) == 0 {

@@ -2,28 +2,29 @@
 // RADAR-protected model. Where internal/attack implements the paper's
 // oblivious bit-flip profiles (the attacker does not know a defense
 // exists), this package models the next escalation: attackers that read
-// the defender's configuration — its scrub schedule, its grouping
+// the defender's configuration — its sweep interval, its grouping
 // geometry, the location of its signature store — and shape their flips
-// around it. Campaigns run in scrub windows against the real protector
-// (scans, recovery, ECC correction all live), and flips are optionally
-// priced through the memsim DRAM timing model so attack throughput
-// reflects rowhammer physics rather than free writes.
+// around it. Campaigns run in scrub windows against the real protector:
+// each window opens with a tick of the rolling sweep internal/serve runs
+// (core.Protector.SweepTick, on a window clock), and recovery and ECC
+// correction are live. Flips are optionally priced through the memsim
+// DRAM timing model so attack throughput reflects rowhammer physics
+// rather than free writes.
 //
 // Four attackers are provided:
 //
 //   - oblivious: the baseline. Random MSB flips spread uniformly over the
 //     campaign, blind to the defense.
-//   - scrub-timer: knows the defender's scrub schedule (which cycles are
-//     full scans vs. incremental). It mounts flips immediately *after*
-//     full scans — maximizing dwell time — and back-loads its budget into
-//     the windows after the last full scan so the flips are live at the
+//   - scrub-timer: knows the sweep re-verifies everything older than half
+//     a window at each window's tick, and back-loads its budget from the
+//     last window down so as many flips as the rate allows are live at the
 //     campaign horizon. One flip per checksum group, so the whole
 //     campaign is single-bit-per-group and ECC-correctable once caught.
 //   - below-threshold: knows the grouping geometry. It mounts MSB flips
 //     in pairs within one group, choosing weights with opposite sign
 //     bits so the checksum delta is 128·(s₂−s₁) for secret mask signs
 //     s₁,s₂ — zero with probability ½. Half its pairs are permanently
-//     invisible to the signature scan, surviving even full scrubs.
+//     invisible to the signature scan, surviving even full sweeps.
 //   - sigstore: attacks the checksum metadata itself, flipping bits of
 //     the stored golden signatures. Against zeroing-only recovery every
 //     flagged-healthy group is destroyed by the defender's own reaction;
@@ -31,12 +32,9 @@
 //     the signature instead.
 //
 // All direct weight writes deliberately bypass the quant.Model write
-// observers (a physical attack does not announce itself), so the campaign
-// defender's incremental ScanDirty passes cannot see them — only its full
-// scans can, which is the scrub-timer attacker's entire premise. That
-// premise holds for this package's periodic defender (Options.FullEvery),
-// not for internal/serve, whose scrubber checks layers by age, not by
-// observer, on every tick.
+// observers (a physical attack does not announce itself). The sweep checks
+// layers by age, not by observer, so bypassing them buys a flip nothing:
+// what decides its dwell is when the sweep next reaches its layer.
 package adversary
 
 import (
@@ -123,8 +121,8 @@ func Mount(t Target, v Volley) {
 }
 
 // PlanVolley plans a one-shot volley of the named attacker — the serving
-// layer's injection endpoint and the CLI's single-round mode, where the
-// window structure of a full campaign does not apply.
+// layer's injection endpoint, where the window structure of a full
+// campaign does not apply.
 func PlanVolley(t Target, name string, flips int, seed int64) (Volley, error) {
 	atk, err := New(name)
 	if err != nil {

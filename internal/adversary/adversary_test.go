@@ -49,7 +49,7 @@ func TestNewKnowsAllNames(t *testing.T) {
 
 func TestPlansAreDeterministic(t *testing.T) {
 	tgt, _ := tinyTarget(t, false)
-	opt := Options{Flips: 24, Windows: 6, FullEvery: 3, Seed: 11}
+	opt := Options{Flips: 24, Windows: 6, Seed: 11}
 	for _, n := range Names() {
 		atk, _ := New(n)
 		a := atk.Plan(tgt, opt, rand.New(rand.NewSource(opt.Seed)))
@@ -89,7 +89,7 @@ func TestRateModelPricesRowhammerPhysics(t *testing.T) {
 func TestRateCapBoundsEveryVolley(t *testing.T) {
 	tgt, _ := tinyTarget(t, false)
 	opt := Options{
-		Flips: 500, Windows: 5, FullEvery: 2,
+		Flips: 500, Windows: 5,
 		Rate: DefaultRateModel(), ScrubEvery: 100 * time.Millisecond, Seed: 3,
 	}
 	cap := opt.CapPerWindow()
@@ -106,15 +106,15 @@ func TestRateCapBoundsEveryVolley(t *testing.T) {
 	}
 }
 
-// TestScrubTimerBeatsObliviousOnHorizonSurvival: against a defender that
-// only runs periodic full scans, the schedule-aware attacker has every
-// flip still live at the campaign horizon, while the oblivious attacker
-// loses every flip mounted before the last full scan.
+// TestScrubTimerBeatsObliviousOnHorizonSurvival: against a sweep that
+// re-verifies the whole model at every window's tick, the schedule-aware
+// attacker has every flip still live at the campaign horizon, while the
+// oblivious attacker loses every flip mounted before the last tick.
 func TestScrubTimerBeatsObliviousOnHorizonSurvival(t *testing.T) {
 	liveAt := func(name string) (live, mounted int) {
 		tgt, _ := tinyTarget(t, false)
 		atk, _ := New(name)
-		c := NewCampaign(tgt, atk, Options{Flips: 12, Windows: 8, FullEvery: 2, Seed: 5})
+		c := NewCampaign(tgt, atk, Options{Flips: 12, Windows: 8, Seed: 5})
 		c.Run()
 		out := c.Outcome()
 		return out.Mounted - out.Detected, out.Mounted
@@ -135,7 +135,7 @@ func TestScrubTimerBeatsObliviousOnHorizonSurvival(t *testing.T) {
 func TestScrubTimerCampaignIsExactlyCorrectable(t *testing.T) {
 	tgt, snap := tinyTarget(t, true)
 	atk, _ := New("scrub-timer")
-	c := NewCampaign(tgt, atk, Options{Flips: 10, Windows: 6, FullEvery: 3, Seed: 9})
+	c := NewCampaign(tgt, atk, Options{Flips: 10, Windows: 6, Seed: 9})
 	c.Run()
 	c.Settle()
 	out := c.Outcome()
@@ -153,7 +153,9 @@ func TestScrubTimerCampaignIsExactlyCorrectable(t *testing.T) {
 
 // TestBelowThresholdEvadesSettle: about half the paired flips produce a
 // zero checksum delta under the secret masking and survive even the final
-// full scrub.
+// full sweep. Whether a pair cancels does not depend on the defender's
+// schedule, so the count is pinned exactly: a check that sees what the
+// signature cannot must show up here as fewer survivors.
 func TestBelowThresholdEvadesSettle(t *testing.T) {
 	tgt, _ := tinyTarget(t, false)
 	atk, _ := New("below-threshold")
@@ -161,6 +163,9 @@ func TestBelowThresholdEvadesSettle(t *testing.T) {
 	c.Run()
 	c.Settle()
 	out := c.Outcome()
+	if out.Survived != 34 || out.Mounted != 60 {
+		t.Fatalf("%d of %d flips survived, want 34 of 60: %+v", out.Survived, out.Mounted, out)
+	}
 	if out.Survived == 0 {
 		t.Fatalf("no pair evaded the masked signature: %+v", out)
 	}
@@ -176,7 +181,7 @@ func TestSigstoreWeaponizesZeroingButNotECC(t *testing.T) {
 	run := func(correct bool) (Outcome, bool) {
 		tgt, snap := tinyTarget(t, correct)
 		atk, _ := New("sigstore")
-		c := NewCampaign(tgt, atk, Options{Flips: 8, Windows: 4, FullEvery: 2, Seed: 13})
+		c := NewCampaign(tgt, atk, Options{Flips: 8, Windows: 4, Seed: 13})
 		c.Run()
 		c.Settle()
 		return c.Outcome(), modelEquals(tgt.Model, snap)
@@ -191,6 +196,100 @@ func TestSigstoreWeaponizesZeroingButNotECC(t *testing.T) {
 	}
 	if ecc.GroupsCorrected != int64(ecc.SigDetected) {
 		t.Fatalf("every detected sig flip should be a class-0 repair: %+v", ecc)
+	}
+}
+
+// perLayer is a test attacker: one MSB flip in every layer, all mounted in
+// window 0.
+type perLayer struct{}
+
+func (perLayer) Name() string { return "per-layer" }
+
+func (perLayer) Plan(t Target, opt Options, _ *rand.Rand) []Volley {
+	vs := make([]Volley, opt.Windows)
+	for li := range t.Model.Layers {
+		vs[0].Weights = append(vs[0].Weights, quant.BitAddress{LayerIndex: li, Bit: quant.MSB})
+	}
+	return vs
+}
+
+// TestCampaignSweepsOldestFirst: a campaign's defender is the rolling sweep
+// on a window clock. With a ScrubEvery whose byte budget is about a quarter
+// of the model, each window's tick flags the oldest layers only, every
+// observer-free flip is found within ⌈model bytes ÷ budget⌉ + 1 windows,
+// and wall time spent outside the campaign changes nothing.
+func TestCampaignSweepsOldestFirst(t *testing.T) {
+	tgt, _ := tinyTarget(t, false)
+	layers, total, largest := len(tgt.Model.Layers), 0, 0
+	for _, l := range tgt.Model.Layers {
+		total += len(l.Q)
+		largest = max(largest, len(l.Q))
+	}
+	every := time.Duration(float64(total) / 4 / core.SweepBytesPerSecond * float64(time.Second))
+	budget := int(every.Seconds() * core.SweepBytesPerSecond)
+	if budget <= largest || budget*3 >= total {
+		t.Fatalf("budget %d does not split the model (%d bytes, largest layer %d) into several ticks", budget, total, largest)
+	}
+	windows := (total+budget-1)/budget + 1
+
+	// pendingAfter runs an n-window campaign and returns the layers whose
+	// flip is still undetected. A fetch first re-stamps the layers so that
+	// the last one is the oldest: age order is the reverse of index order.
+	pendingAfter := func(n int) map[int]bool {
+		tgt, _ := tinyTarget(t, false)
+		_, base := tgt.Prot.Verified()
+		for li := range tgt.Model.Layers {
+			tgt.Prot.FetchLayer(li, base.Add(time.Duration(layers-li)))
+		}
+		c := NewCampaign(tgt, perLayer{}, Options{Flips: layers, Windows: n, ScrubEvery: every})
+		c.Run()
+		left := map[int]bool{}
+		for a := range c.pendingW {
+			left[a.LayerIndex] = true
+		}
+		return left
+	}
+	prev := pendingAfter(1)
+	if len(prev) != layers {
+		t.Fatalf("window 0's tick ran before the volley, yet only %d of %d flips are pending", len(prev), layers)
+	}
+	for w := 1; w < windows; w++ {
+		left := pendingAfter(w + 1)
+		covered, youngestFlagged, oldestLeft := 0, layers, -1
+		for li := range prev {
+			if !left[li] {
+				covered += len(tgt.Model.Layers[li].Q)
+				youngestFlagged = min(youngestFlagged, li)
+			}
+		}
+		for li := range left {
+			oldestLeft = max(oldestLeft, li)
+		}
+		if len(prev) > 0 && (covered == 0 || covered >= budget+largest) {
+			t.Fatalf("window %d's tick flagged %d bytes of layers, want (0, budget %d + one layer)", w, covered, budget)
+		}
+		if oldestLeft > youngestFlagged {
+			t.Fatalf("window %d's tick flagged layer %d but left the older layer %d", w, youngestFlagged, oldestLeft)
+		}
+		prev = left
+	}
+	if len(prev) != 0 {
+		t.Fatalf("flips in layers %v still live after %d windows", prev, windows)
+	}
+
+	run := func(pause time.Duration) (Outcome, int64) {
+		tgt, _ := tinyTarget(t, false)
+		time.Sleep(pause)
+		atk, _ := New("oblivious")
+		c := NewCampaign(tgt, atk, Options{Flips: 24, Windows: windows, ScrubEvery: every, Seed: 7})
+		c.Run()
+		c.Settle()
+		return c.Outcome(), tgt.Prot.Stats().Scans
+	}
+	out, scans := run(0)
+	slept, sleptScans := run(20 * time.Millisecond)
+	if !reflect.DeepEqual(out, slept) || scans != sleptScans {
+		t.Fatalf("a 20ms pause before Run changed the campaign: %+v and %d scans vs %+v and %d", out, scans, slept, sleptScans)
 	}
 }
 

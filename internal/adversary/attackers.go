@@ -85,15 +85,15 @@ func (Oblivious) Plan(t Target, opt Options, rng *rand.Rand) []Volley {
 	return vs
 }
 
-// ScrubTimer knows the defender's scrub schedule: which windows run a full
-// scan (the only scans that can see observer-bypassing writes) and which
-// are incremental. It back-loads its budget into the windows after the
-// *last* full scan — those flips are never scanned before the campaign
-// horizon — and spills any remainder into the windows right after earlier
-// full scans, where dwell time until the next full scan is maximal. It
-// hits one checksum group at most once, so its campaign is single-bit per
-// group: maximally damaging against zeroing (each caught flip costs the
-// defender a whole group) and exactly correctable under ECC.
+// ScrubTimer knows the defender's schedule: each window opens with a sweep
+// tick that re-verifies every layer older than half a window (while the
+// model fits the tick's byte budget), so a flip mounted in any window but
+// the last is caught by the next tick, and the last window's flips are
+// never scanned before the campaign horizon. It back-loads its budget from
+// the last window down. It hits one checksum group at most once, so its
+// campaign is single-bit per group: maximally damaging against zeroing
+// (each caught flip costs the defender a whole group) and exactly
+// correctable under ECC.
 type ScrubTimer struct{}
 
 // Name implements Attacker.
@@ -101,24 +101,15 @@ func (ScrubTimer) Name() string { return "scrub-timer" }
 
 // Plan implements Attacker.
 func (ScrubTimer) Plan(t Target, opt Options, rng *rand.Rand) []Volley {
-	fe := opt.fullEvery()
 	capW := opt.CapPerWindow()
 	if capW <= 0 {
 		capW = opt.Flips
 	}
 	addrs := distinctGroups(t, opt.Flips, rng)
 	vs := make([]Volley, opt.Windows)
-	k := 0
-	lastFull := ((opt.Windows - 1) / fe) * fe
-	for s := lastFull; s >= 0 && k < len(addrs); s -= fe {
-		for w := s; w < opt.Windows && w < s+fe && k < len(addrs); w++ {
-			take := capW
-			if rest := len(addrs) - k; take > rest {
-				take = rest
-			}
-			vs[w].Weights = append(vs[w].Weights, addrs[k:k+take]...)
-			k += take
-		}
+	for w := opt.Windows - 1; w >= 0 && len(addrs) > 0; w-- {
+		take := min(capW, len(addrs))
+		vs[w].Weights, addrs = addrs[:take:take], addrs[take:]
 	}
 	return vs
 }

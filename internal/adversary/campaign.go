@@ -14,17 +14,13 @@ type Options struct {
 	// Flips/2 pairs).
 	Flips int
 	// Windows is the number of scrub windows the campaign spans. Each
-	// window opens with a defender scrub, then the attacker mounts that
-	// window's volley.
+	// window opens with a tick of the defender's sweep, then the attacker
+	// mounts that window's volley.
 	Windows int
-	// FullEvery makes every FullEvery-th window's scrub a full scan; the
-	// others are incremental ScanDirty passes (which cannot see direct
-	// writes — the scrub-timer attacker's premise). 0 or 1 = every scrub
-	// is full.
-	FullEvery int
-	// ScrubEvery is the wall-clock length of one window — the defender's
-	// scrub interval, used only to convert the rate model's
-	// seconds-per-flip into a per-window flip cap.
+	// ScrubEvery is the length of one window: the interval of each
+	// window's sweep tick (core.Protector.SweepTick), and what the rate
+	// model's per-window flip cap is priced over. 0 makes every tick a
+	// full sweep and the flips unpriced.
 	ScrubEvery time.Duration
 	// Rate prices flips through rowhammer physics; nil = free writes.
 	Rate *RateModel
@@ -33,14 +29,6 @@ type Options struct {
 	NoDefense bool
 	// Seed drives the attacker's plan.
 	Seed int64
-}
-
-// fullEvery normalizes FullEvery (0 → every scrub full).
-func (o Options) fullEvery() int {
-	if o.FullEvery <= 0 {
-		return 1
-	}
-	return o.FullEvery
 }
 
 // CapPerWindow returns the rate model's per-window flip cap (0 =
@@ -85,9 +73,10 @@ type Outcome struct {
 }
 
 // Campaign executes an attacker's plan window by window against a live
-// defense. Run leaves the model in its horizon state (undetected flips
-// still live) so the caller can measure accuracy under attack; Settle then
-// runs the defender's final full scrub for the post-recovery measurement.
+// defense: the same rolling sweep serve runs, on a window clock. Run leaves
+// the model in its horizon state (undetected flips still live) so the
+// caller can measure accuracy under attack; Settle then runs the
+// defender's final full sweep for the post-recovery measurement.
 type Campaign struct {
 	t   Target
 	opt Options
@@ -102,15 +91,16 @@ type Campaign struct {
 	detected, sigDetected int
 	dwellSum              int
 	start                 core.Stats
+	// t0 is the protector's newest stamp at planning: window w ticks at
+	// t0 + w·ScrubEvery, never at wall time, so a campaign replays exactly.
+	t0 time.Time
 }
 
 // NewCampaign plans the attacker's volleys against the target. The
 // target's weights and golden store are not touched until Run.
 func NewCampaign(t Target, atk Attacker, opt Options) *Campaign {
-	if opt.Windows <= 0 {
-		opt.Windows = 1
-	}
 	rng := rand.New(rand.NewSource(opt.Seed))
+	_, t0 := t.Prot.Verified()
 	return &Campaign{
 		t:        t,
 		opt:      opt,
@@ -119,52 +109,36 @@ func NewCampaign(t Target, atk Attacker, opt Options) *Campaign {
 		pendingW: make(map[quant.BitAddress]int),
 		pendingS: make(map[SigFlip]int),
 		start:    t.Prot.Stats(),
+		t0:       t0,
 	}
 }
 
-// Run executes every window: defender scrub first (full scan every
-// FullEvery-th window, incremental otherwise), then the attacker's volley
-// for that window. The model is left in the campaign-horizon state.
+// Run executes every window: the defender's sweep tick first, then the
+// attacker's volley for that window, which its planner already held to the
+// rate cap. The model is left in the campaign-horizon state.
 func (c *Campaign) Run() {
-	cap := c.opt.CapPerWindow()
 	for c.window = 0; c.window < c.opt.Windows; c.window++ {
-		c.scrub(c.window%c.opt.fullEvery() == 0)
-		v := c.volleys[c.window]
-		if cap > 0 && v.Size() > cap {
-			// Defensive truncation; planners already respect the cap.
-			over := v.Size() - cap
-			if n := len(v.Weights); over <= n {
-				v.Weights = v.Weights[:n-over]
-			} else {
-				v.Signatures = v.Signatures[:len(v.Signatures)-(over-len(v.Weights))]
-				v.Weights = nil
-			}
-		}
-		c.mount(v)
+		c.sweep(c.opt.ScrubEvery)
+		c.mount(c.volleys[c.window])
 	}
 }
 
-// Settle runs the defender's final full scrub — the state an operator
+// Settle runs the defender's final full sweep — the state an operator
 // sees after the attack is over and a full scan has run. No-op under
 // NoDefense.
 func (c *Campaign) Settle() {
 	c.window = c.opt.Windows
-	c.scrub(true)
+	c.sweep(0)
 }
 
-// scrub runs one defender cycle and accounts which pending flips were
-// caught.
-func (c *Campaign) scrub(full bool) {
+// sweep runs the defender's tick at the window's clock with the given
+// interval (0 = full sweep) and accounts which pending flips were caught.
+func (c *Campaign) sweep(interval time.Duration) {
 	if c.opt.NoDefense {
 		return
 	}
-	var flagged []core.GroupID
-	if full {
-		flagged, _ = c.t.Prot.DetectAndRecover()
-	} else {
-		flagged = c.t.Prot.ScanDirty()
-		c.t.Prot.Recover(flagged)
-	}
+	now := c.t0.Add(time.Duration(c.window) * c.opt.ScrubEvery)
+	flagged := c.t.Prot.SweepTick(now, interval).Flagged
 	if len(flagged) == 0 {
 		return
 	}

@@ -81,7 +81,7 @@ var entryRoutes = []entryRoute{
 					wantN++
 				}
 			}
-			n, z, exclusive := p.FetchLayer(li)
+			n, z, exclusive := p.FetchLayer(li, time.Now())
 			if n != wantN || exclusive != (wantN > 0) {
 				t.Fatalf("layer %d: flagged %d groups (exclusive=%v), reference flags %d", li, n, exclusive, wantN)
 			}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"radar/internal/model"
 	"radar/internal/quant"
@@ -119,7 +120,7 @@ func TestFetchLayerAfterRekey(t *testing.T) {
 		if p.plans[li].s != p.Schemes[li] {
 			t.Fatalf("layer %d: plan compiled for %+v, scheme is %+v", li, p.plans[li].s, p.Schemes[li])
 		}
-		flagged, _, exclusive := p.FetchLayer(li)
+		flagged, _, exclusive := p.FetchLayer(li, time.Now())
 		if flagged != 0 || exclusive {
 			t.Fatalf("layer %d: clean model flagged %d groups after rekey", li, flagged)
 		}
@@ -127,7 +128,7 @@ func TestFetchLayerAfterRekey(t *testing.T) {
 	}
 	l := m.Layers[1]
 	l.Q[5] = quant.FlipBit(l.Q[5], quant.MSB) // physical flip: no observer fires
-	flagged, zeroed, exclusive := p.FetchLayer(1)
+	flagged, zeroed, exclusive := p.FetchLayer(1, time.Now())
 	if flagged != 1 || zeroed == 0 || !exclusive {
 		t.Fatalf("flip after rekey: flagged=%d zeroed=%d exclusive=%v, want one group repaired under the write lock", flagged, zeroed, exclusive)
 	}
@@ -135,7 +136,7 @@ func TestFetchLayerAfterRekey(t *testing.T) {
 	if st := p.Stats(); st.GroupsRecovered != 1 {
 		t.Fatalf("GroupsRecovered = %d, want 1", st.GroupsRecovered)
 	}
-	if flagged, _, _ := p.FetchLayer(1); flagged != 0 {
+	if flagged, _, _ := p.FetchLayer(1, time.Now()); flagged != 0 {
 		t.Fatal("repaired layer flagged again")
 	}
 	g.RUnlockLayer(1)
@@ -159,9 +160,10 @@ func TestFetchLayerZeroAlloc(t *testing.T) {
 		p := Protect(m, cfg)
 		g := NewLayerGuard(len(m.Layers))
 		p.Coordinate(g)
+		at := time.Now()
 		allocs := testing.AllocsPerRun(20, func() {
 			for li := range m.Layers {
-				if _, _, exclusive := p.FetchLayer(li); exclusive {
+				if _, _, exclusive := p.FetchLayer(li, at); exclusive {
 					t.Fatal("clean layer escalated")
 				}
 				g.RUnlockLayer(li)
@@ -188,9 +190,10 @@ func BenchmarkFetchLayer(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(m.TotalWeights()))
 			b.ReportAllocs()
+			at := time.Now()
 			for b.Loop() {
 				for li := range m.Layers {
-					p.FetchLayer(li)
+					p.FetchLayer(li, at)
 					g.RUnlockLayer(li)
 				}
 			}

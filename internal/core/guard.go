@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
 // LayerGuard is the read-write coordination layer between concurrent
 // consumers of one quantized model: inference engines and scans *read*
@@ -95,8 +98,11 @@ func (p *Protector) Guard() *LayerGuard { return p.guard }
 // the write lock still held. Either way the caller consumes the weights under
 // the hold — nothing can land between the check and the use — and then
 // releases it through Guard(): RUnlockLayer, or UnlockLayer when exclusive.
-func (p *Protector) FetchLayer(li int) (flagged, zeroed int, exclusive bool) {
+// Once the read lock is held, so the check sees the bytes as they are, the
+// layer's last-verified stamp advances to at, the start of the caller's pass.
+func (p *Protector) FetchLayer(li int, at time.Time) (flagged, zeroed int, exclusive bool) {
 	p.guard.RLockLayer(li)
+	p.stamp(li, at)
 	if q := p.Model.Layers[li].Q; p.plans[li].verify(q, p.Golden[li]) {
 		p.stats.scans.Add(1)
 		p.stats.bytesScanned.Add(int64(len(q)))

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"radar/internal/quant"
 )
@@ -99,6 +103,10 @@ type Protector struct {
 	// see Detach.
 	unobserve func()
 
+	// verified[li] is when layer li was last checked against its goldens by
+	// Protect, a SweepTick or a FetchLayer (Unix ns, start of that check).
+	verified []atomic.Int64
+
 	// guard, when set via Coordinate, serializes scan reads against
 	// recovery/attack writes per layer; nil means uncoordinated (all guard
 	// methods no-op on nil).
@@ -138,10 +146,13 @@ func newProtector(m *quant.Model, cfg Config) *Protector {
 		onLayerScanned: cfg.OnLayerScanned,
 		correct:        cfg.Correct,
 		dirty:          make([]bool, len(m.Layers)),
+		verified:       make([]atomic.Int64, len(m.Layers)),
 	}
 	// Secrets are drawn sequentially so the scheme stream depends only on
 	// cfg.Seed, never on worker scheduling.
-	for _, l := range m.Layers {
+	now := time.Now()
+	for li, l := range m.Layers {
+		p.stamp(li, now) // RefreshAll below derives the goldens from these bytes
 		s := Scheme{
 			G:          cfg.G,
 			Interleave: cfg.Interleave,
@@ -396,6 +407,79 @@ func (p *Protector) recoverGroupLocked(g GroupID) int {
 func (p *Protector) DetectAndRecover() (flagged []GroupID, zeroed int) {
 	flagged = p.scan(allLayers, false)
 	return flagged, p.repair(flagged, false)
+}
+
+// SweepBytesPerSecond bounds a sweep tick to interval × this many weight
+// bytes (never under one layer): about ⅛ of one core's G=8 scan rate, so a
+// multi-GiB mapped checkpoint is swept at a fixed cost, not once per tick.
+const SweepBytesPerSecond = 256 << 20
+
+// Sweep is what one SweepTick did: the groups it flagged, in visit order,
+// the weights their repair zeroed, and the layers it scanned, skipped as
+// verified within half an interval (Fresh), and left to a later tick by
+// the byte budget (Deferred).
+type Sweep struct {
+	Flagged                          []GroupID
+	Zeroed, Scanned, Fresh, Deferred int
+}
+
+// SweepTick runs one tick of the defender's rolling sweep at time now. It
+// skips layers verified within interval/2 (a whole one would skip what the
+// last tick stamped every other time), scans and repairs the rest oldest
+// stamp first, and stops once interval × SweepBytesPerSecond bytes are
+// covered; the rest leads the next tick. An idle layer's age is thus at
+// most max(interval, model bytes ÷ SweepBytesPerSecond) plus one tick. An
+// interval ≤ 0 is a full sweep, with no horizon or budget. Each scanned
+// layer is stamped with now, so the caller's clock is the sweep's: serve
+// passes wall time, a campaign its window clock. Scans and repairs go
+// through the layer guard, so traffic never stalls longer than one layer's
+// recovery.
+func (p *Protector) SweepTick(now time.Time, interval time.Duration) (sw Sweep) {
+	horizon, budget := int64(math.MaxInt64), math.MaxInt
+	if interval > 0 {
+		horizon, budget = now.Add(-interval/2).UnixNano(), int(interval.Seconds()*SweepBytesPerSecond)
+	}
+	at := make([]int64, len(p.verified))
+	stale := make([]int, 0, len(at))
+	for li := range at {
+		if at[li] = p.verified[li].Load(); at[li] < horizon {
+			stale = append(stale, li)
+		}
+	}
+	slices.SortStableFunc(stale, func(a, b int) int { return cmp.Compare(at[a], at[b]) })
+	for covered := 0; sw.Scanned < len(stale) && (sw.Scanned == 0 || covered < budget); sw.Scanned++ {
+		li := stale[sw.Scanned]
+		f := p.ScanLayer(li)
+		sw.Zeroed += p.Recover(f) // nothing flagged: no lock taken, nothing counted
+		sw.Flagged = append(sw.Flagged, f...)
+		p.stamp(li, now)
+		covered += len(p.Model.Layers[li].Q)
+	}
+	sw.Fresh, sw.Deferred = len(at)-len(stale), len(stale)-sw.Scanned
+	return sw
+}
+
+// stamp advances layer li's last-verified stamp to at. Stamps only move
+// forward: a tick finishing, or a slower worker's pass, never overwrites
+// the stamp of a check that began later.
+func (p *Protector) stamp(li int, at time.Time) {
+	for ns := at.UnixNano(); ; {
+		cur := p.verified[li].Load()
+		if ns <= cur || p.verified[li].CompareAndSwap(cur, ns) {
+			return
+		}
+	}
+}
+
+// Verified returns the oldest and the newest last-verified stamp: the
+// oldest dates the exposure window, the newest starts a campaign's clock.
+func (p *Protector) Verified() (oldest, newest time.Time) {
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for li := range p.verified {
+		at := p.verified[li].Load()
+		lo, hi = min(lo, at), max(hi, at)
+	}
+	return time.Unix(0, lo), time.Unix(0, hi)
 }
 
 // GroupOf maps a bit address to its checksum group under this protector.

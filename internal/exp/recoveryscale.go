@@ -56,11 +56,11 @@ type RecoveryScaleResult struct {
 	Model   string `json:"model"`
 	GPaper  int    `json:"g_paper"`
 	GScaled int    `json:"g_scaled"`
-	// Flips/Windows/FullEvery/ScrubMs shape every campaign; SecondsPerFlip
-	// and CapPerWindow are the rowhammer pricing all attackers pay.
+	// Flips/Windows/ScrubMs shape every campaign (ScrubMs is the sweep
+	// interval); SecondsPerFlip and CapPerWindow are the rowhammer pricing
+	// all attackers pay.
 	Flips          int     `json:"flips"`
 	Windows        int     `json:"windows"`
-	FullEvery      int     `json:"full_every"`
 	ScrubMs        int64   `json:"scrub_ms"`
 	SecondsPerFlip float64 `json:"seconds_per_flip"`
 	CapPerWindow   int     `json:"cap_per_window"`
@@ -89,15 +89,14 @@ var recoveryModes = []string{"undefended", "zero", "ecc"}
 func RecoveryScale(c *Context) RecoveryScaleResult {
 	const gPaper = 128
 	res := RecoveryScaleResult{
-		Model:     ModelRN20,
-		GPaper:    gPaper,
-		GScaled:   ScaledG(ModelRN20, gPaper),
-		Flips:     240,
-		Windows:   12,
-		FullEvery: 4,
-		ScrubMs:   100,
-		EvalN:     c.Opt.EvalN,
-		Runs:      make(map[string][]RecoveryRun, len(adversary.Names())),
+		Model:   ModelRN20,
+		GPaper:  gPaper,
+		GScaled: ScaledG(ModelRN20, gPaper),
+		Flips:   240,
+		Windows: 12,
+		ScrubMs: 100,
+		EvalN:   c.Opt.EvalN,
+		Runs:    make(map[string][]RecoveryRun, len(adversary.Names())),
 	}
 	if c.Opt.Rounds20 < 8 { // test-sized context: shrink the campaign
 		res.Flips, res.Windows = 48, 6
@@ -117,7 +116,6 @@ func RecoveryScale(c *Context) RecoveryScaleResult {
 	aopt := adversary.Options{
 		Flips:      res.Flips,
 		Windows:    res.Windows,
-		FullEvery:  res.FullEvery,
 		ScrubEvery: time.Duration(res.ScrubMs) * time.Millisecond,
 		Rate:       rate,
 		Seed:       c.Opt.Seed,
@@ -202,8 +200,8 @@ func recoveryRun(name, mode string, aopt adversary.Options, g int, path string, 
 // mode.
 func (r RecoveryScaleResult) Render() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Adversary campaigns vs. recovery modes — %s, G=%d (scaled %d), %d flips over %d windows (full scan every %d), clean %s\n",
-		r.Model, r.GPaper, r.GScaled, r.Flips, r.Windows, r.FullEvery, pct(r.AccClean))
+	fmt.Fprintf(&sb, "Adversary campaigns vs. recovery modes — %s, G=%d (scaled %d), %d flips over %d windows (a %d ms sweep tick each), clean %s\n",
+		r.Model, r.GPaper, r.GScaled, r.Flips, r.Windows, r.ScrubMs, pct(r.AccClean))
 	fmt.Fprintf(&sb, "rowhammer pricing: %.1f ms/flip → cap %d flips per %d ms window\n",
 		1e3*r.SecondsPerFlip, r.CapPerWindow, r.ScrubMs)
 	line := func(cells ...string) {

@@ -106,7 +106,7 @@ func (s *Server) runBatch(batch []*request, v *verifier) {
 		copy(x.Data[i*vol:(i+1)*vol], r.x.Data)
 	}
 	assembled := time.Now()
-	v.at = assembled.UnixNano()
+	v.at = assembled
 	out, fetched := s.eng.ForwardFetch(x, v)
 	verify := v.flush(fetched)
 	k := out.Shape[1]

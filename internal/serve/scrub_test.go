@@ -11,19 +11,12 @@ import (
 )
 
 // TestRollingScrub holds the scrubber's tick to its contract: it repairs
-// what nothing announced, skips what a fetch just verified, carries what
-// its byte budget could not cover to the next tick by age, and so keeps an
-// idle model's exposure window near one interval. Each case gets an
-// unstarted server (no ticker, no workers) and drives ticks by hand unless
-// it starts the server itself.
+// what nothing announced, skips what a fetch just verified, and so keeps an
+// idle model's exposure window near one interval. How the byte budget
+// carries layers to the next tick by age is core's TestSweepTick, where the
+// sweep lives. Each case gets an unstarted server (no ticker, no workers)
+// and drives ticks by hand unless it starts the server itself.
 func TestRollingScrub(t *testing.T) {
-	stamps := func(srv *Server) []int64 {
-		out := make([]int64, len(srv.verified))
-		for li := range out {
-			out[li] = srv.verified[li].Load()
-		}
-		return out
-	}
 	for _, tc := range []struct {
 		name     string
 		interval time.Duration
@@ -59,7 +52,7 @@ func TestRollingScrub(t *testing.T) {
 			interval: time.Minute,
 			run: func(t *testing.T, b *model.Bundle, srv *Server) {
 				x, _ := b.Test.Batch(0, 1)
-				v := &verifier{s: srv, at: time.Now().UnixNano()}
+				v := &verifier{s: srv, at: time.Now()}
 				_, spent := srv.eng.ForwardFetch(x, v)
 				v.flush(spent)
 				before := srv.prot.Stats().BytesScanned
@@ -67,55 +60,8 @@ func TestRollingScrub(t *testing.T) {
 				if after := srv.prot.Stats().BytesScanned; after != before {
 					t.Fatalf("tick scanned %d bytes of a model verified just now", after-before)
 				}
-				if cycles := srv.met.scrubCycles.Value(); cycles != 1 || srv.met.scrubFresh.Value() != int64(len(srv.verified)) {
-					t.Fatalf("%d cycles counted, %d layers fresh; want 1 and %d", cycles, srv.met.scrubFresh.Value(), len(srv.verified))
-				}
-			},
-		},
-		{
-			name: "budget below the model: oldest first, nothing starves",
-			run: func(t *testing.T, b *model.Bundle, srv *Server) {
-				total, largest := 0, 0
-				for _, l := range b.QModel.Layers {
-					total += len(l.Q)
-					largest = max(largest, len(l.Q))
-				}
-				// An interval whose budget is a quarter of the model.
-				srv.cfg.ScrubInterval = time.Duration(float64(total) / 4 / scrubBytesPerSecond * float64(time.Second))
-				budget := int(srv.cfg.ScrubInterval.Seconds() * scrubBytesPerSecond)
-				if budget <= largest || budget*3 >= total {
-					t.Fatalf("budget %d does not split the model (%d bytes, largest layer %d) into several ticks", budget, total, largest)
-				}
-				first := stamps(srv)
-				ticks := (total+budget-1)/budget + 1
-				for tick := 0; tick < ticks; tick++ {
-					time.Sleep(srv.cfg.ScrubInterval) // the previous tick's layers go stale too, but stay youngest
-					before := stamps(srv)
-					srv.Scrub(false)
-					after := stamps(srv)
-					covered, newestVisited, oldestLeft := 0, int64(0), int64(1<<62)
-					for li := range after {
-						if after[li] != before[li] {
-							covered += len(b.QModel.Layers[li].Q)
-							newestVisited = max(newestVisited, before[li])
-						} else {
-							oldestLeft = min(oldestLeft, before[li])
-						}
-					}
-					if covered == 0 || covered >= budget+largest {
-						t.Fatalf("tick %d covered %d bytes, want (0, budget %d + one layer)", tick, covered, budget)
-					}
-					if newestVisited > oldestLeft {
-						t.Fatalf("tick %d visited a layer %v younger than one it left", tick, time.Duration(newestVisited-oldestLeft))
-					}
-				}
-				for li, at := range stamps(srv) {
-					if at == first[li] {
-						t.Fatalf("layer %d still unvisited after %d ticks", li, ticks)
-					}
-				}
-				if srv.met.scrubDeferred.Value() == 0 {
-					t.Fatal("the budget bound, yet no layer was counted deferred")
+				if cycles := srv.met.scrubCycles.Value(); cycles != 1 || srv.met.scrubFresh.Value() != int64(len(b.QModel.Layers)) {
+					t.Fatalf("%d cycles counted, %d layers fresh; want 1 and %d", cycles, srv.met.scrubFresh.Value(), len(b.QModel.Layers))
 				}
 			},
 		},

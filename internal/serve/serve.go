@@ -180,10 +180,6 @@ type Server struct {
 	queueNs atomic.Int64
 	// scrubNs is the cumulative wall time of scrub cycles (radar_scrub_seconds_total).
 	scrubNs atomic.Int64
-	// verified[li] is when layer li was last checked against its golden
-	// signatures, by a verified fetch or the scrubber (Unix ns, start of that
-	// check): the oldest is the exposure window and the scrubber's next visit.
-	verified []atomic.Int64
 }
 
 // defaultTraceRingSize bounds the per-service trace ring: enough to hold a
@@ -211,37 +207,17 @@ func newServerIn(eng *qinfer.Engine, prot *core.Protector, cfg Config, reg *obs.
 		traces:    traces,
 		reqs:      make(chan *request, cfg.QueueDepth),
 		scrubStop: make(chan struct{}),
-		verified:  make([]atomic.Int64, len(m.Layers)),
 	}
 	prot.Coordinate(s.guard)
-	for li, now := 0, time.Now().UnixNano(); li < len(s.verified); li++ {
-		s.verified[li].Store(now) // Protect just derived the goldens from these bytes
-	}
 	s.registerFuncs(reg, name)
 	return s
-}
-
-// stampVerified advances layer li's last-verified stamp to at. Stamps only
-// move forward: a scrub tick finishing, or a slower worker's pass, never
-// overwrites the stamp of a check that began later.
-func (s *Server) stampVerified(li int, at int64) {
-	for {
-		cur := s.verified[li].Load()
-		if at <= cur || s.verified[li].CompareAndSwap(cur, at) {
-			return
-		}
-	}
 }
 
 // exposureWindow is how long the least recently verified layer has gone
 // since a check that could have seen a physical flip.
 func (s *Server) exposureWindow() time.Duration {
-	now := time.Now()
-	oldest := now.UnixNano()
-	for li := range s.verified {
-		oldest = min(oldest, s.verified[li].Load())
-	}
-	return now.Sub(time.Unix(0, oldest))
+	oldest, _ := s.prot.Verified()
+	return time.Since(oldest)
 }
 
 // Start launches the inference workers and (when configured) the

@@ -18,8 +18,8 @@ import "time"
 type verifier struct {
 	s *Server
 	// at is the running pass's start, the last-verified stamp of every
-	// layer it fetches (see Server.verified).
-	at int64
+	// layer it fetches.
+	at time.Time
 	// exclusive is set while the held layer is write-locked (it was just
 	// repaired) rather than read-locked.
 	exclusive bool
@@ -33,12 +33,11 @@ func (v *verifier) FetchLayer(li int) {
 		v.s.guard.RLockLayer(li)
 		return
 	}
-	flagged, zeroed, exclusive := v.s.prot.FetchLayer(li)
+	flagged, zeroed, exclusive := v.s.prot.FetchLayer(li, v.at)
 	v.exclusive = exclusive
 	v.scans++
 	v.flagged += int64(flagged)
 	v.zeroed += int64(zeroed)
-	v.s.stampVerified(li, v.at)
 }
 
 // ReleaseLayer implements qinfer.WeightFetcher.
