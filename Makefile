@@ -8,7 +8,7 @@ build:
 	$(GO) build ./...
 
 test:
-	$(GO) test -timeout 30m ./...
+	$(GO) test ./...
 
 # Race-detect the concurrent subsystems: the parallel scan engine, the
 # serving stack (batching + scrubber + verified fetch under live flips),

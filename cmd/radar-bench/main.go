@@ -89,7 +89,7 @@ func main() {
 		{"ablation-masking", func() string { return exp.MaskingAblation(opt).Render() }},
 		{"ablation-sigbits", func() string { return exp.SigBitsAblation(opt).Render() }},
 		{"ablation-batch", func() string { return exp.BatchAmortization().Render() }},
-		{"runtime", func() string { return exp.RuntimeDetection(ctx).Render() }},
+		{"runtime", func() string { return exp.Rowhammer(ctx).RenderRuntime() }},
 		{"recoveryscale", func() string {
 			r := exp.RecoveryScale(ctx)
 			writeJSON(r.WriteJSON)

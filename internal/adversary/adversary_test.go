@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -304,6 +305,51 @@ func TestPlanVolleyOneShot(t *testing.T) {
 	}
 	if _, err := PlanVolley(tgt, "bogus", 1, 1); err == nil {
 		t.Fatal("unknown adversary must error")
+	}
+}
+
+// TestPlanVolleyBoundedByModel: a budget far above the model's size plans
+// at most one flip per checksum group (a pair per group for
+// below-threshold, one per weight for oblivious) and returns promptly,
+// whatever the request asks for.
+func TestPlanVolleyBoundedByModel(t *testing.T) {
+	tgt, _ := tinyTarget(t, false)
+	groups, weights := tgt.Prot.NumGroups(), 0
+	for _, l := range tgt.Model.Layers {
+		weights += len(l.Q)
+	}
+	for _, flips := range []int{math.MaxInt32, math.MaxInt64} {
+		for _, n := range Names() {
+			v, err := PlanVolley(tgt, n, flips, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perGroup := map[core.GroupID]int{}
+			for _, a := range v.Weights {
+				perGroup[tgt.Prot.GroupOf(a)]++
+			}
+			for _, f := range v.Signatures {
+				perGroup[core.GroupID{Layer: f.Layer, Group: f.Group}]++
+			}
+			most := 0
+			for _, c := range perGroup {
+				most = max(most, c)
+			}
+			switch n {
+			case "oblivious":
+				if v.Size() == 0 || v.Size() > weights {
+					t.Errorf("%s, budget %d: planned %d flips over %d weights", n, flips, v.Size(), weights)
+				}
+			case "below-threshold":
+				if v.Size() == 0 || most > 2 {
+					t.Errorf("%s, budget %d: planned %d flips, up to %d in one group", n, flips, v.Size(), most)
+				}
+			default:
+				if v.Size() == 0 || most > 1 || v.Size() > groups {
+					t.Errorf("%s, budget %d: planned %d flips over %d groups, up to %d in one", n, flips, v.Size(), groups, most)
+				}
+			}
+		}
 	}
 }
 

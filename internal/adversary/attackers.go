@@ -43,8 +43,10 @@ func (p *windowPicker) pick(rng *rand.Rand, need int) int {
 
 // distinctGroups samples up to n weight coordinates lying in pairwise
 // distinct checksum groups — the building block of the single-bit-per-
-// group campaigns.
+// group campaigns. A budget above the model's group count plans what the
+// group count does.
 func distinctGroups(t Target, n int, rng *rand.Rand) []quant.BitAddress {
+	n = min(n, t.Prot.NumGroups())
 	total, bound := totalWeights(t.Model)
 	seen := make(map[core.GroupID]bool, n)
 	var out []quant.BitAddress
@@ -73,7 +75,8 @@ func (Oblivious) Plan(t Target, opt Options, rng *rand.Rand) []Volley {
 	vs := make([]Volley, opt.Windows)
 	pick := newWindowPicker(opt.Windows, opt.CapPerWindow())
 	total, bound := totalWeights(t.Model)
-	for k := 0; k < opt.Flips; k++ {
+	// A budget above the weight count plans what the weight count does.
+	for k := 0; k < min(opt.Flips, total); k++ {
 		w := pick.pick(rng, 1)
 		if w < 0 {
 			break
@@ -171,8 +174,10 @@ func (SigStore) Name() string { return "sigstore" }
 func (SigStore) Plan(t Target, opt Options, rng *rand.Rand) []Volley {
 	vs := make([]Volley, opt.Windows)
 	pick := newWindowPicker(opt.Windows, opt.CapPerWindow())
-	seen := make(map[core.GroupID]bool, opt.Flips)
-	for tries := 0; len(seen) < opt.Flips && tries < 50*opt.Flips+100; tries++ {
+	// A budget above the group count plans what the group count does.
+	budget := min(opt.Flips, t.Prot.NumGroups())
+	seen := make(map[core.GroupID]bool, budget)
+	for tries := 0; len(seen) < budget && tries < 50*budget+100; tries++ {
 		li := rng.Intn(len(t.Model.Layers))
 		s := t.Prot.Schemes[li]
 		n := s.NumGroups(len(t.Model.Layers[li].Q))

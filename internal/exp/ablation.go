@@ -88,14 +88,7 @@ type BatchAmortizationResult struct {
 func BatchAmortization() BatchAmortizationResult {
 	cm := memsim.DefaultCostModel()
 	res := BatchAmortizationResult{Rows: map[string][]memsim.BatchResult{}}
-	cfgs := []struct {
-		tab *model.ShapeTable
-		g   int
-	}{
-		{model.ResNet20CIFARShapes(), 8},
-		{model.ResNet18ImageNetShapes(), 512},
-	}
-	for _, c := range cfgs {
+	for _, c := range deployments() {
 		res.Rows[c.tab.Model] = cm.SimulateBatch(c.tab,
 			memsim.RADARConfig{G: c.g, Interleave: true, SigBits: 2},
 			[]int{1, 2, 4, 8, 16})
@@ -131,10 +124,7 @@ type SigBitsAblationResult struct {
 
 // SigBitsAblation measures both axes.
 func SigBitsAblation(opt Options) SigBitsAblationResult {
-	var weights []int
-	for _, l := range model.ResNet18ImageNetShapes().Layers {
-		weights = append(weights, l.Weights)
-	}
+	weights := layerWeights(model.ResNet18ImageNetShapes())
 	res := SigBitsAblationResult{
 		Storage2KB: core.StorageForWeights(weights, 512, 2, true).SignatureKB(),
 		Storage3KB: core.StorageForWeights(weights, 512, 3, true).SignatureKB(),

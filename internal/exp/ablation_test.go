@@ -1,14 +1,9 @@
 package exp
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestMaskingAblationShowsMaskingValue(t *testing.T) {
-	opt := Quick()
-	opt.MissRounds = 20_000
-	r := MaskingAblation(opt)
+	r := MaskingAblation(Quick())
 	// Without masking an opposite-direction pair cancels deterministically.
 	if r.DetectedUnmasked != 0 {
 		t.Fatalf("unmasked checksum detected %d of %d cancelling pairs (expected 0)",
@@ -20,9 +15,7 @@ func TestMaskingAblationShowsMaskingValue(t *testing.T) {
 	if rate < 0.3 || rate > 0.7 {
 		t.Fatalf("masked detection rate %.3f outside [0.3, 0.7]", rate)
 	}
-	if !strings.Contains(r.Render(), "Masking ablation") {
-		t.Fatal("render malformed")
-	}
+	checkGolden(t, "ablation-masking", r.Render())
 }
 
 func TestBatchAmortizationMonotone(t *testing.T) {
@@ -42,15 +35,11 @@ func TestBatchAmortizationMonotone(t *testing.T) {
 			t.Errorf("%s: detection time should not scale with batch", name)
 		}
 	}
-	if !strings.Contains(r.Render(), "Batch amortization") {
-		t.Fatal("render malformed")
-	}
+	checkGolden(t, "ablation-batch", r.Render())
 }
 
 func TestSigBitsAblationTradeoff(t *testing.T) {
-	opt := Quick()
-	opt.MissRounds = 20_000
-	r := SigBitsAblation(opt)
+	r := SigBitsAblation(Quick())
 	// 3-bit signatures cost exactly 1.5× the 2-bit storage.
 	ratio := r.Storage3KB / r.Storage2KB
 	if ratio < 1.49 || ratio > 1.51 {
@@ -63,25 +52,5 @@ func TestSigBitsAblationTradeoff(t *testing.T) {
 	if r.Detect2 < 0.3 || r.Detect2 > 0.7 {
 		t.Fatalf("2-bit MSB-1 detection %.3f outside [0.3, 0.7]", r.Detect2)
 	}
-	if !strings.Contains(r.Render(), "Signature-width") {
-		t.Fatal("render malformed")
-	}
-}
-
-func TestRuntimeDetectionBeatsPeriodic(t *testing.T) {
-	r := RuntimeDetection(sharedCtx)
-	if r.PeriodicAccuracy >= r.Clean-0.05 {
-		t.Fatalf("attack after periodic scan should hurt accuracy: clean %.2f periodic %.2f",
-			r.Clean, r.PeriodicAccuracy)
-	}
-	if r.EmbeddedAccuracy <= r.PeriodicAccuracy {
-		t.Fatalf("embedded detection (%.2f) must beat periodic (%.2f)",
-			r.EmbeddedAccuracy, r.PeriodicAccuracy)
-	}
-	if r.EmbeddedDetected < r.Flips-2 {
-		t.Fatalf("embedded scan caught only %d of %d flips", r.EmbeddedDetected, r.Flips)
-	}
-	if !strings.Contains(r.Render(), "Run-time vs periodic") {
-		t.Fatal("render malformed")
-	}
+	checkGolden(t, "ablation-sigbits", r.Render())
 }

@@ -10,9 +10,12 @@ import (
 	"strings"
 	"sync"
 
+	"radar/internal/adversary"
 	"radar/internal/attack"
+	"radar/internal/core"
 	"radar/internal/data"
 	"radar/internal/model"
+	"radar/internal/quant"
 )
 
 // Options scales the experiments.
@@ -149,6 +152,60 @@ func (c *Context) Profiles(name string) []attack.Profile {
 	c.profiles[name] = out
 	c.mu.Unlock()
 	return out
+}
+
+// replay is the one experiment behind Table III, Figs. 4–7, §VIII and the
+// rowhammer run: it lands flips as rowhammer writes on a fresh copy of the
+// named model, protected with cfg beforehand unless cfg is nil (the
+// undefended deployment), then runs one full scan with recovery. It
+// returns how many flips landed in flagged groups and, only when evaluate
+// is set (evaluation is most of a replay's cost), the EvalSet accuracy
+// afterwards. A protected model that no flip touched must flag nothing.
+func (c *Context) replay(name string, cfg *core.Config, flips []quant.BitAddress, evaluate bool) (detected int, acc float64) {
+	b := model.Load(specFor(name))
+	var prot *core.Protector
+	if cfg != nil {
+		prot = core.Protect(b.QModel, *cfg)
+	}
+	adversary.Mount(adversary.Target{Model: b.QModel}, adversary.Volley{Weights: flips})
+	if prot != nil {
+		flagged, _ := prot.DetectAndRecover()
+		if len(flips) == 0 && len(flagged) != 0 {
+			panic("exp: a protected clean model flagged groups")
+		}
+		detected = prot.CountDetected(flips, flagged)
+	}
+	if evaluate {
+		acc = model.Evaluate(b.Net, c.EvalSet(name), 100)
+	}
+	return detected, acc
+}
+
+// deployment is one of the paper's full-size deployment points: a shape
+// table, the group size the paper prices it at, and the scaled model that
+// stands in for it in the accuracy experiments.
+type deployment struct {
+	tab    *model.ShapeTable
+	g      int
+	scaled string
+}
+
+// deployments lists the paper's two deployment points: ResNet-20 on
+// CIFAR-10 at G = 8 and ResNet-18 on ImageNet at G = 512.
+func deployments() []deployment {
+	return []deployment{
+		{model.ResNet20CIFARShapes(), 8, ModelRN20},
+		{model.ResNet18ImageNetShapes(), 512, ModelRN18},
+	}
+}
+
+// layerWeights lists a shape table's per-layer weight counts.
+func layerWeights(t *model.ShapeTable) []int {
+	w := make([]int, len(t.Layers))
+	for i, l := range t.Layers {
+		w[i] = l.Weights
+	}
+	return w
 }
 
 // EvalSet returns the (cached) capped evaluation subset for a model.

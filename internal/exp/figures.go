@@ -8,6 +8,7 @@ import (
 	"radar/internal/attack"
 	"radar/internal/core"
 	"radar/internal/model"
+	"radar/internal/quant"
 )
 
 // Figure2Groups lists the swept group sizes per model (paper Fig 2/4).
@@ -38,12 +39,11 @@ func Figure2(c *Context) Figure2Result {
 		res.Gs[name] = Figure2Groups(name)
 		res.Proportion[name] = map[int]float64{}
 		profiles := c.Profiles(name)
-		b := model.Load(specFor(name))
 		for _, g := range res.Gs[name] {
 			gs := ScaledG(name, g)
 			multi := 0
 			for _, p := range profiles {
-				if hasMultiBitGroup(b, p, gs) {
+				if hasMultiBitGroup(p, gs) {
 					multi++
 				}
 			}
@@ -55,7 +55,7 @@ func Figure2(c *Context) Figure2Result {
 
 // hasMultiBitGroup reports whether any contiguous group of size g receives
 // two or more flips of the profile.
-func hasMultiBitGroup(b *model.Bundle, p attack.Profile, g int) bool {
+func hasMultiBitGroup(p attack.Profile, g int) bool {
 	seen := map[[2]int]int{}
 	for _, f := range p {
 		key := [2]int{f.Addr.LayerIndex, f.Addr.WeightIndex / g}
@@ -114,13 +114,10 @@ func Figure4(c *Context) Figure4Result {
 			for _, inter := range []bool{false, true} {
 				var sum float64
 				for _, p := range profiles {
-					b := model.Load(specFor(name))
 					cfg := core.DefaultConfig(ScaledG(name, g))
 					cfg.Interleave = inter
-					prot := core.Protect(b.QModel, cfg)
-					adversary.Mount(adversary.Target{Model: b.QModel}, adversary.Volley{Weights: p.Addresses()})
-					flagged := prot.Scan()
-					sum += float64(prot.CountDetected(p.Addresses(), flagged))
+					detected, _ := c.replay(name, &cfg, p.Addresses(), false)
+					sum += float64(detected)
 				}
 				mean := sum / float64(len(profiles))
 				if inter {
@@ -198,30 +195,16 @@ type Figure6Result struct {
 // figures live).
 func Figure6(c *Context) Figure6Result {
 	res := Figure6Result{Points: map[string][]TradeoffPoint{}}
-	fullShapes := map[string]*model.ShapeTable{
-		ModelRN20: model.ResNet20CIFARShapes(),
-		ModelRN18: model.ResNet18ImageNetShapes(),
-	}
-	for _, name := range []string{ModelRN20, ModelRN18} {
-		eval := c.EvalSet(name)
-		rounds := c.Opt.RecoverRounds
-		if rounds > c.Opt.roundsFor(name) {
-			rounds = c.Opt.roundsFor(name)
-		}
-		profiles := c.Profiles(name)[:rounds]
-		var weights []int
-		for _, l := range fullShapes[name].Layers {
-			weights = append(weights, l.Weights)
-		}
+	for _, d := range deployments() {
+		name := d.scaled
+		profiles := c.Profiles(name)[:min(c.Opt.RecoverRounds, c.Opt.roundsFor(name))]
+		weights := layerWeights(d.tab)
 		for _, g := range Figure2Groups(name) {
 			var accSum float64
 			for _, p := range profiles {
-				b := model.Load(specFor(name))
 				cfg := core.DefaultConfig(ScaledG(name, g))
-				prot := core.Protect(b.QModel, cfg)
-				adversary.Mount(adversary.Target{Model: b.QModel}, adversary.Volley{Weights: p.Addresses()})
-				prot.DetectAndRecover()
-				accSum += model.Evaluate(b.Net, eval, 100)
+				_, acc := c.replay(name, &cfg, p.Addresses(), true)
+				accSum += acc
 			}
 			res.Points[name] = append(res.Points[name], TradeoffPoint{
 				G:         g,
@@ -261,7 +244,10 @@ type Figure7Result struct {
 
 // Figure7 runs the §VIII knowledgeable attacker on the ResNet-20s model:
 // each PBFA profile is augmented with one cancelling MSB flip per original
-// flip, aimed at the attacker's assumed contiguous group of size G.
+// flip, aimed at the attacker's assumed contiguous group of size G. The
+// attacker plans its pairs on an unprotected copy carrying the base
+// profile, once per (G, round); both groupings then replay the same
+// combined flip set.
 func Figure7(c *Context) Figure7Result {
 	res := Figure7Result{
 		Detected:  map[int]DetectionCell{},
@@ -269,49 +255,40 @@ func Figure7(c *Context) Figure7Result {
 		Gs:        Figure2Groups(ModelRN20),
 	}
 	profiles := c.Profiles(ModelRN20)
-	eval := c.EvalSet(ModelRN20)
+	copies := make([]*quant.Model, len(profiles))
+	for ri, p := range profiles {
+		copies[ri] = model.Load(specFor(ModelRN20)).QModel
+		adversary.Mount(adversary.Target{Model: copies[ri]}, adversary.Volley{Weights: p.Addresses()})
+	}
 	for _, g := range res.Gs {
+		gs := ScaledG(ModelRN20, g)
 		var det DetectionCell
 		var rec RecoveryCell
-		for _, inter := range []bool{false, true} {
-			var detSum, accSum float64
-			for ri, p := range profiles {
-				b := model.Load(specFor(ModelRN20))
-				gs := ScaledG(ModelRN20, g)
+		for ri, p := range profiles {
+			extra := attack.PairedEvasion(copies[ri], p, max(gs, 2), c.Opt.Seed+int64(ri))
+			// PairedEvasion flipped its pairs into the copy: flip them back
+			// for the next G.
+			adversary.Mount(adversary.Target{Model: copies[ri]}, adversary.Volley{Weights: extra.Addresses()})
+			all := append(append(attack.Profile{}, p...), extra...).Addresses()
+			res.TotalFlips = max(res.TotalFlips, len(all))
+			for _, inter := range []bool{false, true} {
 				cfg := core.DefaultConfig(gs)
 				cfg.Interleave = inter
-				prot := core.Protect(b.QModel, cfg)
-				// Mount the base profile, then the paired evasion flips
-				// computed against the attacker's contiguous-G assumption.
-				adversary.Mount(adversary.Target{Model: b.QModel}, adversary.Volley{Weights: p.Addresses()})
-				extra := attack.PairedEvasion(b.QModel, p, maxInt(gs, 2), c.Opt.Seed+int64(ri))
-				all := append(append(attack.Profile{}, p...), extra...)
-				flagged := prot.Scan()
-				detSum += float64(prot.CountDetected(all.Addresses(), flagged))
-				prot.Recover(flagged)
-				accSum += model.Evaluate(b.Net, eval, 100)
-				if res.TotalFlips < len(all) {
-					res.TotalFlips = len(all)
+				detected, acc := c.replay(ModelRN20, &cfg, all, true)
+				if inter {
+					det.Interleaved += float64(detected)
+					rec.Interleaved += acc
+				} else {
+					det.Plain += float64(detected)
+					rec.Plain += acc
 				}
 			}
-			n := float64(len(profiles))
-			if inter {
-				det.Interleaved, rec.Interleaved = detSum/n, accSum/n
-			} else {
-				det.Plain, rec.Plain = detSum/n, accSum/n
-			}
 		}
-		res.Detected[g] = det
-		res.Recovered[g] = rec
+		n := float64(len(profiles))
+		res.Detected[g] = DetectionCell{Plain: det.Plain / n, Interleaved: det.Interleaved / n}
+		res.Recovered[g] = RecoveryCell{Plain: rec.Plain / n, Interleaved: rec.Interleaved / n}
 	}
 	return res
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Render prints the Fig 7 series.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"radar/internal/adversary"
 	"radar/internal/attack"
 	"radar/internal/core"
 	"radar/internal/ecc"
@@ -123,14 +122,8 @@ func TableIII(c *Context) TableIIIResult {
 		res.Gs[name] = gs
 		res.Attacked[name] = map[int]float64{}
 		res.Cells[name] = map[int]map[int]RecoveryCell{}
-		eval := c.EvalSet(name)
 		res.Clean[name] = model.Load(specFor(name)).CleanAccuracy
-
-		rounds := c.Opt.RecoverRounds
-		if rounds > c.Opt.roundsFor(name) {
-			rounds = c.Opt.roundsFor(name)
-		}
-		profiles := c.Profiles(name)[:rounds]
+		profiles := c.Profiles(name)[:min(c.Opt.RecoverRounds, c.Opt.roundsFor(name))]
 
 		for _, nbf := range []int{5, 10} {
 			res.Cells[name][nbf] = map[int]RecoveryCell{}
@@ -143,20 +136,13 @@ func TableIII(c *Context) TableIIIResult {
 				if nbf < len(p) {
 					p = p[:nbf]
 				}
-				// Undefended accuracy.
-				b := model.Load(specFor(name))
-				adversary.Mount(adversary.Target{Model: b.QModel}, adversary.Volley{Weights: p.Addresses()})
-				attackedSum += model.Evaluate(b.Net, eval, 100)
-				// Defended: per G and interleave mode.
+				_, acc := c.replay(name, nil, p.Addresses(), true)
+				attackedSum += acc
 				for _, g := range gs {
 					for _, inter := range []bool{false, true} {
-						bb := model.Load(specFor(name))
 						cfg := core.DefaultConfig(ScaledG(name, g))
 						cfg.Interleave = inter
-						prot := core.Protect(bb.QModel, cfg)
-						adversary.Mount(adversary.Target{Model: bb.QModel}, adversary.Volley{Weights: p.Addresses()})
-						prot.DetectAndRecover()
-						acc := model.Evaluate(bb.Net, eval, 100)
+						_, acc := c.replay(name, &cfg, p.Addresses(), true)
 						if inter {
 							sums[g].Interleaved += acc
 						} else {
@@ -223,14 +209,7 @@ type TableIVResult struct {
 func TableIV() TableIVResult {
 	cm := memsim.DefaultCostModel()
 	res := TableIVResult{Rows: map[string]TableIVRow{}}
-	cfgs := []struct {
-		tab *model.ShapeTable
-		g   int
-	}{
-		{model.ResNet20CIFARShapes(), 8},
-		{model.ResNet18ImageNetShapes(), 512},
-	}
-	for _, c := range cfgs {
+	for _, c := range deployments() {
 		plain := cm.SimulateRADAR(c.tab, memsim.RADARConfig{G: c.g, SigBits: 2})
 		inter := cm.SimulateRADAR(c.tab, memsim.RADARConfig{G: c.g, Interleave: true, SigBits: 2})
 		res.Rows[c.tab.Model] = TableIVRow{
@@ -280,13 +259,6 @@ func TableV() TableVResult {
 	cm := memsim.DefaultCostModel()
 	res := TableVResult{Rows: map[string]TableVRow{}}
 
-	weightsOf := func(t *model.ShapeTable) []int {
-		var w []int
-		for _, l := range t.Layers {
-			w = append(w, l.Weights)
-		}
-		return w
-	}
 	crcStorageKB := func(weights []int, g, bits int) float64 {
 		groups := 0
 		for _, l := range weights {
@@ -295,16 +267,10 @@ func TableV() TableVResult {
 		return float64(groups*bits) / 8 / 1024
 	}
 
-	cfgs := []struct {
-		tab *model.ShapeTable
-		g   int
-		crc ecc.CRC
-	}{
-		{model.ResNet20CIFARShapes(), 8, ecc.CRC7},
-		{model.ResNet18ImageNetShapes(), 512, ecc.CRC13},
-	}
-	for _, c := range cfgs {
-		w := weightsOf(c.tab)
+	// CRC-7 for G = 8, CRC-13 for G = 512.
+	crcs := []ecc.CRC{ecc.CRC7, ecc.CRC13}
+	for i, c := range deployments() {
+		w := layerWeights(c.tab)
 		radar := cm.SimulateRADAR(c.tab, memsim.RADARConfig{G: c.g, Interleave: true, SigBits: 2})
 		res.Rows["RADAR/"+c.tab.Model] = TableVRow{
 			TotalSec:  radar.TotalSec,
@@ -312,19 +278,19 @@ func TableV() TableVResult {
 			StorageKB: core.StorageForWeights(w, c.g, 2, true).SignatureKB(),
 		}
 		crc := cm.SimulateCRC(c.tab, c.g)
-		res.Rows[c.crc.Name()+"/"+c.tab.Model] = TableVRow{
+		res.Rows[crcs[i].Name()+"/"+c.tab.Model] = TableVRow{
 			TotalSec:  crc.TotalSec,
 			DeltaSec:  crc.DetectionSec,
-			StorageKB: crcStorageKB(w, c.g, c.crc.Width),
+			StorageKB: crcStorageKB(w, c.g, crcs[i].Width),
 		}
 	}
 	// The MSB-only CRC-10 option for ResNet-18 (discussion in §VII.B).
-	r18 := model.ResNet18ImageNetShapes()
-	crc10 := cm.SimulateCRC(r18, 512)
+	r18 := deployments()[1]
+	crc10 := cm.SimulateCRC(r18.tab, r18.g)
 	res.Rows["CRC-10/resnet18-imagenet"] = TableVRow{
 		TotalSec:  crc10.TotalSec,
 		DeltaSec:  crc10.DetectionSec,
-		StorageKB: crcStorageKB(weightsOf(r18), 512, ecc.CRC10.Width),
+		StorageKB: crcStorageKB(layerWeights(r18.tab), r18.g, ecc.CRC10.Width),
 	}
 	return res
 }
