@@ -92,11 +92,15 @@ serve-smoke:
 	rm -f radar-serve
 
 # Boot three radar-serve replicas behind radar-fleet and exercise routed
-# traffic, a mid-traffic replica kill and a rolling rekey.
+# traffic, a mid-traffic replica kill and a rolling rekey; then a
+# non-positive -attempt-timeout must exit 2 before the router listens.
 fleet-smoke:
 	$(GO) build -o radar-serve ./cmd/radar-serve
 	$(GO) build -o radar-fleet ./cmd/radar-fleet
 	./scripts/fleet_smoke.sh ./radar-serve ./radar-fleet
+	@code=0; out=$$(timeout 10 ./radar-fleet -replica http://127.0.0.1:1 -attempt-timeout -1s 2>&1) || code=$$?; \
+	if [ $$code -ne 2 ] || echo "$$out" | grep -q 'routing'; then \
+		echo "radar-fleet -attempt-timeout -1s exited $$code, want 2 before listening:"; echo "$$out"; exit 1; fi
 	rm -f radar-serve radar-fleet
 
 # Boot the fleet with a fault-injecting radar-chaos proxy in front of

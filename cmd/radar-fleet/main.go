@@ -8,13 +8,14 @@
 //
 //	radar-fleet -replica http://10.0.0.1:8080 -replica http://10.0.0.2:8080 \
 //	            -replica http://10.0.0.3:8080 \
-//	            [-addr :9090] [-vnodes 64] [-health-interval 1s]
-//	            [-health-timeout 2s] [-fail-threshold 2] [-drain-wait 500ms]
-//	            [-attempt-timeout 10s] [-retry-budget 3]
-//	            [-backoff-base 10ms] [-backoff-max 500ms]
-//	            [-max-body-bytes 8388608] [-shed-window 10s]
-//	            [-shed-threshold 0.5] [-shed-min-samples 20]
+//	            [-addr :9090] [-health-interval 1s] [-attempt-timeout 10s]
 //	            [-debug-addr :6061] [-log-requests]
+//
+// -health-interval is the router's one clock: a probe times out after two
+// intervals, a rolling rekey waits half an interval after draining each
+// replica, and the shed window spans ten. Both durations must be
+// positive; anything else exits 2. The routing policy is fixed (see
+// internal/fleet.Config).
 //
 // Endpoints:
 //
@@ -38,6 +39,7 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"log"
 	"log/slog"
 	"net/http"
@@ -66,19 +68,8 @@ func main() {
 	flag.Var(&replicas, "replica", "radar-serve replica base URL (e.g. http://10.0.0.1:8080); repeatable")
 	var (
 		addr           = flag.String("addr", ":9090", "HTTP listen address")
-		vnodes         = flag.Int("vnodes", 64, "virtual nodes per replica on the hash ring")
-		healthInterval = flag.Duration("health-interval", time.Second, "health probe interval")
-		healthTimeout  = flag.Duration("health-timeout", 2*time.Second, "health probe timeout")
-		failThreshold  = flag.Int("fail-threshold", 2, "consecutive probe failures before a replica is ejected")
-		drainWait      = flag.Duration("drain-wait", 500*time.Millisecond, "settle time after draining a replica during rolling rekey")
-		attemptTimeout = flag.Duration("attempt-timeout", 10*time.Second, "per-attempt deadline on proxied data-plane requests; a timeout with the client still live ejects the replica as slow and fails over (negative disables)")
-		retryBudget    = flag.Int("retry-budget", 3, "failover replays allowed per request beyond the first attempt")
-		backoffBase    = flag.Duration("backoff-base", 10*time.Millisecond, "full-jitter backoff base between failover attempts")
-		backoffMax     = flag.Duration("backoff-max", 500*time.Millisecond, "full-jitter backoff ceiling between failover attempts")
-		maxBodyBytes   = flag.Int64("max-body-bytes", 8<<20, "largest client request body buffered for failover replay; beyond it the client gets 413")
-		shedWindow     = flag.Duration("shed-window", 10*time.Second, "sliding window for per-replica shed/error-rate tracking")
-		shedThreshold  = flag.Float64("shed-threshold", 0.5, "bad-outcome fraction over the shed window beyond which a replica is soft-drained out of new sync traffic")
-		shedMinSamples = flag.Int("shed-min-samples", 20, "attempts required in the shed window before a soft-drain verdict")
+		healthInterval = flag.Duration("health-interval", time.Second, "health probe interval; probe timeout, rekey drain wait and shed window derive from it")
+		attemptTimeout = flag.Duration("attempt-timeout", 10*time.Second, "per-attempt deadline on proxied data-plane requests; a timeout with the client still live ejects the replica as slow and fails over")
 		debugAddr      = flag.String("debug-addr", "", "optional separate listen address for net/http/pprof (empty disables)")
 		logReqs        = flag.Bool("log-requests", false, "log every HTTP request (id, method, path, status, duration) via slog")
 	)
@@ -86,22 +77,15 @@ func main() {
 	if len(replicas) == 0 {
 		log.Fatal("at least one -replica is required")
 	}
+	if *healthInterval <= 0 || *attemptTimeout <= 0 {
+		fmt.Fprintf(os.Stderr, "-health-interval and -attempt-timeout must be positive, got %v and %v\n", *healthInterval, *attemptTimeout)
+		os.Exit(2)
+	}
 
 	f, err := fleet.New(fleet.Config{
 		Replicas:       replicas,
-		VNodes:         *vnodes,
 		HealthInterval: *healthInterval,
-		HealthTimeout:  *healthTimeout,
-		FailThreshold:  *failThreshold,
-		DrainWait:      *drainWait,
 		AttemptTimeout: *attemptTimeout,
-		RetryBudget:    *retryBudget,
-		BackoffBase:    *backoffBase,
-		BackoffMax:     *backoffMax,
-		MaxBodyBytes:   *maxBodyBytes,
-		ShedWindow:     *shedWindow,
-		ShedRate:       *shedThreshold,
-		ShedMinSamples: *shedMinSamples,
 	})
 	if err != nil {
 		log.Fatalf("fleet: %v", err)
@@ -123,8 +107,8 @@ func main() {
 
 	httpSrv := &http.Server{Addr: *addr, Handler: handler}
 	go func() {
-		log.Printf("routing %d replica(s) [%s] on %s — vnodes=%d probe=%v eject-after=%d",
-			len(replicas), strings.Join(replicas, ", "), *addr, *vnodes, *healthInterval, *failThreshold)
+		log.Printf("routing %d replica(s) [%s] on %s — probe=%v attempt=%v",
+			len(replicas), strings.Join(replicas, ", "), *addr, *healthInterval, *attemptTimeout)
 		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			log.Fatalf("http: %v", err)
 		}

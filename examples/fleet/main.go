@@ -68,11 +68,7 @@ func main() {
 		}
 	}()
 
-	fl, err := fleet.New(fleet.Config{
-		Replicas:       urls,
-		HealthInterval: 50 * time.Millisecond,
-		DrainWait:      50 * time.Millisecond,
-	})
+	fl, err := fleet.New(fleet.Config{Replicas: urls, HealthInterval: 50 * time.Millisecond})
 	if err != nil {
 		panic(err)
 	}

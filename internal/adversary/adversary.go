@@ -7,9 +7,9 @@
 // around it. Campaigns run in scrub windows against the real protector:
 // each window opens with a tick of the rolling sweep internal/serve runs
 // (core.Protector.SweepTick, on a window clock), and recovery and ECC
-// correction are live. Flips are optionally priced through the memsim
-// DRAM timing model so attack throughput reflects rowhammer physics
-// rather than free writes.
+// correction are live. Flips are optionally priced by RateModel, a closed
+// form of a DRAM bank's row-conflict latency, so attack throughput
+// reflects rowhammer physics rather than free writes.
 //
 // Four attackers are provided:
 //

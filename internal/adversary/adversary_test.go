@@ -71,9 +71,10 @@ func TestPlansAreDeterministic(t *testing.T) {
 func TestRateModelPricesRowhammerPhysics(t *testing.T) {
 	r := DefaultRateModel()
 	spf := r.SecondsPerFlip()
-	// 2 × 50k activations × ~42-cycle row conflicts at 1 GHz ≈ 4.2 ms.
-	if spf < 3e-3 || spf > 6e-3 {
-		t.Fatalf("seconds per flip = %v, want ≈ 4.2ms", spf)
+	// One 28-cycle row miss, then 2 × 50k − 1 42-cycle row conflicts:
+	// 4 199 986 cycles at 1 GHz.
+	if got := math.Float64bits(spf); got != 0x3f7134012837f14d {
+		t.Fatalf("seconds per flip = %v (bits %#x), want 0.004199986 (bits 0x3f7134012837f14d)", spf, got)
 	}
 	cap := r.FlipsPerWindow(100 * time.Millisecond)
 	if cap < 15 || cap > 35 {

@@ -10,20 +10,26 @@ import (
 // flips (real DDR3/DDR4 parts: tens to hundreds of thousands).
 const hammerThreshold = 50_000
 
+// Row-access latencies of a DDR3-1600-like bank at a 1 GHz clock, in
+// cycles: CAS, precharge (RP) and activate (RCD) are 14 each. Opening a
+// row in a closed bank pays RCD + CAS; a row conflict — another row is
+// open — pays RP + RCD + CAS.
+const (
+	rowMissCycles     = 14 + 14
+	rowConflictCycles = 14 + 14 + 14
+)
+
 // RateModel prices attack flips through rowhammer physics: one induced
 // flip costs hammerThreshold activations of each of the two aggressor
-// rows (double-sided rowhammer), every access a DRAM row conflict paying
-// the full precharge+activate+CAS path — alternating two rows of one bank
-// is precisely what defeats the open-row buffer, which is both why
-// rowhammer works and why it is slow. The memsim.DRAMTiming device
-// supplies the conflict latency and memsim.CostModel the clock. The model
-// only prices a flip; Mount lands it, as a direct write that no write
-// observer sees.
+// rows (double-sided rowhammer) in one bank. The first access opens the
+// closed bank; every later one is a row conflict, because alternating
+// two rows of one bank is precisely what defeats the open-row buffer —
+// which is both why rowhammer works and why it is slow. memsim.CostModel
+// supplies the clock. The model only prices a flip; Mount lands it, as a
+// direct write that no write observer sees.
 type RateModel struct {
 	// Cost supplies the core clock for cycle→seconds conversion.
 	Cost memsim.CostModel
-
-	spf float64 // memoized seconds per flip
 }
 
 // DefaultRateModel prices flips on the calibrated simulation defaults:
@@ -33,23 +39,11 @@ func DefaultRateModel() *RateModel {
 	return &RateModel{Cost: memsim.DefaultCostModel()}
 }
 
-// SecondsPerFlip returns the wall-clock cost of inducing one bit flip.
+// SecondsPerFlip returns the wall-clock cost of inducing one bit flip:
+// one row miss, then 2·hammerThreshold − 1 row conflicts.
 func (r *RateModel) SecondsPerFlip() float64 {
-	if r.spf == 0 {
-		d := memsim.NewDRAMTiming()
-		// Two aggressor rows of one bank, activated alternately: rows
-		// rowGlobal 0 and 2·Banks map to bank 0, rows 0 and 2 (the rows
-		// flanking victim row 1).
-		above := uint64(0)
-		below := uint64(2 * d.Banks * d.RowBytes)
-		var cycles uint64
-		for i := 0; i < hammerThreshold; i++ {
-			cycles += uint64(d.Access(above))
-			cycles += uint64(d.Access(below))
-		}
-		r.spf = r.Cost.Seconds(float64(cycles))
-	}
-	return r.spf
+	cycles := rowMissCycles + (2*hammerThreshold-1)*rowConflictCycles
+	return r.Cost.Seconds(float64(cycles))
 }
 
 // FlipsPerWindow converts a scrub interval into the flip budget an

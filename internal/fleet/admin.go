@@ -110,18 +110,18 @@ func (f *Fleet) handleRollingRekey(w http.ResponseWriter, r *http.Request) {
 	defer func() { f.met.rekeySeconds.Observe(time.Since(rekeyStart).Seconds()) }()
 	out := make([]ReplicaReport, 0, len(f.order))
 	for _, base := range f.order {
-		f.drain(base)
+		f.setDraining(base, true)
 		// Let requests already routed at the replica finish before its
 		// rekey takes the write-exclusive window.
 		select {
-		case <-time.After(f.cfg.DrainWait):
+		case <-time.After(f.cfg.drainWait()):
 		case <-r.Context().Done():
-			f.undrain(base)
+			f.setDraining(base, false)
 			http.Error(w, r.Context().Err().Error(), http.StatusServiceUnavailable)
 			return
 		}
 		rep := f.adminCall(r, base, "/v1/admin/rekey", body)
-		f.undrain(base)
+		f.setDraining(base, false)
 		out = append(out, rep)
 	}
 	writeJSON(w, http.StatusOK, AdminResponse{Op: "rolling-rekey", Replicas: out})

@@ -46,11 +46,7 @@ func TestFleetChaosStorm(t *testing.T) {
 	f, err := New(Config{
 		Replicas:       urls,
 		AttemptTimeout: 300 * time.Millisecond,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     5 * time.Millisecond,
 		HealthInterval: 20 * time.Millisecond,
-		HealthTimeout:  500 * time.Millisecond,
-		FailThreshold:  2,
 	})
 	if err != nil {
 		t.Fatal(err)

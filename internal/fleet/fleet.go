@@ -12,17 +12,20 @@
 // per job. GET /v1/models merges the listing across healthy replicas and
 // annotates each model with its current owner.
 //
-// Health: a background prober hits each replica's GET /v1/models on an
-// interval; FailThreshold consecutive failures eject the replica from
-// the ring (its models remap to the next owners), a later success
-// readmits it. A transport error during proxying ejects immediately —
-// the prober readmits once the replica answers again.
+// Health: a background prober hits each replica's GET /v1/models every
+// HealthInterval; two consecutive failures eject the replica from the
+// ring (its models remap to the next owners), a later success readmits
+// it. A transport error during proxying ejects immediately — the prober
+// readmits once the replica answers again. One rule decides membership:
+// a replica is on the ring iff it is healthy, not admin-drained and not
+// soft-drained (settleLocked).
 //
 // Admin: POST /v1/admin/rekey is a zero-downtime rolling rekey — each
-// replica in turn is drained off the ring, waits DrainWait for in-flight
-// requests, rekeys, and is readmitted — and /v1/admin/models/{name}
-// broadcasts hot add/remove to every replica so membership changes keep
-// the hosted sets identical. GET /v1/fleet reports the router's view.
+// replica in turn is drained off the ring, waits half a HealthInterval
+// for in-flight requests, rekeys, and is readmitted — and
+// /v1/admin/models/{name} broadcasts hot add/remove to every replica so
+// membership changes keep the hosted sets identical. GET /v1/fleet
+// reports the router's view.
 package fleet
 
 import (
@@ -38,108 +41,52 @@ import (
 	"radar/internal/obs"
 )
 
-// Config tunes a Fleet.
+// Config tunes a Fleet. HealthInterval is the router's one clock: a probe
+// or drift repair times out after two intervals, a rolling rekey waits
+// half an interval after draining each replica, and the shed window spans
+// ten. The routing policy is fixed: 64 vnodes per replica, ejection after
+// 2 consecutive probe failures, at most 3 failover replays with 10ms–500ms
+// full-jitter backoff, and a soft drain past a 0.5 bad-outcome rate over
+// at least 20 attempts. Client bodies are capped at serve.MaxBodyBytes.
 type Config struct {
 	// Replicas are the radar-serve base URLs (e.g. http://10.0.0.1:8080).
 	// At least one is required.
 	Replicas []string
-	// VNodes is the ring's virtual-node count per replica (default 64).
-	VNodes int
-	// HealthInterval is the probe period (default 1s).
+	// HealthInterval is the probe period (default 1s; negative is an
+	// error).
 	HealthInterval time.Duration
-	// HealthTimeout bounds one probe request (default 2s).
-	HealthTimeout time.Duration
-	// FailThreshold is how many consecutive probe failures eject a
-	// replica (default 2). Proxy-side transport errors eject immediately.
-	FailThreshold int
-	// DrainWait is how long a rolling rekey waits after taking a replica
-	// off the ring before rekeying it, letting in-flight requests finish
-	// (default 500ms).
-	DrainWait time.Duration
 	// AttemptTimeout bounds one proxied data-plane attempt — headers and
 	// body — at min(client deadline, AttemptTimeout); the per-replica
 	// fan-outs of GET /v1/metrics and /v1/debug/traces are attempts too.
-	// An attempt that
-	// times out while the client's own context is still live is a replica
-	// verdict: the replica is ejected as slow and the request fails over,
-	// so a hung backend costs one bounded attempt instead of the whole
-	// request. Default 10s; negative disables. Admin broadcasts (scrub,
-	// rekey) are exempt — they legitimately run long.
+	// An attempt that times out while the client's own context is still
+	// live is a replica verdict: the replica is ejected as slow and the
+	// request fails over, so a hung backend costs one bounded attempt
+	// instead of the whole request. Default 10s; negative is an error.
+	// Admin broadcasts (scrub, rekey) are exempt — they legitimately run
+	// long.
 	AttemptTimeout time.Duration
-	// RetryBudget caps failover replays per request beyond the first
-	// attempt (default 3). The ring's distinct-owner order already bounds
-	// attempts at the replica count; the budget tightens that on large
-	// fleets so one request cannot sweep every replica.
-	RetryBudget int
-	// BackoffBase / BackoffMax shape the full-jitter backoff slept
-	// between failover attempts: attempt n waits rand(0, min(BackoffMax,
-	// BackoffBase<<n)). Defaults 10ms / 500ms.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// MaxBodyBytes caps the client request body the router buffers for
-	// failover replay; beyond it the client gets 413 (default 8 MiB).
-	MaxBodyBytes int64
-	// ShedWindow is the span of the per-replica sliding window that
-	// tracks shed/error outcomes (429s, attempt timeouts, 5xx) against
-	// total attempts (default 10s). New rejects a window under 8ns: the
-	// window is eight buckets of at least a nanosecond each.
-	ShedWindow time.Duration
-	// ShedRate is the bad-outcome fraction over ShedWindow beyond which a
-	// replica is soft-drained — weighted out of new sync traffic while
-	// its jobs stay reachable — once at least ShedMinSamples attempts
-	// are in the window (defaults 0.5 and 20). It is readmitted when the
-	// window clears. A soft drain never empties the ring.
-	ShedRate       float64
-	ShedMinSamples int
-	// Client is the proxying HTTP client (default: http.DefaultTransport
-	// with no overall timeout — inference requests own their deadlines).
-	Client *http.Client
 }
 
-func (c *Config) fillDefaults() {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
-	if c.HealthInterval <= 0 {
-		c.HealthInterval = time.Second
-	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = 2 * time.Second
-	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 2
-	}
-	if c.DrainWait <= 0 {
-		c.DrainWait = 500 * time.Millisecond
-	}
-	if c.AttemptTimeout == 0 {
-		c.AttemptTimeout = 10 * time.Second
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 10 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 500 * time.Millisecond
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.ShedWindow <= 0 {
-		c.ShedWindow = 10 * time.Second
-	}
-	if c.ShedRate <= 0 || c.ShedRate > 1 {
-		c.ShedRate = 0.5
-	}
-	if c.ShedMinSamples <= 0 {
-		c.ShedMinSamples = 20
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
-	}
-}
+// The fixed routing policy (see Config).
+const (
+	vnodes         = 64
+	failThreshold  = 2
+	retryBudget    = 3
+	backoffBase    = 10 * time.Millisecond
+	backoffMax     = 500 * time.Millisecond
+	shedRate       = 0.5
+	shedMinSamples = 20
+)
+
+// probeTimeout bounds one health probe or drift repair.
+func (c Config) probeTimeout() time.Duration { return 2 * c.HealthInterval }
+
+// drainWait is how long a rolling rekey lets in-flight requests finish on
+// a replica it just took off the ring.
+func (c Config) drainWait() time.Duration { return c.HealthInterval / 2 }
+
+// shedWindow is the span of each replica's outcome window.
+func (c Config) shedWindow() time.Duration { return 10 * c.HealthInterval }
 
 // replica is the router's view of one backend.
 type replica struct {
@@ -160,7 +107,6 @@ type replica struct {
 	shedded  bool // soft-drained for persistent overload; prober readmits
 	fails    int
 	lastErr  string
-	lastSeen time.Time
 }
 
 // ReplicaStatus is one backend's entry in GET /v1/fleet.
@@ -218,14 +164,19 @@ func New(cfg Config) (*Fleet, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, errors.New("fleet: at least one replica base URL is required")
 	}
-	cfg.fillDefaults()
-	if cfg.ShedWindow < shedBuckets {
-		return nil, fmt.Errorf("fleet: shed window %v, want at least %v (%d buckets of 1ns)", cfg.ShedWindow, time.Duration(shedBuckets), shedBuckets)
+	if cfg.HealthInterval < 0 || cfg.AttemptTimeout < 0 {
+		return nil, fmt.Errorf("fleet: health interval %v and attempt timeout %v must not be negative", cfg.HealthInterval, cfg.AttemptTimeout)
+	}
+	if cfg.HealthInterval == 0 {
+		cfg.HealthInterval = time.Second
+	}
+	if cfg.AttemptTimeout == 0 {
+		cfg.AttemptTimeout = 10 * time.Second
 	}
 	f := &Fleet{
 		cfg:      cfg,
-		ring:     NewRing(cfg.VNodes),
-		client:   cfg.Client,
+		ring:     NewRing(vnodes),
+		client:   &http.Client{},
 		replicas: make(map[string]*replica, len(cfg.Replicas)),
 		stop:     make(chan struct{}),
 	}
@@ -240,7 +191,7 @@ func New(cfg Config) (*Fleet, error) {
 		}
 		f.replicas[base] = &replica{
 			url: base, host: u.Host, healthy: true,
-			window: newShedWindow(cfg.ShedWindow),
+			window: newShedWindow(cfg.shedWindow()),
 		}
 		f.order = append(f.order, base)
 		f.ring.Add(base)

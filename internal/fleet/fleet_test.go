@@ -37,6 +37,7 @@ type stubReplica struct {
 	shed      atomic.Bool  // answer 429 on infer/submit while set (queue full)
 	hang      atomic.Bool  // hold infer and metrics without answering while set (gray failure)
 	probeSlow atomic.Int64 // ns of added latency on GET /v1/models
+	garbled   atomic.Bool  // answer GET /v1/models 200 with a non-JSON body while set
 }
 
 func newStubReplica(name string, models ...string) *stubReplica {
@@ -54,6 +55,10 @@ func newStubReplica(name string, models ...string) *stubReplica {
 		}
 		if s.broken.Load() {
 			http.Error(w, "broken", http.StatusInternalServerError)
+			return
+		}
+		if s.garbled.Load() {
+			fmt.Fprint(w, "<html>not a listing</html>")
 			return
 		}
 		var resp serve.ModelsResponse
@@ -247,8 +252,8 @@ func newTestFleet(t *testing.T, n int, models ...string) (*Fleet, []*stubReplica
 	return newTestFleetCfg(t, n, Config{}, models...)
 }
 
-// newTestFleetCfg is newTestFleet with config overrides: zero-valued
-// fields get the usual test-friendly timings, everything else is passed
+// newTestFleetCfg is newTestFleet with config overrides: a zero
+// HealthInterval gets the test-friendly 20ms, everything else is passed
 // through (Replicas is always filled from the stubs).
 func newTestFleetCfg(t *testing.T, n int, cfg Config, models ...string) (*Fleet, []*stubReplica) {
 	t.Helper()
@@ -262,12 +267,6 @@ func newTestFleetCfg(t *testing.T, n int, cfg Config, models ...string) (*Fleet,
 	cfg.Replicas = urls
 	if cfg.HealthInterval == 0 {
 		cfg.HealthInterval = 20 * time.Millisecond
-	}
-	if cfg.HealthTimeout == 0 {
-		cfg.HealthTimeout = time.Second
-	}
-	if cfg.DrainWait == 0 {
-		cfg.DrainWait = 10 * time.Millisecond
 	}
 	f, err := New(cfg)
 	if err != nil {
@@ -464,7 +463,7 @@ func TestFleetFailoverOnDeadReplica(t *testing.T) {
 }
 
 // TestFleetHealthEjectReadmit: a replica that starts failing probes is
-// ejected after FailThreshold, and readmitted when it recovers.
+// ejected after failThreshold of them, and readmitted when it recovers.
 func TestFleetHealthEjectReadmit(t *testing.T) {
 	f, stubs := newTestFleet(t, 2, "m0")
 	victim := stubs[0]
@@ -619,10 +618,38 @@ func TestFleetConfigValidation(t *testing.T) {
 	if _, err := New(Config{Replicas: []string{"http://a:1", "http://a:1"}}); err == nil {
 		t.Fatal("duplicate replicas accepted")
 	}
-	// Under one nanosecond per bucket the window's bucket width is zero,
-	// and every routed request would divide by it.
-	if _, err := New(Config{Replicas: []string{"http://a:1"}, ShedWindow: shedBuckets - 1}); err == nil {
-		t.Fatal("shed window shorter than its buckets accepted")
+	if _, err := New(Config{Replicas: []string{"http://a:1"}, HealthInterval: -time.Second}); err == nil {
+		t.Fatal("negative health interval accepted")
+	}
+	if _, err := New(Config{Replicas: []string{"http://a:1"}, AttemptTimeout: -time.Second}); err == nil {
+		t.Fatal("negative attempt timeout accepted")
+	}
+}
+
+// TestFleetDefaultTimings pins the router's clock at its defaults, the
+// configuration the benchmark's fleet-attack workload runs: every timing
+// derives from HealthInterval.
+func TestFleetDefaultTimings(t *testing.T) {
+	f, err := New(Config{Replicas: []string{"http://a:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want time.Duration
+	}{
+		{"health interval", f.cfg.HealthInterval, time.Second},
+		{"probe timeout", f.cfg.probeTimeout(), 2 * time.Second},
+		{"rekey drain wait", f.cfg.drainWait(), 500 * time.Millisecond},
+		{"shed window", f.cfg.shedWindow(), 10 * time.Second},
+		{"shed bucket width", f.replicas["http://a:1"].window.width, 1250 * time.Millisecond},
+		{"attempt timeout", f.cfg.AttemptTimeout, 10 * time.Second},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.got != c.want {
+				t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+			}
+		})
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 // probed off GET /v1/models (the cheapest request that exercises the
 // whole serving stack — registry, metrics, job table). Probes run
 // concurrently and independently per replica — the tick never joins on
-// them, so one replica hanging at HealthTimeout cannot stall the others'
-// probes (and with them every pending readmission); a replica whose
-// previous probe is still in flight just skips the tick. Failures
+// them, so one replica hanging for its probe timeout cannot stall the
+// others' probes (and with them every pending readmission); a replica
+// whose previous probe is still in flight just skips the tick. Failures
 // accumulate toward ejection; one success readmits — after the
 // readmission reconciler has repaired any hosted-set drift the replica
 // accumulated while it was unreachable. Each tick also re-examines
@@ -51,13 +51,14 @@ func (f *Fleet) probeLoop() {
 	}
 }
 
-// probe runs one health check and applies its verdict. A success that
-// would readmit an ejected replica first runs the model-set
-// reconciliation against the listing the probe just read: a replica that
-// missed broadcast membership changes while unreachable must not rejoin
-// the ring with a stale hosted set.
+// probe runs one health check and applies its verdict: a 200 with a
+// decodable listing passes, anything else fails. A pass that would
+// readmit an ejected replica first runs the model-set reconciliation
+// against the listing the probe just read: a replica that missed
+// broadcast membership changes while unreachable must not rejoin the ring
+// with a stale hosted set.
 func (f *Fleet) probe(r *replica) {
-	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.probeTimeout())
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.url+"/v1/models", nil)
 	if err != nil {
@@ -73,46 +74,45 @@ func (f *Fleet) probe(r *replica) {
 	err = json.NewDecoder(resp.Body).Decode(&listing)
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		f.noteProbe(r, fmt.Errorf("status %d", resp.StatusCode))
+	switch {
+	case resp.StatusCode != http.StatusOK:
+		err = fmt.Errorf("status %d", resp.StatusCode)
+	case err != nil:
+		err = fmt.Errorf("undecodable listing: %w", err)
+	}
+	if err != nil {
+		f.noteProbe(r, err)
 		return
 	}
 	r.mu.Lock()
 	wasDown := !r.healthy
 	r.mu.Unlock()
-	if wasDown && err == nil {
+	if wasDown {
 		f.reconcileModels(r, listing.Models)
 	}
 	f.noteProbe(r, nil)
 }
 
-// noteProbe folds one probe result into the replica's state, ejecting
-// from or readmitting to the ring as the verdict flips. A draining
-// replica (admin-held off the ring) or a soft-drained one keeps its
-// health bookkeeping but is never readmitted here.
+// noteProbe folds one probe result into the replica's health: failures
+// accumulate toward ejection, one success clears them. An admin drain or
+// a soft drain still holds a healthy replica off the ring.
 func (f *Fleet) noteProbe(r *replica, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err != nil {
+	if err == nil {
+		r.fails = 0
+		r.lastErr = ""
+		r.healthy = true
+	} else {
 		r.fails++
 		r.lastErr = err.Error()
 		f.met.probeFailures.With(r.host).Inc()
-		if r.healthy && r.fails >= f.cfg.FailThreshold {
+		if r.healthy && r.fails >= failThreshold {
 			r.healthy = false
-			f.ring.Remove(r.url)
 			f.met.ejections.With(r.host).Inc()
 		}
-		return
 	}
-	r.fails = 0
-	r.lastErr = ""
-	r.lastSeen = time.Now()
-	if !r.healthy {
-		r.healthy = true
-	}
-	if !r.draining && !r.shedded {
-		f.ring.Add(r.url)
-	}
+	f.settleLocked(r)
 }
 
 // noteTransportFailure is the proxy's fast path to ejection: a connection
@@ -127,34 +127,33 @@ func (f *Fleet) noteTransportFailure(base string, err error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.fails = f.cfg.FailThreshold
+	r.fails = failThreshold
 	r.lastErr = err.Error()
 	if r.healthy {
 		f.met.ejections.With(r.host).Inc()
 	}
 	r.healthy = false
-	f.ring.Remove(r.url)
+	f.settleLocked(r)
 }
 
-// drain takes a replica off the ring on the admin's behalf (rolling
-// rekey); the prober will not readmit it until undrain.
-func (f *Fleet) drain(base string) {
+// setDraining sets or releases an admin hold (rolling rekey): a held
+// replica leaves the ring at once, and a released one rejoins at once
+// when healthy and not soft-drained.
+func (f *Fleet) setDraining(base string, on bool) {
 	r := f.replicas[base]
 	r.mu.Lock()
-	r.draining = true
-	f.ring.Remove(base)
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	r.draining = on
+	f.settleLocked(r)
 }
 
-// undrain releases an admin hold; the replica rejoins the ring at once
-// when healthy and not soft-drained (otherwise the prober readmits it on
-// its next success or once its shed window clears).
-func (f *Fleet) undrain(base string) {
-	r := f.replicas[base]
-	r.mu.Lock()
-	r.draining = false
-	if r.healthy && !r.shedded {
-		f.ring.Add(base)
+// settleLocked is the one ring-membership rule: a replica takes new
+// routing iff it is healthy, not admin-drained and not soft-drained.
+// Every flag change calls it with r.mu held.
+func (f *Fleet) settleLocked(r *replica) {
+	if r.healthy && !r.draining && !r.shedded {
+		f.ring.Add(r.url)
+	} else {
+		f.ring.Remove(r.url)
 	}
-	r.mu.Unlock()
 }

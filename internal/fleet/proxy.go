@@ -67,16 +67,16 @@ func (f *Fleet) Handler() http.Handler {
 }
 
 // readBody buffers the request body so it can be replayed on failover,
-// capped at Config.MaxBodyBytes — an unbounded client body would be held
+// capped at serve.MaxBodyBytes — an unbounded client body would be held
 // in router memory for the whole retry loop. On overflow the client gets
 // 413 and the handler must return; other read errors answer 400.
 func (f *Fleet) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	defer r.Body.Close()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, f.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes))
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			http.Error(w, fmt.Sprintf("fleet: request body exceeds %d bytes", f.cfg.MaxBodyBytes),
+			http.Error(w, fmt.Sprintf("fleet: request body exceeds %d bytes", serve.MaxBodyBytes),
 				http.StatusRequestEntityTooLarge)
 		} else {
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -128,11 +128,7 @@ func (b cancelBody) Close() error {
 // response — success or error status — is a backend verdict returned
 // as-is; its body read stays bounded by the attempt deadline.
 func (f *Fleet) send(r *http.Request, base, path string, body []byte) (*http.Response, error) {
-	ctx := r.Context()
-	cancel := context.CancelFunc(func() {})
-	if f.cfg.AttemptTimeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, f.cfg.AttemptTimeout)
-	}
+	ctx, cancel := context.WithTimeout(r.Context(), f.cfg.AttemptTimeout)
 	resp, err := f.sendCtx(ctx, r, base, path, body)
 	if err != nil {
 		cancel()
@@ -189,13 +185,13 @@ func (f *Fleet) hostOf(base string) string {
 }
 
 // backoff sleeps the full-jitter exponential backoff for replay n
-// (0-based): rand(0, min(BackoffMax, BackoffBase<<n)). Returns false if
+// (0-based): rand(0, min(backoffMax, backoffBase<<n)). Returns false if
 // the client's context died during the wait — the failover loop should
 // stop, nobody is listening.
 func (f *Fleet) backoff(r *http.Request, n int) bool {
-	ceil := f.cfg.BackoffBase << n
-	if ceil > f.cfg.BackoffMax || ceil <= 0 {
-		ceil = f.cfg.BackoffMax
+	ceil := backoffBase << n
+	if ceil > backoffMax || ceil <= 0 {
+		ceil = backoffMax
 	}
 	d := time.Duration(rand.Int63n(int64(ceil) + 1))
 	if d == 0 {
@@ -236,7 +232,7 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 
 // failoverOwners returns a request's candidate replicas: the ring's
 // distinct-owner order for the key, truncated to the retry budget (the
-// first owner plus at most RetryBudget replays). When ejections leave
+// first owner plus at most retryBudget replays). When ejections leave
 // the ring too thin to fill that budget, off-ring replicas pad the list
 // as last-resort backstops — panic routing. An ejected replica is a
 // health *estimate*, and when the estimate says most of the fleet is
@@ -247,7 +243,7 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 // candidates (they are mid-rekey on purpose); soft-drained ones are —
 // overloaded beats unavailable.
 func (f *Fleet) failoverOwners(key string) []string {
-	max := f.cfg.RetryBudget + 1
+	max := retryBudget + 1
 	owners := f.ring.Owners(key, len(f.replicas))
 	if len(owners) > max {
 		return owners[:max]

@@ -114,7 +114,7 @@ func (f *Fleet) reconcileModels(r *replica, listing []serve.ModelInfo) {
 // repair replays one membership change against one replica's admin
 // surface and counts the outcome.
 func (f *Fleet) repair(r *replica, method, name string, body []byte) {
-	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.probeTimeout())
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, method, r.url+"/v1/admin/models/"+name, bytes.NewReader(body))
 	if err != nil {

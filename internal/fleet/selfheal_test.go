@@ -28,12 +28,7 @@ func TestFleetHungReplicaBoundedFailover(t *testing.T) {
 	// No Start(): the hung replica's health endpoint still answers, so the
 	// prober would readmit it and race the post-ejection assertions.
 	const attempt = 200 * time.Millisecond
-	f, err := New(Config{
-		Replicas:       urls,
-		AttemptTimeout: attempt,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     5 * time.Millisecond,
-	})
+	f, err := New(Config{Replicas: urls, AttemptTimeout: attempt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +62,10 @@ func TestFleetHungReplicaBoundedFailover(t *testing.T) {
 
 // TestFleetSoftDrainOnShedRate: a replica that keeps shedding 429s is
 // proactively weighted out of new sync traffic — off the ring but still
-// healthy — and readmitted once its shed window clears.
+// healthy — and readmitted once its shed window clears. The 100ms
+// interval makes the window 1s, long enough to hold every request.
 func TestFleetSoftDrainOnShedRate(t *testing.T) {
-	f, stubs := newTestFleetCfg(t, 2, Config{
-		ShedWindow:     800 * time.Millisecond,
-		ShedMinSamples: 5,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     2 * time.Millisecond,
-	}, "m0")
+	f, stubs := newTestFleetCfg(t, 2, Config{HealthInterval: 100 * time.Millisecond}, "m0")
 	ts := httptest.NewServer(f.Handler())
 	defer ts.Close()
 
@@ -84,7 +75,7 @@ func TestFleetSoftDrainOnShedRate(t *testing.T) {
 
 	// Every request sheds on the owner and fails over; the client never
 	// notices, and the owner's window fills with bad outcomes.
-	for i := 0; i < 8; i++ {
+	for i := 0; i < shedMinSamples+4; i++ {
 		if status, _ := doRead(t, "POST", ts.URL+"/v1/models/m0/infer", `{"input":[1]}`); status != http.StatusOK {
 			t.Fatalf("infer %d with shedding owner → %d, want 200", i, status)
 		}
@@ -180,6 +171,57 @@ func TestFleetReconcileOnReadmission(t *testing.T) {
 	}
 }
 
+// TestFleetGarbledListingStaysEjected: a probe answered 200 with a body
+// that is not a model listing is a failed probe. An ejected replica that
+// missed a broadcast add stays off the ring while its listing is garbled,
+// and once the listing decodes it is repaired before it rejoins.
+func TestFleetGarbledListingStaysEjected(t *testing.T) {
+	f, stubs := newTestFleet(t, 2, "m0")
+	ts := httptest.NewServer(f.Handler())
+	defer ts.Close()
+
+	victim := stubs[0]
+	victim.broken.Store(true)
+	deadline := time.Now().Add(10 * time.Second)
+	for f.ring.Has(victim.ts.URL) {
+		if time.Now().After(deadline) {
+			t.Fatal("broken replica never ejected")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if status, _ := doRead(t, "POST", ts.URL+"/v1/admin/models/extra", `{"source":"tiny"}`); status != http.StatusOK {
+		t.Fatal("broadcast add failed")
+	}
+
+	victim.garbled.Store(true)
+	victim.broken.Store(false)
+	failures := f.met.probeFailures.With(f.hostOf(victim.ts.URL))
+	seen := failures.Value()
+	for failures.Value() < seen+10 {
+		if f.ring.Has(victim.ts.URL) {
+			t.Fatal("replica with an undecodable listing readmitted")
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("undecodable listings not counted as probe failures")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if f.ring.Has(victim.ts.URL) || victim.hostsModel("extra") {
+		t.Fatal("replica with an undecodable listing readmitted or reconciled")
+	}
+
+	victim.garbled.Store(false)
+	for !f.ring.Has(victim.ts.URL) {
+		if time.Now().After(deadline) {
+			t.Fatal("replica never readmitted once its listing decoded")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !victim.hostsModel("extra") {
+		t.Fatal("replica rejoined the ring before the missed add was repaired")
+	}
+}
+
 // TestFleet5xxFailover: a 5xx from the ring owner is a gray verdict —
 // the request replays on the next owner instead of relaying the error,
 // and only when every candidate answers 5xx does the client see one. Sync
@@ -194,11 +236,7 @@ func TestFleet5xxFailover(t *testing.T) {
 	}
 	// No Start(): broken replicas would also fail probes and get ejected,
 	// making the 5xx path unreachable.
-	f, err := New(Config{
-		Replicas:    urls,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  2 * time.Millisecond,
-	})
+	f, err := New(Config{Replicas: urls})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,14 +276,14 @@ func TestFleet5xxFailover(t *testing.T) {
 }
 
 // TestFleetBodyCap: the replay buffer is bounded — a client body over
-// MaxBodyBytes answers 413 instead of being held in router memory for
-// the whole failover loop.
+// serve.MaxBodyBytes answers 413 instead of being held in router memory
+// for the whole failover loop.
 func TestFleetBodyCap(t *testing.T) {
-	f, _ := newTestFleetCfg(t, 1, Config{MaxBodyBytes: 1024}, "m0")
+	f, _ := newTestFleet(t, 1, "m0")
 	ts := httptest.NewServer(f.Handler())
 	defer ts.Close()
 
-	big := `{"input":"` + strings.Repeat("x", 4096) + `"}`
+	big := `{"input":"` + strings.Repeat("x", serve.MaxBodyBytes) + `"}`
 	if status, _ := doRead(t, "POST", ts.URL+"/v1/models/m0/infer", big); status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized infer body → %d, want 413", status)
 	}
@@ -262,10 +300,7 @@ func TestFleetBodyCap(t *testing.T) {
 // taking a slot — so the submit moves to the next owner and the job pins
 // to the replica that actually minted it.
 func TestFleetSubmitShedFailover(t *testing.T) {
-	f, stubs := newTestFleetCfg(t, 3, Config{
-		BackoffBase: time.Millisecond,
-		BackoffMax:  2 * time.Millisecond,
-	}, "m0")
+	f, stubs := newTestFleet(t, 3, "m0")
 	ts := httptest.NewServer(f.Handler())
 	defer ts.Close()
 
@@ -303,9 +338,10 @@ func TestFleetSubmitShedFailover(t *testing.T) {
 
 // TestFleetConcurrentProbes: per-tick probes fan out concurrently, so
 // three slow health endpoints cost a tick max(latency), not the sum —
-// a failing replica is still ejected promptly.
+// a failing replica is still ejected promptly. The 150ms interval gives
+// each 200ms probe a 300ms timeout.
 func TestFleetConcurrentProbes(t *testing.T) {
-	f, stubs := newTestFleetCfg(t, 3, Config{FailThreshold: 2}, "m0")
+	f, stubs := newTestFleetCfg(t, 3, Config{HealthInterval: 150 * time.Millisecond}, "m0")
 	for _, s := range stubs {
 		s.probeSlow.Store(int64(200 * time.Millisecond))
 	}
@@ -320,9 +356,9 @@ func TestFleetConcurrentProbes(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// Concurrent ticks cost ~200ms each → ejection after 2 failures lands
-	// well under 900ms; serialized probes (3×200ms per tick) cannot get
-	// there before ~1.2s.
+	// Concurrent probes fail at ~350ms and ~650ms (a tick that finds the
+	// previous probe in flight is skipped); serialized probes (3×200ms per
+	// tick) cannot fail the second time before ~950ms.
 	if elapsed := time.Since(start); elapsed > 900*time.Millisecond {
 		t.Fatalf("ejection took %v with three 200ms probes per tick — probes look serialized", elapsed)
 	}

@@ -6,14 +6,14 @@ import (
 )
 
 // shedBuckets is the sliding window's resolution: outcomes are folded
-// into this many coarse time buckets spanning Config.ShedWindow, so
+// into this many coarse time buckets spanning the shed window, so
 // recording stays O(1) and rate() never walks an unbounded event list.
 const shedBuckets = 8
 
 // shedWindow is one replica's sliding outcome window. The proxy records
 // every data-plane attempt it sends the replica — successes alongside
 // queue-full sheds, attempt timeouts and 5xx verdicts — and the
-// soft-drain decision reads the bad fraction over the last ShedWindow.
+// soft-drain decision reads the bad fraction over the last window.
 type shedWindow struct {
 	mu    sync.Mutex
 	width time.Duration // one bucket's span
@@ -84,15 +84,15 @@ func (f *Fleet) recordOutcome(base string, bad bool) {
 }
 
 // maybeSoftDrain weighs a persistently overloaded replica out of new
-// sync traffic: once its window's bad fraction crosses Config.ShedRate
-// with enough samples, it leaves the ring (new routing skips it) while
+// sync traffic: once its window's bad fraction crosses shedRate with
+// enough samples, it leaves the ring (new routing skips it) while
 // staying healthy — its jobs still reach it by replica tag, broadcasts
 // still include it, and the prober readmits it once the window clears.
 // The last ring member is never soft-drained: spreading overload needs
 // somewhere to spread to.
 func (f *Fleet) maybeSoftDrain(r *replica) {
 	rate, samples := r.window.rate()
-	if rate < f.cfg.ShedRate || samples < f.cfg.ShedMinSamples {
+	if rate < shedRate || samples < shedMinSamples {
 		return
 	}
 	r.mu.Lock()
@@ -101,13 +101,13 @@ func (f *Fleet) maybeSoftDrain(r *replica) {
 		return
 	}
 	r.shedded = true
-	f.ring.Remove(r.url)
+	f.settleLocked(r)
 	f.met.softDrains.With(r.host).Inc()
 }
 
 // maybeReadmitShed ends a soft drain once the replica's window has
 // cleared: drained replicas see no new sync traffic, so their windows
-// decay to empty within ShedWindow, and they rejoin the ring (unless an
+// decay to empty within the shed window, and they rejoin the ring (unless an
 // admin drain or health ejection still holds them out). Called from the
 // probe loop each tick.
 func (f *Fleet) maybeReadmitShed(r *replica) {
@@ -118,7 +118,7 @@ func (f *Fleet) maybeReadmitShed(r *replica) {
 		return
 	}
 	rate, samples := r.window.rate()
-	if samples != 0 && rate >= f.cfg.ShedRate/2 {
+	if samples != 0 && rate >= shedRate/2 {
 		return
 	}
 	r.mu.Lock()
@@ -128,7 +128,5 @@ func (f *Fleet) maybeReadmitShed(r *replica) {
 	}
 	r.shedded = false
 	f.met.shedReadmits.With(r.host).Inc()
-	if r.healthy && !r.draining {
-		f.ring.Add(r.url)
-	}
+	f.settleLocked(r)
 }

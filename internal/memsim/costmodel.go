@@ -3,9 +3,9 @@
 // see README.md §Experiments). It provides a calibrated cost model that
 // prices inference, RADAR detection and CRC detection over the *full-size*
 // ResNet-20/ResNet-18 layer shape tables — reproducing Table IV and
-// Table V — and a bank/row-buffer DRAM device. The same substrate prices
-// the attacker: internal/adversary's RateModel derives rowhammer flip
-// throughput from DRAMTiming's row-conflict latency and CostModel's clock.
+// Table V. Its clock also prices the attacker: internal/adversary's
+// RateModel turns a closed-form count of DRAM row-conflict cycles into
+// rowhammer flip throughput.
 package memsim
 
 import (

@@ -11,15 +11,14 @@ import (
 // implemented as im2col + matrix multiply. Bias is omitted because every
 // convolution in the ResNet family is followed by batch normalization.
 type Conv2D struct {
-	name                string
-	InC, OutC           int
-	K, Stride, Pad      int
-	Weight              *Param // shape (OutC, InC*K*K)
-	inShape             []int
-	cols                []*tensor.Tensor // cached per-sample im2col matrices
-	outH, outW          int
-	cachedTrain         bool
-	parallelOverSamples bool
+	name           string
+	InC, OutC      int
+	K, Stride, Pad int
+	Weight         *Param // shape (OutC, InC*K*K)
+	inShape        []int
+	cols           []*tensor.Tensor // cached per-sample im2col matrices
+	outH, outW     int
+	cachedTrain    bool
 }
 
 // NewConv2D constructs a convolution with Kaiming-initialized weights.
@@ -32,8 +31,7 @@ func NewConv2D(name string, inC, outC, k, stride, pad int, rng *rand.Rand) *Conv
 	}
 	return &Conv2D{
 		name: name, InC: inC, OutC: outC, K: k, Stride: stride, Pad: pad,
-		Weight:              NewParam(name+".weight", w, true),
-		parallelOverSamples: true,
+		Weight: NewParam(name+".weight", w, true),
 	}
 }
 
@@ -63,7 +61,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			prod := tensor.MatMul(c.Weight.Value, cols) // (OutC, plane)
 			copy(out.Data[i*c.OutC*plane:(i+1)*c.OutC*plane], prod.Data)
 		}
-		if c.parallelOverSamples && n > 1 {
+		if n > 1 {
 			wg.Add(1)
 			go func(i int) { defer wg.Done(); run(i) }(i)
 		} else {
@@ -97,7 +95,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			dxi := tensor.Col2Im(dcols, ch, h, w, c.K, c.K, c.Stride, c.Pad)
 			copy(dx.Data[i*ch*h*w:(i+1)*ch*h*w], dxi.Data)
 		}
-		if c.parallelOverSamples && n > 1 {
+		if n > 1 {
 			wg.Add(1)
 			go func(i int) { defer wg.Done(); run(i) }(i)
 		} else {

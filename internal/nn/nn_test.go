@@ -390,3 +390,36 @@ func TestMaxPoolLayerRoundTrip(t *testing.T) {
 		t.Fatalf("pool backward = %v", back.Data)
 	}
 }
+
+// TestStateMismatchPanics: loading and adopting validate the same way —
+// a missing tensor or one of the wrong length panics, batch-norm
+// statistics included, instead of being silently truncated.
+func TestStateMismatchPanics(t *testing.T) {
+	net := NewSequential("net", NewConv2D("conv", 1, 2, 3, 1, 1, rand.New(rand.NewSource(1))), NewBatchNorm2D("bn", 2))
+	for _, c := range []struct {
+		name  string
+		spoil func(*State)
+	}{
+		{"short parameter", func(st *State) { st.Params["conv.weight"] = st.Params["conv.weight"][:1] }},
+		{"missing parameter", func(st *State) { delete(st.Params, "conv.weight") }},
+		{"short running mean", func(st *State) { st.RunningMean["bn"] = st.RunningMean["bn"][:1] }},
+		{"short running var", func(st *State) { st.RunningVar["bn"] = st.RunningVar["bn"][:1] }},
+		{"missing BN stats", func(st *State) { delete(st.RunningVar, "bn") }},
+	} {
+		for _, load := range []struct {
+			name string
+			fn   func(*State)
+		}{{"LoadState", net.LoadState}, {"AdoptState", net.AdoptState}} {
+			t.Run(load.name+"/"+c.name, func(t *testing.T) {
+				st := net.CaptureState()
+				c.spoil(st)
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s with a %s did not panic", load.name, c.name)
+					}
+				}()
+				load.fn(st)
+			})
+		}
+	}
+}

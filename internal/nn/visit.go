@@ -63,7 +63,17 @@ func (s *Sequential) CaptureState() *State {
 // shared (e.g. a cache entry) aliases the cache into the live model and
 // every subsequent weight write poisons it; use LoadState there. Missing
 // names or size mismatches panic, same contract as LoadState.
-func (s *Sequential) AdoptState(st *State) {
+func (s *Sequential) AdoptState(st *State) { s.installState(st, true) }
+
+// LoadState restores a snapshot previously captured from a model with the
+// same architecture. Missing names or size mismatches panic: a
+// state/architecture mismatch is a programming error, not a recoverable
+// condition.
+func (s *Sequential) LoadState(st *State) { s.installState(st, false) }
+
+// installState checks st against the architecture and installs every
+// tensor of it, by copy or, when adopt is set, by taking the slice.
+func (s *Sequential) installState(st *State, adopt bool) {
 	for _, p := range s.Params() {
 		data, ok := st.Params[p.Name]
 		if !ok {
@@ -72,7 +82,7 @@ func (s *Sequential) AdoptState(st *State) {
 		if len(data) != p.Value.Len() {
 			panic("nn: state size mismatch for " + p.Name)
 		}
-		p.Value.Data = data
+		install(&p.Value.Data, data, adopt)
 	}
 	s.Visit(func(l Layer) {
 		if bn, ok := l.(*BatchNorm2D); ok {
@@ -84,35 +94,18 @@ func (s *Sequential) AdoptState(st *State) {
 			if len(rm) != len(bn.RunningMean) || len(rv) != len(bn.RunningVar) {
 				panic("nn: state size mismatch for BN stats of " + bn.Name())
 			}
-			bn.RunningMean = rm
-			bn.RunningVar = rv
+			install(&bn.RunningMean, rm, adopt)
+			install(&bn.RunningVar, rv, adopt)
 		}
 	})
 }
 
-// LoadState restores a snapshot previously captured from a model with the
-// same architecture. Unknown or missing names panic: a state/architecture
-// mismatch is a programming error, not a recoverable condition.
-func (s *Sequential) LoadState(st *State) {
-	for _, p := range s.Params() {
-		data, ok := st.Params[p.Name]
-		if !ok {
-			panic("nn: state missing parameter " + p.Name)
-		}
-		if len(data) != p.Value.Len() {
-			panic("nn: state size mismatch for " + p.Name)
-		}
-		copy(p.Value.Data, data)
+// install puts src in *dst: the slice itself when adopt is set, else a
+// copy into the existing (equal-length) storage.
+func install[T float32 | float64](dst *[]T, src []T, adopt bool) {
+	if adopt {
+		*dst = src
+	} else {
+		copy(*dst, src)
 	}
-	s.Visit(func(l Layer) {
-		if bn, ok := l.(*BatchNorm2D); ok {
-			rm, ok1 := st.RunningMean[bn.Name()]
-			rv, ok2 := st.RunningVar[bn.Name()]
-			if !ok1 || !ok2 {
-				panic("nn: state missing BN stats for " + bn.Name())
-			}
-			copy(bn.RunningMean, rm)
-			copy(bn.RunningVar, rv)
-		}
-	})
 }

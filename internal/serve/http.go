@@ -30,16 +30,16 @@ type InferResponse struct {
 	Results []InferResult `json:"results"`
 }
 
-// maxInferBodyBytes caps every JSON request body (inference, job submit,
-// admin), the fleet router's default MaxBodyBytes: a replica is also
-// reached directly, and an uncapped decode lets one client stream an
-// endless array or string into the heap.
-const maxInferBodyBytes = 8 << 20
+// MaxBodyBytes caps every JSON request body (inference, job submit,
+// admin) a replica reads and every body the fleet router buffers for
+// failover replay: a replica is also reached directly, and an uncapped
+// read lets one client stream an endless array or string into the heap.
+const MaxBodyBytes = 8 << 20
 
 // decodeBody parses r's JSON body into v, reading at most
-// maxInferBodyBytes of it (beyond that: *http.MaxBytesError, a 413).
+// MaxBodyBytes of it (beyond that: *http.MaxBytesError, a 413).
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInferBodyBytes)).Decode(v); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v); err != nil {
 		return fmt.Errorf("bad JSON: %w", err)
 	}
 	return nil
@@ -49,8 +49,8 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 // against the server's configured shape (or the request's override).
 func (s *Server) decodeInferRequest(w http.ResponseWriter, r *http.Request) ([]*tensor.Tensor, error) {
 	var body bytes.Buffer
-	body.Grow(int(min(max(r.ContentLength, 0), maxInferBodyBytes)) + bytes.MinRead)
-	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxInferBodyBytes)); err != nil {
+	body.Grow(int(min(max(r.ContentLength, 0), MaxBodyBytes)) + bytes.MinRead)
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
 		return nil, fmt.Errorf("bad JSON: %w", err)
 	}
 	req, err := parseInferRequest(body.Bytes())

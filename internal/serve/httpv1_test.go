@@ -45,8 +45,8 @@ func TestHTTPV1Routes(t *testing.T) {
 	good := tinyBody(t, sample(x, 0))
 	// Ten bytes over the cap: the decoder must be cut off, not left to
 	// buffer an array of any length.
-	huge := `{"input":[` + strings.Repeat("0,", maxInferBodyBytes/2)
-	hugeString := `{"source":"` + strings.Repeat("a", maxInferBodyBytes)
+	huge := `{"input":[` + strings.Repeat("0,", MaxBodyBytes/2)
+	hugeString := `{"source":"` + strings.Repeat("a", MaxBodyBytes)
 
 	cases := []struct {
 		name   string

@@ -59,13 +59,13 @@ for i in 0 1 2; do
     [ -n "$up" ] || { echo "chaos proxy $i never came up"; exit 1; }
 done
 
-# The router sees only the chaos proxies. Tight self-healing knobs: short
-# attempt deadline, fast probes, fast jittered failover.
+# The router sees only the chaos proxies, on a short attempt deadline and
+# fast probes (the probe timeout, drain wait and shed window follow the
+# 100ms interval).
 "$FLEET_BIN" -replica "http://127.0.0.1:$CHAOS_PORT" \
              -replica "http://127.0.0.1:$((CHAOS_PORT + 1))" \
              -replica "http://127.0.0.1:$((CHAOS_PORT + 2))" \
-             -addr "$FLEET_ADDR" -health-interval 100ms -drain-wait 100ms \
-             -attempt-timeout 500ms -backoff-base 5ms -backoff-max 50ms \
+             -addr "$FLEET_ADDR" -health-interval 100ms -attempt-timeout 500ms \
              >"$LOGDIR/fleet.log" 2>&1 &
 PIDS+=($!)
 up=""

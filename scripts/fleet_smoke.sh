@@ -42,7 +42,7 @@ done
 "$FLEET_BIN" -replica "http://127.0.0.1:$BASE_PORT" \
              -replica "http://127.0.0.1:$((BASE_PORT + 1))" \
              -replica "http://127.0.0.1:$((BASE_PORT + 2))" \
-             -addr "$FLEET_ADDR" -health-interval 100ms -drain-wait 100ms \
+             -addr "$FLEET_ADDR" -health-interval 100ms \
              >"$LOGDIR/fleet.log" 2>&1 &
 PIDS+=($!)
 up=""
