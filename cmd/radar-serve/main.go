@@ -1,25 +1,22 @@
 // Command radar-serve boots the protected inference service: one or more
 // int8 engines compiled from zoo models, each wrapped in RADAR protection
-// with its own request batcher, background scrubber and (by default)
-// verified weight-fetch path, all behind the versioned HTTP control
-// plane.
+// with its own request batcher, background scrubber and verified
+// weight-fetch path, all behind the versioned HTTP control plane.
 //
 // Usage:
 //
 //	radar-serve -model tiny                               # single model
 //	radar-serve -model a=tiny -model b=resnet20s          # multi-model
-//	            [-addr :8080] [-g 8] [-batch 8] [-workers N]
-//	            [-queue 256] [-verify] [-scrub 100ms]
-//	            [-scan-workers N] [-jobs 1024]
-//	            [-store-dir DIR] [-store-sync 1s] [-correct NAME]
+//	            [-addr :8080] [-g 8] [-scrub 100ms] [-correct NAME]
+//	            [-store-dir DIR] [-store-sync 1s]
 //	            [-debug-addr :6060] [-log-requests]
 //
 // -model is repeatable; "name=zoo" serves zoo model zoo under name, and a
-// bare "zoo" uses the zoo name itself. The tuning flags apply to every
-// model (each still gets its own independent queue, workers and scrubber);
-// -scrub is the flip-exposure target of a model that gets no traffic.
-// A -g or -jobs below 1, or a negative -scrub or -store-sync, exits 2
-// before any model loads.
+// bare "zoo" uses the zoo name itself. -g and -scrub apply to every model
+// (each still gets its own queue of 256, one inference worker per CPU,
+// batches of up to 8 and its own scrubber); -scrub is the flip-exposure
+// target of a model that gets no traffic. A -g below 1, or a negative
+// -scrub or -store-sync, exits 2 before any model loads.
 //
 // -correct NAME (repeatable; "all" covers every model) opts the named
 // served model into ECC-corrected recovery: scrub-flagged groups consult
@@ -91,17 +88,10 @@ func main() {
 	flag.Var(&models, "model", "zoo model to serve: tiny, resnet20s or resnet18s, optionally as name=zoo; repeatable (checkpoints load from testdata/models)")
 	var corrects modelFlag
 	flag.Var(&corrects, "correct", "served model name whose recovery is ECC-corrected instead of zeroing; repeatable, or \"all\"")
-	defaults := serve.DefaultConfig()
 	var (
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
 		g         = flag.Int("g", 8, "RADAR group size (paper: 8 for ResNet-20, 512 for ResNet-18)")
-		batch     = flag.Int("batch", defaults.MaxBatch, "max queued requests one forward pass takes (a batch is whatever queued while the workers were busy)")
-		workers   = flag.Int("workers", 0, "inference workers per model (0 = one per CPU)")
-		queue     = flag.Int("queue", defaults.QueueDepth, "pending-request queue depth per model")
-		verify    = flag.Bool("verify", defaults.VerifiedFetch, "verify each layer's signatures at weight-fetch time (embedded detection)")
-		scrub     = flag.Duration("scrub", defaults.ScrubInterval, "background scrub interval per model, the flip-exposure target of an idle model (0 disables; not negative)")
-		scanWk    = flag.Int("scan-workers", 0, "scan engine worker pool per model (0 = one per CPU)")
-		jobs      = flag.Int("jobs", serve.DefaultJobCapacity, "async job table capacity")
+		scrub     = flag.Duration("scrub", 100*time.Millisecond, "background scrub interval per model, the flip-exposure target of an idle model (0 disables; not negative)")
 		storeDir  = flag.String("store-dir", "", "directory of mmap-backed store checkpoints, one <name>.radar per served model (empty = in-RAM weights)")
 		storeSync = flag.Duration("store-sync", time.Second, "store checkpoint dirty-section flush interval (with -store-dir; 0 disables the background flusher; not negative)")
 		debugAddr = flag.String("debug-addr", "", "optional separate listen address for net/http/pprof (empty disables)")
@@ -110,10 +100,6 @@ func main() {
 	flag.Parse()
 	if *g < 1 {
 		fmt.Fprintf(os.Stderr, "-g must be at least 1, got %d\n", *g)
-		os.Exit(2)
-	}
-	if *jobs < 1 {
-		fmt.Fprintf(os.Stderr, "-jobs must be at least 1, got %d\n", *jobs)
 		os.Exit(2)
 	}
 	if *scrub < 0 || *storeSync < 0 {
@@ -132,25 +118,26 @@ func main() {
 		checkpoints = map[string]*store.Checkpoint{}
 	)
 
-	// buildModel compiles one zoo model into an engine + protector pair
-	// under the process-wide tuning flags — shared by startup registration
-	// and the hot-add admin route. With -store-dir the bundle's weights
-	// are first rebound to the mapped checkpoint DIR/<name>.radar, so the
-	// engine and protector are wired to the file-backed image.
-	buildModel := func(name, zoo string) (*qinfer.Engine, *core.Protector, serve.Config, error) {
+	// buildModel compiles one zoo model into an engine + protector pair and
+	// its serving options under the process-wide flags — shared by startup
+	// registration and the hot-add admin route. With -store-dir the
+	// bundle's weights are first rebound to the mapped checkpoint
+	// DIR/<name>.radar, so the engine and protector are wired to the
+	// file-backed image.
+	buildModel := func(name, zoo string) (*qinfer.Engine, *core.Protector, []serve.ModelOption, error) {
 		spec, ok := model.SpecByName(zoo)
 		if !ok {
-			return nil, nil, serve.Config{}, fmt.Errorf("unknown zoo model %q", zoo)
+			return nil, nil, nil, fmt.Errorf("unknown zoo model %q", zoo)
 		}
 		bundle := model.Load(spec)
 		if *storeDir != "" {
 			path := filepath.Join(*storeDir, name+".radar")
 			if err := os.MkdirAll(*storeDir, 0o755); err != nil {
-				return nil, nil, serve.Config{}, fmt.Errorf("store dir: %w", err)
+				return nil, nil, nil, fmt.Errorf("store dir: %w", err)
 			}
 			ckpt, err := model.MapCheckpoint(bundle, path)
 			if err != nil {
-				return nil, nil, serve.Config{}, fmt.Errorf("map store checkpoint for %q: %w", name, err)
+				return nil, nil, nil, fmt.Errorf("map store checkpoint for %q: %w", name, err)
 			}
 			mode := "mmap"
 			if !ckpt.Mapped() {
@@ -175,23 +162,18 @@ func main() {
 		calib, _ := bundle.Attack.Batch(0, 64)
 		eng, err := qinfer.Compile(bundle.Net, bundle.QModel, calib)
 		if err != nil {
-			return nil, nil, serve.Config{}, fmt.Errorf("compile int8 engine for %q: %w", zoo, err)
+			return nil, nil, nil, fmt.Errorf("compile int8 engine for %q: %w", zoo, err)
 		}
 		pcfg := core.DefaultConfig(*g)
-		pcfg.Workers = *scanWk
 		for _, c := range corrects {
 			if c == name || c == "all" {
 				pcfg.Correct = true
 			}
 		}
 		prot := core.Protect(bundle.QModel, pcfg)
-		return eng, prot, serve.Config{
-			MaxBatch:      *batch,
-			Workers:       *workers,
-			QueueDepth:    *queue,
-			VerifiedFetch: *verify,
-			ScrubInterval: *scrub,
-			InputShape:    []int{spec.Data.Channels, spec.Data.Size, spec.Data.Size},
+		return eng, prot, []serve.ModelOption{
+			serve.WithScrub(*scrub),
+			serve.WithInputShape(spec.Data.Channels, spec.Data.Size, spec.Data.Size),
 		}, nil
 	}
 
@@ -199,18 +181,14 @@ func main() {
 	// source string is a zoo model name, built with the same tuning as the
 	// startup -model registrations.
 	provider := func(name, source string) (*qinfer.Engine, *core.Protector, []serve.ModelOption, error) {
-		eng, prot, cfg, err := buildModel(name, source)
-		if err != nil {
-			return nil, nil, nil, err
+		eng, prot, mopts, err := buildModel(name, source)
+		if err == nil {
+			log.Printf("hot-adding zoo model %q as %q", source, name)
 		}
-		log.Printf("hot-adding zoo model %q as %q", source, name)
-		return eng, prot, []serve.ModelOption{serve.WithConfig(cfg)}, nil
+		return eng, prot, mopts, err
 	}
 
-	opts := []serve.ServiceOption{
-		serve.WithJobCapacity(*jobs),
-		serve.WithModelProvider(provider),
-	}
+	opts := []serve.ServiceOption{serve.WithModelProvider(provider)}
 	var names []string
 	for _, mv := range models {
 		name, zoo := mv, mv
@@ -223,7 +201,7 @@ func main() {
 			os.Exit(2)
 		}
 		log.Printf("loading %s as %q (training on first use; cached under testdata/models)", spec.Name, name)
-		eng, prot, cfg, err := buildModel(name, zoo)
+		eng, prot, mopts, err := buildModel(name, zoo)
 		if err != nil {
 			log.Fatalf("%v", err)
 		}
@@ -234,7 +212,7 @@ func main() {
 		log.Printf("model %q: %d layers, %d groups (G=%d, %s recovery)",
 			name, len(prot.Model.Layers), prot.NumGroups(), *g, recovery)
 
-		opts = append(opts, serve.WithModel(name, eng, prot, serve.WithConfig(cfg)))
+		opts = append(opts, serve.WithModel(name, eng, prot, mopts...))
 		names = append(names, name)
 	}
 
@@ -289,8 +267,8 @@ func main() {
 
 	httpSrv := &http.Server{Addr: *addr, Handler: handler}
 	go func() {
-		log.Printf("serving %d model(s) [%s] on %s — verify=%v scrub=%v jobs=%d kernel=%s (gemm+checksum)",
-			len(names), strings.Join(names, ", "), *addr, *verify, *scrub, *jobs, qinfer.GEMMKernel())
+		log.Printf("serving %d model(s) [%s] on %s — scrub=%v kernel=%s (gemm+checksum)",
+			len(names), strings.Join(names, ", "), *addr, *scrub, qinfer.GEMMKernel())
 		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			log.Fatalf("http: %v", err)
 		}

@@ -166,7 +166,7 @@ func TestEntryPointsAgree(t *testing.T) {
 							m := syntheticModel(rand.New(rand.NewSource(42)), sizes)
 							cfg := DefaultConfig(16)
 							cfg.Workers = workers
-							cfg.ShardGroups = 9 // several shards per layer
+							cfg.shardGroups = 9 // several shards per layer
 							cfg.Correct = correct
 							cfg.OnLayerScanned = scanned.hook
 							p := Protect(m, cfg)

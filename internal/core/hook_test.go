@@ -40,7 +40,7 @@ func TestOnLayerScannedHook(t *testing.T) {
 		var rec hookRecorder
 		cfg := DefaultConfig(8)
 		cfg.Workers = workers
-		cfg.ShardGroups = 2 // force several shards per layer
+		cfg.shardGroups = 2 // force several shards per layer
 		cfg.OnLayerScanned = rec.hook
 		p := Protect(m, cfg)
 		all := []int{0, 1, 2}

@@ -87,7 +87,7 @@ func TestScanParallelMatchesSequential(t *testing.T) {
 			Interleave:  interleave,
 			SigBits:     2 + rng.Intn(2),
 			Seed:        seed,
-			ShardGroups: 1 + rng.Intn(50),
+			shardGroups: 1 + rng.Intn(50),
 		}
 		cfg.Workers = 1
 		p := Protect(m, cfg)
@@ -118,7 +118,7 @@ func TestProtectParallelMatchesSequential(t *testing.T) {
 	for _, w := range []int{2, 7, 0} {
 		c := cfg
 		c.Workers = w
-		c.ShardGroups = 5
+		c.shardGroups = 5
 		par := Protect(m, c)
 		if !reflect.DeepEqual(par.Schemes, seq.Schemes) {
 			t.Fatalf("workers=%d: schemes differ", w)

@@ -27,10 +27,10 @@ type Config struct {
 	// Zero or negative selects runtime.GOMAXPROCS(0). Workers: 1 runs the
 	// engine sequentially; any value produces identical results.
 	Workers int
-	// ShardGroups caps the checksum groups per parallel scan shard. Zero
-	// selects DefaultShardGroups. Shard geometry never changes results,
-	// only load balance.
-	ShardGroups int
+	// shardGroups caps the checksum groups per parallel scan shard (zero:
+	// defaultShardGroups). Shard geometry never changes results, only load
+	// balance; tests shrink it to force several shards per layer.
+	shardGroups int
 	// OnLayerScanned, when set, is called with the layer index each time a
 	// scan or protect pass finishes the last shard of that layer — once per
 	// layer per pass, possibly from a worker goroutine, so it must be cheap
@@ -84,7 +84,7 @@ type Protector struct {
 	// workers is the configured pool size (0 = GOMAXPROCS, resolved at
 	// scan time so a zero-valued Protector still works).
 	workers int
-	// shardGroups is the configured shard size (0 = DefaultShardGroups).
+	// shardGroups is the configured shard size (0 = defaultShardGroups).
 	shardGroups int
 	// onLayerScanned is Config.OnLayerScanned (nil = no per-layer
 	// completion notifications).
@@ -142,7 +142,7 @@ func newProtector(m *quant.Model, cfg Config) *Protector {
 	p := &Protector{
 		Model:          m,
 		workers:        cfg.Workers,
-		shardGroups:    cfg.ShardGroups,
+		shardGroups:    cfg.shardGroups,
 		onLayerScanned: cfg.OnLayerScanned,
 		correct:        cfg.Correct,
 		dirty:          make([]bool, len(m.Layers)),

@@ -22,18 +22,18 @@ func (p *Protector) RefreshAll() {
 // cfg and recomputes all golden signatures. Rotating the secrets bounds
 // how long a side-channel leak of one key is useful to an attacker. The
 // protector keeps its existing model observation (no new observer is
-// registered) and its tuned Workers/ShardGroups/OnLayerScanned unless cfg
-// sets them. ECC correction survives a rekey: a protector that corrects
-// stays correcting (check words are recomputed alongside the goldens)
-// regardless of cfg.Correct — a key rotation must not silently downgrade
-// the recovery mode.
+// registered) and its tuned Workers, shard size and OnLayerScanned unless
+// cfg sets them. ECC correction survives a rekey: a protector that
+// corrects stays correcting (check words are recomputed alongside the
+// goldens) regardless of cfg.Correct — a key rotation must not silently
+// downgrade the recovery mode.
 func (p *Protector) Rekey(cfg Config) {
 	p.mu.Lock()
 	if cfg.Workers == 0 {
 		cfg.Workers = p.workers
 	}
-	if cfg.ShardGroups == 0 {
-		cfg.ShardGroups = p.shardGroups
+	if cfg.shardGroups == 0 {
+		cfg.shardGroups = p.shardGroups
 	}
 	if cfg.OnLayerScanned == nil {
 		cfg.OnLayerScanned = p.onLayerScanned

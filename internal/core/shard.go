@@ -5,11 +5,11 @@ import (
 	"sync/atomic"
 )
 
-// DefaultShardGroups is the default number of checksum groups per parallel
-// scan shard. At the paper's ResNet-18 deployment point (G=512) one shard
+// defaultShardGroups is the number of checksum groups per parallel scan
+// shard. At the paper's ResNet-18 deployment point (G=512) one shard
 // covers ~half a megabyte of weights — big enough to amortize scheduling,
 // small enough that a large layer still splits across the pool.
-const DefaultShardGroups = 1024
+const defaultShardGroups = 1024
 
 // shard is one unit of parallel scan work: the group range [lo, hi) of one
 // layer. Shards are totally ordered by (layer, lo); concatenating per-shard
@@ -26,7 +26,7 @@ type shard struct {
 func (p *Protector) appendLayerShards(dst []shard, li int) []shard {
 	sg := p.shardGroups
 	if sg <= 0 {
-		sg = DefaultShardGroups
+		sg = defaultShardGroups
 	}
 	n := p.Schemes[li].NumGroups(len(p.Model.Layers[li].Q))
 	for lo := 0; lo < n; lo += sg {

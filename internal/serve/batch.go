@@ -30,17 +30,17 @@ func sameShape(a, b *tensor.Tensor) bool {
 
 // worker is the batcher and the executor in one: it blocks for the first
 // request of a batch, takes whatever is already queued behind it without
-// waiting — up to MaxBatch, same geometry — and runs the batch. An idle
+// waiting — up to maxBatch, same geometry — and runs the batch. An idle
 // worker therefore answers a lone request at once, and batches form exactly
 // when requests arrive faster than the workers retire them: the backlog in
 // reqs is the batch. A request of another shape (possible only when
-// Config.InputShape is unset) ends the batch — one forward pass has one
+// WithInputShape is not set) ends the batch — one forward pass has one
 // geometry — and is held as the first of this worker's next one. The worker
 // exits once Stop has closed reqs and the queue is drained.
 func (s *Server) worker() {
 	defer s.workWG.Done()
 	v := &verifier{s: s}
-	batch := make([]*request, 0, s.cfg.MaxBatch)
+	batch := make([]*request, 0, s.cfg.maxBatch)
 	var held *request
 	for {
 		first := held
@@ -53,7 +53,7 @@ func (s *Server) worker() {
 		}
 		batch = append(batch[:0], first)
 	fill:
-		for len(batch) < s.cfg.MaxBatch {
+		for len(batch) < s.cfg.maxBatch {
 			select {
 			case r, ok := <-s.reqs:
 				if !ok {
@@ -107,8 +107,8 @@ func (s *Server) runBatch(batch []*request, v *verifier) {
 	}
 	assembled := time.Now()
 	v.at = assembled
-	out, fetched := s.eng.ForwardFetch(x, v)
-	verify := v.flush(fetched)
+	out, verify := s.eng.ForwardFetch(x, v)
+	v.flush(verify)
 	k := out.Shape[1]
 	now := time.Now()
 	forward := now.Sub(assembled) - verify

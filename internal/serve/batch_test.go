@@ -51,14 +51,10 @@ func mustSubmit(t *testing.T, srv *Server, x *tensor.Tensor) <-chan InferResult 
 // TestBacklogBecomesBatches pins the work-conserving policy on an exact
 // backlog: one worker takes a lone request the moment it arrives (batch of
 // 1), blocks in its forward pass while 16 more queue, and on coming free
-// takes them MaxBatch at a time — three passes carrying 1, 8 and 8, every
+// takes them maxBatch at a time — three passes carrying 1, 8 and 8, every
 // answer bit-identical to the bare engine's.
 func TestBacklogBecomesBatches(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Workers = 1
-	cfg.MaxBatch = 8
-	cfg.ScrubInterval = 0
-	b, srv := newTinyServer(t, cfg)
+	b, srv := newTinyServer(t, WithScrub(0), sized(1, 8))
 	ref := cleanReference(t)
 	x, _ := b.Test.Batch(0, 17)
 
@@ -92,9 +88,7 @@ func TestBacklogBecomesBatches(t *testing.T) {
 // TestLoneRequestDoesNotWait: an idle server hands a request to a worker
 // after a goroutine wake-up, not after a timer.
 func TestLoneRequestDoesNotWait(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ScrubInterval = 0
-	b, srv := newTinyServer(t, cfg)
+	b, srv := newTinyServer(t, WithScrub(0))
 	x, _ := b.Test.Batch(0, 1)
 	const n = 20
 	for i := 0; i < n; i++ {
@@ -128,7 +122,7 @@ func TestLoneRequestDoesNotWait(t *testing.T) {
 	}
 }
 
-// TestShapeChangeCarriesOver: with InputShape unset a backlog may mix
+// TestShapeChangeCarriesOver: with no input shape pinned a backlog may mix
 // geometries. A request of another shape ends the batch and opens the
 // worker's next one, so A,A,B,B,A runs as [A,A],[B,B],[A] — nothing lost,
 // every request answered for its own input.
@@ -139,10 +133,8 @@ func TestShapeChangeCarriesOver(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	cfg := DefaultConfig() // InputShape unset: any (C,H,W) is accepted
-	cfg.Workers = 1
-	cfg.ScrubInterval = 0
-	srv := newTestServer(eng, core.Protect(b.QModel, core.DefaultConfig(4)), cfg)
+	// No WithInputShape: any (C,H,W) is accepted.
+	srv := newTestServer(eng, core.Protect(b.QModel, core.DefaultConfig(4)), WithScrub(0), sized(1, 8))
 	srv.Start()
 	defer srv.Stop()
 	ref := cleanReference(t)
@@ -180,11 +172,7 @@ func TestShapeChangeCarriesOver(t *testing.T) {
 // TestStopAnswersBacklog: Stop closes the intake and the workers drain it —
 // every request already queued is answered, none dropped.
 func TestStopAnswersBacklog(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Workers = 2
-	cfg.MaxBatch = 4
-	cfg.ScrubInterval = 0
-	b, srv := newTinyServer(t, cfg)
+	b, srv := newTinyServer(t, WithScrub(0), sized(2, 4))
 	ref := cleanReference(t)
 	x, _ := b.Test.Batch(0, 8)
 

@@ -66,7 +66,7 @@ func (s *Server) decodeInferRequest(w http.ResponseWriter, r *http.Request) ([]*
 	}
 	shape := req.Shape
 	if len(shape) == 0 {
-		shape = s.cfg.InputShape
+		shape = s.cfg.inputShape
 	}
 	if len(shape) != 3 {
 		return nil, errors.New("shape must be (C,H,W)")

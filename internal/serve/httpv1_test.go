@@ -106,7 +106,7 @@ func TestHTTPV1Routes(t *testing.T) {
 // with a dimension below 1 whose volume still matched the values sent
 // (3·(−8)·(−8) = 192, or 0 for no values), and one whose volume wraps to 0.
 func TestWrongChannelCountRejected(t *testing.T) {
-	unpin := func(c *Config) { c.InputShape = nil }
+	unpin := func(c *config) { c.inputShape = nil }
 	for name, opts := range map[string][]ModelOption{"pinned": {WithScrub(0)}, "unpinned": {WithScrub(0), unpin}} {
 		t.Run(name, func(t *testing.T) {
 			svc, b, _ := openTiny(t, 1, opts)
@@ -205,9 +205,8 @@ func TestHTTPJobRoundTrip(t *testing.T) {
 // table answers the first job with 202 and the second with 429 +
 // Retry-After — the connection is never parked.
 func TestHTTPQueueAndTableSaturation(t *testing.T) {
-	svc, b, _ := openTiny(t, 1,
-		[]ModelOption{WithScrub(0)},
-		WithJobCapacity(1))
+	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0)})
+	svc.jobs.cap = 1
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	x, _ := b[0].Test.Batch(0, 1)
@@ -266,7 +265,7 @@ func TestHTTPStopping(t *testing.T) {
 // scrub reports per-model findings, and admin rekey answers with
 // rekeyed=true while the model keeps serving.
 func TestHTTPModelsAndAdmin(t *testing.T) {
-	svc, b, _ := openTiny(t, 2, []ModelOption{WithConfig(Config{InputShape: []int{3, 8, 8}})})
+	svc, b, _ := openTiny(t, 2, []ModelOption{WithScrub(0)})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	x, _ := b[0].Test.Batch(0, 1)
@@ -303,7 +302,7 @@ func TestHTTPModelsAndAdmin(t *testing.T) {
 	for _, want := range []string{
 		`radar_requests_total{model="m0"} 1` + "\n",
 		`radar_requests_total{model="m1"} 0` + "\n",
-		fmt.Sprintf("radar_jobs_capacity %d\n", DefaultJobCapacity),
+		fmt.Sprintf("radar_jobs_capacity %d\n", jobCapacity),
 	} {
 		if !strings.Contains(string(text), want) {
 			t.Fatalf("/v1/metrics lacks %q", want)

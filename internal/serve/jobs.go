@@ -101,7 +101,15 @@ type jobTable struct {
 	cancelled int64 // lifetime jobs cancelled before completion
 }
 
-func newJobTable(capacity int) *jobTable {
+// jobCapacity bounds the async job table: submissions beyond it fail with
+// ErrJobsFull instead of growing memory. jobTTL is how long a completed
+// job's result stays pollable.
+const (
+	jobCapacity = 1024
+	jobTTL      = time.Minute
+)
+
+func newJobTable() *jobTable {
 	// Job IDs carry a per-instance tag so IDs minted by different replicas
 	// of the same deployment never collide — a fleet router routes polls
 	// and cancels by the tag (JobID.Tag). The tag is 64 crypto-random
@@ -109,8 +117,8 @@ func newJobTable(capacity int) *jobTable {
 	// replicas would make their IDs collide systematically, and the ID is
 	// opaque to clients so the extra width costs nothing.
 	return &jobTable{
-		cap:      capacity,
-		ttl:      DefaultJobTTL,
+		cap:      jobCapacity,
+		ttl:      jobTTL,
 		instance: newInstanceTag(),
 		jobs:     make(map[JobID]*job),
 	}

@@ -112,10 +112,8 @@ func TestJobCancelledReaped(t *testing.T) {
 // TestJobTableBounded: the table refuses submissions past its capacity
 // with a typed ErrJobsFull, and frees the slot again once jobs expire.
 func TestJobTableBounded(t *testing.T) {
-	svc, b, _ := openTiny(t, 1,
-		[]ModelOption{WithScrub(0)},
-		WithJobCapacity(1))
-	svc.jobs.ttl = 10 * time.Millisecond
+	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0)})
+	svc.jobs.cap, svc.jobs.ttl = 1, 10*time.Millisecond
 	x, _ := b[0].Test.Batch(0, 2)
 	release := wedge(t, svc, "m0")
 	defer release()
@@ -149,9 +147,7 @@ func TestJobTableBounded(t *testing.T) {
 // bounded request queue is saturated, Submit fails fast with
 // ErrQueueFull instead of blocking the caller.
 func TestSubmitQueueFullTyped(t *testing.T) {
-	svc, b, _ := openTiny(t, 1, []ModelOption{
-		WithConfig(Config{Workers: 1, MaxBatch: 1, QueueDepth: 1, VerifiedFetch: true}),
-	})
+	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0), oneSlot})
 	x, _ := b[0].Test.Batch(0, 1)
 	release := wedge(t, svc, "m0")
 	defer release()
@@ -234,7 +230,7 @@ func TestJobCancelAPI(t *testing.T) {
 // reserved (abort) must not lower radar_jobs_submitted_total — a scrape
 // between create and abort would read the fall as a counter reset.
 func TestJobsSubmittedNeverFalls(t *testing.T) {
-	jt := newJobTable(4)
+	jt := newJobTable()
 	j, err := jt.create("m0", func() {})
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 // Histogram bucket layouts. Latency buckets run 0.1ms–2.5s (an idle tiny
 // model answers in a few hundred µs; a fleet failover retry can stack a
 // few hundred ms); occupancy buckets cover the power-of-two batch sizes
-// up to the default MaxBatch and beyond.
+// up to maxBatch and beyond.
 var (
 	latencyBuckets   = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}
 	occupancyBuckets = []float64{1, 2, 4, 8, 16, 32}

@@ -159,11 +159,10 @@ func (r *registry) each(name string, f func(*Server)) error {
 // of GET /v1/models and of Service.Models. Its live figures are series on
 // GET /v1/metrics under the model's `model` label.
 type ModelInfo struct {
-	Name          string `json:"name"`
-	Layers        int    `json:"layers"`
-	Groups        int    `json:"groups"`
-	InputShape    []int  `json:"input_shape,omitempty"`
-	VerifiedFetch bool   `json:"verified_fetch"`
+	Name       string `json:"name"`
+	Layers     int    `json:"layers"`
+	Groups     int    `json:"groups"`
+	InputShape []int  `json:"input_shape,omitempty"`
 	// Correcting reports whether this model's recovery consults per-group
 	// ECC check words before falling back to zeroing.
 	Correcting bool  `json:"correcting"`
@@ -174,14 +173,13 @@ type ModelInfo struct {
 // info snapshots this model's identity, configuration and health.
 func (s *Server) info() ModelInfo {
 	return ModelInfo{
-		Name:          s.name,
-		Layers:        len(s.model.Layers),
-		Groups:        s.prot.NumGroups(),
-		InputShape:    s.cfg.InputShape,
-		VerifiedFetch: s.cfg.VerifiedFetch,
-		Correcting:    s.prot.Correcting(),
-		ScrubMs:       s.cfg.ScrubInterval.Milliseconds(),
-		Healthy:       s.Healthy(),
+		Name:       s.name,
+		Layers:     len(s.model.Layers),
+		Groups:     s.prot.NumGroups(),
+		InputShape: s.cfg.inputShape,
+		Correcting: s.prot.Correcting(),
+		ScrubMs:    s.cfg.scrubInterval.Milliseconds(),
+		Healthy:    s.Healthy(),
 	}
 }
 

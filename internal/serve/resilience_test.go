@@ -30,10 +30,8 @@ func TestEndToEndResilience(t *testing.T) {
 	// The paper's ResNet-20 deployment point: G=8.
 	prot := core.Protect(b.QModel, core.DefaultConfig(8))
 
-	cfg := DefaultConfig()
-	cfg.ScrubInterval = 2 * time.Millisecond
-	cfg.InputShape = []int{b.Spec.Data.Channels, b.Spec.Data.Size, b.Spec.Data.Size}
-	srv := newTestServer(eng, prot, cfg)
+	srv := newTestServer(eng, prot, WithScrub(2*time.Millisecond),
+		WithInputShape(b.Spec.Data.Channels, b.Spec.Data.Size, b.Spec.Data.Size))
 	srv.Start()
 	defer srv.Stop()
 

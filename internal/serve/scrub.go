@@ -6,11 +6,11 @@ import (
 	"radar/internal/core"
 )
 
-// scrubLoop is the background scrubber: every ScrubInterval it runs one
+// scrubLoop is the background scrubber: every scrub interval it runs one
 // scrub tick. It exits when Stop closes scrubStop.
 func (s *Server) scrubLoop() {
 	defer s.scrubWG.Done()
-	ticker := time.NewTicker(s.cfg.ScrubInterval)
+	ticker := time.NewTicker(s.cfg.scrubInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -24,13 +24,13 @@ func (s *Server) scrubLoop() {
 
 // Scrub runs one scrub cycle, the protector's rolling sweep (see
 // core.Protector.SweepTick), and reports what it found, in visit order. A
-// tick (full=false) sweeps at ScrubInterval, so a hot model that verified
+// tick (full=false) sweeps at the scrub interval, so a hot model that verified
 // fetches keep fresh costs nothing; a full cycle, and any cycle with the
-// scrubber off (ScrubInterval 0), covers every layer. Exported so tests and
+// scrubber off (WithScrub(0)), covers every layer. Exported so tests and
 // operators (POST /v1/admin/scrub) can force a cycle.
 func (s *Server) Scrub(full bool) (flagged []core.GroupID, zeroed int) {
 	begun := time.Now()
-	iv := s.cfg.ScrubInterval
+	iv := s.cfg.scrubInterval
 	if full {
 		iv = 0
 	}

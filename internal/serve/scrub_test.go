@@ -83,7 +83,7 @@ func TestRollingScrub(t *testing.T) {
 				// that stops ticking fails both: the window then grows to
 				// the length of the loop.
 				slices.Sort(windows)
-				iv := srv.cfg.ScrubInterval
+				iv := srv.cfg.scrubInterval
 				median, q3, worst := windows[len(windows)/2], windows[len(windows)*3/4], windows[len(windows)-1]
 				t.Logf("exposure window over %d samples: median %v, upper quartile %v, worst %v", len(windows), median, q3, worst)
 				if median > 3*iv {
@@ -98,9 +98,7 @@ func TestRollingScrub(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			pcfg := core.DefaultConfig(4)
 			pcfg.Correct = true // ECC repair: the image comes back bit-identical
-			cfg := DefaultConfig()
-			cfg.ScrubInterval = tc.interval
-			b, srv := buildTinyServer(t, cfg, pcfg)
+			b, srv := buildTinyServer(t, pcfg, WithScrub(tc.interval))
 			tc.run(t, b, srv)
 		})
 	}

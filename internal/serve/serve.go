@@ -27,14 +27,14 @@
 //     (up to the max batch size) and runs them as one forward pass: an idle
 //     model answers a lone request at once, and a batch is whatever queued
 //     while the workers were busy. Nothing waits on a timer.
-//   - A background scrubber goroutine that every ScrubInterval scans and
+//   - A background scrubber goroutine that every scrub interval scans and
 //     repairs the layers nothing has verified lately, oldest first.
-//   - A verified weight-fetch path: when enabled, every quantized layer's
-//     checksum is recomputed inside the fetch step of every stage of every
-//     batch — under the read lock the stage then computes under, on the
-//     bytes its convolution reads next — and a mismatch is repaired before
-//     the stage runs. Nothing is cached: a flip that no write observer saw
-//     lives until the next batch, not until the next scrub tick.
+//   - A verified weight-fetch path: every quantized layer's checksum is
+//     recomputed inside the fetch step of every stage of every batch —
+//     under the read lock the stage then computes under, on the bytes its
+//     convolution reads next — and a mismatch is repaired before the stage
+//     runs. Nothing is cached: a flip that no write observer saw lives
+//     until the next batch, not until the next scrub tick.
 //   - An attack-injection hook that runs an adversary (e.g. adversary.Mount
 //     landing a PBFA profile as rowhammer flips: direct writes no write
 //     observer sees) against the live model under whole-model write
@@ -65,48 +65,30 @@ import (
 	"radar/internal/tensor"
 )
 
-// Config tunes the serving subsystem.
-type Config struct {
-	// MaxBatch is the largest number of queued requests a worker takes
-	// into one forward pass (default 8). Workers never wait for a batch to
-	// fill: a pass carries what had queued when the worker came free.
-	MaxBatch int
-	// Workers is the number of inference worker goroutines (default
-	// GOMAXPROCS).
-	Workers int
-	// QueueDepth bounds the pending-request queue; submitters block once
-	// it is full (default 256).
-	QueueDepth int
-	// VerifiedFetch enables per-layer signature verification in the
-	// weight-fetch step of every stage of every batch (the embedded
-	// detection of Tables IV/V): one inline checksum pass per layer per
-	// forward, uncached.
-	VerifiedFetch bool
-	// ScrubInterval is the background scrubber period — the exposure target
-	// of a model without traffic (see Server.Scrub); zero disables it.
-	ScrubInterval time.Duration
-	// InputShape, when set, is the expected per-request input shape
+// config is one hosted model's serving settings: newConfig's defaults,
+// tuned by the ModelOptions.
+type config struct {
+	// scrubInterval is the background scrubber period — the exposure
+	// target of a model without traffic (see Server.Scrub); zero disables it.
+	scrubInterval time.Duration
+	// inputShape, when set, is the expected per-request input shape
 	// (C, H, W); Infer and the HTTP front-end validate against it.
-	InputShape []int
+	inputShape []int
+	// workers inference goroutines drain a queue of queueDepth pending
+	// requests, each taking up to maxBatch of them into one forward pass
+	// (a pass carries what had queued when its worker came free). Only
+	// tests change them, to build exact backlogs.
+	workers, maxBatch, queueDepth int
 }
 
-// DefaultConfig returns serving defaults: batches of up to 8, one worker
-// per CPU, a queue of 256, verified fetch on, and a 100ms scrubber.
-func DefaultConfig() Config {
-	c := Config{VerifiedFetch: true, ScrubInterval: 100 * time.Millisecond}
-	c.fillDefaults()
-	return c
-}
-
-func (c *Config) fillDefaults() {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
+// newConfig returns the serving defaults: a 100ms scrubber, one worker
+// per CPU, batches of up to 8 and a queue of 256.
+func newConfig() config {
+	return config{
+		scrubInterval: 100 * time.Millisecond,
+		workers:       runtime.GOMAXPROCS(0),
+		maxBatch:      8,
+		queueDepth:    256,
 	}
 }
 
@@ -146,7 +128,7 @@ var ErrQueueFull = errors.New("serve: request queue full")
 // RemoveModel and Close Stop it (draining in-flight requests). Server has
 // no public constructor: use Open and AddModel.
 type Server struct {
-	cfg    Config
+	cfg    config
 	name   string // hosted-model name, the `model` label on every series
 	eng    *qinfer.Engine
 	prot   *core.Protector
@@ -189,12 +171,10 @@ const defaultTraceRingSize = 256
 // newServerIn wires a server around an engine and the protector guarding
 // the engine's weight image, binding its metrics to reg under the `model`
 // label name and its request traces to traces. The engine becomes owned by
-// the server: its workers run every pass through the layer guard (and, with
-// verified fetch on, the protector), so it must not be used for unrelated
-// inference afterwards. The protector must protect the same quant.Model
-// the engine was compiled from.
-func newServerIn(eng *qinfer.Engine, prot *core.Protector, cfg Config, reg *obs.Registry, name string, traces *obs.TraceRing) *Server {
-	cfg.fillDefaults()
+// the server: its workers run every pass through the protector's verified
+// fetch, so it must not be used for unrelated inference afterwards. The
+// protector must protect the same quant.Model the engine was compiled from.
+func newServerIn(eng *qinfer.Engine, prot *core.Protector, cfg config, reg *obs.Registry, name string, traces *obs.TraceRing) *Server {
 	m := prot.Model
 	s := &Server{
 		cfg:       cfg,
@@ -205,7 +185,7 @@ func newServerIn(eng *qinfer.Engine, prot *core.Protector, cfg Config, reg *obs.
 		guard:     core.NewLayerGuard(len(m.Layers)),
 		met:       newMetrics(reg, name),
 		traces:    traces,
-		reqs:      make(chan *request, cfg.QueueDepth),
+		reqs:      make(chan *request, cfg.queueDepth),
 		scrubStop: make(chan struct{}),
 	}
 	prot.Coordinate(s.guard)
@@ -226,11 +206,11 @@ func (s *Server) Start() {
 	if !s.started.CompareAndSwap(false, true) {
 		return
 	}
-	for w := 0; w < s.cfg.Workers; w++ {
+	for w := 0; w < s.cfg.workers; w++ {
 		s.workWG.Add(1)
 		go s.worker()
 	}
-	if s.cfg.ScrubInterval > 0 {
+	if s.cfg.scrubInterval > 0 {
 		s.scrubWG.Add(1)
 		go s.scrubLoop()
 	}
@@ -291,7 +271,7 @@ func (s *Server) newRequest(ctx context.Context, x *tensor.Tensor, id string) (*
 	if c := s.eng.InputChannels(); shape[0] != c {
 		return nil, fmt.Errorf("serve: input shape %v has %d channels, the model takes %d", shape, shape[0], c)
 	}
-	if want := s.cfg.InputShape; len(want) == 3 {
+	if want := s.cfg.inputShape; len(want) == 3 {
 		if shape[0] != want[0] || shape[1] != want[1] || shape[2] != want[2] {
 			return nil, fmt.Errorf("serve: input shape %v, want %v", shape, want)
 		}

@@ -24,29 +24,43 @@ func infer(srv *Server, x *tensor.Tensor) (InferResult, error) {
 }
 
 // newTestServer wires a server outside any Service, on a private metrics
-// registry and trace ring.
-func newTestServer(eng *qinfer.Engine, prot *core.Protector, cfg Config) *Server {
+// registry and trace ring, configured as AddModel would.
+func newTestServer(eng *qinfer.Engine, prot *core.Protector, opts ...ModelOption) *Server {
+	cfg := newConfig()
+	for _, o := range opts {
+		o(&cfg)
+	}
 	return newServerIn(eng, prot, cfg, obs.NewRegistry(), "default", obs.NewTraceRing(defaultTraceRingSize))
 }
 
+// sized sets a runtime's worker count and batch cap: tests use it to build
+// exact backlogs.
+func sized(workers, maxBatch int) ModelOption {
+	return func(c *config) { c.workers, c.maxBatch = workers, maxBatch }
+}
+
+// oneSlot is one worker taking one request at a time from a one-request
+// queue: a single wedged pass saturates it.
+func oneSlot(c *config) { c.workers, c.maxBatch, c.queueDepth = 1, 1, 1 }
+
 // newTinyServer boots a server on the tiny test model. Each call builds an
 // independent bundle, so tests may corrupt weights freely.
-func newTinyServer(t testing.TB, cfg Config) (*model.Bundle, *Server) {
+func newTinyServer(t testing.TB, opts ...ModelOption) (*model.Bundle, *Server) {
 	t.Helper()
-	return newTinyServerWith(t, cfg, core.DefaultConfig(4))
+	return newTinyServerWith(t, core.DefaultConfig(4), opts...)
 }
 
 // newTinyServerWith is newTinyServer under a chosen protection config.
-func newTinyServerWith(t testing.TB, cfg Config, pcfg core.Config) (*model.Bundle, *Server) {
+func newTinyServerWith(t testing.TB, pcfg core.Config, opts ...ModelOption) (*model.Bundle, *Server) {
 	t.Helper()
-	b, srv := buildTinyServer(t, cfg, pcfg)
+	b, srv := buildTinyServer(t, pcfg, opts...)
 	srv.Start()
 	return b, srv
 }
 
 // buildTinyServer wires a server on the tiny test model without starting it:
 // no workers, no scrub ticker, cycles driven by hand.
-func buildTinyServer(t testing.TB, cfg Config, pcfg core.Config) (*model.Bundle, *Server) {
+func buildTinyServer(t testing.TB, pcfg core.Config, opts ...ModelOption) (*model.Bundle, *Server) {
 	t.Helper()
 	b := model.Load(model.TinySpec())
 	calib, _ := b.Attack.Batch(0, 64)
@@ -55,8 +69,8 @@ func buildTinyServer(t testing.TB, cfg Config, pcfg core.Config) (*model.Bundle,
 		t.Fatalf("Compile: %v", err)
 	}
 	prot := core.Protect(b.QModel, pcfg)
-	cfg.InputShape = []int{b.Spec.Data.Channels, b.Spec.Data.Size, b.Spec.Data.Size}
-	srv := newTestServer(eng, prot, cfg)
+	shape := WithInputShape(b.Spec.Data.Channels, b.Spec.Data.Size, b.Spec.Data.Size)
+	srv := newTestServer(eng, prot, append([]ModelOption{shape}, opts...)...)
 	t.Cleanup(srv.Stop)
 	return b, srv
 }
@@ -83,7 +97,7 @@ func TestServeMatchesDirectEngine(t *testing.T) {
 	k := ref.Shape[1]
 
 	prot := core.Protect(b.QModel, core.DefaultConfig(4))
-	srv := newTestServer(eng, prot, DefaultConfig())
+	srv := newTestServer(eng, prot)
 	srv.Start()
 	defer srv.Stop()
 
@@ -118,7 +132,7 @@ func TestServeMatchesDirectEngine(t *testing.T) {
 }
 
 func TestServeRejectsBadShape(t *testing.T) {
-	_, srv := newTinyServer(t, DefaultConfig())
+	_, srv := newTinyServer(t)
 	if _, err := infer(srv, tensor.New(1, 2, 3)); err == nil {
 		t.Fatal("mismatched input shape accepted")
 	}
@@ -128,7 +142,7 @@ func TestServeRejectsBadShape(t *testing.T) {
 }
 
 func TestGracefulShutdown(t *testing.T) {
-	b, srv := newTinyServer(t, DefaultConfig())
+	b, srv := newTinyServer(t)
 	x, _ := b.Test.Batch(0, 8)
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
@@ -197,11 +211,10 @@ func msbVolley(layer int, weights ...int) []quant.BitAddress {
 // next batch must flag and repair all of them before computing on them,
 // so every answer equals the clean reference engine's.
 func TestVerifiedFetchCatchesPhysicalFlips(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ScrubInterval = 0 // nothing but the fetch path can catch a flip
 	pcfg := core.DefaultConfig(4)
 	pcfg.Correct = true // ECC repair: the image comes back bit-identical
-	b, srv := newTinyServerWith(t, cfg, pcfg)
+	// Scrubber off: nothing but the fetch path can catch a flip.
+	b, srv := newTinyServerWith(t, pcfg, WithScrub(0))
 	ref := cleanReference(t)
 	x, _ := b.Test.Batch(0, 4)
 	prot := srv.prot
@@ -267,13 +280,9 @@ func TestVerifiedFetchCatchesPhysicalFlips(t *testing.T) {
 // read lock for the write lock, repairs by ECC and computes under that
 // hold, so no answer may ever differ from the clean reference.
 func TestVerifiedFetchUnderInjection(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ScrubInterval = 0
-	cfg.Workers = 2
-	cfg.MaxBatch = 2
 	pcfg := core.DefaultConfig(4)
 	pcfg.Correct = true
-	b, srv := newTinyServerWith(t, cfg, pcfg)
+	b, srv := newTinyServerWith(t, pcfg, WithScrub(0), sized(2, 2))
 	ref := cleanReference(t)
 	x, _ := b.Test.Batch(0, 8)
 	prot := srv.prot
@@ -338,7 +347,7 @@ func TestVerifiedForwardAddsNoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	b, srv := newTinyServer(t, DefaultConfig())
+	b, srv := newTinyServer(t)
 	srv.Stop() // the engine is ours now: no worker, no scrubber
 	x, _ := b.Test.Batch(0, 1)
 	v := &verifier{s: srv}
@@ -360,9 +369,7 @@ func TestVerifiedForwardAddsNoAllocs(t *testing.T) {
 // verified-fetch pass (which reads every layer), a scrub tick and a forced
 // full sweep.
 func TestExposureWindow(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ScrubInterval = 0
-	b, srv := newTinyServer(t, cfg)
+	b, srv := newTinyServer(t, WithScrub(0))
 	x, _ := b.Test.Batch(0, 1)
 
 	time.Sleep(5 * time.Millisecond)
@@ -390,33 +397,13 @@ func TestExposureWindow(t *testing.T) {
 	}
 }
 
-// TestVerifyTimeOffWhenVerificationOff: with verified fetch off the fetch
-// step is only the read lock, and none of it is reported as verification.
-func TestVerifyTimeOffWhenVerificationOff(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.VerifiedFetch = false
-	cfg.ScrubInterval = 0
-	b, srv := newTinyServer(t, cfg)
-	x, _ := b.Test.Batch(0, 4)
-	for i := 0; i < 4; i++ {
-		if _, err := infer(srv, sample(x, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ns, scans := srv.verifyNs.Load(), srv.met.verifyScans.Value(); ns != 0 || scans != 0 {
-		t.Fatalf("verification off, yet %v of verify time and %d verify scans reported", time.Duration(ns), scans)
-	}
-}
-
 // TestScrubberRepairsBypassingWrites: corruption written directly to
 // Layer.Q (bypassing the model API, like a true hardware flip) announces
 // itself to nothing, and every scrub cycle — a tick as much as a forced
 // full sweep — catches it all the same: what an idle model, which fetches
 // nothing, depends on.
 func TestScrubberRepairsBypassingWrites(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ScrubInterval = 0 // drive cycles by hand for determinism
-	b, srv := newTinyServer(t, cfg)
+	b, srv := newTinyServer(t, WithScrub(0)) // drive cycles by hand for determinism
 
 	l := b.QModel.Layers[1]
 	for _, full := range []bool{false, true} {

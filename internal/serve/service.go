@@ -31,8 +31,8 @@ type Request struct {
 // ServiceOption configures a Service under construction; see Open.
 type ServiceOption func(*serviceConfig) error
 
-// ModelOption tunes one registered model's serving Config; see WithModel.
-type ModelOption func(*Config)
+// ModelOption tunes one registered model's serving settings; see WithModel.
+type ModelOption func(*config)
 
 // modelSpec is one WithModel registration, applied by Open through AddModel.
 type modelSpec struct {
@@ -44,16 +44,8 @@ type modelSpec struct {
 
 type serviceConfig struct {
 	models   []modelSpec
-	jobCap   int
 	provider ModelProvider
 }
-
-// DefaultJobCapacity bounds the async job table when WithJobCapacity is
-// not given.
-const DefaultJobCapacity = 1024
-
-// DefaultJobTTL is how long a completed job's result stays pollable.
-const DefaultJobTTL = time.Minute
 
 // WithModel registers one model under name at Open, exactly as AddModel
 // would on the running service: an int8 engine plus the protector guarding
@@ -68,33 +60,15 @@ func WithModel(name string, eng *qinfer.Engine, prot *core.Protector, opts ...Mo
 	}
 }
 
-// WithConfig replaces the model's whole serving Config (unset fields are
-// filled with defaults). Later ModelOptions still apply on top.
-func WithConfig(cfg Config) ModelOption {
-	return func(c *Config) { *c = cfg }
-}
-
 // WithScrub sets the background scrub interval, the exposure target of a
-// model without traffic (0 disables the scrubber).
+// model without traffic (default 100ms; 0 disables the scrubber).
 func WithScrub(interval time.Duration) ModelOption {
-	return func(c *Config) { c.ScrubInterval = interval }
+	return func(c *config) { c.scrubInterval = interval }
 }
 
 // WithInputShape pins the model's expected per-request input shape.
 func WithInputShape(ch, h, w int) ModelOption {
-	return func(c *Config) { c.InputShape = []int{ch, h, w} }
-}
-
-// WithJobCapacity bounds the async job table (default DefaultJobCapacity).
-// Submissions beyond it fail with ErrJobsFull instead of growing memory.
-func WithJobCapacity(n int) ServiceOption {
-	return func(sc *serviceConfig) error {
-		if n <= 0 {
-			return fmt.Errorf("serve: job capacity %d, want > 0", n)
-		}
-		sc.jobCap = n
-		return nil
-	}
+	return func(c *config) { c.inputShape = []int{ch, h, w} }
 }
 
 // ModelProvider materializes a model from a wire-level add request: given
@@ -148,7 +122,7 @@ type Service struct {
 // fails to register (a bad or duplicate name, a nil engine) stops the ones
 // already started and fails Open with AddModel's error.
 func Open(opts ...ServiceOption) (*Service, error) {
-	sc := serviceConfig{jobCap: DefaultJobCapacity}
+	var sc serviceConfig
 	for _, o := range opts {
 		if err := o(&sc); err != nil {
 			return nil, err
@@ -159,7 +133,7 @@ func Open(opts ...ServiceOption) (*Service, error) {
 	}
 	s := &Service{
 		reg:      &registry{byName: make(map[string]*Server, len(sc.models))},
-		jobs:     newJobTable(sc.jobCap),
+		jobs:     newJobTable(),
 		provider: sc.provider,
 		obs:      obs.NewRegistry(),
 		traces:   obs.NewTraceRing(defaultTraceRingSize),
@@ -196,9 +170,10 @@ func (s *Service) Close() {
 }
 
 // AddModel hosts a model under name: its runtime (workers, batcher,
-// scrubber, verifier), configured by the ModelOptions over DefaultConfig,
+// scrubber, verifier), configured by the ModelOptions over the defaults,
 // is built and started, then the name is published to the registry, so the
-// first request routed to it already finds a live runtime. The protector
+// first request routed to it already finds a live runtime; a Close that
+// races the add stops it and fails the add with ErrStopping. The protector
 // must protect the quant.Model the engine was compiled from, and the
 // engine becomes owned by the service. Names must be non-empty, unique,
 // and URL-safe (letters, digits, '.', '_', '-').
@@ -212,7 +187,7 @@ func (s *Service) AddModel(name string, eng *qinfer.Engine, prot *core.Protector
 	if eng == nil || prot == nil {
 		return fmt.Errorf("serve: model %q needs a non-nil engine and protector", name)
 	}
-	cfg := DefaultConfig()
+	cfg := newConfig()
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -221,6 +196,12 @@ func (s *Service) AddModel(name string, eng *qinfer.Engine, prot *core.Protector
 	if err := s.reg.add(srv); err != nil {
 		srv.Stop() // name collision: tear the fresh runtime back down
 		return err
+	}
+	// Close sets closed before it snapshots the registry, so an add it
+	// did not see is seen here.
+	if s.closed.Load() {
+		srv.Stop()
+		return ErrStopping
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -100,9 +101,6 @@ func TestOpenValidation(t *testing.T) {
 	if _, err := Open(WithModel("x", nil, nil)); err == nil {
 		t.Fatal("nil engine/protector accepted")
 	}
-	if _, err := Open(WithJobCapacity(0)); err == nil {
-		t.Fatal("zero job capacity accepted")
-	}
 }
 
 // TestTwoModelsConcurrent serves two independently protected models from
@@ -190,9 +188,8 @@ func TestTwoModelsConcurrent(t *testing.T) {
 // on m0 is caught by m0's loop while m1's loop keeps cycling without ever
 // flagging anything.
 func TestIndependentScrubLoops(t *testing.T) {
-	svc, _, prots := openTiny(t, 2, []ModelOption{
-		WithConfig(Config{ScrubInterval: 2 * time.Millisecond}), // verified fetch off: isolate the scrubbers
-	})
+	// No traffic: nothing but the scrubbers fetches the weights.
+	svc, _, prots := openTiny(t, 2, []ModelOption{WithScrub(2 * time.Millisecond)})
 
 	if err := svc.Inject("m0", func(m *quant.Model) {
 		m.FlipBit(quant.BitAddress{LayerIndex: 0, WeightIndex: 5, Bit: quant.MSB})
@@ -224,9 +221,7 @@ func TestIndependentScrubLoops(t *testing.T) {
 // saturated (workers wedged, bounded queue full), a cancelled context
 // must make Infer return promptly instead of parking the caller.
 func TestInferContextCancellation(t *testing.T) {
-	svc, b, _ := openTiny(t, 1, []ModelOption{
-		WithConfig(Config{Workers: 1, MaxBatch: 1, QueueDepth: 1, VerifiedFetch: true}),
-	})
+	svc, b, _ := openTiny(t, 1, []ModelOption{WithScrub(0), oneSlot})
 	x, _ := b[0].Test.Batch(0, 4)
 	release := wedge(t, svc, "m0")
 	defer release()
@@ -405,7 +400,7 @@ func TestRekeyLive(t *testing.T) {
 // to every hosted model, and only the corrupted one reports findings —
 // including corruption written past the model API (a true hardware flip).
 func TestAdminScrubAllModels(t *testing.T) {
-	svc, b, _ := openTiny(t, 2, []ModelOption{WithConfig(Config{})})
+	svc, b, _ := openTiny(t, 2, []ModelOption{WithScrub(0)})
 	l := b[0].QModel.Layers[1]
 	if err := svc.Inject("m0", func(m *quant.Model) {
 		l.Q[7] = quant.FlipBit(l.Q[7], quant.MSB) // direct write, no notify
@@ -497,5 +492,87 @@ func TestRemoveDefaultPromotes(t *testing.T) {
 	}
 	if res.Class != want.Class {
 		t.Fatalf("default did not promote to m1: class %d vs %d", res.Class, want.Class)
+	}
+}
+
+// TestAddModelRacingClose: an AddModel that races Close must not leave a
+// live runtime behind — its workers and scrub ticker would run forever
+// on a closed service. Each round releases both calls from one barrier
+// and delays Close by a growing spin, sweeping the add's window. Every
+// runtime is stopped by the end of a round, so the rounds share two
+// engine/protector pairs.
+func TestAddModelRacingClose(t *testing.T) {
+	eng0, prot0, opts0, err := tinyProvider("", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, prot, opts, err := tinyProvider("", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 200 {
+		svc, err := Open(WithModel("m0", eng0, prot0, opts0...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := svc.AddModel("late", eng, prot, opts...); err != nil && !errors.Is(err, ErrStopping) {
+				t.Errorf("round %d: AddModel: %v", i, err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			for spin := time.Now(); time.Since(spin) < time.Duration(i)*time.Microsecond/2; {
+			}
+			svc.Close()
+		}()
+		close(start)
+		wg.Wait()
+		for _, srv := range svc.reg.snapshot() {
+			if srv.Healthy() {
+				t.Fatalf("round %d: model %q still live after Close", i, srv.name)
+			}
+		}
+	}
+}
+
+// TestDefaultRuntime pins what a model added with no options runs — the
+// serve runtime of the benchmark's serve-http and fleet-attack workloads:
+// a 100ms scrubber, one worker per CPU, batches of up to 8 from a queue of
+// 256, a 1024-job table, and a verified fetch on every layer of every
+// request.
+func TestDefaultRuntime(t *testing.T) {
+	b := model.Load(model.TinySpec())
+	calib, _ := b.Attack.Batch(0, 64)
+	eng, err := qinfer.Compile(b.Net, b.QModel, calib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := Open(WithModel("m0", eng, core.Protect(b.QModel, core.DefaultConfig(4))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	srv := modelSrv(t, svc, "m0")
+	want := config{scrubInterval: 100 * time.Millisecond, workers: runtime.GOMAXPROCS(0), maxBatch: 8, queueDepth: 256}
+	if !reflect.DeepEqual(srv.cfg, want) || cap(srv.reqs) != 256 {
+		t.Fatalf("default runtime %+v with a %d-deep queue, want %+v", srv.cfg, cap(srv.reqs), want)
+	}
+	if !strings.Contains(exposition(svc), "radar_jobs_capacity 1024\n") || svc.jobs.cap != 1024 {
+		t.Fatalf("job table holds %d, want 1024", svc.jobs.cap)
+	}
+	x, _ := b.Test.Batch(0, 1)
+	if _, err := svc.Infer(context.Background(), Request{Input: sample(x, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	scans := fmt.Sprintf("radar_verify_scans_total{model=\"m0\"} %d\n", len(b.QModel.Layers))
+	if text := exposition(svc); !strings.Contains(text, scans) {
+		t.Fatalf("one request did not verify every layer: /v1/metrics lacks %q", scans)
 	}
 }

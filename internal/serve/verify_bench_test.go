@@ -11,12 +11,19 @@ import (
 	"radar/internal/tensor"
 )
 
+// lockOnly is a fetch step without verification: the layer's read lock
+// alone, the baseline BenchmarkVerifiedFetch prices the verifier against.
+type lockOnly struct{ guard *core.LayerGuard }
+
+func (f lockOnly) FetchLayer(li int)   { f.guard.RLockLayer(li) }
+func (f lockOnly) ReleaseLayer(li int) { f.guard.RUnlockLayer(li) }
+
 // BenchmarkVerifiedFetch prices the fused fetch where it runs: one
-// batch-1 forward pass of a served model through a worker's verifier, with
-// verification off and on. fetch-µs/op is the time the pass spent in its
-// fetch steps (with verification off, the lock alone); the difference in
-// ns/op is what verification adds to a forward — the figure to hold
-// against the paper's Tables IV/V overheads.
+// batch-1 forward pass of a served model through a worker's verifier
+// (verify=on) and through the read lock alone (verify=off). fetch-µs/op is
+// the time the pass spent in its fetch steps; the difference in ns/op is
+// what verification adds to a forward — the figure to hold against the
+// paper's Tables IV/V overheads.
 func BenchmarkVerifiedFetch(b *testing.B) {
 	for _, spec := range []model.Spec{model.TinySpec(), model.ResNet20sSpec()} {
 		bundle := model.Load(spec)
@@ -27,19 +34,15 @@ func BenchmarkVerifiedFetch(b *testing.B) {
 		}
 		prot := core.Protect(bundle.QModel, core.DefaultConfig(8))
 		x, _ := bundle.Test.Batch(0, 1)
-		for _, verify := range []bool{false, true} {
-			cfg := DefaultConfig()
-			cfg.VerifiedFetch = verify
-			srv := newTestServer(eng, prot, cfg)
-			v := &verifier{s: srv}
-			name := spec.Name + "/verify=off"
-			if verify {
-				name = spec.Name + "/verify=on"
-			}
-			b.Run(name, func(b *testing.B) {
+		srv := newTestServer(eng, prot)
+		for _, leg := range []struct {
+			name string
+			f    qinfer.WeightFetcher
+		}{{"verify=off", lockOnly{srv.guard}}, {"verify=on", &verifier{s: srv}}} {
+			b.Run(spec.Name+"/"+leg.name, func(b *testing.B) {
 				var spent time.Duration
 				for b.Loop() {
-					_, d := eng.ForwardFetch(x, v)
+					_, d := eng.ForwardFetch(x, leg.f)
 					spent += d
 				}
 				b.ReportMetric(float64(spent.Microseconds())/float64(b.N), "fetch-µs/op")
@@ -50,22 +53,17 @@ func BenchmarkVerifiedFetch(b *testing.B) {
 }
 
 // BenchmarkServe measures the serving subsystem's request throughput on
-// the tiny zoo model with the background scrubber and the verified
-// weight-fetch path toggled — the software cost of continuous protection
-// on a live server (requests arrive from GOMAXPROCS parallel clients and
-// are coalesced by the batcher).
+// the tiny zoo model, every pass through the verified weight fetch, with
+// the background scrubber off and on — the software cost of continuous
+// protection on a live server (requests arrive from GOMAXPROCS parallel
+// clients and are coalesced by the batcher).
 func BenchmarkServe(b *testing.B) {
-	configs := []struct {
-		name          string
-		scrub, verify bool
-	}{
-		{"scrub=off/verify=off", false, false},
-		{"scrub=on/verify=off", true, false},
-		{"scrub=off/verify=on", false, true},
-		{"scrub=on/verify=on", true, true},
-	}
-	for _, c := range configs {
-		b.Run(c.name, func(b *testing.B) {
+	for _, scrub := range []time.Duration{0, 2 * time.Millisecond} {
+		name := "scrub=off"
+		if scrub > 0 {
+			name = "scrub=on"
+		}
+		b.Run(name, func(b *testing.B) {
 			bundle := model.Load(model.TinySpec())
 			calib, _ := bundle.Attack.Batch(0, 64)
 			eng, err := qinfer.Compile(bundle.Net, bundle.QModel, calib)
@@ -73,14 +71,7 @@ func BenchmarkServe(b *testing.B) {
 				b.Fatal(err)
 			}
 			prot := core.Protect(bundle.QModel, core.DefaultConfig(8))
-			cfg := DefaultConfig()
-			cfg.VerifiedFetch = c.verify
-			if c.scrub {
-				cfg.ScrubInterval = 2 * time.Millisecond
-			} else {
-				cfg.ScrubInterval = 0
-			}
-			svc, err := Open(WithModel("bench", eng, prot, WithConfig(cfg)))
+			svc, err := Open(WithModel("bench", eng, prot, WithScrub(scrub)))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -9,7 +9,8 @@
 # zeroing-only: groups destroyed), and the removed pre-v1 shims must
 # answer 404; and model b, left without traffic, must stay scrubbed
 # (scanned layers advancing, exposure window under 0.2 s at -scrub 50ms).
-# First, a negative -scrub must be refused at flag parse.
+# First, a negative -scrub and the removed -verify flag must be refused at
+# flag parse.
 # Used by `make serve-smoke` and the CI serve-integration job.
 set -euo pipefail
 
@@ -17,14 +18,18 @@ BIN=${1:-./radar-serve}
 ADDR=127.0.0.1:18080
 LOG=$(mktemp)
 
-# A negative -scrub would switch the scrubber off without a word: it must
-# exit 2 before any model loads or the listener binds.
-code=0
-neg=$("$BIN" -model tiny -addr "$ADDR" -scrub -1ms 2>&1) || code=$?
-[ "$code" = "2" ] || { echo "radar-serve -scrub -1ms exited $code, want 2: $neg"; exit 1; }
-if echo "$neg" | grep -q 'loading\|serving'; then
-    echo "radar-serve -scrub -1ms got past flag parse: $neg"; exit 1
-fi
+# A negative -scrub would switch the scrubber off without a word, and
+# verified fetch has no off switch: both must exit 2 before any model loads
+# or the listener binds (under timeout 10, so a regression fails, not hangs).
+for bad in "-scrub -1ms" "-verify=false"; do
+    code=0
+    # $bad is unquoted: a flag and its value split into two arguments.
+    neg=$(timeout 10 "$BIN" -model tiny -addr "$ADDR" $bad 2>&1) || code=$?
+    [ "$code" = "2" ] || { echo "radar-serve $bad exited $code, want 2: $neg"; exit 1; }
+    if echo "$neg" | grep -q 'loading\|serving'; then
+        echo "radar-serve $bad got past flag parse: $neg"; exit 1
+    fi
+done
 
 "$BIN" -model a=tiny -model b=tiny -correct a -addr "$ADDR" -scrub 50ms >"$LOG" 2>&1 &
 PID=$!
