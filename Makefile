@@ -17,12 +17,13 @@ test:
 # the mmap store (dirty-tracking observers fire from scan workers), and
 # the adversary campaign engine (volleys mount under the layer guard
 # while scrubs run), plus the ECC corrector and timing-substrate
-# property/fuzz seeds. The batching-policy tests build exact backlogs
-# behind blocked workers, the rekey test rotates secrets under live
-# traffic, and the rolling-scrub test times a live ticker, so they run ten
-# times over.
+# property/fuzz seeds, and the float conv path (Conv2D.Forward's workers
+# write disjoint slices of one output tensor). The batching-policy tests
+# build exact backlogs behind blocked workers, the rekey test rotates
+# secrets under live traffic, and the rolling-scrub test times a live
+# ticker, so they run ten times over.
 race:
-	$(GO) test -race -timeout 20m ./internal/core/... ./internal/serve/... ./internal/qinfer/... ./internal/obs/... ./internal/fleet/... ./internal/chaos/... ./internal/store/... ./internal/adversary/... ./internal/ecc/... ./internal/memsim/...
+	$(GO) test -race -timeout 20m ./internal/core/... ./internal/serve/... ./internal/qinfer/... ./internal/obs/... ./internal/fleet/... ./internal/chaos/... ./internal/store/... ./internal/adversary/... ./internal/ecc/... ./internal/memsim/... ./internal/tensor/... ./internal/nn/...
 	$(GO) test -race -count=10 -run 'TestBacklogBecomesBatches|TestShapeChangeCarriesOver|TestStopAnswersBacklog|TestRekeyLive|TestRollingScrub' ./internal/serve/
 
 # Every paper table and figure at test scale (minutes; PBFA profile
@@ -42,13 +43,15 @@ bench-smoke:
 # Each native fuzz target explores for 10 s past its committed seeds
 # (which `make test` already runs): the checksum kernel, the ECC
 # corrector, the conv GEMM kernels and requantization against the
-# reference loop, the infer-body parser against encoding/json, and the
+# reference loop, the blocked float MatMul and MatMulTransA against the
+# plain loops (amd64), the infer-body parser against encoding/json, and the
 # checkpoint loader (store.Open) on mutated files. A failing input lands
 # in the package's testdata/fuzz, ready to commit.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSignatures$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrectorAtMostTwoFlips$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzConvGEMM$$' -fuzztime 10s ./internal/qinfer/
+	$(GO) test -run '^$$' -fuzz '^FuzzMatMul$$' -fuzztime 10s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInferRequest$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreOpen$$' -fuzztime 10s ./internal/store/
 

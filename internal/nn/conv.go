@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 
 	"radar/internal/tensor"
@@ -35,7 +36,9 @@ func NewConv2D(name string, inC, outC, k, stride, pad int, rng *rand.Rand) *Conv
 	}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. A batch fans out once, to min(N, GOMAXPROCS)
+// workers that write straight into the output and, in eval mode, each reuse
+// one im2col buffer; a single sample splits MatMul's rows instead.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	if ch != c.InC {
@@ -43,30 +46,41 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	c.outH = tensor.ConvOutSize(h, c.K, c.Stride, c.Pad)
 	c.outW = tensor.ConvOutSize(w, c.K, c.Stride, c.Pad)
-	out := tensor.New(n, c.OutC, c.outH, c.outW)
 	c.inShape = append([]int(nil), x.Shape...)
 	c.cachedTrain = train
 	if train {
 		c.cols = make([]*tensor.Tensor, n)
 	}
-	plane := c.outH * c.outW
+	vol, plane := ch*h*w, c.outH*c.outW
+	im2col := func(i int, buf []float32) *tensor.Tensor {
+		sample := tensor.FromSlice(x.Data[i*vol:(i+1)*vol], ch, h, w)
+		cols := tensor.Im2Col(buf, sample, c.K, c.K, c.Stride, c.Pad)
+		if train {
+			c.cols[i] = cols
+		}
+		return cols
+	}
+	if n == 1 {
+		prod := tensor.MatMul(c.Weight.Value, im2col(0, nil)) // (OutC, plane)
+		return prod.Reshape(1, c.OutC, c.outH, c.outW)
+	}
+	out := tensor.New(n, c.OutC, c.outH, c.outW)
+	workers := min(n, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		run := func(i int) {
-			sample := tensor.FromSlice(x.Data[i*ch*h*w:(i+1)*ch*h*w], ch, h, w)
-			cols := tensor.Im2Col(sample, c.K, c.K, c.Stride, c.Pad)
-			if train {
-				c.cols[i] = cols
+	for wk := 0; wk < workers; wk++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []float32
+			for i := wk; i < n; i += workers {
+				cols := im2col(i, buf)
+				if !train {
+					buf = cols.Data
+				}
+				dst := tensor.FromSlice(out.Data[i*c.OutC*plane:(i+1)*c.OutC*plane], c.OutC, plane)
+				tensor.MatMulInto(dst, c.Weight.Value, cols)
 			}
-			prod := tensor.MatMul(c.Weight.Value, cols) // (OutC, plane)
-			copy(out.Data[i*c.OutC*plane:(i+1)*c.OutC*plane], prod.Data)
-		}
-		if n > 1 {
-			wg.Add(1)
-			go func(i int) { defer wg.Done(); run(i) }(i)
-		} else {
-			run(i)
-		}
+		}()
 	}
 	wg.Wait()
 	return out

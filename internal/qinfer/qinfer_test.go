@@ -463,3 +463,16 @@ func TestEngineWithImageNetStem(t *testing.T) {
 		t.Fatalf("output shape %v", out.Shape)
 	}
 }
+
+// BenchmarkCompile measures qinfer.Compile on resnet20s with 64 calibration
+// inputs, as a served model is brought up: the float forward pass of
+// calibrate is nearly all of it.
+func BenchmarkCompile(b *testing.B) {
+	bundle := model.Load(model.ResNet20sSpec())
+	calib, _ := bundle.Attack.Batch(0, 64)
+	for b.Loop() {
+		if _, err := Compile(bundle.Net, bundle.QModel, calib); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,40 +3,57 @@ package tensor
 // Im2Col unfolds an input tensor x of shape (C, H, W) into a matrix of shape
 // (C*kh*kw, outH*outW) such that convolution reduces to a matrix product
 // with the (outC, C*kh*kw) weight matrix. Zero padding of pad pixels is
-// applied on all four sides and the kernel advances by stride.
-func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
+// applied on all four sides and the kernel advances by stride. The matrix
+// is written over dst when its capacity suffices (every element, padding
+// zeros included, so dst may hold anything) and into a new slice otherwise.
+func Im2Col(dst []float32, x *Tensor, kh, kw, stride, pad int) *Tensor {
 	if x.NDim() != 3 {
 		panic("tensor: Im2Col requires a (C,H,W) input")
 	}
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
 	outH := (h+2*pad-kh)/stride + 1
 	outW := (w+2*pad-kw)/stride + 1
-	cols := New(c*kh*kw, outH*outW)
+	plane := outH * outW
+	if size := c * kh * kw * plane; cap(dst) >= size {
+		dst = dst[:size]
+	} else {
+		dst = make([]float32, size)
+	}
 	for ch := 0; ch < c; ch++ {
 		chBase := ch * h * w
 		for ki := 0; ki < kh; ki++ {
 			for kj := 0; kj < kw; kj++ {
 				row := ((ch*kh)+ki)*kw + kj
-				dst := cols.Data[row*outH*outW:]
+				// Output columns [lo, hi) read input columns inside the image.
+				lo, hi := 0, outW
+				for lo < outW && lo*stride-pad+kj < 0 {
+					lo++
+				}
+				for hi > lo && (hi-1)*stride-pad+kj >= w {
+					hi--
+				}
 				for oy := 0; oy < outH; oy++ {
+					d := dst[row*plane+oy*outW : row*plane+(oy+1)*outW]
 					iy := oy*stride - pad + ki
 					if iy < 0 || iy >= h {
-						continue // leave zeros
+						clear(d)
+						continue
 					}
-					srcRow := chBase + iy*w
-					dstRow := oy * outW
-					for ox := 0; ox < outW; ox++ {
-						ix := ox*stride - pad + kj
-						if ix < 0 || ix >= w {
-							continue
-						}
-						dst[dstRow+ox] = x.Data[srcRow+ix]
+					clear(d[:lo])
+					clear(d[hi:])
+					src := x.Data[chBase+iy*w : chBase+(iy+1)*w]
+					if stride == 1 && lo < hi {
+						copy(d[lo:hi], src[lo-pad+kj:])
+						continue
+					}
+					for ox := lo; ox < hi; ox++ {
+						d[ox] = src[ox*stride-pad+kj]
 					}
 				}
 			}
 		}
 	}
-	return cols
+	return FromSlice(dst, c*kh*kw, plane)
 }
 
 // Col2Im folds a (C*kh*kw, outH*outW) column matrix back into a (C, H, W)
