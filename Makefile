@@ -17,13 +17,15 @@ test:
 # the mmap store (dirty-tracking observers fire from scan workers), and
 # the adversary campaign engine (volleys mount under the layer guard
 # while scrubs run), plus the ECC corrector and timing-substrate
-# property/fuzz seeds, and the float conv path (Conv2D.Forward's workers
-# write disjoint slices of one output tensor). The batching-policy tests
-# build exact backlogs behind blocked workers, the rekey test rotates
-# secrets under live traffic, and the rolling-scrub test times a live
-# ticker, so they run ten times over.
+# property/fuzz seeds, the one CPU fan-out (cpu.Parallel), and the float
+# conv path: Conv2D.Forward's workers write disjoint slices of one output
+# tensor, and Conv2D.Backward's write disjoint weight-gradient slots and
+# input-gradient slices, each through its own column-gradient buffer. The
+# batching-policy tests build exact backlogs behind blocked workers, the
+# rekey test rotates secrets under live traffic, and the rolling-scrub
+# test times a live ticker, so they run ten times over.
 race:
-	$(GO) test -race -timeout 20m ./internal/core/... ./internal/serve/... ./internal/qinfer/... ./internal/obs/... ./internal/fleet/... ./internal/chaos/... ./internal/store/... ./internal/adversary/... ./internal/ecc/... ./internal/memsim/... ./internal/tensor/... ./internal/nn/...
+	$(GO) test -race -timeout 20m ./internal/core/... ./internal/serve/... ./internal/qinfer/... ./internal/obs/... ./internal/fleet/... ./internal/chaos/... ./internal/store/... ./internal/adversary/... ./internal/ecc/... ./internal/memsim/... ./internal/tensor/... ./internal/nn/... ./internal/cpu/...
 	$(GO) test -race -count=10 -run 'TestBacklogBecomesBatches|TestShapeChangeCarriesOver|TestStopAnswersBacklog|TestRekeyLive|TestRollingScrub' ./internal/serve/
 
 # Every paper table and figure at test scale (minutes; PBFA profile

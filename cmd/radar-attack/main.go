@@ -5,13 +5,13 @@
 //
 // Usage:
 //
-//	radar-attack [-model tiny|resnet20s|resnet18s] [-flips 10] [-seed 1] [-bit6] [-radar 0] [-sig 2] [-no-interleave] [-workers 0] [-store ckpt.radar]
+//	radar-attack [-model tiny|resnet20s|resnet18s] [-flips 10] [-seed 1] [-bit6] [-radar 0] [-sig 2] [-no-interleave] [-store ckpt.radar]
 //	radar-attack -adversary oblivious|scrub-timer|below-threshold|sigstore [-store ckpt.radar] [-flips 240] [-windows 12] [-scrub-ms 100] [-radar 32] [-correct] [-no-defense]
 //
 // PBFA always runs offline on the attacker's own copy of the model. With
 // -radar G > 0 a separate victim copy is protected (group size G, -sig
 // signature bits, interleaved unless -no-interleave, secrets from -seed,
-// scan pool sized by -workers, 0 = one per CPU), the profile is mounted on
+// scan pool of one worker per CPU), the profile is mounted on
 // it as rowhammer flips (direct weight writes that no write observer
 // sees), and a full scan flags and zeroes the hit groups; accuracy is
 // reported clean → attacked → recovered, with the secure-storage cost.
@@ -56,7 +56,6 @@ func main() {
 	radarG := flag.Int("radar", 0, "RADAR group size: protect a victim, mount the profile on it, scan and recover (0 = profile only; campaign default 32)")
 	sig := flag.Int("sig", 2, "round trip: signature bits (2 or 3)")
 	noInter := flag.Bool("no-interleave", false, "round trip: disable interleaving")
-	workers := flag.Int("workers", 0, "scan worker pool size (0 = one per CPU)")
 	adv := flag.String("adversary", "", "run a defense-aware campaign: oblivious, scrub-timer, below-threshold or sigstore")
 	storePath := flag.String("store", "", "mmap the victim's weights onto this store checkpoint and msync repairs back")
 	windows := flag.Int("windows", 12, "campaign: scrub windows the budget is spread over (at least 1)")
@@ -96,7 +95,7 @@ func main() {
 			NoDefense:  *noDefense,
 			Seed:       *seed,
 		}
-		runCampaign(spec, *adv, *storePath, g, *workers, *correct, opt)
+		runCampaign(spec, *adv, *storePath, g, *correct, opt)
 		return
 	}
 
@@ -104,11 +103,7 @@ func main() {
 	b := model.Load(spec)
 	clean := model.Evaluate(b.Net, b.Test, 100)
 
-	cfg := attack.DefaultConfig(*seed)
-	cfg.NumFlips = *flips
-	if *which == "resnet18s" {
-		cfg.TopWeightsPerLayer, cfg.TrialCandidates, cfg.BatchSize = 40, 24, 64
-	}
+	cfg := attack.ConfigFor(spec.Name, *flips, *seed)
 	if *bit6 {
 		cfg.AllowedBits = []int{6}
 	}
@@ -135,7 +130,7 @@ func main() {
 		return
 	}
 	fmt.Println()
-	pcfg := core.Config{G: *radarG, Interleave: !*noInter, SigBits: *sig, Seed: *seed, Workers: *workers}
+	pcfg := core.Config{G: *radarG, Interleave: !*noInter, SigBits: *sig, Seed: *seed}
 	victim, prot, vclean, done := protectVictim(spec, *storePath, pcfg)
 	defer done()
 	st := prot.Storage()
@@ -194,7 +189,7 @@ func protectVictim(spec model.Spec, storePath string, cfg core.Config) (b *model
 
 // runCampaign executes one defense-aware adversary campaign end to end and
 // prints the engagement summary.
-func runCampaign(spec model.Spec, name, storePath string, g, workers int, correct bool, opt adversary.Options) {
+func runCampaign(spec model.Spec, name, storePath string, g int, correct bool, opt adversary.Options) {
 	atk, err := adversary.New(name)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -202,7 +197,6 @@ func runCampaign(spec model.Spec, name, storePath string, g, workers int, correc
 	}
 
 	cfg := core.DefaultConfig(g)
-	cfg.Workers = workers
 	cfg.Correct = correct
 	b, p, clean, done := protectVictim(spec, storePath, cfg)
 	defer done()

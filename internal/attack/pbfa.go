@@ -74,6 +74,19 @@ func DefaultConfig(seed int64) Config {
 	}
 }
 
+// ConfigFor returns the PBFA configuration for the named zoo model:
+// DefaultConfig with numFlips flips, except that the resnet18s substitute
+// needs a wider search (40 weights per layer, 24 trials, batch 64) to
+// approach the paper's damage levels.
+func ConfigFor(model string, numFlips int, seed int64) Config {
+	cfg := DefaultConfig(seed)
+	cfg.NumFlips = numFlips
+	if model == "resnet18s" {
+		cfg.TopWeightsPerLayer, cfg.TrialCandidates, cfg.BatchSize = 40, 24, 64
+	}
+	return cfg
+}
+
 // candidate is a scored potential flip.
 type candidate struct {
 	addr quant.BitAddress

@@ -153,7 +153,7 @@ func TestZeroingDestroysGroupsUnderSigstoreWithoutCorrection(t *testing.T) {
 func TestCorrectSurvivesRekey(t *testing.T) {
 	b := loadTiny(t)
 	p := Protect(b.QModel, correctingConfig(16))
-	p.Rekey(DefaultConfig(16)) // note: cfg.Correct is false here
+	p.Rekey(0x5EED)
 	if !p.Correcting() {
 		t.Fatal("rekey disabled correction")
 	}

@@ -108,14 +108,13 @@ func TestVerifyMatchesReference(t *testing.T) {
 // must verify under the new keys) nor misses a flip afterwards.
 func TestFetchLayerAfterRekey(t *testing.T) {
 	m := model.Load(model.TinySpec()).QModel
-	p := Protect(m, DefaultConfig(8))
+	cfg := DefaultConfig(16)
+	cfg.SigBits = 3
+	p := Protect(m, cfg)
 	defer p.Detach()
 	g := NewLayerGuard(len(m.Layers))
 	p.Coordinate(g)
-	cfg := DefaultConfig(16)
-	cfg.Seed = 99
-	cfg.SigBits = 3
-	p.Rekey(cfg)
+	p.Rekey(99)
 	for li := range m.Layers {
 		if p.plans[li].s != p.Schemes[li] {
 			t.Fatalf("layer %d: plan compiled for %+v, scheme is %+v", li, p.plans[li].s, p.Schemes[li])

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -74,37 +75,32 @@ func TestOnLayerScannedHook(t *testing.T) {
 	}
 }
 
-// TestRekeySwapsLayerScannedHook pins that Rekey honors a new
-// OnLayerScanned in its Config like the other tuned fields: scans after
-// the rekey fire the replacement hook, not the original, and a cfg that
-// leaves the hook nil keeps the existing one.
-func TestRekeySwapsLayerScannedHook(t *testing.T) {
+// TestRekeyKeepsSettings pins that Rekey rotates only the secrets: the
+// schemes keep G, interleaving and signature bits, and the protector keeps
+// its workers, its OnLayerScanned hook and its ECC mode.
+func TestRekeyKeepsSettings(t *testing.T) {
 	m := hookTestModel()
-	var recA, recB hookRecorder
+	var rec hookRecorder
 	cfg := DefaultConfig(8)
-	cfg.OnLayerScanned = recA.hook
+	cfg.SigBits = 3
+	cfg.Workers = 3
+	cfg.OnLayerScanned = rec.hook
+	cfg.Correct = true
 	p := Protect(m, cfg)
-
-	swap := DefaultConfig(8)
-	swap.OnLayerScanned = recB.hook
-	p.Rekey(swap)
-	recA.take() // drain the initial Protect
-	recB.take() // drain the rekey's own signature recompute
-	all := []int{0, 1, 2}
-	p.Scan()
-	if got := recB.take(); !reflect.DeepEqual(got, all) {
-		t.Fatalf("post-rekey scan fired new hook for %v, want %v", got, all)
+	before := slices.Clone(p.Schemes)
+	p.Rekey(0x5EED)
+	rec.take() // drain Protect's and the rekey's signature passes
+	for li, s := range p.Schemes {
+		if s.G != before[li].G || s.Interleave != before[li].Interleave || s.SigBits != before[li].SigBits {
+			t.Fatalf("layer %d: rekey changed the scheme's shape from %+v to %+v", li, before[li], s)
+		}
 	}
-	if got := recA.take(); len(got) != 0 {
-		t.Fatalf("post-rekey scan still fired the replaced hook for %v", got)
+	if p.Workers() != 3 || !p.Correcting() {
+		t.Fatalf("after rekey: Workers()=%d Correcting()=%v, want 3 and true", p.Workers(), p.Correcting())
 	}
-
-	// A rekey without a hook keeps the current one.
-	p.Rekey(DefaultConfig(8))
-	recB.take()
 	p.Scan()
-	if got := recB.take(); !reflect.DeepEqual(got, all) {
-		t.Fatalf("scan after hookless rekey fired %v, want %v", got, all)
+	if got, want := rec.take(), []int{0, 1, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("scan after rekey fired the hook for %v, want %v", got, want)
 	}
 }
 

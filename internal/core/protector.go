@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"radar/internal/cpu"
 	"radar/internal/quant"
 )
 
@@ -176,17 +177,18 @@ func (p *Protector) compilePlans() {
 	}
 }
 
-// poolSize resolves the configured worker count at call time (under mu:
-// SetWorkers may tune it from another goroutine).
-func (p *Protector) poolSize() int {
+// poolSize resolves the configured worker count for n tasks at call time
+// (under mu: SetWorkers may tune it from another goroutine) by
+// cpu.Workers' rule: non-positive means one worker per CPU, at most n.
+func (p *Protector) poolSize(n int) int {
 	p.mu.Lock()
 	w := p.workers
 	p.mu.Unlock()
-	return resolveWorkers(w)
+	return cpu.Workers(w, n)
 }
 
 // Workers reports the resolved worker-pool size the engine will use.
-func (p *Protector) Workers() int { return p.poolSize() }
+func (p *Protector) Workers() int { return p.poolSize(math.MaxInt) }
 
 // SetWorkers re-sizes the worker pool of an existing protector (w <= 0
 // selects GOMAXPROCS). Scan results are identical for every setting; this

@@ -1,5 +1,7 @@
 package core
 
+import "radar/internal/cpu"
+
 // RefreshAll recomputes every layer's golden signatures (a full re-protect
 // without re-drawing the secrets), sharded across the worker pool.
 func (p *Protector) RefreshAll() {
@@ -10,7 +12,7 @@ func (p *Protector) RefreshAll() {
 		sh = p.appendLayerShards(sh, li)
 	}
 	cd := p.shardCountdown(sh)
-	runTasks(p.poolSize(), len(sh), func(k int) {
+	cpu.Parallel(p.poolSize(len(sh)), len(sh), func(_, k int) {
 		s := sh[k]
 		p.plans[s.layer].signaturesInto(p.Golden[s.layer][s.lo:s.hi], p.Model.Layers[s.layer].Q, s.lo)
 		cd.shardDone(k)
@@ -18,38 +20,29 @@ func (p *Protector) RefreshAll() {
 	p.refreshChecksAll()
 }
 
-// Rekey draws fresh per-layer keys and offsets from the scheme seeds in
-// cfg and recomputes all golden signatures. Rotating the secrets bounds
-// how long a side-channel leak of one key is useful to an attacker. The
-// protector keeps its existing model observation (no new observer is
-// registered) and its tuned Workers, shard size and OnLayerScanned unless
-// cfg sets them. ECC correction survives a rekey: a protector that
-// corrects stays correcting (check words are recomputed alongside the
-// goldens) regardless of cfg.Correct — a key rotation must not silently
-// downgrade the recovery mode.
-func (p *Protector) Rekey(cfg Config) {
+// Rekey draws fresh per-layer keys and offsets from seed and recomputes
+// all golden signatures. Rotating the secrets bounds how long a
+// side-channel leak of one key is useful to an attacker. Only the secrets
+// change: group size, interleaving, signature bits, workers, shard size,
+// OnLayerScanned and ECC correction stay as they are (check words are
+// recomputed alongside the goldens), so a key rotation can never
+// downgrade the recovery mode. No new model observer is registered.
+func (p *Protector) Rekey(seed int64) {
+	var s Scheme
+	if len(p.Schemes) > 0 {
+		s = p.Schemes[0] // every layer shares G, Interleave and SigBits
+	}
 	p.mu.Lock()
-	if cfg.Workers == 0 {
-		cfg.Workers = p.workers
+	cfg := Config{
+		G: s.G, Interleave: s.Interleave, SigBits: s.SigBits, Seed: seed,
+		Workers: p.workers, shardGroups: p.shardGroups,
+		OnLayerScanned: p.onLayerScanned, Correct: p.correct,
 	}
-	if cfg.shardGroups == 0 {
-		cfg.shardGroups = p.shardGroups
-	}
-	if cfg.OnLayerScanned == nil {
-		cfg.OnLayerScanned = p.onLayerScanned
-	}
-	cfg.Correct = cfg.Correct || p.correct
 	p.mu.Unlock()
 	fresh := newProtector(p.Model, cfg)
 	p.Schemes = fresh.Schemes
 	p.plans = fresh.plans
 	p.Golden = fresh.Golden
 	p.Check = fresh.Check
-	p.correct = fresh.correct
-	p.mu.Lock()
-	p.workers = fresh.workers
-	p.shardGroups = fresh.shardGroups
-	p.onLayerScanned = fresh.onLayerScanned
-	p.mu.Unlock()
 	p.stats.rekeys.Add(1)
 }

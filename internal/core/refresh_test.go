@@ -14,8 +14,7 @@ func TestRekeyChangesSecretsKeepsDetection(t *testing.T) {
 	for i, s := range p.Schemes {
 		oldKeys[i] = s.Key
 	}
-	cfg.Seed = 0x5EED
-	p.Rekey(cfg)
+	p.Rekey(0x5EED)
 	same := 0
 	for i, s := range p.Schemes {
 		if s.Key == oldKeys[i] {

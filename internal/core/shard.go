@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"sync/atomic"
+
+	"radar/internal/cpu"
 )
 
 // defaultShardGroups is the number of checksum groups per parallel scan
@@ -162,8 +164,8 @@ func (p *Protector) scanShard(sh shard, lock bool) []GroupID {
 func (p *Protector) runShards(sh []shard, sc *scanScratch, lock bool) []GroupID {
 	results := sc.resultsBuf(len(sh))
 	cd := p.shardCountdown(sh)
-	if workers := p.poolSize(); workers <= 1 || len(sh) <= 1 {
-		// Run the loop inline rather than through runTasks: its fan-out
+	if workers := p.poolSize(len(sh)); workers <= 1 {
+		// Run the loop inline rather than through cpu.Parallel: its fan-out
 		// path captures the task closure in goroutines, so a closure
 		// shared with it would be heap-allocated even when only the
 		// sequential path runs, breaking the zero-alloc steady state.
@@ -173,7 +175,7 @@ func (p *Protector) runShards(sh []shard, sc *scanScratch, lock bool) []GroupID 
 			cd.shardDone(k)
 		}
 	} else {
-		runTasks(workers, len(sh), func(k int) {
+		cpu.Parallel(workers, len(sh), func(_, k int) {
 			results[k] = p.scanShard(sh[k], lock)
 			cd.shardDone(k)
 		})

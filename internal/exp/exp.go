@@ -66,19 +66,6 @@ func specFor(name string) model.Spec {
 	return spec
 }
 
-// attackConfig returns the per-model PBFA configuration. The ResNet-18s
-// substitute needs a wider search to approach the paper's damage levels.
-func attackConfig(name string, numFlips int, seed int64) attack.Config {
-	cfg := attack.DefaultConfig(seed)
-	cfg.NumFlips = numFlips
-	if name == ModelRN18 {
-		cfg.TopWeightsPerLayer = 40
-		cfg.TrialCandidates = 24
-		cfg.BatchSize = 64
-	}
-	return cfg
-}
-
 // ScaledG maps a paper group size onto the scaled evaluation model. The
 // paper's G values are meaningful relative to the model's total weight
 // count (a G=512 group is 0.0044% of the real ResNet-18); applying them
@@ -145,7 +132,7 @@ func (c *Context) Profiles(name string) []attack.Profile {
 	out := make([]attack.Profile, rounds)
 	for r := 0; r < rounds; r++ {
 		b := model.Load(specFor(name))
-		cfg := attackConfig(name, c.Opt.NumFlips, c.Opt.Seed+int64(r)*101)
+		cfg := attack.ConfigFor(name, c.Opt.NumFlips, c.Opt.Seed+int64(r)*101)
 		out[r] = attack.PBFA(b.QModel, b.Attack, cfg)
 	}
 	c.mu.Lock()

@@ -2,9 +2,8 @@ package nn
 
 import (
 	"math/rand"
-	"runtime"
-	"sync"
 
+	"radar/internal/cpu"
 	"radar/internal/tensor"
 )
 
@@ -36,9 +35,9 @@ func NewConv2D(name string, inC, outC, k, stride, pad int, rng *rand.Rand) *Conv
 	}
 }
 
-// Forward implements Layer. A batch fans out once, to min(N, GOMAXPROCS)
-// workers that write straight into the output and, in eval mode, each reuse
-// one im2col buffer; a single sample splits MatMul's rows instead.
+// Forward implements Layer. The batch fans out once, over samples, through
+// cpu.Parallel: each sample's product is written straight into the output,
+// and in eval mode each worker reuses one im2col buffer.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	if ch != c.InC {
@@ -52,73 +51,52 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		c.cols = make([]*tensor.Tensor, n)
 	}
 	vol, plane := ch*h*w, c.outH*c.outW
-	im2col := func(i int, buf []float32) *tensor.Tensor {
+	out := tensor.New(n, c.OutC, c.outH, c.outW)
+	workers := cpu.Workers(0, n)
+	bufs := make([][]float32, workers)
+	cpu.Parallel(workers, n, func(wk, i int) {
 		sample := tensor.FromSlice(x.Data[i*vol:(i+1)*vol], ch, h, w)
-		cols := tensor.Im2Col(buf, sample, c.K, c.K, c.Stride, c.Pad)
+		cols := tensor.Im2Col(bufs[wk], sample, c.K, c.K, c.Stride, c.Pad)
 		if train {
 			c.cols[i] = cols
+		} else {
+			bufs[wk] = cols.Data
 		}
-		return cols
-	}
-	if n == 1 {
-		prod := tensor.MatMul(c.Weight.Value, im2col(0, nil)) // (OutC, plane)
-		return prod.Reshape(1, c.OutC, c.outH, c.outW)
-	}
-	out := tensor.New(n, c.OutC, c.outH, c.outW)
-	workers := min(n, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf []float32
-			for i := wk; i < n; i += workers {
-				cols := im2col(i, buf)
-				if !train {
-					buf = cols.Data
-				}
-				dst := tensor.FromSlice(out.Data[i*c.OutC*plane:(i+1)*c.OutC*plane], c.OutC, plane)
-				tensor.MatMulInto(dst, c.Weight.Value, cols)
-			}
-		}()
-	}
-	wg.Wait()
+		dst := tensor.FromSlice(out.Data[i*c.OutC*plane:(i+1)*c.OutC*plane], c.OutC, plane)
+		tensor.MatMulInto(dst, c.Weight.Value, cols)
+	})
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. The batch fans out once, over samples: sample
+// i's weight gradient g_i·cols_iᵀ goes to its own slot, its column
+// gradient Wᵀ·g_i to its worker's buffer, folded straight into dx. The
+// slots are then added to Weight.Grad in sample order, so the result is
+// independent of scheduling.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if !c.cachedTrain {
 		panic("nn: Conv2D.Backward without train-mode Forward: " + c.name)
 	}
 	n := c.inShape[0]
 	ch, h, w := c.inShape[1], c.inShape[2], c.inShape[3]
-	plane := c.outH * c.outW
+	vol, plane := ch*h*w, c.outH*c.outW
 	dx := tensor.New(c.inShape...)
-
-	type partial struct{ dW *tensor.Tensor }
-	partials := make([]partial, n)
-	var wg sync.WaitGroup
+	wsize, rows := c.Weight.Value.Len(), ch*c.K*c.K
+	dW := make([]float32, n*wsize)
+	// Wᵀ·g as a plain product over the transposed weights: the bits of
+	// MatMulTransA(W, g), into a reused buffer.
+	wt := tensor.Transpose(c.Weight.Value)
+	workers := cpu.Workers(0, n)
+	dcols := make([]float32, workers*rows*plane)
+	cpu.Parallel(workers, n, func(wk, i int) {
+		g := tensor.FromSlice(grad.Data[i*c.OutC*plane:(i+1)*c.OutC*plane], c.OutC, plane)
+		tensor.MatMulTransB(dW[i*wsize:(i+1)*wsize], g, c.cols[i])
+		d := tensor.FromSlice(dcols[wk*rows*plane:(wk+1)*rows*plane], rows, plane)
+		tensor.MatMulInto(d, wt, g)
+		tensor.Col2Im(dx.Data[i*vol:(i+1)*vol], d, ch, h, w, c.K, c.K, c.Stride, c.Pad)
+	})
 	for i := 0; i < n; i++ {
-		run := func(i int) {
-			g := tensor.FromSlice(grad.Data[i*c.OutC*plane:(i+1)*c.OutC*plane], c.OutC, plane)
-			// dW_i = g · colsᵀ  → (OutC, InC*K*K)
-			partials[i].dW = tensor.MatMulTransB(g, c.cols[i])
-			// dcols = Wᵀ · g → (InC*K*K, plane)
-			dcols := tensor.MatMulTransA(c.Weight.Value, g)
-			dxi := tensor.Col2Im(dcols, ch, h, w, c.K, c.K, c.Stride, c.Pad)
-			copy(dx.Data[i*ch*h*w:(i+1)*ch*h*w], dxi.Data)
-		}
-		if n > 1 {
-			wg.Add(1)
-			go func(i int) { defer wg.Done(); run(i) }(i)
-		} else {
-			run(i)
-		}
-	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		tensor.AddInPlace(c.Weight.Grad, partials[i].dW)
+		tensor.AddInPlace(c.Weight.Grad, tensor.FromSlice(dW[i*wsize:(i+1)*wsize], c.Weight.Grad.Shape...))
 	}
 	c.cols = nil // release the activation cache
 	return dx
@@ -162,7 +140,7 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		l.inCache = x
 	}
-	out := tensor.MatMulTransB(x, l.Weight.Value) // (N, Out)
+	out := tensor.MatMulTransB(nil, x, l.Weight.Value) // (N, Out)
 	n := x.Shape[0]
 	for i := 0; i < n; i++ {
 		row := out.Data[i*l.Out : (i+1)*l.Out]

@@ -46,6 +46,31 @@ func naiveConv2D(x *tensor.Tensor, w *tensor.Tensor, inC, outC, k, stride, pad i
 	return out
 }
 
+// backwardRef is the loop Conv2D.Backward ran before it fanned out once
+// per batch, one sample after another: MatMulTransB and MatMulTransA into
+// fresh tensors, Col2Im into a fresh image copied into dx, and each
+// sample's weight gradient added, in sample order, to a copy of
+// Weight.Grad. It reads the im2col cache of a train-mode Forward and
+// leaves it, and Weight.Grad, as they are; it returns the input gradient
+// and the weight gradient Backward should produce.
+func backwardRef(c *Conv2D, grad *tensor.Tensor) (dx, dW *tensor.Tensor) {
+	n := c.inShape[0]
+	ch, h, w := c.inShape[1], c.inShape[2], c.inShape[3]
+	plane := c.outH * c.outW
+	dx = tensor.New(c.inShape...)
+	dW = c.Weight.Grad.Clone()
+	for i := 0; i < n; i++ {
+		g := tensor.FromSlice(grad.Data[i*c.OutC*plane:(i+1)*c.OutC*plane], c.OutC, plane)
+		dWi := tensor.MatMulTransB(nil, g, c.cols[i])
+		dcols := tensor.MatMulTransA(c.Weight.Value, g)
+		dxi := tensor.New(ch, h, w)
+		tensor.Col2Im(dxi.Data, dcols, ch, h, w, c.K, c.K, c.Stride, c.Pad)
+		copy(dx.Data[i*ch*h*w:(i+1)*ch*h*w], dxi.Data)
+		tensor.AddInPlace(dW, dWi)
+	}
+	return dx, dW
+}
+
 // TestConvMatchesNaiveReference cross-validates the production convolution
 // against the direct definition over random geometries.
 func TestConvMatchesNaiveReference(t *testing.T) {

@@ -329,7 +329,7 @@ func TestClassifierReadsProtectedImage(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	feat := tensor.New(5, e.fc.in)
 	feat.RandNormal(rng, 1)
-	want := tensor.MatMulTransB(feat, lin.Weight.Value)
+	want := tensor.MatMulTransB(nil, feat, lin.Weight.Value)
 	got := e.fc.forward(feat, new(engineScratch))
 	for i := range want.Data {
 		if w := want.Data[i] + lin.Bias.Value.Data[i%e.fc.out]; got.Data[i] != w {

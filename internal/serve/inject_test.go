@@ -29,11 +29,15 @@ func postJSON(t *testing.T, url, body string) (*http.Response, string) {
 // signatures restored — with the adversary and correction counters
 // visible in /v1/metrics.
 func TestInjectAdversaryHTTP(t *testing.T) {
-	svc, _, prots := openTiny(t, 1, []ModelOption{WithScrub(0)})
 	cfg := core.DefaultConfig(4)
 	cfg.Correct = true
 	cfg.Seed = 2
-	prots[0].Rekey(cfg)
+	o, _, prot := tinyModelOptionWith(t, "m0", cfg, WithScrub(0))
+	svc, err := Open(o)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	t.Cleanup(svc.Close)
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
@@ -54,7 +58,7 @@ func TestInjectAdversaryHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("scrub: status %d body %s", resp.StatusCode, body)
 	}
-	st := prots[0].Stats()
+	st := prot.Stats()
 	if st.GroupsCorrected != 3 || st.WeightsZeroed != 0 {
 		t.Fatalf("want 3 class-0 corrections and no zeroing, got %+v", st)
 	}

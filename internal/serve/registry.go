@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"radar/internal/adversary"
-	"radar/internal/core"
 	"radar/internal/quant"
 )
 
@@ -199,16 +198,9 @@ func (s *Server) rekey() AdminReport {
 	s.rekeyMu.Lock()
 	defer s.rekeyMu.Unlock()
 	flagged, zeroed := s.Scrub(true)
-	sch := s.prot.Schemes[0]
-	cfg := core.Config{
-		G:          sch.G,
-		Interleave: sch.Interleave,
-		SigBits:    sch.SigBits,
-		Seed:       rekeySeed(),
-	}
 	s.guard.LockAll()
 	lateFlagged, lateZeroed := s.prot.DetectAndRecoverExclusive()
-	s.prot.Rekey(cfg)
+	s.prot.Rekey(rekeySeed())
 	s.guard.UnlockAll()
 	s.met.rekeys.Inc()
 	return AdminReport{

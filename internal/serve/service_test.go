@@ -24,13 +24,19 @@ import (
 // bundle + protector alongside the option.
 func tinyModelOption(t testing.TB, name string, opts ...ModelOption) (ServiceOption, *model.Bundle, *core.Protector) {
 	t.Helper()
+	return tinyModelOptionWith(t, name, core.DefaultConfig(4), opts...)
+}
+
+// tinyModelOptionWith is tinyModelOption protecting under pcfg.
+func tinyModelOptionWith(t testing.TB, name string, pcfg core.Config, opts ...ModelOption) (ServiceOption, *model.Bundle, *core.Protector) {
+	t.Helper()
 	b := model.Load(model.TinySpec())
 	calib, _ := b.Attack.Batch(0, 64)
 	eng, err := qinfer.Compile(b.Net, b.QModel, calib)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	prot := core.Protect(b.QModel, core.DefaultConfig(4))
+	prot := core.Protect(b.QModel, pcfg)
 	all := append([]ModelOption{
 		WithInputShape(b.Spec.Data.Channels, b.Spec.Data.Size, b.Spec.Data.Size),
 	}, opts...)

@@ -14,11 +14,7 @@ func Im2Col(dst []float32, x *Tensor, kh, kw, stride, pad int) *Tensor {
 	outH := (h+2*pad-kh)/stride + 1
 	outW := (w+2*pad-kw)/stride + 1
 	plane := outH * outW
-	if size := c * kh * kw * plane; cap(dst) >= size {
-		dst = dst[:size]
-	} else {
-		dst = make([]float32, size)
-	}
+	dst = reuse(dst, c*kh*kw*plane)
 	for ch := 0; ch < c; ch++ {
 		chBase := ch * h * w
 		for ki := 0; ki < kh; ki++ {
@@ -56,13 +52,16 @@ func Im2Col(dst []float32, x *Tensor, kh, kw, stride, pad int) *Tensor {
 	return FromSlice(dst, c*kh*kw, plane)
 }
 
-// Col2Im folds a (C*kh*kw, outH*outW) column matrix back into a (C, H, W)
-// tensor, accumulating overlapping contributions. It is the adjoint of
-// Im2Col and is used to propagate gradients to the convolution input.
-func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) *Tensor {
+// Col2Im folds a (C*kh*kw, outH*outW) column matrix back into dst, a
+// (C, H, W) image of c*h*w elements, adding every contribution to what dst
+// holds, overlapping ones in turn. It is the adjoint of Im2Col and is used
+// to propagate gradients to the convolution input.
+func Col2Im(dst []float32, cols *Tensor, c, h, w, kh, kw, stride, pad int) {
+	if len(dst) != c*h*w {
+		panic("tensor: Col2Im destination size mismatch")
+	}
 	outH := (h+2*pad-kh)/stride + 1
 	outW := (w+2*pad-kw)/stride + 1
-	x := New(c, h, w)
 	for ch := 0; ch < c; ch++ {
 		chBase := ch * h * w
 		for ki := 0; ki < kh; ki++ {
@@ -81,13 +80,12 @@ func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) *Tensor {
 						if ix < 0 || ix >= w {
 							continue
 						}
-						x.Data[dstRow+ix] += src[srcRow+ox]
+						dst[dstRow+ix] += src[srcRow+ox]
 					}
 				}
 			}
 		}
 	}
-	return x
 }
 
 // ConvOutSize returns the spatial output size of a convolution with the

@@ -1,13 +1,5 @@
 package tensor
 
-import (
-	"runtime"
-	"sync"
-)
-
-// maxWorkers bounds the goroutine fan-out used by parallel kernels.
-var maxWorkers = runtime.GOMAXPROCS(0)
-
 // Add returns a + b elementwise. Shapes must match.
 func Add(a, b *Tensor) *Tensor {
 	mustSameShape(a, b, "Add")
@@ -42,17 +34,16 @@ func mustSameShape(a, b *Tensor, op string) {
 }
 
 // MatMul computes the matrix product C = A·B where A is (m×k) and B is
-// (k×n) into a new tensor, with MatMulInto's kernel and bits, splitting C's
-// rows into contiguous blocks over up to GOMAXPROCS goroutines.
+// (k×n) into a new tensor, with MatMulInto's kernel and bits.
 func MatMul(a, b *Tensor) *Tensor {
 	m, k, n := matMulDims(a, b, a.Shape[0], a.Shape[1], "MatMul")
 	out := New(m, n)
-	parallelForRows(m, func(lo, hi int) { gemmRows(out.Data, a.Data, b.Data, k, 1, k, n, lo, hi) })
+	gemmRows(out.Data, a.Data, b.Data, k, 1, k, n, 0, m)
 	return out
 }
 
 // MatMulInto writes A·B into dst, an (m×n) tensor whose old contents are
-// overwritten, on the caller's goroutine. It gives MatMul's bits.
+// overwritten. It gives MatMul's bits.
 func MatMulInto(dst, a, b *Tensor) {
 	m, k, n := matMulDims(a, b, a.Shape[0], a.Shape[1], "MatMulInto")
 	if len(dst.Data) != m*n {
@@ -62,11 +53,11 @@ func MatMulInto(dst, a, b *Tensor) {
 }
 
 // MatMulTransA computes C = Aᵀ·B where A is (k×m) and B is (k×n), producing
-// an (m×n) result. Used by convolution backward passes.
+// an (m×n) result with the bits of MatMulInto over Transpose(A).
 func MatMulTransA(a, b *Tensor) *Tensor {
 	m, k, n := matMulDims(a, b, a.Shape[1], a.Shape[0], "MatMulTransA")
 	out := New(m, n)
-	parallelForRows(m, func(lo, hi int) { gemmRows(out.Data, a.Data, b.Data, 1, m, k, n, lo, hi) })
+	gemmRows(out.Data, a.Data, b.Data, 1, m, k, n, 0, m)
 	return out
 }
 
@@ -138,9 +129,11 @@ func axpy2x4(c0, c1, b []float32, x0, x1, x2, x3, y0, y1, y2, y3 float32) {
 	}
 }
 
-// MatMulTransB computes C = A·Bᵀ where A is (m×k) and B is (n×k), producing
-// an (m×n) result.
-func MatMulTransB(a, b *Tensor) *Tensor {
+// MatMulTransB computes C = A·Bᵀ where A is (m×k) and B is (n×k), an
+// (m×n) result, each element one dot product summed in p order. C is
+// written over dst when its capacity suffices and into a new slice
+// otherwise.
+func MatMulTransB(dst []float32, a, b *Tensor) *Tensor {
 	if a.NDim() != 2 || b.NDim() != 2 {
 		panic("tensor: MatMulTransB requires 2-D operands")
 	}
@@ -149,49 +142,30 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic("tensor: MatMulTransB inner dimension mismatch")
 	}
-	out := New(m, n)
-	parallelForRows(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			crow := out.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				brow := b.Data[j*k : (j+1)*k]
-				var s float32
-				for p := range arow {
-					s += arow[p] * brow[p]
-				}
-				crow[j] = s
+	dst = reuse(dst, m*n)
+	for i := 0; i < m; i++ {
+		arow := a.Data[i*k : (i+1)*k]
+		crow := dst[i*n : (i+1)*n]
+		for j := range crow {
+			brow := b.Data[j*k : (j+1)*k]
+			var s float32
+			for p := range arow {
+				s += arow[p] * brow[p]
 			}
+			crow[j] = s
 		}
-	})
-	return out
+	}
+	return FromSlice(dst, m, n)
 }
 
-// parallelForRows distributes whole rows across workers; it parallelizes
-// even small row counts because each row can be heavy.
-func parallelForRows(rows int, fn func(lo, hi int)) {
-	workers := maxWorkers
-	if workers > rows {
-		workers = rows
+// reuse returns dst resliced to size when its capacity suffices and a new
+// slice otherwise: the destination convention of Im2Col and MatMulTransB.
+// The old contents are left for the caller to overwrite.
+func reuse(dst []float32, size int) []float32 {
+	if cap(dst) >= size {
+		return dst[:size]
 	}
-	if workers <= 1 {
-		fn(0, rows)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (rows + workers - 1) / workers
-	for lo := 0; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	return make([]float32, size)
 }
 
 // Transpose returns the transpose of a 2-D tensor.

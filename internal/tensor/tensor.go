@@ -1,8 +1,10 @@
 // Package tensor provides a minimal float32 n-dimensional array with the
 // operations needed to train and run convolutional neural networks:
-// parallel matrix multiplication, im2col-based convolution, pooling and the
-// usual elementwise kernels. It is the numeric substrate for the RADAR
+// matrix multiplication, im2col-based convolution, pooling and the usual
+// elementwise kernels. It is the numeric substrate for the RADAR
 // reproduction and deliberately depends only on the standard library.
+// Every kernel runs serially on the caller's goroutine: a caller holding a
+// batch spreads it over CPUs itself, once, through cpu.Parallel.
 package tensor
 
 import (

@@ -112,7 +112,9 @@ func TestMatMulIdentity(t *testing.T) {
 }
 
 // TestMatMulTransposeVariants checks MatMulTransA/B against explicit
-// Transpose + MatMul references on random matrices.
+// Transpose + MatMul references on random matrices. MatMulTransA must give
+// the reference's bits (Conv2D.Backward runs it as MatMulInto over the
+// transposed weights), and MatMulTransB must reuse a destination with room.
 func TestMatMulTransposeVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := New(7, 4) // k×m for TransA
@@ -123,7 +125,7 @@ func TestMatMulTransposeVariants(t *testing.T) {
 	got := MatMulTransA(a, b)
 	want := MatMul(Transpose(a), b)
 	for i := range want.Data {
-		if !almostEq(float64(got.Data[i]), float64(want.Data[i]), 1e-4) {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
 			t.Fatalf("MatMulTransA mismatch at %d: %v vs %v", i, got.Data[i], want.Data[i])
 		}
 	}
@@ -132,11 +134,24 @@ func TestMatMulTransposeVariants(t *testing.T) {
 	d := New(5, 4)
 	c.RandNormal(rng, 1)
 	d.RandNormal(rng, 1)
-	got2 := MatMulTransB(c, d)
+	got2 := MatMulTransB(nil, c, d)
 	want2 := MatMul(c, Transpose(d))
 	for i := range want2.Data {
 		if !almostEq(float64(got2.Data[i]), float64(want2.Data[i]), 1e-4) {
 			t.Fatalf("MatMulTransB mismatch at %d", i)
+		}
+	}
+	dirty := make([]float32, 40)
+	for i := range dirty {
+		dirty[i] = float32(math.NaN())
+	}
+	got3 := MatMulTransB(dirty, c, d)
+	if &got3.Data[0] != &dirty[0] {
+		t.Fatal("MatMulTransB did not reuse a destination with room to spare")
+	}
+	for i := range got2.Data {
+		if math.Float32bits(got3.Data[i]) != math.Float32bits(got2.Data[i]) {
+			t.Fatalf("MatMulTransB over a dirty destination differs at %d", i)
 		}
 	}
 }
@@ -238,13 +253,32 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 	for i := range cols.Data {
 		lhs += float64(cols.Data[i]) * float64(y.Data[i])
 	}
-	back := Col2Im(y, c, h, w, kh, kw, stride, pad)
+	back := New(c, h, w)
+	Col2Im(back.Data, y, c, h, w, kh, kw, stride, pad)
 	var rhs float64
 	for i := range x.Data {
 		rhs += float64(x.Data[i]) * float64(back.Data[i])
 	}
 	if !almostEq(lhs, rhs, 1e-2) {
 		t.Fatalf("adjoint identity violated: %v vs %v", lhs, rhs)
+	}
+}
+
+// TestCol2ImAccumulates: Col2Im adds to what its destination holds. With
+// stride = kernel every pixel gets one contribution, so folding twice
+// doubles the image exactly.
+func TestCol2ImAccumulates(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	y := New(2*2*2, 2*2)
+	y.RandNormal(rng, 1)
+	once, twice := New(2, 4, 4), New(2, 4, 4)
+	Col2Im(once.Data, y, 2, 4, 4, 2, 2, 2, 0)
+	Col2Im(twice.Data, y, 2, 4, 4, 2, 2, 2, 0)
+	Col2Im(twice.Data, y, 2, 4, 4, 2, 2, 2, 0)
+	for i, v := range once.Data {
+		if twice.Data[i] != 2*v {
+			t.Fatalf("second fold at %d: %v, want %v", i, twice.Data[i], 2*v)
+		}
 	}
 }
 
