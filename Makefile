@@ -15,18 +15,21 @@ test:
 # the inference engine's pooled conv scratch, the lock-free metrics
 # registry under concurrent scrapes, the fleet router, the chaos proxy,
 # the mmap store (dirty-tracking observers fire from scan workers), and
-# the adversary campaign engine (volleys mount under the layer guard
-# while scrubs run), plus the ECC corrector and timing-substrate
+# the adversary campaign engine (volleys mount inside the protector's
+# Exclusive section while scrubs run), plus the ECC corrector and timing-substrate
 # property/fuzz seeds, the one CPU fan-out (cpu.Parallel), and the float
 # conv path: Conv2D.Forward's workers write disjoint slices of one output
 # tensor, and Conv2D.Backward's write disjoint weight-gradient slots and
 # input-gradient slices, each through its own column-gradient buffer. The
 # batching-policy tests build exact backlogs behind blocked workers, the
-# rekey test rotates secrets under live traffic, and the rolling-scrub
-# test times a live ticker, so they run ten times over.
+# rekey test rotates secrets under live traffic, the rolling-scrub test
+# times a live ticker, and core's three lock tests (a rekey repairs before
+# it rotates; a repairing fetch returns holding only the read lock; scans
+# beside repairs and rekeys) pin the layer-lock protocol, so they run ten
+# times over.
 race:
 	$(GO) test -race -timeout 20m ./internal/core/... ./internal/serve/... ./internal/qinfer/... ./internal/obs/... ./internal/fleet/... ./internal/chaos/... ./internal/store/... ./internal/adversary/... ./internal/ecc/... ./internal/memsim/... ./internal/tensor/... ./internal/nn/... ./internal/cpu/...
-	$(GO) test -race -count=10 -run 'TestBacklogBecomesBatches|TestShapeChangeCarriesOver|TestStopAnswersBacklog|TestRekeyLive|TestRollingScrub' ./internal/serve/
+	$(GO) test -race -count=10 -run 'TestBacklogBecomesBatches|TestShapeChangeCarriesOver|TestStopAnswersBacklog|TestRekeyLive|TestRekeyRepairsBeforeRotating|TestFetchRepairKeepsReadLock|TestGuardedRecoverConcurrentWithScans|TestRollingScrub' ./internal/serve/ ./internal/core/
 
 # Every paper table and figure at test scale (minutes; PBFA profile
 # generation dominates), then every micro-benchmark once.

@@ -107,8 +107,8 @@ func New(name string) (Attacker, error) {
 // Mount applies one volley to the target: weight flips as direct Q writes
 // (observer-bypassing, like the physical fault they model) and signature
 // flips straight into the golden store. The caller provides exclusion
-// against concurrent scans (the campaign engine uses the protector's
-// layer guard; the serving layer injects under LockAll).
+// against concurrent scans: the campaign engine and the serving layer both
+// mount inside the protector's Exclusive section.
 func Mount(t Target, v Volley) {
 	for _, a := range v.Weights {
 		l := t.Model.Layers[a.LayerIndex]

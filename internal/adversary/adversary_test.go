@@ -242,6 +242,7 @@ func TestCampaignSweepsOldestFirst(t *testing.T) {
 		_, base := tgt.Prot.Verified()
 		for li := range tgt.Model.Layers {
 			tgt.Prot.FetchLayer(li, base.Add(time.Duration(layers-li)))
+			tgt.Prot.ReleaseLayer(li)
 		}
 		c := NewCampaign(tgt, perLayer{}, Options{Flips: layers, Windows: n, ScrubEvery: every})
 		c.Run()

@@ -167,10 +167,7 @@ func (c *Campaign) mount(v Volley) {
 	if v.Size() == 0 {
 		return
 	}
-	g := c.t.Prot.Guard()
-	g.LockAll()
-	Mount(c.t, v)
-	g.UnlockAll()
+	c.t.Prot.Exclusive(func() { Mount(c.t, v) })
 	c.mounted += len(v.Weights)
 	c.sigMounted += len(v.Signatures)
 	for _, a := range v.Weights {

@@ -19,7 +19,10 @@ type entryRoute struct {
 	// fetch marks the FetchLayer route: a clean layer verifies inline, so
 	// OnLayerScanned fires only for the layers it escalates.
 	fetch bool
-	run   func(t *testing.T, p *Protector, want []GroupID) (zeroed int)
+	// resign marks the Rekey route: after its repair pass it signs every
+	// layer again, so OnLayerScanned fires twice per layer.
+	resign bool
+	run    func(t *testing.T, p *Protector, want []GroupID) (zeroed int)
 }
 
 func mustFlag(t *testing.T, got, want []GroupID) {
@@ -66,13 +69,6 @@ var entryRoutes = []entryRoute{
 		mustFlag(t, flagged, want)
 		return zeroed
 	}},
-	{name: "DetectAndRecoverExclusive", run: func(t *testing.T, p *Protector, want []GroupID) int {
-		p.Guard().LockAll()
-		defer p.Guard().UnlockAll()
-		flagged, zeroed := p.DetectAndRecoverExclusive()
-		mustFlag(t, flagged, want)
-		return zeroed
-	}},
 	{name: "FetchLayer", fetch: true, run: func(t *testing.T, p *Protector, want []GroupID) (zeroed int) {
 		for li := range p.Model.Layers {
 			wantN := 0
@@ -81,16 +77,23 @@ var entryRoutes = []entryRoute{
 					wantN++
 				}
 			}
-			n, z, exclusive := p.FetchLayer(li, time.Now())
-			if n != wantN || exclusive != (wantN > 0) {
-				t.Fatalf("layer %d: flagged %d groups (exclusive=%v), reference flags %d", li, n, exclusive, wantN)
-			}
-			if exclusive {
-				p.Guard().UnlockLayer(li)
-			} else {
-				p.Guard().RUnlockLayer(li)
+			n, z := p.FetchLayer(li, time.Now())
+			p.ReleaseLayer(li)
+			if n != wantN {
+				t.Fatalf("layer %d: flagged %d groups, reference flags %d", li, n, wantN)
 			}
 			zeroed += z
+		}
+		return zeroed
+	}},
+	// Rekey to the secrets the protector already holds, so its goldens are
+	// comparable with every other route's.
+	{name: "Rekey", resign: true, run: func(t *testing.T, p *Protector, want []GroupID) int {
+		rekeys := p.Stats().Rekeys
+		flagged, zeroed := p.Rekey(DefaultConfig(16).Seed)
+		mustFlag(t, flagged, want)
+		if got := p.Stats().Rekeys - rekeys; got != 1 {
+			t.Fatalf("Rekey moved the Rekeys counter by %d, want 1", got)
 		}
 		return zeroed
 	}},
@@ -149,17 +152,19 @@ func referenceFlagged(p *Protector) (want []GroupID) {
 // byte-identical weights, goldens and check words, moves the Stats recovery
 // counters by the same amounts, reports MarkWritten once per layer it wrote
 // and never for one it did not, fires OnLayerScanned once per layer it
-// scanned, and leaves a model the next Scan finds clean — on every checksum
+// scanned (and once more per layer Rekey signs), and leaves a model the next Scan finds clean — on every checksum
 // leg, each route's last subtest level, all held to the first's result.
+// The secrets are the same on every copy, installed either by Protect or,
+// with rekeyed, by a Rekey from other secrets before the corruption lands.
 func TestEntryPointsAgree(t *testing.T) {
 	sizes := []int{900, 1300, 700, 2100}
 	for _, correct := range []bool{false, true} {
-		for _, guarded := range []bool{false, true} {
+		for _, rekeyed := range []bool{false, true} {
 			for _, workers := range []int{1, 2, 4} {
 				var first *Protector
 				var firstStats Stats
 				for _, route := range entryRoutes {
-					name := fmt.Sprintf("correct=%v/guarded=%v/workers=%d/%s", correct, guarded, workers, route.name)
+					name := fmt.Sprintf("correct=%v/rekeyed=%v/workers=%d/%s", correct, rekeyed, workers, route.name)
 					t.Run(name, func(t *testing.T) {
 						eachKernel(t, func(t *testing.T) {
 							var scanned, written hookRecorder
@@ -169,15 +174,18 @@ func TestEntryPointsAgree(t *testing.T) {
 							cfg.shardGroups = 9 // several shards per layer
 							cfg.Correct = correct
 							cfg.OnLayerScanned = scanned.hook
+							if rekeyed {
+								cfg.Seed++
+							}
 							p := Protect(m, cfg)
-							if guarded {
-								p.Coordinate(NewLayerGuard(len(m.Layers)))
+							if rekeyed {
+								p.Rekey(DefaultConfig(16).Seed)
 							}
 							plantCorruption(t, p)
 							want := referenceFlagged(p)
 							before := m.Snapshot()
-							// Observe from here on: Protect's own pass and the
-							// planting are not part of the route.
+							// Observe from here on: Protect's own pass, the
+							// Rekey and the planting are not part of the route.
 							scanned.take()
 							defer m.Observe(written.hook)()
 
@@ -199,6 +207,9 @@ func TestEntryPointsAgree(t *testing.T) {
 								if !route.fetch || slices.ContainsFunc(want, func(g GroupID) bool { return g.Layer == li }) {
 									wantScanned = append(wantScanned, li)
 								}
+								if route.resign {
+									wantScanned = append(wantScanned, li)
+								}
 							}
 							if got := written.take(); !reflect.DeepEqual(got, wantWritten) {
 								t.Fatalf("MarkWritten for layers %v, weights changed in %v", got, wantWritten)
@@ -215,7 +226,8 @@ func TestEntryPointsAgree(t *testing.T) {
 								if !reflect.DeepEqual(p.Golden, first.Golden) || !reflect.DeepEqual(p.Check, first.Check) {
 									t.Fatalf("goldens or check words differ from those %s left", entryRoutes[0].name)
 								}
-								st.Scans, st.BytesScanned = firstStats.Scans, firstStats.BytesScanned // per-route by design
+								// per-route by design
+								st.Scans, st.BytesScanned, st.Rekeys = firstStats.Scans, firstStats.BytesScanned, firstStats.Rekeys
 								if st != firstStats {
 									t.Fatalf("stats %+v, %s left %+v", st, entryRoutes[0].name, firstStats)
 								}
@@ -242,8 +254,6 @@ func TestRepairPanicReleasesLocks(t *testing.T) {
 	for name, run := range routes {
 		m := guardTestModel()
 		p := Protect(m, Config{G: 16, Interleave: true, SigBits: 2, Seed: 5, Correct: true})
-		g := NewLayerGuard(len(m.Layers))
-		p.Coordinate(g)
 		p.Check[1] = p.Check[1][:0]
 		m.Layers[1].Q[17] = quant.FlipBit(m.Layers[1].Q[17], quant.MSB)
 		func() {
@@ -256,8 +266,7 @@ func TestRepairPanicReleasesLocks(t *testing.T) {
 		}()
 		free := make(chan struct{})
 		go func() {
-			g.LockAll()
-			g.UnlockAll()
+			p.Exclusive(func() {})
 			close(free)
 		}()
 		select {

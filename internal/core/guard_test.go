@@ -20,7 +20,6 @@ func guardTestModel() *quant.Model {
 func TestVerifyAndRecoverLayer(t *testing.T) {
 	m := guardTestModel()
 	p := Protect(m, Config{G: 16, Interleave: true, SigBits: 2, Seed: 5})
-	p.Coordinate(NewLayerGuard(len(m.Layers)))
 
 	// Clean layer: nothing flagged, nothing zeroed.
 	if flagged, zeroed := p.VerifyAndRecoverLayer(1); len(flagged) != 0 || zeroed != 0 {
@@ -68,14 +67,12 @@ func TestProtectorStats(t *testing.T) {
 	}
 }
 
-// TestGuardedRecoverConcurrentWithScans: with a guard attached, Recover
-// may run while other goroutines scan — the coordination that makes the
-// serving subsystem race-free. (Run under -race via `make race`.)
+// TestGuardedRecoverConcurrentWithScans: Recover and Rekey may run while
+// other goroutines scan — the layer locks that make the serving subsystem
+// race-free. (Run under -race via `make race`.)
 func TestGuardedRecoverConcurrentWithScans(t *testing.T) {
 	m := guardTestModel()
 	p := Protect(m, Config{G: 16, Interleave: true, SigBits: 2, Seed: 5, Workers: 2})
-	g := NewLayerGuard(len(m.Layers))
-	p.Coordinate(g)
 
 	var wg sync.WaitGroup
 	for c := 0; c < 3; c++ {
@@ -91,26 +88,15 @@ func TestGuardedRecoverConcurrentWithScans(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			// Writers go through the guard, like Server.Inject does.
+			// Writers take the write locks, like Server.Inject does.
 			a := quant.BitAddress{LayerIndex: i % 3, WeightIndex: i * 7 % 250, Bit: quant.MSB}
-			g.LockLayer(a.LayerIndex)
-			m.FlipBit(a)
-			g.UnlockLayer(a.LayerIndex)
+			p.Exclusive(func() { m.FlipBit(a) })
 			p.DetectAndRecover()
+			p.Rekey(int64(i))
 		}
 	}()
 	wg.Wait()
 	if flagged, _ := p.DetectAndRecover(); len(flagged) != 0 {
 		t.Fatalf("still corrupt after quiesce: %v", flagged)
 	}
-}
-
-func TestNilGuardNoops(t *testing.T) {
-	var g *LayerGuard
-	g.RLockLayer(0)
-	g.RUnlockLayer(0)
-	g.LockLayer(0)
-	g.UnlockLayer(0)
-	g.LockAll()
-	g.UnlockAll()
 }

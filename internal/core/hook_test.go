@@ -116,7 +116,7 @@ func hookTestModel() *quant.Model {
 	return m
 }
 
-// TestRecoveryNotifiesObservers pins that Recover (and the guarded
+// TestRecoveryNotifiesObservers pins that Recover (and the locking
 // variants) report their direct Layer.Q zeroing through the model's write
 // observers — the notification an mmap-backed store relies on to schedule
 // recovered layers for msync.

@@ -77,13 +77,17 @@ type Protector struct {
 	// Config.Correct is set (nil otherwise); see correct.go.
 	Check [][]uint32
 
+	// shape is every layer's scheme less its secrets (G, Interleave,
+	// SigBits). It is fixed at Protect, so a scan can size its shards
+	// without a lock while Rekey swaps Schemes.
+	shape Scheme
 	// plans holds each layer's scheme compiled against its length (same
 	// order as Schemes, rebuilt whenever Schemes is): what FetchLayer's
 	// inline verify runs from.
 	plans []kernelPlan
 
 	// workers is the configured pool size (0 = GOMAXPROCS, resolved at
-	// scan time so a zero-valued Protector still works).
+	// scan time).
 	workers int
 	// shardGroups is the configured shard size (0 = defaultShardGroups).
 	shardGroups int
@@ -108,10 +112,9 @@ type Protector struct {
 	// Protect, a SweepTick or a FetchLayer (Unix ns, start of that check).
 	verified []atomic.Int64
 
-	// guard, when set via Coordinate, serializes scan reads against
-	// recovery/attack writes per layer; nil means uncoordinated (all guard
-	// methods no-op on nil).
-	guard *LayerGuard
+	// locks[li] is layer li's read-write lock (see guard.go): fetches and
+	// scans read the layer under it, repairs and Exclusive write under it.
+	locks []sync.RWMutex
 	// stats are the activity counters exported by Stats.
 	stats struct {
 		scans, bytesScanned, groupsFlagged, groupsRecovered, weightsZeroed, rekeys atomic.Int64
@@ -128,18 +131,9 @@ type Protector struct {
 // (FlipBit, Restore) mark the touched layers dirty for ScanDirty. A Config
 // that fails Scheme.Validate on any layer panics before any signing.
 func Protect(m *quant.Model, cfg Config) *Protector {
-	p := newProtector(m, cfg)
-	p.unobserve = m.Observe(p.markDirty)
-	return p
-}
-
-// newProtector builds the protector state without registering observers
-// (Rekey reuses it to avoid piling observers onto the model).
-func newProtector(m *quant.Model, cfg Config) *Protector {
 	if cfg.SigBits == 0 {
 		cfg.SigBits = 2
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	p := &Protector{
 		Model:          m,
 		workers:        cfg.Workers,
@@ -148,33 +142,33 @@ func newProtector(m *quant.Model, cfg Config) *Protector {
 		correct:        cfg.Correct,
 		dirty:          make([]bool, len(m.Layers)),
 		verified:       make([]atomic.Int64, len(m.Layers)),
+		locks:          make([]sync.RWMutex, len(m.Layers)),
+		shape:          Scheme{G: cfg.G, Interleave: cfg.Interleave, SigBits: cfg.SigBits},
 	}
-	// Secrets are drawn sequentially so the scheme stream depends only on
-	// cfg.Seed, never on worker scheduling.
-	now := time.Now()
-	for li, l := range m.Layers {
-		p.stamp(li, now) // RefreshAll below derives the goldens from these bytes
-		s := Scheme{
-			G:          cfg.G,
-			Interleave: cfg.Interleave,
-			Offset:     DefaultOffset + rng.Intn(4), // per-layer secret offset
-			Key:        uint16(rng.Intn(1 << KeyBits)),
-			SigBits:    cfg.SigBits,
-		}
-		s.Validate(len(l.Q))
-		p.Schemes = append(p.Schemes, s)
-	}
-	p.compilePlans()
-	p.RefreshAll()
+	p.drawSecrets(cfg.Seed)
+	p.unobserve = m.Observe(p.markDirty)
 	return p
 }
 
-// compilePlans (re)builds the per-layer kernel plans from Schemes.
-func (p *Protector) compilePlans() {
-	p.plans = make([]kernelPlan, len(p.Schemes))
-	for li, s := range p.Schemes {
-		p.plans[li] = s.compile(len(p.Model.Layers[li].Q))
+// drawSecrets gives every layer a scheme of p.shape with a fresh key and
+// interleave offset drawn from seed, rebuilds the kernel plans, recomputes
+// every golden signature (and check word) from the current weights and
+// stamps every layer as verified now. The secrets are drawn sequentially,
+// so the scheme stream depends only on seed, never on worker scheduling.
+func (p *Protector) drawSecrets(seed int64) {
+	rng, s := rand.New(rand.NewSource(seed)), p.shape
+	now := time.Now()
+	p.Schemes = make([]Scheme, len(p.Model.Layers))
+	p.plans = make([]kernelPlan, len(p.Model.Layers))
+	for li, l := range p.Model.Layers {
+		// RefreshAll below derives the goldens from these bytes.
+		p.stamp(li, now)
+		s.Offset = DefaultOffset + rng.Intn(4) // per-layer secret offset
+		s.Key = uint16(rng.Intn(1 << KeyBits))
+		s.Validate(len(l.Q))
+		p.Schemes[li], p.plans[li] = s, s.compile(len(l.Q))
 	}
+	p.RefreshAll()
 }
 
 // poolSize resolves the configured worker count for n tasks at call time
@@ -221,21 +215,10 @@ func (p *Protector) MarkLayerDirty(li int) { p.markDirty(li) }
 // concurrent use).
 func (p *Protector) markDirty(li int) {
 	p.mu.Lock()
-	p.ensureDirtyLocked()
 	if li >= 0 && li < len(p.dirty) {
 		p.dirty[li] = true
 	}
 	p.mu.Unlock()
-}
-
-// ensureDirtyLocked sizes the dirty bitmap for protectors built without
-// newProtector (e.g. unsealed or zero-valued ones). Caller holds mu.
-func (p *Protector) ensureDirtyLocked() {
-	if len(p.dirty) != len(p.Model.Layers) {
-		d := make([]bool, len(p.Model.Layers))
-		copy(d, p.dirty)
-		p.dirty = d
-	}
 }
 
 // allLayers and dirtyLayers select, in place of a layer index, what a pass
@@ -253,7 +236,6 @@ const (
 func (p *Protector) takeLayers(dst []int, which int) []int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.ensureDirtyLocked()
 	if which >= 0 {
 		p.dirty[which] = false
 		return append(dst, which)
@@ -341,8 +323,8 @@ func (p *Protector) repair(flagged []GroupID, held bool) (zeroed int) {
 // path corrected, and whether any weight byte was written.
 func (p *Protector) repairLayer(groups []GroupID, held bool) (zeroed, corrected int, wrote bool) {
 	if !held {
-		p.guard.LockLayer(groups[0].Layer)
-		defer p.guard.UnlockLayer(groups[0].Layer)
+		p.locks[groups[0].Layer].Lock()
+		defer p.locks[groups[0].Layer].Unlock()
 	}
 	for _, g := range groups {
 		z, w, c := p.repairGroupLocked(g)
@@ -364,11 +346,11 @@ func (p *Protector) repairLayer(groups []GroupID, held bool) (zeroed, corrected 
 // first and single-bit-corrupted groups are restored in place — those
 // contribute nothing to the returned zeroed count (see correct.go).
 //
-// When the protector is coordinated (see Coordinate), each layer's repair
-// happens under that layer's write lock, so recovery is safe to run while
-// other goroutines read the same model for inference. Consecutive flagged
-// groups of the same layer share one lock acquisition — the flagged lists
-// produced by scans are sorted by layer, so each layer is locked once.
+// Each layer's repair happens under that layer's write lock, so recovery is
+// safe to run while other goroutines read the same model for inference.
+// Consecutive flagged groups of the same layer share one lock acquisition —
+// the flagged lists produced by scans are sorted by layer, so each layer is
+// locked once.
 func (p *Protector) Recover(flagged []GroupID) int { return p.repair(flagged, false) }
 
 // addRecoveryStats accounts one recovery batch: n flagged groups of which
@@ -433,9 +415,9 @@ type Sweep struct {
 // most max(interval, model bytes ÷ SweepBytesPerSecond) plus one tick. An
 // interval ≤ 0 is a full sweep, with no horizon or budget. Each scanned
 // layer is stamped with now, so the caller's clock is the sweep's: serve
-// passes wall time, a campaign its window clock. Scans and repairs go
-// through the layer guard, so traffic never stalls longer than one layer's
-// recovery.
+// passes wall time, a campaign its window clock. Scans and repairs take
+// one layer's lock at a time, so traffic never stalls longer than one
+// layer's recovery.
 func (p *Protector) SweepTick(now time.Time, interval time.Duration) (sw Sweep) {
 	horizon, budget := int64(math.MaxInt64), math.MaxInt
 	if interval > 0 {
@@ -512,8 +494,8 @@ func (p *Protector) CountDetected(addrs []quant.BitAddress, flagged []GroupID) i
 // NumGroups returns the total number of checksum groups in the model.
 func (p *Protector) NumGroups() int {
 	n := 0
-	for li, l := range p.Model.Layers {
-		n += p.Schemes[li].NumGroups(len(l.Q))
+	for _, l := range p.Model.Layers {
+		n += p.shape.NumGroups(len(l.Q))
 	}
 	return n
 }

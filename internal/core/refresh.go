@@ -3,7 +3,8 @@ package core
 import "radar/internal/cpu"
 
 // RefreshAll recomputes every layer's golden signatures (a full re-protect
-// without re-drawing the secrets), sharded across the worker pool.
+// without re-drawing the secrets), sharded across the worker pool. It takes
+// no layer lock: on a model in concurrent use, call it inside Exclusive.
 func (p *Protector) RefreshAll() {
 	var sh []shard
 	p.Golden = make([][]uint8, len(p.Model.Layers))
@@ -20,29 +21,24 @@ func (p *Protector) RefreshAll() {
 	p.refreshChecksAll()
 }
 
-// Rekey draws fresh per-layer keys and offsets from seed and recomputes
-// all golden signatures. Rotating the secrets bounds how long a
-// side-channel leak of one key is useful to an attacker. Only the secrets
-// change: group size, interleaving, signature bits, workers, shard size,
-// OnLayerScanned and ECC correction stay as they are (check words are
-// recomputed alongside the goldens), so a key rotation can never
-// downgrade the recovery mode. No new model observer is registered.
-func (p *Protector) Rekey(seed int64) {
-	var s Scheme
-	if len(p.Schemes) > 0 {
-		s = p.Schemes[0] // every layer shares G, Interleave and SigBits
-	}
-	p.mu.Lock()
-	cfg := Config{
-		G: s.G, Interleave: s.Interleave, SigBits: s.SigBits, Seed: seed,
-		Workers: p.workers, shardGroups: p.shardGroups,
-		OnLayerScanned: p.onLayerScanned, Correct: p.correct,
-	}
-	p.mu.Unlock()
-	fresh := newProtector(p.Model, cfg)
-	p.Schemes = fresh.Schemes
-	p.plans = fresh.plans
-	p.Golden = fresh.Golden
-	p.Check = fresh.Check
+// Rekey rotates the secrets in one exclusive section (see Exclusive). It
+// first scans every layer and repairs what it flags, so live corruption is
+// repaired rather than laundered into the fresh goldens; then it draws
+// fresh per-layer keys and offsets from seed, recomputes every golden
+// signature and stamps every layer as verified. Rotating the secrets
+// bounds how long a side-channel leak of one key is useful to an attacker.
+// Only the secrets change: group size, interleaving, signature bits,
+// workers, shard size, OnLayerScanned and ECC correction stay as they are
+// (check words are recomputed alongside the goldens), so a key rotation
+// can never downgrade the recovery mode. No new model observer is
+// registered. It returns the groups the repair pass flagged and the
+// weights it zeroed.
+func (p *Protector) Rekey(seed int64) (flagged []GroupID, zeroed int) {
+	p.Exclusive(func() {
+		flagged = p.scan(allLayers, true)
+		zeroed = p.repair(flagged, true)
+		p.drawSecrets(seed)
+	})
 	p.stats.rekeys.Add(1)
+	return flagged, zeroed
 }

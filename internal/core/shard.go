@@ -30,7 +30,7 @@ func (p *Protector) appendLayerShards(dst []shard, li int) []shard {
 	if sg <= 0 {
 		sg = defaultShardGroups
 	}
-	n := p.Schemes[li].NumGroups(len(p.Model.Layers[li].Q))
+	n := p.shape.NumGroups(len(p.Model.Layers[li].Q))
 	for lo := 0; lo < n; lo += sg {
 		hi := lo + sg
 		if hi > n {
@@ -133,8 +133,8 @@ func (s Scheme) clampRange(q []int8, lo, hi int) (int, int, bool) {
 // its read lock (released on a panic too).
 func (p *Protector) scanShard(sh shard, lock bool) []GroupID {
 	if lock {
-		p.guard.RLockLayer(sh.layer)
-		defer p.guard.RUnlockLayer(sh.layer)
+		p.locks[sh.layer].RLock()
+		defer p.locks[sh.layer].RUnlock()
 	}
 	l := p.Model.Layers[sh.layer]
 	pl := &p.plans[sh.layer]

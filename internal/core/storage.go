@@ -23,18 +23,15 @@ func (b StorageBreakdown) SignatureKB() float64 {
 	return float64(b.SignatureBits) / 8 / 1024
 }
 
-// Storage reports the secure-storage requirement of this protector.
+// Storage reports the secure-storage requirement of this protector: every
+// layer shares one shape, so it is StorageForWeights over the model's
+// layer sizes.
 func (p *Protector) Storage() StorageBreakdown {
-	var b StorageBreakdown
+	weights := make([]int, len(p.Model.Layers))
 	for li, l := range p.Model.Layers {
-		s := p.Schemes[li]
-		b.SignatureBits += s.NumGroups(len(l.Q)) * s.SigBits
-		b.KeyBits += KeyBits
-		if s.Interleave {
-			b.OffsetBits += 8
-		}
+		weights[li] = len(l.Q)
 	}
-	return b
+	return StorageForWeights(weights, p.shape.G, p.shape.SigBits, p.shape.Interleave)
 }
 
 // StorageForWeights computes the signature storage for an arbitrary layer

@@ -100,6 +100,7 @@ func TestSweepTick(t *testing.T) {
 		_, now := p.Verified()
 		newest := stamps(p)
 		p.FetchLayer(0, now.Add(-time.Millisecond))
+		p.ReleaseLayer(0)
 		p.SweepTick(now.Add(-time.Second), 0)
 		for li, got := range stamps(p) {
 			if got != newest[li] {

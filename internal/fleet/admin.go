@@ -104,8 +104,8 @@ func (f *Fleet) handleRollingRekey(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	f.rekeyMu.Lock()
-	defer f.rekeyMu.Unlock()
+	f.rollingMu.Lock()
+	defer f.rollingMu.Unlock()
 	rekeyStart := time.Now()
 	defer func() { f.met.rekeySeconds.Observe(time.Since(rekeyStart).Seconds()) }()
 	out := make([]ReplicaReport, 0, len(f.order))

@@ -141,9 +141,9 @@ type Fleet struct {
 	// before they re-enter the ring.
 	intent modelIntent
 
-	// rekeyMu serializes rolling rekeys; overlapping drains could empty
+	// rollingMu serializes rolling rekeys; overlapping drains could empty
 	// the ring.
-	rekeyMu sync.Mutex
+	rollingMu sync.Mutex
 
 	// obs holds the router's own metric families (routing, health,
 	// failover); met is the typed handle onto them. Replica series are not

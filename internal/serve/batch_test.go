@@ -5,27 +5,29 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"radar/internal/core"
 	"radar/internal/model"
 	"radar/internal/qinfer"
-	"radar/internal/quant"
 	"radar/internal/tensor"
 )
 
-// holdWeights parks an adversary inside Server.Inject: every worker blocks
-// at its next weight fetch until the returned func is called, so a test
-// can build an exact backlog behind busy workers.
+// holdWeights holds the protector's Exclusive section from a goroutine:
+// every worker blocks at its next weight fetch until the returned func is
+// called, so a test can build an exact backlog behind busy workers or
+// saturate a queue. release may be called twice; it returns once every
+// layer lock is free again.
 func holdWeights(srv *Server) (release func()) {
 	in, out, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
-		srv.Inject(func(*quant.Model) { close(in); <-out })
+		srv.prot.Exclusive(func() { close(in); <-out })
 	}()
 	<-in
-	return func() { close(out); <-done }
+	return sync.OnceFunc(func() { close(out); <-done })
 }
 
 // waitFor polls cond until it holds.
@@ -61,7 +63,7 @@ func TestBacklogBecomesBatches(t *testing.T) {
 	release := holdWeights(srv)
 	chans := []<-chan InferResult{mustSubmit(t, srv, sample(x, 0))}
 	// The batch counter moves once the worker has stopped filling and is
-	// about to fetch weights — which the held guard refuses it.
+	// about to fetch weights — which the held write locks refuse it.
 	waitFor(t, "the worker to take the lone request", func() bool { return srv.met.batches.Value() == 1 })
 	if depth, carried := len(srv.reqs), srv.met.batched.Value(); depth != 0 || carried != 1 {
 		t.Fatalf("first pass carries %d requests with %d still queued, want 1 and 0", carried, depth)

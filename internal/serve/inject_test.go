@@ -135,3 +135,27 @@ func TestInjectAdversaryZeroingFallback(t *testing.T) {
 		}
 	}
 }
+
+// TestInjectBesideRekey: planning a volley reads the secrets a rekey
+// replaces and the weights a repair writes, so an injection must plan
+// inside the same exclusive section it mounts in (run under -race).
+func TestInjectBesideRekey(t *testing.T) {
+	svc, _, _ := openTiny(t, 1, []ModelOption{WithScrub(0)})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20; i++ {
+			if _, err := svc.Rekey("m0"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		if _, err := svc.InjectAdversary("m0", "below-threshold", 2, int64(i)); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	<-done
+}

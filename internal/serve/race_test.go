@@ -16,8 +16,8 @@ import (
 // serves inference from several clients while (a) a rowhammer adversary
 // flips bits in the live weight image, (b) the background scrubber scans
 // and recovers, (c) a foreground goroutine hammers DetectAndRecover — the
-// exact read/write collision that was latent before recovery was routed
-// through the layer guard — and (d) the /v1/metrics registry is scraped.
+// exact read/write collision that was latent before recovery took the
+// layer locks — and (d) the /v1/metrics registry is scraped.
 // Run under
 // `go test -race ./internal/serve/`; any unguarded access fails the build.
 func TestServeRaceUnderLiveFlips(t *testing.T) {

@@ -182,33 +182,15 @@ func (s *Server) info() ModelInfo {
 	}
 }
 
-// rekey rotates this model's protection secrets live: a full
-// detect-and-recover sweep first (so live corruption is repaired, not
-// laundered into the new golden signatures), then — under the layer
-// guard's whole-model write exclusion, so no scan or fetch observes a
-// half-swapped scheme set — fresh per-layer keys and offsets are drawn
-// and every golden signature is recomputed via the protector's sharded
-// RefreshAll. Because the first sweep releases its locks before LockAll
-// is acquired, a final DetectAndRecoverExclusive runs inside the
-// exclusive section to repair anything that landed in between; only then
-// are the new goldens derived. Inference stalls only for the exclusive
-// section; the next verified fetch runs from the kernel plans Rekey rebuilt
-// alongside the schemes.
+// rekey rotates this model's protection secrets live through
+// core.Protector.Rekey, which repairs live corruption and then derives the
+// new goldens in one whole-model exclusive section, so no scan or fetch
+// observes a half-swapped scheme set and no flip is laundered into the new
+// goldens. Inference stalls only for that section.
 func (s *Server) rekey() AdminReport {
-	s.rekeyMu.Lock()
-	defer s.rekeyMu.Unlock()
-	flagged, zeroed := s.Scrub(true)
-	s.guard.LockAll()
-	lateFlagged, lateZeroed := s.prot.DetectAndRecoverExclusive()
-	s.prot.Rekey(rekeySeed())
-	s.guard.UnlockAll()
+	flagged, zeroed := s.prot.Rekey(rekeySeed())
 	s.met.rekeys.Inc()
-	return AdminReport{
-		Model:   s.name,
-		Flagged: len(flagged) + len(lateFlagged),
-		Zeroed:  zeroed + lateZeroed,
-		Rekeyed: true,
-	}
+	return AdminReport{Model: s.name, Flagged: len(flagged), Zeroed: zeroed, Rekeyed: true}
 }
 
 // rekeySeed draws a fresh secret seed for a live rekey. Entropy quality
@@ -220,15 +202,19 @@ func rekeySeed() int64 {
 
 // injectAdversary plans one volley of the named adversary against this
 // model and mounts it under whole-model write exclusion — the live-attack
-// hook behind POST /v1/admin/inject. The volley is planned outside the
-// exclusive section (planning only reads geometry) and mounted inside it.
+// hook behind POST /v1/admin/inject. Planning reads the secrets a rekey
+// replaces and the weights a repair writes, so it runs inside the
+// exclusive section too.
 func (s *Server) injectAdversary(name string, flips int, seed int64) (InjectReport, error) {
-	tgt := adversary.Target{Model: s.model, Prot: s.prot}
-	v, err := adversary.PlanVolley(tgt, name, flips, seed)
-	if err != nil {
+	if _, err := adversary.New(name); err != nil {
 		return InjectReport{}, err
 	}
-	s.Inject(func(*quant.Model) { adversary.Mount(tgt, v) })
+	tgt := adversary.Target{Model: s.model, Prot: s.prot}
+	var v adversary.Volley
+	s.Inject(func(*quant.Model) {
+		v, _ = adversary.PlanVolley(tgt, name, flips, seed) // its one error, an unknown name, is ruled out above
+		adversary.Mount(tgt, v)
+	})
 	s.met.advFlips.Add(int64(v.Size()))
 	return InjectReport{
 		Model:       s.name,
@@ -251,7 +237,8 @@ type InjectReport struct {
 // AdminReport is one model's answer to an admin scrub or rekey.
 type AdminReport struct {
 	Model string `json:"model"`
-	// Flagged / Zeroed report what the (pre-rekey) scrub cycle found.
+	// Flagged / Zeroed report what the scrub cycle, or the rekey's repair
+	// pass, found.
 	Flagged int `json:"flagged"`
 	Zeroed  int `json:"zeroed"`
 	// Rekeyed is true when the model's secrets were rotated.

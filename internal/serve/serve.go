@@ -41,11 +41,12 @@
 //     exclusion, so integration tests and benchmarks can flip bits
 //     mid-traffic without tripping the race detector.
 //
-// All cross-goroutine access to a weight image is coordinated through one
-// core.LayerGuard per model: inference and scans take per-layer read
-// locks, recovery and injected attacks take per-layer write locks. The
-// subsystem is therefore -race-clean by construction while flips, scrubs,
-// verified fetches and batched forwards all land on the same storage.
+// All cross-goroutine access to a weight image is coordinated through the
+// per-layer locks its core.Protector owns: inference and scans take
+// per-layer read locks, recovery, rekeys and injected attacks take write
+// locks. The subsystem is therefore -race-clean by construction while
+// flips, scrubs, verified fetches and batched forwards all land on the
+// same storage.
 package serve
 
 import (
@@ -133,14 +134,8 @@ type Server struct {
 	eng    *qinfer.Engine
 	prot   *core.Protector
 	model  *quant.Model
-	guard  *core.LayerGuard
 	met    *metrics
 	traces *obs.TraceRing // shared service-wide ring; never nil
-
-	// rekeyMu serializes admin rekeys of this model: a rekey swaps the
-	// protector's schemes and golden signatures wholesale, so two
-	// concurrent rekeys must not interleave their scrub/swap phases.
-	rekeyMu sync.Mutex
 
 	reqs chan *request
 
@@ -182,13 +177,11 @@ func newServerIn(eng *qinfer.Engine, prot *core.Protector, cfg config, reg *obs.
 		eng:       eng,
 		prot:      prot,
 		model:     m,
-		guard:     core.NewLayerGuard(len(m.Layers)),
 		met:       newMetrics(reg, name),
 		traces:    traces,
 		reqs:      make(chan *request, cfg.queueDepth),
 		scrubStop: make(chan struct{}),
 	}
-	prot.Coordinate(s.guard)
 	s.registerFuncs(reg, name)
 	return s
 }
@@ -326,9 +319,7 @@ func (s *Server) submit(ctx context.Context, x *tensor.Tensor, id string, wait b
 // adversary.Mount or flips chosen bits, and the serving stack will detect
 // and recover on the following fetches and scrub cycles.
 func (s *Server) Inject(f func(m *quant.Model)) {
-	s.guard.LockAll()
-	f(s.model)
-	s.guard.UnlockAll()
+	s.prot.Exclusive(func() { f(s.model) })
 	s.met.injections.Inc()
 }
 

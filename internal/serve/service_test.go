@@ -75,20 +75,10 @@ func modelSrv(t testing.TB, svc *Service, name string) *Server {
 	return srv
 }
 
-// wedge write-locks every layer of the named model so its inference
-// workers (and verifier) block, letting tests saturate queues
-// deterministically. The returned func releases the wedge.
+// wedge is holdWeights on the named model of a service.
 func wedge(t testing.TB, svc *Service, name string) func() {
 	t.Helper()
-	srv := modelSrv(t, svc, name)
-	srv.guard.LockAll()
-	released := false
-	return func() {
-		if !released {
-			released = true
-			srv.guard.UnlockAll()
-		}
-	}
+	return holdWeights(modelSrv(t, svc, name))
 }
 
 func TestOpenValidation(t *testing.T) {

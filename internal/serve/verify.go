@@ -6,44 +6,33 @@ import "time"
 // qinfer.WeightFetcher. Every stage of every batch goes through
 // core.Protector.FetchLayer: the layer's checksum is recomputed under its
 // read lock immediately before the stage's convolution reads the same
-// bytes, and a mismatch is repaired under the write lock, which the stage
-// then computes under. Nothing is cached and nothing depends on a write
+// bytes, and a mismatch is repaired under the write lock and verified
+// again under the read lock the stage then computes under. Nothing is cached and nothing depends on a write
 // having announced itself, so a physical flip lives until the next batch,
 // not until the next scrub tick.
 //
 // Each worker owns one verifier and a pass holds one layer at a time, so
-// the hold's mode and the pass's counts are plain fields; flush publishes
-// the counts once the pass is over.
+// the pass's counts are plain fields; flush publishes them once the pass
+// is over.
 type verifier struct {
 	s *Server
 	// at is the running pass's start, the last-verified stamp of every
 	// layer it fetches.
 	at time.Time
-	// exclusive is set while the held layer is write-locked (it was just
-	// repaired) rather than read-locked.
-	exclusive bool
 	// scans, flagged and zeroed are the running pass's counts.
 	scans, flagged, zeroed int64
 }
 
 // FetchLayer implements qinfer.WeightFetcher.
 func (v *verifier) FetchLayer(li int) {
-	flagged, zeroed, exclusive := v.s.prot.FetchLayer(li, v.at)
-	v.exclusive = exclusive
+	flagged, zeroed := v.s.prot.FetchLayer(li, v.at)
 	v.scans++
 	v.flagged += int64(flagged)
 	v.zeroed += int64(zeroed)
 }
 
 // ReleaseLayer implements qinfer.WeightFetcher.
-func (v *verifier) ReleaseLayer(li int) {
-	if v.exclusive {
-		v.exclusive = false
-		v.s.guard.UnlockLayer(li)
-	} else {
-		v.s.guard.RUnlockLayer(li)
-	}
-}
+func (v *verifier) ReleaseLayer(li int) { v.s.prot.ReleaseLayer(li) }
 
 // flush publishes a finished pass to the model's metrics; verify is the
 // time the engine reports the pass spent in its fetch steps.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,12 +12,12 @@ import (
 	"radar/internal/tensor"
 )
 
-// lockOnly is a fetch step without verification: the layer's read lock
+// lockOnly is a fetch step without verification: a per-layer read lock
 // alone, the baseline BenchmarkVerifiedFetch prices the verifier against.
-type lockOnly struct{ guard *core.LayerGuard }
+type lockOnly []sync.RWMutex
 
-func (f lockOnly) FetchLayer(li int)   { f.guard.RLockLayer(li) }
-func (f lockOnly) ReleaseLayer(li int) { f.guard.RUnlockLayer(li) }
+func (f lockOnly) FetchLayer(li int)   { f[li].RLock() }
+func (f lockOnly) ReleaseLayer(li int) { f[li].RUnlock() }
 
 // BenchmarkVerifiedFetch prices the fused fetch where it runs: one
 // batch-1 forward pass of a served model through a worker's verifier
@@ -38,7 +39,7 @@ func BenchmarkVerifiedFetch(b *testing.B) {
 		for _, leg := range []struct {
 			name string
 			f    qinfer.WeightFetcher
-		}{{"verify=off", lockOnly{srv.guard}}, {"verify=on", &verifier{s: srv}}} {
+		}{{"verify=off", make(lockOnly, len(bundle.QModel.Layers))}, {"verify=on", &verifier{s: srv}}} {
 			b.Run(spec.Name+"/"+leg.name, func(b *testing.B) {
 				var spent time.Duration
 				for b.Loop() {
