@@ -17,10 +17,11 @@ test:
 # the mmap store (dirty-tracking observers fire from scan workers), and
 # the adversary campaign engine (volleys mount inside the protector's
 # Exclusive section while scrubs run), plus the ECC corrector and timing-substrate
-# property/fuzz seeds, the one CPU fan-out (cpu.Parallel), and the float
+# property/fuzz seeds, the one CPU fan-out (cpu.Parallel), the float
 # conv path: Conv2D.Forward's workers write disjoint slices of one output
 # tensor, and Conv2D.Backward's write disjoint weight-gradient slots and
-# input-gradient slices, each through its own column-gradient buffer. The
+# input-gradient slices, each through its own column-gradient buffer, and
+# data.Generate, whose workers sum disjoint images in their own buffers. The
 # batching-policy tests build exact backlogs behind blocked workers, the
 # rekey test rotates secrets under live traffic, the rolling-scrub test
 # times a live ticker, and core's three lock tests (a rekey repairs before
@@ -28,7 +29,7 @@ test:
 # beside repairs and rekeys) pin the layer-lock protocol, so they run ten
 # times over.
 race:
-	$(GO) test -race -timeout 20m ./internal/core/... ./internal/serve/... ./internal/qinfer/... ./internal/obs/... ./internal/fleet/... ./internal/chaos/... ./internal/store/... ./internal/adversary/... ./internal/ecc/... ./internal/memsim/... ./internal/tensor/... ./internal/nn/... ./internal/cpu/...
+	$(GO) test -race -timeout 20m ./internal/core/... ./internal/serve/... ./internal/qinfer/... ./internal/obs/... ./internal/fleet/... ./internal/chaos/... ./internal/store/... ./internal/adversary/... ./internal/ecc/... ./internal/memsim/... ./internal/tensor/... ./internal/nn/... ./internal/cpu/... ./internal/data/...
 	$(GO) test -race -count=10 -run 'TestBacklogBecomesBatches|TestShapeChangeCarriesOver|TestStopAnswersBacklog|TestRekeyLive|TestRekeyRepairsBeforeRotating|TestFetchRepairKeepsReadLock|TestGuardedRecoverConcurrentWithScans|TestRollingScrub' ./internal/serve/ ./internal/core/
 
 # Every paper table and figure at test scale (minutes; PBFA profile
@@ -49,9 +50,10 @@ bench-smoke:
 # (which `make test` already runs): the checksum kernel, the ECC
 # corrector, the conv GEMM kernels and requantization against the
 # reference loop, the blocked float MatMul and MatMulTransA against the
-# plain loops (amd64), the infer-body parser against encoding/json, and the
-# checkpoint loader (store.Open) on mutated files. A failing input lands
-# in the package's testdata/fuzz, ready to commit.
+# plain loops on both legs of their inner loop, Go and AVX2 (amd64), the
+# infer-body parser against encoding/json, and the checkpoint loader
+# (store.Open) on mutated files. A failing input lands in the package's
+# testdata/fuzz, ready to commit.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSignatures$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrectorAtMostTwoFlips$$' -fuzztime 10s ./internal/core/
@@ -121,15 +123,15 @@ chaos-smoke:
 	./scripts/chaos_smoke.sh ./radar-serve ./radar-fleet ./radar-chaos
 	rm -f radar-serve radar-fleet radar-chaos
 
-# vet covers the assembly (gemm_amd64.s, swar_amd64.s, cpu_amd64.s)
-# through its asmdecl check. The arm64 lines keep the portable GEMM and
-# checksum paths and the probe's non-amd64 side compiling and vetted: on
-# amd64 hosts with AVX2 nothing else ever builds those packages without the
-# assembly (works offline, ≈ 20 s).
+# vet covers the assembly (gemm_amd64.s, swar_amd64.s, axpy_amd64.s,
+# cpu_amd64.s) through its asmdecl check. The arm64 lines keep the portable
+# int8 and float GEMM and checksum paths and the probe's non-amd64 side
+# compiling and vetted: on amd64 hosts with AVX2 nothing else ever builds
+# those packages without the assembly (works offline, ≈ 20 s).
 lint:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/qinfer/ ./internal/core/ ./internal/cpu/
+	GOARCH=arm64 $(GO) vet ./internal/qinfer/ ./internal/core/ ./internal/cpu/ ./internal/tensor/
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 

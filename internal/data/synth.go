@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 
+	"radar/internal/cpu"
 	"radar/internal/tensor"
 )
 
@@ -104,28 +105,49 @@ func SynthImageNet() SynthConfig {
 	return SynthConfig{Classes: 20, Size: 32, Channels: 3, Waves: 4, Noise: 0.6, Confuse: 1.0, Seed: 2002}
 }
 
-// classProto is one sinusoid component of a class prototype.
+// classProto is one sinusoid component of a class prototype. arg holds
+// fx·x + fy·y + phase at each pixel of its plane, row-major: the part of
+// the sine's argument no image changes.
 type classProto struct {
-	fx, fy, phase, amp float64
-	channel            int
+	amp     float64
+	channel int
+	arg     []float64
+}
+
+// header is one image's random draws other than its noise: its class, the
+// phase jitter and amplitude of its textures, and the weight alpha of the
+// other class blended into it.
+type header struct {
+	class, other          int
+	jitter, ampJit, alpha float64
 }
 
 // Generate synthesizes n samples from cfg using the stream identified by
 // streamSeed (different streams share class prototypes but draw disjoint
 // noise/jitter, so train/test splits are honest).
+//
+// A serial pass draws every random value in stream order, each image's
+// header and then its noise, which it stores in the image's pixels. The
+// images' sinusoids are then summed in parallel, one image per task, into
+// a buffer per worker, and the noise added last, so each pixel is the same
+// float32 sum, in the same order, as when one loop did both.
 func Generate(cfg SynthConfig, n int, streamSeed int64) *Dataset {
 	protoRng := rand.New(rand.NewSource(cfg.Seed))
+	plane := cfg.Size * cfg.Size
 	protos := make([][]classProto, cfg.Classes)
 	for c := range protos {
 		comps := make([]classProto, cfg.Waves)
 		for i := range comps {
-			comps[i] = classProto{
-				fx:      (protoRng.Float64()*3 + 0.5) * 2 * math.Pi / float64(cfg.Size),
-				fy:      (protoRng.Float64()*3 + 0.5) * 2 * math.Pi / float64(cfg.Size),
-				phase:   protoRng.Float64() * 2 * math.Pi,
-				amp:     0.6 + protoRng.Float64()*0.8,
-				channel: protoRng.Intn(cfg.Channels),
+			fx := (protoRng.Float64()*3 + 0.5) * 2 * math.Pi / float64(cfg.Size)
+			fy := (protoRng.Float64()*3 + 0.5) * 2 * math.Pi / float64(cfg.Size)
+			phase := protoRng.Float64() * 2 * math.Pi
+			p := classProto{amp: 0.6 + protoRng.Float64()*0.8, channel: protoRng.Intn(cfg.Channels), arg: make([]float64, plane)}
+			for yy := 0; yy < cfg.Size; yy++ {
+				for xx := 0; xx < cfg.Size; xx++ {
+					p.arg[yy*cfg.Size+xx] = fx*float64(xx) + fy*float64(yy) + phase
+				}
 			}
+			comps[i] = p
 		}
 		protos[c] = comps
 	}
@@ -133,44 +155,59 @@ func Generate(cfg SynthConfig, n int, streamSeed int64) *Dataset {
 	rng := rand.New(rand.NewSource(streamSeed ^ cfg.Seed<<1))
 	x := tensor.New(n, cfg.Channels, cfg.Size, cfg.Size)
 	labels := make([]int, n)
-	sz := cfg.Channels * cfg.Size * cfg.Size
-	for i := 0; i < n; i++ {
-		class := rng.Intn(cfg.Classes)
-		labels[i] = class
+	heads := make([]header, n)
+	sz := cfg.Channels * plane
+	for i := range heads {
+		h := &heads[i]
+		h.class = rng.Intn(cfg.Classes)
+		labels[i] = h.class
+		h.jitter = rng.Float64() * 2 * math.Pi
+		h.ampJit = 0.8 + rng.Float64()*0.4
+		// Blend in a random other class to create genuinely ambiguous
+		// samples (α near 0.5 is a coin toss even for an ideal classifier).
+		if cfg.Confuse > 0 && cfg.Classes > 1 {
+			h.alpha = rng.Float64() * cfg.Confuse
+			if h.alpha > 0.5 {
+				h.alpha = 0.5 // a 50/50 blend is maximally ambiguous
+			}
+		}
+		if h.alpha > 0 {
+			h.other = rng.Intn(cfg.Classes - 1)
+			if h.other >= h.class {
+				h.other++
+			}
+		}
 		img := x.Data[i*sz : (i+1)*sz]
-		jitter := rng.Float64() * 2 * math.Pi
-		ampJit := 0.8 + rng.Float64()*0.4
+		for j := range img {
+			img[j] = float32(rng.NormFloat64() * cfg.Noise)
+		}
+	}
+
+	acc := make([][]float32, cpu.Workers(0, n))
+	cpu.Parallel(0, n, func(w, i int) {
+		if acc[w] == nil {
+			acc[w] = make([]float32, sz)
+		}
+		a, h := acc[w], &heads[i]
+		clear(a)
+		shift := h.jitter * 0.15
 		addProto := func(class int, weight float64) {
 			for _, p := range protos[class] {
-				base := p.channel * cfg.Size * cfg.Size
-				for yy := 0; yy < cfg.Size; yy++ {
-					for xx := 0; xx < cfg.Size; xx++ {
-						v := weight * p.amp * ampJit * math.Sin(p.fx*float64(xx)+p.fy*float64(yy)+p.phase+jitter*0.15)
-						img[base+yy*cfg.Size+xx] += float32(v)
-					}
+				amp := weight * p.amp * h.ampJit
+				dst := a[p.channel*plane:][:len(p.arg)]
+				for t, arg := range p.arg {
+					dst[t] += float32(amp * math.Sin(arg+shift))
 				}
 			}
 		}
-		// Blend in a random other class to create genuinely ambiguous
-		// samples (α near 0.5 is a coin toss even for an ideal classifier).
-		alpha := 0.0
-		if cfg.Confuse > 0 && cfg.Classes > 1 {
-			alpha = rng.Float64() * cfg.Confuse
-			if alpha > 0.5 {
-				alpha = 0.5 // a 50/50 blend is maximally ambiguous
-			}
+		addProto(h.class, 1-h.alpha)
+		if h.alpha > 0 {
+			addProto(h.other, h.alpha)
 		}
-		addProto(class, 1-alpha)
-		if alpha > 0 {
-			other := rng.Intn(cfg.Classes - 1)
-			if other >= class {
-				other++
-			}
-			addProto(other, alpha)
-		}
+		img := x.Data[i*sz : (i+1)*sz]
 		for j := range img {
-			img[j] += float32(rng.NormFloat64() * cfg.Noise)
+			img[j] = a[j] + img[j]
 		}
-	}
+	})
 	return &Dataset{X: x, Labels: labels, Classes: cfg.Classes}
 }

@@ -1,10 +1,125 @@
 package data
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"radar/internal/tensor"
 )
+
+// generateRef is Generate as one serial loop, each image's draws, sines
+// and noise in turn: the slow, obviously right version Generate is held to.
+func generateRef(cfg SynthConfig, n int, streamSeed int64) *Dataset {
+	type refProto struct {
+		fx, fy, phase, amp float64
+		channel            int
+	}
+	protoRng := rand.New(rand.NewSource(cfg.Seed))
+	protos := make([][]refProto, cfg.Classes)
+	for c := range protos {
+		comps := make([]refProto, cfg.Waves)
+		for i := range comps {
+			comps[i] = refProto{
+				fx:      (protoRng.Float64()*3 + 0.5) * 2 * math.Pi / float64(cfg.Size),
+				fy:      (protoRng.Float64()*3 + 0.5) * 2 * math.Pi / float64(cfg.Size),
+				phase:   protoRng.Float64() * 2 * math.Pi,
+				amp:     0.6 + protoRng.Float64()*0.8,
+				channel: protoRng.Intn(cfg.Channels),
+			}
+		}
+		protos[c] = comps
+	}
+
+	rng := rand.New(rand.NewSource(streamSeed ^ cfg.Seed<<1))
+	x := tensor.New(n, cfg.Channels, cfg.Size, cfg.Size)
+	labels := make([]int, n)
+	sz := cfg.Channels * cfg.Size * cfg.Size
+	for i := 0; i < n; i++ {
+		class := rng.Intn(cfg.Classes)
+		labels[i] = class
+		img := x.Data[i*sz : (i+1)*sz]
+		jitter := rng.Float64() * 2 * math.Pi
+		ampJit := 0.8 + rng.Float64()*0.4
+		addProto := func(class int, weight float64) {
+			for _, p := range protos[class] {
+				base := p.channel * cfg.Size * cfg.Size
+				for yy := 0; yy < cfg.Size; yy++ {
+					for xx := 0; xx < cfg.Size; xx++ {
+						v := weight * p.amp * ampJit * math.Sin(p.fx*float64(xx)+p.fy*float64(yy)+p.phase+jitter*0.15)
+						img[base+yy*cfg.Size+xx] += float32(v)
+					}
+				}
+			}
+		}
+		alpha := 0.0
+		if cfg.Confuse > 0 && cfg.Classes > 1 {
+			alpha = rng.Float64() * cfg.Confuse
+			if alpha > 0.5 {
+				alpha = 0.5
+			}
+		}
+		addProto(class, 1-alpha)
+		if alpha > 0 {
+			other := rng.Intn(cfg.Classes - 1)
+			if other >= class {
+				other++
+			}
+			addProto(other, alpha)
+		}
+		for j := range img {
+			img[j] += float32(rng.NormFloat64() * cfg.Noise)
+		}
+	}
+	return &Dataset{X: x, Labels: labels, Classes: cfg.Classes}
+}
+
+// TestGenerateMatchesRef pins Generate to generateRef bit for bit, labels
+// and every pixel, for both configurations and three streams, on one
+// worker and on two. The hoisted sine arguments and amplitudes are exact
+// only where Go fuses no multiply-add, as on amd64.
+func TestGenerateMatchesRef(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("bit-for-bit equality needs unfused multiply-adds (amd64)")
+	}
+	for _, procs := range []int{1, 2} {
+		for name, cfg := range map[string]SynthConfig{"cifar": SynthCIFAR(), "imagenet": SynthImageNet()} {
+			for _, seed := range []int64{1, 7, -3} {
+				t.Run(fmt.Sprintf("procs=%d/%s/seed=%d", procs, name, seed), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					got, want := Generate(cfg, 37, seed), generateRef(cfg, 37, seed)
+					for i, l := range want.Labels {
+						if got.Labels[i] != l {
+							t.Fatalf("label %d is %d, reference %d", i, got.Labels[i], l)
+						}
+					}
+					for i, v := range want.X.Data {
+						if g := got.X.Data[i]; math.Float32bits(g) != math.Float32bits(v) {
+							t.Fatalf("pixel %d is %v (%#08x), reference %v (%#08x)", i, g, math.Float32bits(g), v, math.Float32bits(v))
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkGenerate times the 1 256 images model.Load draws for resnet20s
+// (1 000 test images and 256 attack images), against the serial reference.
+func BenchmarkGenerate(b *testing.B) {
+	for _, v := range []struct {
+		name string
+		gen  func(SynthConfig, int, int64) *Dataset
+	}{{"parallel", Generate}, {"ref", generateRef}} {
+		b.Run(v.name, func(b *testing.B) {
+			for b.Loop() {
+				v.gen(SynthCIFAR(), 1256, 1)
+			}
+		})
+	}
+}
 
 func TestGenerateDeterministic(t *testing.T) {
 	cfg := SynthCIFAR()

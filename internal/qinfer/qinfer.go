@@ -498,6 +498,8 @@ func Compile(net *nn.Sequential, qm *quant.Model, calib *tensor.Tensor) (*Engine
 
 // calibrate runs the float network stage by stage on the calibration batch
 // and sets every activation scale to maxAbs/127 of the observed outputs.
+// The global pool and the classifier set no scale, so the pass stops
+// before them.
 func (e *Engine) calibrate(net *nn.Sequential, calib *tensor.Tensor) {
 	e.inScale = calib.MaxAbs() / 127
 	if e.inScale == 0 {
@@ -540,8 +542,6 @@ func (e *Engine) calibrate(net *nn.Sequential, calib *tensor.Tensor) {
 			e.blocks[bi].lv = newLevels(scaleOf(out), true)
 			x = out
 			bi++
-		case *nn.GlobalAvgPool, *nn.Linear:
-			x = l.Forward(x, false)
 		}
 	}
 }

@@ -86,8 +86,9 @@ func sameBits(t *testing.T, what string, got, want *Tensor) {
 }
 
 // FuzzMatMul checks MatMul, MatMulInto (over a dirty destination) and
-// MatMulTransA against the plain loops bit for bit. Dimensions are
-// 1 + (byte mod 40), so odd m, k mod 4 ≠ 0 and n = 1 all occur.
+// MatMulTransA against the plain loops bit for bit, on each leg of
+// axpy2x4. Dimensions are 1 + (byte mod 40), so odd m, k mod 4 ≠ 0, n = 1
+// and n past the AVX2 leg's 8-column step with n mod 8 ≠ 0 all occur.
 func FuzzMatMul(f *testing.F) {
 	f.Add(uint8(7), uint8(13), uint8(9), int64(1), uint8(0))   // odd m, k mod 4 = 1
 	f.Add(uint8(15), uint8(2), uint8(0), int64(2), uint8(0))   // k mod 4 = 3, n = 1
@@ -95,20 +96,27 @@ func FuzzMatMul(f *testing.F) {
 	f.Add(uint8(16), uint8(71), uint8(63), int64(4), uint8(0)) // k = 32, the blocked path alone
 	f.Add(uint8(8), uint8(35), uint8(10), int64(5), uint8(200))
 	f.Add(uint8(3), uint8(11), uint8(1), int64(6), uint8(255)) // all-zero A
+	f.Add(uint8(5), uint8(9), uint8(8), int64(7), uint8(0))    // n = 9: one 8-column step and a 1-column tail
+	f.Add(uint8(6), uint8(17), uint8(22), int64(8), uint8(30)) // n = 23: two steps and a 7-column tail
+	f.Add(uint8(1), uint8(31), uint8(36), int64(9), uint8(0))  // n = 37, k = 32
 	f.Fuzz(func(t *testing.T, mb, kb, nb uint8, seed int64, zeroPct uint8) {
 		m, k, n := 1+int(mb)%40, 1+int(kb)%40, 1+int(nb)%40
 		rng := rand.New(rand.NewSource(seed))
 		a := fuzzMatrix(rng, m, k, zeroPct)
 		b := fuzzMatrix(rng, k, n, zeroPct/4)
 		want := matMulRef(a, b)
-		sameBits(t, "MatMul", MatMul(a, b), want)
-		dst := New(m, n)
-		for i := range dst.Data {
-			dst.Data[i] = float32(math.NaN())
-		}
-		MatMulInto(dst, a, b)
-		sameBits(t, "MatMulInto", dst, want)
 		at := Transpose(a)
-		sameBits(t, "MatMulTransA", MatMulTransA(at, b), matMulTransARef(at, b))
+		wantT := matMulTransARef(at, b)
+		for _, leg := range axpyLegs(t) {
+			axpyAVX2 = leg.avx2
+			sameBits(t, "MatMul "+leg.name, MatMul(a, b), want)
+			dst := New(m, n)
+			for i := range dst.Data {
+				dst.Data[i] = float32(math.NaN())
+			}
+			MatMulInto(dst, a, b)
+			sameBits(t, "MatMulInto "+leg.name, dst, want)
+			sameBits(t, "MatMulTransA "+leg.name, MatMulTransA(at, b), wantT)
+		}
 	})
 }

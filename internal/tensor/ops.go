@@ -1,5 +1,7 @@
 package tensor
 
+import "radar/internal/cpu"
+
 // Add returns a + b elementwise. Shapes must match.
 func Add(a, b *Tensor) *Tensor {
 	mustSameShape(a, b, "Add")
@@ -117,17 +119,28 @@ func axpy(crow, brow []float32, x float32) {
 // axpy2x4 adds x·B to c0 and y·B to c1, B being the four rows of b, one
 // product at a time in row order. It is gemmRows's inner loop in a function
 // of its own, where every slice and scalar it reads stays in a register
-// (inline, the loop spilled two of them: ≈ 15 % slower).
+// (inline, the loop spilled two of them: ≈ 15 % slower). Where axpyAVX2
+// holds, axpy_amd64.s takes the columns 8 at a time with the same roundings
+// in the same order, and this loop takes the n mod 8 left over.
 func axpy2x4(c0, c1, b []float32, x0, x1, x2, x3, y0, y1, y2, y3 float32) {
 	n := len(c0)
 	b0 := b[:n]
 	b1, b2, b3, c1 := b[n:][:len(b0)], b[2*n:][:len(b0)], b[3*n:][:len(b0)], c1[:len(b0)]
-	for j, v0 := range b0 {
-		v1, v2, v3 := b1[j], b2[j], b3[j]
+	j := 0
+	if n8 := n &^ 7; axpyAVX2 && n8 > 0 {
+		axpy2x4AVX2(&c0[0], &c1[0], &b0[0], &b1[0], &b2[0], &b3[0], n8, x0, x1, x2, x3, y0, y1, y2, y3)
+		j = n8
+	}
+	for ; j < len(b0); j++ {
+		v0, v1, v2, v3 := b0[j], b1[j], b2[j], b3[j]
 		c0[j] = c0[j] + x0*v0 + x1*v1 + x2*v2 + x3*v3
 		c1[j] = c1[j] + y0*v0 + y1*v1 + y2*v2 + y3*v3
 	}
 }
+
+// axpyAVX2 selects axpy2x4's AVX2 leg, the choice of internal/cpu's probe;
+// only tests write it.
+var axpyAVX2 = cpu.AVX2
 
 // MatMulTransB computes C = A·Bᵀ where A is (m×k) and B is (n×k), an
 // (m×n) result, each element one dot product summed in p order. C is

@@ -360,15 +360,3 @@ func TestKaimingInitStatistics(t *testing.T) {
 		t.Fatalf("Kaiming variance = %v, want ~%v", variance, 2.0/50.0)
 	}
 }
-
-func BenchmarkMatMul128(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	x := New(128, 128)
-	y := New(128, 128)
-	x.RandNormal(rng, 1)
-	y.RandNormal(rng, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
-	}
-}
