@@ -21,16 +21,19 @@ test:
 # conv path: Conv2D.Forward's workers write disjoint slices of one output
 # tensor, and Conv2D.Backward's write disjoint weight-gradient slots and
 # input-gradient slices, each through its own column-gradient buffer, and
-# data.Generate, whose workers sum disjoint images in their own buffers. The
+# data.Generate, whose workers sum disjoint images in their own buffers, and
+# the dataset's materialization lock: reads of one shared data.Dataset from
+# several goroutines each draw the prefix they need under it. The
 # batching-policy tests build exact backlogs behind blocked workers, the
 # rekey test rotates secrets under live traffic, the rolling-scrub test
 # times a live ticker, and core's three lock tests (a rekey repairs before
 # it rotates; a repairing fetch returns holding only the read lock; scans
-# beside repairs and rekeys) pin the layer-lock protocol, so they run ten
-# times over.
+# beside repairs and rekeys) pin the layer-lock protocol, and four
+# goroutines race to draw one dataset's stream (TestBatchConcurrent), so
+# they run ten times over.
 race:
 	$(GO) test -race -timeout 20m ./internal/core/... ./internal/serve/... ./internal/qinfer/... ./internal/obs/... ./internal/fleet/... ./internal/chaos/... ./internal/store/... ./internal/adversary/... ./internal/ecc/... ./internal/memsim/... ./internal/tensor/... ./internal/nn/... ./internal/cpu/... ./internal/data/...
-	$(GO) test -race -count=10 -run 'TestBacklogBecomesBatches|TestShapeChangeCarriesOver|TestStopAnswersBacklog|TestRekeyLive|TestRekeyRepairsBeforeRotating|TestFetchRepairKeepsReadLock|TestGuardedRecoverConcurrentWithScans|TestRollingScrub' ./internal/serve/ ./internal/core/
+	$(GO) test -race -count=10 -run 'TestBacklogBecomesBatches|TestShapeChangeCarriesOver|TestStopAnswersBacklog|TestRekeyLive|TestRekeyRepairsBeforeRotating|TestFetchRepairKeepsReadLock|TestGuardedRecoverConcurrentWithScans|TestRollingScrub|TestBatchConcurrent' ./internal/serve/ ./internal/core/ ./internal/data/
 
 # Every paper table and figure at test scale (minutes; PBFA profile
 # generation dominates), then every micro-benchmark once.
@@ -38,17 +41,19 @@ bench:
 	$(GO) run ./cmd/radar-bench -scale quick
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./internal/...
 
-# Fast guard that the scan + serve + conv-kernel + int8-engine + verified-
-# fetch benchmarks still compile and run (1 iteration; checkpoints come
-# from testdata/models, so no training happens).
+# Fast guard that the scan + serve + replica bring-up + conv-kernel +
+# int8-engine + compile + verified-fetch benchmarks still compile and run
+# (1 iteration; checkpoints come from testdata/models, so no training
+# happens). 'Serve' matches BenchmarkServeBringUp.
 bench-smoke:
 	$(GO) test -bench='Scan|Serve' -benchtime=1x -run '^$$' ./internal/core/ ./internal/serve/
-	$(GO) test -bench='Conv|EngineForward' -benchtime=1x -run '^$$' ./internal/qinfer/
+	$(GO) test -bench='Conv|EngineForward|Compile' -benchtime=1x -run '^$$' ./internal/qinfer/
 	$(GO) test -bench FetchLayer -benchtime 1x -run '^$$' ./internal/core/
 
 # Each native fuzz target explores for 10 s past its committed seeds
 # (which `make test` already runs): the checksum kernel, the ECC
-# corrector, the conv GEMM kernels and requantization against the
+# corrector, the set-bit SEC-DED encoder against ecc.Hamming.Encode, the
+# conv GEMM kernels and requantization against the
 # reference loop, the blocked float MatMul and MatMulTransA against the
 # plain loops on both legs of their inner loop, Go and AVX2 (amd64), the
 # infer-body parser against encoding/json, and the checkpoint loader
@@ -57,6 +62,7 @@ bench-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSignatures$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrectorAtMostTwoFlips$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeGroup$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzConvGEMM$$' -fuzztime 10s ./internal/qinfer/
 	$(GO) test -run '^$$' -fuzz '^FuzzMatMul$$' -fuzztime 10s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInferRequest$$' -fuzztime 10s ./internal/serve/

@@ -17,8 +17,7 @@ func sampleBatch(d *data.Dataset, batch int, rng *rand.Rand) (*tensor.Tensor, []
 	for i := range idx {
 		idx[i] = rng.Intn(d.Len())
 	}
-	s := d.Subset(idx)
-	return s.X, s.Labels
+	return d.Subset(idx).Batch(0, batch)
 }
 
 // Random flips n uniformly random bits in the model — the weak baseline the

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"radar/internal/ecc"
 	"radar/internal/quant"
 )
@@ -30,24 +32,25 @@ import (
 // Correcting reports whether ECC-corrected recovery is enabled.
 func (p *Protector) Correcting() bool { return p.correct }
 
-// appendGroupBits appends group g's bit image (members in position order,
-// each weight LSB first) and member indices onto the given buffers.
-func (p *Protector) appendGroupBits(bits []uint8, idx []int, g GroupID) ([]uint8, []int) {
-	l := p.Model.Layers[g.Layer]
-	p.Schemes[g.Layer].VisitMembers(g.Group, len(l.Q), func(_, i int) {
-		idx = append(idx, i)
-		v := uint8(l.Q[i])
-		for b := 0; b < 8; b++ {
-			bits = append(bits, (v>>uint(b))&1)
+// encodeGroup computes group g's check word from the live weights:
+// ecc.Hamming.Encode's word over the group's bit image (members in position
+// order, each weight LSB first) without building it. The syndrome is the
+// XOR of the codeword positions of the group's set bits (member t's bit b
+// is data bit 8t+b, at p.checkPos[8t+b]), and the parity bit that of the
+// set bits and the syndrome together.
+func (p *Protector) encodeGroup(g GroupID) uint32 {
+	q, pos := p.Model.Layers[g.Layer].Q, p.checkPos
+	var syn uint32
+	ones := 0
+	p.Schemes[g.Layer].VisitMembers(g.Group, len(q), func(t, i int) {
+		v := uint8(q[i])
+		ones += bits.OnesCount8(v)
+		at := pos[8*t : 8*t+8]
+		for ; v != 0; v &= v - 1 {
+			syn ^= at[bits.TrailingZeros8(v)]
 		}
 	})
-	return bits, idx
-}
-
-// encodeGroup computes group g's check word from the live weights.
-func (p *Protector) encodeGroup(g GroupID) uint32 {
-	bits, _ := p.appendGroupBits(nil, nil, g)
-	return ecc.NewHamming(len(bits)).Encode(bits)
+	return syn<<1 | uint32(ones+bits.OnesCount32(syn))&1
 }
 
 // refreshChecksLayer recomputes layer li's stored check words from the
@@ -113,10 +116,11 @@ func (p *Protector) correctGroupLocked(g GroupID) (ok, wrote bool) {
 	}
 	l := p.Model.Layers[g.Layer]
 	s := p.Schemes[g.Layer]
-	bits, idx := p.appendGroupBits(nil, nil, g)
-	h := ecc.NewHamming(len(bits))
+	var idx []int
+	s.VisitMembers(g.Group, len(l.Q), func(_, i int) { idx = append(idx, i) })
+	h := ecc.NewHamming(8 * len(idx))
 	stored := p.Check[g.Layer][g.Group]
-	fresh := h.Encode(bits)
+	fresh := p.encodeGroup(g)
 	switch h.Classify(stored, fresh) {
 	case 0:
 		// The weights verify against the code, yet the signature scan
@@ -127,7 +131,7 @@ func (p *Protector) correctGroupLocked(g GroupID) (ok, wrote bool) {
 	case 1:
 		pos := h.CorrectSingle(stored, fresh)
 		di := h.DataIndexOf(pos)
-		if di < 0 || di >= len(bits) {
+		if di < 0 || di >= 8*len(idx) {
 			// Parity-position or out-of-range correction: the stored word
 			// itself is suspect. Fall back.
 			return false, false

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"radar/internal/ecc"
 	"radar/internal/quant"
 )
 
@@ -248,4 +249,75 @@ func checkCorrectorProperty(t *testing.T, seed int64) {
 	if again := p.Scan(); len(again) != 0 {
 		t.Fatalf("seed %d: rescan after recovery flagged %d groups", seed, len(again))
 	}
+}
+
+// groupBits is group g's bit image as ecc.Hamming.Encode takes it: one
+// byte per bit, members in position order, each weight LSB first.
+func groupBits(p *Protector, g GroupID) []uint8 {
+	var bits []uint8
+	q := p.Model.Layers[g.Layer].Q
+	p.Schemes[g.Layer].VisitMembers(g.Group, len(q), func(_, i int) {
+		for b := 0; b < 8; b++ {
+			bits = append(bits, uint8(q[i])>>b&1)
+		}
+	})
+	return bits
+}
+
+// checkEncodeMatchesHamming fails t unless every stored check word of a
+// correcting protector over layers of the given weights, at group size g,
+// equals ecc.Hamming.Encode of the group's expanded bit image.
+func checkEncodeMatchesHamming(t *testing.T, layers [][]int8, g int, interleave bool) {
+	t.Helper()
+	m := &quant.Model{}
+	for _, q := range layers {
+		m.Layers = append(m.Layers, &quant.Layer{Q: q, Scale: 1})
+	}
+	cfg := correctingConfig(g)
+	cfg.Interleave = interleave
+	p := Protect(m, cfg)
+	defer p.Detach()
+	for li, l := range m.Layers {
+		for j := range p.Schemes[li].NumGroups(len(l.Q)) {
+			bits := groupBits(p, GroupID{Layer: li, Group: j})
+			if got, want := p.Check[li][j], ecc.NewHamming(len(bits)).Encode(bits); got != want {
+				t.Fatalf("G=%d interleave=%v layer %d (%d weights) group %d: check word %#x, Hamming.Encode %#x", g, interleave, li, len(l.Q), j, got, want)
+			}
+		}
+	}
+}
+
+// TestEncodeGroupMatchesHamming pins the set-bit encoder to the reference
+// SEC-DED encoder on random weights, for every group size a deployment
+// uses, both groupings, and layers that are shorter than a group or end in
+// a partial one.
+func TestEncodeGroupMatchesHamming(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for _, g := range []int{8, 16, 32, 64, 128, 512} {
+		for _, interleave := range []bool{false, true} {
+			var layers [][]int8
+			for _, n := range []int{1, g - 1, g, 3*g + 5, 4099} {
+				layers = append(layers, randWeights(rng, n))
+			}
+			checkEncodeMatchesHamming(t, layers, g, interleave)
+		}
+	}
+}
+
+// FuzzEncodeGroup holds the set-bit encoder to ecc.Hamming.Encode on
+// arbitrary weight bytes, group sizes 1…600 and both groupings.
+func FuzzEncodeGroup(f *testing.F) {
+	f.Add([]byte{0x80, 0x7f, 0xff, 0, 1, 2, 3, 4, 5}, uint16(8), true)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint16(3), false)
+	f.Add(make([]byte, 600), uint16(511), true)
+	f.Fuzz(func(t *testing.T, weights []byte, g uint16, interleave bool) {
+		if len(weights) == 0 {
+			return
+		}
+		q := make([]int8, len(weights))
+		for i, b := range weights {
+			q[i] = int8(b)
+		}
+		checkEncodeMatchesHamming(t, [][]int8{q}, 1+int(g)%600, interleave)
+	})
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"radar/internal/cpu"
+	"radar/internal/ecc"
 	"radar/internal/quant"
 )
 
@@ -97,6 +98,9 @@ type Protector struct {
 	// correct is Config.Correct: recovery consults the Check words before
 	// zeroing.
 	correct bool
+	// checkPos is the codeword position of each of a group's 8·G data
+	// bits, what encodeGroup folds set bits through (Correct only).
+	checkPos []uint32
 
 	// mu guards dirty. Write notifications arrive via the model observer
 	// and may race with scans; the flags are the only shared mutable state.
@@ -144,6 +148,9 @@ func Protect(m *quant.Model, cfg Config) *Protector {
 		verified:       make([]atomic.Int64, len(m.Layers)),
 		locks:          make([]sync.RWMutex, len(m.Layers)),
 		shape:          Scheme{G: cfg.G, Interleave: cfg.Interleave, SigBits: cfg.SigBits},
+	}
+	if cfg.Correct {
+		p.checkPos = ecc.NewHamming(8 * cfg.G).Positions()
 	}
 	p.drawSecrets(cfg.Seed)
 	p.unobserve = m.Observe(p.markDirty)

@@ -5,68 +5,96 @@
 // per-image phase jitter, amplitude variation and Gaussian noise, so the
 // task is learnable but not trivial and gradients through a trained model
 // are informative — which is all PBFA and RADAR require of the data.
+//
+// Images are drawn on first read: Generate returns at once, and a read
+// draws the prefix of the stream it needs, under the dataset's own lock.
+// A serving replica that calibrates on 64 attack images never draws its
+// bundle's test set.
 package data
 
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"radar/internal/cpu"
 	"radar/internal/tensor"
 )
 
-// Dataset is an in-memory labeled image set with shape (N, C, H, W).
+// Dataset is a labeled image set with shape (N, C, H, W). A generated set
+// draws its images on first read, a prefix at a time, in stream order;
+// every method is safe for concurrent use.
 type Dataset struct {
-	// X holds the images.
-	X *tensor.Tensor
-	// Labels holds the class index of each image.
-	Labels []int
 	// Classes is the number of distinct labels.
 	Classes int
+
+	n, sz int    // images, and floats per image
+	shape [3]int // C, H, W
+
+	// mu guards what follows: reads materialize under it.
+	mu sync.Mutex
+	// pixels and labels hold images [0, ready), each sz floats.
+	pixels []float32
+	labels []int
+	ready  int
+	src    *stream // draws images ready, ready+1, ...; nil once all are drawn
 }
 
-// Len returns the number of samples.
-func (d *Dataset) Len() int { return d.X.Shape[0] }
+// Len returns the number of samples. It draws nothing.
+func (d *Dataset) Len() int { return d.n }
 
-// Batch copies samples [lo,hi) into a fresh tensor + label slice.
+// Batch copies samples [lo,hi) into a fresh tensor + label slice, drawing
+// the images through hi first.
 func (d *Dataset) Batch(lo, hi int) (*tensor.Tensor, []int) {
-	n, c, h, w := d.X.Shape[0], d.X.Shape[1], d.X.Shape[2], d.X.Shape[3]
-	if lo < 0 || hi > n || lo >= hi {
+	if lo < 0 || hi > d.n || lo >= hi {
 		panic("data: bad batch range")
 	}
-	bn := hi - lo
-	x := tensor.New(bn, c, h, w)
-	copy(x.Data, d.X.Data[lo*c*h*w:hi*c*h*w])
-	return x, d.Labels[lo:hi]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.materialize(hi)
+	x := tensor.New(hi-lo, d.shape[0], d.shape[1], d.shape[2])
+	copy(x.Data, d.pixels[lo*d.sz:hi*d.sz])
+	return x, slices.Clone(d.labels[lo:hi])
 }
 
-// Subset returns a view dataset containing the samples at the given indices.
+// Subset returns a dataset holding the samples at the given indices, drawing
+// the images through the largest index first.
 func (d *Dataset) Subset(idx []int) *Dataset {
-	c, h, w := d.X.Shape[1], d.X.Shape[2], d.X.Shape[3]
-	x := tensor.New(len(idx), c, h, w)
-	labels := make([]int, len(idx))
-	sz := c * h * w
-	for i, j := range idx {
-		copy(x.Data[i*sz:(i+1)*sz], d.X.Data[j*sz:(j+1)*sz])
-		labels[i] = d.Labels[j]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(idx) > 0 {
+		last := slices.Max(idx)
+		if last >= d.n {
+			panic("data: sample index out of range")
+		}
+		d.materialize(last + 1)
 	}
-	return &Dataset{X: x, Labels: labels, Classes: d.Classes}
+	s := &Dataset{Classes: d.Classes, n: len(idx), sz: d.sz, shape: d.shape, ready: len(idx),
+		pixels: make([]float32, len(idx)*d.sz), labels: make([]int, len(idx))}
+	for i, j := range idx {
+		copy(s.pixels[i*d.sz:(i+1)*d.sz], d.pixels[j*d.sz:(j+1)*d.sz])
+		s.labels[i] = d.labels[j]
+	}
+	return s
 }
 
-// Shuffle permutes the dataset in place using rng.
+// Shuffle draws every image, then permutes the dataset in place using rng.
 func (d *Dataset) Shuffle(rng *rand.Rand) {
-	n := d.Len()
-	sz := d.X.Len() / n
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.materialize(d.n)
+	sz := d.sz
 	tmp := make([]float32, sz)
-	for i := n - 1; i > 0; i-- {
+	for i := d.n - 1; i > 0; i-- {
 		j := rng.Intn(i + 1)
 		if i == j {
 			continue
 		}
-		copy(tmp, d.X.Data[i*sz:(i+1)*sz])
-		copy(d.X.Data[i*sz:(i+1)*sz], d.X.Data[j*sz:(j+1)*sz])
-		copy(d.X.Data[j*sz:(j+1)*sz], tmp)
-		d.Labels[i], d.Labels[j] = d.Labels[j], d.Labels[i]
+		copy(tmp, d.pixels[i*sz:(i+1)*sz])
+		copy(d.pixels[i*sz:(i+1)*sz], d.pixels[j*sz:(j+1)*sz])
+		copy(d.pixels[j*sz:(j+1)*sz], tmp)
+		d.labels[i], d.labels[j] = d.labels[j], d.labels[i]
 	}
 }
 
@@ -122,16 +150,113 @@ type header struct {
 	jitter, ampJit, alpha float64
 }
 
-// Generate synthesizes n samples from cfg using the stream identified by
+// stream is the random source of a generated dataset: the class
+// prototypes, built on first use, and the generator positioned at the
+// next undrawn image.
+type stream struct {
+	cfg    SynthConfig
+	seed   int64
+	protos [][]classProto
+	rng    *rand.Rand
+}
+
+// Generate returns n samples from cfg on the stream identified by
 // streamSeed (different streams share class prototypes but draw disjoint
-// noise/jitter, so train/test splits are honest).
+// noise/jitter, so train/test splits are honest). It draws nothing: each
+// read draws the images it needs (see Dataset). Every random value is
+// drawn in stream order, so image k has the same bits whatever n is and
+// whatever was read before it.
+func Generate(cfg SynthConfig, n int, streamSeed int64) *Dataset {
+	return &Dataset{
+		Classes: cfg.Classes,
+		n:       n,
+		sz:      cfg.Channels * cfg.Size * cfg.Size,
+		shape:   [3]int{cfg.Channels, cfg.Size, cfg.Size},
+		src:     &stream{cfg: cfg, seed: streamSeed},
+	}
+}
+
+// materialize draws images [d.ready, hi) when hi is past them; d.mu is held.
 //
 // A serial pass draws every random value in stream order, each image's
 // header and then its noise, which it stores in the image's pixels. The
 // images' sinusoids are then summed in parallel, one image per task, into
 // a buffer per worker, and the noise added last, so each pixel is the same
 // float32 sum, in the same order, as when one loop did both.
-func Generate(cfg SynthConfig, n int, streamSeed int64) *Dataset {
+func (d *Dataset) materialize(hi int) {
+	lo, s := d.ready, d.src
+	if hi <= lo {
+		return
+	}
+	cfg := s.cfg
+	plane, sz := cfg.Size*cfg.Size, d.sz
+	if s.rng == nil {
+		s.protos = buildProtos(cfg)
+		s.rng = rand.New(rand.NewSource(s.seed ^ cfg.Seed<<1))
+	}
+	protos, rng := s.protos, s.rng
+	d.pixels = slices.Grow(d.pixels, (hi-lo)*sz)[:hi*sz]
+	heads := make([]header, hi-lo)
+	for k := range heads {
+		h := &heads[k]
+		h.class = rng.Intn(cfg.Classes)
+		d.labels = append(d.labels, h.class)
+		h.jitter = rng.Float64() * 2 * math.Pi
+		h.ampJit = 0.8 + rng.Float64()*0.4
+		// Blend in a random other class to create genuinely ambiguous
+		// samples (α near 0.5 is a coin toss even for an ideal classifier).
+		if cfg.Confuse > 0 && cfg.Classes > 1 {
+			h.alpha = rng.Float64() * cfg.Confuse
+			if h.alpha > 0.5 {
+				h.alpha = 0.5 // a 50/50 blend is maximally ambiguous
+			}
+		}
+		if h.alpha > 0 {
+			h.other = rng.Intn(cfg.Classes - 1)
+			if h.other >= h.class {
+				h.other++
+			}
+		}
+		img := d.pixels[(lo+k)*sz : (lo+k+1)*sz]
+		for j := range img {
+			img[j] = float32(rng.NormFloat64() * cfg.Noise)
+		}
+	}
+
+	acc := make([][]float32, cpu.Workers(0, len(heads)))
+	cpu.Parallel(0, len(heads), func(w, k int) {
+		if acc[w] == nil {
+			acc[w] = make([]float32, sz)
+		}
+		a, h := acc[w], &heads[k]
+		clear(a)
+		shift := h.jitter * 0.15
+		addProto := func(class int, weight float64) {
+			for _, p := range protos[class] {
+				amp := weight * p.amp * h.ampJit
+				dst := a[p.channel*plane:][:len(p.arg)]
+				for t, arg := range p.arg {
+					dst[t] += float32(amp * math.Sin(arg+shift))
+				}
+			}
+		}
+		addProto(h.class, 1-h.alpha)
+		if h.alpha > 0 {
+			addProto(h.other, h.alpha)
+		}
+		img := d.pixels[(lo+k)*sz : (lo+k+1)*sz]
+		for j := range img {
+			img[j] = a[j] + img[j]
+		}
+	})
+	d.ready = hi
+	if hi == d.n {
+		d.src = nil
+	}
+}
+
+// buildProtos draws cfg's class prototypes from cfg.Seed.
+func buildProtos(cfg SynthConfig) [][]classProto {
 	protoRng := rand.New(rand.NewSource(cfg.Seed))
 	plane := cfg.Size * cfg.Size
 	protos := make([][]classProto, cfg.Classes)
@@ -151,63 +276,5 @@ func Generate(cfg SynthConfig, n int, streamSeed int64) *Dataset {
 		}
 		protos[c] = comps
 	}
-
-	rng := rand.New(rand.NewSource(streamSeed ^ cfg.Seed<<1))
-	x := tensor.New(n, cfg.Channels, cfg.Size, cfg.Size)
-	labels := make([]int, n)
-	heads := make([]header, n)
-	sz := cfg.Channels * plane
-	for i := range heads {
-		h := &heads[i]
-		h.class = rng.Intn(cfg.Classes)
-		labels[i] = h.class
-		h.jitter = rng.Float64() * 2 * math.Pi
-		h.ampJit = 0.8 + rng.Float64()*0.4
-		// Blend in a random other class to create genuinely ambiguous
-		// samples (α near 0.5 is a coin toss even for an ideal classifier).
-		if cfg.Confuse > 0 && cfg.Classes > 1 {
-			h.alpha = rng.Float64() * cfg.Confuse
-			if h.alpha > 0.5 {
-				h.alpha = 0.5 // a 50/50 blend is maximally ambiguous
-			}
-		}
-		if h.alpha > 0 {
-			h.other = rng.Intn(cfg.Classes - 1)
-			if h.other >= h.class {
-				h.other++
-			}
-		}
-		img := x.Data[i*sz : (i+1)*sz]
-		for j := range img {
-			img[j] = float32(rng.NormFloat64() * cfg.Noise)
-		}
-	}
-
-	acc := make([][]float32, cpu.Workers(0, n))
-	cpu.Parallel(0, n, func(w, i int) {
-		if acc[w] == nil {
-			acc[w] = make([]float32, sz)
-		}
-		a, h := acc[w], &heads[i]
-		clear(a)
-		shift := h.jitter * 0.15
-		addProto := func(class int, weight float64) {
-			for _, p := range protos[class] {
-				amp := weight * p.amp * h.ampJit
-				dst := a[p.channel*plane:][:len(p.arg)]
-				for t, arg := range p.arg {
-					dst[t] += float32(amp * math.Sin(arg+shift))
-				}
-			}
-		}
-		addProto(h.class, 1-h.alpha)
-		if h.alpha > 0 {
-			addProto(h.other, h.alpha)
-		}
-		img := x.Data[i*sz : (i+1)*sz]
-		for j := range img {
-			img[j] = a[j] + img[j]
-		}
-	})
-	return &Dataset{X: x, Labels: labels, Classes: cfg.Classes}
+	return protos
 }

@@ -46,6 +46,24 @@ func (h Hamming) Syndrome(data []uint8) (syndrome uint32, parity uint8) {
 	return syndrome, parity
 }
 
+// Positions returns the codeword position of each data bit (1-based; the
+// powers of two are the parity positions, skipped). A block's syndrome is
+// the XOR of the positions of its set bits, so a caller holding the block
+// in another layout can fold its set bits through this table instead of
+// expanding it for Syndrome.
+func (h Hamming) Positions() []uint32 {
+	out := make([]uint32, h.DataBits)
+	pos := uint32(1)
+	for di := range out {
+		for pos&(pos-1) == 0 {
+			pos++
+		}
+		out[di] = pos
+		pos++
+	}
+	return out
+}
+
 // Encode returns the check word for a data block: syndrome bits plus the
 // overall parity of data and syndrome.
 func (h Hamming) Encode(data []uint8) uint32 {

@@ -137,6 +137,8 @@ func cacheDir() string {
 // checkpoint is decoded straight into the fresh network via AdoptState —
 // the decoded tensors become the network's own buffers, so the float
 // weights materialize once per Load instead of decode-buffer-plus-copy.
+// The bundle's datasets draw their images on first read (see data), so a
+// caller pays only for the images it reads.
 func Load(spec Spec) *Bundle {
 	net := spec.Arch(rand.New(rand.NewSource(1)))
 	clean, ok := loadCheckpointInto(net, filepath.Join(cacheDir(), spec.Name+".gob"))

@@ -1,6 +1,10 @@
 package nn
 
-import "radar/internal/tensor"
+import (
+	"math"
+
+	"radar/internal/tensor"
+)
 
 // ReLU is the rectified linear activation, applied elementwise.
 type ReLU struct {
@@ -11,21 +15,33 @@ type ReLU struct {
 // NewReLU constructs a ReLU layer.
 func NewReLU(name string) *ReLU { return &ReLU{name: name} }
 
-// Forward implements Layer.
+// Forward implements Layer: Eval into a fresh tensor, recording in train
+// mode which inputs passed.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := tensor.New(x.Shape...)
 	if train {
 		r.mask = make([]bool, x.Len())
-	}
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-			if train {
-				r.mask[i] = true
-			}
+		for i, v := range x.Data {
+			r.mask[i] = v > 0
 		}
 	}
-	return out
+	return r.Eval(tensor.New(x.Shape...), x)
+}
+
+// Eval writes max(x, 0) into dst, elementwise, and returns dst: an input
+// that is not above zero (−0 and NaN among them) becomes +0. dst may be x.
+// It tests bits, not values: the float32s above zero are exactly those
+// whose bits b satisfy 0 < b ≤ bits(+Inf), and a compare of two integers
+// needs no branch, where v > 0 mispredicts on activations of either sign.
+func (r *ReLU) Eval(dst, x *tensor.Tensor) *tensor.Tensor {
+	out := dst.Data[:len(x.Data)]
+	for i, v := range x.Data {
+		b := math.Float32bits(v)
+		if b-1 >= 0x7f800000 {
+			b = 0
+		}
+		out[i] = math.Float32frombits(b)
+	}
+	return dst
 }
 
 // Backward implements Layer.

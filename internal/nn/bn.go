@@ -49,26 +49,24 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 	}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. In eval mode it is Eval into a fresh tensor.
 func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if !train {
+		return bn.Eval(tensor.New(x.Shape...), x)
+	}
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	if c != bn.C {
 		panic("nn: BatchNorm2D channel mismatch: " + bn.name)
 	}
 	plane := h * w
 	out := tensor.New(x.Shape...)
-	if train {
-		bn.inShape = append([]int(nil), x.Shape...)
-		bn.xHat = tensor.New(x.Shape...)
-		bn.invStd = make([]float64, c)
-	}
+	bn.inShape = append([]int(nil), x.Shape...)
+	bn.xHat = tensor.New(x.Shape...)
+	bn.invStd = make([]float64, c)
 	cnt := float64(n * plane)
 	for ch := 0; ch < c; ch++ {
-		var mean, variance float64
-		if train && bn.FrozenStats {
-			mean = bn.RunningMean[ch]
-			variance = bn.RunningVar[ch]
-		} else if train {
+		mean, variance := bn.RunningMean[ch], bn.RunningVar[ch]
+		if !bn.FrozenStats {
 			var s, ss float64
 			for i := 0; i < n; i++ {
 				base := (i*c + ch) * plane
@@ -85,28 +83,45 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 			bn.RunningMean[ch] = (1-bn.Momentum)*bn.RunningMean[ch] + bn.Momentum*mean
 			bn.RunningVar[ch] = (1-bn.Momentum)*bn.RunningVar[ch] + bn.Momentum*variance
-		} else {
-			mean = bn.RunningMean[ch]
-			variance = bn.RunningVar[ch]
 		}
-		inv := 1.0 / math.Sqrt(variance+bn.Eps)
-		g := float64(bn.Gamma.Value.Data[ch])
-		b := float64(bn.Beta.Value.Data[ch])
-		if train {
-			bn.invStd[ch] = inv
-		}
-		for i := 0; i < n; i++ {
-			base := (i*c + ch) * plane
-			for p := 0; p < plane; p++ {
-				xh := (float64(x.Data[base+p]) - mean) * inv
-				if train {
-					bn.xHat.Data[base+p] = float32(xh)
-				}
-				out.Data[base+p] = float32(g*xh + b)
-			}
-		}
+		bn.invStd[ch] = bn.normalize(out, bn.xHat, x, ch, mean, variance)
 	}
 	return out
+}
+
+// Eval writes the eval-mode output of x, normalized by the running
+// statistics, into dst and returns dst. dst may be x itself: each element
+// is read once, before it is written.
+func (bn *BatchNorm2D) Eval(dst, x *tensor.Tensor) *tensor.Tensor {
+	if x.Shape[1] != bn.C {
+		panic("nn: BatchNorm2D channel mismatch: " + bn.name)
+	}
+	for ch := 0; ch < bn.C; ch++ {
+		bn.normalize(dst, nil, x, ch, bn.RunningMean[ch], bn.RunningVar[ch])
+	}
+	return dst
+}
+
+// normalize writes γ·x̂ + β for channel ch of x into dst, where
+// x̂ = (x − mean)/√(variance + ε), and x̂ itself into xHat unless it is
+// nil. It returns 1/√(variance + ε). dst may be x.
+func (bn *BatchNorm2D) normalize(dst, xHat, x *tensor.Tensor, ch int, mean, variance float64) float64 {
+	n, c, plane := x.Shape[0], x.Shape[1], x.Shape[2]*x.Shape[3]
+	inv := 1.0 / math.Sqrt(variance+bn.Eps)
+	g := float64(bn.Gamma.Value.Data[ch])
+	b := float64(bn.Beta.Value.Data[ch])
+	for i := 0; i < n; i++ {
+		base := (i*c + ch) * plane
+		src, out := x.Data[base:base+plane], dst.Data[base:base+plane]
+		for p, v := range src {
+			xh := (float64(v) - mean) * inv
+			if xHat != nil {
+				xHat.Data[base+p] = float32(xh)
+			}
+			out[p] = float32(g*xh + b)
+		}
+	}
+	return inv
 }
 
 // Backward implements Layer using the standard batch-norm gradient:

@@ -120,6 +120,50 @@ func TestReLUGradCheck(t *testing.T) {
 	gradCheckLayer(t, seq, []int{3, 5}, nil, 5)
 }
 
+// TestEvalFormsMatchForward pins the eval-mode forms calibration runs in
+// place: ReLU.Eval is "v if v > 0, else +0" bit for bit on ±0,
+// subnormals, ±Inf and NaNs of either sign, and both layers' Eval give
+// Forward(x, false)'s bits whether dst is fresh or x itself.
+func TestEvalFormsMatchForward(t *testing.T) {
+	nan := float32(math.NaN())
+	specials := []float32{0, float32(math.Copysign(0, -1)), 1e-45, -1e-45, 3.4e38, -3.4e38, float32(math.Inf(1)), float32(math.Inf(-1)), nan, -nan, 0.5, -0.5}
+	r := NewReLU("r")
+	got := r.Eval(tensor.New(len(specials)), tensor.FromSlice(specials, len(specials)))
+	for i, v := range specials {
+		var want float32
+		if v > 0 {
+			want = v
+		}
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want) {
+			t.Fatalf("ReLU.Eval(%v) = %v (%#08x), want %v", v, got.Data[i], math.Float32bits(got.Data[i]), want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(9))
+	bn := NewBatchNorm2D("bn", 3)
+	warm := tensor.New(4, 3, 5, 5)
+	warm.RandNormal(rng, 2)
+	bn.Forward(warm, true) // running statistics away from (0, 1)
+	bn.Gamma.Value.RandNormal(rng, 1)
+	bn.Beta.Value.RandNormal(rng, 1)
+	x := tensor.New(2, 3, 5, 5)
+	x.RandNormal(rng, 3)
+	for _, layer := range []interface {
+		Layer
+		Eval(dst, x *tensor.Tensor) *tensor.Tensor
+	}{bn, r} {
+		want := layer.Forward(x, false)
+		fresh := layer.Eval(tensor.New(x.Shape...), x)
+		own := x.Clone()
+		inPlace := layer.Eval(own, own)
+		for i, w := range want.Data {
+			if math.Float32bits(fresh.Data[i]) != math.Float32bits(w) || math.Float32bits(inPlace.Data[i]) != math.Float32bits(w) {
+				t.Fatalf("%s at %d: Eval gives %v fresh and %v in place, Forward %v", layer.Name(), i, fresh.Data[i], inPlace.Data[i], w)
+			}
+		}
+	}
+}
+
 func TestBasicBlockGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	blk := NewBasicBlock("b", 2, 4, 2, rng) // with downsample path

@@ -499,51 +499,58 @@ func Compile(net *nn.Sequential, qm *quant.Model, calib *tensor.Tensor) (*Engine
 // calibrate runs the float network stage by stage on the calibration batch
 // and sets every activation scale to maxAbs/127 of the observed outputs.
 // The global pool and the classifier set no scale, so the pass stops
-// before them.
+// before them. Every conv and pool writes a fresh tensor that only this
+// pass holds, so batch norm, ReLU and the residual add work in place on
+// it: one activation tensor per conv, none per elementwise stage.
 func (e *Engine) calibrate(net *nn.Sequential, calib *tensor.Tensor) {
-	e.inScale = calib.MaxAbs() / 127
-	if e.inScale == 0 {
-		e.inScale = 1
-	}
-	x := calib
-	scaleOf := func(t *tensor.Tensor) float32 {
-		s := t.MaxAbs() / 127
-		if s == 0 {
-			s = 1
-		}
-		return s
-	}
+	e.inScale = scaleOf(calib)
 	setStage := func(c *qconv, t *tensor.Tensor) { c.lv = newLevels(scaleOf(t), c.relu) }
+	x := calib // Compile checked that a conv comes first, so x is owned after it
 	bi := 0
 	for _, l := range net.Layers {
 		switch v := l.(type) {
-		case *nn.Conv2D, *nn.BatchNorm2D, *nn.ReLU, *nn.MaxPool2:
+		case *nn.Conv2D, *nn.MaxPool2:
 			x = l.Forward(x, false)
-			if _, isRelu := v.(*nn.ReLU); isRelu && e.stem.lv == nil {
+		case *nn.BatchNorm2D:
+			v.Eval(x, x)
+		case *nn.ReLU:
+			v.Eval(x, x)
+			if e.stem.lv == nil {
 				setStage(e.stem, x)
 			}
 		case *nn.BasicBlock:
 			// Observe the block's internal stages in float.
+			b := e.blocks[bi]
 			mid := v.Conv1.Forward(x, false)
-			mid = v.BN1.Forward(mid, false)
-			mid = v.Relu1.Forward(mid, false)
-			setStage(e.blocks[bi].conv1, mid)
+			v.BN1.Eval(mid, mid)
+			v.Relu1.Eval(mid, mid)
+			setStage(b.conv1, mid)
 			main := v.Conv2.Forward(mid, false)
-			main = v.BN2.Forward(main, false)
-			setStage(e.blocks[bi].conv2, main)
+			v.BN2.Eval(main, main)
+			setStage(b.conv2, main)
 			side := x
 			if v.DownConv != nil {
 				side = v.DownConv.Forward(x, false)
-				side = v.DownBN.Forward(side, false)
-				setStage(e.blocks[bi].down, side)
+				v.DownBN.Eval(side, side)
+				setStage(b.down, side)
 			}
-			sum := tensor.Add(main, side)
-			out := v.Relu2.Forward(sum, false)
-			e.blocks[bi].lv = newLevels(scaleOf(out), true)
-			x = out
+			tensor.AddInPlace(main, side)
+			v.Relu2.Eval(main, main)
+			b.lv = newLevels(scaleOf(main), true)
+			x = main
 			bi++
 		}
 	}
+}
+
+// scaleOf is the activation step that maps t's largest magnitude to 127,
+// or 1 when t is all zeros.
+func scaleOf(t *tensor.Tensor) float32 {
+	s := t.MaxAbs() / 127
+	if s == 0 {
+		s = 1
+	}
+	return s
 }
 
 // Forward runs int8 inference on a float input batch (N, C, H, W) and

@@ -53,6 +53,27 @@ func BenchmarkVerifiedFetch(b *testing.B) {
 	}
 }
 
+// BenchmarkServeBringUp times what a replica computes to host one model,
+// as radar-serve does at start and on a hot-add: load the bundle, read the
+// 64 attack images that calibrate it, compile the int8 engine and protect
+// its weights with ECC-corrected recovery.
+func BenchmarkServeBringUp(b *testing.B) {
+	cfg := core.DefaultConfig(8)
+	cfg.Correct = true
+	for _, spec := range []model.Spec{model.TinySpec(), model.ResNet20sSpec()} {
+		b.Run(spec.Name, func(b *testing.B) {
+			for b.Loop() {
+				bundle := model.Load(spec)
+				calib, _ := bundle.Attack.Batch(0, 64)
+				if _, err := qinfer.Compile(bundle.Net, bundle.QModel, calib); err != nil {
+					b.Fatal(err)
+				}
+				core.Protect(bundle.QModel, cfg).Detach()
+			}
+		})
+	}
+}
+
 // BenchmarkServe measures the serving subsystem's request throughput on
 // the tiny zoo model, every pass through the verified weight fetch, with
 // the background scrubber off and on — the software cost of continuous

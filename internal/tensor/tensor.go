@@ -141,14 +141,14 @@ func (t *Tensor) KaimingInit(rng *rand.Rand, fanIn int) {
 	t.RandNormal(rng, std)
 }
 
-// MaxAbs returns the largest absolute value in t (0 for empty tensors).
+// MaxAbs returns the largest absolute value in t (0 for empty tensors;
+// NaNs are passed over). The absolute value clears the sign bit rather
+// than branching on it: on activations of either sign a branch
+// mispredicts half the time.
 func (t *Tensor) MaxAbs() float32 {
 	var m float32
 	for _, v := range t.Data {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
+		if v = math.Float32frombits(math.Float32bits(v) &^ (1 << 31)); v > m {
 			m = v
 		}
 	}

@@ -347,6 +347,37 @@ func TestSumMeanMaxAbs(t *testing.T) {
 	}
 }
 
+// TestMaxAbsSpecials holds MaxAbs to the plain negate-and-compare loop bit
+// for bit, with ±0, subnormals, ±Inf and NaNs of either sign at every
+// position of a short tensor.
+func TestMaxAbsSpecials(t *testing.T) {
+	ref := func(x []float32) float32 {
+		var m float32
+		for _, v := range x {
+			if v < 0 {
+				v = -v
+			}
+			if v > m {
+				m = v
+			}
+		}
+		return m
+	}
+	nan := float32(math.NaN())
+	specials := []float32{0, float32(math.Copysign(0, -1)), 1e-45, -1e-45, 3.4e38, -3.4e38, float32(math.Inf(1)), float32(math.Inf(-1)), nan, -nan}
+	for _, s := range specials {
+		for at := 0; at < 4; at++ {
+			x := []float32{-0.5, 0.25, -2, 1}
+			x[at] = s
+			for _, in := range [][]float32{x, {s}, {s, float32(math.Copysign(0, -1))}} {
+				if got, want := FromSlice(in, len(in)).MaxAbs(), ref(in); math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("MaxAbs(%v) = %v, reference %v", in, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestKaimingInitStatistics(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x := New(10000)
