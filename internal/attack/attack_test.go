@@ -1,12 +1,30 @@
 package attack
 
 import (
+	"math/rand"
 	"testing"
 
 	"radar/internal/model"
 	"radar/internal/nn"
 	"radar/internal/quant"
 )
+
+// Random flips n uniformly random bits in the model — the weak baseline the
+// paper dismisses ("randomly flipping 100 bits merely degrades the accuracy
+// by less than 1%"). It returns the committed profile.
+func Random(m *quant.Model, n int, seed int64) Profile {
+	rng := rand.New(rand.NewSource(seed))
+	var profile Profile
+	for i := 0; i < n; i++ {
+		li := rng.Intn(len(m.Layers))
+		wi := rng.Intn(len(m.Layers[li].Q))
+		b := rng.Intn(8)
+		addr := quant.BitAddress{LayerIndex: li, WeightIndex: wi, Bit: b}
+		before, after := m.FlipBit(addr)
+		profile = append(profile, Flip{Addr: addr, Before: before, After: after})
+	}
+	return profile
+}
 
 // loadTiny returns a fresh trained tiny bundle (cached after first call).
 func loadTiny(t testing.TB) *model.Bundle {

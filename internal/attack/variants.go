@@ -20,23 +20,6 @@ func sampleBatch(d *data.Dataset, batch int, rng *rand.Rand) (*tensor.Tensor, []
 	return d.Subset(idx).Batch(0, batch)
 }
 
-// Random flips n uniformly random bits in the model — the weak baseline the
-// paper dismisses ("randomly flipping 100 bits merely degrades the accuracy
-// by less than 1%"). It returns the committed profile.
-func Random(m *quant.Model, n int, seed int64) Profile {
-	rng := rand.New(rand.NewSource(seed))
-	var profile Profile
-	for i := 0; i < n; i++ {
-		li := rng.Intn(len(m.Layers))
-		wi := rng.Intn(len(m.Layers[li].Q))
-		b := rng.Intn(8)
-		addr := quant.BitAddress{LayerIndex: li, WeightIndex: wi, Bit: b}
-		before, after := m.FlipBit(addr)
-		profile = append(profile, Flip{Addr: addr, Before: before, After: after})
-	}
-	return profile
-}
-
 // RandomMSB flips n uniformly random MSBs (bit 7) — used by the paper's
 // §VI.B detection-miss-rate micro-experiment.
 func RandomMSB(m *quant.Model, n int, seed int64) Profile {

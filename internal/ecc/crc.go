@@ -56,15 +56,6 @@ func (c CRC) Compute(data []byte) uint32 {
 	return reg
 }
 
-// ComputeInt8 adapts Compute to quantized weight groups.
-func (c CRC) ComputeInt8(q []int8) uint32 {
-	buf := make([]byte, len(q))
-	for i, v := range q {
-		buf[i] = byte(v)
-	}
-	return c.Compute(buf)
-}
-
 // Period returns the multiplicative order of x modulo the generator — the
 // maximum total block length (data+CRC) with guaranteed 2-bit error
 // detection. For a primitive polynomial this is 2^Width − 1.

@@ -6,6 +6,15 @@ import (
 	"testing/quick"
 )
 
+// ComputeInt8 adapts Compute to quantized weight groups.
+func (c CRC) ComputeInt8(q []int8) uint32 {
+	buf := make([]byte, len(q))
+	for i, v := range q {
+		buf[i] = byte(v)
+	}
+	return c.Compute(buf)
+}
+
 func TestCRCPeriods(t *testing.T) {
 	// All three polynomials must be primitive: period = 2^w − 1. This is
 	// what guarantees HD ≥ 3 (all 1- and 2-bit errors detected) out to the

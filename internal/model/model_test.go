@@ -11,6 +11,15 @@ import (
 	"radar/internal/quant"
 )
 
+// ResetCache drops in-memory cached states, so the next Load reads or
+// trains the checkpoint again.
+func ResetCache() {
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	states = map[string]*nn.State{}
+	cleans = map[string]float64{}
+}
+
 func TestResNet20CIFARShapeTable(t *testing.T) {
 	tab := ResNet20CIFARShapes()
 	// The canonical ResNet-20 CIFAR parameter count (weights incl. fc bias,

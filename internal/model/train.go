@@ -7,7 +7,6 @@ import (
 
 	"radar/internal/data"
 	"radar/internal/nn"
-	"radar/internal/tensor"
 )
 
 // TrainConfig controls a training run.
@@ -90,9 +89,4 @@ func Evaluate(net *nn.Sequential, d *data.Dataset, batch int) float64 {
 		}
 	}
 	return float64(correct) / float64(d.Len())
-}
-
-// Logits runs eval-mode inference on a single batch tensor.
-func Logits(net *nn.Sequential, x *tensor.Tensor) *tensor.Tensor {
-	return net.Forward(x, false)
 }

@@ -226,13 +226,5 @@ func saveCheckpoint(path string, ck *checkpoint) {
 	os.Rename(tmp, path)
 }
 
-// ResetCache drops in-memory cached states (used by tests).
-func ResetCache() {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	states = map[string]*nn.State{}
-	cleans = map[string]float64{}
-}
-
 // MustClean returns the bundle's clean accuracy formatted for reports.
 func (b *Bundle) MustClean() string { return fmt.Sprintf("%.2f%%", 100*b.CleanAccuracy) }

@@ -47,53 +47,38 @@ func NewBasicBlock(name string, inC, outC, stride int, rng *rand.Rand) *BasicBlo
 	return b
 }
 
-// Forward implements Layer.
+// Forward implements Layer: the walk of a container holding only b.
 func (b *BasicBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	main := b.Conv1.Forward(x, train)
-	main = b.BN1.Forward(main, train)
-	main = b.Relu1.Forward(main, train)
-	main = b.Conv2.Forward(main, train)
-	main = b.BN2.Forward(main, train)
-
-	var side *tensor.Tensor
-	if b.DownConv != nil {
-		side = b.DownConv.Forward(x, train)
-		side = b.DownBN.Forward(side, train)
-	} else {
-		side = x
-	}
-	sum := tensor.Add(main, side)
-	return b.Relu2.Forward(sum, train)
+	out, _ := walk([]Layer{b}, x, false, train, nil)
+	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. The add fans the gradient out to both
+// branches unchanged.
 func (b *BasicBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	g := b.Relu2.Backward(grad)
-	// The addition fans the gradient out to both branches unchanged.
-	gMain := b.BN2.Backward(g)
-	gMain = b.Conv2.Backward(gMain)
-	gMain = b.Relu1.Backward(gMain)
-	gMain = b.BN1.Backward(gMain)
-	gMain = b.Conv1.Backward(gMain)
-
-	if b.DownConv != nil {
-		gSide := b.DownBN.Backward(g)
-		gSide = b.DownConv.Backward(gSide)
-		return tensor.Add(gMain, gSide)
-	}
-	return tensor.Add(gMain, g)
+	main, side := b.branches()
+	return tensor.AddInPlace(backward(main, g), backward(side, g))
 }
 
-// Params implements Layer.
-func (b *BasicBlock) Params() []*Param {
-	ps := append(b.Conv1.Params(), b.BN1.Params()...)
-	ps = append(ps, b.Conv2.Params()...)
-	ps = append(ps, b.BN2.Params()...)
+// Params implements Layer in stage order, by which quant.Quantize numbers layers.
+func (b *BasicBlock) Params() []*Param { return params(b.stages()) }
+
+// branches lists the block's two paths to the add in walk order: the main
+// branch, and the downsample branch, empty for an identity shortcut.
+func (b *BasicBlock) branches() (main, side []Layer) {
+	main = []Layer{b.Conv1, b.BN1, b.Relu1, b.Conv2, b.BN2}
 	if b.DownConv != nil {
-		ps = append(ps, b.DownConv.Params()...)
-		ps = append(ps, b.DownBN.Params()...)
+		side = []Layer{b.DownConv, b.DownBN}
 	}
-	return ps
+	return main, side
+}
+
+// stages lists the block's leaf layers in walk order: both branches, then
+// the ReLU after the add.
+func (b *BasicBlock) stages() []Layer {
+	main, side := b.branches()
+	return append(append(main, side...), b.Relu2)
 }
 
 // Name implements Layer.

@@ -3,6 +3,9 @@
 // fully-connected layers with manual backpropagation, residual (ResNet)
 // blocks, softmax cross-entropy loss and SGD/Adam optimizers. Everything is
 // pure Go on top of internal/tensor.
+//
+// A container's Forward is one walk over its stages in both modes: in
+// place where the walk owns the tensor, and observable (Sequential.Eval).
 package nn
 
 import "radar/internal/tensor"
@@ -34,6 +37,10 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // Layer is a differentiable module. Forward must cache whatever Backward
 // needs; Backward consumes the cached state, accumulates parameter
 // gradients, and returns the gradient with respect to its input.
+//
+// A container may overwrite the tensor a child's Forward returns, so a
+// leaf must never keep its own output by reference for Backward, nor
+// return its input (Flatten's view is the one exception the walk knows).
 type Layer interface {
 	// Forward computes the layer output. When train is true the layer may
 	// update internal statistics (e.g. batch-norm running moments) and must
@@ -66,26 +73,79 @@ func (s *Sequential) Add(l Layer) *Sequential {
 	return s
 }
 
-// Forward implements Layer.
+// Forward implements Layer: the container's walk with no observer.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+	out, _ := walk(s.Layers, x, false, train, nil)
+	return out
+}
+
+// Eval runs the eval-mode walk on x, leaving x as it was. see, when not
+// nil, is called after each leaf stage, in Visit order, with the tensor that
+// stage produced, valid only during the call: a later stage may overwrite it.
+func (s *Sequential) Eval(x *tensor.Tensor, see func(l Layer, out *tensor.Tensor)) *tensor.Tensor {
+	out, _ := walk(s.Layers, x, false, false, see)
+	return out
+}
+
+// walk is the one forward body of Sequential and BasicBlock. It returns the
+// output and whether it owns it: a fresh conv, pool, linear or block output,
+// never the caller's input or a Flatten view. Eval-mode BN and ReLU write
+// over a tensor the walk owns.
+func walk(layers []Layer, x *tensor.Tensor, owned, train bool, see func(Layer, *tensor.Tensor)) (*tensor.Tensor, bool) {
+	for _, l := range layers {
+		switch v := l.(type) {
+		case *Sequential:
+			x, owned = walk(v.Layers, x, owned, train, see)
+			continue
+		case *BasicBlock:
+			// The add goes into the main branch's fresh output in both
+			// modes: Backward needs neither addend.
+			main, side := v.branches()
+			sum, _ := walk(main, x, false, train, see)
+			shortcut, _ := walk(side, x, false, train, see) // x for an identity shortcut
+			x, owned = walk([]Layer{v.Relu2}, tensor.AddInPlace(sum, shortcut), true, train, see)
+			continue
+		case evaler:
+			if owned && !train {
+				v.Eval(x, x)
+			} else {
+				x, owned = l.Forward(x, train), true
+			}
+		case *Flatten:
+			x, owned = l.Forward(x, train), false
+		default:
+			x, owned = l.Forward(x, train), true
+		}
+		if see != nil {
+			see(l, x)
+		}
 	}
-	return x
+	return x, owned
+}
+
+// evaler is a leaf whose Eval may write over its input: BN and ReLU.
+type evaler interface {
+	Eval(dst, x *tensor.Tensor) *tensor.Tensor
 }
 
 // Backward implements Layer.
-func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		grad = s.Layers[i].Backward(grad)
+func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor { return backward(s.Layers, grad) }
+
+// backward runs the layers' Backward in reverse order.
+func backward(layers []Layer, grad *tensor.Tensor) *tensor.Tensor {
+	for i := len(layers) - 1; i >= 0; i-- {
+		grad = layers[i].Backward(grad)
 	}
 	return grad
 }
 
 // Params implements Layer.
-func (s *Sequential) Params() []*Param {
+func (s *Sequential) Params() []*Param { return params(s.Layers) }
+
+// params concatenates the layers' parameters in order.
+func params(layers []Layer) []*Param {
 	var ps []*Param
-	for _, l := range s.Layers {
+	for _, l := range layers {
 		ps = append(ps, l.Params()...)
 	}
 	return ps

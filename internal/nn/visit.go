@@ -1,28 +1,20 @@
 package nn
 
 // Visit walks every layer in the container depth-first, recursing into
-// nested Sequentials and BasicBlocks, and calls fn on each leaf layer.
-func (s *Sequential) Visit(fn func(Layer)) {
-	for _, l := range s.Layers {
-		visitLayer(l, fn)
-	}
-}
+// nested Sequentials and BasicBlocks, and calls fn on each leaf layer: the
+// leaves a forward walk runs, in the same order.
+func (s *Sequential) Visit(fn func(Layer)) { visit(s.Layers, fn) }
 
-func visitLayer(l Layer, fn func(Layer)) {
-	switch v := l.(type) {
-	case *Sequential:
-		v.Visit(fn)
-	case *BasicBlock:
-		fn(v.Conv1)
-		fn(v.BN1)
-		fn(v.Conv2)
-		fn(v.BN2)
-		if v.DownConv != nil {
-			fn(v.DownConv)
-			fn(v.DownBN)
+func visit(layers []Layer, fn func(Layer)) {
+	for _, l := range layers {
+		switch v := l.(type) {
+		case *Sequential:
+			visit(v.Layers, fn)
+		case *BasicBlock:
+			visit(v.stages(), fn)
+		default:
+			fn(l)
 		}
-	default:
-		fn(l)
 	}
 }
 

@@ -407,8 +407,8 @@ func (e *Engine) InputChannels() int { return e.stem.inC }
 
 // Compile converts a trained float ResNet plus its quantized weight image
 // into an int8 engine. calib is a representative input batch used to fix
-// the activation scales (one forward pass through the engine in
-// float-observation mode).
+// the activation scales (one eval walk of the float network, watched stage
+// by stage); it is left as it was.
 func Compile(net *nn.Sequential, qm *quant.Model, calib *tensor.Tensor) (*Engine, error) {
 	e := &Engine{}
 	var blocks []*qblock
@@ -427,9 +427,14 @@ func Compile(net *nn.Sequential, qm *quant.Model, calib *tensor.Tensor) (*Engine
 		return l, qIdx - 1
 	}
 
-	makeConv := func(conv *nn.Conv2D, bn *nn.BatchNorm2D, relu bool) *qconv {
+	// scaleAt maps each layer whose output fixes a scale to its levels.
+	scaleAt := map[nn.Layer]**levels{}
+	// makeConv builds the stage of conv and bn; out, the stage's ReLU or bn
+	// itself, is the layer whose output fixes the stage's scale.
+	makeConv := func(conv *nn.Conv2D, bn *nn.BatchNorm2D, out nn.Layer) *qconv {
 		ql, qi := nextQ(conv.Weight.Name)
-		return &qconv{
+		_, relu := out.(*nn.ReLU)
+		c := &qconv{
 			name:   conv.Name(),
 			w:      ql.Q,
 			qLayer: qi,
@@ -439,6 +444,8 @@ func Compile(net *nn.Sequential, qm *quant.Model, calib *tensor.Tensor) (*Engine
 			bn:   foldBN(bn),
 			relu: relu,
 		}
+		scaleAt[out] = &c.lv
+		return c
 	}
 
 	// Stem: Conv2D, BatchNorm2D, ReLU, [MaxPool2].
@@ -450,8 +457,12 @@ func Compile(net *nn.Sequential, qm *quant.Model, calib *tensor.Tensor) (*Engine
 	if !ok {
 		return nil, fmt.Errorf("qinfer: layer 1 is %T, want *nn.BatchNorm2D", layers[li+1])
 	}
-	e.stem = makeConv(conv, bn, true)
-	li += 3 // conv, bn, relu
+	relu, ok := layers[li+2].(*nn.ReLU)
+	if !ok {
+		return nil, fmt.Errorf("qinfer: layer 2 is %T, want *nn.ReLU", layers[li+2])
+	}
+	e.stem = makeConv(conv, bn, relu)
+	li += 3
 	if _, isPool := layers[li].(*nn.MaxPool2); isPool {
 		e.pool = true
 		li++
@@ -460,12 +471,13 @@ func Compile(net *nn.Sequential, qm *quant.Model, calib *tensor.Tensor) (*Engine
 		switch l := layers[li].(type) {
 		case *nn.BasicBlock:
 			qb := &qblock{
-				conv1: makeConv(l.Conv1, l.BN1, true),
-				conv2: makeConv(l.Conv2, l.BN2, false),
+				conv1: makeConv(l.Conv1, l.BN1, l.Relu1),
+				conv2: makeConv(l.Conv2, l.BN2, l.BN2),
 			}
 			if l.DownConv != nil {
-				qb.down = makeConv(l.DownConv, l.DownBN, false)
+				qb.down = makeConv(l.DownConv, l.DownBN, l.DownBN)
 			}
+			scaleAt[l.Relu2] = &qb.lv
 			blocks = append(blocks, qb)
 		case *nn.GlobalAvgPool:
 			// done with conv stages
@@ -492,55 +504,21 @@ func Compile(net *nn.Sequential, qm *quant.Model, calib *tensor.Tensor) (*Engine
 			return nil, fmt.Errorf("qinfer: %s has inC·k·k = %d > %d, so an int32 accumulator lane could wrap", c.name, k, maxLaneK)
 		}
 	}
-	e.calibrate(net, calib)
+	e.calibrate(net, calib, scaleAt)
 	return e, nil
 }
 
-// calibrate runs the float network stage by stage on the calibration batch
-// and sets every activation scale to maxAbs/127 of the observed outputs.
-// The global pool and the classifier set no scale, so the pass stops
-// before them. Every conv and pool writes a fresh tensor that only this
-// pass holds, so batch norm, ReLU and the residual add work in place on
-// it: one activation tensor per conv, none per elementwise stage.
-func (e *Engine) calibrate(net *nn.Sequential, calib *tensor.Tensor) {
+// calibrate sets the input scale and every level in scaleAt to maxAbs/127
+// of the float output that fixes it, with ReLU's floor where a ReLU
+// produced it: one eval walk of net over the calibration batch, watched.
+func (e *Engine) calibrate(net *nn.Sequential, calib *tensor.Tensor, scaleAt map[nn.Layer]**levels) {
 	e.inScale = scaleOf(calib)
-	setStage := func(c *qconv, t *tensor.Tensor) { c.lv = newLevels(scaleOf(t), c.relu) }
-	x := calib // Compile checked that a conv comes first, so x is owned after it
-	bi := 0
-	for _, l := range net.Layers {
-		switch v := l.(type) {
-		case *nn.Conv2D, *nn.MaxPool2:
-			x = l.Forward(x, false)
-		case *nn.BatchNorm2D:
-			v.Eval(x, x)
-		case *nn.ReLU:
-			v.Eval(x, x)
-			if e.stem.lv == nil {
-				setStage(e.stem, x)
-			}
-		case *nn.BasicBlock:
-			// Observe the block's internal stages in float.
-			b := e.blocks[bi]
-			mid := v.Conv1.Forward(x, false)
-			v.BN1.Eval(mid, mid)
-			v.Relu1.Eval(mid, mid)
-			setStage(b.conv1, mid)
-			main := v.Conv2.Forward(mid, false)
-			v.BN2.Eval(main, main)
-			setStage(b.conv2, main)
-			side := x
-			if v.DownConv != nil {
-				side = v.DownConv.Forward(x, false)
-				v.DownBN.Eval(side, side)
-				setStage(b.down, side)
-			}
-			tensor.AddInPlace(main, side)
-			v.Relu2.Eval(main, main)
-			b.lv = newLevels(scaleOf(main), true)
-			x = main
-			bi++
+	net.Eval(calib, func(l nn.Layer, out *tensor.Tensor) {
+		if lv := scaleAt[l]; lv != nil {
+			_, relu := l.(*nn.ReLU)
+			*lv = newLevels(scaleOf(out), relu)
 		}
-	}
+	})
 }
 
 // scaleOf is the activation step that maps t's largest magnitude to 127,
@@ -593,17 +571,4 @@ func (e *Engine) run(x *tensor.Tensor, hook func(layer int), f WeightFetcher) (*
 	// Global average pool in the real domain, then the classifier.
 	out := e.fc.forward(tensor.GlobalAvgPool(q.Dequantize()), sc)
 	return out, sc.fetchTime
-}
-
-// Accuracy evaluates top-1 accuracy of the int8 engine.
-func (e *Engine) Accuracy(x *tensor.Tensor, labels []int) float64 {
-	out := e.Forward(x)
-	k := out.Shape[1]
-	correct := 0
-	for i := range labels {
-		if out.Argmax(i*k, k) == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(labels))
 }

@@ -127,7 +127,7 @@ func TestEngineMatchesFloatAccuracy(t *testing.T) {
 				floatAcc++
 			}
 		}
-		intAcc := e.Accuracy(x, labels)
+		intAcc := nn.Accuracy(e.Forward(x), labels)
 		if diff := float64(floatAcc)/float64(len(labels)) - intAcc; diff > 0.08 || diff < -0.08 {
 			t.Fatalf("int8 engine accuracy %.3f differs from float %.3f by more than 8 points",
 				intAcc, float64(floatAcc)/float64(len(labels)))
@@ -183,16 +183,16 @@ func TestEngineConsumesDRAMImage(t *testing.T) {
 func TestRADARRecoveryRestoresEngine(t *testing.T) {
 	forEachServedSpec(t, func(t *testing.T, b *model.Bundle, e *Engine) {
 		x, labels := b.Test.Batch(0, 200)
-		clean := e.Accuracy(x, labels)
+		clean := nn.Accuracy(e.Forward(x), labels)
 
 		prot := core.Protect(b.QModel, core.DefaultConfig(4))
 		cfg := attack.DefaultConfig(5)
 		cfg.NumFlips = 6
 		attack.PBFA(b.QModel, b.Attack, cfg)
-		attacked := e.Accuracy(x, labels)
+		attacked := nn.Accuracy(e.Forward(x), labels)
 
 		prot.DetectAndRecover()
-		recovered := e.Accuracy(x, labels)
+		recovered := nn.Accuracy(e.Forward(x), labels)
 
 		if attacked >= clean-0.1 {
 			t.Fatalf("attack barely moved the int8 engine: %.2f vs %.2f", attacked, clean)
