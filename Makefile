@@ -56,7 +56,9 @@ bench-smoke:
 # (which `make test` already runs): the checksum kernel, the ECC
 # corrector, the set-bit SEC-DED encoder against ecc.Hamming.Encode, the
 # conv GEMM kernels and requantization against the
-# reference loop, the blocked float MatMul and MatMulTransA against the
+# reference loop, both requantization legs (conv row and residual add)
+# against clampQ(relu(v)/scale) at arbitrary finite scales, the blocked
+# float MatMul and MatMulTransA against the
 # plain loops on both legs of their inner loop, Go and AVX2 (amd64), the
 # infer-body parser against encoding/json, and the checkpoint loader
 # (store.Open) on mutated files. A failing input lands in the package's
@@ -66,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrectorAtMostTwoFlips$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeGroup$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzConvGEMM$$' -fuzztime 10s ./internal/qinfer/
+	$(GO) test -run '^$$' -fuzz '^FuzzRequant$$' -fuzztime 10s ./internal/qinfer/
 	$(GO) test -run '^$$' -fuzz '^FuzzMatMul$$' -fuzztime 10s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInferRequest$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreOpen$$' -fuzztime 10s ./internal/store/

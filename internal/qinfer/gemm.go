@@ -1,14 +1,16 @@
-// im2col + int8 GEMM convolution, with two GEMM kernels.
+// im2col + int8 GEMM convolution, with two GEMM kernels and two
+// requantization legs.
 //
-// The historical conv loop (retained as computeRef) carried the padding
-// branches, index arithmetic and a divide and math.Round per output; this
-// path hoists all of that out. Each conv stage packs the receptive field of
-// every output pixel into a pixel-major patch matrix (im2col, over a
-// zero-bordered copy of the image so no tap needs a bounds branch),
-// multiplies the weight rows with it, and maps each sum to int8 through its
-// levels table. Either kernel reads the weights from the protected image on
-// every stage call, inside the fetch bracket, and keeps nothing across
-// passes — inference sees the image as it is, flips included.
+// The historical conv loop (computeRef, kept in gemm_test.go) carried the
+// padding branches and index arithmetic per tap; this path hoists them
+// out. Each conv stage packs the receptive field of every output pixel
+// into a pixel-major patch matrix (im2col, over a zero-bordered copy of
+// the image so no tap needs a bounds branch), multiplies the weight rows
+// with it, and maps each output-channel row of sums to int8 by the
+// reference loop's own formula (levels.conv). Either kernel reads the
+// weights from the protected image on every stage call, inside the fetch
+// bracket, and keeps nothing across passes — inference sees the image as
+// it is, flips included.
 //
 //   - avx2 (gemm_amd64.s, behind gemmAVX2): reads the weight rows where
 //     they lie. Sixteen int8 of a weight row and of a patch row are
@@ -21,12 +23,20 @@
 //     acc += (w[m][k] + w[m+1][k]·2³²) · b[p][k], one 64-bit multiply for
 //     two MACs, on a 2-pair × 4-pixel tile of 8 accumulators.
 //
+// Requantization (levels.conv for a conv row, levels.add for a residual
+// sum) evaluates clampQ(max(v, floor)/scale) on both legs. With the avx2
+// kernel, requant_amd64.s does it four float64 lanes at a time — the Go
+// loop's multiplies, add, max and divide in its order, no FMA, then an
+// exact round half away from zero — and Go runs the last len mod 4
+// elements; the generic leg is the Go loop alone.
+//
 // Dispatch is by what the process can observe and nothing else: on amd64
 // init installs the avx2 kernel in gemmLive when internal/cpu's CPUID/XGETBV
 // probe — the same one that selects core's checksum leg — finds AVX2 and
-// OS-saved YMM state; every other GOARCH, and an amd64 host without it,
-// runs the generic kernel. GEMMKernel names the choice; no option, flag or
-// environment variable changes it.
+// OS-saved YMM state, and the avx2 requantization leg runs wherever
+// gemmLive is set; every other GOARCH, and an amd64 host without it, runs
+// the generic kernel and Go loop. GEMMKernel names the choice; no option,
+// flag or environment variable changes it.
 //
 // Exactness: a dot product S has |S| ≤ K·2¹⁴ < 2³¹, which Compile enforces
 // as K ≤ maxLaneK, and integer addition is exact in any order. Generic:

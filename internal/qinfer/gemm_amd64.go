@@ -2,10 +2,21 @@ package qinfer
 
 import "radar/internal/cpu"
 
-// The kernel of gemm_amd64.s.
+// The kernels of gemm_amd64.s and requant_amd64.s.
 
 //go:noescape
 func gemmAVX2Kernel(a, b *int8, out *int32, M, K, P4 int)
+
+// requantConvAVX2 and requantAddAVX2 are levels.conv's and levels.add's
+// loops over the first n elements, n a positive multiple of 4: n elements
+// are read at each operand and written at dst. Their callers have checked
+// the lengths.
+//
+//go:noescape
+func requantConvAVX2(dst *int8, acc *int32, n int, a, b, accScale, floor, scale float64)
+
+//go:noescape
+func requantAddAVX2(dst, mq, sq *int8, n int, ms, ss, floor, scale float64)
 
 func init() {
 	if cpu.AVX2 {

@@ -32,7 +32,9 @@ func guarded(t *testing.T, n int) []int8 {
 // byte outside the slices its wrapper was given. Operands and output are
 // placed flush against a PROT_NONE page — for K below, on and off the
 // 16-byte step, odd and even M — and the products checked; a kernel that
-// over-reads takes a fault here, reported as a test failure.
+// over-reads takes a fault here, reported as a test failure. The two
+// requantization entries get the same treatment: accumulator rows, add
+// operands and outputs flush against the page, on and off the 4-lane step.
 func TestGEMMAVX2ReadsInsideItsOperands(t *testing.T) {
 	if !cpu.AVX2 {
 		t.Skip("CPUID reports no AVX2 kernel for this host")
@@ -70,5 +72,33 @@ func TestGEMMAVX2ReadsInsideItsOperands(t *testing.T) {
 				}
 			}
 		}
+	}
+	lv := newLevels(0.05, false)
+	for _, n := range []int{4, 5, 7, 8, 64, 1027} {
+		acc := unsafe.Slice((*int32)(unsafe.Pointer(&guarded(t, 4*n)[0])), n)
+		mq, sq, dst := guarded(t, n), guarded(t, n), guarded(t, n)
+		for i := range acc {
+			acc[i] = int32(rng.Intn(1<<16) - 1<<15)
+			mq[i], sq[i] = int8(rng.Intn(256)-128), int8(rng.Intn(256)-128)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("n=%d: a requantization entry read or wrote outside its operands: %v", n, r)
+				}
+			}()
+			lv.conv(dst, acc, 0.5, -0.25, 1e-3)
+			for i, got := range dst {
+				if want := clampQ((0.5*(1e-3*float64(acc[i])) - 0.25) / float64(lv.scale)); got != want {
+					t.Fatalf("n=%d: conv element %d = %d, want %d", n, i, got, want)
+				}
+			}
+			lv.add(dst, mq, sq, 0.03, 0.02)
+			for i, got := range dst {
+				if want := clampQ((0.03*float64(mq[i]) + 0.02*float64(sq[i])) / float64(lv.scale)); got != want {
+					t.Fatalf("n=%d: add element %d = %d, want %d", n, i, got, want)
+				}
+			}
+		}()
 	}
 }

@@ -2,6 +2,7 @@ package qinfer
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,7 +15,7 @@ import (
 
 // randConv builds a qconv with randomized weights and folded-BN
 // parameters (scales of both signs, so ReLU clips whole channels too) for
-// the given geometry, and its requantization table.
+// the given geometry, and its output step.
 func randConv(rng *rand.Rand, inC, outC, k, stride, pad int, relu bool) *qconv {
 	c := &qconv{
 		name:   fmt.Sprintf("rand%dx%dk%ds%dp%d", inC, outC, k, stride, pad),
@@ -42,6 +43,63 @@ func randInput(rng *rand.Rand, n, ch, h, w int) *QTensor {
 		x.Q[i] = int8(rng.Intn(256) - 128)
 	}
 	return x
+}
+
+// computeRef is the historical 7-deep nested conv loop, kept verbatim as
+// the bit-exactness reference for the GEMM path and the requantization
+// legs: the differential property tests below pin compute against it on
+// every checkpoint layer shape and on randomized geometries.
+func (c *qconv) computeRef(x *QTensor) *QTensor {
+	n, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	if ch != c.inC {
+		panic("qinfer: channel mismatch in " + c.name)
+	}
+	outH := tensor.ConvOutSize(h, c.k, c.stride, c.pad)
+	outW := tensor.ConvOutSize(w, c.k, c.stride, c.pad)
+	out := NewQTensor(c.lv.scale, n, c.outC, outH, outW)
+	kk := c.k * c.k
+	cols := c.inC * kk
+	// Effective multiplier from int32 accumulator to real value.
+	accScale := float64(c.wScale) * float64(x.Scale)
+	for img := 0; img < n; img++ {
+		inBase := img * ch * h * w
+		outBase := img * c.outC * outH * outW
+		for oc := 0; oc < c.outC; oc++ {
+			wRow := c.w[oc*cols : (oc+1)*cols]
+			a := float64(c.bn.a[oc])
+			bb := float64(c.bn.b[oc])
+			for oy := 0; oy < outH; oy++ {
+				for ox := 0; ox < outW; ox++ {
+					var acc int32
+					for ic := 0; ic < c.inC; ic++ {
+						icBase := inBase + ic*h*w
+						wBase := ic * kk
+						for ky := 0; ky < c.k; ky++ {
+							iy := oy*c.stride - c.pad + ky
+							if iy < 0 || iy >= h {
+								continue
+							}
+							rowBase := icBase + iy*w
+							wRowBase := wBase + ky*c.k
+							for kx := 0; kx < c.k; kx++ {
+								ix := ox*c.stride - c.pad + kx
+								if ix < 0 || ix >= w {
+									continue
+								}
+								acc += int32(wRow[wRowBase+kx]) * int32(x.Q[rowBase+ix])
+							}
+						}
+					}
+					v := a*(accScale*float64(acc)) + bb
+					if c.relu && v < 0 {
+						v = 0
+					}
+					out.Q[outBase+oc*outH*outW+oy*outW+ox] = clampQ(v / float64(c.lv.scale))
+				}
+			}
+		}
+	}
+	return out
 }
 
 // mustMatch fails unless the GEMM and reference outputs are bit-identical.
@@ -322,7 +380,7 @@ func testConcurrentForwardIdentical(t *testing.T) {
 // 5, 6, 7 leave a K mod 16 tail and k ≤ 2 stays under one 16-byte step;
 // testdata/fuzz/FuzzConvGEMM holds seeds for each. relu8's low bit picks
 // ReLU and its other seven, read as a signed shift, scale the output step
-// by 2⁻⁶⁴..2⁶³, so the requantization table is fuzzed across scales too.
+// by 2⁻⁶⁴..2⁶³, so requantization is fuzzed across scales too.
 // CI runs the seed corpus under -race; `go test -fuzz=FuzzConvGEMM
 // ./internal/qinfer` (or `make fuzz-smoke`) explores further.
 func FuzzConvGEMM(f *testing.F) {
@@ -353,6 +411,70 @@ func FuzzConvGEMM(f *testing.F) {
 		for _, leg := range legs {
 			gemmLive = leg.live
 			mustMatch(t, c.name+" "+leg.name, c.compute(x, new(engineScratch)), want)
+		}
+	})
+}
+
+// FuzzRequant is the differential fuzz target for requantization: each
+// leg's conv row and residual add against clampQ(relu(v)/scale) written
+// out as the reference conv loop writes it. raw supplies the int32
+// accumulators (four bytes each, full range) and the int8 operands of the
+// add; a, b, accScale, ms and ss are arbitrary float64 bits and the step
+// arbitrary float32 bits, all made finite, so v and v/scale still reach
+// ±Inf and NaN (0·Inf, Inf − Inf, 0/0), which must land where Go's
+// conversions put them. Rows of any length run the AVX2 leg on their
+// first len &^ 3 elements and Go on the rest.
+func FuzzRequant(f *testing.F) {
+	legs := kernelLegs(f)
+	bits, bits32 := math.Float64bits, math.Float32bits
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 250, 130, 0, 0, 0, 128, 255, 255, 255, 127}, bits(0.7), bits(-0.1), bits(1e-4), bits32(0.05), bits(0.03), bits(0.02), true)
+	f.Add(bytes.Repeat([]byte{0x80}, 21), bits(-1.5), bits(0.25), bits(1), uint32(3), bits(-2), bits(0.5), false)                              // a denormal step
+	f.Add([]byte{232, 3, 0, 0, 0, 0, 0, 0, 24, 252, 255, 255}, bits(0), bits(1e308), bits(1e308), bits32(1), bits(1e308), bits(-1e308), false) // 0·Inf
+	f.Add([]byte{3, 0, 0, 0, 5, 0, 0, 0, 253, 255, 255, 255, 7}, bits(1), bits(0), bits(0.5), bits32(1), bits(0.5), bits(0.5), false)          // ties ±1.5, 2.5
+	f.Add([]byte{9, 0, 0, 0, 1, 2, 3, 4}, bits(1), bits(1), bits(1), uint32(0), bits(0), bits(1), true)                                        // a zero step
+	f.Fuzz(func(t *testing.T, raw []byte, a, b, accScale uint64, scale uint32, ms, ss uint64, relu bool) {
+		finite := func(x uint64) float64 {
+			if v := math.Float64frombits(x); !math.IsInf(v, 0) && !math.IsNaN(v) {
+				return v
+			}
+			return math.Float64frombits(x &^ (1 << 62)) // an exponent below the all-ones one
+		}
+		step := math.Float32frombits(scale)
+		if math.IsInf(float64(step), 0) || math.IsNaN(float64(step)) {
+			step = math.Float32frombits(scale &^ (1 << 30))
+		}
+		fa, fb, fs, fms, fss := finite(a), finite(b), finite(accScale), finite(ms), finite(ss)
+		level := func(v float64) int8 {
+			if relu && v < 0 {
+				v = 0
+			}
+			return clampQ(v / float64(step))
+		}
+		acc := make([]int32, len(raw)/4)
+		for i := range acc {
+			acc[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		mq, sq := make([]int8, len(raw)), make([]int8, len(raw))
+		for i := range raw {
+			mq[i], sq[i] = int8(raw[i]), int8(raw[len(raw)-1-i]^byte(i))
+		}
+		lv := newLevels(step, relu)
+		for _, leg := range legs {
+			gemmLive = leg.live
+			conv := make([]int8, len(acc))
+			lv.conv(conv, acc, fa, fb, fs)
+			for i, got := range conv {
+				if want := level(fa*(fs*float64(acc[i])) + fb); got != want {
+					t.Fatalf("%s: conv element %d of %d, %g·(%g·%d) + %g at step %g relu %v → %d, want %d", leg.name, i, len(conv), fa, fs, acc[i], fb, step, relu, got, want)
+				}
+			}
+			add := make([]int8, len(mq))
+			lv.add(add, mq, sq, fms, fss)
+			for i, got := range add {
+				if want := level(fms*float64(mq[i]) + fss*float64(sq[i])); got != want {
+					t.Fatalf("%s: add element %d of %d, %g·%d + %g·%d at step %g relu %v → %d, want %d", leg.name, i, len(add), fms, mq[i], fss, sq[i], step, relu, got, want)
+				}
+			}
 		}
 	})
 }

@@ -3,12 +3,13 @@
 // int8 activations with int32 accumulators; batch-norm layers are folded
 // into per-channel affine rescaling applied at requantization; and
 // activations are quantized symmetrically with per-stage scales fixed by a
-// one-shot calibration pass and requantized through per-stage tables of
-// exact level boundaries, not a divide and a rounding call. This is the
-// engine whose weight-fetch path RADAR's checksum rides in the gem5
-// experiments (Tables IV/V); it also demonstrates that the defense needs no
-// floating-point weight copy: detection and recovery act directly on the
-// int8 image this engine consumes — the classifier included, which
+// one-shot calibration pass. Requantization is one formula,
+// clampQ(max(v, floor)/scale), evaluated four float64 lanes at a time on
+// amd64 with AVX2 and one value at a time elsewhere, bit for bit alike.
+// This is the engine whose weight-fetch path RADAR's checksum rides in the
+// gem5 experiments (Tables IV/V); it also demonstrates that the defense
+// needs no floating-point weight copy: detection and recovery act directly
+// on the int8 image this engine consumes — the classifier included, which
 // dequantizes its int8 rows as it reads them. The embedded-detection point
 // is exposed in software as one fetch step per stage, the WeightFetcher: it
 // returns once the layer's weights are verified and locked, the stage
@@ -64,70 +65,70 @@ func (q *QTensor) Dequantize() *tensor.Tensor {
 	return out
 }
 
+// clampQ is math.Round(v) saturated to int8. Below the saturation bounds
+// it adds the largest float64 under ½, with v's sign, and truncates: the
+// sum reaches the next integer away from zero exactly when v's fraction is
+// at least ½, so the result is math.Round's without its branches on v's
+// exponent (TestClampQMatchesRound).
 func clampQ(v float64) int8 {
-	r := math.Round(v)
-	if r > 127 {
+	switch {
+	case v >= 126.5:
 		return 127
-	}
-	if r < -128 {
+	case v <= -127.5:
 		return -128
 	}
-	return int8(r)
+	return int8(v + math.Copysign(0.49999999999999994, v))
 }
 
-// levels is a stage's output step and requantization table: quantize(v)
-// is clampQ(relu(v)/scale) with no divide and no rounding call. bound[i] is
-// the least v whose level is at least i−128 (−Inf where ReLU lifts every v
-// to it); the NaNs at the ends are walls no v passes. A level estimated
-// from v·inv is never off by more than one, so one compare each way fixes it.
+// levels is a stage's output step and ReLU floor: v requantizes to
+// clampQ(max(v, floor)/scale), which is clampQ(relu(v)/scale) with ReLU
+// (floor 0) and clampQ(v/scale) without (floor −Inf).
 type levels struct {
-	bound      [257]float64
-	scale      float32
-	inv, floor float64 // 1/scale; the lowest index, 128 under ReLU
+	scale float32
+	floor float64
 }
 
 func newLevels(scale float32, relu bool) *levels {
-	s, lowest := float64(scale), math.Inf(-1)
-	l := &levels{scale: scale, inv: 1 / s, bound: [257]float64{math.NaN(), 256: math.NaN()}}
+	l := &levels{scale: scale, floor: math.Inf(-1)}
 	if relu {
-		l.floor, lowest = 128, 0
-	}
-	for i := 1; i < 256; i++ {
-		l.bound[i] = firstAtLeast(func(v float64) bool { return int(clampQ(max(v, lowest)/s)) >= i-128 }, (float64(i)-128.5)*s)
+		l.floor = 0
 	}
 	return l
 }
 
-func (l *levels) quantize(v float64) int8 {
-	i := uint8(int(max(l.floor, min(v*l.inv+128.5, 255))))
-	if v < l.bound[i] {
-		i--
-	} else if v >= l.bound[int(i)+1] {
-		i++
+// conv requantizes a conv stage's row: dst[i] is the level of
+// a·(accScale·acc[i]) + b. Where the GEMM runs its AVX2 kernel (gemmLive
+// set), the first len(dst) &^ 3 elements run in requantConvAVX2 and the
+// rest here, in the same operations in the same order. The explicit
+// float64 conversions keep each product rounded on its own, as the
+// kernel's VMULPD does: Go may fuse x*y+z into an FMA (GOAMD64=v3), but
+// never across a conversion.
+func (l *levels) conv(dst []int8, acc []int32, a, b, accScale float64) {
+	acc = acc[:len(dst)]
+	floor, s := l.floor, float64(l.scale)
+	i := 0
+	if n := len(dst) &^ 3; n > 0 && gemmLive != nil {
+		requantConvAVX2(&dst[0], &acc[0], n, a, b, accScale, floor, s)
+		i = n
 	}
-	return int8(i - 128)
+	for ; i < len(dst); i++ {
+		dst[i] = clampQ(max(float64(a*(accScale*float64(acc[i])))+b, floor) / s)
+	}
 }
 
-// firstAtLeast bisects for the least float64 at which ok (monotone, true at
-// +Inf) holds, keyed ±bits(|v|), in ±64 keys of guess when they bracket it.
-func firstAtLeast(ok func(float64) bool, guess float64) float64 {
-	val := func(k int64) float64 { return math.Copysign(math.Float64frombits(uint64(max(k, -k))), float64(k)) }
-	hi := int64(math.Float64bits(math.Inf(1)))
-	lo, g := -hi, int64(math.Copysign(1, guess))*int64(math.Float64bits(math.Abs(guess)))
-	switch {
-	case ok(val(lo)):
-		return val(lo)
-	case !ok(val(g-64)) && ok(val(g+64)):
-		lo, hi = g-64, g+64
+// add requantizes a residual sum: dst[i] is the level of
+// ms·mq[i] + ss·sq[i], split between requantAddAVX2 and Go as conv is.
+func (l *levels) add(dst, mq, sq []int8, ms, ss float64) {
+	mq, sq = mq[:len(dst)], sq[:len(dst)]
+	floor, s := l.floor, float64(l.scale)
+	i := 0
+	if n := len(dst) &^ 3; n > 0 && gemmLive != nil {
+		requantAddAVX2(&dst[0], &mq[0], &sq[0], n, ms, ss, floor, s)
+		i = n
 	}
-	for hi-lo > 1 {
-		if mid := lo + (hi-lo)/2; ok(val(mid)) {
-			hi = mid
-		} else {
-			lo = mid
-		}
+	for ; i < len(dst); i++ {
+		dst[i] = clampQ(max(float64(ms*float64(mq[i]))+float64(ss*float64(sq[i])), floor) / s)
 	}
-	return val(hi)
 }
 
 // foldedBN is a batch-norm layer collapsed to y = A·x + B per channel
@@ -173,8 +174,9 @@ func (c *qconv) forward(x *QTensor, sc *engineScratch) *QTensor {
 // per image an im2col pack into the scratch patch matrix, the int8 GEMM
 // (see gemm.go: straight from the live weight rows where the host has the
 // kernel for it, else from rows packed in pairs first) and the per-channel
-// BN rescale, ReLU and requantization through the stage's levels table (no
-// divide, no math.Round). Bit-identical to computeRef, the reference loop.
+// BN rescale, ReLU and requantization of each output-channel row (see
+// levels.conv). Bit-identical to computeRef, the reference loop in
+// gemm_test.go.
 func (c *qconv) compute(x *QTensor, sc *engineScratch) *QTensor {
 	n, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	if ch != c.inC {
@@ -207,70 +209,7 @@ func (c *qconv) compute(x *QTensor, sc *engineScratch) *QTensor {
 		}
 		outBase := img * c.outC * plane
 		for oc := 0; oc < c.outC; oc++ {
-			a := float64(c.bn.a[oc])
-			bb := float64(c.bn.b[oc])
-			accRow := acc[oc*p4:][:plane]
-			outRow := out.Q[outBase+oc*plane:][:plane]
-			for p := 0; p < plane; p++ {
-				outRow[p] = c.lv.quantize(a*(accScale*float64(accRow[p])) + bb)
-			}
-		}
-	}
-	return out
-}
-
-// computeRef is the historical 7-deep nested conv loop, kept verbatim as
-// the bit-exactness reference for the GEMM path: the differential
-// property tests in gemm_test.go pin compute against it on every
-// checkpoint layer shape and on randomized geometries.
-func (c *qconv) computeRef(x *QTensor) *QTensor {
-	n, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	if ch != c.inC {
-		panic("qinfer: channel mismatch in " + c.name)
-	}
-	outH := tensor.ConvOutSize(h, c.k, c.stride, c.pad)
-	outW := tensor.ConvOutSize(w, c.k, c.stride, c.pad)
-	out := NewQTensor(c.lv.scale, n, c.outC, outH, outW)
-	kk := c.k * c.k
-	cols := c.inC * kk
-	// Effective multiplier from int32 accumulator to real value.
-	accScale := float64(c.wScale) * float64(x.Scale)
-	for img := 0; img < n; img++ {
-		inBase := img * ch * h * w
-		outBase := img * c.outC * outH * outW
-		for oc := 0; oc < c.outC; oc++ {
-			wRow := c.w[oc*cols : (oc+1)*cols]
-			a := float64(c.bn.a[oc])
-			bb := float64(c.bn.b[oc])
-			for oy := 0; oy < outH; oy++ {
-				for ox := 0; ox < outW; ox++ {
-					var acc int32
-					for ic := 0; ic < c.inC; ic++ {
-						icBase := inBase + ic*h*w
-						wBase := ic * kk
-						for ky := 0; ky < c.k; ky++ {
-							iy := oy*c.stride - c.pad + ky
-							if iy < 0 || iy >= h {
-								continue
-							}
-							rowBase := icBase + iy*w
-							wRowBase := wBase + ky*c.k
-							for kx := 0; kx < c.k; kx++ {
-								ix := ox*c.stride - c.pad + kx
-								if ix < 0 || ix >= w {
-									continue
-								}
-								acc += int32(wRow[wRowBase+kx]) * int32(x.Q[rowBase+ix])
-							}
-						}
-					}
-					v := a*(accScale*float64(acc)) + bb
-					if c.relu && v < 0 {
-						v = 0
-					}
-					out.Q[outBase+oc*outH*outW+oy*outW+ox] = clampQ(v / float64(c.lv.scale))
-				}
-			}
+			c.lv.conv(out.Q[outBase+oc*plane:][:plane], acc[oc*p4:], float64(c.bn.a[oc]), float64(c.bn.b[oc]), accScale)
 		}
 	}
 	return out
@@ -292,11 +231,7 @@ func (b *qblock) forward(x *QTensor, sc *engineScratch) *QTensor {
 	}
 	// Residual add in the real domain, then ReLU and requantize.
 	out := NewQTensor(b.lv.scale, main.Shape...)
-	ms, ss := float64(main.Scale), float64(side.Scale)
-	q, mq, sq := out.Q, main.Q[:len(out.Q)], side.Q[:len(out.Q)]
-	for i := range q {
-		q[i] = b.lv.quantize(ms*float64(mq[i]) + ss*float64(sq[i]))
-	}
+	b.lv.add(out.Q, main.Q, side.Q, float64(main.Scale), float64(side.Scale))
 	return out
 }
 

@@ -68,10 +68,44 @@ func TestClampQSaturates(t *testing.T) {
 	}
 }
 
-// TestLevelsMatchClampQ pins the requantization table to its definition,
-// clampQ(relu(v)/scale), with ReLU on and off: at every finite level
-// boundary ±64 ulps and at 10⁵ random v, for every scale calibration gave
-// tiny and for 1, 10⁻³⁰, 10³⁰, the smallest normal and a denormal float32.
+// TestClampQMatchesRound pins clampQ to math.Round(v) clamped to
+// [−128, 127]: at every half-integer and integer from −131 to 131 ±64 ulps,
+// at 10⁶ random v of magnitudes 2⁻⁶⁰..2¹⁰, at ±0, ±Inf and NaN.
+func TestClampQMatchesRound(t *testing.T) {
+	check := func(v float64) {
+		want := int8(max(-128, min(127, math.Round(v))))
+		if math.IsNaN(v) {
+			want = 0
+		}
+		if got := clampQ(v); got != want {
+			t.Fatalf("clampQ(%g (%#x)) = %d, math.Round gives %d", v, math.Float64bits(v), got, want)
+		}
+	}
+	for k := -262; k <= 262; k++ {
+		v := float64(k) / 2
+		for range 64 {
+			v = math.Nextafter(v, math.Inf(-1))
+		}
+		for range 129 {
+			check(v)
+			v = math.Nextafter(v, math.Inf(1))
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for range 1000000 {
+		check(math.Ldexp(rng.Float64()*2-1, rng.Intn(71)-60))
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()} {
+		check(v)
+	}
+}
+
+// TestLevelsMatchClampQ pins requantization to its definition,
+// clampQ(relu(v)/scale), on both legs, with ReLU on and off: at every
+// finite level boundary ±64 ulps and at 10⁵ random v, for every scale
+// calibration gave tiny and for 1, 10⁻³⁰, 10³⁰, the smallest normal and a
+// denormal float32. Each v is a conv row's a·(accScale·0) + v over five
+// lanes, four through the AVX2 leg where it runs and one through Go.
 func TestLevelsMatchClampQ(t *testing.T) {
 	_, e := compileTiny(t)
 	scales := []float32{1, 1e-30, 1e30, 0x1p-126, math.SmallestNonzeroFloat32 * 3}
@@ -81,39 +115,119 @@ func TestLevelsMatchClampQ(t *testing.T) {
 	for _, b := range e.blocks {
 		scales = append(scales, b.lv.scale)
 	}
-	rng := rand.New(rand.NewSource(5))
-	for _, scale := range scales {
-		for _, relu := range []bool{false, true} {
-			lv, s := newLevels(scale, relu), float64(scale)
-			check := func(v float64) {
-				r := v
-				if relu && r < 0 {
-					r = 0
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		dst, acc := make([]int8, 5), make([]int32, 5)
+		for _, scale := range scales {
+			for _, relu := range []bool{false, true} {
+				lv, s := newLevels(scale, relu), float64(scale)
+				want := func(v float64) int8 {
+					if relu && v < 0 {
+						v = 0
+					}
+					return clampQ(v / s)
 				}
-				if got, want := lv.quantize(v), clampQ(r/s); got != want {
-					t.Fatalf("scale %g relu %v: v = %g (%#x) → %d, clampQ gives %d", scale, relu, v, math.Float64bits(v), got, want)
+				check := func(v float64) {
+					lv.conv(dst, acc, 1, v, 1)
+					w := want(v)
+					for i, got := range dst {
+						if got != w {
+							t.Fatalf("scale %g relu %v: v = %g (%#x) → %d in lane %d, clampQ gives %d", scale, relu, v, math.Float64bits(v), got, i, w)
+						}
+					}
 				}
+				for i := 1; i < 256; i++ {
+					b := firstAtLeast(func(v float64) bool { return int(want(v)) >= i-128 }, (float64(i)-128.5)*s)
+					if math.IsInf(b, 0) {
+						continue
+					}
+					v := b
+					for range 64 {
+						v = math.Nextafter(v, math.Inf(-1))
+					}
+					for range 129 {
+						check(v)
+						v = math.Nextafter(v, math.Inf(1))
+					}
+				}
+				for range 100000 {
+					check(s * (rng.Float64()*300 - 150) * math.Pow(2, float64(rng.Intn(9)-4)))
+				}
+				check(math.Inf(1))
+				check(math.Inf(-1))
 			}
-			for _, b := range lv.bound[1:256] {
-				if math.IsInf(b, 0) {
-					continue
-				}
-				v := b
-				for range 64 {
-					v = math.Nextafter(v, math.Inf(-1))
-				}
-				for range 129 {
-					check(v)
-					v = math.Nextafter(v, math.Inf(1))
-				}
-			}
-			for range 100000 {
-				check(s * (rng.Float64()*300 - 150) * math.Pow(2, float64(rng.Intn(9)-4)))
-			}
-			check(math.Inf(1))
-			check(math.Inf(-1))
+		}
+	})
+}
+
+// firstAtLeast bisects for the least float64 at which ok (monotone, true at
+// +Inf) holds, keyed ±bits(|v|), in ±64 keys of guess when they bracket it:
+// the level boundaries TestLevelsMatchClampQ probes around.
+func firstAtLeast(ok func(float64) bool, guess float64) float64 {
+	val := func(k int64) float64 { return math.Copysign(math.Float64frombits(uint64(max(k, -k))), float64(k)) }
+	hi := int64(math.Float64bits(math.Inf(1)))
+	lo, g := -hi, int64(math.Copysign(1, guess))*int64(math.Float64bits(math.Abs(guess)))
+	switch {
+	case ok(val(lo)):
+		return val(lo)
+	case !ok(val(g-64)) && ok(val(g+64)):
+		lo, hi = g-64, g+64
+	}
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; ok(val(mid)) {
+			hi = mid
+		} else {
+			lo = mid
 		}
 	}
+	return val(hi)
+}
+
+// TestResidualAddMatchesClampQ pins a block's residual add to
+// clampQ(relu(ms·mq + ss·sq)/scale) on both legs, with ReLU on and off,
+// over every (mq, sq) pair plus a three-element tail that runs in Go: at
+// the scales calibration gave tiny's blocks and at steps from 2⁻⁴⁰ to 2⁴⁰.
+func TestResidualAddMatchesClampQ(t *testing.T) {
+	_, e := compileTiny(t)
+	type triple struct{ ms, ss, scale float32 }
+	var cases []triple
+	side := e.stem.lv.scale
+	for _, b := range e.blocks {
+		if b.down != nil {
+			side = b.down.lv.scale
+		}
+		cases = append(cases, triple{b.conv2.lv.scale, side, b.lv.scale})
+		side = b.lv.scale
+	}
+	rng := rand.New(rand.NewSource(6))
+	for range 6 {
+		cases = append(cases, triple{
+			float32(math.Ldexp(rng.Float64(), rng.Intn(81)-40)),
+			float32(math.Ldexp(rng.Float64(), rng.Intn(81)-40)),
+			float32(math.Ldexp(rng.Float64(), rng.Intn(81)-40)),
+		})
+	}
+	const n = 256*256 + 3
+	mq, sq, dst := make([]int8, n), make([]int8, n), make([]int8, n)
+	for i := range n {
+		mq[i], sq[i] = int8(i), int8(i>>8)
+	}
+	eachKernel(t, func(t *testing.T) {
+		for _, c := range cases {
+			for _, relu := range []bool{false, true} {
+				newLevels(c.scale, relu).add(dst, mq, sq, float64(c.ms), float64(c.ss))
+				for i := range dst {
+					v := float64(c.ms)*float64(mq[i]) + float64(c.ss)*float64(sq[i])
+					if relu && v < 0 {
+						v = 0
+					}
+					if want := clampQ(v / float64(c.scale)); dst[i] != want {
+						t.Fatalf("%+v relu %v: %g·%d + %g·%d → %d, clampQ gives %d", c, relu, c.ms, mq[i], c.ss, sq[i], dst[i], want)
+					}
+				}
+			}
+		}
+	})
 }
 
 func TestEngineMatchesFloatAccuracy(t *testing.T) {

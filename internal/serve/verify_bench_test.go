@@ -2,13 +2,17 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"radar/internal/core"
 	"radar/internal/model"
+	"radar/internal/nn"
 	"radar/internal/qinfer"
+	"radar/internal/quant"
 	"radar/internal/tensor"
 )
 
@@ -50,6 +54,44 @@ func BenchmarkVerifiedFetch(b *testing.B) {
 			})
 		}
 		prot.Detach()
+	}
+}
+
+// BenchmarkVerifiedForwardPaperShapes prices the verified fetch at the
+// paper's own deployment points (Table IV): one batch-1 int8 pass of a
+// ResNet-20 (width 16, 32×32 input) and of a ResNet-18 (width 64, 1000
+// classes, 224×224 input), random weights, every stage through a worker's
+// verifier, at group sizes G of 8, 128 and 512. verify-share-% is the
+// passes' time in their fetch steps over their whole time — the figure the
+// paper's ≲ 1–5 % overheads are held against. A faster pass raises it.
+func BenchmarkVerifiedForwardPaperShapes(b *testing.B) {
+	for _, shape := range []struct {
+		cfg nn.ResNetConfig
+		hw  int
+	}{{nn.ResNet20Config(16, 10), 32}, {nn.ResNet18Config(64, 1000, false), 224}} {
+		rng := rand.New(rand.NewSource(1))
+		net := nn.BuildResNet(shape.cfg, rng)
+		x := tensor.New(1, 3, shape.hw, shape.hw)
+		x.RandNormal(rng, 1)
+		qm := quant.Quantize(net)
+		eng, err := qinfer.Compile(net, qm, x)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, g := range []int{8, 128, 512} {
+			prot := core.Protect(qm, core.DefaultConfig(g))
+			srv := newTestServer(eng, prot)
+			b.Run(fmt.Sprintf("%s/G=%d", shape.cfg.Name, g), func(b *testing.B) {
+				var spent time.Duration
+				f := &verifier{s: srv}
+				for b.Loop() {
+					_, d := eng.ForwardFetch(x, f)
+					spent += d
+				}
+				b.ReportMetric(100*spent.Seconds()/b.Elapsed().Seconds(), "verify-share-%")
+			})
+			prot.Detach()
+		}
 	}
 }
 
