@@ -44,8 +44,9 @@ bench:
 # Fast guard that the scan + serve + replica bring-up + conv-kernel +
 # int8-engine + compile + verified-fetch + float-walk benchmarks still
 # compile and run (1 iteration; checkpoints come from testdata/models, so no
-# training happens). 'Serve' matches BenchmarkServeBringUp; 'Conv' in nn
-# matches the float conv's forward and backward.
+# training happens). 'Serve' matches BenchmarkServeBringUp, which times
+# serve.Build, the one bring-up path replicas run; 'Conv' in nn matches the
+# float conv's forward and backward.
 bench-smoke:
 	$(GO) test -bench='Scan|Serve' -benchtime=1x -run '^$$' ./internal/core/ ./internal/serve/
 	$(GO) test -bench='Conv|NetForward' -benchtime=1x -run '^$$' ./internal/nn/

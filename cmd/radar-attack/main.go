@@ -166,12 +166,8 @@ func protectVictim(spec model.Spec, storePath string, cfg core.Config) (b *model
 			fmt.Fprintf(os.Stderr, "map %s: %v\n", storePath, err)
 			os.Exit(1)
 		}
-		mode := "mmap"
-		if !ck.Mapped() {
-			mode = "in-RAM fallback"
-		}
 		fmt.Printf("store %s: %d layers, %d weight bytes (%s)\n",
-			storePath, ck.NumLayers(), ck.WeightBytes(), mode)
+			storePath, ck.NumLayers(), ck.WeightBytes(), ck.Backing())
 		done = func() {
 			// Recovery's repairs marked their layers dirty through the
 			// model observer; make them durable before exit.

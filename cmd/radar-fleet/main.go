@@ -37,20 +37,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"radar/internal/fleet"
-	"radar/internal/obs"
 	"radar/internal/serve"
 )
 
@@ -92,36 +86,10 @@ func main() {
 	}
 	f.Start()
 
-	var handler http.Handler = f.Handler()
-	if *logReqs {
-		handler = serve.LogRequests(handler, slog.Default())
-	}
-	if *debugAddr != "" {
-		go func() {
-			log.Printf("pprof on %s/debug/pprof/", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, obs.PprofHandler()); err != nil && err != http.ErrServerClosed {
-				log.Printf("debug listener: %v", err)
-			}
-		}()
-	}
-
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
-	go func() {
-		log.Printf("routing %d replica(s) [%s] on %s — probe=%v attempt=%v",
-			len(replicas), strings.Join(replicas, ", "), *addr, *healthInterval, *attemptTimeout)
-		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			log.Fatalf("http: %v", err)
-		}
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	<-ctx.Done()
-	log.Printf("shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		log.Printf("http shutdown: %v", err)
+	log.Printf("routing %d replica(s) [%s] on %s — probe=%v attempt=%v",
+		len(replicas), strings.Join(replicas, ", "), *addr, *healthInterval, *attemptTimeout)
+	if err := serve.ListenAndServe(*addr, *debugAddr, *logReqs, f.Handler()); err != nil {
+		log.Fatal(err)
 	}
 	f.Stop()
 }

@@ -52,23 +52,18 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
-	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"radar/internal/core"
 	"radar/internal/model"
-	"radar/internal/obs"
 	"radar/internal/qinfer"
 	"radar/internal/serve"
 	"radar/internal/store"
@@ -118,100 +113,65 @@ func main() {
 		checkpoints = map[string]*store.Checkpoint{}
 	)
 
-	// buildModel compiles one zoo model into an engine + protector pair and
-	// its serving options under the process-wide flags — shared by startup
-	// registration and the hot-add admin route. With -store-dir the
-	// bundle's weights are first rebound to the mapped checkpoint
-	// DIR/<name>.radar, so the engine and protector are wired to the
-	// file-backed image.
+	// buildModel brings zoo model zoo up as name through serve.Build, at
+	// start and as the provider behind POST /v1/admin/models/{name} (whose
+	// source is the zoo name): -g and -correct set its protection, -scrub
+	// its scrubber, and -store-dir binds it to DIR/<name>.radar.
 	buildModel := func(name, zoo string) (*qinfer.Engine, *core.Protector, []serve.ModelOption, error) {
 		spec, ok := model.SpecByName(zoo)
 		if !ok {
 			return nil, nil, nil, fmt.Errorf("unknown zoo model %q", zoo)
 		}
-		bundle := model.Load(spec)
+		log.Printf("loading %s as %q (training on first use; cached under testdata/models)", spec.Name, name)
+		pcfg := core.DefaultConfig(*g)
+		pcfg.Correct = slices.Contains(corrects, name) || slices.Contains(corrects, "all")
+		var path string
 		if *storeDir != "" {
-			path := filepath.Join(*storeDir, name+".radar")
-			if err := os.MkdirAll(*storeDir, 0o755); err != nil {
-				return nil, nil, nil, fmt.Errorf("store dir: %w", err)
-			}
-			ckpt, err := model.MapCheckpoint(bundle, path)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("map store checkpoint for %q: %w", name, err)
-			}
-			mode := "mmap"
-			if !ckpt.Mapped() {
-				mode = "in-RAM fallback"
-			}
+			path = filepath.Join(*storeDir, name+".radar")
+		}
+		m, err := serve.Build(spec, pcfg, path)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("model %q: %w", name, err)
+		}
+		if m.Ckpt != nil {
 			log.Printf("model %q weights bound to %s (%.1f MB, %s)", name, path,
-				float64(ckpt.WeightBytes())/1e6, mode)
+				float64(m.Ckpt.WeightBytes())/1e6, m.Ckpt.Backing())
 			ckptMu.Lock()
-			// Any previous checkpoint under this name is stale — left over
-			// from a hot-removed model or a failed add. No live engine can
-			// be reading it: startup names register before serving begins,
-			// and the hot-add plane reserves the name (409ing duplicates)
-			// before this provider path runs, so buildModel never executes
-			// while a served model holds views into checkpoints[name].
+			// A checkpoint already under this name is stale, left by a
+			// hot-removed model or a failed add: the hot-add plane reserves
+			// the name before it calls the provider, so no served model
+			// still reads it.
 			if old := checkpoints[name]; old != nil {
 				old.Sync()
 				old.Close()
 			}
-			checkpoints[name] = ckpt
+			checkpoints[name] = m.Ckpt
 			ckptMu.Unlock()
 		}
-		calib, _ := bundle.Attack.Batch(0, 64)
-		eng, err := qinfer.Compile(bundle.Net, bundle.QModel, calib)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("compile int8 engine for %q: %w", zoo, err)
+		recovery := "zeroing"
+		if pcfg.Correct {
+			recovery = "ECC-corrected"
 		}
-		pcfg := core.DefaultConfig(*g)
-		for _, c := range corrects {
-			if c == name || c == "all" {
-				pcfg.Correct = true
-			}
-		}
-		prot := core.Protect(bundle.QModel, pcfg)
-		return eng, prot, []serve.ModelOption{
-			serve.WithScrub(*scrub),
-			serve.WithInputShape(spec.Data.Channels, spec.Data.Size, spec.Data.Size),
-		}, nil
+		log.Printf("model %q: %d layers, %d groups (G=%d, %s recovery)",
+			name, len(m.Prot.Model.Layers), m.Prot.NumGroups(), *g, recovery)
+		return m.Engine, m.Prot, append(m.Options, serve.WithScrub(*scrub)), nil
 	}
 
-	// The provider behind POST /v1/admin/models/{name}: the request's
-	// source string is a zoo model name, built with the same tuning as the
-	// startup -model registrations.
-	provider := func(name, source string) (*qinfer.Engine, *core.Protector, []serve.ModelOption, error) {
-		eng, prot, mopts, err := buildModel(name, source)
-		if err == nil {
-			log.Printf("hot-adding zoo model %q as %q", source, name)
-		}
-		return eng, prot, mopts, err
-	}
-
-	opts := []serve.ServiceOption{serve.WithModelProvider(provider)}
+	opts := []serve.ServiceOption{serve.WithModelProvider(buildModel)}
 	var names []string
 	for _, mv := range models {
 		name, zoo := mv, mv
 		if eq := strings.IndexByte(mv, '='); eq >= 0 {
 			name, zoo = mv[:eq], mv[eq+1:]
 		}
-		spec, ok := model.SpecByName(zoo)
-		if !ok {
+		if _, ok := model.SpecByName(zoo); !ok {
 			fmt.Fprintf(os.Stderr, "unknown zoo model %q in -model %q\n", zoo, mv)
 			os.Exit(2)
 		}
-		log.Printf("loading %s as %q (training on first use; cached under testdata/models)", spec.Name, name)
 		eng, prot, mopts, err := buildModel(name, zoo)
 		if err != nil {
 			log.Fatalf("%v", err)
 		}
-		recovery := "zeroing"
-		if prot.Correcting() {
-			recovery = "ECC-corrected"
-		}
-		log.Printf("model %q: %d layers, %d groups (G=%d, %s recovery)",
-			name, len(prot.Model.Layers), prot.NumGroups(), *g, recovery)
-
 		opts = append(opts, serve.WithModel(name, eng, prot, mopts...))
 		names = append(names, name)
 	}
@@ -221,72 +181,32 @@ func main() {
 		log.Fatalf("open service: %v", err)
 	}
 
-	// Background flusher: periodically msync the sections recovery (or any
-	// other model-API write) dirtied, bounding how much repaired state a
-	// crash can lose. Stopped before the final sync at shutdown.
-	flusherDone := make(chan struct{})
-	stopFlusher := func() {}
+	// Background flusher: every -store-sync, msync the sections recovery
+	// (or any other model-API write) dirtied, bounding how much repaired
+	// state a crash can lose. The shutdown sync closes and forgets every
+	// checkpoint, so a tick after it finds none.
 	if *storeDir != "" && *storeSync > 0 {
-		stop := make(chan struct{})
-		stopFlusher = func() { close(stop); <-flusherDone }
 		go func() {
-			defer close(flusherDone)
-			ticker := time.NewTicker(*storeSync)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-ticker.C:
-					ckptMu.Lock()
-					for name, c := range checkpoints {
-						if err := c.SyncDirty(); err != nil {
-							log.Printf("store flush %q: %v", name, err)
-						}
+			for range time.Tick(*storeSync) {
+				ckptMu.Lock()
+				for name, c := range checkpoints {
+					if err := c.SyncDirty(); err != nil {
+						log.Printf("store flush %q: %v", name, err)
 					}
-					ckptMu.Unlock()
 				}
-			}
-		}()
-	} else {
-		close(flusherDone)
-	}
-
-	var handler http.Handler = svc.Handler()
-	if *logReqs {
-		handler = serve.LogRequests(handler, slog.Default())
-	}
-	if *debugAddr != "" {
-		go func() {
-			log.Printf("pprof on %s/debug/pprof/", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, obs.PprofHandler()); err != nil && err != http.ErrServerClosed {
-				log.Printf("debug listener: %v", err)
+				ckptMu.Unlock()
 			}
 		}()
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
-	go func() {
-		log.Printf("serving %d model(s) [%s] on %s — scrub=%v kernel=%s (gemm+checksum)",
-			len(names), strings.Join(names, ", "), *addr, *scrub, qinfer.GEMMKernel())
-		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			log.Fatalf("http: %v", err)
-		}
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	<-ctx.Done()
-	log.Printf("shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		log.Printf("http shutdown: %v", err)
+	log.Printf("serving %d model(s) [%s] on %s — scrub=%v kernel=%s (gemm+checksum)",
+		len(names), strings.Join(names, ", "), *addr, *scrub, qinfer.GEMMKernel())
+	if err := serve.ListenAndServe(*addr, *debugAddr, *logReqs, svc.Handler()); err != nil {
+		log.Fatal(err)
 	}
 	svc.Close()
 	// Scrubbers are stopped: make the final weight image durable and
 	// release the mappings.
-	stopFlusher()
 	ckptMu.Lock()
 	for name, c := range checkpoints {
 		if err := c.Sync(); err != nil {
@@ -294,5 +214,6 @@ func main() {
 		}
 		c.Close()
 	}
+	clear(checkpoints)
 	ckptMu.Unlock()
 }

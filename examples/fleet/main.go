@@ -18,20 +18,15 @@ import (
 	"radar/internal/core"
 	"radar/internal/fleet"
 	"radar/internal/model"
-	"radar/internal/qinfer"
 	"radar/internal/serve"
-	"radar/internal/tensor"
 )
 
-func tinyModel() (*qinfer.Engine, *core.Protector, []int) {
-	b := model.Load(model.TinySpec())
-	calib, _ := b.Attack.Batch(0, 64)
-	eng, err := qinfer.Compile(b.Net, b.QModel, calib)
+func tinyModel() serve.Built {
+	m, err := serve.Build(model.TinySpec(), core.DefaultConfig(8), "")
 	if err != nil {
 		panic(err)
 	}
-	x, _ := b.Test.Batch(0, 1)
-	return eng, core.Protect(b.QModel, core.DefaultConfig(8)), x.Shape[1:]
+	return m
 }
 
 func main() {
@@ -42,15 +37,15 @@ func main() {
 		servers  []*httptest.Server
 		services []*serve.Service
 		urls     []string
-		shape    []int
+		tiny     *model.Bundle
 	)
 	for r := 0; r < nReplicas; r++ {
 		opts := []serve.ServiceOption{}
 		for _, name := range names {
-			eng, prot, sh := tinyModel()
-			shape = sh
-			opts = append(opts, serve.WithModel(name, eng, prot,
-				serve.WithScrub(5*time.Millisecond)))
+			m := tinyModel()
+			tiny = m.Bundle
+			opts = append(opts, serve.WithModel(name, m.Engine, m.Prot,
+				append(m.Options, serve.WithScrub(5*time.Millisecond))...))
 		}
 		svc, err := serve.Open(opts...)
 		if err != nil {
@@ -82,11 +77,8 @@ func main() {
 	}
 
 	// One routed inference per model.
-	b := model.Load(model.TinySpec())
-	x, _ := b.Test.Batch(0, 1)
-	body, _ := json.Marshal(serve.InferRequest{
-		Input: x.Data[:tensor.Volume(shape)], Shape: shape,
-	})
+	x, _ := tiny.Test.Batch(0, 1)
+	body, _ := json.Marshal(serve.InferRequest{Input: x.Data, Shape: x.Shape[1:]})
 	infer := func(name string) error {
 		resp, err := http.Post(front.URL+"/v1/models/"+name+"/infer",
 			"application/json", bytes.NewReader(body))

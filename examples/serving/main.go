@@ -21,32 +21,26 @@ import (
 	"radar/internal/attack"
 	"radar/internal/core"
 	"radar/internal/model"
-	"radar/internal/qinfer"
 	"radar/internal/quant"
 	"radar/internal/serve"
 	"radar/internal/tensor"
 )
 
-func compile(b *model.Bundle) (*qinfer.Engine, *core.Protector) {
-	calib, _ := b.Attack.Batch(0, 64)
-	eng, err := qinfer.Compile(b.Net, b.QModel, calib)
+func main() {
+	victim, err := serve.Build(model.ResNet20sSpec(), core.DefaultConfig(8), "")
 	if err != nil {
 		panic(err)
 	}
-	return eng, core.Protect(b.QModel, core.DefaultConfig(8))
-}
-
-func main() {
-	victim := model.Load(model.ResNet20sSpec())
-	vicEng, vicProt := compile(victim)
-	side := model.Load(model.TinySpec())
-	sideEng, sideProt := compile(side)
+	side, err := serve.Build(model.TinySpec(), core.DefaultConfig(8), "")
+	if err != nil {
+		panic(err)
+	}
 
 	svc, err := serve.Open(
-		serve.WithModel("resnet20", vicEng, vicProt,
-			serve.WithScrub(5*time.Millisecond)),
-		serve.WithModel("tiny", sideEng, sideProt,
-			serve.WithScrub(5*time.Millisecond)),
+		serve.WithModel("resnet20", victim.Engine, victim.Prot,
+			append(victim.Options, serve.WithScrub(5*time.Millisecond))...),
+		serve.WithModel("tiny", side.Engine, side.Prot,
+			append(side.Options, serve.WithScrub(5*time.Millisecond))...),
 	)
 	if err != nil {
 		panic(err)
@@ -67,19 +61,11 @@ func main() {
 	// the async job API instead of the sync path. A fifth client streams
 	// the tiny side model to show the routing front-end keeps the two
 	// weight images, scrubbers and metrics fully independent.
-	x, labels := victim.Test.Batch(0, 200)
-	vol := tensor.Volume(x.Shape[1:])
-	input := func(i int) *tensor.Tensor {
-		t := tensor.New(x.Shape[1:]...)
-		copy(t.Data, x.Data[i*vol:(i+1)*vol])
-		return t
-	}
-	sx, _ := side.Test.Batch(0, 32)
-	svol := tensor.Volume(sx.Shape[1:])
-	sideInput := func(i int) *tensor.Tensor {
-		t := tensor.New(sx.Shape[1:]...)
-		copy(t.Data, sx.Data[(i%32)*svol:(i%32+1)*svol])
-		return t
+	x, labels := victim.Bundle.Test.Batch(0, 200)
+	sx, _ := side.Bundle.Test.Batch(0, 32)
+	sample := func(x *tensor.Tensor, i int) *tensor.Tensor { // image i of batch x, as (C, H, W)
+		vol := tensor.Volume(x.Shape[1:])
+		return tensor.FromSlice(x.Data[i*vol:(i+1)*vol], x.Shape[1:]...)
 	}
 
 	var correct, total, asyncJobs, sideServed int64
@@ -97,7 +83,7 @@ func main() {
 				default:
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				req := serve.Request{Model: "resnet20", Input: input(i % 200)}
+				req := serve.Request{Model: "resnet20", Input: sample(x, i%200)}
 				var res serve.InferResult
 				var err error
 				if i%8 == 7 {
@@ -134,7 +120,7 @@ func main() {
 			default:
 			}
 			if _, err := svc.Infer(context.Background(),
-				serve.Request{Model: "tiny", Input: sideInput(i)}); err != nil {
+				serve.Request{Model: "tiny", Input: sample(sx, i%32)}); err != nil {
 				return
 			}
 			mu.Lock()
@@ -180,23 +166,23 @@ func main() {
 	acc := float64(correct) / float64(total)
 	mu.Unlock()
 	fmt.Printf("\nserved %.0f resnet20 requests (%d async jobs) in %.0f batches (avg batch %.1f) — accuracy under attack %.1f%% (clean %s)\n",
-		reqs, asyncJobs, batches, series("radar_batched_requests_total")/max(batches, 1), 100*acc, victim.MustClean())
+		reqs, asyncJobs, batches, series("radar_batched_requests_total")/max(batches, 1), 100*acc, victim.Bundle.MustClean())
 	fmt.Printf("side model served %d requests, untouched by the attack\n", sideServed)
 	fmt.Printf("scrubber: %.0f cycles, flagged %.0f, zeroed %.0f weights; rekeys %.0f\n",
 		series("radar_scrub_cycles_total"), series("radar_scrub_flagged_total"),
 		series("radar_scrub_zeroed_total"), series("radar_rekeys_total"))
 	fmt.Printf("verified fetch: %.0f layer checks, flagged %.0f\n",
 		series("radar_verify_scans_total"), series("radar_verify_flagged_total"))
-	st := vicProt.Stats()
+	st := victim.Prot.Stats()
 	fmt.Printf("protector totals: %d scans, %d groups flagged, %d recovered, %d weights zeroed\n",
 		st.Scans, st.GroupsFlagged, st.GroupsRecovered, st.WeightsZeroed)
 
-	if flagged, _ := vicProt.DetectAndRecover(); len(flagged) == 0 {
+	if flagged, _ := victim.Prot.DetectAndRecover(); len(flagged) == 0 {
 		fmt.Println("final sweep: model clean — every attack round was recovered without stopping traffic")
 	} else {
 		fmt.Printf("final sweep flagged %d groups (now recovered)\n", len(flagged))
 	}
-	if flagged, _ := sideProt.DetectAndRecover(); len(flagged) == 0 {
+	if flagged, _ := side.Prot.DetectAndRecover(); len(flagged) == 0 {
 		fmt.Println("side model: clean throughout (independent guard, scrubber and metrics)")
 	}
 }

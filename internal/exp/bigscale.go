@@ -33,6 +33,8 @@ type BigScaleResult struct {
 	// Mapped records whether the mmap reader won (false = RAM fallback,
 	// which voids the RSS claims).
 	Mapped bool `json:"mapped"`
+	// backing is the checkpoint's Backing, for Render.
+	backing string
 	// GOMAXPROCS records the host parallelism the numbers were taken at.
 	GOMAXPROCS int `json:"gomaxprocs"`
 
@@ -158,6 +160,7 @@ func BigScale(totalBytes int64) BigScaleResult {
 	res.Bytes = c.WeightBytes()
 	res.Layers = c.NumLayers()
 	res.Mapped = c.Mapped()
+	res.backing = c.Backing()
 	mb := float64(res.Bytes) / (1 << 20)
 	res.WriteMBs = mb / writeSec
 
@@ -303,12 +306,8 @@ func resetPeakRSS() bool {
 // Render prints the streaming pipeline timeline and the memory headline.
 func (r BigScaleResult) Render() string {
 	var sb strings.Builder
-	mode := "mmap"
-	if !r.Mapped {
-		mode = "in-RAM fallback"
-	}
 	fmt.Fprintf(&sb, "GB-scale streaming protection — %.0f MiB checkpoint, %d layers, %s, GOMAXPROCS=%d\n",
-		float64(r.Bytes)/(1<<20), r.Layers, mode, r.GOMAXPROCS)
+		float64(r.Bytes)/(1<<20), r.Layers, r.backing, r.GOMAXPROCS)
 	sb.WriteString(row("stage", "time", "MB/s", "") + "\n")
 	dur := func(s float64) string {
 		return time.Duration(s * float64(time.Second)).Round(time.Millisecond).String()

@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"radar/internal/core"
-	"radar/internal/model"
-	"radar/internal/qinfer"
 	"radar/internal/tensor"
 )
 
@@ -129,14 +127,11 @@ func TestLoneRequestDoesNotWait(t *testing.T) {
 // worker's next one, so A,A,B,B,A runs as [A,A],[B,B],[A] — nothing lost,
 // every request answered for its own input.
 func TestShapeChangeCarriesOver(t *testing.T) {
-	b := model.Load(model.TinySpec())
-	calib, _ := b.Attack.Batch(0, 64)
-	eng, err := qinfer.Compile(b.Net, b.QModel, calib)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	// No WithInputShape: any (C,H,W) is accepted.
-	srv := newTestServer(eng, core.Protect(b.QModel, core.DefaultConfig(4)), WithScrub(0), sized(1, 8))
+	// Build's options are left out, WithInputShape among them: any (C,H,W)
+	// is accepted.
+	m := buildTiny(t, core.DefaultConfig(4))
+	b := m.Bundle
+	srv := newTestServer(m.Engine, m.Prot, WithScrub(0), sized(1, 8))
 	srv.Start()
 	defer srv.Stop()
 	ref := cleanReference(t)

@@ -2,10 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
+	"log/slog"
 	"net/http"
+	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"radar/internal/obs"
 	"radar/internal/tensor"
@@ -152,4 +159,40 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+}
+
+// ListenAndServe serves h on addr until SIGINT or SIGTERM, behind
+// LogRequests when logRequests is set and with net/http/pprof on debugAddr
+// when that is not empty, then shuts the listener down (in-flight requests
+// get 10 s) and returns nil. It returns the listener's error when addr
+// cannot be served. radar-serve and radar-fleet both run on it.
+func ListenAndServe(addr, debugAddr string, logRequests bool, h http.Handler) error {
+	if logRequests {
+		h = LogRequests(h, slog.Default())
+	}
+	if debugAddr != "" {
+		go func() {
+			log.Printf("pprof on %s/debug/pprof/", debugAddr)
+			if err := http.ListenAndServe(debugAddr, obs.PprofHandler()); err != nil {
+				log.Printf("debug listener: %v", err)
+			}
+		}()
+	}
+	srv := &http.Server{Addr: addr, Handler: h}
+	failed := make(chan error, 1)
+	go func() { failed <- srv.ListenAndServe() }()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	select {
+	case err := <-failed:
+		return fmt.Errorf("http: %w", err)
+	case <-ctx.Done():
+	}
+	log.Printf("shutting down")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		log.Printf("http shutdown: %v", err)
+	}
+	return nil
 }

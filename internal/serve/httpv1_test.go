@@ -441,17 +441,11 @@ func TestHTTPJobCancel(t *testing.T) {
 // tinyProvider backs the admin hot-add route in tests: every source builds
 // a fresh tiny model.
 func tinyProvider(name, source string) (*qinfer.Engine, *core.Protector, []ModelOption, error) {
-	b := model.Load(model.TinySpec())
-	calib, _ := b.Attack.Batch(0, 64)
-	eng, err := qinfer.Compile(b.Net, b.QModel, calib)
+	m, err := Build(model.TinySpec(), core.DefaultConfig(4), "")
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	prot := core.Protect(b.QModel, core.DefaultConfig(4))
-	return eng, prot, []ModelOption{
-		WithInputShape(b.Spec.Data.Channels, b.Spec.Data.Size, b.Spec.Data.Size),
-		WithScrub(0),
-	}, nil
+	return m.Engine, m.Prot, append(m.Options, WithScrub(0)), nil
 }
 
 // TestHTTPAddModelDuplicateSkipsProvider pins the hot-add ordering: a POST

@@ -78,6 +78,7 @@ func TestMetricNamingLint(t *testing.T) {
 		"radar_verify_seconds_total",
 		"radar_queue_seconds_total",
 		"radar_exposure_window_seconds",
+		"radar_model_bringup_seconds",
 	} {
 		if !have[want] {
 			t.Errorf("metric family %q is not registered", want)

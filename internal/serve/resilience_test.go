@@ -9,7 +9,6 @@ import (
 	"radar/internal/attack"
 	"radar/internal/core"
 	"radar/internal/model"
-	"radar/internal/qinfer"
 	"radar/internal/quant"
 )
 
@@ -21,17 +20,13 @@ import (
 // clean-model baseline (recovery zeroes only the few corrupted groups, so
 // predictions must agree on nearly every probe).
 func TestEndToEndResilience(t *testing.T) {
-	b := model.Load(model.ResNet20sSpec())
-	calib, _ := b.Attack.Batch(0, 64)
-	eng, err := qinfer.Compile(b.Net, b.QModel, calib)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
 	// The paper's ResNet-20 deployment point: G=8.
-	prot := core.Protect(b.QModel, core.DefaultConfig(8))
-
-	srv := newTestServer(eng, prot, WithScrub(2*time.Millisecond),
-		WithInputShape(b.Spec.Data.Channels, b.Spec.Data.Size, b.Spec.Data.Size))
+	m, err := Build(model.ResNet20sSpec(), core.DefaultConfig(8), "")
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	b, prot := m.Bundle, m.Prot
+	srv := newTestServer(m.Engine, prot, append(m.Options, WithScrub(2*time.Millisecond))...)
 	srv.Start()
 	defer srv.Stop()
 

@@ -3,22 +3,22 @@
 // inference traffic — the paper's run-time deployment model turned into an
 // actual server.
 //
-// The public surface is the Service, built with Open from functional
-// options: it hosts any number of independently configured models, each one
-// Server runtime registered through AddModel (engine, protector, batcher,
-// scrubber, verifier), behind a front-end keyed by name. Sync inference is
-// Service.Infer(ctx, Request) — context deadlines and cancellation are
-// honored all the way into the batch queue — and the async job API
-// (Submit / Poll / Wait, backed by a bounded job table) answers traffic
-// without parking a connection per request; DELETE /v1/jobs/{id} (Cancel)
-// tears a pending job down. Handler exposes the versioned HTTP control
-// plane (/v1/models/{name}/infer, /v1/models/{name}/jobs, /v1/jobs/{id},
-// /v1/models, /v1/admin/scrub, /v1/admin/rekey,
-// /v1/admin/models/{name}). Every live figure — request counts, batch
-// occupancy, latency, scrub and verify findings, recovery splits, job-table
-// occupancy — is a series on GET /v1/metrics (Service.WriteMetrics), the
-// one metrics surface. The model set is mutable at run time via
-// AddModel/RemoveModel — the hook a fleet router's control plane drives.
+// The public surface is the Service, built with Open: it hosts any number
+// of independently configured models by name, each one Server runtime
+// (engine, protector, batcher, scrubber, verifier) registered with
+// WithModel or, at run time, AddModel; RemoveModel drops one. A zoo model
+// is hosted through Build, which loads it, maps it to a store checkpoint
+// when given one, compiles its int8 engine and protects its weights, and
+// returns what AddModel takes. Sync inference is Service.Infer(ctx,
+// Request), deadlines honored into the batch queue; the async job API
+// (Submit / Poll / Wait / Cancel, over a bounded job table) answers
+// without parking a connection per request. Handler is the versioned HTTP
+// control plane (/v1/models/{name}/infer, /v1/models/{name}/jobs,
+// /v1/jobs/{id}, /v1/models, /v1/admin/*). Every live figure — request
+// counts, batch occupancy, latency, scrub and verify findings, recovery
+// splits, job-table occupancy, and each stage of a model's bring-up
+// (radar_model_bringup_seconds{model,stage}: load, map, compile, protect)
+// — is a series on GET /v1/metrics (Service.WriteMetrics).
 //
 // Per hosted model, four cooperating pieces share one int8 weight image:
 //
@@ -75,6 +75,8 @@ type config struct {
 	// inputShape, when set, is the expected per-request input shape
 	// (C, H, W); Infer and the HTTP front-end validate against it.
 	inputShape []int
+	// bringUp is Build's stage timings; nil for a model Build did not make.
+	bringUp []stage
 	// workers inference goroutines drain a queue of queueDepth pending
 	// requests, each taking up to maxBatch of them into one forward pass
 	// (a pass carries what had queued when its worker came free). Only

@@ -58,21 +58,24 @@ func newTinyServerWith(t testing.TB, pcfg core.Config, opts ...ModelOption) (*mo
 	return b, srv
 }
 
+// buildTiny brings up an independent tiny model through Build, in RAM.
+func buildTiny(t testing.TB, pcfg core.Config) Built {
+	t.Helper()
+	m, err := Build(model.TinySpec(), pcfg, "")
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	return m
+}
+
 // buildTinyServer wires a server on the tiny test model without starting it:
 // no workers, no scrub ticker, cycles driven by hand.
 func buildTinyServer(t testing.TB, pcfg core.Config, opts ...ModelOption) (*model.Bundle, *Server) {
 	t.Helper()
-	b := model.Load(model.TinySpec())
-	calib, _ := b.Attack.Batch(0, 64)
-	eng, err := qinfer.Compile(b.Net, b.QModel, calib)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	prot := core.Protect(b.QModel, pcfg)
-	shape := WithInputShape(b.Spec.Data.Channels, b.Spec.Data.Size, b.Spec.Data.Size)
-	srv := newTestServer(eng, prot, append([]ModelOption{shape}, opts...)...)
+	m := buildTiny(t, pcfg)
+	srv := newTestServer(m.Engine, m.Prot, append(m.Options, opts...)...)
 	t.Cleanup(srv.Stop)
-	return b, srv
+	return m.Bundle, srv
 }
 
 // sample extracts input i of a dataset batch as a standalone (C,H,W) tensor.
@@ -85,19 +88,13 @@ func sample(x *tensor.Tensor, i int) *tensor.Tensor {
 }
 
 func TestServeMatchesDirectEngine(t *testing.T) {
-	b := model.Load(model.TinySpec())
-	calib, _ := b.Attack.Batch(0, 64)
-	eng, err := qinfer.Compile(b.Net, b.QModel, calib)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
+	m := buildTiny(t, core.DefaultConfig(4))
 	// Reference answers before the engine is handed to the server.
-	x, _ := b.Test.Batch(0, 16)
-	ref := eng.Forward(x)
+	x, _ := m.Bundle.Test.Batch(0, 16)
+	ref := m.Engine.Forward(x)
 	k := ref.Shape[1]
 
-	prot := core.Protect(b.QModel, core.DefaultConfig(4))
-	srv := newTestServer(eng, prot)
+	srv := newTestServer(m.Engine, m.Prot)
 	srv.Start()
 	defer srv.Stop()
 
@@ -171,13 +168,7 @@ func TestGracefulShutdown(t *testing.T) {
 // server must answer.
 func cleanReference(t testing.TB) *qinfer.Engine {
 	t.Helper()
-	b := model.Load(model.TinySpec())
-	calib, _ := b.Attack.Batch(0, 64)
-	eng, err := qinfer.Compile(b.Net, b.QModel, calib)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	return eng
+	return buildTiny(t, core.DefaultConfig(4)).Engine
 }
 
 // mustAnswerLike fails unless res carries exactly the reference engine's

@@ -176,7 +176,8 @@ func (s *Service) Close() {
 // races the add stops it and fails the add with ErrStopping. The protector
 // must protect the quant.Model the engine was compiled from, and the
 // engine becomes owned by the service. Names must be non-empty, unique,
-// and URL-safe (letters, digits, '.', '_', '-').
+// and URL-safe (letters, digits, '.', '_', '-'). Build's options carry its
+// stage timings, exported as radar_model_bringup_seconds.
 func (s *Service) AddModel(name string, eng *qinfer.Engine, prot *core.Protector, opts ...ModelOption) error {
 	if s.closed.Load() {
 		return ErrStopping
@@ -196,6 +197,10 @@ func (s *Service) AddModel(name string, eng *qinfer.Engine, prot *core.Protector
 	if err := s.reg.add(srv); err != nil {
 		srv.Stop() // name collision: tear the fresh runtime back down
 		return err
+	}
+	for _, st := range cfg.bringUp { // Build's stage timings; RemoveModel prunes them
+		s.obs.Gauge("radar_model_bringup_seconds", "Wall time of each stage of the model's bring-up by serve.Build: load, map (store-backed only), compile (with its calibration batch) and protect.", "model", "stage").
+			With(name, st.name).Set(st.d.Seconds())
 	}
 	// Close sets closed before it snapshots the registry, so an add it
 	// did not see is seen here.

@@ -14,7 +14,6 @@ import (
 
 	"radar/internal/core"
 	"radar/internal/model"
-	"radar/internal/qinfer"
 	"radar/internal/quant"
 	"radar/internal/tensor"
 )
@@ -30,17 +29,8 @@ func tinyModelOption(t testing.TB, name string, opts ...ModelOption) (ServiceOpt
 // tinyModelOptionWith is tinyModelOption protecting under pcfg.
 func tinyModelOptionWith(t testing.TB, name string, pcfg core.Config, opts ...ModelOption) (ServiceOption, *model.Bundle, *core.Protector) {
 	t.Helper()
-	b := model.Load(model.TinySpec())
-	calib, _ := b.Attack.Batch(0, 64)
-	eng, err := qinfer.Compile(b.Net, b.QModel, calib)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	prot := core.Protect(b.QModel, pcfg)
-	all := append([]ModelOption{
-		WithInputShape(b.Spec.Data.Channels, b.Spec.Data.Size, b.Spec.Data.Size),
-	}, opts...)
-	return WithModel(name, eng, prot, all...), b, prot
+	m := buildTiny(t, pcfg)
+	return WithModel(name, m.Engine, m.Prot, append(m.Options, opts...)...), m.Bundle, m.Prot
 }
 
 // openTiny opens a service hosting n independent tiny models named
@@ -107,16 +97,12 @@ func TestTwoModelsConcurrent(t *testing.T) {
 	o0, b0, _ := tinyModelOption(t, "m0")
 	o1, b1, _ := tinyModelOption(t, "m1")
 
-	// Reference answers before the engines are handed to the service.
+	// Reference answers from a clean engine over each model's inputs.
+	ref := cleanReference(t)
 	refs := make([]*tensor.Tensor, 2)
 	for i, b := range []*model.Bundle{b0, b1} {
-		calib, _ := b.Attack.Batch(0, 64)
-		eng, err := qinfer.Compile(b.Net, b.QModel, calib)
-		if err != nil {
-			t.Fatal(err)
-		}
 		x, _ := b.Test.Batch(0, 8)
-		refs[i] = eng.Forward(x)
+		refs[i] = ref.Forward(x)
 	}
 
 	svc, err := Open(o0, o1)
@@ -544,13 +530,11 @@ func TestAddModelRacingClose(t *testing.T) {
 // 256, a 1024-job table, and a verified fetch on every layer of every
 // request.
 func TestDefaultRuntime(t *testing.T) {
-	b := model.Load(model.TinySpec())
-	calib, _ := b.Attack.Batch(0, 64)
-	eng, err := qinfer.Compile(b.Net, b.QModel, calib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := Open(WithModel("m0", eng, core.Protect(b.QModel, core.DefaultConfig(4))))
+	// Build's options are left out: the runtime under test is the one a
+	// model added with none gets.
+	m := buildTiny(t, core.DefaultConfig(4))
+	b := m.Bundle
+	svc, err := Open(WithModel("m0", m.Engine, m.Prot))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,19 +31,17 @@ func (f lockOnly) ReleaseLayer(li int) { f[li].RUnlock() }
 // paper's Tables IV/V overheads.
 func BenchmarkVerifiedFetch(b *testing.B) {
 	for _, spec := range []model.Spec{model.TinySpec(), model.ResNet20sSpec()} {
-		bundle := model.Load(spec)
-		calib, _ := bundle.Attack.Batch(0, 64)
-		eng, err := qinfer.Compile(bundle.Net, bundle.QModel, calib)
+		m, err := Build(spec, core.DefaultConfig(8), "")
 		if err != nil {
 			b.Fatal(err)
 		}
-		prot := core.Protect(bundle.QModel, core.DefaultConfig(8))
-		x, _ := bundle.Test.Batch(0, 1)
+		eng, prot := m.Engine, m.Prot
+		x, _ := m.Bundle.Test.Batch(0, 1)
 		srv := newTestServer(eng, prot)
 		for _, leg := range []struct {
 			name string
 			f    qinfer.WeightFetcher
-		}{{"verify=off", make(lockOnly, len(bundle.QModel.Layers))}, {"verify=on", &verifier{s: srv}}} {
+		}{{"verify=off", make(lockOnly, len(prot.Model.Layers))}, {"verify=on", &verifier{s: srv}}} {
 			b.Run(spec.Name+"/"+leg.name, func(b *testing.B) {
 				var spent time.Duration
 				for b.Loop() {
@@ -74,6 +72,8 @@ func BenchmarkVerifiedForwardPaperShapes(b *testing.B) {
 		x := tensor.New(1, 3, shape.hw, shape.hw)
 		x.RandNormal(rng, 1)
 		qm := quant.Quantize(net)
+		// Random weights at the paper's shapes, which no zoo Spec holds, so
+		// this bring-up cannot go through Build.
 		eng, err := qinfer.Compile(net, qm, x)
 		if err != nil {
 			b.Fatal(err)
@@ -95,22 +95,21 @@ func BenchmarkVerifiedForwardPaperShapes(b *testing.B) {
 	}
 }
 
-// BenchmarkServeBringUp times what a replica computes to host one model,
-// as radar-serve does at start and on a hot-add: load the bundle, read the
-// 64 attack images that calibrate it, compile the int8 engine and protect
-// its weights with ECC-corrected recovery.
+// BenchmarkServeBringUp times Build, what a replica computes to host one
+// model, as radar-serve does at start and on a hot-add: load the bundle,
+// read the 64 attack images that calibrate it, compile the int8 engine and
+// protect its weights with ECC-corrected recovery.
 func BenchmarkServeBringUp(b *testing.B) {
 	cfg := core.DefaultConfig(8)
 	cfg.Correct = true
 	for _, spec := range []model.Spec{model.TinySpec(), model.ResNet20sSpec()} {
 		b.Run(spec.Name, func(b *testing.B) {
 			for b.Loop() {
-				bundle := model.Load(spec)
-				calib, _ := bundle.Attack.Batch(0, 64)
-				if _, err := qinfer.Compile(bundle.Net, bundle.QModel, calib); err != nil {
+				m, err := Build(spec, cfg, "")
+				if err != nil {
 					b.Fatal(err)
 				}
-				core.Protect(bundle.QModel, cfg).Detach()
+				m.Prot.Detach()
 			}
 		})
 	}
@@ -128,19 +127,16 @@ func BenchmarkServe(b *testing.B) {
 			name = "scrub=on"
 		}
 		b.Run(name, func(b *testing.B) {
-			bundle := model.Load(model.TinySpec())
-			calib, _ := bundle.Attack.Batch(0, 64)
-			eng, err := qinfer.Compile(bundle.Net, bundle.QModel, calib)
+			m, err := Build(model.TinySpec(), core.DefaultConfig(8), "")
 			if err != nil {
 				b.Fatal(err)
 			}
-			prot := core.Protect(bundle.QModel, core.DefaultConfig(8))
-			svc, err := Open(WithModel("bench", eng, prot, WithScrub(scrub)))
+			svc, err := Open(WithModel("bench", m.Engine, m.Prot, append(m.Options, WithScrub(scrub))...))
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer svc.Close()
-			x, _ := bundle.Test.Batch(0, 1)
+			x, _ := m.Bundle.Test.Batch(0, 1)
 			in := tensor.New(x.Shape[1:]...)
 			copy(in.Data, x.Data)
 			ctx := context.Background()

@@ -156,6 +156,14 @@ func (c *Checkpoint) Model() *quant.Model {
 // into RAM by the fallback path (false).
 func (c *Checkpoint) Mapped() bool { return c.mapped }
 
+// Backing names what holds the checkpoint's bytes: "mmap" or "in-RAM fallback".
+func (c *Checkpoint) Backing() string {
+	if c.mapped {
+		return "mmap"
+	}
+	return "in-RAM fallback"
+}
+
 // Size returns the checkpoint file size in bytes.
 func (c *Checkpoint) Size() int64 { return int64(len(c.data)) }
 

@@ -9,6 +9,8 @@
 # zeroing-only: groups destroyed), and the removed pre-v1 shims must
 # answer 404; and model b, left without traffic, must stay scrubbed
 # (scanned layers advancing, exposure window under 0.2 s at -scrub 50ms).
+# Every model exports its bring-up stages, and a second server boots with
+# -store-dir to cover the store-backed bring-up.
 # First, a negative -scrub and the removed -verify flag must be refused at
 # flag parse.
 # Used by `make serve-smoke` and the CI serve-integration job.
@@ -101,16 +103,33 @@ curl -fs -X POST -d '{"full":true}' "http://$ADDR/v1/admin/scrub" | grep -q '"mo
 curl -fs -X POST -d "$payload" "http://$ADDR/v1/models/a/infer" | grep -q '"class"' \
     || { echo "post-rekey infer failed"; exit 1; }
 
+# Bring-up is timed by serve.Build: startup model a exports its load,
+# compile and protect stages, each positive, and no map stage (no
+# -store-dir).
+bringup() { sed -n "s/^radar_model_bringup_seconds{model=\"$1\",stage=\"\([a-z]*\)\"} \(.*\)$/\1 \2/p"; }
+stages_a=$(curl -fs "http://$ADDR/v1/metrics" | bringup a)
+for stage in load compile protect; do
+    echo "$stages_a" | awk -v s="$stage" '$1 == s && $2 > 0 {ok=1} END {exit !ok}' \
+        || { echo "model a bring-up stage $stage missing or not positive: $stages_a"; exit 1; }
+done
+if echo "$stages_a" | grep -q '^map '; then echo "in-RAM model a exports a map stage"; exit 1; fi
+
 # Hot model add/remove: add model c from the tiny zoo source, infer on
-# it, then remove it and watch the routes 404.
+# it, check it exports its own bring-up stages, then remove it and watch
+# the routes 404 and its bring-up series go.
 code=$(curl -s -o /dev/null -w '%{http_code}' -X POST -d '{"source":"tiny"}' "http://$ADDR/v1/admin/models/c")
 [ "$code" = "201" ] || { echo "hot-add answered $code, want 201"; exit 1; }
 curl -fs -X POST -d "$payload" "http://$ADDR/v1/models/c/infer" | grep -q '"class"' \
     || { echo "infer on hot-added model failed"; exit 1; }
+[ "$(curl -fs "http://$ADDR/v1/metrics" | bringup c | wc -l)" = "3" ] \
+    || { echo "hot-added model c does not export its three bring-up stages"; exit 1; }
 code=$(curl -s -o /dev/null -w '%{http_code}' -X DELETE "http://$ADDR/v1/admin/models/c")
 [ "$code" = "204" ] || { echo "hot-remove answered $code, want 204"; exit 1; }
 code=$(curl -s -o /dev/null -w '%{http_code}' -X POST -d "$payload" "http://$ADDR/v1/models/c/infer")
 [ "$code" = "404" ] || { echo "removed model still serves ($code), want 404"; exit 1; }
+if curl -fs "http://$ADDR/v1/metrics" | grep -q '^radar_model_bringup_seconds{model="c"'; then
+    echo "removed model c still exports bring-up series"; exit 1
+fi
 
 # The pre-v1 shims are gone: every legacy route must answer 404.
 for route in /infer /healthz /metrics; do
@@ -195,4 +214,29 @@ curl -fs -X POST -d "$payload" "http://$ADDR/v1/models/a/infer" | grep -q '"clas
 kill -TERM "$PID"
 wait "$PID" 2>/dev/null || true
 trap - EXIT
-echo "serve smoke OK (2 models, sync + async + cancel + hot add/remove + admin rekey/scrub + adversary inject ECC/zeroing split + metrics/traces, shims gone)"
+
+# A store-backed bring-up: a second server maps model s to DIR/s.radar,
+# exports a map stage, and exits 0 on SIGTERM after syncing the file.
+SADDR=127.0.0.1:18081
+SDIR=$(mktemp -d)
+"$BIN" -model s=tiny -store-dir "$SDIR" -addr "$SADDR" >"$LOG" 2>&1 &
+PID=$!
+trap 'kill "$PID" 2>/dev/null || true; cat "$LOG"; rm -rf "$SDIR"' EXIT
+up=""
+for _ in $(seq 1 50); do
+    if curl -fs "http://$SADDR/v1/models" >/dev/null 2>&1; then up=1; break; fi
+    sleep 0.2
+done
+[ -n "$up" ] || { echo "store-backed server never came up"; exit 1; }
+curl -fs -X POST -d "$payload" "http://$SADDR/v1/models/s/infer" | grep -q '"class"' \
+    || { echo "infer on store-backed model s failed"; exit 1; }
+[ -f "$SDIR/s.radar" ] || { echo "no store checkpoint $SDIR/s.radar"; exit 1; }
+curl -fs "http://$SADDR/v1/metrics" | grep -q '^radar_model_bringup_seconds{model="s",stage="map"} ' \
+    || { echo "store-backed model s exports no map stage"; exit 1; }
+kill -TERM "$PID"
+code=0
+wait "$PID" || code=$?
+[ "$code" = "0" ] || { echo "store-backed server exited $code on SIGTERM, want 0"; exit 1; }
+trap - EXIT
+rm -rf "$SDIR"
+echo "serve smoke OK (2 models, sync + async + cancel + hot add/remove + admin rekey/scrub + adversary inject ECC/zeroing split + metrics/traces + bring-up stages, shims gone; store-backed boot)"
