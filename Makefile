@@ -56,7 +56,8 @@ bench-smoke:
 # Each native fuzz target explores for 10 s past its committed seeds
 # (which `make test` already runs): the checksum kernel, the ECC
 # corrector, the set-bit SEC-DED encoder against ecc.Hamming.Encode, the
-# conv GEMM kernels and requantization against the
+# conv GEMM kernels (the implicit AVX2 kernel over phase planes, amd64, and
+# the generic im2col one) and requantization against the
 # reference loop, both requantization legs (conv row and residual add)
 # against clampQ(relu(v)/scale) at arbitrary finite scales, the blocked
 # float MatMul and MatMulTransA against the

@@ -35,6 +35,13 @@ func NewConv2D(name string, inC, outC, k, stride, pad int, rng *rand.Rand) *Conv
 	}
 }
 
+// convWorker holds one Forward worker's tensor headers, re-pointed at each
+// sample it takes; in eval mode its cols header keeps its im2col buffer
+// too, so an eval sample allocates nothing.
+type convWorker struct {
+	sample, cols, dst tensor.Tensor
+}
+
 // Forward implements Layer. The batch fans out once, over samples, through
 // cpu.Parallel: each sample's product is written straight into the output,
 // and in eval mode each worker reuses one im2col buffer.
@@ -53,17 +60,18 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	vol, plane := ch*h*w, c.outH*c.outW
 	out := tensor.New(n, c.OutC, c.outH, c.outW)
 	workers := cpu.Workers(0, n)
-	bufs := make([][]float32, workers)
+	ws := make([]convWorker, workers)
 	cpu.Parallel(workers, n, func(wk, i int) {
-		sample := tensor.FromSlice(x.Data[i*vol:(i+1)*vol], ch, h, w)
-		cols := tensor.Im2Col(bufs[wk], sample, c.K, c.K, c.Stride, c.Pad)
+		cw := &ws[wk]
+		cw.sample.Shape, cw.sample.Data = append(cw.sample.Shape[:0], ch, h, w), x.Data[i*vol:(i+1)*vol]
+		cols := &cw.cols
 		if train {
+			cols = new(tensor.Tensor)
 			c.cols[i] = cols
-		} else {
-			bufs[wk] = cols.Data
 		}
-		dst := tensor.FromSlice(out.Data[i*c.OutC*plane:(i+1)*c.OutC*plane], c.OutC, plane)
-		tensor.MatMulInto(dst, c.Weight.Value, cols)
+		tensor.Im2Col(cols, &cw.sample, c.K, c.K, c.Stride, c.Pad)
+		cw.dst.Shape, cw.dst.Data = append(cw.dst.Shape[:0], c.OutC, plane), out.Data[i*c.OutC*plane:(i+1)*c.OutC*plane]
+		tensor.MatMulInto(&cw.dst, c.Weight.Value, cols)
 	})
 	return out
 }

@@ -118,11 +118,11 @@ func mustMatch(t *testing.T, label string, got, want *QTensor) {
 // kernelLeg is one setting of the dispatch variable compute reads.
 type kernelLeg struct {
 	name string
-	live func(a, b []int8, out []int32, M, K, P4 int)
+	live func(w []int16, koff []int, b []int8, out []int32, M4, P8 int)
 }
 
 // kernelLegs lists the GEMM kernels this host can run — the pure-Go packed
-// kernel everywhere, the live-row kernel where CPUID offers one (see
+// kernel everywhere, the implicit avx2 kernel where CPUID offers one (see
 // gemm.go) — for tests and benchmarks that switch gemmLive to cover both
 // from one binary; the host's own choice is restored when tb ends.
 func kernelLegs(tb testing.TB) []kernelLeg {
@@ -159,7 +159,7 @@ func TestEngineContractsOnGenericKernel(t *testing.T) {
 	t.Run("ForwardFetchAddsNoAllocs", TestForwardFetchAddsNoAllocs)
 }
 
-// TestConvGEMMMatchesReferenceRandom pins the im2col+GEMM conv against
+// TestConvGEMMMatchesReferenceRandom pins the GEMM conv against
 // the 7-loop reference on randomized geometries: 1×1 through 7×7 kernels,
 // strides, pads (including pad ≥ kernel reach), odd spatial sizes that
 // make stride-2 outputs ragged, and batches that exercise scratch reuse
@@ -220,21 +220,41 @@ func testConvGEMMCheckpoints(t *testing.T) {
 	}
 }
 
-// gemmInt8 runs the selected kernel on plain row-major operands: a (M×K,
-// packed first for the generic kernel), b (P×K) and out (M×P) padded to
-// the kernels' multiples of 4.
+// gemmInt8 runs the selected kernel on plain row-major operands a (M×K)
+// and b (P×K) into out (M×P): for the avx2 kernel a is widened and b
+// transposed into an implicit operand whose row k lies at koff[k] = k·P8;
+// for the generic one a is packed in pairs. Both pad M and P to their
+// kernel's tile.
 func gemmInt8(a, b []int8, out []int32, M, K, P int) {
-	m4, p4 := (M+3)&^3, (P+3)&^3
+	m4 := (M + 3) &^ 3
+	if gemmLive != nil {
+		p8, ke := (P+7)&^7, K+K&1
+		bt := make([]int8, K*p8)
+		for p := 0; p < P; p++ {
+			for k := 0; k < K; k++ {
+				bt[k*p8+p] = b[p*K+k]
+			}
+		}
+		koff := make([]int, ke)
+		for k := range koff {
+			koff[k] = min(k, K-1) * p8
+		}
+		wide := make([]int16, m4*ke)
+		widenAVX2(wide, a, M, K)
+		acc := make([]int32, m4*p8)
+		gemmLive(wide, koff, bt, acc, m4, p8)
+		for m := 0; m < M; m++ {
+			copy(out[m*P:][:P], acc[m*p8:])
+		}
+		return
+	}
+	p4 := (P + 3) &^ 3
 	bp := make([]int8, p4*K)
 	copy(bp, b)
 	acc := make([]int32, m4*p4)
-	if gemmLive != nil {
-		gemmLive(a, bp, acc, M, K, p4)
-	} else {
-		packed := make([][2]int64, m4/4*K)
-		packPairs(a, packed, M, K)
-		gemmPacked(packed, bp, acc, m4, K, p4)
-	}
+	packed := make([][2]int64, m4/4*K)
+	packPairs(a, packed, M, K)
+	gemmPacked(packed, bp, acc, m4, K, p4)
 	for m := 0; m < M; m++ {
 		copy(out[m*P:][:P], acc[m*p4:])
 	}
@@ -376,13 +396,21 @@ func testConcurrentForwardIdentical(t *testing.T) {
 
 // FuzzConvGEMM is the differential fuzz target for the conv kernel:
 // arbitrary bytes become weights and activations over a small randomized
-// geometry, each GEMM kernel vs the reference loop. K = 2·k² here, so k = 3,
-// 5, 6, 7 leave a K mod 16 tail and k ≤ 2 stays under one 16-byte step;
-// testdata/fuzz/FuzzConvGEMM holds seeds for each. relu8's low bit picks
-// ReLU and its other seven, read as a signed shift, scale the output step
-// by 2⁻⁶⁴..2⁶³, so requantization is fuzzed across scales too.
-// CI runs the seed corpus under -race; `go test -fuzz=FuzzConvGEMM
-// ./internal/qinfer` (or `make fuzz-smoke`) explores further.
+// geometry, each GEMM kernel vs the reference loop — on amd64 with AVX2
+// that is the implicit kernel over phase planes against the generic
+// im2col one. k8 picks k = 1..7 and, by k8/7, inC = 2, 3 or 1, so
+// K = inC·k² runs odd and even, under one 16-byte step and past it. hw8's
+// low three bits and its next three pick h and a separate w, at least k
+// each unless hw8's top bit drops that floor (an input smaller than the
+// kernel); below hw8 = 8 the input is square. stride 2 with an odd extent
+// leaves ragged phase planes. relu8's low bit picks ReLU and its other
+// seven, read as a signed shift, scale the output step by 2⁻⁶⁴..2⁶³, so
+// requantization is fuzzed across scales too. testdata/fuzz/FuzzConvGEMM
+// holds seeds for K mod 16 tails, odd K, the 7×7/s2/p3 stem, a 1×1/s2
+// downsample, an input smaller than the kernel and an output row of
+// several 16-pixel tiles. CI runs the seed corpus under -race;
+// `go test -fuzz=FuzzConvGEMM ./internal/qinfer` (or `make fuzz-smoke`)
+// explores further.
 func FuzzConvGEMM(f *testing.F) {
 	legs := kernelLegs(f)
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 250, 130}, uint8(3), uint8(2), uint8(1), uint8(1), uint8(5))
@@ -390,27 +418,33 @@ func FuzzConvGEMM(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x80}, 64), uint8(2), uint8(0), uint8(1), uint8(1), uint8(3)) // the −128 extreme
 	f.Fuzz(func(t *testing.T, raw []byte, k8, stride8, pad8, relu8, hw8 uint8) {
 		k := 1 + int(k8)%7
+		inC := 1 + (1+int(k8)/7)%3
 		stride := 1 + int(stride8)%2
 		pad := int(pad8) % (k + 1)
-		h := k + int(hw8)%8
-		if len(raw) == 0 {
+		floor := k
+		if hw8 >= 128 {
+			floor = 0
+		}
+		h := floor + int(hw8)%8
+		w := floor + (int(hw8)+int(hw8)/8)%8
+		if len(raw) == 0 || tensor.ConvOutSize(h, k, stride, pad) < 0 || tensor.ConvOutSize(w, k, stride, pad) < 0 {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewSource(int64(len(raw))))
-		c := randConv(rng, 2, 3, k, stride, pad, relu8%2 == 0)
+		c := randConv(rng, inC, 3, k, stride, pad, relu8%2 == 0)
 		c.lv = newLevels(float32(math.Ldexp(float64(c.lv.scale), int(int8(relu8))>>1)), c.relu)
 		// Overlay fuzz bytes onto the deterministic weights and input.
 		for i := range c.w {
 			c.w[i] = int8(raw[i%len(raw)] + byte(i))
 		}
-		x := randInput(rng, 1, 2, h, h)
+		x := randInput(rng, 1, inC, h, w)
 		for i := range x.Q {
 			x.Q[i] = int8(raw[(i*7)%len(raw)] ^ byte(i))
 		}
 		want := c.computeRef(x)
 		for _, leg := range legs {
 			gemmLive = leg.live
-			mustMatch(t, c.name+" "+leg.name, c.compute(x, new(engineScratch)), want)
+			mustMatch(t, fmt.Sprintf("%s h%dw%d %s", c.name, h, w, leg.name), c.compute(x, new(engineScratch)), want)
 		}
 	})
 }
@@ -422,8 +456,10 @@ func FuzzConvGEMM(f *testing.F) {
 // add; a, b, accScale, ms and ss are arbitrary float64 bits and the step
 // arbitrary float32 bits, all made finite, so v and v/scale still reach
 // ±Inf and NaN (0·Inf, Inf − Inf, 0/0), which must land where Go's
-// conversions put them. Rows of any length run the AVX2 leg on their
-// first len &^ 3 elements and Go on the rest.
+// conversions put them. On the AVX2 leg a conv row of four or more runs
+// there whole, its last step overlapping the one before where len mod 4
+// ≠ 0, a shorter one in Go; an add runs its first len &^ 3 elements there
+// and Go the rest.
 func FuzzRequant(f *testing.F) {
 	legs := kernelLegs(f)
 	bits, bits32 := math.Float64bits, math.Float32bits
@@ -462,7 +498,7 @@ func FuzzRequant(f *testing.F) {
 		for _, leg := range legs {
 			gemmLive = leg.live
 			conv := make([]int8, len(acc))
-			lv.conv(conv, acc, fa, fb, fs)
+			lv.conv(conv, acc, len(conv), len(conv), fa, fb, fs)
 			for i, got := range conv {
 				if want := level(fa*(fs*float64(acc[i])) + fb); got != want {
 					t.Fatalf("%s: conv element %d of %d, %g·(%g·%d) + %g at step %g relu %v → %d, want %d", leg.name, i, len(conv), fa, fs, acc[i], fb, step, relu, got, want)

@@ -3,7 +3,17 @@
 // int8 activations with int32 accumulators; batch-norm layers are folded
 // into per-channel affine rescaling applied at requantization; and
 // activations are quantized symmetrically with per-stage scales fixed by a
-// one-shot calibration pass. Requantization is one formula,
+// one-shot calibration pass. A conv stage is one integer GEMM of the
+// weight rows, in quant.Layer.Q's own (oc, ic, ky, kx) order, with a patch
+// operand whose row k holds tap k of every output pixel. On amd64 with
+// AVX2 that operand is implicit (gemm.go): the image is copied once into
+// zero-bordered planes — split into phase planes at stride s — output
+// pixels are indexed in the padded width, so row k is a contiguous slice
+// of the planes starting at koff[k], one offset table per call, and the
+// kernel reads it in place. The padded width's extra columns per row are
+// junk sums, skipped as each row is requantized. Elsewhere im2col packs the
+// operand explicitly. Integer sums are exact in any order, so both legs
+// are bit-identical to the reference loop. Requantization is one formula,
 // clampQ(max(v, floor)/scale), evaluated four float64 lanes at a time on
 // amd64 with AVX2 and one value at a time elsewhere, bit for bit alike.
 // This is the engine whose weight-fetch path RADAR's checksum rides in the
@@ -96,23 +106,35 @@ func newLevels(scale float32, relu bool) *levels {
 	return l
 }
 
-// conv requantizes a conv stage's row: dst[i] is the level of
-// a·(accScale·acc[i]) + b. Where the GEMM runs its AVX2 kernel (gemmLive
-// set), the first len(dst) &^ 3 elements run in requantConvAVX2 and the
-// rest here, in the same operations in the same order. The explicit
+// conv requantizes a conv stage's output-channel plane: dst holds rows of
+// w outputs and row r's sums lie at acc[r·ld:][:w] — ld > w where the
+// implicit GEMM's junk columns sit between the rows, which are dropped
+// here; ld = w is one flat run. dst[i] is the level of
+// a·(accScale·acc) + b. Where the GEMM runs its AVX2 kernel (gemmLive
+// set), requantConvAVX2 runs every row at least four wide, in the same
+// operations in the same order, and this loop the rest. The explicit
 // float64 conversions keep each product rounded on its own, as the
 // kernel's VMULPD does: Go may fuse x*y+z into an FMA (GOAMD64=v3), but
 // never across a conversion.
-func (l *levels) conv(dst []int8, acc []int32, a, b, accScale float64) {
-	acc = acc[:len(dst)]
-	floor, s := l.floor, float64(l.scale)
-	i := 0
-	if n := len(dst) &^ 3; n > 0 && gemmLive != nil {
-		requantConvAVX2(&dst[0], &acc[0], n, a, b, accScale, floor, s)
-		i = n
+func (l *levels) conv(dst []int8, acc []int32, w, ld int, a, b, accScale float64) {
+	if w == ld {
+		w, ld = len(dst), len(dst)
 	}
-	for ; i < len(dst); i++ {
-		dst[i] = clampQ(max(float64(a*(accScale*float64(acc[i])))+b, floor) / s)
+	if w == 0 {
+		return
+	}
+	rows := len(dst) / w
+	acc = acc[:(rows-1)*ld+w]
+	floor, s := l.floor, float64(l.scale)
+	if w >= 4 && gemmLive != nil {
+		requantConvAVX2(&dst[0], &acc[0], rows, w, ld, a, b, accScale, floor, s)
+		return
+	}
+	for r := 0; r < rows; r++ {
+		d, ac := dst[r*w:][:w], acc[r*ld:][:w]
+		for i := range d {
+			d[i] = clampQ(max(float64(a*(accScale*float64(ac[i])))+b, floor) / s)
+		}
 	}
 }
 
@@ -171,12 +193,12 @@ func (c *qconv) forward(x *QTensor, sc *engineScratch) *QTensor {
 }
 
 // compute is the raw int8 convolution, free of any serving coordination:
-// per image an im2col pack into the scratch patch matrix, the int8 GEMM
-// (see gemm.go: straight from the live weight rows where the host has the
-// kernel for it, else from rows packed in pairs first) and the per-channel
-// BN rescale, ReLU and requantization of each output-channel row (see
-// levels.conv). Bit-identical to computeRef, the reference loop in
-// gemm_test.go.
+// per image the int8 GEMM of the weight rows with the patch operand (see
+// gemm.go: implicit in the image's phase planes where the host has the
+// avx2 kernel, else an im2col pack multiplied by rows packed in pairs) and
+// the per-channel BN rescale, ReLU and requantization of each
+// output-channel row (see levels.conv). Bit-identical to computeRef, the
+// reference loop in gemm_test.go.
 func (c *qconv) compute(x *QTensor, sc *engineScratch) *QTensor {
 	n, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	if ch != c.inC {
@@ -187,29 +209,52 @@ func (c *qconv) compute(x *QTensor, sc *engineScratch) *QTensor {
 	out := NewQTensor(c.lv.scale, n, c.outC, outH, outW)
 	kCols := c.inC * c.k * c.k
 	plane := outH * outW
-	m4, p4 := (c.outC+3)&^3, (plane+3)&^3
-	cols := grow(&sc.cols, p4*kCols)
-	acc := grow(&sc.acc, m4*p4)
+	if plane == 0 {
+		return out
+	}
+	m4, ld := (c.outC+3)&^3, (plane+3)&^3
+	// The weight rows are read from the live image on every stage call,
+	// inside the fetch bracket: a flip between two passes reaches the
+	// second one.
 	live := gemmLive
-	var packed [][2]int64
-	if live == nil {
-		// Packed from the live image on every stage call, inside the fetch
-		// bracket: a flip between two passes reaches the second one.
+	var (
+		g      implicitGeom
+		wide   []int16
+		koff   []int
+		packed [][2]int64
+		cols   []int8
+	)
+	if live != nil {
+		g = c.implicitGeom(h, w, outH, outW)
+		ld = g.p8
+		ke := kCols + kCols&1
+		wide = grow(&sc.wide, m4*ke)
+		widenAVX2(wide, c.w, c.outC, kCols)
+		koff = grow(&sc.koff, ke)
+		c.offsets(&g, koff)
+	} else {
 		packed = grow(&sc.packed, m4/4*kCols)
 		packPairs(c.w, packed, c.outC, kCols)
+		cols = grow(&sc.cols, ld*kCols)
 	}
+	acc := grow(&sc.acc, m4*ld)
 	// Effective multiplier from int32 accumulator to real value.
 	accScale := float64(c.wScale) * float64(x.Scale)
 	for img := 0; img < n; img++ {
-		c.im2col(x.Q[img*ch*h*w:][:ch*h*w], h, w, outH, outW, cols, sc)
+		src := x.Q[img*ch*h*w:][:ch*h*w]
+		rowLd := outW // the accumulator row length of one output row
 		if live != nil {
-			live(c.w, cols, acc, c.outC, kCols, p4)
+			planes := grow(&sc.padded, g.size)
+			g.split(planes, src, c.inC, h, w)
+			live(wide, koff, planes, acc, m4, ld)
+			rowLd = g.phW
 		} else {
-			gemmPacked(packed, cols, acc, m4, kCols, p4)
+			c.im2col(src, h, w, outH, outW, cols, sc)
+			gemmPacked(packed, cols, acc, m4, kCols, ld)
 		}
-		outBase := img * c.outC * plane
+		dst := out.Q[img*c.outC*plane:]
 		for oc := 0; oc < c.outC; oc++ {
-			c.lv.conv(out.Q[outBase+oc*plane:][:plane], acc[oc*p4:], float64(c.bn.a[oc]), float64(c.bn.b[oc]), accScale)
+			c.lv.conv(dst[oc*plane:][:plane], acc[oc*ld:], outW, rowLd, float64(c.bn.a[oc]), float64(c.bn.b[oc]), accScale)
 		}
 	}
 	return out

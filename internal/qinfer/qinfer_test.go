@@ -128,7 +128,7 @@ func TestLevelsMatchClampQ(t *testing.T) {
 					return clampQ(v / s)
 				}
 				check := func(v float64) {
-					lv.conv(dst, acc, 1, v, 1)
+					lv.conv(dst, acc, len(dst), len(dst), 1, v, 1)
 					w := want(v)
 					for i, got := range dst {
 						if got != w {

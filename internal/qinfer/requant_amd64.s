@@ -59,22 +59,36 @@ GLOBL lowBytes<>(SB), RODATA|NOPTR, $16
 	VPSHUFB     X8, X1, X1   \
 	VMOVD       X1, (DI)
 
-// func requantConvAVX2(dst *int8, acc *int32, n int, a, b, accScale, floor, scale float64)
+// func requantConvAVX2(dst *int8, acc *int32, rows, w, aw int, a, b, accScale, floor, scale float64)
 //
-// dst[i] = clampQ(max(a·(accScale·float64(acc[i])) + b, floor)/scale) for
-// i < n, n a positive multiple of 4: each product rounded (VMULPD) before
-// the add (VADDPD), as Go evaluates it. There is no FMA. Loads touch
-// acc[0:n] and stores dst[0:n] only.
-TEXT ·requantConvAVX2(SB), NOSPLIT, $0-64
-	MOVQ         dst+0(FP), DI
-	MOVQ         acc+8(FP), SI
-	MOVQ         n+16(FP), CX
-	VBROADCASTSD a+24(FP), Y7
-	VBROADCASTSD b+32(FP), Y5
-	VBROADCASTSD accScale+40(FP), Y6
-	VBROADCASTSD floor+48(FP), Y9
-	VBROADCASTSD scale+56(FP), Y10
+// dst[r·w+i] = clampQ(max(a·(accScale·float64(acc[r·aw+i])) + b, floor)/scale)
+// for r < rows and i < w, rows ≥ 1 and w ≥ 4: each product rounded
+// (VMULPD) before the add (VADDPD), as Go evaluates it. There is no FMA.
+// A row runs four at a time; where w is not a multiple of 4, one more
+// step covers its last four outputs, rewriting up to three of them with
+// the same bytes. Loads touch acc[r·aw : r·aw+w] and stores dst[r·w :
+// r·w+w] only, so the columns between rows are neither read nor written.
+TEXT ·requantConvAVX2(SB), NOSPLIT, $0-80
+	MOVQ         dst+0(FP), R10
+	MOVQ         acc+8(FP), R11
+	MOVQ         rows+16(FP), DX
+	MOVQ         w+24(FP), R8
+	MOVQ         aw+32(FP), R9
+	SHLQ         $2, R9
+	MOVQ         R8, BX
+	ANDQ         $-4, BX // the whole steps: w &^ 3
+	LEAQ         -4(R8), R12 // the last step's start: w − 4
+	VBROADCASTSD a+40(FP), Y7
+	VBROADCASTSD b+48(FP), Y5
+	VBROADCASTSD accScale+56(FP), Y6
+	VBROADCASTSD floor+64(FP), Y9
+	VBROADCASTSD scale+72(FP), Y10
 	SETUP
+
+row:
+	MOVQ R10, DI
+	MOVQ R11, SI
+	MOVQ BX, CX
 
 conv:
 	VCVTDQ2PD (SI), Y0
@@ -86,6 +100,21 @@ conv:
 	ADDQ      $4, DI
 	SUBQ      $4, CX
 	JNZ       conv
+	CMPQ      BX, R8
+	JEQ       next
+	LEAQ      (R10)(R12*1), DI
+	LEAQ      (R11)(R12*4), SI
+	VCVTDQ2PD (SI), Y0
+	VMULPD    Y6, Y0, Y0
+	VMULPD    Y7, Y0, Y0
+	VADDPD    Y5, Y0, Y0
+	QUANT
+
+next:
+	ADDQ R8, R10
+	ADDQ R9, R11
+	DECQ DX
+	JNZ  row
 	VZEROUPPER
 	RET
 

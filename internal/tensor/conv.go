@@ -1,12 +1,15 @@
 package tensor
 
-// Im2Col unfolds an input tensor x of shape (C, H, W) into a matrix of shape
-// (C*kh*kw, outH*outW) such that convolution reduces to a matrix product
-// with the (outC, C*kh*kw) weight matrix. Zero padding of pad pixels is
-// applied on all four sides and the kernel advances by stride. The matrix
-// is written over dst when its capacity suffices (every element, padding
-// zeros included, so dst may hold anything) and into a new slice otherwise.
-func Im2Col(dst []float32, x *Tensor, kh, kw, stride, pad int) *Tensor {
+// Im2Col unfolds an input tensor x of shape (C, H, W) into cols, reshaped
+// to the matrix (C*kh*kw, outH*outW) such that convolution reduces to a
+// matrix product with the (outC, C*kh*kw) weight matrix. Zero padding of
+// pad pixels is applied on all four sides and the kernel advances by
+// stride. The matrix is written over cols.Data when its capacity suffices
+// (every element, padding zeros included, so it may hold anything) and
+// into a new slice otherwise; cols.Shape is reused the same way, so a
+// caller that keeps one header per worker unfolds sample after sample
+// without allocating.
+func Im2Col(cols, x *Tensor, kh, kw, stride, pad int) {
 	if x.NDim() != 3 {
 		panic("tensor: Im2Col requires a (C,H,W) input")
 	}
@@ -14,7 +17,7 @@ func Im2Col(dst []float32, x *Tensor, kh, kw, stride, pad int) *Tensor {
 	outH := (h+2*pad-kh)/stride + 1
 	outW := (w+2*pad-kw)/stride + 1
 	plane := outH * outW
-	dst = reuse(dst, c*kh*kw*plane)
+	dst := reuse(cols.Data, c*kh*kw*plane)
 	for ch := 0; ch < c; ch++ {
 		chBase := ch * h * w
 		for ki := 0; ki < kh; ki++ {
@@ -49,7 +52,7 @@ func Im2Col(dst []float32, x *Tensor, kh, kw, stride, pad int) *Tensor {
 			}
 		}
 	}
-	return FromSlice(dst, c*kh*kw, plane)
+	cols.Shape, cols.Data = append(cols.Shape[:0], c*kh*kw, plane), dst
 }
 
 // Col2Im folds a (C*kh*kw, outH*outW) column matrix back into dst, a

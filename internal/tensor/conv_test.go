@@ -71,7 +71,8 @@ func TestIm2ColMatchesRef(t *testing.T) {
 				dirty[i] = float32(math.NaN())
 			}
 			for _, dst := range [][]float32{nil, dirty[:1], dirty} {
-				got := Im2Col(dst, x, g.k, g.k, g.stride, g.pad)
+				got := &Tensor{Data: dst}
+				Im2Col(got, x, g.k, g.k, g.stride, g.pad)
 				if !SameShape(got, want) {
 					t.Fatalf("shape %v, want %v", got.Shape, want.Shape)
 				}
@@ -81,7 +82,8 @@ func TestIm2ColMatchesRef(t *testing.T) {
 					}
 				}
 			}
-			if got := Im2Col(dirty, x, g.k, g.k, g.stride, g.pad); &got.Data[0] != &dirty[0] {
+			got := &Tensor{Data: dirty}
+			if Im2Col(got, x, g.k, g.k, g.stride, g.pad); &got.Data[0] != &dirty[0] {
 				t.Fatal("Im2Col did not reuse a destination with room to spare")
 			}
 		})

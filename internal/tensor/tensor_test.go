@@ -205,7 +205,8 @@ func TestTranspose(t *testing.T) {
 func TestIm2ColIdentityKernel(t *testing.T) {
 	// 1×1 kernel, stride 1, no pad: im2col is the identity flatten.
 	x := FromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
-	cols := Im2Col(nil, x, 1, 1, 1, 0)
+	cols := new(Tensor)
+	Im2Col(cols, x, 1, 1, 1, 0)
 	if cols.Shape[0] != 1 || cols.Shape[1] != 4 {
 		t.Fatalf("cols shape = %v", cols.Shape)
 	}
@@ -220,7 +221,8 @@ func TestIm2ColKnown3x3(t *testing.T) {
 	// 3×3 input, 3×3 kernel, pad 1 → nine 3×3 output positions; check a
 	// couple of hand-computed entries including zero padding.
 	x := FromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1, 3, 3)
-	cols := Im2Col(nil, x, 3, 3, 1, 1)
+	cols := new(Tensor)
+	Im2Col(cols, x, 3, 3, 1, 1)
 	if cols.Shape[0] != 9 || cols.Shape[1] != 9 {
 		t.Fatalf("cols shape = %v", cols.Shape)
 	}
@@ -246,7 +248,8 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 	c, h, w, kh, kw, stride, pad := 2, 6, 5, 3, 3, 2, 1
 	x := New(c, h, w)
 	x.RandNormal(rng, 1)
-	cols := Im2Col(nil, x, kh, kw, stride, pad)
+	cols := new(Tensor)
+	Im2Col(cols, x, kh, kw, stride, pad)
 	y := New(cols.Shape...)
 	y.RandNormal(rng, 1)
 	var lhs float64
